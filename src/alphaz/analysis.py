@@ -159,38 +159,33 @@ class CurveSpec:
 
 @dataclass(frozen=True)
 class TraceFunctional:
-    """The pair (rho, sigma) behind T(a, z) = Tr[F(a, z)^z]; requires
-    dominance so all checked quantities are smooth near a = 1."""
+    """The pair (rho, sigma) behind T(a, z) = Tr[F(a, z)^z], validated and
+    decomposed once; requires dominance so all checked quantities are
+    smooth near a = 1."""
 
     rho: np.ndarray
     sigma: np.ndarray
+    pair: dv.PreparedPair = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rho = dv.check_density(self.rho)
-        sigma = dv.check_reference(self.sigma)
-        if not dv.dominates(sigma, rho):
+        pair = dv.prepare(self.rho, self.sigma)
+        if not pair.dominated:
             raise DomainError("trace functional requires sigma to dominate rho")
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "pair", pair)
 
     def value(self, alpha: float, z: float) -> float:
         """T(alpha, z); equals 1 at alpha = 1 for every z."""
-        return dv.alpha_z_trace(self.rho, self.sigma, alpha, z, validate=False)
+        return self.pair.trace(alpha, z)
 
     def divergence(self, alpha: float, z: float) -> float:
         """Finite alpha-z divergence value (dominance guarantees finiteness)."""
-        return dv.alpha_z_divergence(self.rho, self.sigma, alpha, z).value
+        return self.pair.divergence(alpha, z).value
 
     def relative_entropy(self) -> float:
-        return dv.relative_entropy(self.rho, self.sigma).value
+        return self.pair.relative_entropy().value
 
     def variance(self) -> float:
-        return dv.relative_entropy_variance(self.rho, self.sigma)
-
-
-def trace_functional(tf: TraceFunctional, alpha: float, z: float) -> float:
-    """Module-level alias for TraceFunctional.value."""
-    return tf.value(alpha, z)
+        return self.pair.variance()
 
 
 @dataclass
@@ -510,17 +505,12 @@ def sweep(rho: np.ndarray, sigma: np.ndarray, spec: SweepSpec) -> list[SweepRow]
     """Evaluate the divergence and trace functional over the grid,
     alpha-major then z; infinite divergences keep their restricted-support
     trace value, and a NaN trace marks undefined-formula cells."""
-    rho = dv.check_density(rho)
-    sigma = dv.check_reference(sigma)
+    pair = dv.prepare(rho, sigma)
     rows = []
     for alpha in spec.alphas:
         zs = spec.zs if spec.zs is not None else (spec.curve.g(alpha),)
         for z in zs:
-            value = dv.alpha_z_divergence(rho, sigma, alpha, z)
-            try:
-                t = dv.alpha_z_trace(rho, sigma, alpha, z, validate=False)
-            except DomainError:
-                t = math.nan
+            value, t = pair.evaluate(alpha, z)
             rows.append(SweepRow(float(alpha), float(z), value, t))
     return rows
 

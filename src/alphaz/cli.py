@@ -3,7 +3,9 @@ matrix dumps, and the certification suites.
 
 Exit codes: 0 success (all checks passed for `verify`), 1 verification
 failure, 2 malformed input or I/O error, 3 domain error (z = 0, p out of
-range, unsupported support configuration).
+range, unsupported support configuration), 4 internal numerical error (a
+dual-route mismatch, a collapsed trace, an eigensolver that did not
+converge).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
+EXIT_INTERNAL = 4
 
 
 def _fmt(x: float) -> str:
@@ -235,11 +238,12 @@ def main(argv=None) -> int:
     except (DomainError, NotPSDError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (SpecError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # before ValueError, which LinAlgError subclasses
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except (SpecError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -22,6 +22,9 @@ Support semantics for D(a, z):
 Negative z and negative alpha are accepted whenever the required spectral
 powers are well defined; a negative exponent against a rank-deficient
 operator outside the dominated case raises DomainError.
+
+Every quantum value comes from a PreparedPair, which validates and
+decomposes both operators once; the scalar functions prepare one per call.
 """
 
 from __future__ import annotations
@@ -31,19 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    DomainError,
-    as_hermitian,
-    dominates,
-    eigensystem,
-    hermitian_part,
-    log_on_support,
-    matrix_power,
-    orthogonal,
-    support,
-    trace,
-    zero_cutoff,
-)
+from .linalg import DomainError, Spectrum, eigensystem, support, support_relation
 
 INFINITY_SUPPORT = "support_violation"
 INFINITY_ORTHOGONAL = "orthogonal_states"
@@ -118,23 +109,23 @@ def check_probability_vector(p) -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
-def check_density(rho: np.ndarray) -> np.ndarray:
-    """Validate a density operator: Hermitian, PSD, unit trace."""
-    rho = as_hermitian(rho)
-    support(rho)  # raises NotPSDError on a significantly negative spectrum
-    tr = trace(rho)
+def check_density(rho: np.ndarray) -> Spectrum:
+    """Validate a density operator (Hermitian, PSD, unit trace) and return
+    its spectrum."""
+    spectrum = support(rho)
+    tr = float(spectrum.values.sum())
     if abs(tr - 1.0) > _TRACE_ATOL:
         raise DomainError(f"density operator must have trace 1, got {tr!r}")
-    return rho
+    return spectrum
 
 
-def check_reference(sigma: np.ndarray) -> np.ndarray:
-    """Validate a reference operator: Hermitian, PSD, nonzero."""
-    sigma = as_hermitian(sigma)
-    info = support(sigma)
-    if info.rank == 0:
+def check_reference(sigma: np.ndarray) -> Spectrum:
+    """Validate a reference operator (Hermitian, PSD, nonzero) and return
+    its spectrum."""
+    spectrum = support(sigma)
+    if spectrum.rank == 0:
         raise DomainError("reference operator must be nonzero")
-    return sigma
+    return spectrum
 
 
 def classical_kl(p, q) -> DivergenceValue:
@@ -185,17 +176,139 @@ def classical_renyi(p, q, alpha: float) -> DivergenceValue:
     return DivergenceValue.finite(math.log(total) / (alpha - 1.0))
 
 
+def _nonzero_z(z: float) -> float:
+    if float(z) == 0.0:
+        raise DomainError("z = 0 is excluded")
+    return float(z)
+
+
+def _undefined(name: str, exponent: float) -> DomainError:
+    return DomainError("formula undefined for this support configuration: "
+                       f"{name} is rank-deficient and its exponent {exponent:.6g} "
+                       "is negative")
+
+
+def _from_trace(alpha: float, t: float) -> DivergenceValue:
+    if t <= 0.0:
+        raise ArithmeticError(f"trace functional collapsed to {t!r}")
+    return DivergenceValue.finite(math.log(t) / (alpha - 1.0))
+
+
+@dataclass(frozen=True)
+class PreparedPair:
+    """A validated (rho, sigma) pair, decomposed once: the two spectra, the
+    overlap W = V_sigma† U_rho of their eigenvectors, weights = |W|^2, the
+    support relation of `linalg.support_relation`, and the inner rank: the
+    rank of the supp sigma x supp rho block of W, which every inner operator
+    sigma^e rho^f sigma^e of the pair shares."""
+
+    rho: Spectrum
+    sigma: Spectrum
+    overlap: np.ndarray
+    weights: np.ndarray
+    dominated: bool
+    orthogonal: bool
+    inner_rank: int
+
+    def trace(self, alpha: float, z: float) -> float:
+        """T(a, z) = Tr[(sigma^((1-a)/2z) rho^(a/z) sigma^((1-a)/2z))^z] with
+        generalized powers. Raises DomainError when a negative exponent meets
+        a rank-deficient operator outside the dominated case (no endorsed
+        interpretation exists there)."""
+        alpha, z = float(alpha), _nonzero_z(z)
+        e_sigma, e_rho = (1.0 - alpha) / (2.0 * z), alpha / z
+        dim = self.rho.values.size
+        if e_rho < 0.0 and self.rho.rank < dim:
+            raise _undefined("rho", e_rho)
+        if e_sigma < 0.0 and self.sigma.rank < dim and not self.dominated:
+            raise _undefined("sigma", e_sigma)
+        # The inner operator is G G† with G = diag(sigma powers) W diag(sqrt
+        # of rho powers). Scaling W by rows and columns is exact per entry,
+        # and the singular values of G give the inner eigenvalues to about
+        # the square root of the relative error of an eigendecomposition of
+        # the assembled sandwich. G has rank inner_rank, so the smaller
+        # singular values are round-off and are dropped whatever their size.
+        g = (self.sigma.powers(e_sigma)[:, None] * self.overlap
+             * self.rho.powers(e_rho / 2.0)[None, :])
+        singular = np.linalg.svd(g, compute_uv=False)[:self.inner_rank]
+        return float(np.sum((singular * singular) ** z))
+
+    def _closed_form(self, alpha: float) -> DivergenceValue | None:
+        """D at alpha = 1 or where the supports force +inf; None where the
+        trace formula applies."""
+        if abs(alpha - 1.0) <= ALPHA_ONE_TOL:
+            return self.relative_entropy()
+        if not self.dominated and alpha > 1.0:
+            return DivergenceValue.infinite(INFINITY_SUPPORT)
+        if not self.dominated and self.orthogonal:
+            return DivergenceValue.infinite(INFINITY_ORTHOGONAL)
+        return None
+
+    def divergence(self, alpha: float, z: float) -> DivergenceValue:
+        """D(a, z) = ln T(a, z) / (a - 1) with the module's support semantics."""
+        alpha, z = float(alpha), _nonzero_z(z)
+        return self._closed_form(alpha) or _from_trace(alpha, self.trace(alpha, z))
+
+    def evaluate(self, alpha: float, z: float) -> tuple[DivergenceValue, float]:
+        """D(a, z) and T(a, z) from one SVD. T is NaN where its formula is
+        undefined, which happens only where D needs no trace."""
+        alpha, z = float(alpha), _nonzero_z(z)
+        value = self._closed_form(alpha)
+        if value is None:
+            t = self.trace(alpha, z)
+            return _from_trace(alpha, t), t
+        try:
+            return value, self.trace(alpha, z)
+        except DomainError:
+            return value, math.nan
+
+    def relative_entropy(self) -> DivergenceValue:
+        """Tr[rho (ln rho - ln sigma)] = sum_i r_i ln r_i - sum_ij r_i w_ji ln s_j."""
+        if not self.dominated:
+            return DivergenceValue.infinite(INFINITY_SUPPORT)
+        r, ln_s = self.rho.powers(1.0), self.sigma.on_support(np.log)
+        return DivergenceValue.finite(r @ self.rho.on_support(np.log) - ln_s @ self.weights @ r)
+
+    def variance(self) -> float:
+        """Tr[rho d^2] - Tr[rho d]^2 for d = ln rho - ln sigma, clamped at 0."""
+        if not self.dominated:
+            raise DomainError("variance undefined: sigma does not dominate rho")
+        # d in rho's eigenbasis, where (d^2)_ii is the squared norm of row i
+        d = np.diag(self.rho.on_support(np.log)) - self.overlap.conj().T @ (
+            self.sigma.on_support(np.log)[:, None] * self.overlap)
+        r = self.rho.powers(1.0)
+        mean = float(r @ d.diagonal().real)
+        var = float(r @ np.sum(np.abs(d) ** 2, axis=1)) - mean * mean
+        if var < -1e-12:
+            raise ArithmeticError(f"variance computed as {var!r} < -1e-12")
+        return max(var, 0.0)
+
+
+def prepare(rho: np.ndarray, sigma: np.ndarray) -> PreparedPair:
+    """Validate and decompose a (rho, sigma) pair once. The inner rank is
+    rank rho under dominance, 0 for orthogonal supports and rank sigma for a
+    full-rank rho; otherwise it counts the cosines between the supports
+    whose square, a weight, exceeds eps."""
+    r, s = check_density(rho), check_reference(sigma)
+    if r.values.shape != s.values.shape:
+        raise ValueError(f"dimension mismatch: {r.vectors.shape} vs {s.vectors.shape}")
+    overlap = s.vectors.conj().T @ r.vectors
+    weights = np.abs(overlap) ** 2
+    dominated, orthogonal = support_relation(r, s, weights)
+    if dominated or orthogonal or r.rank == r.values.size:
+        inner_rank = r.rank if dominated else 0 if orthogonal else s.rank
+    else:
+        cosines = np.linalg.svd(overlap[:s.rank, :r.rank], compute_uv=False)
+        inner_rank = int(np.count_nonzero(cosines * cosines > s.eps))
+    return PreparedPair(r, s, overlap, weights, dominated, orthogonal, inner_rank)
+
+
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> DivergenceValue:
     """Quantum relative entropy Tr[rho (ln rho - ln sigma)] in nats.
 
     +inf (support_violation) when sigma does not dominate rho.
     """
-    rho = check_density(rho)
-    sigma = check_reference(sigma)
-    if not dominates(sigma, rho):
-        return DivergenceValue.infinite(INFINITY_SUPPORT)
-    delta = log_on_support(rho) - log_on_support(sigma)
-    return DivergenceValue.finite(trace(rho @ delta))
+    return prepare(rho, sigma).relative_entropy()
 
 
 def relative_entropy_variance(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -204,79 +317,13 @@ def relative_entropy_variance(rho: np.ndarray, sigma: np.ndarray) -> float:
     Requires dominance (the variance is undefined otherwise) and clamps
     the tiny negative round-off floor to 0.
     """
-    rho = check_density(rho)
-    sigma = check_reference(sigma)
-    if not dominates(sigma, rho):
-        raise DomainError("variance undefined: sigma does not dominate rho")
-    delta = log_on_support(rho) - log_on_support(sigma)
-    mean = trace(rho @ delta)
-    second = trace(rho @ delta @ delta)
-    var = second - mean * mean
-    if var < -1e-12:
-        raise ArithmeticError(f"variance computed as {var!r} < -1e-12")
-    return max(var, 0.0)
+    return prepare(rho, sigma).variance()
 
 
-def _generalized_powers(values: np.ndarray, exponent: float) -> np.ndarray:
-    """Eigenvalue vector raised to the exponent; below-cutoff entries map to 0
-    (or to 1 for exponent 0, realizing the support-projector convention)."""
-    thr = zero_cutoff() * float(np.abs(values).max()) if values.size else 0.0
-    mask = values > thr
-    out = np.zeros_like(values)
-    out[mask] = 1.0 if exponent == 0.0 else values[mask] ** exponent
-    return out
-
-
-def alpha_z_trace(rho: np.ndarray, sigma: np.ndarray, alpha: float, z: float,
-                  validate: bool = True) -> float:
-    """Trace functional T(a, z) = Tr[(sigma^((1-a)/2z) rho^(a/z) sigma^((1-a)/2z))^z].
-
-    All powers are generalized spectral powers. The sandwich is assembled in
-    the eigenbasis of sigma, where the outer factors are diagonal and scale
-    matrix entries exactly; round-off then stays relative even for extreme
-    exponents instead of being amplified by the factor norms. Raises
-    DomainError when a negative exponent meets a rank-deficient operator
-    outside the dominated case (no endorsed interpretation exists there).
-    """
-    alpha = float(alpha)
-    z = float(z)
-    if z == 0.0:
-        raise DomainError("z = 0 is excluded")
-    if validate:
-        rho = check_density(rho)
-        sigma = check_reference(sigma)
-    e_sigma = (1.0 - alpha) / (2.0 * z)
-    e_rho = alpha / z
-    es_rho = eigensystem(rho)
-    es_sigma = eigensystem(sigma)
-    dim = es_rho.values.size
-    if e_rho < 0.0 and np.count_nonzero(_generalized_powers(es_rho.values, 0.0)) < dim:
-        raise DomainError(
-            "formula undefined for this support configuration: "
-            f"rho is rank-deficient and its exponent {e_rho:.6g} is negative"
-        )
-    if (e_sigma < 0.0
-            and np.count_nonzero(_generalized_powers(es_sigma.values, 0.0)) < dim
-            and not dominates(sigma, rho)):
-        raise DomainError(
-            "formula undefined for this support configuration: "
-            f"sigma is rank-deficient and its exponent {e_sigma:.6g} is negative"
-        )
-    # The inner operator factors as G G† with G = diag(sigma-powers) W
-    # diag(sqrt of rho-powers), W the eigenbasis overlap. Scaling the unitary
-    # W row- and column-wise is exact per entry, and singular values of G give
-    # the inner eigenvalues with relative accuracy ~ sqrt of what a direct
-    # eigendecomposition of the assembled sandwich achieves; they are also
-    # non-negative by construction, so no round-off clipping is needed here.
-    overlap = es_sigma.vectors.conj().T @ es_rho.vectors
-    b = _generalized_powers(es_sigma.values, e_sigma)
-    half_r = _generalized_powers(es_rho.values, e_rho / 2.0)
-    g = b[:, None] * overlap * half_r[None, :]
-    singular = np.linalg.svd(g, compute_uv=False)
-    values = singular * singular
-    thr = zero_cutoff() * float(values.max()) if values.size else 0.0
-    kept = values[values > thr]
-    return float(np.sum(kept**z))
+def alpha_z_trace(rho: np.ndarray, sigma: np.ndarray, alpha: float, z: float) -> float:
+    """Trace functional T(a, z) = Tr[(sigma^((1-a)/2z) rho^(a/z) sigma^((1-a)/2z))^z];
+    see PreparedPair.trace."""
+    return prepare(rho, sigma).trace(alpha, z)
 
 
 def alpha_z_divergence(rho: np.ndarray, sigma: np.ndarray,
@@ -286,26 +333,14 @@ def alpha_z_divergence(rho: np.ndarray, sigma: np.ndarray,
     At a = 1 this returns the relative entropy, closing the family at its
     limit point; see the module docstring for the support semantics.
     """
-    alpha = float(alpha)
-    z = float(z)
-    if z == 0.0:
-        raise DomainError("z = 0 is excluded")
-    rho = check_density(rho)
-    sigma = check_reference(sigma)
-    if abs(alpha - 1.0) <= ALPHA_ONE_TOL:
-        return relative_entropy(rho, sigma)
-    if not dominates(sigma, rho):
-        if alpha > 1.0:
-            return DivergenceValue.infinite(INFINITY_SUPPORT)
-        if orthogonal(rho, sigma):
-            return DivergenceValue.infinite(INFINITY_ORTHOGONAL)
-    t = alpha_z_trace(rho, sigma, alpha, z, validate=False)
+    return prepare(rho, sigma).divergence(alpha, z)
+
+
+def _assert_dual_path(label: str, family: DivergenceValue, alpha: float,
+                      t: float) -> None:
     if t <= 0.0:
-        raise ArithmeticError(f"trace functional collapsed to {t!r}")
-    return DivergenceValue.finite(math.log(t) / (alpha - 1.0))
-
-
-def _assert_dual_path(label: str, family: DivergenceValue, direct: float) -> None:
+        raise ArithmeticError(f"{label} trace term collapsed to {t!r}")
+    direct = math.log(t) / (alpha - 1.0)
     tol = _DUAL_PATH_TOL * max(1.0, abs(family.value))
     if abs(family.value - direct) > tol:
         raise ArithmeticError(
@@ -318,21 +353,15 @@ def petz_divergence(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> Diverge
     """Petz quantum Renyi divergence of order alpha, the z = 1 member.
 
     Also evaluates the direct formula ln Tr[rho^a sigma^(1-a)] / (a - 1)
-    through the overlap sum sum_ij |<u_i|v_j>|^2 r_i^a s_j^(1-a) (a
+    through the overlap sum sum_ij |<v_j|u_i>|^2 r_i^a s_j^(1-a) (a
     cancellation-free route) and asserts the two routes agree.
     """
     alpha = float(alpha)
-    value = alpha_z_divergence(rho, sigma, alpha, 1.0)
+    pair = prepare(rho, sigma)
+    value = pair.divergence(alpha, 1.0)
     if value.is_finite and abs(alpha - 1.0) > ALPHA_ONE_TOL:
-        es_rho = eigensystem(check_density(rho))
-        es_sigma = eigensystem(check_reference(sigma))
-        weights = np.abs(es_rho.vectors.conj().T @ es_sigma.vectors) ** 2
-        r_pow = _generalized_powers(es_rho.values, alpha)
-        s_pow = _generalized_powers(es_sigma.values, 1.0 - alpha)
-        t = float(r_pow @ weights @ s_pow)
-        if t <= 0.0:
-            raise ArithmeticError(f"Petz trace term collapsed to {t!r}")
-        _assert_dual_path("Petz", value, math.log(t) / (alpha - 1.0))
+        t = float(pair.sigma.powers(1.0 - alpha) @ pair.weights @ pair.rho.powers(alpha))
+        _assert_dual_path("Petz", value, alpha, t)
     return value
 
 
@@ -341,24 +370,20 @@ def sandwiched_divergence(rho: np.ndarray, sigma: np.ndarray,
     """Sandwiched quantum Renyi divergence of order alpha, the z = alpha member.
 
     Cross-checked against the direct formula
-    ln Tr[(sigma^((1-a)/2a) rho sigma^((1-a)/2a))^a] / (a - 1).
+    ln Tr[(sigma^((1-a)/2a) rho sigma^((1-a)/2a))^a] / (a - 1), keeping the
+    top inner-rank eigenvalues of the assembled inner operator.
     """
     alpha = float(alpha)
     if alpha == 0.0:
         raise DomainError("alpha = 0 puts z = 0, which is excluded")
-    value = alpha_z_divergence(rho, sigma, alpha, alpha)
+    pair = prepare(rho, sigma)
+    value = pair.divergence(alpha, alpha)
     if value.is_finite and abs(alpha - 1.0) > ALPHA_ONE_TOL:
-        rho_h = check_density(rho)
-        sigma_h = check_reference(sigma)
-        e = (1.0 - alpha) / (2.0 * alpha)
-        s_half = matrix_power(sigma_h, e)
-        inner = hermitian_part(s_half @ rho_h @ s_half)
-        values = eigensystem(inner).values
-        thr = zero_cutoff() * float(np.abs(values).max()) if values.size else 0.0
-        t = float(np.sum(values[values > thr] ** alpha))
-        if t <= 0.0:
-            raise ArithmeticError(f"sandwiched trace term collapsed to {t!r}")
-        _assert_dual_path("sandwiched", value, math.log(t) / (alpha - 1.0))
+        s_pow = pair.sigma.operator(pair.sigma.powers((1.0 - alpha) / (2.0 * alpha)))
+        inner = s_pow @ pair.rho.operator(pair.rho.powers(1.0)) @ s_pow
+        values = eigensystem(inner).values[:pair.inner_rank]
+        _assert_dual_path("sandwiched", value, alpha,
+                          float(np.sum(np.clip(values, 0.0, None) ** alpha)))
     return value
 
 

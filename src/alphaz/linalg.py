@@ -1,10 +1,11 @@
-"""Complex Hermitian linear algebra: eigendecomposition, support/kernel
-logic with a single relative cutoff, and spectral functional calculus
-(generalized powers, logs on the support, pinching).
+"""Complex Hermitian linear algebra: one prepared `Spectrum` per operator,
+support/kernel logic with a single relative cutoff, and spectral functional
+calculus (generalized powers, logs on the support, pinching).
 
-All functions treat an eigenvalue as zero iff it is <= cutoff * max|eigenvalue|,
-where the cutoff defaults to 1e-12 and can be overridden through the
-RENYI_EPS environment variable.
+An eigenvalue counts as zero iff it is <= eps * max|eigenvalue|, where eps
+defaults to 1e-12 and can be overridden through the RENYI_EPS environment
+variable. `eigensystem` reads eps once per operator into its Spectrum, and
+every support decision about the operator uses that Spectrum.
 """
 
 from __future__ import annotations
@@ -18,9 +19,6 @@ DEFAULT_EPS = 1e-12
 
 # max-abs entry tolerance accepted before an input is rejected as non-Hermitian
 HERMITICITY_RTOL = 1e-8
-
-# leak/overlap tolerance for the support-relation predicates
-SUPPORT_ATOL = 1e-9
 
 
 class NotPSDError(ValueError):
@@ -51,12 +49,12 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
 
-def as_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
+def as_hermitian(a: np.ndarray) -> np.ndarray:
     """Validate and symmetrize a square matrix.
 
     Rejects non-square or non-finite input and input whose Hermiticity
-    defect exceeds ``rtol`` relative to the matrix scale; otherwise returns
-    the exactly Hermitian part.
+    defect exceeds HERMITICITY_RTOL relative to the matrix scale; otherwise
+    returns the exactly Hermitian part.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -67,7 +65,7 @@ def as_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
         raise ValueError("matrix has non-finite entries")
     scale = max(1.0, float(np.abs(a).max()))
     defect = float(np.abs(a - a.conj().T).max())
-    if defect > rtol * scale:
+    if defect > HERMITICITY_RTOL * scale:
         raise ValueError(f"matrix is not Hermitian: max defect {defect:.3e}")
     return hermitian_part(a)
 
@@ -77,34 +75,45 @@ def trace(a: np.ndarray) -> float:
     return float(np.trace(np.asarray(a)).real)
 
 
-def mult(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with a dimension check."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def adjoint_sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A B A for Hermitian A, B, re-symmetrized to repair round-off."""
-    return hermitian_part(mult(mult(a, b), a))
-
-
 @dataclass(frozen=True)
-class EigenSystem:
-    """Spectral decomposition: real eigenvalues (descending) and unitary
-    eigenvector columns."""
+class Spectrum:
+    """Eigendecomposition of one Hermitian operator with its zero cutoff.
+
+    Eigenvalues are sorted descending with unitary eigenvector columns. The
+    first `rank` eigenvalues exceed `threshold` = eps * max|eigenvalue|, and
+    their eigenvectors span the support; the rest count as exact zeros.
+    """
 
     values: np.ndarray
     vectors: np.ndarray
+    eps: float
+    threshold: float
+    rank: int
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.vectors.conj().T
+    @property
+    def projector(self) -> np.ndarray:
+        """Orthogonal projector onto the support."""
+        return self.operator(self.powers(0.0))
+
+    def on_support(self, fn) -> np.ndarray:
+        """fn of the support eigenvalues (all > 0), 0 on the kernel."""
+        out = np.zeros_like(self.values)
+        out[:self.rank] = fn(self.values[:self.rank])
+        return out
+
+    def powers(self, p: float) -> np.ndarray:
+        """Generalized power of the eigenvalues: kernel entries map to 0 for
+        every exponent, so p = 0 gives the support indicator."""
+        return self.on_support(lambda v: v**p)
+
+    def operator(self, diagonal: np.ndarray) -> np.ndarray:
+        """The operator with these eigenvalues in this eigenbasis."""
+        return hermitian_part((self.vectors * diagonal) @ self.vectors.conj().T)
 
 
-def eigensystem(a: np.ndarray) -> EigenSystem:
-    """Eigendecompose a Hermitian matrix, eigenvalues sorted descending."""
+def eigensystem(a: np.ndarray) -> Spectrum:
+    """Validate a Hermitian matrix and decompose it once, eigenvalues sorted
+    descending, with the zero cutoff read and applied."""
     a = as_hermitian(a)
     try:
         values, vectors = np.linalg.eigh(a)
@@ -113,103 +122,79 @@ def eigensystem(a: np.ndarray) -> EigenSystem:
             f"eigensolver failed to converge on a {a.shape[0]}x{a.shape[1]} "
             f"matrix with max-abs entry {np.abs(a).max():.3e}: {exc}"
         ) from exc
-    order = np.argsort(values)[::-1]
-    return EigenSystem(values[order].copy(), vectors[:, order].copy())
+    values, vectors = values[::-1].copy(), vectors[:, ::-1].copy()
+    eps = zero_cutoff()
+    threshold = eps * float(np.abs(values).max())
+    return Spectrum(values, vectors, eps, threshold,
+                    int(np.count_nonzero(values > threshold)))
 
 
-@dataclass(frozen=True)
-class SupportInfo:
-    """Rank, support projector, and the absolute threshold used to split
-    the spectrum into support and kernel."""
-
-    rank: int
-    projector: np.ndarray
-    zero_threshold: float
-
-
-def _kernel_threshold(values: np.ndarray, rel_threshold: float | None) -> float:
-    rel = zero_cutoff() if rel_threshold is None else float(rel_threshold)
-    vmax = float(np.abs(values).max()) if values.size else 0.0
-    return rel * vmax
-
-
-def _psd_values(a: np.ndarray, rel_threshold: float | None) -> tuple[EigenSystem, float]:
-    """Eigensystem plus kernel threshold, rejecting significantly negative spectra."""
-    es = eigensystem(a)
-    thr = _kernel_threshold(es.values, rel_threshold)
-    vmin = float(es.values.min())
-    if vmin < -thr and vmin < 0.0:
+def support(a: np.ndarray) -> Spectrum:
+    """Spectrum of a PSD operator, whose rank and projector describe its
+    support. Rejects a spectrum with an eigenvalue below -threshold. The
+    zero operator has rank 0 and a zero projector."""
+    spectrum = eigensystem(a)
+    vmin = float(spectrum.values[-1])
+    if vmin < -spectrum.threshold and vmin < 0.0:
         raise NotPSDError(f"operator is not PSD: eigenvalue {vmin:.6e}")
-    return es, thr
+    return spectrum
 
 
-def support(a: np.ndarray, rel_threshold: float | None = None) -> SupportInfo:
-    """Support data of a PSD operator; eigenvalues <= rel_threshold * max|eig|
-    count as kernel. The zero operator has rank 0 and a zero projector."""
-    es, thr = _psd_values(a, rel_threshold)
-    keep = es.values > thr
-    rank = int(np.count_nonzero(keep))
-    u = es.vectors[:, keep]
-    projector = hermitian_part(u @ u.conj().T)
-    return SupportInfo(rank=rank, projector=projector, zero_threshold=thr)
+def support_relation(rho: Spectrum, sigma: Spectrum,
+                     weights: np.ndarray) -> tuple[bool, bool]:
+    """(dominated, orthogonal) for PSD spectra, where
+    weights[j, i] = |<v_j|u_i>|^2 for the eigenvectors v of sigma and u of rho.
+
+    rho's weight on a subspace is sum r_i weights[j, i] over i in supp rho
+    and j spanning the subspace. As with rank, it counts as zero iff it is
+    <= rho.threshold: sigma dominates rho iff the weight on ker sigma is
+    zero, and the supports are orthogonal iff the weight on supp sigma is.
+    """
+    mass = weights[:, :rho.rank] @ rho.values[:rho.rank]
+    return (float(mass[sigma.rank:].sum()) <= rho.threshold,
+            float(mass[:sigma.rank].sum()) <= rho.threshold)
 
 
-def dominates(sigma: np.ndarray, rho: np.ndarray,
-              rel_threshold: float | None = None) -> bool:
+def _relation(rho: np.ndarray, sigma: np.ndarray) -> tuple[bool, bool]:
+    r, s = support(rho), support(sigma)
+    return support_relation(r, s, np.abs(s.vectors.conj().T @ r.vectors) ** 2)
+
+
+def dominates(sigma: np.ndarray, rho: np.ndarray) -> bool:
     """True iff ker(sigma) is contained in ker(rho), i.e. supp(rho) lies
-    inside supp(sigma). Tested as the max-abs leak of rho through the
-    kernel projector of sigma."""
-    info = support(sigma, rel_threshold)
-    rho = as_hermitian(rho)
-    _psd_values(rho, rel_threshold)
-    kernel = np.eye(rho.shape[0], dtype=complex) - info.projector
-    leak = float(np.abs(kernel @ rho @ kernel).max())
-    return leak <= SUPPORT_ATOL * max(1.0, float(np.abs(rho).max()))
+    inside supp(sigma), decided by `support_relation`."""
+    return _relation(rho, sigma)[0]
 
 
-def orthogonal(rho: np.ndarray, sigma: np.ndarray,
-               rel_threshold: float | None = None) -> bool:
-    """True iff the supports of rho and sigma are orthogonal subspaces."""
-    p_rho = support(rho, rel_threshold).projector
-    p_sigma = support(sigma, rel_threshold).projector
-    return trace(p_rho @ p_sigma) <= SUPPORT_ATOL
+def orthogonal(rho: np.ndarray, sigma: np.ndarray) -> bool:
+    """True iff the supports of rho and sigma are orthogonal subspaces,
+    decided by `support_relation`."""
+    return _relation(rho, sigma)[1]
 
 
-def _spectral_apply(a: np.ndarray, fn, rel_threshold: float | None) -> np.ndarray:
-    """Apply fn to the above-cutoff eigenvalues; kernel directions map to 0."""
-    es, thr = _psd_values(a, rel_threshold)
-    keep = es.values > thr
-    out = np.zeros_like(es.values)
-    out[keep] = fn(es.values[keep])
-    return hermitian_part((es.vectors * out) @ es.vectors.conj().T)
-
-
-def matrix_power(a: np.ndarray, p: float,
-                 rel_threshold: float | None = None) -> np.ndarray:
+def matrix_power(a: np.ndarray, p: float) -> np.ndarray:
     """Generalized spectral power of a PSD operator.
 
     Eigenvalues at or below the cutoff are treated as exact zeros and map to
     zero for every exponent; A**0 is the support projector, not the identity.
     """
-    p = float(p)
-    if p == 0.0:
-        return support(a, rel_threshold).projector
-    return _spectral_apply(a, lambda w: w**p, rel_threshold)
+    spectrum = support(a)
+    return spectrum.operator(spectrum.powers(float(p)))
 
 
-def log_on_support(a: np.ndarray, rel_threshold: float | None = None) -> np.ndarray:
+def log_on_support(a: np.ndarray) -> np.ndarray:
     """Natural log evaluated on the support; kernel contributes nothing.
     The zero operator maps to the zero matrix."""
-    return _spectral_apply(a, np.log, rel_threshold)
+    spectrum = support(a)
+    return spectrum.operator(spectrum.on_support(np.log))
 
 
-def pinch(a: np.ndarray, basis_of: np.ndarray,
-          rel_threshold: float | None = None) -> np.ndarray:
+def pinch(a: np.ndarray, basis_of: np.ndarray) -> np.ndarray:
     """Pinch A in the eigenbasis of a PSD operator: sum_i P_i A P_i over the
     spectral projectors P_i of basis_of (eigenvalues equal within tolerance
     share a block). Trace preserving and Hermiticity preserving."""
     a = as_hermitian(a)
-    es, _ = _psd_values(basis_of, rel_threshold)
+    es = support(basis_of)
     if a.shape != es.vectors.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {es.vectors.shape}")
     scale = max(float(np.abs(es.values).max()), 1e-300)

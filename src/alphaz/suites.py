@@ -68,54 +68,50 @@ def _aggregate(name: str, reports: list[CheckReport], notes: str = "") -> CheckR
     )
 
 
+def _seeded_functionals(n_seeds: int) -> list[tuple[TraceFunctional, str]]:
+    """The seeded pairs, each validated and decomposed once."""
+    return [(TraceFunctional(rho, sigma), label)
+            for rho, sigma, label in seeded_pairs(n_seeds)]
+
+
+def _over_pairs(name: str, tfs, check) -> CheckReport:
+    """Aggregate of one check run on every pair, members tagged by pair."""
+    members = []
+    for tf, label in tfs:
+        rep = check(tf)
+        rep.name = f"{rep.name} [{label}]"
+        members.append(rep)
+    return _aggregate(name, members)
+
+
 def suite_limits(n_seeds: int = 10, bias: float = 0.0) -> list[CheckReport]:
     """Limit of D(a, g(a)) at a -> 1 for five curves over the seeded pairs."""
-    pairs = seeded_pairs(n_seeds)
-    reports = []
-    for curve in LIMIT_CURVES:
-        members = []
-        for rho, sigma, label in pairs:
-            tf = TraceFunctional(rho, sigma)
-            rep = verify_curve_limit(tf, curve, bias=bias)
-            rep.name = f"{rep.name} [{label}]"
-            members.append(rep)
-        reports.append(_aggregate(f"limit along {curve.label()}", members))
-    return reports
+    tfs = _seeded_functionals(n_seeds)
+    return [_over_pairs(f"limit along {curve.label()}", tfs,
+                        lambda tf, curve=curve: verify_curve_limit(tf, curve, bias=bias))
+            for curve in LIMIT_CURVES]
 
 
 def suite_derivatives(n_seeds: int = 10) -> list[CheckReport]:
     """Slope-at-1 checks for both families plus the dT/dz -> 0 checks."""
-    pairs = seeded_pairs(n_seeds)
-    tfs = [(TraceFunctional(rho, sigma), label) for rho, sigma, label in pairs]
-    members = []
-    for tf, label in tfs:
-        rep = verify_derivative_at_one(tf)
-        rep.name = f"{rep.name} [{label}]"
-        members.append(rep)
-    reports = [_aggregate("derivative at alpha=1 vs half-variance", members)]
+    tfs = _seeded_functionals(n_seeds)
+    reports = [_over_pairs("derivative at alpha=1 vs half-variance", tfs,
+                           verify_derivative_at_one)]
     for z0 in DZ_TRACE_Z0S:
-        members = []
-        for tf, label in tfs:
-            rep = verify_dz_trace_vanishes(tf, z0)
-            rep.name = f"{rep.name} [{label}]"
-            members.append(rep)
-        reports.append(_aggregate(f"dT/dz -> 0 at z0={z0:g}", members))
+        reports.append(_over_pairs(f"dT/dz -> 0 at z0={z0:g}", tfs,
+                                   lambda tf, z0=z0: verify_dz_trace_vanishes(tf, z0)))
     return reports
 
 
 def suite_monotonicity(n_seeds: int = 10) -> list[CheckReport]:
     """z-monotonicity of the divergence for each sampled alpha."""
-    pairs = seeded_pairs(n_seeds)
+    tfs = _seeded_functionals(n_seeds)
     reports = []
     for alpha in MONOTONICITY_ALPHAS:
-        members = []
-        for rho, sigma, label in pairs:
-            tf = TraceFunctional(rho, sigma)
-            rep = verify_z_monotonicity(tf, alpha, list(MONOTONICITY_ZS))
-            rep.name = f"{rep.name} [{label}]"
-            members.append(rep)
         direction = "non-increasing" if alpha > 1 else "non-decreasing"
-        reports.append(_aggregate(f"z-monotonicity at alpha={alpha:g} ({direction})", members))
+        reports.append(_over_pairs(
+            f"z-monotonicity at alpha={alpha:g} ({direction})", tfs,
+            lambda tf, alpha=alpha: verify_z_monotonicity(tf, alpha, list(MONOTONICITY_ZS))))
     return reports
 
 

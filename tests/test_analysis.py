@@ -18,7 +18,6 @@ from alphaz.analysis import (
     fd_derivative,
     fd_second_derivative,
     sweep,
-    trace_functional,
     verify_curve_limit,
     verify_derivative_at_one,
     verify_dz_trace_vanishes,
@@ -126,7 +125,7 @@ class TestTraceFunctional:
     def test_value_one_at_alpha_one(self):
         tf = seeded_tf(4, 5)
         for z in (0.5, 1.0, 2.0):
-            assert trace_functional(tf, 1.0, z) == pytest.approx(1.0, abs=1e-12)
+            assert tf.value(1.0, z) == pytest.approx(1.0, abs=1e-12)
 
     @given(seeds)
     def test_diagonal_classical_sum(self, seed):

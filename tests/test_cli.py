@@ -95,6 +95,20 @@ class TestExitCodes:
         assert out.returncode == 2
         assert "--z" in out.stderr
 
+    @pytest.mark.parametrize("error", [ArithmeticError("dual-path mismatch"),
+                                       np.linalg.LinAlgError("no convergence")])
+    def test_internal_error_has_own_code(self, monkeypatch, capsys, error):
+        from alphaz import cli
+        from alphaz import divergences as dv
+
+        def fail(*args):
+            raise error
+
+        monkeypatch.setattr(dv, "alpha_z_divergence", fail)
+        code = cli.main(["compute", "--example1", "0.25", "--alpha", "2", "--z", "1"])
+        assert code == cli.EXIT_INTERNAL == 4
+        assert "internal error" in capsys.readouterr().err
+
     def test_bad_grid_is_usage_error(self, tmp_path):
         out = run_cli("sweep", "--example1", "0.25", "--alpha-grid", "nope",
                       "--z-grid", "1:2:2", "--out", str(tmp_path / "x.csv"))

@@ -382,3 +382,121 @@ class TestCommutingReduction:
                 assert abs(got - target) <= 1e-10
         assert abs(relative_entropy(rho, sigma).value
                    - classical_kl(p, q).value) <= 1e-12
+
+
+class TestSupportRule:
+    # rho puts weight 1e-10 on ker(sigma): far above the 1e-12 rank cutoff,
+    # so sigma does not dominate rho
+    SIGMA = np.diag([0.5, 0.5, 0.0])
+    RHO = np.diag([0.5 - 5e-11, 0.5 - 5e-11, 1e-10])
+
+    def test_leak_above_one_is_support_violation(self):
+        for v in (alpha_z_divergence(self.RHO, self.SIGMA, 2.0, 1.0),
+                  relative_entropy(self.RHO, self.SIGMA)):
+            assert not v.is_finite and v.infinity_reason == dv.INFINITY_SUPPORT
+
+    def test_leak_below_one_is_finite(self):
+        v = alpha_z_divergence(self.RHO, self.SIGMA, 0.5, 1.0)
+        assert v.is_finite and v.value >= 0.0
+
+    def test_rank_and_dominance_agree(self):
+        pair = dv.prepare(self.RHO, self.SIGMA)
+        assert pair.rho.rank == 3 and pair.sigma.rank == 2
+        assert not pair.dominated and not pair.orthogonal
+
+
+class TestInnerRank:
+    def test_partial_overlap_of_rank_deficient_pair(self):
+        # supports span {e0, e1} and {e1, e2} in a random basis: they share
+        # one direction, so every inner operator has rank 1, and round-off
+        # singular values must not be raised to the small power 2z
+        p, q = np.array([0.3, 0.7, 0.0]), np.array([0.0, 0.6, 0.4])
+        u = random_unitary(3, 5)
+        rho, sigma = (u * p) @ u.conj().T, (u * q) @ u.conj().T
+        assert dv.prepare(rho, sigma).inner_rank == 1
+        target = classical_renyi(p, q, 0.5).value
+        for z in (0.25, 0.5, 2.0):
+            assert abs(alpha_z_divergence(rho, sigma, 0.5, z).value - target) <= 1e-10
+
+
+def _oracle_divergence(rho, sigma, alpha, z, dps=50):
+    """D(alpha, z) from mpmath eigendecompositions of rho, sigma and the
+    assembled inner operator at `dps` digits (full-rank inputs)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        a, zz = mp.mpf(alpha), mp.mpf(z)
+
+        def power(m, p):
+            values, vectors = mp.eighe(mp.matrix(m.tolist()))
+            return vectors * mp.diag([mp.re(v) ** p for v in values]) * vectors.H
+
+        outer = power(sigma, (1 - a) / (2 * zz))
+        inner = outer * power(rho, a / zz) * outer
+        values, _ = mp.eighe((inner + inner.H) / 2)
+        return mp.log(mp.fsum(mp.re(v) ** zz for v in values)) / (a - 1)
+
+
+class TestHighPrecisionOracle:
+    @pytest.mark.parametrize("alpha, z", [(2.0, 0.5), (2.0, 0.25), (3.0, 0.3)])
+    def test_small_z_full_rank(self, alpha, z):
+        # full-rank pair: no inner eigenvalue may be dropped, however small
+        rho = random_density(4, 1)
+        sigma = random_reference(4, 2)
+        ref = _oracle_divergence(rho, sigma, alpha, z)
+        got = alpha_z_divergence(rho, sigma, alpha, z).value
+        assert abs(got - ref) / abs(ref) <= 1e-12
+
+
+class TestDecompositionCounts:
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        calls = {"eigh": 0, "svd": 0}
+        for name in calls:
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+
+        def measure(fn):
+            calls.update(eigh=0, svd=0)
+            fn()
+            return calls["eigh"], calls["svd"]
+
+        return measure
+
+    @pytest.fixture
+    def pair(self):
+        return random_density(4, 1), random_reference(4, 2)
+
+    def test_scalar_calls(self, counts, pair):
+        rho, sigma = pair
+        eigh, svd = counts(lambda: alpha_z_divergence(rho, sigma, 2.0, 0.5))
+        assert eigh <= 2 and svd <= 1
+        for alpha in (0.5, 2.0):
+            assert counts(lambda: petz_divergence(rho, sigma, alpha))[0] <= 2
+            assert counts(lambda: sandwiched_divergence(rho, sigma, alpha))[0] <= 3
+        assert counts(lambda: relative_entropy(rho, sigma))[0] == 2
+        assert counts(lambda: relative_entropy_variance(rho, sigma))[0] == 2
+
+    def test_trace_functional_decomposes_once(self, counts, pair):
+        from alphaz.analysis import TraceFunctional
+
+        tf = None
+
+        def build():
+            nonlocal tf
+            tf = TraceFunctional(*pair)
+
+        assert counts(build)[0] == 2
+        assert counts(lambda: (tf.value(2.0, 0.5), tf.divergence(0.7, 2.0)))[0] == 0
+
+    def test_sweep_decomposes_once(self, counts, pair):
+        from alphaz.analysis import SweepSpec, sweep
+
+        spec = SweepSpec(alphas=tuple(np.linspace(0.2, 3.0, 15)),
+                         zs=tuple(np.linspace(0.5, 4.0, 8)))
+        eigh, svd = counts(lambda: sweep(*pair, spec))
+        assert eigh == 2 and svd <= 120

@@ -6,13 +6,11 @@ from alphaz import linalg
 from alphaz.linalg import (
     DomainError,
     NotPSDError,
-    adjoint_sandwich,
     dominates,
     eigensystem,
     hermitian_part,
     log_on_support,
     matrix_power,
-    mult,
     orthogonal,
     pinch,
     support,
@@ -54,7 +52,8 @@ class TestEigensystem:
         a = rand_hermitian(dim, seed)
         es = eigensystem(a)
         tol = 1e-10 * max(1.0, max_abs(a))
-        assert max_abs(es.reconstruct() - a) <= tol
+        reconstructed = (es.vectors * es.values) @ es.vectors.conj().T
+        assert max_abs(reconstructed - a) <= tol
 
     @given(seeds, dims)
     def test_vectors_unitary(self, seed, dim):
@@ -85,7 +84,7 @@ class TestSupport:
         assert max_abs(info.projector - np.diag([1.0, 0.0])) < 1e-14
 
     def test_below_cutoff(self):
-        info = support(np.diag([2.0, 1e-18]), rel_threshold=1e-12)
+        info = support(np.diag([2.0, 1e-18]))
         assert info.rank == 1
 
     def test_plus_projector(self, example1_quarter):
@@ -208,21 +207,6 @@ class TestPinch:
 class TestElementaryOps:
     def test_trace(self):
         assert trace(np.eye(3)) == pytest.approx(3.0)
-
-    def test_mult_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            mult(np.eye(2), np.eye(3))
-
-    def test_adjoint_sandwich_diagonal(self):
-        got = adjoint_sandwich(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
-        assert max_abs(got - np.diag([3.0, 16.0])) < 1e-14
-
-    @given(seeds)
-    def test_adjoint_sandwich_hermiticity(self, seed):
-        a = rand_hermitian(6, seed)
-        b = rand_hermitian(6, seed + 1)
-        out = adjoint_sandwich(a, b)
-        assert max_abs(out - out.conj().T) <= 1e-14
 
 
 class TestCutoffOverride:
