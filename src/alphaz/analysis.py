@@ -43,51 +43,52 @@ class FdScheme:
             raise ValueError(f"order must be one of {FD_ORDERS}, got {self.order!r}")
 
 
-def _sample(f: Callable[[float], float], x: float) -> float:
-    y = float(f(x))
-    if not math.isfinite(y):
-        raise ArithmeticError(f"non-finite sample f({x!r}) = {y!r} on the stencil")
-    return y
+# Stencil tables: (offsets in units of h, integer weights, divisor). A first
+# derivative is sum_k w_k f(x0 + o_k h) / (divisor h), a second derivative
+# the same sum over divisor h^2. Richardson is (4 fine - coarse) / 3 of
+# central2 at h/2 and h, merged into one stencil.
+D1_STENCILS = {
+    "central2": ((1.0, -1.0), (1.0, -1.0), 2.0),
+    "central4": ((2.0, 1.0, -1.0, -2.0), (-1.0, 8.0, -8.0, 1.0), 12.0),
+    "richardson": ((0.5, -0.5, 1.0, -1.0), (8.0, -8.0, -1.0, 1.0), 6.0),
+}
+D2_STENCILS = {
+    "central2": ((1.0, 0.0, -1.0), (1.0, -2.0, 1.0), 1.0),
+    "central4": ((2.0, 1.0, 0.0, -1.0, -2.0), (-1.0, 16.0, -30.0, 16.0, -1.0), 12.0),
+    "richardson": ((0.5, 0.0, -0.5, 1.0, -1.0), (16.0, -30.0, 16.0, -1.0, -1.0), 3.0),
+}
 
 
-def _central2_d1(f, x0: float, h: float) -> float:
-    return (_sample(f, x0 + h) - _sample(f, x0 - h)) / (2.0 * h)
+def _apply_stencil(stencil, f: Callable[[np.ndarray], np.ndarray], x0: float,
+                   h: float, order: int):
+    """sum_k w_k f(x0 + o_k h) / (divisor h^order), with f called once on all
+    the stencil points. Samples may carry trailing axes, one derivative
+    each; the result is then an array over them."""
+    offsets, weights, divisor = stencil
+    xs = x0 + h * np.asarray(offsets)
+    ys = np.asarray(f(xs), dtype=float)
+    finite = np.isfinite(ys)
+    if not finite.all():
+        k = np.argwhere(~finite)[0]
+        raise ArithmeticError(f"non-finite sample f({float(xs[k[0]])!r}) = "
+                              f"{float(ys[tuple(k)])!r} on the stencil")
+    # summed in stencil order, as the written-out formulas are
+    total = sum(w * y for w, y in zip(weights, ys))
+    out = total / (divisor * h if order == 1 else divisor * h * h)
+    return float(out) if np.ndim(out) == 0 else out
 
 
-def _central2_d2(f, x0: float, h: float) -> float:
-    return (_sample(f, x0 + h) - 2.0 * _sample(f, x0) + _sample(f, x0 - h)) / (h * h)
+def fd_derivative(f: Callable[[np.ndarray], np.ndarray], x0: float,
+                  scheme: FdScheme = FdScheme()):
+    """First derivative at x0 by the scheme's central stencil. f maps the
+    array of stencil points to an array of samples along its first axis."""
+    return _apply_stencil(D1_STENCILS[scheme.order], f, x0, scheme.h, 1)
 
 
-def fd_derivative(f: Callable[[float], float], x0: float,
-                  scheme: FdScheme = FdScheme()) -> float:
-    """First derivative of f at x0 by the scheme's central stencil."""
-    h = scheme.h
-    if scheme.order == "central2":
-        return _central2_d1(f, x0, h)
-    if scheme.order == "central4":
-        return (
-            -_sample(f, x0 + 2 * h) + 8 * _sample(f, x0 + h)
-            - 8 * _sample(f, x0 - h) + _sample(f, x0 - 2 * h)
-        ) / (12.0 * h)
-    coarse = _central2_d1(f, x0, h)
-    fine = _central2_d1(f, x0, h / 2.0)
-    return (4.0 * fine - coarse) / 3.0
-
-
-def fd_second_derivative(f: Callable[[float], float], x0: float,
-                         scheme: FdScheme = FdScheme(1e-3)) -> float:
-    """Second derivative of f at x0 by a symmetric stencil."""
-    h = scheme.h
-    if scheme.order == "central2":
-        return _central2_d2(f, x0, h)
-    if scheme.order == "central4":
-        return (
-            -_sample(f, x0 + 2 * h) + 16 * _sample(f, x0 + h) - 30 * _sample(f, x0)
-            + 16 * _sample(f, x0 - h) - _sample(f, x0 - 2 * h)
-        ) / (12.0 * h * h)
-    coarse = _central2_d2(f, x0, h)
-    fine = _central2_d2(f, x0, h / 2.0)
-    return (4.0 * fine - coarse) / 3.0
+def fd_second_derivative(f: Callable[[np.ndarray], np.ndarray], x0: float,
+                         scheme: FdScheme = FdScheme(1e-3)):
+    """Second derivative at x0 by a symmetric stencil; f as in fd_derivative."""
+    return _apply_stencil(D2_STENCILS[scheme.order], f, x0, scheme.h, 2)
 
 
 @dataclass(frozen=True)
@@ -240,16 +241,13 @@ def verify_curve_limit(tf: TraceFunctional, curve: CurveSpec,
     """
     offsets = dyadic_offsets() if offsets is None else sorted(offsets, reverse=True)
     target = tf.relative_entropy()
-    rows = []
-    errors = {+1: [], -1: []}
-    for side in (+1, -1):
-        for off in offsets:
-            alpha = 1.0 + side * off
-            z = curve.g(alpha)
-            d = tf.divergence(alpha, z) + bias
-            err = abs(d - target)
-            errors[side].append(err)
-            rows.append({"alpha": alpha, "z": z, "divergence": d, "error": err})
+    alphas = [1.0 + side * off for side in (+1, -1) for off in offsets]
+    zs = [curve.g(alpha) for alpha in alphas]
+    values = (tf.pair.divergences(alphas, zs) + bias).tolist()
+    rows = [{"alpha": alpha, "z": z, "divergence": d, "error": abs(d - target)}
+            for alpha, z, d in zip(alphas, zs, values)]
+    errors = {+1: [r["error"] for r in rows[:len(offsets)]],
+              -1: [r["error"] for r in rows[len(offsets):]]}
     final_err = max(errors[+1][-1], errors[-1][-1])
     trend_ok = True
     for side in (+1, -1):
@@ -270,7 +268,13 @@ DERIVATIVE_REL_TOL = 1e-3
 FAMILY_AGREEMENT_TOL = 1e-5
 SLOPE_FLOOR = -1e-6
 
-FAMILIES = {"z_equals_1": lambda a: (a, 1.0), "z_equals_alpha": lambda a: (a, a)}
+# z as a function of the stencil's alphas for each specialization
+FAMILIES = {"z_equals_1": np.ones_like, "z_equals_alpha": lambda a: a}
+
+
+def _family_zs(alphas: np.ndarray, names: list[str]) -> np.ndarray:
+    """z of each named family at the alphas, one column per family."""
+    return np.stack([FAMILIES[name](alphas) for name in names], axis=1)
 
 
 def verify_derivative_at_one(tf: TraceFunctional,
@@ -291,11 +295,10 @@ def verify_derivative_at_one(tf: TraceFunctional,
     # sits below the finite-difference noise scale (e.g. rho = sigma)
     denom = abs(target) if abs(target) >= 1e-6 else 1.0
     rows = []
-    slopes = {}
-    for name in names:
-        line = FAMILIES[name]
-        slope = fd_derivative(lambda a: tf.divergence(*line(a)), 1.0, scheme)
-        slopes[name] = slope
+    slopes = fd_derivative(
+        lambda a: tf.pair.divergences(a[:, None], _family_zs(a, names)), 1.0, scheme)
+    slopes = dict(zip(names, slopes.tolist()))
+    for name, slope in slopes.items():
         rows.append({
             "family": name,
             "slope": slope,
@@ -356,28 +359,30 @@ def verify_second_derivative_example1(p: float,
     rho, sigma = example1_pair(p)
     tf = TraceFunctional(rho, sigma)
     curvature_target = -0.25 * (math.log(p) - math.log(1.0 - p)) ** 2
+    names = list(FAMILIES)
+    gaps = []
+
+    def both(a):
+        """The matrix pipeline, then the closed form, one column per family."""
+        zs = _family_zs(a, names)
+        m = tf.pair.divergences(a[:, None], zs)
+        c = np.array([[example1_closed_form(p, x, z) for z in row]
+                      for x, row in zip(a.tolist(), zs.tolist())])
+        gaps.append(np.abs(m - c).max(axis=0))
+        return np.concatenate([m, c], axis=1)
+
+    d2 = fd_second_derivative(both, 1.0, scheme).tolist()
+    stencil_gaps = gaps[0].tolist()
+    stencil_gap = max(stencil_gaps)
     rows = []
-    stencil_gap = 0.0
     results = {}
-    for name, z_of in (("z_equals_1", lambda a: 1.0), ("z_equals_alpha", lambda a: a)):
-        gaps = []
-
-        def pipeline(a, z_of=z_of, gaps=gaps):
-            m = tf.divergence(a, z_of(a))
-            c = example1_closed_form(p, a, z_of(a))
-            gaps.append(abs(m - c))
-            return m
-
-        d2_matrix = fd_second_derivative(pipeline, 1.0, scheme)
-        d2_closed = fd_second_derivative(
-            lambda a, z_of=z_of: example1_closed_form(p, a, z_of(a)), 1.0, scheme)
-        stencil_gap = max(stencil_gap, max(gaps))
-        results[name] = (d2_matrix, d2_closed)
+    for k, name in enumerate(names):
+        results[name] = (d2[k], d2[len(names) + k])
         rows.append({
             "family": name,
-            "second_derivative_matrix": d2_matrix,
-            "second_derivative_closed_form": d2_closed,
-            "max_stencil_gap": max(gaps),
+            "second_derivative_matrix": d2[k],
+            "second_derivative_closed_form": d2[len(names) + k],
+            "max_stencil_gap": stencil_gaps[k],
         })
     z1_residual = max(abs(v) for v in results["z_equals_1"])
     za_residual = max(
@@ -413,7 +418,7 @@ def verify_z_monotonicity(tf: TraceFunctional, alpha: float,
     zs = [float(z) for z in zs]
     if any(z <= 0.0 for z in zs) or list(zs) != sorted(zs):
         raise ValueError("zs must be positive and ascending")
-    values = [tf.divergence(alpha, z) for z in zs]
+    values = tf.pair.divergences(alpha, zs).tolist()
     sign = -1.0 if alpha > 1.0 else 1.0
     worst = 0.0
     rows = []
@@ -449,20 +454,20 @@ def verify_dz_trace_vanishes(tf: TraceFunctional, z0: float,
     if z0 == 0.0:
         raise DomainError("z = 0 is excluded")
     offsets = tuple(sorted((float(o) for o in offsets), reverse=True))
-    rows = []
+    # every offset on both sides, then alpha = 1: one column each
+    alphas = [1.0 + side * off for side in (+1, -1) for off in offsets] + [1.0]
+    *ladder, at_one = fd_derivative(lambda z: tf.pair.traces(alphas, z[:, None]),
+                                    z0, scheme).tolist()
+    rows = [{"alpha": alpha, "dT_dz": d, "abs": abs(d)}
+            for alpha, d in zip(alphas, ladder)]
     passed = True
     final_mag = 0.0
-    for side in (+1, -1):
-        mags = []
-        for off in offsets:
-            alpha = 1.0 + side * off
-            d = fd_derivative(lambda z: tf.value(alpha, z), z0, scheme)
-            mags.append(abs(d))
-            rows.append({"alpha": alpha, "dT_dz": d, "abs": abs(d)})
+    for side in range(2):
+        mags = [abs(d) for d in ladder[side * len(offsets):(side + 1) * len(offsets)]]
         passed &= all(b <= a + Z_MONOTONICITY_SLACK for a, b in zip(mags, mags[1:]))
         passed &= mags[-1] <= DZ_TRACE_TOL
         final_mag = max(final_mag, mags[-1])
-    at_one = abs(fd_derivative(lambda z: tf.value(1.0, z), z0, scheme))
+    at_one = abs(at_one)
     rows.append({"alpha": 1.0, "dT_dz": at_one, "abs": at_one})
     passed &= at_one <= 1e-8
     return CheckReport(
@@ -506,13 +511,12 @@ def sweep(rho: np.ndarray, sigma: np.ndarray, spec: SweepSpec) -> list[SweepRow]
     alpha-major then z; infinite divergences keep their restricted-support
     trace value, and a NaN trace marks undefined-formula cells."""
     pair = dv.prepare(rho, sigma)
-    rows = []
-    for alpha in spec.alphas:
-        zs = spec.zs if spec.zs is not None else (spec.curve.g(alpha),)
-        for z in zs:
-            value, t = pair.evaluate(alpha, z)
-            rows.append(SweepRow(float(alpha), float(z), value, t))
-    return rows
+    points = [(float(alpha), float(z)) for alpha in spec.alphas
+              for z in (spec.zs if spec.zs is not None else (spec.curve.g(alpha),))]
+    alphas, zs = zip(*points)
+    values, traces = pair.evaluate(alphas, zs)
+    return [SweepRow(alpha, z, value, t)
+            for (alpha, z), value, t in zip(points, values, traces.tolist())]
 
 
 def alpha_monotonicity_violations(rows: list[SweepRow], slack: float = 1e-10) -> int:

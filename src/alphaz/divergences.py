@@ -194,13 +194,27 @@ def _from_trace(alpha: float, t: float) -> DivergenceValue:
     return DivergenceValue.finite(math.log(t) / (alpha - 1.0))
 
 
+def _points(alphas, zs) -> tuple[np.ndarray, np.ndarray]:
+    """alphas and zs broadcast against each other, as float arrays of the
+    broadcast shape; z = 0 anywhere is a DomainError."""
+    a, z = np.broadcast_arrays(np.asarray(alphas, dtype=float),
+                               np.asarray(zs, dtype=float))
+    if np.any(z == 0.0):
+        raise DomainError("z = 0 is excluded")
+    return a, z
+
+
 @dataclass(frozen=True)
 class PreparedPair:
     """A validated (rho, sigma) pair, decomposed once: the two spectra, the
     overlap W = V_sigma† U_rho of their eigenvectors, weights = |W|^2, the
     support relation of `linalg.support_relation`, and the inner rank: the
     rank of the supp sigma x supp rho block of W, which every inner operator
-    sigma^e rho^f sigma^e of the pair shares."""
+    sigma^e rho^f sigma^e of the pair shares.
+
+    `traces`, `divergences` and `evaluate` take arrays of points and run one
+    stacked SVD for all of them; the scalar `trace` and `divergence` are the
+    single-point case of the same kernel."""
 
     rho: Spectrum
     sigma: Spectrum
@@ -210,6 +224,54 @@ class PreparedPair:
     orthogonal: bool
     inner_rank: int
 
+    def _undefined_points(self, e_sigma, e_rho):
+        """(rho's, sigma's) undefined flags at scalar or array exponents: a
+        negative exponent on a rank-deficient operator, which for sigma is
+        endorsed (generalized inverse) only under dominance."""
+        dim = self.rho.values.size
+        return ((e_rho < 0.0) & (self.rho.rank < dim),
+                (e_sigma < 0.0) & (self.sigma.rank < dim and not self.dominated))
+
+    def _sums(self, e_sigma, e_rho, z):
+        """Tr[(sigma^e_sigma rho^e_rho sigma^e_sigma)^z] at scalar exponents,
+        or at 1-d arrays of them with z as a column, one SVD for the stack.
+
+        The inner operator is G G† with G = diag(sigma powers) W diag(sqrt of
+        rho powers). Scaling W by rows and columns is exact per entry, and
+        the singular values of G give the inner eigenvalues to about the
+        square root of the relative error of an eigendecomposition of the
+        assembled sandwich. G has rank inner_rank, so the smaller singular
+        values are round-off and are dropped whatever their size."""
+        g = (self.sigma.powers(e_sigma)[..., :, None] * self.overlap
+             * self.rho.powers(e_rho / 2.0)[..., None, :])
+        singular = np.linalg.svd(g, compute_uv=False)[..., :self.inner_rank]
+        return np.sum((singular * singular) ** z, axis=-1)
+
+    def _trace_points(self, alphas: np.ndarray, zs: np.ndarray,
+                      optional=False) -> np.ndarray:
+        """T at 1-d arrays of points. An undefined point raises DomainError,
+        the first one in order, unless `optional` is true there; then its
+        value is NaN."""
+        e_sigma, e_rho = (1.0 - alphas) / (2.0 * zs), alphas / zs
+        bad_rho, bad_sigma = self._undefined_points(e_sigma, e_rho)
+        bad = bad_rho | bad_sigma
+        fatal = bad & ~np.asarray(optional)
+        if fatal.any():
+            i = int(np.argmax(fatal))
+            raise (_undefined("rho", e_rho[i]) if bad_rho[i]
+                   else _undefined("sigma", e_sigma[i]))
+        out = np.full(alphas.shape, math.nan)
+        ok = ~bad
+        if ok.any():
+            out[ok] = self._sums(e_sigma[ok], e_rho[ok], zs[ok, None])
+        return out
+
+    def traces(self, alphas, zs) -> np.ndarray:
+        """T(a, z) at the broadcast points of alphas and zs, from one stacked
+        SVD. Raises the DomainError of `trace` at the first undefined point."""
+        a, z = _points(alphas, zs)
+        return self._trace_points(a.ravel(), z.ravel()).reshape(a.shape)
+
     def trace(self, alpha: float, z: float) -> float:
         """T(a, z) = Tr[(sigma^((1-a)/2z) rho^(a/z) sigma^((1-a)/2z))^z] with
         generalized powers. Raises DomainError when a negative exponent meets
@@ -217,50 +279,64 @@ class PreparedPair:
         interpretation exists there)."""
         alpha, z = float(alpha), _nonzero_z(z)
         e_sigma, e_rho = (1.0 - alpha) / (2.0 * z), alpha / z
-        dim = self.rho.values.size
-        if e_rho < 0.0 and self.rho.rank < dim:
+        bad_rho, bad_sigma = self._undefined_points(e_sigma, e_rho)
+        if bad_rho:
             raise _undefined("rho", e_rho)
-        if e_sigma < 0.0 and self.sigma.rank < dim and not self.dominated:
+        if bad_sigma:
             raise _undefined("sigma", e_sigma)
-        # The inner operator is G G† with G = diag(sigma powers) W diag(sqrt
-        # of rho powers). Scaling W by rows and columns is exact per entry,
-        # and the singular values of G give the inner eigenvalues to about
-        # the square root of the relative error of an eigendecomposition of
-        # the assembled sandwich. G has rank inner_rank, so the smaller
-        # singular values are round-off and are dropped whatever their size.
-        g = (self.sigma.powers(e_sigma)[:, None] * self.overlap
-             * self.rho.powers(e_rho / 2.0)[None, :])
-        singular = np.linalg.svd(g, compute_uv=False)[:self.inner_rank]
-        return float(np.sum((singular * singular) ** z))
+        return float(self._sums(e_sigma, e_rho, z))
 
-    def _closed_form(self, alpha: float) -> DivergenceValue | None:
-        """D at alpha = 1 or where the supports force +inf; None where the
-        trace formula applies."""
-        if abs(alpha - 1.0) <= ALPHA_ONE_TOL:
-            return self.relative_entropy()
-        if not self.dominated and alpha > 1.0:
-            return DivergenceValue.infinite(INFINITY_SUPPORT)
-        if not self.dominated and self.orthogonal:
+    def _closed(self, alpha):
+        """Whether D needs no trace at alpha, a float or an array: alpha = 1,
+        where D is the relative entropy, or +inf forced by the supports."""
+        closed = abs(alpha - 1.0) <= ALPHA_ONE_TOL
+        if not self.dominated:
+            closed = closed | (alpha > 1.0) | self.orthogonal
+        return closed
+
+    def _closed_value(self, alpha: float) -> DivergenceValue:
+        """D at a point where `_closed` holds: the relative entropy, which is
+        +inf support_violation without dominance, except below alpha = 1,
+        where only orthogonal supports are closed."""
+        if alpha < 1.0 - ALPHA_ONE_TOL:
             return DivergenceValue.infinite(INFINITY_ORTHOGONAL)
-        return None
+        return self.relative_entropy()
+
+    def divergences(self, alphas, zs) -> np.ndarray:
+        """D(a, z) in nats at the broadcast points of alphas and zs, +inf
+        where the supports force it, from one stacked SVD. `divergence` gives
+        one point with its infinity reason."""
+        a, z = _points(alphas, zs)
+        shape, a, z = a.shape, a.ravel(), z.ravel()
+        closed = self._closed(a)
+        out = np.empty(a.shape)
+        if closed.any():
+            # _closed_value: +inf everywhere but at alpha = 1 under dominance
+            out[closed] = self.relative_entropy().value
+        need = ~closed
+        t = self._trace_points(a[need], z[need])
+        if np.any(t <= 0.0):
+            raise ArithmeticError(f"trace functional collapsed to {float(t[t <= 0.0][0])!r}")
+        out[need] = np.log(t) / (a[need] - 1.0)
+        return out.reshape(shape)
 
     def divergence(self, alpha: float, z: float) -> DivergenceValue:
         """D(a, z) = ln T(a, z) / (a - 1) with the module's support semantics."""
         alpha, z = float(alpha), _nonzero_z(z)
-        return self._closed_form(alpha) or _from_trace(alpha, self.trace(alpha, z))
+        if self._closed(alpha):
+            return self._closed_value(alpha)
+        return _from_trace(alpha, self.trace(alpha, z))
 
-    def evaluate(self, alpha: float, z: float) -> tuple[DivergenceValue, float]:
-        """D(a, z) and T(a, z) from one SVD. T is NaN where its formula is
-        undefined, which happens only where D needs no trace."""
-        alpha, z = float(alpha), _nonzero_z(z)
-        value = self._closed_form(alpha)
-        if value is None:
-            t = self.trace(alpha, z)
-            return _from_trace(alpha, t), t
-        try:
-            return value, self.trace(alpha, z)
-        except DomainError:
-            return value, math.nan
+    def evaluate(self, alphas, zs) -> tuple[list[DivergenceValue], np.ndarray]:
+        """D and T at the points of two equal-length sequences, from one
+        stacked SVD. T is NaN where its formula is undefined, which happens
+        only where D needs no trace; elsewhere an undefined T raises the
+        DomainError of `trace`."""
+        a, z = _points(alphas, zs)
+        closed = self._closed(a)
+        t = self._trace_points(a, z, optional=closed)
+        return ([self._closed_value(x) if c else _from_trace(x, y)
+                 for x, c, y in zip(a.tolist(), closed.tolist(), t.tolist())], t)
 
     def relative_entropy(self) -> DivergenceValue:
         """Tr[rho (ln rho - ln sigma)] = sum_i r_i ln r_i - sum_ij r_i w_ji ln s_j."""

@@ -70,11 +70,6 @@ def as_hermitian(a: np.ndarray) -> np.ndarray:
     return hermitian_part(a)
 
 
-def trace(a: np.ndarray) -> float:
-    """Real trace of a (Hermitian) matrix."""
-    return float(np.trace(np.asarray(a)).real)
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """Eigendecomposition of one Hermitian operator with its zero cutoff.
@@ -101,10 +96,14 @@ class Spectrum:
         out[:self.rank] = fn(self.values[:self.rank])
         return out
 
-    def powers(self, p: float) -> np.ndarray:
+    def powers(self, p) -> np.ndarray:
         """Generalized power of the eigenvalues: kernel entries map to 0 for
-        every exponent, so p = 0 gives the support indicator."""
-        return self.on_support(lambda v: v**p)
+        every exponent, so p = 0 gives the support indicator. An array of
+        exponents gives one row of powers per exponent."""
+        p = np.asarray(p, dtype=float)
+        out = np.zeros(p.shape + self.values.shape)
+        out[..., :self.rank] = self.values[:self.rank] ** p[..., None]
+        return out
 
     def operator(self, diagonal: np.ndarray) -> np.ndarray:
         """The operator with these eigenvalues in this eigenbasis."""
@@ -153,23 +152,6 @@ def support_relation(rho: Spectrum, sigma: Spectrum,
     mass = weights[:, :rho.rank] @ rho.values[:rho.rank]
     return (float(mass[sigma.rank:].sum()) <= rho.threshold,
             float(mass[:sigma.rank].sum()) <= rho.threshold)
-
-
-def _relation(rho: np.ndarray, sigma: np.ndarray) -> tuple[bool, bool]:
-    r, s = support(rho), support(sigma)
-    return support_relation(r, s, np.abs(s.vectors.conj().T @ r.vectors) ** 2)
-
-
-def dominates(sigma: np.ndarray, rho: np.ndarray) -> bool:
-    """True iff ker(sigma) is contained in ker(rho), i.e. supp(rho) lies
-    inside supp(sigma), decided by `support_relation`."""
-    return _relation(rho, sigma)[0]
-
-
-def orthogonal(rho: np.ndarray, sigma: np.ndarray) -> bool:
-    """True iff the supports of rho and sigma are orthogonal subspaces,
-    decided by `support_relation`."""
-    return _relation(rho, sigma)[1]
 
 
 def matrix_power(a: np.ndarray, p: float) -> np.ndarray:

@@ -419,6 +419,91 @@ class TestInnerRank:
             assert abs(alpha_z_divergence(rho, sigma, 0.5, z).value - target) <= 1e-10
 
 
+class TestBatchedKernel:
+    """PreparedPair.traces/divergences against the per-point scalar calls."""
+
+    ALPHAS = np.array([0.2, 0.5, 0.9, 0.999, 1.0, 1.001, 1.5, 2.0, 3.0])
+
+    @staticmethod
+    def _assert_agree(pair, alphas, zs, rel=1e-13):
+        a, z = np.broadcast_arrays(np.asarray(alphas)[:, None], np.asarray(zs)[None, :])
+        t = pair.traces(a, z)
+        d = pair.divergences(a, z)
+        assert t.shape == d.shape == a.shape
+        for idx in np.ndindex(a.shape):
+            t_ref = pair.trace(a[idx], z[idx])
+            d_ref = pair.divergence(a[idx], z[idx]).value
+            assert abs(t[idx] - t_ref) <= rel * abs(t_ref)
+            if math.isinf(d_ref):
+                assert d[idx] == d_ref
+            else:
+                assert abs(d[idx] - d_ref) <= rel * max(abs(d_ref), 1e-300)
+
+    def test_full_rank_with_negative_z(self):
+        pair = dv.prepare(random_density(4, 1), random_reference(4, 2))
+        self._assert_agree(pair, np.append(self.ALPHAS, -0.5),
+                           [-2.0, -0.5, 0.25, 1.0, 3.0])
+
+    def test_dominating_rank_deficient(self):
+        pair = dv.prepare(*random_support_pair(5, 17, rank=3, branch="dominating"))
+        assert pair.dominated and pair.rho.rank < 5 and pair.sigma.rank < 5
+        self._assert_agree(pair, self.ALPHAS, [0.25, 0.5, 1.0, 4.0])
+        # negative alpha and z: both exponents of rho stay positive
+        self._assert_agree(pair, [-1.5, -0.5], [-2.0, -1.0])
+
+    def test_partial_overlap_below_one(self):
+        p, q = np.array([0.3, 0.7, 0.0]), np.array([0.0, 0.6, 0.4])
+        u = random_unitary(3, 5)
+        pair = dv.prepare((u * p) @ u.conj().T, (u * q) @ u.conj().T)
+        assert not pair.dominated and not pair.orthogonal
+        self._assert_agree(pair, [0.1, 0.3, 0.5, 0.8, 0.95], [0.25, 0.5, 1.0, 2.0])
+
+    def test_scalar_points_broadcast(self):
+        pair = dv.prepare(random_density(3, 4), random_reference(3, 5))
+        assert pair.traces(2.0, 0.5).shape == ()
+        assert pair.divergences([0.5, 2.0], 1.0).shape == (2,)
+
+    @pytest.mark.parametrize("branch, rank, alpha, z", [
+        ("dominating", 3, 0.5, -1.0),   # rho rank-deficient, negative exponent
+        ("violating", 3, 2.0, 1.0),     # sigma rank-deficient, not dominating
+    ])
+    def test_undefined_point_raises_scalar_message(self, branch, rank, alpha, z):
+        pair = dv.prepare(*random_support_pair(4, 23, rank=rank, branch=branch))
+        with pytest.raises(DomainError) as scalar:
+            pair.trace(alpha, z)
+        with pytest.raises(DomainError) as batched:
+            pair.traces([0.5, alpha, 0.7], [1.0, z, 2.0])
+        assert str(batched.value) == str(scalar.value)
+
+    def test_z_zero_rejected(self):
+        pair = dv.prepare(random_density(3, 4), random_reference(3, 5))
+        with pytest.raises(DomainError, match="z = 0"):
+            pair.divergences([0.5, 2.0], [1.0, 0.0])
+
+    @pytest.mark.parametrize("branch, rank, seed, alphas, nan_cells", [
+        # NaN trace cells of the per-point evaluation this sweep replaced,
+        # alpha-major over zs (-1, 0.5, 2)
+        ("violating", 3, 59, (1.0, 1.5, 2.0),
+         [False, False, False, False, True, True, False, True, True]),
+        ("orthogonal", 2, 61, (0.5, 1.0, 2.0),
+         [True, False, False, True, False, False, True, True, True]),
+    ])
+    def test_sweep_nan_cells(self, branch, rank, seed, alphas, nan_cells):
+        from alphaz.analysis import SweepSpec, sweep
+
+        rho, sigma = random_support_pair(4, seed, rank=rank, branch=branch)
+        rows = sweep(rho, sigma, SweepSpec(alphas=alphas, zs=(-1.0, 0.5, 2.0)))
+        assert [math.isnan(r.trace_value) for r in rows] == nan_cells
+        assert not any(r.finite for r in rows)
+
+    def test_sweep_raises_where_divergence_needs_undefined_trace(self):
+        from alphaz.analysis import SweepSpec, sweep
+
+        rho, sigma = random_support_pair(4, 23, rank=3, branch="dominating")
+        with pytest.raises(DomainError, match="rho is rank-deficient"):
+            sweep(rho, sigma, SweepSpec(alphas=(0.5, 2.0), zs=(1.0, -1.0)))
+
+
 def _oracle_divergence(rho, sigma, alpha, z, dps=50):
     """D(alpha, z) from mpmath eigendecompositions of rho, sigma and the
     assembled inner operator at `dps` digits (full-rank inputs)."""
@@ -499,4 +584,17 @@ class TestDecompositionCounts:
         spec = SweepSpec(alphas=tuple(np.linspace(0.2, 3.0, 15)),
                          zs=tuple(np.linspace(0.5, 4.0, 8)))
         eigh, svd = counts(lambda: sweep(*pair, spec))
-        assert eigh == 2 and svd <= 120
+        assert eigh == 2 and svd == 1
+
+    def test_curve_limit_one_svd(self, counts, pair):
+        from alphaz.analysis import CurveSpec, TraceFunctional, verify_curve_limit
+
+        tf = TraceFunctional(*pair)
+        for curve in (CurveSpec.constant(2.0), CurveSpec.exponential()):
+            assert counts(lambda: verify_curve_limit(tf, curve)) == (0, 1)
+
+    def test_certification_suites(self, counts):
+        from alphaz.suites import run_suites
+
+        eigh, svd = counts(lambda: run_suites(["all"], 10))
+        assert eigh <= 450 and svd <= 320

@@ -109,7 +109,7 @@ class TestStateSpecs:
         assert max_abs(sigma - want_sigma) == 0.0
 
     def test_generator_support_pair(self):
-        from alphaz.linalg import dominates
+        from alphaz.divergences import prepare
         from alphaz.states import random_support_pair
 
         spec = {"generator": "support_pair", "seed": 13, "dim": 4,
@@ -119,7 +119,7 @@ class TestStateSpecs:
         want_rho, want_sigma = random_support_pair(4, 13, rank=3, branch="violating")
         assert max_abs(rho - want_rho) == 0.0
         assert max_abs(sigma - want_sigma) == 0.0
-        assert not dominates(sigma, rho)
+        assert not prepare(rho, sigma).dominated
 
     def test_exactly_one_variant(self):
         with pytest.raises(SpecError, match="exactly one"):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from alphaz.divergences import alpha_z_divergence
-from alphaz.linalg import DomainError, dominates, eigensystem, orthogonal, trace
+from alphaz.divergences import alpha_z_divergence, prepare
+from alphaz.linalg import DomainError, eigensystem
 from alphaz.states import (
     MAX_DIM,
     commuting_pair,
@@ -23,7 +23,7 @@ class TestRandomDensity:
     @given(seeds, st.sampled_from([1, 2, 4, 8, 16]))
     def test_valid_density(self, seed, dim):
         rho = random_density(dim, seed)
-        assert abs(trace(rho) - 1.0) <= 1e-12
+        assert abs(np.trace(rho).real - 1.0) <= 1e-12
         assert eigensystem(rho).values.min() >= -1e-14
 
     def test_deterministic(self):
@@ -57,13 +57,14 @@ class TestSupportPairs:
     @given(seeds, st.sampled_from([3, 4, 6]))
     def test_dominating(self, seed, dim):
         rho, sigma = random_support_pair(dim, seed, rank=dim - 1, branch="dominating")
-        assert dominates(sigma, rho)
+        assert prepare(rho, sigma).dominated
 
     @given(seeds, st.sampled_from([3, 4, 6]))
     def test_violating(self, seed, dim):
         rho, sigma = random_support_pair(dim, seed, rank=dim - 1, branch="violating")
-        assert not dominates(sigma, rho)
-        assert not orthogonal(rho, sigma)
+        pair = prepare(rho, sigma)
+        assert not pair.dominated
+        assert not pair.orthogonal
         v = alpha_z_divergence(rho, sigma, 2.0, 1.0)
         assert not v.is_finite
 
@@ -71,7 +72,7 @@ class TestSupportPairs:
     def test_orthogonal(self, seed, dim):
         rho, sigma = random_support_pair(dim, seed, rank=dim - 2 if dim > 2 else 1,
                                          branch="orthogonal")
-        assert orthogonal(rho, sigma)
+        assert prepare(rho, sigma).orthogonal
 
     def test_unknown_branch(self):
         with pytest.raises(ValueError, match="branch"):
@@ -109,8 +110,9 @@ class TestExample1Pair:
         rho, sigma = example1_pair(0.25)
         assert max_abs(sigma - np.diag([0.25, 0.75])) == 0.0
         assert np.allclose(eigensystem(rho).values, [1.0, 0.0], atol=1e-14)
-        assert dominates(sigma, rho)
-        assert not orthogonal(rho, sigma)
+        pair = prepare(rho, sigma)
+        assert pair.dominated
+        assert not pair.orthogonal
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.3, 0.5])
     def test_rejects_out_of_range(self, bad):
