@@ -9,19 +9,13 @@ certification suites assert in aggregate.
 import argparse
 import sys
 
-from alphaz.analysis import CurveSpec, TraceFunctional, verify_curve_limit
+from alphaz.analysis import NAMED_CURVES, TraceFunctional, verify_curve_limit
 from alphaz.states import example1_pair, random_density, random_reference
-
-CURVES = {
-    "petz": lambda: CurveSpec.constant(1.0),
-    "sandwiched": CurveSpec.identity,
-    "exponential": CurveSpec.exponential,
-}
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--curve", default="sandwiched", choices=sorted(CURVES))
+    parser.add_argument("--curve", default="sandwiched", choices=sorted(NAMED_CURVES))
     parser.add_argument("--example1-p", type=float,
                         help="use the closed-form pair instead of a seeded one")
     parser.add_argument("--dim", type=int, default=4)
@@ -35,7 +29,7 @@ def main() -> int:
         rho = random_density(args.dim, args.seed)
         sigma = random_reference(args.dim, args.seed + 1)
     tf = TraceFunctional(rho, sigma)
-    report = verify_curve_limit(tf, CURVES[args.curve]())
+    report = verify_curve_limit(tf, NAMED_CURVES[args.curve])
 
     lines = ["alpha,z,divergence,error"]
     for row in sorted(report.rows, key=lambda r: r["alpha"]):

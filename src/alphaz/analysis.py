@@ -158,6 +158,14 @@ class CurveSpec:
         return "z=exp(alpha-1)"
 
 
+# the curves known by name to `alphaz sweep --z-grid curve:NAME` and the scripts
+NAMED_CURVES = {
+    "sandwiched": CurveSpec.identity(),
+    "petz": CurveSpec.constant(1.0),
+    "exponential": CurveSpec.exponential(),
+}
+
+
 @dataclass(frozen=True)
 class TraceFunctional:
     """The pair (rho, sigma) behind T(a, z) = Tr[F(a, z)^z], validated and

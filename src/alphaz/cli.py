@@ -2,10 +2,10 @@
 matrix dumps, and the certification suites.
 
 Exit codes: 0 success (all checks passed for `verify`), 1 verification
-failure, 2 malformed input or I/O error, 3 domain error (z = 0, p out of
-range, unsupported support configuration), 4 internal numerical error (a
-dual-route mismatch, a collapsed trace, an eigensolver that did not
-converge).
+failure, 2 malformed input or I/O error, 3 domain error (z = 0, a
+non-finite alpha or z, p out of range, unsupported support configuration),
+4 internal numerical error (a dual-route mismatch, a collapsed trace, an
+eigensolver that did not converge).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import divergences as dv
-from .analysis import CurveSpec, SweepSpec, sweep
+from .analysis import NAMED_CURVES, CurveSpec, SweepSpec, sweep
 from .linalg import DomainError, NotPSDError
 from .matrixio import SpecError, dump_matrix, resolve_state_spec
 from .suites import SUITE_NAMES, run_suites
@@ -57,18 +57,11 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in np.linspace(lo, hi, n))
 
 
-CURVE_NAMES = {
-    "sandwiched": CurveSpec.identity,
-    "petz": lambda: CurveSpec.constant(1.0),
-    "exponential": CurveSpec.exponential,
-}
-
-
 def _parse_curve(text: str) -> CurveSpec:
     parts = text.split(":")
     name = parts[0]
-    if name in CURVE_NAMES and len(parts) == 1:
-        return CURVE_NAMES[name]()
+    if name in NAMED_CURVES and len(parts) == 1:
+        return NAMED_CURVES[name]
     try:
         if name == "constant" and len(parts) == 2:
             return CurveSpec.constant(float(parts[1]))
@@ -76,7 +69,7 @@ def _parse_curve(text: str) -> CurveSpec:
             return CurveSpec.affine(float(parts[1]), float(parts[2]))
     except ValueError as exc:
         raise SpecError(f"bad curve parameters in {text!r}: {exc}") from exc
-    known = sorted(CURVE_NAMES) + ["constant:Z0", "affine:A:B"]
+    known = sorted(NAMED_CURVES) + ["constant:Z0", "affine:A:B"]
     raise SpecError(f"unknown curve {text!r}; known: {', '.join(known)}")
 
 

@@ -24,7 +24,8 @@ powers are well defined; a negative exponent against a rank-deficient
 operator outside the dominated case raises DomainError.
 
 Every quantum value comes from a PreparedPair, which validates and
-decomposes both operators once; the scalar functions prepare one per call.
+decomposes both operators once and carries every family as a method; each
+module function prepares one pair per call and calls one method.
 """
 
 from __future__ import annotations
@@ -176,10 +177,14 @@ def classical_renyi(p, q, alpha: float) -> DivergenceValue:
     return DivergenceValue.finite(math.log(total) / (alpha - 1.0))
 
 
-def _nonzero_z(z: float) -> float:
-    if float(z) == 0.0:
+def _point(alpha: float, z: float) -> tuple[float, float]:
+    """alpha and z as floats; z = 0 or a non-finite value is a DomainError."""
+    alpha, z = float(alpha), float(z)
+    if z == 0.0:
         raise DomainError("z = 0 is excluded")
-    return float(z)
+    if not (math.isfinite(alpha) and math.isfinite(z)):
+        raise DomainError(f"alpha and z must be finite, got ({alpha!r}, {z!r})")
+    return alpha, z
 
 
 def _undefined(name: str, exponent: float) -> DomainError:
@@ -194,13 +199,31 @@ def _from_trace(alpha: float, t: float) -> DivergenceValue:
     return DivergenceValue.finite(math.log(t) / (alpha - 1.0))
 
 
+def _assert_dual_path(label: str, family: DivergenceValue, alpha: float,
+                      t: float) -> None:
+    if t <= 0.0:
+        raise ArithmeticError(f"{label} trace term collapsed to {t!r}")
+    direct = math.log(t) / (alpha - 1.0)
+    tol = _DUAL_PATH_TOL * max(1.0, abs(family.value))
+    if abs(family.value - direct) > tol:
+        raise ArithmeticError(
+            f"{label} dual-path mismatch: alpha-z route {family.value!r} "
+            f"vs direct formula {direct!r}"
+        )
+
+
 def _points(alphas, zs) -> tuple[np.ndarray, np.ndarray]:
     """alphas and zs broadcast against each other, as float arrays of the
-    broadcast shape; z = 0 anywhere is a DomainError."""
+    broadcast shape; z = 0 or a non-finite value anywhere is a DomainError,
+    as in `_point`."""
     a, z = np.broadcast_arrays(np.asarray(alphas, dtype=float),
                                np.asarray(zs, dtype=float))
     if np.any(z == 0.0):
         raise DomainError("z = 0 is excluded")
+    bad = ~(np.isfinite(a) & np.isfinite(z))
+    if bad.any():
+        i = np.unravel_index(np.argmax(bad), bad.shape)
+        raise DomainError(f"alpha and z must be finite, got ({float(a[i])!r}, {float(z[i])!r})")
     return a, z
 
 
@@ -214,7 +237,8 @@ class PreparedPair:
 
     `traces`, `divergences` and `evaluate` take arrays of points and run one
     stacked SVD for all of them; the scalar `trace` and `divergence` are the
-    single-point case of the same kernel."""
+    single-point case of the same kernel, which `petz`, `sandwiched` and
+    `mosonyi_ogawa` call with their own self-checks."""
 
     rho: Spectrum
     sigma: Spectrum
@@ -277,7 +301,7 @@ class PreparedPair:
         generalized powers. Raises DomainError when a negative exponent meets
         a rank-deficient operator outside the dominated case (no endorsed
         interpretation exists there)."""
-        alpha, z = float(alpha), _nonzero_z(z)
+        alpha, z = _point(alpha, z)
         e_sigma, e_rho = (1.0 - alpha) / (2.0 * z), alpha / z
         bad_rho, bad_sigma = self._undefined_points(e_sigma, e_rho)
         if bad_rho:
@@ -322,7 +346,7 @@ class PreparedPair:
 
     def divergence(self, alpha: float, z: float) -> DivergenceValue:
         """D(a, z) = ln T(a, z) / (a - 1) with the module's support semantics."""
-        alpha, z = float(alpha), _nonzero_z(z)
+        alpha, z = _point(alpha, z)
         if self._closed(alpha):
             return self._closed_value(alpha)
         return _from_trace(alpha, self.trace(alpha, z))
@@ -337,6 +361,47 @@ class PreparedPair:
         t = self._trace_points(a, z, optional=closed)
         return ([self._closed_value(x) if c else _from_trace(x, y)
                  for x, c, y in zip(a.tolist(), closed.tolist(), t.tolist())], t)
+
+    def petz(self, alpha: float) -> DivergenceValue:
+        """Petz quantum Renyi divergence of order alpha, the z = 1 member.
+
+        Also evaluates the direct formula ln Tr[rho^a sigma^(1-a)] / (a - 1)
+        through the overlap sum sum_ij |<v_j|u_i>|^2 r_i^a s_j^(1-a) (a
+        cancellation-free route) and asserts the two routes agree.
+        """
+        alpha = float(alpha)
+        value = self.divergence(alpha, 1.0)
+        if value.is_finite and abs(alpha - 1.0) > ALPHA_ONE_TOL:
+            t = float(self.sigma.powers(1.0 - alpha) @ self.weights @ self.rho.powers(alpha))
+            _assert_dual_path("Petz", value, alpha, t)
+        return value
+
+    def sandwiched(self, alpha: float) -> DivergenceValue:
+        """Sandwiched quantum Renyi divergence of order alpha, the z = alpha member.
+
+        Cross-checked against the direct formula
+        ln Tr[(sigma^((1-a)/2a) rho sigma^((1-a)/2a))^a] / (a - 1), keeping the
+        top inner-rank eigenvalues of the assembled inner operator.
+        """
+        alpha = float(alpha)
+        if alpha == 0.0:
+            raise DomainError("alpha = 0 puts z = 0, which is excluded")
+        value = self.divergence(alpha, alpha)
+        if value.is_finite and abs(alpha - 1.0) > ALPHA_ONE_TOL:
+            s_pow = self.sigma.operator(self.sigma.powers((1.0 - alpha) / (2.0 * alpha)))
+            inner = s_pow @ self.rho.operator(self.rho.powers(1.0)) @ s_pow
+            values = eigensystem(inner).values[:self.inner_rank]
+            _assert_dual_path("sandwiched", value, alpha,
+                              float(np.sum(np.clip(values, 0.0, None) ** alpha)))
+        return value
+
+    def mosonyi_ogawa(self, alpha: float) -> DivergenceValue:
+        """Piecewise divergence: Petz for alpha < 1, sandwiched for alpha > 1.
+        Within ALPHA_ONE_TOL of 1 both return the relative entropy."""
+        alpha = float(alpha)
+        if alpha <= 0.0:
+            raise DomainError(f"order must be positive, got {alpha}")
+        return self.petz(alpha) if alpha < 1.0 else self.sandwiched(alpha)
 
     def relative_entropy(self) -> DivergenceValue:
         """Tr[rho (ln rho - ln sigma)] = sum_i r_i ln r_i - sum_ij r_i w_ji ln s_j."""
@@ -412,66 +477,20 @@ def alpha_z_divergence(rho: np.ndarray, sigma: np.ndarray,
     return prepare(rho, sigma).divergence(alpha, z)
 
 
-def _assert_dual_path(label: str, family: DivergenceValue, alpha: float,
-                      t: float) -> None:
-    if t <= 0.0:
-        raise ArithmeticError(f"{label} trace term collapsed to {t!r}")
-    direct = math.log(t) / (alpha - 1.0)
-    tol = _DUAL_PATH_TOL * max(1.0, abs(family.value))
-    if abs(family.value - direct) > tol:
-        raise ArithmeticError(
-            f"{label} dual-path mismatch: alpha-z route {family.value!r} "
-            f"vs direct formula {direct!r}"
-        )
-
-
 def petz_divergence(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> DivergenceValue:
-    """Petz quantum Renyi divergence of order alpha, the z = 1 member.
-
-    Also evaluates the direct formula ln Tr[rho^a sigma^(1-a)] / (a - 1)
-    through the overlap sum sum_ij |<v_j|u_i>|^2 r_i^a s_j^(1-a) (a
-    cancellation-free route) and asserts the two routes agree.
-    """
-    alpha = float(alpha)
-    pair = prepare(rho, sigma)
-    value = pair.divergence(alpha, 1.0)
-    if value.is_finite and abs(alpha - 1.0) > ALPHA_ONE_TOL:
-        t = float(pair.sigma.powers(1.0 - alpha) @ pair.weights @ pair.rho.powers(alpha))
-        _assert_dual_path("Petz", value, alpha, t)
-    return value
+    """Petz quantum Renyi divergence of order alpha; see PreparedPair.petz."""
+    return prepare(rho, sigma).petz(alpha)
 
 
 def sandwiched_divergence(rho: np.ndarray, sigma: np.ndarray,
                           alpha: float) -> DivergenceValue:
-    """Sandwiched quantum Renyi divergence of order alpha, the z = alpha member.
-
-    Cross-checked against the direct formula
-    ln Tr[(sigma^((1-a)/2a) rho sigma^((1-a)/2a))^a] / (a - 1), keeping the
-    top inner-rank eigenvalues of the assembled inner operator.
-    """
-    alpha = float(alpha)
-    if alpha == 0.0:
-        raise DomainError("alpha = 0 puts z = 0, which is excluded")
-    pair = prepare(rho, sigma)
-    value = pair.divergence(alpha, alpha)
-    if value.is_finite and abs(alpha - 1.0) > ALPHA_ONE_TOL:
-        s_pow = pair.sigma.operator(pair.sigma.powers((1.0 - alpha) / (2.0 * alpha)))
-        inner = s_pow @ pair.rho.operator(pair.rho.powers(1.0)) @ s_pow
-        values = eigensystem(inner).values[:pair.inner_rank]
-        _assert_dual_path("sandwiched", value, alpha,
-                          float(np.sum(np.clip(values, 0.0, None) ** alpha)))
-    return value
+    """Sandwiched quantum Renyi divergence of order alpha; see
+    PreparedPair.sandwiched."""
+    return prepare(rho, sigma).sandwiched(alpha)
 
 
 def mosonyi_ogawa_divergence(rho: np.ndarray, sigma: np.ndarray,
                              alpha: float) -> DivergenceValue:
     """Piecewise divergence: Petz for alpha < 1, sandwiched for alpha > 1,
-    relative entropy at alpha = 1."""
-    alpha = float(alpha)
-    if alpha <= 0.0:
-        raise DomainError(f"order must be positive, got {alpha}")
-    if abs(alpha - 1.0) <= ALPHA_ONE_TOL:
-        return relative_entropy(rho, sigma)
-    if alpha < 1.0:
-        return petz_divergence(rho, sigma, alpha)
-    return sandwiched_divergence(rho, sigma, alpha)
+    relative entropy at alpha = 1; see PreparedPair.mosonyi_ogawa."""
+    return prepare(rho, sigma).mosonyi_ogawa(alpha)

@@ -151,16 +151,18 @@ DPI_SLACK = 1e-9
 
 def suite_dpi(n_seeds: int = 10) -> list[CheckReport]:
     """Sampled data-processing check for the piecewise divergence under
-    pinching in the reference operator's eigenbasis."""
-    pairs = [(rho, sigma, pinch(rho, sigma), pinch(sigma, sigma), label)
+    pinching in the reference operator's eigenbasis; each seeded pair and
+    its pinched image are prepared once for all alphas."""
+    pairs = [(dv.prepare(rho, sigma),
+              dv.prepare(pinch(rho, sigma), pinch(sigma, sigma)), label)
              for rho, sigma, label in seeded_pairs(n_seeds)]
     reports = []
     for alpha in DPI_ALPHAS:
         worst = -math.inf
         rows = []
-        for rho, sigma, rho_pinched, sigma_pinched, label in pairs:
-            before = dv.mosonyi_ogawa_divergence(rho, sigma, alpha).value
-            after = dv.mosonyi_ogawa_divergence(rho_pinched, sigma_pinched, alpha).value
+        for pair, pinched, label in pairs:
+            before = pair.mosonyi_ogawa(alpha).value
+            after = pinched.mosonyi_ogawa(alpha).value
             violation = after - before  # > 0 would break data processing
             worst = max(worst, violation)
             rows.append({"pair": label, "before": before, "after": after,
@@ -308,7 +310,10 @@ SUITE_NAMES = ("all",) + tuple(SUITE_BUILDERS)
 
 
 def run_suites(names, n_seeds: int = 10, bias: float = 0.0) -> list[CheckReport]:
-    """Run the named suites (or all of them) and return their reports."""
+    """Run the named suites (or all of them) on n_seeds >= 1 seeded pairs
+    and return their reports."""
+    if n_seeds < 1:
+        raise ValueError(f"need at least one seed, got {n_seeds}")
     wanted = list(SUITE_BUILDERS) if "all" in names else list(names)
     reports = []
     for name in wanted:

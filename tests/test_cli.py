@@ -109,6 +109,22 @@ class TestExitCodes:
         assert code == cli.EXIT_INTERNAL == 4
         assert "internal error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("point", [("--alpha", "2", "--z", "inf"),
+                                       ("--alpha", "nan", "--z", "1"),
+                                       ("--alpha", "inf", "--z", "1"),
+                                       ("--alpha", "nan", "--family", "mo")])
+    def test_non_finite_point_is_domain_error(self, point):
+        out = run_cli("compute", "--example1", "0.25", *point)
+        assert out.returncode == 3
+        assert "finite" in out.stderr
+        assert out.stdout == ""
+
+    def test_non_finite_grid_is_domain_error(self):
+        out = run_cli("sweep", "--example1", "0.25", "--alpha-grid", "nan:1:3",
+                      "--z-grid", "1:2:2", "--out", "-")
+        assert out.returncode == 3
+        assert "finite" in out.stderr
+
     def test_bad_grid_is_usage_error(self, tmp_path):
         out = run_cli("sweep", "--example1", "0.25", "--alpha-grid", "nope",
                       "--z-grid", "1:2:2", "--out", str(tmp_path / "x.csv"))
@@ -208,6 +224,20 @@ class TestVerify:
         assert out.returncode == 1
         assert "first failure" in out.stderr
         assert "FAIL" in out.stdout
+
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_no_seeds_rejected(self, seeds):
+        out = run_cli("verify", "--suite", "dpi", "--seeds", seeds)
+        assert out.returncode == 2
+        assert f"got {seeds}" in out.stderr
+        assert "checks passed" not in out.stdout
+
+    @pytest.mark.parametrize("names", [["dpi"], ["limits"], ["all"]])
+    def test_run_suites_rejects_no_seeds(self, names):
+        from alphaz.suites import run_suites
+
+        with pytest.raises(ValueError, match="got 0"):
+            run_suites(names, 0)
 
     def test_unknown_suite_rejected(self):
         out = run_cli("verify", "--suite", "everything")

@@ -370,6 +370,56 @@ class TestMosonyiOgawa:
         assert after <= before + 1e-9
 
 
+def _pair_of_class(cls):
+    """A full-rank, dominating, violating or orthogonal (rho, sigma) pair."""
+    if cls == "full":
+        return random_density(4, 111), random_reference(4, 112)
+    return random_support_pair(4, 113, rank=2, branch=cls)
+
+
+class TestPreparedPairFamilies:
+    """petz, sandwiched and mosonyi_ogawa are PreparedPair methods; the
+    module functions prepare once and call them."""
+
+    CLASSES = ("full", "dominating", "violating", "orthogonal")
+
+    @pytest.mark.parametrize("cls", CLASSES)
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.5, 2.0])
+    def test_methods_match_module_functions(self, cls, alpha):
+        rho, sigma = _pair_of_class(cls)
+        pair = dv.prepare(rho, sigma)
+        assert pair.dominated == (cls in ("full", "dominating"))
+        assert pair.orthogonal == (cls == "orthogonal")
+        for method, function in ((pair.petz, petz_divergence),
+                                 (pair.sandwiched, sandwiched_divergence),
+                                 (pair.mosonyi_ogawa, mosonyi_ogawa_divergence)):
+            got, expected = method(alpha), function(rho, sigma, alpha)
+            assert got.value == expected.value
+            assert got.infinity_reason == expected.infinity_reason
+        assert pair.petz(alpha) == pair.divergence(alpha, 1.0)
+        assert pair.sandwiched(alpha) == pair.divergence(alpha, alpha)
+        side = pair.petz if alpha < 1.0 else pair.sandwiched
+        assert pair.mosonyi_ogawa(alpha) == side(alpha)
+
+    @pytest.mark.parametrize("cls", CLASSES)
+    @pytest.mark.parametrize("offset", [-dv.ALPHA_ONE_TOL / 2, 0.0, dv.ALPHA_ONE_TOL / 2])
+    def test_mosonyi_ogawa_near_one_is_relative_entropy(self, cls, offset):
+        rho, sigma = _pair_of_class(cls)
+        got = dv.prepare(rho, sigma).mosonyi_ogawa(1.0 + offset)
+        assert got == relative_entropy(rho, sigma)
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.5])
+    def test_nonpositive_order_rejected(self, alpha):
+        pair = dv.prepare(*_pair_of_class("full"))
+        with pytest.raises(DomainError, match="positive"):
+            pair.mosonyi_ogawa(alpha)
+
+    def test_sandwiched_alpha_zero_rejected(self):
+        pair = dv.prepare(*_pair_of_class("full"))
+        with pytest.raises(DomainError, match="z = 0"):
+            pair.sandwiched(0.0)
+
+
 class TestCommutingReduction:
     @given(seeds, st.sampled_from([2, 4, 6, 8]))
     def test_full_grid(self, seed, dim):
@@ -504,6 +554,49 @@ class TestBatchedKernel:
             sweep(rho, sigma, SweepSpec(alphas=(0.5, 2.0), zs=(1.0, -1.0)))
 
 
+NON_FINITE_POINTS = [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 0.5),
+                     (2.0, math.inf), (2.0, math.nan), (0.5, -math.inf)]
+
+
+class TestNonFiniteInput:
+    """A non-finite alpha or z is a DomainError on every path, never a
+    value or an eigensolver failure."""
+
+    @pytest.fixture
+    def pair(self):
+        return random_density(3, 4), random_reference(3, 5)
+
+    @pytest.mark.parametrize("alpha, z", NON_FINITE_POINTS)
+    def test_scalar_path(self, pair, alpha, z):
+        prepared = dv.prepare(*pair)
+        for call in (lambda: alpha_z_trace(*pair, alpha, z),
+                     lambda: alpha_z_divergence(*pair, alpha, z),
+                     lambda: prepared.trace(alpha, z),
+                     lambda: prepared.divergence(alpha, z)):
+            with pytest.raises(DomainError, match="finite"):
+                call()
+
+    @pytest.mark.parametrize("alpha, z", NON_FINITE_POINTS)
+    def test_batched_path(self, pair, alpha, z):
+        from alphaz.analysis import SweepSpec, sweep
+
+        prepared = dv.prepare(*pair)
+        alphas, zs = [0.5, alpha, 2.0], [1.0, z, 2.0]
+        for call in (lambda: prepared.traces(alphas, zs),
+                     lambda: prepared.divergences(alphas, zs),
+                     lambda: prepared.evaluate(alphas, zs),
+                     lambda: sweep(*pair, SweepSpec(alphas=(0.5, alpha), zs=(1.0, z)))):
+            with pytest.raises(DomainError, match="finite"):
+                call()
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_families(self, pair, alpha):
+        for function in (petz_divergence, sandwiched_divergence,
+                         mosonyi_ogawa_divergence):
+            with pytest.raises(DomainError, match="finite"):
+                function(*pair, alpha)
+
+
 def _oracle_divergence(rho, sigma, alpha, z, dps=50):
     """D(alpha, z) from mpmath eigendecompositions of rho, sigma and the
     assembled inner operator at `dps` digits (full-rank inputs)."""
@@ -597,4 +690,11 @@ class TestDecompositionCounts:
         from alphaz.suites import run_suites
 
         eigh, svd = counts(lambda: run_suites(["all"], 10))
-        assert eigh <= 450 and svd <= 320
+        assert eigh <= 312 and svd <= 320
+
+    def test_dpi_suite_prepares_each_pair_once(self, counts):
+        from alphaz.suites import run_suites
+
+        # 10 pairs: 2 pinch + 4 prepare + 4 sandwiched self-check eigh each
+        eigh, svd = counts(lambda: run_suites(["dpi"], 10))
+        assert eigh <= 100 and svd <= 80
