@@ -3,9 +3,10 @@ matrix dumps, and the certification suites.
 
 Exit codes: 0 success (all checks passed for `verify`), 1 verification
 failure, 2 malformed input or I/O error, 3 domain error (z = 0, a
-non-finite alpha or z, p out of range, unsupported support configuration),
-4 internal numerical error (a dual-route mismatch, a collapsed trace, an
-eigensolver that did not converge).
+non-finite alpha or z, alpha or z beyond double range, p out of range,
+unsupported support configuration), 4 internal numerical error (a
+dual-route mismatch, a collapsed trace, an eigensolver that did not
+converge).
 """
 
 from __future__ import annotations

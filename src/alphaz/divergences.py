@@ -21,7 +21,8 @@ Support semantics for D(a, z):
     to the supports (all powers generalized), a finite value.
 Negative z and negative alpha are accepted whenever the required spectral
 powers are well defined; a negative exponent against a rank-deficient
-operator outside the dominated case raises DomainError.
+operator outside the dominated case raises DomainError. So does a finite
+alpha or z whose spectral powers or trace sum overflow double range.
 
 Every quantum value comes from a PreparedPair, which validates and
 decomposes both operators once and carries every family as a method; each
@@ -218,13 +219,21 @@ def _points(alphas, zs) -> tuple[np.ndarray, np.ndarray]:
     as in `_point`."""
     a, z = np.broadcast_arrays(np.asarray(alphas, dtype=float),
                                np.asarray(zs, dtype=float))
-    if np.any(z == 0.0):
-        raise DomainError("z = 0 is excluded")
-    bad = ~(np.isfinite(a) & np.isfinite(z))
-    if bad.any():
-        i = np.unravel_index(np.argmax(bad), bad.shape)
+    ok = np.isfinite(a) & np.isfinite(z) & (z != 0.0)
+    if not ok.all():
+        if (z == 0.0).any():
+            raise DomainError("z = 0 is excluded")
+        i = np.unravel_index(np.argmin(ok), ok.shape)
         raise DomainError(f"alpha and z must be finite, got ({float(a[i])!r}, {float(z[i])!r})")
     return a, z
+
+
+def _beyond_range(what: str, alphas, zs, finite) -> DomainError:
+    """The DomainError for the first point (in order) where `finite` is
+    false; alphas, zs and finite are scalars or arrays of one size."""
+    i = int(np.argmin(finite))
+    return DomainError(f"alpha or z beyond double range: {what} at (alpha, z) = "
+                       f"({float(np.ravel(alphas)[i])!r}, {float(np.ravel(zs)[i])!r})")
 
 
 @dataclass(frozen=True)
@@ -256,20 +265,43 @@ class PreparedPair:
         return ((e_rho < 0.0) & (self.rho.rank < dim),
                 (e_sigma < 0.0) & (self.sigma.rank < dim and not self.dominated))
 
-    def _sums(self, e_sigma, e_rho, z):
-        """Tr[(sigma^e_sigma rho^e_rho sigma^e_sigma)^z] at scalar exponents,
-        or at 1-d arrays of them with z as a column, one SVD for the stack.
+    def _sums(self, alpha, z, e_sigma, e_rho):
+        """Tr[(sigma^e_sigma rho^e_rho sigma^e_sigma)^z] at the exponents of
+        the point (alpha, z), scalars, or 1-d arrays of them with z as a
+        column, one SVD for the stack.
 
         The inner operator is G G† with G = diag(sigma powers) W diag(sqrt of
         rho powers). Scaling W by rows and columns is exact per entry, and
         the singular values of G give the inner eigenvalues to about the
         square root of the relative error of an eigendecomposition of the
         assembled sandwich. G has rank inner_rank, so the smaller singular
-        values are round-off and are dropped whatever their size."""
-        g = (self.sigma.powers(e_sigma)[..., :, None] * self.overlap
-             * self.rho.powers(e_rho / 2.0)[..., None, :])
+        values are round-off and are dropped whatever their size.
+
+        |W| <= 1 bounds every entry of G by the product of the largest power
+        on each side, so a finite bound per point keeps the SVD finite. A
+        point whose bound or trace sum leaves double range raises
+        DomainError naming it. Both tests run first on the whole stack, as
+        Python floats, and per point only when that fails; powers and sums
+        are >= 0, so a maximum starting at 0 also covers an empty batch."""
+        s_pow = self.sigma.powers(e_sigma)
+        r_pow = self.rho.powers(e_rho / 2.0)
+        if not math.isfinite(float(s_pow.max(initial=0.0)) * float(r_pow.max(initial=0.0))):
+            bound = np.isfinite(s_pow.max(axis=-1) * r_pow.max(axis=-1))
+            if not bound.all():
+                raise _beyond_range("the spectral powers overflow", alpha, z, bound)
+        g = s_pow[..., :, None] * self.overlap * r_pow[..., None, :]
         singular = np.linalg.svd(g, compute_uv=False)[..., :self.inner_rank]
-        return np.sum((singular * singular) ** z, axis=-1)
+        sums = np.sum((singular * singular) ** z, axis=-1)
+        if not math.isfinite(float(sums.max(initial=0.0))):
+            raise _beyond_range("the trace sum overflows", alpha, z, np.isfinite(sums))
+        return sums
+
+    def _always_defined(self) -> bool:
+        """Whether T is defined at every point: no operator whose negative
+        powers lack an endorsed meaning (rho full rank, and sigma full rank
+        or dominating)."""
+        dim = self.rho.values.size
+        return self.rho.rank == dim and (self.sigma.rank == dim or self.dominated)
 
     def _trace_points(self, alphas: np.ndarray, zs: np.ndarray,
                       optional=False) -> np.ndarray:
@@ -277,6 +309,8 @@ class PreparedPair:
         the first one in order, unless `optional` is true there; then its
         value is NaN."""
         e_sigma, e_rho = (1.0 - alphas) / (2.0 * zs), alphas / zs
+        if self._always_defined():
+            return self._sums(alphas, zs[:, None], e_sigma, e_rho)
         bad_rho, bad_sigma = self._undefined_points(e_sigma, e_rho)
         bad = bad_rho | bad_sigma
         fatal = bad & ~np.asarray(optional)
@@ -287,7 +321,7 @@ class PreparedPair:
         out = np.full(alphas.shape, math.nan)
         ok = ~bad
         if ok.any():
-            out[ok] = self._sums(e_sigma[ok], e_rho[ok], zs[ok, None])
+            out[ok] = self._sums(alphas[ok], zs[ok, None], e_sigma[ok], e_rho[ok])
         return out
 
     def traces(self, alphas, zs) -> np.ndarray:
@@ -308,7 +342,7 @@ class PreparedPair:
             raise _undefined("rho", e_rho)
         if bad_sigma:
             raise _undefined("sigma", e_sigma)
-        return float(self._sums(e_sigma, e_rho, z))
+        return float(self._sums(alpha, z, e_sigma, e_rho))
 
     def _closed(self, alpha):
         """Whether D needs no trace at alpha, a float or an array: alpha = 1,
@@ -333,16 +367,21 @@ class PreparedPair:
         a, z = _points(alphas, zs)
         shape, a, z = a.shape, a.ravel(), z.ravel()
         closed = self._closed(a)
-        out = np.empty(a.shape)
-        if closed.any():
-            # _closed_value: +inf everywhere but at alpha = 1 under dominance
-            out[closed] = self.relative_entropy().value
+        if not closed.any():
+            return self._log_traces(a, z).reshape(shape)
+        # _closed_value: +inf everywhere but at alpha = 1 under dominance
+        out = np.full(a.shape, self.relative_entropy().value)
         need = ~closed
-        t = self._trace_points(a[need], z[need])
-        if np.any(t <= 0.0):
-            raise ArithmeticError(f"trace functional collapsed to {float(t[t <= 0.0][0])!r}")
-        out[need] = np.log(t) / (a[need] - 1.0)
+        if need.any():
+            out[need] = self._log_traces(a[need], z[need])
         return out.reshape(shape)
+
+    def _log_traces(self, alphas: np.ndarray, zs: np.ndarray) -> np.ndarray:
+        """ln T / (a - 1) at 1-d arrays of points where D needs the trace."""
+        t = self._trace_points(alphas, zs)
+        if (t <= 0.0).any():
+            raise ArithmeticError(f"trace functional collapsed to {float(t[t <= 0.0][0])!r}")
+        return np.log(t) / (alphas - 1.0)
 
     def divergence(self, alpha: float, z: float) -> DivergenceValue:
         """D(a, z) = ln T(a, z) / (a - 1) with the module's support semantics."""

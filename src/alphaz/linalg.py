@@ -101,6 +101,8 @@ class Spectrum:
         every exponent, so p = 0 gives the support indicator. An array of
         exponents gives one row of powers per exponent."""
         p = np.asarray(p, dtype=float)
+        if self.rank == self.values.size:
+            return self.values ** p[..., None]
         out = np.zeros(p.shape + self.values.shape)
         out[..., :self.rank] = self.values[:self.rank] ** p[..., None]
         return out
@@ -108,6 +110,25 @@ class Spectrum:
     def operator(self, diagonal: np.ndarray) -> np.ndarray:
         """The operator with these eigenvalues in this eigenbasis."""
         return hermitian_part((self.vectors * diagonal) @ self.vectors.conj().T)
+
+    def pinch(self, a: np.ndarray) -> np.ndarray:
+        """Pinch A in this eigenbasis: sum_i P_i A P_i over the spectral
+        projectors P_i (neighbouring eigenvalues closer than 1e-8 times the
+        largest magnitude share a block). Trace preserving and Hermiticity
+        preserving."""
+        a = as_hermitian(a)
+        if a.shape != self.vectors.shape:
+            raise ValueError(f"dimension mismatch: {a.shape} vs {self.vectors.shape}")
+        scale = max(float(np.abs(self.values).max()), 1e-300)
+        cluster_tol = 1e-8 * scale
+        # eigenvalues are sorted descending; split where the gap exceeds tolerance
+        splits = np.nonzero(np.abs(np.diff(self.values)) > cluster_tol)[0] + 1
+        out = np.zeros_like(a)
+        for block in np.split(np.arange(self.values.size), splits):
+            u = self.vectors[:, block]
+            proj = u @ u.conj().T
+            out += proj @ a @ proj
+        return hermitian_part(out)
 
 
 def eigensystem(a: np.ndarray) -> Spectrum:
@@ -172,20 +193,5 @@ def log_on_support(a: np.ndarray) -> np.ndarray:
 
 
 def pinch(a: np.ndarray, basis_of: np.ndarray) -> np.ndarray:
-    """Pinch A in the eigenbasis of a PSD operator: sum_i P_i A P_i over the
-    spectral projectors P_i of basis_of (eigenvalues equal within tolerance
-    share a block). Trace preserving and Hermiticity preserving."""
-    a = as_hermitian(a)
-    es = support(basis_of)
-    if a.shape != es.vectors.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {es.vectors.shape}")
-    scale = max(float(np.abs(es.values).max()), 1e-300)
-    cluster_tol = 1e-8 * scale
-    # eigenvalues are sorted descending; split where the gap exceeds tolerance
-    splits = np.nonzero(np.abs(np.diff(es.values)) > cluster_tol)[0] + 1
-    out = np.zeros_like(a)
-    for block in np.split(np.arange(es.values.size), splits):
-        u = es.vectors[:, block]
-        proj = u @ u.conj().T
-        out += proj @ a @ proj
-    return hermitian_part(out)
+    """Pinch A in the eigenbasis of a PSD operator; see Spectrum.pinch."""
+    return support(basis_of).pinch(a)

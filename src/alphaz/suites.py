@@ -2,6 +2,10 @@
 
 Every suite is deterministic: states come from the pinned-seed generators
 in `states`, so a given (suite, seeds) always produces the same reports.
+`run_suites` prepares the seeded pairs once per call and hands the same
+`TraceFunctional`s to every suite that checks them (limits, derivatives,
+monotonicity, dpi and invariants); those suites take them as their
+argument.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from .analysis import (
     verify_z_monotonicity,
     example1_closed_form,
 )
-from .linalg import pinch
 from .states import commuting_pair, random_density, random_reference, random_support_pair
 
 BASE_SEED = 20240811
@@ -68,8 +71,12 @@ def _aggregate(name: str, reports: list[CheckReport], notes: str = "") -> CheckR
     )
 
 
-def _seeded_functionals(n_seeds: int) -> list[tuple[TraceFunctional, str]]:
-    """The seeded pairs, each validated and decomposed once."""
+# the seeded pairs as run_suites hands them to the suites
+SeededPairs = list[tuple[TraceFunctional, str]]
+
+
+def _seeded_functionals(n_seeds: int) -> SeededPairs:
+    """The seeded pairs, each validated and decomposed once, with their labels."""
     return [(TraceFunctional(rho, sigma), label)
             for rho, sigma, label in seeded_pairs(n_seeds)]
 
@@ -84,17 +91,15 @@ def _over_pairs(name: str, tfs, check) -> CheckReport:
     return _aggregate(name, members)
 
 
-def suite_limits(n_seeds: int = 10, bias: float = 0.0) -> list[CheckReport]:
+def suite_limits(tfs: SeededPairs, bias: float = 0.0) -> list[CheckReport]:
     """Limit of D(a, g(a)) at a -> 1 for five curves over the seeded pairs."""
-    tfs = _seeded_functionals(n_seeds)
     return [_over_pairs(f"limit along {curve.label()}", tfs,
                         lambda tf, curve=curve: verify_curve_limit(tf, curve, bias=bias))
             for curve in LIMIT_CURVES]
 
 
-def suite_derivatives(n_seeds: int = 10) -> list[CheckReport]:
+def suite_derivatives(tfs: SeededPairs) -> list[CheckReport]:
     """Slope-at-1 checks for both families plus the dT/dz -> 0 checks."""
-    tfs = _seeded_functionals(n_seeds)
     reports = [_over_pairs("derivative at alpha=1 vs half-variance", tfs,
                            verify_derivative_at_one)]
     for z0 in DZ_TRACE_Z0S:
@@ -103,9 +108,8 @@ def suite_derivatives(n_seeds: int = 10) -> list[CheckReport]:
     return reports
 
 
-def suite_monotonicity(n_seeds: int = 10) -> list[CheckReport]:
+def suite_monotonicity(tfs: SeededPairs) -> list[CheckReport]:
     """z-monotonicity of the divergence for each sampled alpha."""
-    tfs = _seeded_functionals(n_seeds)
     reports = []
     for alpha in MONOTONICITY_ALPHAS:
         direction = "non-increasing" if alpha > 1 else "non-decreasing"
@@ -120,7 +124,7 @@ EXAMPLE1_GRID_ALPHAS = tuple(round(0.2 + 0.2 * k, 10) for k in range(15))  # 0.2
 EXAMPLE1_GRID_TOL = 1e-10
 
 
-def suite_example1(n_seeds: int = 10) -> list[CheckReport]:
+def suite_example1() -> list[CheckReport]:
     """Second-derivative split at a = 1 plus closed-form/pipeline agreement
     for the rank-1-vs-diagonal pair family."""
     from .states import example1_pair
@@ -149,13 +153,14 @@ def suite_example1(n_seeds: int = 10) -> list[CheckReport]:
 DPI_SLACK = 1e-9
 
 
-def suite_dpi(n_seeds: int = 10) -> list[CheckReport]:
+def suite_dpi(tfs: SeededPairs) -> list[CheckReport]:
     """Sampled data-processing check for the piecewise divergence under
-    pinching in the reference operator's eigenbasis; each seeded pair and
-    its pinched image are prepared once for all alphas."""
-    pairs = [(dv.prepare(rho, sigma),
-              dv.prepare(pinch(rho, sigma), pinch(sigma, sigma)), label)
-             for rho, sigma, label in seeded_pairs(n_seeds)]
+    pinching in the reference operator's eigenbasis; each pinched image is
+    prepared once for all alphas, from the pair's own spectrum of sigma."""
+    pairs = [(tf.pair,
+              dv.prepare(tf.pair.sigma.pinch(tf.rho), tf.pair.sigma.pinch(tf.sigma)),
+              label)
+             for tf, label in tfs]
     reports = []
     for alpha in DPI_ALPHAS:
         worst = -math.inf
@@ -232,7 +237,7 @@ INVARIANT_ALPHAS = (0.3, 0.7, 1.5, 2.0, 3.0)
 INVARIANT_ZS = (0.5, 1.0, 2.0)
 
 
-def suite_invariants(n_seeds: int = 10) -> list[CheckReport]:
+def suite_invariants(tfs: SeededPairs) -> list[CheckReport]:
     """Structural invariants: unitary invariance, reference scaling,
     self-divergence, and the infinity reason tags."""
     from .states import random_unitary
@@ -241,11 +246,11 @@ def suite_invariants(n_seeds: int = 10) -> list[CheckReport]:
     alphas, zs = zip(*points)
     # per check: (worst residual, its row); the first pair always sets it
     worst = {"unitary": (-1.0, None), "scaling": (-1.0, None), "self": (-1.0, None)}
-    for k, (rho, sigma, label) in enumerate(seeded_pairs(n_seeds)):
-        dim = rho.shape[0]
+    for k, (tf, label) in enumerate(tfs):
+        rho, sigma, dim = tf.rho, tf.sigma, tf.rho.shape[0]
         u = random_unitary(dim, BASE_SEED + 5000 + k)
         c = 0.25 + 1.5 * (k % 4)  # deterministic positive scales
-        base = dv.prepare(rho, sigma).divergences(alphas, zs)
+        base = tf.pair.divergences(alphas, zs)
         rotated = dv.prepare(u @ rho @ u.conj().T, u @ sigma @ u.conj().T)
         scaled = dv.prepare(rho, c * sigma)
         residuals = {
@@ -272,7 +277,7 @@ def suite_invariants(n_seeds: int = 10) -> list[CheckReport]:
     # infinity semantics on constructed support configurations
     rows = []
     ok = True
-    for k in range(max(2, n_seeds // 2)):
+    for k in range(max(2, len(tfs) // 2)):
         dim = 3 + (k % 3)
         rho_v, sigma_v = random_support_pair(dim, BASE_SEED + 7000 + k,
                                              rank=dim - 1, branch="violating")
@@ -296,31 +301,32 @@ def suite_invariants(n_seeds: int = 10) -> list[CheckReport]:
     return reports
 
 
-SUITE_BUILDERS = {
-    "limits": suite_limits,
-    "derivatives": suite_derivatives,
-    "monotonicity": suite_monotonicity,
-    "example1": suite_example1,
-    "dpi": suite_dpi,
-    "classical": lambda n_seeds=10: suite_classical(2 * n_seeds),
-    "invariants": suite_invariants,
-}
-
-SUITE_NAMES = ("all",) + tuple(SUITE_BUILDERS)
+SUITE_NAMES = ("all", "limits", "derivatives", "monotonicity", "example1", "dpi",
+               "classical", "invariants")
+# the suites that check the seeded pairs
+SEEDED_SUITES = ("limits", "derivatives", "monotonicity", "dpi", "invariants")
 
 
 def run_suites(names, n_seeds: int = 10, bias: float = 0.0) -> list[CheckReport]:
-    """Run the named suites (or all of them) on n_seeds >= 1 seeded pairs
-    and return their reports."""
+    """Run the named suites (or all of them, in SUITE_NAMES order) on
+    n_seeds >= 1 seeded pairs and return their reports. The seeded pairs are
+    prepared once per call, and only when a requested suite checks them."""
     if n_seeds < 1:
         raise ValueError(f"need at least one seed, got {n_seeds}")
-    wanted = list(SUITE_BUILDERS) if "all" in names else list(names)
-    reports = []
+    # each runner reads tfs, prepared below once the names are checked
+    runners = {
+        "limits": lambda: suite_limits(tfs, bias=bias),
+        "derivatives": lambda: suite_derivatives(tfs),
+        "monotonicity": lambda: suite_monotonicity(tfs),
+        "example1": lambda: suite_example1(),
+        "dpi": lambda: suite_dpi(tfs),
+        "classical": lambda: suite_classical(2 * n_seeds),
+        "invariants": lambda: suite_invariants(tfs),
+    }
+    wanted = list(runners) if "all" in names else list(names)
     for name in wanted:
-        if name not in SUITE_BUILDERS:
+        if name not in runners:
             raise ValueError(f"unknown suite {name!r}")
-        if name == "limits":
-            reports.extend(suite_limits(n_seeds, bias=bias))
-        else:
-            reports.extend(SUITE_BUILDERS[name](n_seeds))
-    return reports
+    tfs = (_seeded_functionals(n_seeds) if any(n in SEEDED_SUITES for n in wanted)
+           else None)
+    return [report for name in wanted for report in runners[name]()]

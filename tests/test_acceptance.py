@@ -24,28 +24,28 @@ def _report_line(number, title, ok, detail):
 @pytest.fixture(scope="module")
 def limits_run():
     t0 = time.perf_counter()
-    reports = suites.suite_limits(10)
+    reports = suites.run_suites(["limits"], 10)
     return reports, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def derivative_reports():
-    return suites.suite_derivatives(10)
+    return suites.run_suites(["derivatives"], 10)
 
 
 @pytest.fixture(scope="module")
 def monotonicity_reports():
-    return suites.suite_monotonicity(10)
+    return suites.run_suites(["monotonicity"], 10)
 
 
 @pytest.fixture(scope="module")
 def example1_reports():
-    return suites.suite_example1()
+    return suites.run_suites(["example1"], 10)
 
 
 @pytest.fixture(scope="module")
 def dpi_reports():
-    return suites.suite_dpi(10)
+    return suites.run_suites(["dpi"], 10)
 
 
 def test_criterion_1_limit_along_curves(limits_run):
@@ -119,7 +119,7 @@ def test_criterion_5_dz_trace_vanishes(derivative_reports):
 
 
 def test_criterion_6_classical_reduction():
-    reports = suites.suite_classical(20)
+    reports = suites.run_suites(["classical"], 10)
     assert suites.COMMUTING_DIMS == (2, 3, 4, 5, 6, 7, 8)
     assert suites.CLASSICAL_RENYI_TOL == 1e-10
     assert suites.CLASSICAL_KL_TOL == 1e-12
@@ -132,7 +132,7 @@ def test_criterion_6_classical_reduction():
 
 
 def test_criterion_7_structural_invariants():
-    reports = suites.suite_invariants(10)
+    reports = suites.run_suites(["invariants"], 10)
     by_name = {r.name.split()[0]: r for r in reports}
     assert suites.UNITARY_INVARIANCE_TOL == 1e-9
     assert suites.SCALING_TOL == 1e-10

@@ -119,6 +119,22 @@ class TestExitCodes:
         assert "finite" in out.stderr
         assert out.stdout == ""
 
+    @pytest.mark.parametrize("point", [("--alpha", "1e308", "--z", "1"),
+                                       ("--alpha", "2", "--z", "1e-308"),
+                                       ("--alpha", "1e300", "--family", "mo")])
+    def test_point_beyond_double_range_is_domain_error(self, point):
+        out = run_cli("compute", "--example1", "0.25", *point)
+        assert out.returncode == 3
+        assert "beyond double range" in out.stderr
+        assert out.stdout == ""
+
+    def test_grid_beyond_double_range_is_domain_error(self):
+        out = run_cli("sweep", "--example1", "0.25", "--alpha-grid", "2:1e308:2",
+                      "--z-grid", "1:2:2", "--out", "-")
+        assert out.returncode == 3
+        assert "beyond double range" in out.stderr
+        assert "(1e+308, 1.0)" in out.stderr
+
     def test_non_finite_grid_is_domain_error(self):
         out = run_cli("sweep", "--example1", "0.25", "--alpha-grid", "nan:1:3",
                       "--z-grid", "1:2:2", "--out", "-")
@@ -238,6 +254,12 @@ class TestVerify:
 
         with pytest.raises(ValueError, match="got 0"):
             run_suites(names, 0)
+
+    def test_all_equals_each_suite_alone(self):
+        from alphaz.suites import SUITE_NAMES, run_suites
+
+        alone = [r.to_dict() for name in SUITE_NAMES[1:] for r in run_suites([name], 10)]
+        assert [r.to_dict() for r in run_suites(["all"], 10)] == alone
 
     def test_unknown_suite_rejected(self):
         out = run_cli("verify", "--suite", "everything")

@@ -530,6 +530,45 @@ class TestBatchedKernel:
         with pytest.raises(DomainError, match="z = 0"):
             pair.divergences([0.5, 2.0], [1.0, 0.0])
 
+    @pytest.mark.parametrize("cls", ["full", "violating"])
+    def test_empty_batch(self, cls):
+        pair = dv.prepare(*_pair_of_class(cls))
+        assert pair.traces([], []).shape == pair.divergences([], []).shape == (0,)
+        values, traces = pair.evaluate([], [])
+        assert values == [] and traces.shape == (0,)
+
+    def test_z_zero_reported_before_nan(self):
+        pair = dv.prepare(random_density(3, 4), random_reference(3, 5))
+        for alphas, zs in (([math.nan, 2.0], [1.0, 0.0]), ([0.5, 2.0], [math.nan, 0.0])):
+            for call in (pair.traces, pair.divergences, pair.evaluate):
+                with pytest.raises(DomainError, match="z = 0"):
+                    call(alphas, zs)
+
+    @pytest.mark.parametrize("cls", ["full", "violating"])
+    def test_batch_with_and_without_closed_points(self, cls):
+        # a closed point (alpha = 1, or alpha > 1 without dominance) takes the
+        # masked path; the same open points alone take the unmasked one
+        pair = dv.prepare(*_pair_of_class(cls))
+        open_alphas = [0.2, 0.5, 0.8] if cls == "violating" else [0.5, 0.8, 1.5, 3.0]
+        zs = [0.5, 1.0, 2.0, -1.0][:len(open_alphas)]
+        alone = pair.divergences(open_alphas, zs)
+        mixed = pair.divergences(open_alphas + [1.0, 2.0], zs + [1.0, 1.0])
+        assert np.array_equal(mixed[:len(open_alphas)], alone)
+        assert mixed[-2] == pair.relative_entropy().value
+        assert mixed[-1] == pair.divergence(2.0, 1.0).value
+        for alpha, z, value in zip(open_alphas, zs, alone):
+            assert abs(value - pair.divergence(alpha, z).value) <= 1e-13 * abs(value)
+
+    def test_rank_deficient_raises_first_undefined_point(self):
+        pair = dv.prepare(*random_support_pair(4, 23, rank=3, branch="dominating"))
+        alphas, zs = [0.5, 0.5, 0.7, 2.0], [1.0, -1.0, -2.0, -0.5]
+        with pytest.raises(DomainError) as scalar:
+            pair.trace(0.5, -1.0)
+        for call in (pair.traces, pair.divergences):
+            with pytest.raises(DomainError) as batched:
+                call(alphas, zs)
+            assert str(batched.value) == str(scalar.value)
+
     @pytest.mark.parametrize("branch, rank, seed, alphas, nan_cells", [
         # NaN trace cells of the per-point evaluation this sweep replaced,
         # alpha-major over zs (-1, 0.5, 2)
@@ -595,6 +634,73 @@ class TestNonFiniteInput:
                          mosonyi_ogawa_divergence):
             with pytest.raises(DomainError, match="finite"):
                 function(*pair, alpha)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow too
+class TestExtremeFiniteInput:
+    """A finite alpha or z whose spectral powers or trace sum leave double
+    range is a DomainError naming the point, never an eigensolver failure
+    or an untagged infinity."""
+
+    @pytest.fixture
+    def pair(self):
+        return example1_pair(0.25)
+
+    @pytest.mark.parametrize("alpha, z, what", [
+        (1e308, 1.0, "spectral powers"),
+        (2.0, 1e-308, "spectral powers"),
+        (1e300, 1e300, "trace sum"),
+    ])
+    def test_scalar_path(self, pair, alpha, z, what):
+        prepared = dv.prepare(*pair)
+        for call in (lambda: alpha_z_trace(*pair, alpha, z),
+                     lambda: alpha_z_divergence(*pair, alpha, z),
+                     lambda: prepared.trace(alpha, z),
+                     lambda: prepared.divergence(alpha, z)):
+            with pytest.raises(DomainError, match=f"beyond double range: the {what}") as exc:
+                call()
+            assert f"({alpha!r}, {z!r})" in str(exc.value)
+
+    @pytest.mark.parametrize("alpha, z", [(1e308, 1.0), (2.0, 1e-308), (1e300, 1e300)])
+    def test_batched_path(self, pair, alpha, z):
+        from alphaz.analysis import SweepSpec, sweep
+
+        prepared = dv.prepare(*pair)
+        alphas, zs = [0.5, alpha, 2.0], [1.0, z, 2.0]
+        for call in (lambda: prepared.traces(alphas, zs),
+                     lambda: prepared.divergences(alphas, zs),
+                     lambda: prepared.evaluate(alphas, zs),
+                     lambda: sweep(*pair, SweepSpec(alphas=(0.5, alpha), zs=(z,)))):
+            with pytest.raises(DomainError, match="beyond double range") as exc:
+                call()
+            assert f"({alpha!r}, {z!r})" in str(exc.value)
+
+    def test_rank_deficient_batch(self):
+        # the masked path of a pair with undefined points checks the same;
+        # sigma's eigenvalues above 1 overflow at a large positive exponent
+        rho, sigma = random_support_pair(4, 23, rank=3, branch="violating")
+        pair = dv.prepare(rho, 100.0 * sigma)
+        with pytest.raises(DomainError, match=r"beyond double range.*\(0\.5, 1e-300\)"):
+            pair.divergences([0.3, 0.5], [1.0, 1e-300])
+
+    @pytest.mark.parametrize("function", [petz_divergence, sandwiched_divergence,
+                                          mosonyi_ogawa_divergence])
+    def test_families(self, pair, function):
+        with pytest.raises(DomainError, match="beyond double range"):
+            function(*pair, 1e300)
+
+    def test_stack_bound_overflow_without_a_bad_point(self):
+        # the largest sigma power (first point, 4e249) times the largest rho
+        # power (second point, 4e249) overflows; neither point's own does
+        pair = dv.prepare(np.diag([0.5, 0.3, 0.2]), np.diag([10.0, 1.0, 0.1]))
+        alphas, zs = [0.666, 1.0], [6.69e-4, -1.4e-3]
+        traces = pair.traces(alphas, zs)
+        for alpha, z, t in zip(alphas, zs, traces):
+            assert t == pytest.approx(pair.trace(alpha, z), rel=1e-12)
+
+    def test_large_representable_point_is_finite(self, pair):
+        # sigma^-49 reaches about 3e29, far from double range
+        assert alpha_z_divergence(*pair, 50.0, 0.5).is_finite
 
 
 def _oracle_divergence(rho, sigma, alpha, z, dps=50):
@@ -690,11 +796,24 @@ class TestDecompositionCounts:
         from alphaz.suites import run_suites
 
         eigh, svd = counts(lambda: run_suites(["all"], 10))
-        assert eigh <= 312 and svd <= 320
+        assert eigh <= 212 and svd <= 286
 
     def test_dpi_suite_prepares_each_pair_once(self, counts):
         from alphaz.suites import run_suites
 
-        # 10 pairs: 2 pinch + 4 prepare + 4 sandwiched self-check eigh each
+        # 10 pairs: 4 prepare (the pair and its pinched image) + 4 sandwiched
+        # self-check eigh each; pinching reuses the pair's spectrum of sigma
         eigh, svd = counts(lambda: run_suites(["dpi"], 10))
-        assert eigh <= 100 and svd <= 80
+        assert eigh <= 80 and svd <= 80
+
+    @pytest.mark.parametrize("name, eigh", [("classical", 40), ("example1", 12)])
+    def test_unseeded_suites_prepare_no_seeded_pair(self, counts, name, eigh):
+        from alphaz.suites import run_suites
+
+        assert counts(lambda: run_suites([name], 10))[0] == eigh
+
+    def test_no_state_between_calls(self, counts):
+        from alphaz.suites import run_suites
+
+        first = counts(lambda: run_suites(["all"], 10))
+        assert counts(lambda: run_suites(["all"], 10)) == first

@@ -204,6 +204,28 @@ class TestPinch:
         assert values.min() >= -1e-12
 
 
+class TestSpectrumPinch:
+    @given(seeds)
+    def test_equals_pinch(self, seed):
+        a = random_density(4, seed)
+        basis = random_reference(4, seed + 1)
+        assert np.array_equal(support(basis).pinch(a), pinch(a, basis))
+
+    def test_degenerate_block(self):
+        # equal eigenvalues share one block, which pinching leaves whole
+        a = rand_hermitian(3, 5)
+        out = support(np.diag([0.5, 0.5, 1.0])).pinch(a)
+        assert max_abs(out[:2, :2] - a[:2, :2]) <= 1e-15
+        assert max_abs(out[:2, 2]) <= 1e-15
+
+    def test_validation(self):
+        spectrum = support(np.eye(3) / 3)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            spectrum.pinch(np.eye(2))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            spectrum.pinch(np.triu(np.ones((3, 3))))
+
+
 class TestCutoffOverride:
     def test_default(self):
         assert zero_cutoff() == 1e-12
