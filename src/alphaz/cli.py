@@ -3,8 +3,9 @@ matrix dumps, and the certification suites.
 
 Exit codes: 0 success (all checks passed for `verify`), 1 verification
 failure, 2 malformed input or I/O error, 3 domain error (z = 0, a
-non-finite alpha or z, alpha or z beyond double range, p out of range,
-unsupported support configuration), 4 internal numerical error (a
+non-finite alpha or z, alpha or z beyond double range: spectral powers or
+a trace sum that overflow, or a trace sum that underflows to 0, p out of
+range, unsupported support configuration), 4 internal numerical error (a
 dual-route mismatch, a collapsed trace, an eigensolver that did not
 converge).
 """

@@ -22,11 +22,13 @@ Support semantics for D(a, z):
 Negative z and negative alpha are accepted whenever the required spectral
 powers are well defined; a negative exponent against a rank-deficient
 operator outside the dominated case raises DomainError. So does a finite
-alpha or z whose spectral powers or trace sum overflow double range.
+alpha or z whose spectral powers or trace sum overflow double range, or
+whose trace sum underflows to 0.
 
-Every quantum value comes from a PreparedPair, which validates and
-decomposes both operators once and carries every family as a method; each
-module function prepares one pair per call and calls one method.
+Every quantum value comes from a PreparedPair, which validates both
+operators as one stack in one pass, decomposes them with one `eigh` and
+carries every family as a method; each module function prepares one pair
+per call and calls one method.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DomainError, Spectrum, eigensystem, support, support_relation
+from .linalg import DomainError, Spectrum, support, support_relation, supports
 
 INFINITY_SUPPORT = "support_violation"
 INFINITY_ORTHOGONAL = "orthogonal_states"
@@ -111,71 +113,105 @@ def check_probability_vector(p) -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
-def check_density(rho: np.ndarray) -> Spectrum:
-    """Validate a density operator (Hermitian, PSD, unit trace) and return
-    its spectrum."""
-    spectrum = support(rho)
+def _density(spectrum: Spectrum) -> Spectrum:
+    """The spectrum of a PSD operator, checked for unit trace."""
     tr = float(spectrum.values.sum())
     if abs(tr - 1.0) > _TRACE_ATOL:
         raise DomainError(f"density operator must have trace 1, got {tr!r}")
     return spectrum
 
 
-def check_reference(sigma: np.ndarray) -> Spectrum:
-    """Validate a reference operator (Hermitian, PSD, nonzero) and return
-    its spectrum."""
-    spectrum = support(sigma)
+def _reference(spectrum: Spectrum) -> Spectrum:
+    """The spectrum of a PSD operator, checked to be nonzero."""
     if spectrum.rank == 0:
         raise DomainError("reference operator must be nonzero")
     return spectrum
 
 
-def classical_kl(p, q) -> DivergenceValue:
-    """Kullback-Leibler divergence sum_i p_i ln(p_i/q_i), with 0 ln 0 = 0.
-
-    Returns +inf (support_violation) when p puts mass where q has none.
-    """
-    p = check_probability_vector(p)
-    q = check_probability_vector(q)
-    if p.shape != q.shape:
-        raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
-    total = 0.0
-    for pi, qi in zip(p, q):
-        if pi <= 0.0:
-            continue
-        if qi <= 0.0:
-            return DivergenceValue.infinite(INFINITY_SUPPORT)
-        total += pi * math.log(pi / qi)
-    return DivergenceValue.finite(total)
+def check_density(rho: np.ndarray) -> Spectrum:
+    """Validate a density operator (Hermitian, PSD, unit trace) and return
+    its spectrum."""
+    return _density(support(rho))
 
 
-def classical_renyi(p, q, alpha: float) -> DivergenceValue:
-    """Renyi divergence ln(sum_i p_i^alpha q_i^(1-alpha)) / (alpha - 1).
+def check_reference(sigma: np.ndarray) -> Spectrum:
+    """Validate a reference operator (Hermitian, PSD, nonzero) and return
+    its spectrum."""
+    return _reference(support(sigma))
 
-    Terms with p_i = 0 vanish for alpha > 0. For alpha > 1, mass of p
-    outside the support of q forces +inf.
-    """
+
+def _renyi_order(alpha: float) -> float:
+    """alpha as a float; alpha = 1 is a DomainError (the KL limit)."""
     alpha = float(alpha)
     if abs(alpha - 1.0) <= ALPHA_ONE_TOL:
         raise DomainError("alpha = 1 is the KL limit; call classical_kl")
+    return alpha
+
+
+@dataclass(frozen=True)
+class ClassicalPair:
+    """Two probability vectors of one length, validated once; the classical
+    divergences of the pair are its methods."""
+
+    p: np.ndarray
+    q: np.ndarray
+
+    def kl(self) -> DivergenceValue:
+        """Kullback-Leibler divergence sum_i p_i ln(p_i/q_i), with 0 ln 0 = 0.
+
+        Returns +inf (support_violation) when p puts mass where q has none.
+        """
+        total = 0.0
+        for pi, qi in zip(self.p, self.q):
+            if pi <= 0.0:
+                continue
+            if qi <= 0.0:
+                return DivergenceValue.infinite(INFINITY_SUPPORT)
+            total += pi * math.log(pi / qi)
+        return DivergenceValue.finite(total)
+
+    def renyi(self, alpha: float) -> DivergenceValue:
+        """Renyi divergence ln(sum_i p_i^alpha q_i^(1-alpha)) / (alpha - 1).
+
+        Terms with p_i = 0 vanish for alpha > 0. For alpha > 1, mass of p
+        outside the support of q forces +inf.
+        """
+        alpha = _renyi_order(alpha)
+        total = 0.0
+        for pi, qi in zip(self.p, self.q):
+            if pi <= 0.0:
+                if alpha <= 0.0:
+                    raise DomainError("alpha <= 0 with zero p-entries is undefined")
+                continue
+            if qi <= 0.0:
+                if alpha > 1.0:
+                    return DivergenceValue.infinite(INFINITY_SUPPORT)
+                continue  # q_i^(1-alpha) = 0 for alpha < 1
+            total += pi**alpha * qi ** (1.0 - alpha)
+        if total <= 0.0:
+            return DivergenceValue.infinite(INFINITY_ORTHOGONAL)
+        return DivergenceValue.finite(math.log(total) / (alpha - 1.0))
+
+
+def prepare_classical(p, q) -> ClassicalPair:
+    """Validate two probability vectors of one length once."""
     p = check_probability_vector(p)
     q = check_probability_vector(q)
     if p.shape != q.shape:
         raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
-    total = 0.0
-    for pi, qi in zip(p, q):
-        if pi <= 0.0:
-            if alpha <= 0.0:
-                raise DomainError("alpha <= 0 with zero p-entries is undefined")
-            continue
-        if qi <= 0.0:
-            if alpha > 1.0:
-                return DivergenceValue.infinite(INFINITY_SUPPORT)
-            continue  # q_i^(1-alpha) = 0 for alpha < 1
-        total += pi**alpha * qi ** (1.0 - alpha)
-    if total <= 0.0:
-        return DivergenceValue.infinite(INFINITY_ORTHOGONAL)
-    return DivergenceValue.finite(math.log(total) / (alpha - 1.0))
+    return ClassicalPair(p, q)
+
+
+def classical_kl(p, q) -> DivergenceValue:
+    """Kullback-Leibler divergence in nats; see ClassicalPair.kl."""
+    return prepare_classical(p, q).kl()
+
+
+def classical_renyi(p, q, alpha: float) -> DivergenceValue:
+    """Classical Renyi divergence of order alpha != 1 in nats; see
+    ClassicalPair.renyi."""
+    alpha = _renyi_order(alpha)
+    return prepare_classical(p, q).renyi(alpha)
 
 
 def _point(alpha: float, z: float) -> tuple[float, float]:
@@ -280,21 +316,32 @@ class PreparedPair:
         |W| <= 1 bounds every entry of G by the product of the largest power
         on each side, so a finite bound per point keeps the SVD finite. A
         point whose bound or trace sum leaves double range raises
-        DomainError naming it. Both tests run first on the whole stack, as
-        Python floats, and per point only when that fails; powers and sums
-        are >= 0, so a maximum starting at 0 also covers an empty batch."""
+        DomainError naming it: a sum that overflows, or one that is 0 while
+        inner_rank > 0, where every term underflowed. The tests run first on
+        the whole stack, as Python floats, and per point only when that
+        fails; powers and sums are >= 0, so extrema starting at 0 and 1 also
+        cover an empty batch. One point (a float z) needs no stacked
+        reductions: its maxima and its sum are the tests."""
         s_pow = self.sigma.powers(e_sigma)
         r_pow = self.rho.powers(e_rho / 2.0)
-        if not math.isfinite(float(s_pow.max(initial=0.0)) * float(r_pow.max(initial=0.0))):
-            bound = np.isfinite(s_pow.max(axis=-1) * r_pow.max(axis=-1))
-            if not bound.all():
-                raise _beyond_range("the spectral powers overflow", alpha, z, bound)
+        one = isinstance(z, float)
+        if one:
+            bound = max(s_pow.tolist()) * max(r_pow.tolist())
+        else:
+            bound = float(s_pow.max(initial=0.0)) * float(r_pow.max(initial=0.0))
+        if not math.isfinite(bound):
+            finite = np.isfinite(s_pow.max(axis=-1) * r_pow.max(axis=-1))
+            if not finite.all():
+                raise _beyond_range("the spectral powers overflow", alpha, z, finite)
         g = s_pow[..., :, None] * self.overlap * r_pow[..., None, :]
         singular = np.linalg.svd(g, compute_uv=False)[..., :self.inner_rank]
-        sums = np.sum((singular * singular) ** z, axis=-1)
-        if not math.isfinite(float(sums.max(initial=0.0))):
+        sums = ((singular * singular) ** z).sum(axis=-1)
+        top, low = (sums, sums) if one else (sums.max(initial=0.0), sums.min(initial=1.0))
+        if not math.isfinite(top):
             raise _beyond_range("the trace sum overflows", alpha, z, np.isfinite(sums))
-        return sums
+        if not low > 0.0 and self.inner_rank > 0:
+            raise _beyond_range("the trace sum underflows", alpha, z, sums > 0.0)
+        return float(sums) if one else sums
 
     def _always_defined(self) -> bool:
         """Whether T is defined at every point: no operator whose negative
@@ -342,7 +389,7 @@ class PreparedPair:
             raise _undefined("rho", e_rho)
         if bad_sigma:
             raise _undefined("sigma", e_sigma)
-        return float(self._sums(alpha, z, e_sigma, e_rho))
+        return self._sums(alpha, z, e_sigma, e_rho)
 
     def _closed(self, alpha):
         """Whether D needs no trace at alpha, a float or an array: alpha = 1,
@@ -419,8 +466,12 @@ class PreparedPair:
         """Sandwiched quantum Renyi divergence of order alpha, the z = alpha member.
 
         Cross-checked against the direct formula
-        ln Tr[(sigma^((1-a)/2a) rho sigma^((1-a)/2a))^a] / (a - 1), keeping the
-        top inner-rank eigenvalues of the assembled inner operator.
+        ln Tr[(sigma^((1-a)/2a) rho sigma^((1-a)/2a))^a] / (a - 1), whose
+        inner eigenvalues are the squared top inner-rank singular values of
+        sigma^((1-a)/2a) rho^(1/2), assembled as operators. This route is
+        apart from the kernel's eigenbasis scaling of W, and unlike an
+        eigendecomposition of the assembled inner operator it keeps the small
+        eigenvalues that a power alpha < 1 magnifies.
         """
         alpha = float(alpha)
         if alpha == 0.0:
@@ -428,10 +479,10 @@ class PreparedPair:
         value = self.divergence(alpha, alpha)
         if value.is_finite and abs(alpha - 1.0) > ALPHA_ONE_TOL:
             s_pow = self.sigma.operator(self.sigma.powers((1.0 - alpha) / (2.0 * alpha)))
-            inner = s_pow @ self.rho.operator(self.rho.powers(1.0)) @ s_pow
-            values = eigensystem(inner).values[:self.inner_rank]
+            factor = s_pow @ self.rho.operator(self.rho.powers(0.5))
+            singular = np.linalg.svd(factor, compute_uv=False)[:self.inner_rank]
             _assert_dual_path("sandwiched", value, alpha,
-                              float(np.sum(np.clip(values, 0.0, None) ** alpha)))
+                              float(np.sum((singular * singular) ** alpha)))
         return value
 
     def mosonyi_ogawa(self, alpha: float) -> DivergenceValue:
@@ -464,12 +515,27 @@ class PreparedPair:
         return max(var, 0.0)
 
 
+def _stacked_spectra(rho, sigma) -> tuple[Spectrum, Spectrum] | None:
+    """rho's and sigma's checked spectra from one validation pass and one
+    `eigh` of the (2, d, d) stack, or None when the shapes differ or any
+    check fails."""
+    try:
+        r, s = supports(np.array((rho, sigma), dtype=complex))
+        return _density(r), _reference(s)
+    except (ValueError, TypeError):
+        return None
+
+
 def prepare(rho: np.ndarray, sigma: np.ndarray) -> PreparedPair:
-    """Validate and decompose a (rho, sigma) pair once. The inner rank is
-    rank rho under dominance, 0 for orthogonal supports and rank sigma for a
-    full-rank rho; otherwise it counts the cosines between the supports
-    whose square, a weight, exceeds eps."""
-    r, s = check_density(rho), check_reference(sigma)
+    """Validate and decompose a (rho, sigma) pair once, as one stack with one
+    `eigh`. The inner rank is rank rho under dominance, 0 for orthogonal
+    supports and rank sigma for a full-rank rho; otherwise it counts the
+    cosines between the supports whose square, a weight, exceeds eps."""
+    spectra = _stacked_spectra(rho, sigma)
+    if spectra is None:
+        # rho's checks, then sigma's, raise the first error with its message
+        spectra = check_density(rho), check_reference(sigma)
+    r, s = spectra
     if r.values.shape != s.values.shape:
         raise ValueError(f"dimension mismatch: {r.vectors.shape} vs {s.vectors.shape}")
     overlap = s.vectors.conj().T @ r.vectors

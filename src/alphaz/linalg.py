@@ -4,12 +4,16 @@ calculus (generalized powers, logs on the support, pinching).
 
 An eigenvalue counts as zero iff it is <= eps * max|eigenvalue|, where eps
 defaults to 1e-12 and can be overridden through the RENYI_EPS environment
-variable. `eigensystem` reads eps once per operator into its Spectrum, and
-every support decision about the operator uses that Spectrum.
+variable. `eigensystems` validates a stack of operators in one pass,
+decomposes it with one `eigh` and reads eps once into every Spectrum of the
+stack; `eigensystem` is its one-operator case. Every support decision about
+an operator uses its Spectrum.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 import os
 from dataclasses import dataclass
 
@@ -49,6 +53,42 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
 
+def _square(a) -> np.ndarray:
+    """a as a complex square matrix of dimension >= 1."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[0] < 1:
+        raise ValueError("matrix dimension must be >= 1")
+    return a
+
+
+def _hermitian_stack(stack: np.ndarray) -> np.ndarray:
+    """Validate and symmetrize a complex stack of square matrices, shape
+    (n, d, d) with d >= 1.
+
+    Rejects non-finite entries and a matrix whose Hermiticity defect exceeds
+    HERMITICITY_RTOL times its scale max(1, max-abs entry); otherwise returns
+    the exactly Hermitian parts. Each test reads the whole stack once: a NaN
+    or inf entry makes the max-abs entry non-finite, so the exact finiteness
+    test runs only then (a finite entry whose modulus overflows passes it),
+    and scales are >= 1, so per-matrix scales are needed only when the
+    largest defect exceeds HERMITICITY_RTOL (or is NaN)."""
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
+        raise ValueError(f"expected a stack of square matrices, got shape {stack.shape}")
+    modulus = np.abs(stack)
+    if not math.isfinite(modulus.max()) and not np.isfinite(stack).all():
+        raise ValueError("matrix has non-finite entries")
+    adjoint = stack.conj().swapaxes(1, 2)
+    gap = np.abs(stack - adjoint)
+    if not gap.max() <= HERMITICITY_RTOL:
+        defect = gap.max(axis=(1, 2))
+        faulty = defect > HERMITICITY_RTOL * np.maximum(modulus.max(axis=(1, 2)), 1.0)
+        if faulty.any():
+            raise ValueError(f"matrix is not Hermitian: max defect {defect[faulty][0]:.3e}")
+    return (stack + adjoint) / 2.0
+
+
 def as_hermitian(a: np.ndarray) -> np.ndarray:
     """Validate and symmetrize a square matrix.
 
@@ -56,18 +96,7 @@ def as_hermitian(a: np.ndarray) -> np.ndarray:
     defect exceeds HERMITICITY_RTOL relative to the matrix scale; otherwise
     returns the exactly Hermitian part.
     """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] < 1:
-        raise ValueError("matrix dimension must be >= 1")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
-    scale = max(1.0, float(np.abs(a).max()))
-    defect = float(np.abs(a - a.conj().T).max())
-    if defect > HERMITICITY_RTOL * scale:
-        raise ValueError(f"matrix is not Hermitian: max defect {defect:.3e}")
-    return hermitian_part(a)
+    return _hermitian_stack(_square(a)[None])[0]
 
 
 @dataclass(frozen=True)
@@ -100,6 +129,12 @@ class Spectrum:
         """Generalized power of the eigenvalues: kernel entries map to 0 for
         every exponent, so p = 0 gives the support indicator. An array of
         exponents gives one row of powers per exponent."""
+        if isinstance(p, float):  # one exponent: the same power loop, no stacking
+            if self.rank == self.values.size:
+                return np.power(self.values, p)
+            out = np.zeros_like(self.values)
+            np.power(self.values[:self.rank], p, out=out[:self.rank])
+            return out
         p = np.asarray(p, dtype=float)
         if self.rank == self.values.size:
             return self.values ** p[..., None]
@@ -131,33 +166,53 @@ class Spectrum:
         return hermitian_part(out)
 
 
+def eigensystems(stack) -> list[Spectrum]:
+    """Validate a stack of Hermitian matrices, shape (n, d, d), and decompose
+    it with one `eigh`: one Spectrum per matrix, eigenvalues sorted
+    descending, every one with the zero cutoff of one RENYI_EPS read."""
+    stack = _hermitian_stack(np.asarray(stack, dtype=complex))
+    try:
+        values, vectors = np.linalg.eigh(stack)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            f"eigensolver failed to converge on a {stack.shape[1]}x{stack.shape[2]} "
+            f"matrix with max-abs entry {np.abs(stack).max():.3e}: {exc}"
+        ) from exc
+    eps = zero_cutoff()
+    thresholds = (eps * np.abs(values).max(axis=1)).tolist()
+    spectra = []
+    for i, (row, threshold) in enumerate(zip(values.tolist(), thresholds)):
+        # eigh sorts each row ascending, so the rank is the count above the
+        # threshold; a NaN eigenvalue makes the threshold NaN and the rank 0
+        rank = len(row) - bisect.bisect_right(row, threshold)
+        spectra.append(Spectrum(values[i, ::-1].copy(), vectors[i, :, ::-1].copy(),
+                                eps, threshold, rank))
+    return spectra
+
+
+def supports(stack) -> list[Spectrum]:
+    """`eigensystems` of a stack of PSD operators, whose ranks and projectors
+    describe their supports. Rejects the first spectrum, in stack order,
+    with an eigenvalue below -threshold. A zero operator has rank 0 and a
+    zero projector."""
+    spectra = eigensystems(stack)
+    for spectrum in spectra:
+        vmin = float(spectrum.values[-1])
+        if vmin < -spectrum.threshold and vmin < 0.0:
+            raise NotPSDError(f"operator is not PSD: eigenvalue {vmin:.6e}")
+    return spectra
+
+
 def eigensystem(a: np.ndarray) -> Spectrum:
     """Validate a Hermitian matrix and decompose it once, eigenvalues sorted
     descending, with the zero cutoff read and applied."""
-    a = as_hermitian(a)
-    try:
-        values, vectors = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"eigensolver failed to converge on a {a.shape[0]}x{a.shape[1]} "
-            f"matrix with max-abs entry {np.abs(a).max():.3e}: {exc}"
-        ) from exc
-    values, vectors = values[::-1].copy(), vectors[:, ::-1].copy()
-    eps = zero_cutoff()
-    threshold = eps * float(np.abs(values).max())
-    return Spectrum(values, vectors, eps, threshold,
-                    int(np.count_nonzero(values > threshold)))
+    return eigensystems(_square(a)[None])[0]
 
 
 def support(a: np.ndarray) -> Spectrum:
     """Spectrum of a PSD operator, whose rank and projector describe its
-    support. Rejects a spectrum with an eigenvalue below -threshold. The
-    zero operator has rank 0 and a zero projector."""
-    spectrum = eigensystem(a)
-    vmin = float(spectrum.values[-1])
-    if vmin < -spectrum.threshold and vmin < 0.0:
-        raise NotPSDError(f"operator is not PSD: eigenvalue {vmin:.6e}")
-    return spectrum
+    support; the one-operator case of `supports`."""
+    return supports(_square(a)[None])[0]
 
 
 def support_relation(rho: Spectrum, sigma: Spectrum,

@@ -197,8 +197,8 @@ def suite_classical(n_pairs: int = 20) -> list[CheckReport]:
     for k in range(n_pairs):
         dim = COMMUTING_DIMS[k % len(COMMUTING_DIMS)]
         rho, sigma, p, q = commuting_pair(dim, BASE_SEED + 1000 + k)
-        pair = dv.prepare(rho, sigma)
-        targets = {alpha: dv.classical_renyi(p, q, alpha).value for alpha in CLASSICAL_ALPHAS}
+        pair, classical = dv.prepare(rho, sigma), dv.prepare_classical(p, q)
+        targets = {alpha: classical.renyi(alpha).value for alpha in CLASSICAL_ALPHAS}
         gaps = np.abs(pair.divergences(*zip(*points))
                       - [targets[alpha] for alpha, _ in points])
         i = int(np.argmax(gaps))  # the first worst point, in (alpha, z) order
@@ -207,7 +207,7 @@ def suite_classical(n_pairs: int = 20) -> list[CheckReport]:
             alpha, z = points[i]
             renyi_rows = [{"pair": k, "dim": dim, "alpha": alpha, "z": z,
                            "gap": worst_renyi}]
-        kl_gap = abs(pair.relative_entropy().value - dv.classical_kl(p, q).value)
+        kl_gap = abs(pair.relative_entropy().value - classical.kl().value)
         if kl_gap > worst_kl:
             worst_kl = kl_gap
             kl_rows = [{"pair": k, "dim": dim, "gap": kl_gap}]

@@ -128,6 +128,19 @@ class TestExitCodes:
         assert "beyond double range" in out.stderr
         assert out.stdout == ""
 
+    @pytest.mark.parametrize("z", ["1e-308", "1e-300"])
+    def test_underflowing_point_is_domain_error(self, z):
+        out = run_cli("compute", "--example1", "0.25", "--alpha", "0.5", "--z", z)
+        assert out.returncode == 3
+        assert f"the trace sum underflows at (alpha, z) = (0.5, {float(z)!r})" in out.stderr
+        assert out.stdout == ""
+
+    def test_underflowing_grid_is_domain_error(self):
+        out = run_cli("sweep", "--example1", "0.25", "--alpha-grid", "0.5:0.6:2",
+                      "--z-grid", "1e-300:1e-300:1", "--out", "-")
+        assert out.returncode == 3
+        assert "the trace sum underflows at (alpha, z) = (0.5, 1e-300)" in out.stderr
+
     def test_grid_beyond_double_range_is_domain_error(self):
         out = run_cli("sweep", "--example1", "0.25", "--alpha-grid", "2:1e308:2",
                       "--z-grid", "1:2:2", "--out", "-")
