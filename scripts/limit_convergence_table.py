@@ -2,14 +2,16 @@
 """Print (or save) the alpha -> 1 convergence table of D(alpha, g(alpha))
 toward the relative entropy for one pair and a chosen curve family.
 
-Useful for eyeballing the linear error decay rate (slope ~ V/2) that the
-certification suites assert in aggregate.
+Useful for eyeballing the linear error decay rate that the certification
+suites assert in aggregate. Its slope is ~ V/2 only because every named
+curve has g(1) = 1: the slope at alpha = 1 of a curve with g(1) != 1, such
+as z = 2, differs from V/2 for a generic non-commuting pair.
 """
 
 import argparse
 import sys
 
-from alphaz.analysis import NAMED_CURVES, TraceFunctional, verify_curve_limit
+from alphaz.analysis import NAMED_CURVES, TraceFunctional, verify_curve_limits
 from alphaz.states import example1_pair, random_density, random_reference
 
 
@@ -29,7 +31,7 @@ def main() -> int:
         rho = random_density(args.dim, args.seed)
         sigma = random_reference(args.dim, args.seed + 1)
     tf = TraceFunctional(rho, sigma)
-    report = verify_curve_limit(tf, NAMED_CURVES[args.curve])
+    report = verify_curve_limits(tf, [NAMED_CURVES[args.curve]])[0]
 
     lines = ["alpha,z,divergence,error"]
     for row in sorted(report.rows, key=lambda r: r["alpha"]):

@@ -11,15 +11,18 @@ Checks implemented here:
   * monotonicity of z -> D(a, z) (decreasing for a > 1, increasing for a < 1);
   * the vanishing of dT/dz as a -> 1, T being the trace functional.
 
-Each verification returns a CheckReport with a pass flag, a headline
-residual, and a row-per-point trend table that serializes to JSON.
+Each verification returns CheckReports with a pass flag, a headline
+residual, and a row-per-point trend table that serializes to JSON. The
+limit, z-monotonicity and dT/dz checks take a sequence of items (curves,
+alphas, z0s) and return one report per item, in order, from one batched
+kernel call for all of the items' points; one item is the one-element case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -59,35 +62,39 @@ D2_STENCILS = {
 }
 
 
-def _apply_stencil(stencil, f: Callable[[np.ndarray], np.ndarray], x0: float,
+def _apply_stencil(stencil, f: Callable[[np.ndarray], np.ndarray], x0,
                    h: float, order: int):
     """sum_k w_k f(x0 + o_k h) / (divisor h^order), with f called once on all
-    the stencil points. Samples may carry trailing axes, one derivative
-    each; the result is then an array over them."""
+    the stencil points: an array with one row per offset, each row shaped
+    like x0. Samples may carry trailing axes, one derivative each; the result
+    is then an array over the axes of x0 and of the samples."""
     offsets, weights, divisor = stencil
-    xs = x0 + h * np.asarray(offsets)
+    x0 = np.asarray(x0, dtype=float)
+    xs = x0 + h * np.reshape(offsets, (-1,) + (1,) * x0.ndim)
     ys = np.asarray(f(xs), dtype=float)
     finite = np.isfinite(ys)
     if not finite.all():
-        k = np.argwhere(~finite)[0]
-        raise ArithmeticError(f"non-finite sample f({float(xs[k[0]])!r}) = "
-                              f"{float(ys[tuple(k)])!r} on the stencil")
+        k = tuple(np.argwhere(~finite)[0])
+        raise ArithmeticError(f"non-finite sample f({float(xs[k[:xs.ndim]])!r}) = "
+                              f"{float(ys[k])!r} on the stencil")
     # summed in stencil order, as the written-out formulas are
     total = sum(w * y for w, y in zip(weights, ys))
     out = total / (divisor * h if order == 1 else divisor * h * h)
     return float(out) if np.ndim(out) == 0 else out
 
 
-def fd_derivative(f: Callable[[np.ndarray], np.ndarray], x0: float,
+def fd_derivative(f: Callable[[np.ndarray], np.ndarray], x0,
                   scheme: FdScheme = FdScheme()):
-    """First derivative at x0 by the scheme's central stencil. f maps the
-    array of stencil points to an array of samples along its first axis."""
+    """First derivative at x0, a point or an array of them, by the scheme's
+    central stencil. f maps the array of stencil points (offsets first, then
+    the axes of x0) to an array of samples of that leading shape."""
     return _apply_stencil(D1_STENCILS[scheme.order], f, x0, scheme.h, 1)
 
 
-def fd_second_derivative(f: Callable[[np.ndarray], np.ndarray], x0: float,
+def fd_second_derivative(f: Callable[[np.ndarray], np.ndarray], x0,
                          scheme: FdScheme = FdScheme(1e-3)):
-    """Second derivative at x0 by a symmetric stencil; f as in fd_derivative."""
+    """Second derivative at x0 by a symmetric stencil; f and x0 as in
+    fd_derivative."""
     return _apply_stencil(D2_STENCILS[scheme.order], f, x0, scheme.h, 2)
 
 
@@ -238,38 +245,42 @@ def dyadic_offsets(levels: int = LIMIT_LEVELS,
     return offsets
 
 
-def verify_curve_limit(tf: TraceFunctional, curve: CurveSpec,
-                       offsets: list[float] | None = None,
-                       bias: float = 0.0) -> CheckReport:
-    """Check D(a, g(a)) -> relative entropy as a -> 1 along the curve.
+def verify_curve_limits(tf: TraceFunctional, curves: Sequence[CurveSpec],
+                        offsets: list[float] | None = None,
+                        bias: float = 0.0) -> list[CheckReport]:
+    """Check D(a, g(a)) -> relative entropy as a -> 1 along each curve, one
+    report per curve, in order; every curve's ladder is evaluated in one
+    batched call.
 
-    Passes iff the error at the tightest offset is <= 1e-3 on both sides
-    and the error decays monotonically over the last three dyadic
+    A curve passes iff its error at the tightest offset is <= 1e-3 on both
+    sides and the error decays monotonically over the last three dyadic
     refinements. `bias` shifts every measured divergence (self-test hook).
     """
     offsets = dyadic_offsets() if offsets is None else sorted(offsets, reverse=True)
     target = tf.relative_entropy()
     alphas = [1.0 + side * off for side in (+1, -1) for off in offsets]
-    zs = [curve.g(alpha) for alpha in alphas]
-    values = (tf.pair.divergences(alphas, zs) + bias).tolist()
-    rows = [{"alpha": alpha, "z": z, "divergence": d, "error": abs(d - target)}
-            for alpha, z, d in zip(alphas, zs, values)]
-    errors = {+1: [r["error"] for r in rows[:len(offsets)]],
-              -1: [r["error"] for r in rows[len(offsets):]]}
-    final_err = max(errors[+1][-1], errors[-1][-1])
-    trend_ok = True
-    for side in (+1, -1):
-        tail = errors[side][-5:-1]  # the last three dyadic refinement steps
-        trend_ok &= all(b <= max(a + _TREND_SLACK, _TREND_NOISE_FLOOR)
-                        for a, b in zip(tail, tail[1:]))
-    passed = final_err <= LIMIT_TOL and trend_ok
-    return CheckReport(
-        name=f"limit along {curve.label()}",
-        passed=passed,
-        max_residual=final_err,
-        rows=rows,
-        notes=f"target D = {target:.12g}, trend_ok = {trend_ok}",
-    )
+    zs = [[curve.g(alpha) for alpha in alphas] for curve in curves]
+    values = tf.pair.divergences(alphas, np.reshape(zs, (-1, len(alphas)))) + bias
+    reports = []
+    for curve, z_row, d_row in zip(curves, zs, values.tolist()):
+        rows = [{"alpha": alpha, "z": z, "divergence": d, "error": abs(d - target)}
+                for alpha, z, d in zip(alphas, z_row, d_row)]
+        errors = {+1: [r["error"] for r in rows[:len(offsets)]],
+                  -1: [r["error"] for r in rows[len(offsets):]]}
+        final_err = max(errors[+1][-1], errors[-1][-1])
+        trend_ok = True
+        for side in (+1, -1):
+            tail = errors[side][-5:-1]  # the last three dyadic refinement steps
+            trend_ok &= all(b <= max(a + _TREND_SLACK, _TREND_NOISE_FLOOR)
+                            for a, b in zip(tail, tail[1:]))
+        reports.append(CheckReport(
+            name=f"limit along {curve.label()}",
+            passed=final_err <= LIMIT_TOL and trend_ok,
+            max_residual=final_err,
+            rows=rows,
+            notes=f"target D = {target:.12g}, trend_ok = {trend_ok}",
+        ))
+    return reports
 
 
 DERIVATIVE_REL_TOL = 1e-3
@@ -416,75 +427,82 @@ def verify_second_derivative_example1(p: float,
 Z_MONOTONICITY_SLACK = 1e-10
 
 
-def verify_z_monotonicity(tf: TraceFunctional, alpha: float,
-                          zs: list[float]) -> CheckReport:
+def verify_z_monotonicity(tf: TraceFunctional, alphas: Sequence[float],
+                          zs: Sequence[float]) -> list[CheckReport]:
     """Check the sampled sequence z -> D(alpha, z) is non-increasing for
-    alpha > 1 and non-decreasing for alpha < 1, with 1e-10 slack per step."""
-    alpha = float(alpha)
-    if abs(alpha - 1.0) <= dv.ALPHA_ONE_TOL:
+    alpha > 1 and non-decreasing for alpha < 1, with 1e-10 slack per step:
+    one report per alpha, in order, from one batched call for all of them."""
+    alphas = [float(alpha) for alpha in alphas]
+    if any(abs(alpha - 1.0) <= dv.ALPHA_ONE_TOL for alpha in alphas):
         raise DomainError("alpha = 1 has no z dependence to check")
     zs = [float(z) for z in zs]
     if any(z <= 0.0 for z in zs) or list(zs) != sorted(zs):
         raise ValueError("zs must be positive and ascending")
-    values = tf.pair.divergences(alpha, zs).tolist()
-    sign = -1.0 if alpha > 1.0 else 1.0
-    worst = 0.0
-    rows = []
-    for (z0, v0), (z1, v1) in zip(zip(zs, values), zip(zs[1:], values[1:])):
-        violation = sign * (v0 - v1)  # > 0 means the wrong direction
-        worst = max(worst, violation)
-        rows.append({"z_from": z0, "z_to": z1, "step": v1 - v0, "violation": violation})
-    passed = worst <= Z_MONOTONICITY_SLACK
-    direction = "non-increasing" if alpha > 1.0 else "non-decreasing"
-    return CheckReport(
-        name=f"z-monotonicity at alpha={alpha:g} ({direction})",
-        passed=passed,
-        max_residual=worst,
-        rows=rows,
-    )
+    values = tf.pair.divergences(np.reshape(alphas, (-1, 1)), zs).tolist()
+    reports = []
+    for alpha, row in zip(alphas, values):
+        sign = -1.0 if alpha > 1.0 else 1.0
+        worst = 0.0
+        rows = []
+        for (z0, v0), (z1, v1) in zip(zip(zs, row), zip(zs[1:], row[1:])):
+            violation = sign * (v0 - v1)  # > 0 means the wrong direction
+            worst = max(worst, violation)
+            rows.append({"z_from": z0, "z_to": z1, "step": v1 - v0, "violation": violation})
+        direction = "non-increasing" if alpha > 1.0 else "non-decreasing"
+        reports.append(CheckReport(
+            name=f"z-monotonicity at alpha={alpha:g} ({direction})",
+            passed=worst <= Z_MONOTONICITY_SLACK,
+            max_residual=worst,
+            rows=rows,
+        ))
+    return reports
 
 
 DZ_TRACE_TOL = 1e-4
 DZ_TRACE_OFFSETS = (1e-1, 1e-2, 1e-3, 1e-4)
 
 
-def verify_dz_trace_vanishes(tf: TraceFunctional, z0: float,
+def verify_dz_trace_vanishes(tf: TraceFunctional, z0s: Sequence[float],
                              offsets: tuple[float, ...] = DZ_TRACE_OFFSETS,
                              scheme: FdScheme = FdScheme(1e-4, "central2")
-                             ) -> CheckReport:
-    """Check dT/dz(alpha, z0) -> 0 as alpha -> 1.
+                             ) -> list[CheckReport]:
+    """Check dT/dz(alpha, z0) -> 0 as alpha -> 1: one report per z0, in
+    order, from one batched call for every stencil point of every z0.
 
-    Passes iff |dT/dz| decays (within slack) along the offset ladder on
+    A z0 passes iff |dT/dz| decays (within slack) along the offset ladder on
     both sides of 1, is <= 1e-4 at the tightest offset, and is <= 1e-8 at
     alpha = 1 exactly (where T is identically 1 in z).
     """
-    z0 = float(z0)
-    if z0 == 0.0:
+    z0s = [float(z0) for z0 in z0s]
+    if 0.0 in z0s:
         raise DomainError("z = 0 is excluded")
     offsets = tuple(sorted((float(o) for o in offsets), reverse=True))
     # every offset on both sides, then alpha = 1: one column each
     alphas = [1.0 + side * off for side in (+1, -1) for off in offsets] + [1.0]
-    *ladder, at_one = fd_derivative(lambda z: tf.pair.traces(alphas, z[:, None]),
-                                    z0, scheme).tolist()
-    rows = [{"alpha": alpha, "dT_dz": d, "abs": abs(d)}
-            for alpha, d in zip(alphas, ladder)]
-    passed = True
-    final_mag = 0.0
-    for side in range(2):
-        mags = [abs(d) for d in ladder[side * len(offsets):(side + 1) * len(offsets)]]
-        passed &= all(b <= a + Z_MONOTONICITY_SLACK for a, b in zip(mags, mags[1:]))
-        passed &= mags[-1] <= DZ_TRACE_TOL
-        final_mag = max(final_mag, mags[-1])
-    at_one = abs(at_one)
-    rows.append({"alpha": 1.0, "dT_dz": at_one, "abs": at_one})
-    passed &= at_one <= 1e-8
-    return CheckReport(
-        name=f"dT/dz -> 0 at z0={z0:g}",
-        passed=passed,
-        max_residual=final_mag,
-        rows=rows,
-        notes=f"|dT/dz| at alpha=1 exactly: {at_one:.3e}",
-    )
+    slopes = fd_derivative(lambda z: tf.pair.traces(alphas, z[..., None]), z0s, scheme)
+    n = len(offsets)
+    reports = []
+    for z0, (*ladder, at_one) in zip(z0s, slopes.tolist()):
+        rows = [{"alpha": alpha, "dT_dz": d, "abs": abs(d)}
+                for alpha, d in zip(alphas, ladder)]
+        passed = True
+        final_mag = 0.0
+        for side in range(2):
+            mags = [abs(d) for d in ladder[side * n:(side + 1) * n]]
+            passed &= all(b <= a + Z_MONOTONICITY_SLACK for a, b in zip(mags, mags[1:]))
+            passed &= mags[-1] <= DZ_TRACE_TOL
+            final_mag = max(final_mag, mags[-1])
+        at_one = abs(at_one)
+        rows.append({"alpha": 1.0, "dT_dz": at_one, "abs": at_one})
+        passed &= at_one <= 1e-8
+        reports.append(CheckReport(
+            name=f"dT/dz -> 0 at z0={z0:g}",
+            passed=passed,
+            max_residual=final_mag,
+            rows=rows,
+            notes=f"|dT/dz| at alpha=1 exactly: {at_one:.3e}",
+        ))
+    return reports
 
 
 @dataclass(frozen=True)

@@ -2,19 +2,18 @@
 matrix dumps, and the certification suites.
 
 Exit codes: 0 success (all checks passed for `verify`), 1 verification
-failure, 2 malformed input or I/O error, 3 domain error (z = 0, a
-non-finite alpha or z, alpha or z beyond double range: spectral powers or
-a trace sum that overflow, or a trace sum that underflows to 0, p out of
-range, unsupported support configuration), 4 internal numerical error (a
-dual-route mismatch, a collapsed trace, an eigensolver that did not
-converge).
+failure, 2 malformed input (matrix entries beyond double range included) or
+I/O error, 3 domain error (z = 0, a non-finite alpha or z, alpha or z
+beyond double range: spectral powers or a trace sum that overflow, or a
+trace sum that underflows to 0, p out of range, unsupported support
+configuration), 4 internal numerical error (a dual-route mismatch, a
+collapsed trace, an eigensolver that did not converge).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -34,10 +33,6 @@ EXIT_INTERNAL = 4
 
 def _fmt(x: float) -> str:
     """12 significant digits, lowercase inf/nan, no locale."""
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
     return format(float(x), ".12g")
 
 

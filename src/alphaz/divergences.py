@@ -116,7 +116,7 @@ def check_probability_vector(p) -> np.ndarray:
 def _density(spectrum: Spectrum) -> Spectrum:
     """The spectrum of a PSD operator, checked for unit trace."""
     tr = float(spectrum.values.sum())
-    if abs(tr - 1.0) > _TRACE_ATOL:
+    if not abs(tr - 1.0) <= _TRACE_ATOL:  # a NaN trace fails too
         raise DomainError(f"density operator must have trace 1, got {tr!r}")
     return spectrum
 
@@ -333,7 +333,10 @@ class PreparedPair:
             finite = np.isfinite(s_pow.max(axis=-1) * r_pow.max(axis=-1))
             if not finite.all():
                 raise _beyond_range("the spectral powers overflow", alpha, z, finite)
-        g = s_pow[..., :, None] * self.overlap * r_pow[..., None, :]
+        # s * W * r with the second product in place: a large stack's
+        # temporaries cost a fresh allocation each
+        g = s_pow[..., :, None] * self.overlap
+        g *= r_pow[..., None, :]
         singular = np.linalg.svd(g, compute_uv=False)[..., :self.inner_rank]
         sums = ((singular * singular) ** z).sum(axis=-1)
         top, low = (sums, sums) if one else (sums.max(initial=0.0), sums.min(initial=1.0))

@@ -13,7 +13,6 @@ an operator uses its Spectrum.
 from __future__ import annotations
 
 import bisect
-import math
 import os
 from dataclasses import dataclass
 
@@ -23,6 +22,9 @@ DEFAULT_EPS = 1e-12
 
 # max-abs entry tolerance accepted before an input is rejected as non-Hermitian
 HERMITICITY_RTOL = 1e-8
+
+# the largest entry modulus accepted: A + A† stays finite up to it
+MAX_ENTRY_MODULUS = np.finfo(float).max / 2.0
 
 
 class NotPSDError(ValueError):
@@ -67,18 +69,22 @@ def _hermitian_stack(stack: np.ndarray) -> np.ndarray:
     """Validate and symmetrize a complex stack of square matrices, shape
     (n, d, d) with d >= 1.
 
-    Rejects non-finite entries and a matrix whose Hermiticity defect exceeds
-    HERMITICITY_RTOL times its scale max(1, max-abs entry); otherwise returns
-    the exactly Hermitian parts. Each test reads the whole stack once: a NaN
-    or inf entry makes the max-abs entry non-finite, so the exact finiteness
-    test runs only then (a finite entry whose modulus overflows passes it),
-    and scales are >= 1, so per-matrix scales are needed only when the
-    largest defect exceeds HERMITICITY_RTOL (or is NaN)."""
+    Rejects non-finite entries, entries beyond double range (a modulus above
+    MAX_ENTRY_MODULUS, where A + A† could overflow) and a matrix whose
+    Hermiticity defect exceeds HERMITICITY_RTOL times its scale max(1,
+    max-abs entry); otherwise returns the exactly Hermitian parts. Each test
+    reads the whole stack once: a NaN or inf entry makes the max-abs entry
+    non-finite, so the exact finiteness test runs only when the max-abs
+    entry fails the range test, and scales are >= 1, so per-matrix scales
+    are needed only when the largest defect exceeds HERMITICITY_RTOL (or is
+    NaN)."""
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
         raise ValueError(f"expected a stack of square matrices, got shape {stack.shape}")
     modulus = np.abs(stack)
-    if not math.isfinite(modulus.max()) and not np.isfinite(stack).all():
-        raise ValueError("matrix has non-finite entries")
+    if not modulus.max() <= MAX_ENTRY_MODULUS:
+        if not np.isfinite(stack).all():
+            raise ValueError("matrix has non-finite entries")
+        raise ValueError("matrix has entries beyond double range")
     adjoint = stack.conj().swapaxes(1, 2)
     gap = np.abs(stack - adjoint)
     if not gap.max() <= HERMITICITY_RTOL:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import hermitian_part
+from .linalg import MAX_ENTRY_MODULUS, hermitian_part
 from . import states
 
 HERMITICITY_LOAD_TOL = 1e-9
@@ -61,6 +61,8 @@ def matrix_from_json(doc: dict) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise SpecError("matrix has non-finite entries")
     scale = max(1.0, float(np.abs(a).max()))
+    if scale > MAX_ENTRY_MODULUS:
+        raise SpecError("matrix has entries beyond double range")
     defect = float(np.abs(a - a.conj().T).max())
     if defect > HERMITICITY_LOAD_TOL * scale:
         raise SpecError(f"matrix is not Hermitian within tolerance: defect {defect:.3e}")

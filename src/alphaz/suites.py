@@ -5,7 +5,9 @@ in `states`, so a given (suite, seeds) always produces the same reports.
 `run_suites` prepares the seeded pairs once per call and hands the same
 `TraceFunctional`s to every suite that checks them (limits, derivatives,
 monotonicity, dpi and invariants); those suites take them as their
-argument.
+argument. The limits, monotonicity and dT/dz checks make one kernel call
+per pair for all of their items (curves, alphas, z0s) and regroup the
+per-pair reports into one aggregate per item.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .analysis import (
     CheckReport,
     CurveSpec,
     TraceFunctional,
-    verify_curve_limit,
+    verify_curve_limits,
     verify_derivative_at_one,
     verify_dz_trace_vanishes,
     verify_second_derivative_example1,
@@ -81,42 +83,34 @@ def _seeded_functionals(n_seeds: int) -> SeededPairs:
             for rho, sigma, label in seeded_pairs(n_seeds)]
 
 
-def _over_pairs(name: str, tfs, check) -> CheckReport:
-    """Aggregate of one check run on every pair, members tagged by pair."""
-    members = []
-    for tf, label in tfs:
-        rep = check(tf)
-        rep.name = f"{rep.name} [{label}]"
-        members.append(rep)
-    return _aggregate(name, members)
+def _over_pairs(tfs: SeededPairs, check) -> list[CheckReport]:
+    """Run `check` once per pair and aggregate its reports item by item:
+    `check(tf)` returns one report per item, the same items in the same order
+    for every pair, and each aggregate's members are tagged by pair."""
+    aggregates = []
+    for reports in zip(*(check(tf) for tf, _ in tfs)):
+        name = reports[0].name
+        for rep, (_, label) in zip(reports, tfs):
+            rep.name = f"{name} [{label}]"
+        aggregates.append(_aggregate(name, list(reports)))
+    return aggregates
 
 
 def suite_limits(tfs: SeededPairs, bias: float = 0.0) -> list[CheckReport]:
     """Limit of D(a, g(a)) at a -> 1 for five curves over the seeded pairs."""
-    return [_over_pairs(f"limit along {curve.label()}", tfs,
-                        lambda tf, curve=curve: verify_curve_limit(tf, curve, bias=bias))
-            for curve in LIMIT_CURVES]
+    return _over_pairs(tfs, lambda tf: verify_curve_limits(tf, LIMIT_CURVES, bias=bias))
 
 
 def suite_derivatives(tfs: SeededPairs) -> list[CheckReport]:
     """Slope-at-1 checks for both families plus the dT/dz -> 0 checks."""
-    reports = [_over_pairs("derivative at alpha=1 vs half-variance", tfs,
-                           verify_derivative_at_one)]
-    for z0 in DZ_TRACE_Z0S:
-        reports.append(_over_pairs(f"dT/dz -> 0 at z0={z0:g}", tfs,
-                                   lambda tf, z0=z0: verify_dz_trace_vanishes(tf, z0)))
-    return reports
+    return (_over_pairs(tfs, lambda tf: [verify_derivative_at_one(tf)])
+            + _over_pairs(tfs, lambda tf: verify_dz_trace_vanishes(tf, DZ_TRACE_Z0S)))
 
 
 def suite_monotonicity(tfs: SeededPairs) -> list[CheckReport]:
     """z-monotonicity of the divergence for each sampled alpha."""
-    reports = []
-    for alpha in MONOTONICITY_ALPHAS:
-        direction = "non-increasing" if alpha > 1 else "non-decreasing"
-        reports.append(_over_pairs(
-            f"z-monotonicity at alpha={alpha:g} ({direction})", tfs,
-            lambda tf, alpha=alpha: verify_z_monotonicity(tf, alpha, list(MONOTONICITY_ZS))))
-    return reports
+    return _over_pairs(tfs, lambda tf: verify_z_monotonicity(tf, MONOTONICITY_ALPHAS,
+                                                             MONOTONICITY_ZS))
 
 
 EXAMPLE1_PS = (0.1, 0.25, 0.4)

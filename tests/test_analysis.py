@@ -18,7 +18,7 @@ from alphaz.analysis import (
     fd_derivative,
     fd_second_derivative,
     sweep,
-    verify_curve_limit,
+    verify_curve_limits,
     verify_derivative_at_one,
     verify_dz_trace_vanishes,
     verify_second_derivative_example1,
@@ -27,6 +27,13 @@ from alphaz.analysis import (
 from alphaz.divergences import alpha_z_divergence, relative_entropy
 from alphaz.linalg import DomainError
 from alphaz.states import commuting_pair, example1_pair, random_density, random_reference
+from alphaz.suites import (
+    DZ_TRACE_Z0S,
+    LIMIT_CURVES,
+    MONOTONICITY_ALPHAS,
+    MONOTONICITY_ZS,
+    seeded_pairs,
+)
 
 from conftest import max_abs
 
@@ -79,6 +86,21 @@ class TestFdScheme:
     def test_non_finite_sample_names_point(self):
         with pytest.raises(ArithmeticError, match="f\\(1.0001"):
             fd_derivative(lambda x: np.full_like(x, math.inf), 1.0, FdScheme(1e-4))
+        # an array of points: the first non-finite sample's own point
+        with pytest.raises(ArithmeticError, match="f\\(2.0001"):
+            fd_derivative(lambda x: np.where(x > 2.0, math.inf, x), [1.0, 2.0], FdScheme(1e-4))
+
+    @pytest.mark.parametrize("order", ["central2", "central4", "richardson"])
+    def test_array_of_points_equals_each_point(self, order):
+        scheme = FdScheme(1e-3, order)
+        x0s = [0.3, 1.0, 2.5]
+        f = lambda x: np.stack([np.exp(x), x**3], axis=-1)  # noqa: E731
+        batched = fd_derivative(f, x0s, scheme)
+        assert batched.shape == (3, 2)
+        assert batched.tolist() == [fd_derivative(f, x0, scheme).tolist() for x0 in x0s]
+        curvature = fd_second_derivative(f, x0s, scheme)
+        assert curvature.tolist() == [fd_second_derivative(f, x0, scheme).tolist()
+                                      for x0 in x0s]
 
     def test_order2_convergence(self):
         # halving h cuts the residual by >= 3x while above the noise floor
@@ -150,24 +172,24 @@ class TestTraceFunctional:
 
 class TestCurveLimit:
     def test_constant_curve(self):
-        rep = verify_curve_limit(seeded_tf(4, 11), CurveSpec.constant(1.0))
+        [rep] = verify_curve_limits(seeded_tf(4, 11), [CurveSpec.constant(1.0)])
         assert rep.passed
         assert rep.max_residual <= 1e-3
 
     def test_identity_curve_example1(self):
-        rep = verify_curve_limit(example1_tf(), CurveSpec.identity())
+        [rep] = verify_curve_limits(example1_tf(), [CurveSpec.identity()])
         assert rep.passed
         # errors shrink toward the relative entropy target
         assert abs(rep.rows[0]["divergence"] - EX1_REL_ENT) > rep.max_residual
 
     def test_self_pair_flat(self):
         rho = random_density(3, 13)
-        rep = verify_curve_limit(TraceFunctional(rho, rho), CurveSpec.identity())
+        [rep] = verify_curve_limits(TraceFunctional(rho, rho), [CurveSpec.identity()])
         assert rep.passed
         assert all(abs(row["divergence"]) <= 1e-10 for row in rep.rows)
 
     def test_bias_forces_failure(self):
-        rep = verify_curve_limit(seeded_tf(3, 17), CurveSpec.constant(1.0), bias=0.01)
+        [rep] = verify_curve_limits(seeded_tf(3, 17), [CurveSpec.constant(1.0)], bias=0.01)
         assert not rep.passed
 
     def test_default_offsets(self):
@@ -225,55 +247,108 @@ class TestSecondDerivativeExample1:
 
 class TestZMonotonicity:
     def test_decreasing_above_one(self):
-        rep = verify_z_monotonicity(seeded_tf(4, 31), 2.0, [0.5, 1.0, 2.0, 4.0, 8.0])
+        [rep] = verify_z_monotonicity(seeded_tf(4, 31), [2.0], [0.5, 1.0, 2.0, 4.0, 8.0])
         assert rep.passed
         assert all(r["step"] <= 1e-10 for r in rep.rows)
 
     def test_increasing_below_one(self):
-        rep = verify_z_monotonicity(seeded_tf(4, 31), 0.5, [0.5, 1.0, 2.0, 4.0, 8.0])
+        [rep] = verify_z_monotonicity(seeded_tf(4, 31), [0.5], [0.5, 1.0, 2.0, 4.0, 8.0])
         assert rep.passed
         assert all(r["step"] >= -1e-10 for r in rep.rows)
 
     def test_commuting_constant(self):
         rho, sigma, _, _ = commuting_pair(4, 37)
-        rep = verify_z_monotonicity(TraceFunctional(rho, sigma), 2.0,
-                                    [0.5, 1.0, 2.0, 4.0, 8.0])
+        [rep] = verify_z_monotonicity(TraceFunctional(rho, sigma), [2.0],
+                                      [0.5, 1.0, 2.0, 4.0, 8.0])
         assert rep.passed
         assert all(abs(r["step"]) <= 1e-10 for r in rep.rows)
 
     def test_alpha_one_rejected(self):
         with pytest.raises(DomainError):
-            verify_z_monotonicity(seeded_tf(3, 41), 1.0, [1.0, 2.0])
+            verify_z_monotonicity(seeded_tf(3, 41), [1.0], [1.0, 2.0])
+        with pytest.raises(DomainError):
+            verify_z_monotonicity(seeded_tf(3, 41), [2.0, 1.0], [1.0, 2.0])
 
     def test_zs_validation(self):
         tf = seeded_tf(3, 41)
         with pytest.raises(ValueError, match="ascending"):
-            verify_z_monotonicity(tf, 2.0, [2.0, 1.0])
+            verify_z_monotonicity(tf, [2.0], [2.0, 1.0])
         with pytest.raises(ValueError, match="positive"):
-            verify_z_monotonicity(tf, 2.0, [-1.0, 1.0])
+            verify_z_monotonicity(tf, [2.0], [-1.0, 1.0])
 
 
 class TestDzTraceVanishes:
     def test_example1_ladder(self):
-        rep = verify_dz_trace_vanishes(example1_tf(), 1.0,
-                                       offsets=(0.1, 0.01, 0.001))
+        [rep] = verify_dz_trace_vanishes(example1_tf(), [1.0],
+                                         offsets=(0.1, 0.01, 0.001))
         assert rep.passed
         mags = [r["abs"] for r in rep.rows if r["alpha"] > 1.0]
         assert mags == sorted(mags, reverse=True)
 
     def test_seeded_pair(self):
-        rep = verify_dz_trace_vanishes(seeded_tf(3, 43), 2.0)
+        [rep] = verify_dz_trace_vanishes(seeded_tf(3, 43), [2.0])
         assert rep.passed
         assert rep.max_residual <= 1e-4
 
     def test_exactly_at_one(self):
-        rep = verify_dz_trace_vanishes(seeded_tf(4, 47), 0.5)
+        [rep] = verify_dz_trace_vanishes(seeded_tf(4, 47), [0.5])
         at_one = [r for r in rep.rows if r["alpha"] == 1.0]
         assert len(at_one) == 1 and at_one[0]["abs"] <= 1e-8
 
     def test_z_zero_rejected(self):
         with pytest.raises(DomainError):
-            verify_dz_trace_vanishes(seeded_tf(3, 43), 0.0)
+            verify_dz_trace_vanishes(seeded_tf(3, 43), [0.0])
+        with pytest.raises(DomainError):
+            verify_dz_trace_vanishes(seeded_tf(3, 43), [1.0, 0.0])
+
+
+def _batch_pairs():
+    """The seeded pairs of d = 2..6 the suites check, and the example1 pair."""
+    return ([TraceFunctional(rho, sigma) for rho, sigma, _ in seeded_pairs(5)]
+            + [example1_tf()])
+
+
+class TestBatchedVerifications:
+    """Each batched verification equals its one-element calls, report for
+    report, down to the last bit of every float."""
+
+    @staticmethod
+    def dicts(reports):
+        return [rep.to_dict() for rep in reports]
+
+    @pytest.mark.parametrize("offsets, bias", [(None, 0.0), (None, 0.01),
+                                               ([0.05, 0.3, 1e-3, 2e-4], -0.2)])
+    def test_curve_limits(self, offsets, bias):
+        curves = LIMIT_CURVES + (CurveSpec.affine(-1.0, 2.5),)
+        for tf in _batch_pairs():
+            singles = [verify_curve_limits(tf, [curve], offsets, bias)[0] for curve in curves]
+            assert self.dicts(verify_curve_limits(tf, curves, offsets, bias)) == \
+                self.dicts(singles)
+
+    def test_z_monotonicity(self):
+        alphas = MONOTONICITY_ALPHAS + (0.9, 3.0)
+        for tf in _batch_pairs():
+            singles = [verify_z_monotonicity(tf, [alpha], MONOTONICITY_ZS)[0]
+                       for alpha in alphas]
+            assert self.dicts(verify_z_monotonicity(tf, alphas, MONOTONICITY_ZS)) == \
+                self.dicts(singles)
+
+    @pytest.mark.parametrize("offsets, scheme", [
+        (analysis.DZ_TRACE_OFFSETS, FdScheme(1e-4, "central2")),
+        ((0.2, 0.02, 5e-3), FdScheme(1e-3, "richardson")),
+    ])
+    def test_dz_trace_vanishes(self, offsets, scheme):
+        z0s = DZ_TRACE_Z0S + (0.25, 3.5)
+        for tf in _batch_pairs():
+            singles = [verify_dz_trace_vanishes(tf, [z0], offsets, scheme)[0] for z0 in z0s]
+            assert self.dicts(verify_dz_trace_vanishes(tf, z0s, offsets, scheme)) == \
+                self.dicts(singles)
+
+    def test_no_items_no_reports(self):
+        tf = example1_tf()
+        assert verify_curve_limits(tf, []) == []
+        assert verify_z_monotonicity(tf, [], MONOTONICITY_ZS) == []
+        assert verify_dz_trace_vanishes(tf, []) == []
 
 
 class TestSweep:
@@ -371,7 +446,7 @@ class TestExample1ClosedForm:
 
 class TestCheckReport:
     def test_json_serializable(self):
-        rep = verify_curve_limit(example1_tf(), CurveSpec.constant(1.0))
+        [rep] = verify_curve_limits(example1_tf(), [CurveSpec.constant(1.0)])
         text = json.dumps(rep.to_dict())
         doc = json.loads(text)
         assert doc["passed"] is True

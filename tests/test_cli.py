@@ -141,6 +141,18 @@ class TestExitCodes:
         assert out.returncode == 3
         assert "the trace sum underflows at (alpha, z) = (0.5, 1e-300)" in out.stderr
 
+    def test_entries_beyond_double_range_are_usage_error(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"dim": 2, "entries": [[[0.5, 0.0], [1e308, 1e308]],
+                                                          [[1e308, -1e308], [0.5, 0.0]]]}))
+        sigma = json.dumps({"generator": "reference", "seed": 3, "dim": 2})
+        for alpha in ("0.5", "2"):
+            out = run_cli("compute", "--rho", str(path), "--sigma", sigma,
+                          "--alpha", alpha, "--z", "1")
+            assert out.returncode == 2
+            assert "matrix has entries beyond double range" in out.stderr
+            assert out.stdout == ""
+
     def test_grid_beyond_double_range_is_domain_error(self):
         out = run_cli("sweep", "--example1", "0.25", "--alpha-grid", "2:1e308:2",
                       "--z-grid", "1:2:2", "--out", "-")
@@ -163,6 +175,14 @@ class TestExitCodes:
         out = run_cli("compute", "--example1", "0.25", "--alpha", "2", "--z", "1",
                       env_extra={"RENYI_EPS": "2.0"})
         assert out.returncode == 3
+
+
+class TestFormat:
+    def test_special_values(self):
+        from alphaz.cli import _fmt
+
+        assert [_fmt(x) for x in (math.nan, math.inf, -math.inf, -0.0, 0.1 + 0.2)] == \
+            ["nan", "inf", "-inf", "-0", "0.3"]
 
 
 class TestSweep:
@@ -273,6 +293,35 @@ class TestVerify:
 
         alone = [r.to_dict() for name in SUITE_NAMES[1:] for r in run_suites([name], 10)]
         assert [r.to_dict() for r in run_suites(["all"], 10)] == alone
+
+    @pytest.mark.parametrize("n_seeds", [1, 3, 6])
+    def test_batched_suites_regroup_per_item(self, n_seeds):
+        # each aggregate lists, pair by pair, that item's one-element report
+        from alphaz import analysis, suites
+
+        pairs = [(analysis.TraceFunctional(rho, sigma), label)
+                 for rho, sigma, label in suites.seeded_pairs(n_seeds)]
+        singles = {
+            "limits": [lambda tf, c=c: analysis.verify_curve_limits(tf, [c])
+                       for c in suites.LIMIT_CURVES],
+            "monotonicity": [
+                lambda tf, a=a: analysis.verify_z_monotonicity(tf, [a], suites.MONOTONICITY_ZS)
+                for a in suites.MONOTONICITY_ALPHAS],
+            "derivatives": [lambda tf: [analysis.verify_derivative_at_one(tf)]] + [
+                lambda tf, z0=z0: analysis.verify_dz_trace_vanishes(tf, [z0])
+                for z0 in suites.DZ_TRACE_Z0S],
+        }
+        for name, checks in singles.items():
+            aggregates = suites.run_suites([name], n_seeds)
+            assert len(aggregates) == len(checks)
+            for aggregate, check in zip(aggregates, checks):
+                expected = []
+                for tf, label in pairs:
+                    [rep] = check(tf)
+                    assert rep.name == aggregate.name
+                    expected.append({"member": f"{rep.name} [{label}]", "passed": rep.passed,
+                                     "max_residual": rep.max_residual})
+                assert aggregate.rows == expected
 
     def test_unknown_suite_rejected(self):
         out = run_cli("verify", "--suite", "everything")

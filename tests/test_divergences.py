@@ -17,7 +17,7 @@ from alphaz.divergences import (
     relative_entropy_variance,
     sandwiched_divergence,
 )
-from alphaz.linalg import DomainError, NotPSDError, pinch, support
+from alphaz.linalg import DomainError, NotPSDError, Spectrum, pinch, support
 from alphaz.states import (
     commuting_pair,
     example1_pair,
@@ -813,7 +813,7 @@ def _per_operator(rho, sigma):
     return r, s
 
 
-BIG = 1e308 + 1e308j  # finite, but its modulus overflows
+BIG = 1e308 + 1e308j  # finite, but A + A† overflows
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow too
@@ -869,10 +869,10 @@ class TestStackedPrepare:
         (np.eye(2) / 2, np.diag([1.0, -0.5]),
          NotPSDError, "operator is not PSD: eigenvalue -5.000000e-01"),
         (np.eye(2) / 2, np.zeros((2, 2)), DomainError, "reference operator must be nonzero"),
-        # a finite entry whose modulus overflows
-        (np.diag([BIG, 0.5]), np.eye(2), ValueError, "matrix is not Hermitian: max defect inf"),
+        # a finite entry beyond double range
+        (np.diag([BIG, 0.5]), np.eye(2), ValueError, "matrix has entries beyond double range"),
         (np.eye(2) / 2, np.array([[0.5, BIG], [np.conj(BIG), 0.5]]),
-         DomainError, "reference operator must be nonzero"),
+         ValueError, "matrix has entries beyond double range"),
     ])
     def test_error_precedence(self, rho, sigma, kind, message):
         assert _per_operator(rho, sigma) == (kind, message)
@@ -880,15 +880,35 @@ class TestStackedPrepare:
             dv.prepare(rho, sigma)
         assert type(exc.value) is kind and str(exc.value) == message
 
-    def test_overflowing_modulus_in_rho_prepares_as_per_operator(self):
-        # the per-operator path accepts this rho with a NaN spectrum; the
-        # stacked path gives the same spectra
+    def test_overflowing_modulus_rejected_as_per_operator(self):
+        # A + A† overflows to inf, which once gave a NaN spectrum and a
+        # silently wrong or internal-fault result; both paths reject it
         rho = np.array([[0.5, BIG], [np.conj(BIG), 0.5]])
         sigma = random_reference(2, 2)
-        r, s = _per_operator(rho, sigma)
-        prepared = dv.prepare(rho, sigma)
-        _same_spectrum(prepared.rho, r)
-        _same_spectrum(prepared.sigma, s)
+        message = "matrix has entries beyond double range"
+        assert _per_operator(rho, sigma) == (ValueError, message)
+        for call in (lambda: dv.prepare(rho, sigma),
+                     lambda: alpha_z_divergence(rho, np.eye(2) / 2, 2.0, 1.0),
+                     lambda: alpha_z_divergence(rho, np.eye(2) / 2, 0.5, 1.0),
+                     lambda: relative_entropy(rho, np.eye(2) / 2)):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert type(exc.value) is ValueError and str(exc.value) == message
+
+    def test_range_limit_is_half_the_largest_double(self):
+        from alphaz.linalg import MAX_ENTRY_MODULUS, as_hermitian
+
+        assert MAX_ENTRY_MODULUS == np.finfo(float).max / 2
+        edge = np.array([[MAX_ENTRY_MODULUS, 1.0], [1.0, 0.0]])
+        assert np.isfinite(as_hermitian(edge)).all()
+        edge[0, 0] = np.nextafter(MAX_ENTRY_MODULUS, np.inf)
+        with pytest.raises(ValueError, match="beyond double range"):
+            as_hermitian(edge)
+
+    def test_nan_trace_is_not_unit(self):
+        nan = Spectrum(np.array([math.nan, 0.5]), np.eye(2), 1e-12, math.nan, 0)
+        with pytest.raises(DomainError, match="trace 1, got nan"):
+            dv._density(nan)
 
 
 def _oracle_divergence(rho, sigma, alpha, z, dps=50):
@@ -974,17 +994,26 @@ class TestDecompositionCounts:
         assert eigh == 1 and svd == 1
 
     def test_curve_limit_one_svd(self, counts, pair):
-        from alphaz.analysis import CurveSpec, TraceFunctional, verify_curve_limit
+        from alphaz.analysis import CurveSpec, TraceFunctional, verify_curve_limits
 
         tf = TraceFunctional(*pair)
-        for curve in (CurveSpec.constant(2.0), CurveSpec.exponential()):
-            assert counts(lambda: verify_curve_limit(tf, curve)) == (0, 1)
+        curves = (CurveSpec.constant(2.0), CurveSpec.exponential())
+        assert counts(lambda: verify_curve_limits(tf, curves)) == (0, 1)
 
     def test_certification_suites(self, counts):
         from alphaz.suites import run_suites
 
         eigh, svd = counts(lambda: run_suites(["all"], 10))
-        assert eigh <= 86 and svd <= 326
+        assert eigh <= 86 and svd <= 226
+
+    @pytest.mark.parametrize("name, svd", [("limits", 10), ("monotonicity", 10),
+                                           ("derivatives", 20)])
+    def test_batched_suites_one_kernel_call_per_pair(self, counts, name, svd):
+        from alphaz.suites import run_suites
+
+        # one prepare eigh per pair; limits and monotonicity make one kernel
+        # call per pair, derivatives one for the slopes and one for dT/dz
+        assert counts(lambda: run_suites([name], 10)) == (10, svd)
 
     def test_dpi_suite_prepares_each_pair_once(self, counts):
         from alphaz.suites import run_suites

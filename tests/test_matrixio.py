@@ -59,6 +59,13 @@ class TestLoadValidation:
         with pytest.raises(SpecError, match="finite"):
             matrix_from_json(doc)
 
+    def test_entries_beyond_double_range_rejected(self):
+        # finite, but the symmetrized A + A† would overflow to inf
+        doc = {"dim": 2, "entries": [[[0.5, 0.0], [1e308, 1e308]],
+                                     [[1e308, -1e308], [0.5, 0.0]]]}
+        with pytest.raises(SpecError, match="beyond double range"):
+            matrix_from_json(doc)
+
     def test_small_defect_symmetrized_with_warning(self):
         doc = {"dim": 2, "entries": [[[1.0, 0.0], [0.5, 1e-10]],
                                      [[0.5, 1e-10], [1.0, 0.0]]]}
