@@ -10,7 +10,7 @@ import argparse
 import numpy as np
 
 from alphaz.analysis import SweepSpec, alpha_monotonicity_violations, sweep
-from alphaz.states import random_density, random_reference
+from alphaz.suites import seeded_pairs
 
 
 def main() -> int:
@@ -28,10 +28,9 @@ def main() -> int:
     alphas = tuple(np.linspace(0.05, args.alpha_max, args.alpha_points))
     total_violations = 0
     total_steps = 0
-    for k in range(args.pairs):
-        dim = args.dims[k % len(args.dims)]
-        rho = random_density(dim, args.base_seed + 2 * k)
-        sigma = random_reference(dim, args.base_seed + 2 * k + 1)
+    pairs = seeded_pairs(args.pairs, args.base_seed, tuple(args.dims))
+    for k, (rho, sigma, _) in enumerate(pairs):
+        dim = rho.shape[0]
         rows = sweep(rho, sigma, SweepSpec(alphas=alphas, zs=tuple(args.zs)))
         violations = alpha_monotonicity_violations(rows, slack=args.slack)
         total_violations += violations

@@ -145,15 +145,6 @@ class CurveSpec:
             return a * alpha + b
         return math.exp(alpha - 1.0)
 
-    def g_prime(self, alpha: float) -> float:
-        if self.kind == "constant":
-            return 0.0
-        if self.kind == "identity":
-            return 1.0
-        if self.kind == "affine":
-            return self.params[0]
-        return math.exp(alpha - 1.0)
-
     def label(self) -> str:
         if self.kind == "constant":
             return f"z={self.params[0]:g}"
@@ -291,32 +282,29 @@ SLOPE_FLOOR = -1e-6
 FAMILIES = {"z_equals_1": np.ones_like, "z_equals_alpha": lambda a: a}
 
 
-def _family_zs(alphas: np.ndarray, names: list[str]) -> np.ndarray:
-    """z of each named family at the alphas, one column per family."""
-    return np.stack([FAMILIES[name](alphas) for name in names], axis=1)
+def _family_zs(alphas: np.ndarray) -> np.ndarray:
+    """z of each family at the alphas, one column per family."""
+    return np.stack([fn(alphas) for fn in FAMILIES.values()], axis=1)
 
 
 def verify_derivative_at_one(tf: TraceFunctional,
-                             scheme: FdScheme = FdScheme(1e-4, "central2"),
-                             family: str = "both") -> CheckReport:
+                             scheme: FdScheme = FdScheme(1e-4, "central2")
+                             ) -> CheckReport:
     """Check that the slope of both divergence families at a = 1 equals half
     the relative entropy variance.
 
-    Passes iff each requested family's relative error is <= 1e-3, the two
-    family estimates agree within 1e-5 (when both run), and no slope dips
-    below -1e-6 (the variance is non-negative).
+    Passes iff each family's relative error is <= 1e-3, the two family
+    estimates agree within 1e-5, and no slope dips below -1e-6 (the variance
+    is non-negative).
     """
-    names = list(FAMILIES) if family == "both" else [family]
-    if any(n not in FAMILIES for n in names):
-        raise ValueError(f"unknown family {family!r}")
     target = 0.5 * tf.variance()
     # relative residual against a meaningful target, absolute once the target
     # sits below the finite-difference noise scale (e.g. rho = sigma)
     denom = abs(target) if abs(target) >= 1e-6 else 1.0
     rows = []
     slopes = fd_derivative(
-        lambda a: tf.pair.divergences(a[:, None], _family_zs(a, names)), 1.0, scheme)
-    slopes = dict(zip(names, slopes.tolist()))
+        lambda a: tf.pair.divergences(a[:, None], _family_zs(a)), 1.0, scheme)
+    slopes = dict(zip(FAMILIES, slopes.tolist()))
     for name, slope in slopes.items():
         rows.append({
             "family": name,
@@ -325,7 +313,7 @@ def verify_derivative_at_one(tf: TraceFunctional,
             "rel_error": abs(slope - target) / denom,
         })
     max_rel = max(r["rel_error"] for r in rows)
-    cross = abs(slopes["z_equals_1"] - slopes["z_equals_alpha"]) if len(slopes) == 2 else 0.0
+    cross = abs(slopes["z_equals_1"] - slopes["z_equals_alpha"])
     passed = (
         max_rel <= DERIVATIVE_REL_TOL
         and cross <= FAMILY_AGREEMENT_TOL
@@ -383,7 +371,7 @@ def verify_second_derivative_example1(p: float,
 
     def both(a):
         """The matrix pipeline, then the closed form, one column per family."""
-        zs = _family_zs(a, names)
+        zs = _family_zs(a)
         m = tf.pair.divergences(a[:, None], zs)
         c = np.array([[example1_closed_form(p, x, z) for z in row]
                       for x, row in zip(a.tolist(), zs.tolist())])

@@ -84,6 +84,8 @@ def _load_pair(args) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cmd_compute(args) -> int:
+    if args.z is not None and args.family != "alphaz":
+        raise SpecError("--z applies only to --family alphaz")
     rho, sigma = _load_pair(args)
     alpha = args.alpha
     if args.family == "alphaz":
@@ -185,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="use the rank-1-vs-diagonal pair with this p "
                                 "(accepts 0.25 or p=0.25)")
     p_compute.add_argument("--alpha", type=float, required=True)
-    p_compute.add_argument("--z", type=float, help="required for --family alphaz")
+    p_compute.add_argument("--z", type=float,
+                           help="required for --family alphaz, rejected otherwise")
     p_compute.add_argument("--family", default="alphaz",
                            choices=["alphaz", "petz", "sandwiched", "mo"])
     p_compute.add_argument("--bits", action="store_true",

@@ -560,21 +560,6 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> DivergenceValue:
     return prepare(rho, sigma).relative_entropy()
 
 
-def relative_entropy_variance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Relative entropy variance Tr[rho d^2] - Tr[rho d]^2, d = ln rho - ln sigma.
-
-    Requires dominance (the variance is undefined otherwise) and clamps
-    the tiny negative round-off floor to 0.
-    """
-    return prepare(rho, sigma).variance()
-
-
-def alpha_z_trace(rho: np.ndarray, sigma: np.ndarray, alpha: float, z: float) -> float:
-    """Trace functional T(a, z) = Tr[(sigma^((1-a)/2z) rho^(a/z) sigma^((1-a)/2z))^z];
-    see PreparedPair.trace."""
-    return prepare(rho, sigma).trace(alpha, z)
-
-
 def alpha_z_divergence(rho: np.ndarray, sigma: np.ndarray,
                        alpha: float, z: float) -> DivergenceValue:
     """alpha-z divergence D(a, z) = ln T(a, z) / (a - 1) in nats.

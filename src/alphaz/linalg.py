@@ -120,11 +120,6 @@ class Spectrum:
     threshold: float
     rank: int
 
-    @property
-    def projector(self) -> np.ndarray:
-        """Orthogonal projector onto the support."""
-        return self.operator(self.powers(0.0))
-
     def on_support(self, fn) -> np.ndarray:
         """fn of the support eigenvalues (all > 0), 0 on the kernel."""
         out = np.zeros_like(self.values)
@@ -197,10 +192,10 @@ def eigensystems(stack) -> list[Spectrum]:
 
 
 def supports(stack) -> list[Spectrum]:
-    """`eigensystems` of a stack of PSD operators, whose ranks and projectors
-    describe their supports. Rejects the first spectrum, in stack order,
-    with an eigenvalue below -threshold. A zero operator has rank 0 and a
-    zero projector."""
+    """`eigensystems` of a stack of PSD operators, whose ranks and leading
+    eigenvectors describe their supports. Rejects the first spectrum, in
+    stack order, with an eigenvalue below -threshold. A zero operator has
+    rank 0: an empty support."""
     spectra = eigensystems(stack)
     for spectrum in spectra:
         vmin = float(spectrum.values[-1])
@@ -216,8 +211,8 @@ def eigensystem(a: np.ndarray) -> Spectrum:
 
 
 def support(a: np.ndarray) -> Spectrum:
-    """Spectrum of a PSD operator, whose rank and projector describe its
-    support; the one-operator case of `supports`."""
+    """Spectrum of a PSD operator, whose rank and leading eigenvectors
+    describe its support; the one-operator case of `supports`."""
     return supports(_square(a)[None])[0]
 
 
@@ -234,25 +229,3 @@ def support_relation(rho: Spectrum, sigma: Spectrum,
     mass = weights[:, :rho.rank] @ rho.values[:rho.rank]
     return (float(mass[sigma.rank:].sum()) <= rho.threshold,
             float(mass[:sigma.rank].sum()) <= rho.threshold)
-
-
-def matrix_power(a: np.ndarray, p: float) -> np.ndarray:
-    """Generalized spectral power of a PSD operator.
-
-    Eigenvalues at or below the cutoff are treated as exact zeros and map to
-    zero for every exponent; A**0 is the support projector, not the identity.
-    """
-    spectrum = support(a)
-    return spectrum.operator(spectrum.powers(float(p)))
-
-
-def log_on_support(a: np.ndarray) -> np.ndarray:
-    """Natural log evaluated on the support; kernel contributes nothing.
-    The zero operator maps to the zero matrix."""
-    spectrum = support(a)
-    return spectrum.operator(spectrum.on_support(np.log))
-
-
-def pinch(a: np.ndarray, basis_of: np.ndarray) -> np.ndarray:
-    """Pinch A in the eigenbasis of a PSD operator; see Spectrum.pinch."""
-    return support(basis_of).pinch(a)

@@ -12,6 +12,11 @@ State specs select a matrix by exactly one of:
      optional "full_rank": bool, "rank": int, "branch": str}
     {"example1": {"p": 0.25}}
 
+"seed", "dim" and "rank" must be JSON integers (true, 7.0 and "7" are not)
+and "full_rank" a JSON boolean ("false" is not); a generator spec with a
+field of another type is a SpecError. "rank" is required for
+"support_pair" and optional for "reference".
+
 Paired generators ("commuting", "support_pair", "example1") use the
 requested role to pick the rho or sigma member.
 """
@@ -96,6 +101,16 @@ def parse_state_spec(text: str) -> dict:
     return {"file": text}
 
 
+def _typed(spec: dict, key: str, kind: type):
+    """spec[key], which must be of type `kind`: int for a JSON integer (a
+    bool is not one), bool for a JSON boolean. KeyError when absent."""
+    value = spec[key]
+    if type(value) is not kind:
+        what = "an integer" if kind is int else "a boolean"
+        raise SpecError(f"state spec field {key!r} must be {what}, got {value!r}")
+    return value
+
+
 def resolve_state_spec(spec: str | dict, role: str) -> np.ndarray:
     """Turn a state spec into a matrix for the given role (rho or sigma)."""
     if role not in ("rho", "sigma"):
@@ -119,24 +134,23 @@ def resolve_state_spec(spec: str | dict, role: str) -> np.ndarray:
         return rho if role == "rho" else sigma
     name = spec.get("generator")
     try:
-        seed = int(spec["seed"])
-        dim = int(spec["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
+        seed = _typed(spec, "seed", int)
+        dim = _typed(spec, "dim", int)
+    except KeyError as exc:
         raise SpecError(f"generator spec needs integer seed and dim: {exc}") from exc
     if name == "density":
         return states.random_density(dim, seed)
     if name == "reference":
-        full_rank = bool(spec.get("full_rank", True))
-        rank = spec.get("rank")
-        return states.random_reference(dim, seed, full_rank=full_rank,
-                                       rank=None if rank is None else int(rank))
+        full_rank = _typed(spec, "full_rank", bool) if "full_rank" in spec else True
+        rank = _typed(spec, "rank", int) if "rank" in spec else None
+        return states.random_reference(dim, seed, full_rank=full_rank, rank=rank)
     if name == "commuting":
         rho, sigma, _, _ = states.commuting_pair(dim, seed)
         return rho if role == "rho" else sigma
     if name == "support_pair":
         try:
-            rank = int(spec["rank"])
-        except (KeyError, TypeError, ValueError) as exc:
+            rank = _typed(spec, "rank", int)
+        except KeyError as exc:
             raise SpecError(f"support_pair spec needs an integer rank: {exc}") from exc
         branch = spec.get("branch", "dominating")
         rho, sigma = states.random_support_pair(dim, seed, rank=rank, branch=branch)

@@ -123,7 +123,6 @@ class TestCurveSpec:
         assert CurveSpec.identity().g(1.3) == 1.3
         assert CurveSpec.affine(2.0, -1.0).g(1.5) == 2.0
         assert CurveSpec.exponential().g(1.0) == 1.0
-        assert CurveSpec.exponential().g_prime(1.0) == 1.0
 
     def test_rejects_vanishing_at_one(self):
         with pytest.raises(DomainError, match="g\\(1\\) = 0"):
@@ -218,13 +217,6 @@ class TestDerivativeAtOne:
         slopes = [r["slope"] for r in rep.rows]
         assert abs(slopes[0] - slopes[1]) <= 1e-5
 
-    def test_single_family(self):
-        rep = verify_derivative_at_one(seeded_tf(3, 29), family="z_equals_1")
-        assert rep.passed and len(rep.rows) == 1
-
-    def test_unknown_family(self):
-        with pytest.raises(ValueError, match="family"):
-            verify_derivative_at_one(seeded_tf(3, 29), family="z_equals_7")
 
 
 class TestSecondDerivativeExample1:

@@ -95,6 +95,28 @@ class TestExitCodes:
         assert out.returncode == 2
         assert "--z" in out.stderr
 
+    @pytest.mark.parametrize("family", ["petz", "sandwiched", "mo"])
+    def test_z_outside_alphaz_is_usage_error(self, capsys, family):
+        from alphaz import cli
+
+        code = cli.main(["compute", "--example1", "0.25", "--alpha", "2",
+                         "--family", family, "--z", "5"])
+        out = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert "--z applies only to --family alphaz" in out.err
+        assert out.out == ""
+
+    def test_mistyped_spec_field_is_usage_error(self, capsys):
+        from alphaz import cli
+
+        sigma = '{"generator": "reference", "seed": 7, "dim": 2, "full_rank": "false"}'
+        code = cli.main(["compute", "--rho", '{"generator": "density", "seed": 3, "dim": 2}',
+                         "--sigma", sigma, "--alpha", "2", "--z", "1"])
+        out = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert "'full_rank' must be a boolean" in out.err
+        assert out.out == ""
+
     @pytest.mark.parametrize("error", [ArithmeticError("dual-path mismatch"),
                                        np.linalg.LinAlgError("no convergence")])
     def test_internal_error_has_own_code(self, monkeypatch, capsys, error):

@@ -128,6 +128,25 @@ class TestStateSpecs:
         assert max_abs(sigma - want_sigma) == 0.0
         assert not prepare(rho, sigma).dominated
 
+    @pytest.mark.parametrize("field, value", [
+        ("full_rank", "false"), ("full_rank", 0), ("full_rank", None),
+        ("dim", True), ("dim", 4.0), ("dim", "4"),
+        ("seed", 7.9), ("seed", False), ("seed", "7"),
+        ("rank", 2.0), ("rank", True), ("rank", None),
+    ])
+    def test_generator_field_types(self, field, value):
+        # through the JSON text, as the CLI reads a spec
+        spec = {"generator": "reference", "seed": 7, "dim": 4,
+                "full_rank": False, "rank": 2, field: value}
+        with pytest.raises(SpecError, match=f"'{field}' must be"):
+            resolve_state_spec(json.dumps(spec), "sigma")
+
+    @pytest.mark.parametrize("rank", [3.0, True, "3"])
+    def test_support_pair_rank_type(self, rank):
+        spec = {"generator": "support_pair", "seed": 13, "dim": 4, "rank": rank}
+        with pytest.raises(SpecError, match="'rank' must be an integer"):
+            resolve_state_spec(spec, "rho")
+
     def test_exactly_one_variant(self):
         with pytest.raises(SpecError, match="exactly one"):
             resolve_state_spec({"file": "x", "example1": {"p": 0.2}}, "rho")
