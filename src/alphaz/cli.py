@@ -159,8 +159,8 @@ def cmd_verify(args) -> int:
             "checks": [r.to_dict() for r in reports],
         }
         with open(args.json, "w") as fh:
-            json.dump(doc, fh, indent=2, default=float)
-            fh.write("\n")
+            # one write: json.dump would make thousands of small ones
+            fh.write(json.dumps(doc, indent=2, default=float) + "\n")
     if failures:
         first = failures[0]
         print(f"first failure: {first.name} residual={first.max_residual:.6e}",

@@ -28,11 +28,13 @@ whose trace sum underflows to 0.
 Every quantum value comes from a PreparedPair, which validates both
 operators as one stack in one pass, decomposes them with one `eigh` and
 carries every family as a method; each module function prepares one pair
-per call and calls one method.
+per call and calls one method. `stacked_divergences` evaluates the same
+points on several prepared pairs of one dimension with one SVD.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -253,23 +255,36 @@ def _points(alphas, zs) -> tuple[np.ndarray, np.ndarray]:
     """alphas and zs broadcast against each other, as float arrays of the
     broadcast shape; z = 0 or a non-finite value anywhere is a DomainError,
     as in `_point`."""
-    a, z = np.broadcast_arrays(np.asarray(alphas, dtype=float),
-                               np.asarray(zs, dtype=float))
-    ok = np.isfinite(a) & np.isfinite(z) & (z != 0.0)
-    if not ok.all():
+    a, z = np.asarray(alphas, dtype=float), np.asarray(zs, dtype=float)
+    if a.shape != z.shape:
+        # broadcast copies: np.broadcast_arrays costs more than the copies
+        shape = np.broadcast(a, z).shape
+        a, z = _filled(shape, a), _filled(shape, z)
+    # all() of z is false only at z = 0; a NaN z fails its finiteness test
+    if not (np.isfinite(a).all() and np.isfinite(z).all() and z.all()):
         if (z == 0.0).any():
             raise DomainError("z = 0 is excluded")
+        ok = np.isfinite(a) & np.isfinite(z)
         i = np.unravel_index(np.argmin(ok), ok.shape)
         raise DomainError(f"alpha and z must be finite, got ({float(a[i])!r}, {float(z[i])!r})")
     return a, z
 
 
+def _filled(shape: tuple[int, ...], x: np.ndarray) -> np.ndarray:
+    """A new float array of this shape with x broadcast into it."""
+    out = np.empty(shape)
+    out[...] = x
+    return out
+
+
 def _beyond_range(what: str, alphas, zs, finite) -> DomainError:
     """The DomainError for the first point (in order) where `finite` is
-    false; alphas, zs and finite are scalars or arrays of one size."""
+    false; alphas and zs are scalars or arrays that broadcast to the shape
+    of finite."""
     i = int(np.argmin(finite))
+    alpha, z = (np.ravel(np.broadcast_to(x, np.shape(finite)))[i] for x in (alphas, zs))
     return DomainError(f"alpha or z beyond double range: {what} at (alpha, z) = "
-                       f"({float(np.ravel(alphas)[i])!r}, {float(np.ravel(zs)[i])!r})")
+                       f"({float(alpha)!r}, {float(z)!r})")
 
 
 @dataclass(frozen=True)
@@ -281,9 +296,10 @@ class PreparedPair:
     sigma^e rho^f sigma^e of the pair shares.
 
     `traces`, `divergences` and `evaluate` take arrays of points and run one
-    stacked SVD for all of them; the scalar `trace` and `divergence` are the
-    single-point case of the same kernel, which `petz`, `sandwiched` and
-    `mosonyi_ogawa` call with their own self-checks."""
+    stacked SVD for all of them: they are the one-pair case of the module's
+    stacked kernel (`stacked_divergences`). The scalar `trace` and
+    `divergence` build the same G for one point, and `petz`, `sandwiched`
+    and `mosonyi_ogawa` call them with their own self-checks."""
 
     rho: Spectrum
     sigma: Spectrum
@@ -301,50 +317,24 @@ class PreparedPair:
         return ((e_rho < 0.0) & (self.rho.rank < dim),
                 (e_sigma < 0.0) & (self.sigma.rank < dim and not self.dominated))
 
-    def _sums(self, alpha, z, e_sigma, e_rho):
-        """Tr[(sigma^e_sigma rho^e_rho sigma^e_sigma)^z] at the exponents of
-        the point (alpha, z), scalars, or 1-d arrays of them with z as a
-        column, one SVD for the stack.
-
-        The inner operator is G G† with G = diag(sigma powers) W diag(sqrt of
-        rho powers). Scaling W by rows and columns is exact per entry, and
-        the singular values of G give the inner eigenvalues to about the
-        square root of the relative error of an eigendecomposition of the
-        assembled sandwich. G has rank inner_rank, so the smaller singular
-        values are round-off and are dropped whatever their size.
-
-        |W| <= 1 bounds every entry of G by the product of the largest power
-        on each side, so a finite bound per point keeps the SVD finite. A
-        point whose bound or trace sum leaves double range raises
-        DomainError naming it: a sum that overflows, or one that is 0 while
-        inner_rank > 0, where every term underflowed. The tests run first on
-        the whole stack, as Python floats, and per point only when that
-        fails; powers and sums are >= 0, so extrema starting at 0 and 1 also
-        cover an empty batch. One point (a float z) needs no stacked
-        reductions: its maxima and its sum are the tests."""
+    def _sums(self, alpha: float, z: float, e_sigma: float, e_rho: float) -> float:
+        """Tr[(sigma^e_sigma rho^e_rho sigma^e_sigma)^z] at one point (alpha,
+        z), from one SVD: the one-point case of `_stacked_traces`, whose
+        docstring gives the construction and the range checks. One point
+        needs no stacked reductions: its maxima and its sum are the tests."""
         s_pow = self.sigma.powers(e_sigma)
         r_pow = self.rho.powers(e_rho / 2.0)
-        one = isinstance(z, float)
-        if one:
-            bound = max(s_pow.tolist()) * max(r_pow.tolist())
-        else:
-            bound = float(s_pow.max(initial=0.0)) * float(r_pow.max(initial=0.0))
-        if not math.isfinite(bound):
-            finite = np.isfinite(s_pow.max(axis=-1) * r_pow.max(axis=-1))
-            if not finite.all():
-                raise _beyond_range("the spectral powers overflow", alpha, z, finite)
-        # s * W * r with the second product in place: a large stack's
-        # temporaries cost a fresh allocation each
-        g = s_pow[..., :, None] * self.overlap
-        g *= r_pow[..., None, :]
-        singular = np.linalg.svd(g, compute_uv=False)[..., :self.inner_rank]
-        sums = ((singular * singular) ** z).sum(axis=-1)
-        top, low = (sums, sums) if one else (sums.max(initial=0.0), sums.min(initial=1.0))
-        if not math.isfinite(top):
-            raise _beyond_range("the trace sum overflows", alpha, z, np.isfinite(sums))
-        if not low > 0.0 and self.inner_rank > 0:
-            raise _beyond_range("the trace sum underflows", alpha, z, sums > 0.0)
-        return float(sums) if one else sums
+        if not math.isfinite(max(s_pow.tolist()) * max(r_pow.tolist())):
+            raise _beyond_range("the spectral powers overflow", alpha, z, False)
+        g = s_pow[:, None] * self.overlap
+        g *= r_pow[None, :]
+        singular = np.linalg.svd(g, compute_uv=False)[:self.inner_rank]
+        total = float(((singular * singular) ** z).sum())
+        if not math.isfinite(total):
+            raise _beyond_range("the trace sum overflows", alpha, z, False)
+        if not total > 0.0 and self.inner_rank > 0:
+            raise _beyond_range("the trace sum underflows", alpha, z, False)
+        return total
 
     def _always_defined(self) -> bool:
         """Whether T is defined at every point: no operator whose negative
@@ -353,32 +343,11 @@ class PreparedPair:
         dim = self.rho.values.size
         return self.rho.rank == dim and (self.sigma.rank == dim or self.dominated)
 
-    def _trace_points(self, alphas: np.ndarray, zs: np.ndarray,
-                      optional=False) -> np.ndarray:
-        """T at 1-d arrays of points. An undefined point raises DomainError,
-        the first one in order, unless `optional` is true there; then its
-        value is NaN."""
-        e_sigma, e_rho = (1.0 - alphas) / (2.0 * zs), alphas / zs
-        if self._always_defined():
-            return self._sums(alphas, zs[:, None], e_sigma, e_rho)
-        bad_rho, bad_sigma = self._undefined_points(e_sigma, e_rho)
-        bad = bad_rho | bad_sigma
-        fatal = bad & ~np.asarray(optional)
-        if fatal.any():
-            i = int(np.argmax(fatal))
-            raise (_undefined("rho", e_rho[i]) if bad_rho[i]
-                   else _undefined("sigma", e_sigma[i]))
-        out = np.full(alphas.shape, math.nan)
-        ok = ~bad
-        if ok.any():
-            out[ok] = self._sums(alphas[ok], zs[ok, None], e_sigma[ok], e_rho[ok])
-        return out
-
     def traces(self, alphas, zs) -> np.ndarray:
         """T(a, z) at the broadcast points of alphas and zs, from one stacked
         SVD. Raises the DomainError of `trace` at the first undefined point."""
         a, z = _points(alphas, zs)
-        return self._trace_points(a.ravel(), z.ravel()).reshape(a.shape)
+        return _stacked_traces([self], a.ravel(), z.ravel())[0].reshape(a.shape)
 
     def trace(self, alpha: float, z: float) -> float:
         """T(a, z) = Tr[(sigma^((1-a)/2z) rho^(a/z) sigma^((1-a)/2z))^z] with
@@ -412,26 +381,10 @@ class PreparedPair:
 
     def divergences(self, alphas, zs) -> np.ndarray:
         """D(a, z) in nats at the broadcast points of alphas and zs, +inf
-        where the supports force it, from one stacked SVD. `divergence` gives
-        one point with its infinity reason."""
-        a, z = _points(alphas, zs)
-        shape, a, z = a.shape, a.ravel(), z.ravel()
-        closed = self._closed(a)
-        if not closed.any():
-            return self._log_traces(a, z).reshape(shape)
-        # _closed_value: +inf everywhere but at alpha = 1 under dominance
-        out = np.full(a.shape, self.relative_entropy().value)
-        need = ~closed
-        if need.any():
-            out[need] = self._log_traces(a[need], z[need])
-        return out.reshape(shape)
-
-    def _log_traces(self, alphas: np.ndarray, zs: np.ndarray) -> np.ndarray:
-        """ln T / (a - 1) at 1-d arrays of points where D needs the trace."""
-        t = self._trace_points(alphas, zs)
-        if (t <= 0.0).any():
-            raise ArithmeticError(f"trace functional collapsed to {float(t[t <= 0.0][0])!r}")
-        return np.log(t) / (alphas - 1.0)
+        where the supports force it, from one stacked SVD: the one-pair case
+        of `stacked_divergences`. `divergence` gives one point with its
+        infinity reason."""
+        return stacked_divergences([self], alphas, zs)[0]
 
     def divergence(self, alpha: float, z: float) -> DivergenceValue:
         """D(a, z) = ln T(a, z) / (a - 1) with the module's support semantics."""
@@ -447,7 +400,7 @@ class PreparedPair:
         DomainError of `trace`."""
         a, z = _points(alphas, zs)
         closed = self._closed(a)
-        t = self._trace_points(a, z, optional=closed)
+        t = _stacked_traces([self], a, z, optional=closed)[0]
         return ([self._closed_value(x) if c else _from_trace(x, y)
                  for x, c, y in zip(a.tolist(), closed.tolist(), t.tolist())], t)
 
@@ -516,6 +469,133 @@ class PreparedPair:
         if var < -1e-12:
             raise ArithmeticError(f"variance computed as {var!r} < -1e-12")
         return max(var, 0.0)
+
+
+def _stacked_traces(pairs: list[PreparedPair], alphas: np.ndarray, zs: np.ndarray,
+                    need=None, optional=False) -> np.ndarray:
+    """T at 1-d arrays of N points for P pairs of one dimension, shape
+    (P, N), from one SVD of the stack of every pair's G factors at its
+    points; NaN where `need`, a (P, N) mask (all points by default), is
+    false. An undefined point raises DomainError, the first one in (pair,
+    point) order, unless `optional` is true there; then its value is NaN.
+
+    The inner operator is G G† with G = diag(sigma powers) W diag(sqrt of
+    rho powers). Scaling W by rows and columns is exact per entry, and the
+    singular values of G give the inner eigenvalues to about the square root
+    of the relative error of an eigendecomposition of the assembled
+    sandwich. G has the pair's inner rank, so its smaller singular values
+    are round-off and are dropped whatever their size. Each pair's rows of
+    the stack are built and reduced as they would be alone, so its values
+    do not depend on the other pairs.
+
+    |W| <= 1 bounds every entry of G by the product of the largest power on
+    each side, so a finite bound per point keeps the SVD finite. A point
+    whose bound or trace sum leaves double range raises DomainError naming
+    it, the first in (pair, point) order: a sum that overflows, or one that
+    is 0 while the inner rank is positive, where every term underflowed.
+    Each test runs first on the whole stack and per point only when that
+    fails; powers and sums are >= 0, so extrema starting at 0 and 1 also
+    cover an empty stack."""
+    takes = []  # each pair's computed points: a slice for all, else a mask
+    for p, pair in enumerate(pairs):
+        take = slice(None) if need is None else need[p]
+        if not pair._always_defined():
+            e_sigma, e_rho = (1.0 - alphas) / (2.0 * zs), alphas / zs
+            bad_rho, bad_sigma = pair._undefined_points(e_sigma, e_rho)
+            defined = ~(bad_rho | bad_sigma)
+            fatal = ~(defined | np.asarray(optional))
+            if need is not None:
+                fatal &= take
+            if fatal.any():
+                i = int(np.argmax(fatal))
+                raise (_undefined("rho", e_rho[i]) if bad_rho[i]
+                       else _undefined("sigma", e_sigma[i]))
+            take = defined if need is None else defined & take
+        takes.append(take)
+    # the stack's rows: each pair's computed points, in (pair, point) order
+    a_parts = [alphas[t] for t in takes]
+    a, z = _cat(a_parts), _cat([zs[t] for t in takes])
+    ends = list(itertools.accumulate(len(part) for part in a_parts))
+    spans = [slice(lo, hi) for lo, hi in zip([0] + ends[:-1], ends)]
+    e_sigma, e_rho = (1.0 - a) / (2.0 * z), a / z
+    s_parts = [pair.sigma.powers(e_sigma[r]) for pair, r in zip(pairs, spans)]
+    s_pow = _cat(s_parts)
+    r_pow = _cat([pair.rho.powers(e_rho[r] / 2.0) for pair, r in zip(pairs, spans)])
+    bound = float(s_pow.max(initial=0.0)) * float(r_pow.max(initial=0.0))
+    if not math.isfinite(bound):
+        finite = np.isfinite(s_pow.max(axis=-1) * r_pow.max(axis=-1))
+        if not finite.all():
+            raise _beyond_range("the spectral powers overflow", a, z, finite)
+    # s * W * r with the second product in place: a large stack's
+    # temporaries cost a fresh allocation each
+    g = _cat([s[:, :, None] * pair.overlap for s, pair in zip(s_parts, pairs)])
+    g *= r_pow[:, None, :]
+    singular = np.linalg.svd(g, compute_uv=False)
+    kept = [singular[r, :pair.inner_rank] for pair, r in zip(pairs, spans)]
+    sums = _cat([((k * k) ** z[r, None]).sum(axis=-1) for k, r in zip(kept, spans)])
+    if not math.isfinite(sums.max(initial=0.0)):
+        raise _beyond_range("the trace sum overflows", a, z, np.isfinite(sums))
+    if not sums.min(initial=1.0) > 0.0:
+        empty = np.repeat([pair.inner_rank == 0 for pair in pairs],
+                          [r.stop - r.start for r in spans])
+        positive = (sums > 0.0) | empty
+        if not positive.all():
+            raise _beyond_range("the trace sum underflows", a, z, positive)
+    if all(isinstance(t, slice) for t in takes):
+        return sums.reshape(len(pairs), alphas.size)
+    out = np.full((len(pairs), alphas.size), math.nan)
+    for row, t, r in zip(out, takes, spans):
+        row[t] = sums[r]
+    return out
+
+
+def _cat(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays joined along their first axis; one array is not copied."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def stacked_divergences(pairs, alphas, zs) -> np.ndarray:
+    """D(a, z) in nats for prepared pairs of one dimension at the same
+    broadcast points of alphas and zs, shape (len(pairs), *points), from one
+    stacked SVD. Row p equals `pairs[p].divergences(alphas, zs)` bit for
+    bit, +inf where the supports force it, and the error raised is the one
+    of the first pair whose own call fails. Pairs of different dimensions
+    raise ValueError."""
+    pairs = list(pairs)
+    dims = {pair.rho.values.size for pair in pairs}
+    if len(dims) != 1:
+        raise ValueError(f"stacked pairs need one dimension, got {sorted(dims)}")
+    a, z = _points(alphas, zs)
+    shape, a, z = (len(pairs),) + a.shape, a.ravel(), z.ravel()
+    try:
+        return _divergence_rows(pairs, a, z).reshape(shape)
+    except (ValueError, ArithmeticError):
+        # the stack runs each check on all pairs at once; alone, in order,
+        # the first failing pair raises the error its own call would
+        if len(pairs) > 1:
+            for pair in pairs:
+                _divergence_rows([pair], a, z)
+        raise
+
+
+def _divergence_rows(pairs: list[PreparedPair], alphas: np.ndarray,
+                     zs: np.ndarray) -> np.ndarray:
+    """D at 1-d arrays of points for pairs of one dimension, shape
+    (len(pairs), N): the closed points (`PreparedPair._closed`) take the
+    pair's `_closed_value`, which is +inf everywhere but at alpha = 1 under
+    dominance, and the rest ln T / (a - 1)."""
+    closed = np.array([pair._closed(alphas) for pair in pairs])
+    shut = closed.any()
+    t = _stacked_traces(pairs, alphas, zs, ~closed if shut else None)
+    if (t <= 0.0).any():
+        raise ArithmeticError(f"trace functional collapsed to {float(t[t <= 0.0][0])!r}")
+    # T is NaN at the closed points, where the quotient is NaN too
+    values = np.log(t) / (alphas - 1.0)
+    if shut:
+        for row, pair, at in zip(values, pairs, closed):
+            if at.any():
+                row[at] = pair.relative_entropy().value
+    return values
 
 
 def _stacked_spectra(rho, sigma) -> tuple[Spectrum, Spectrum] | None:

@@ -15,7 +15,12 @@ State specs select a matrix by exactly one of:
 "seed", "dim" and "rank" must be JSON integers (true, 7.0 and "7" are not)
 and "full_rank" a JSON boolean ("false" is not); a generator spec with a
 field of another type is a SpecError. "rank" is required for
-"support_pair" and optional for "reference".
+"support_pair" and optional for "reference". The example1 "p" must be a
+JSON number (true and "0.25" are not).
+
+Every re and im of a matrix file must be a JSON number ("1", true and null
+are not) within double range; a matrix file with any other entry is a
+SpecError.
 
 Paired generators ("commuting", "support_pair", "example1") use the
 requested role to pick the rho or sigma member.
@@ -57,10 +62,14 @@ def matrix_from_json(doc: dict) -> np.ndarray:
     try:
         dim = int(doc["dim"])
         entries = doc["entries"]
-        a = np.array([[complex(float(re), float(im)) for re, im in row]
-                      for row in entries])
-    except (KeyError, TypeError, ValueError) as exc:
+        # complex() refuses strings and null; of the JSON values it takes,
+        # only true and false are not numbers
+        a = np.array([[complex(re, im) for re, im in row] for row in entries])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SpecError(f"malformed matrix document: {exc}") from exc
+    if [x for row in entries for entry in row for x in entry if x is True or x is False]:
+        raise SpecError("malformed matrix document: matrix entries must be JSON numbers, "
+                        "not true or false")
     if a.shape != (dim, dim):
         raise SpecError(f"entries shape {a.shape} does not match dim {dim}")
     if not np.all(np.isfinite(a)):
@@ -127,9 +136,15 @@ def resolve_state_spec(spec: str | dict, role: str) -> np.ndarray:
     if kind == "example1":
         params = spec["example1"]
         try:
-            p = float(params["p"])
-        except (KeyError, TypeError, ValueError) as exc:
+            p = params["p"]
+        except (KeyError, TypeError) as exc:
             raise SpecError(f"example1 spec needs a numeric p: {exc}") from exc
+        if isinstance(p, bool) or not isinstance(p, (int, float)):
+            raise SpecError(f"example1 spec field 'p' must be a JSON number, got {p!r}")
+        try:
+            p = float(p)
+        except OverflowError as exc:
+            raise SpecError(f"example1 spec field 'p' is beyond double range: {exc}") from exc
         rho, sigma = states.example1_pair(p)
         return rho if role == "rho" else sigma
     name = spec.get("generator")

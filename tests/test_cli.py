@@ -117,6 +117,30 @@ class TestExitCodes:
         assert "'full_rank' must be a boolean" in out.err
         assert out.out == ""
 
+    @pytest.mark.parametrize("p", ["true", '"0.25"'])
+    def test_mistyped_example1_p_is_usage_error(self, capsys, p):
+        from alphaz import cli
+
+        code = cli.main(["compute", "--rho", f'{{"example1": {{"p": {p}}}}}',
+                         "--sigma", '{"example1": {"p": 0.25}}', "--alpha", "2", "--z", "1"])
+        out = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert "'p' must be a JSON number" in out.err
+        assert out.out == ""
+
+    @pytest.mark.parametrize("entry", [["1", "0"], [True, False]], ids=["string", "bool"])
+    def test_mistyped_matrix_entry_is_usage_error(self, tmp_path, capsys, entry):
+        from alphaz import cli
+
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"dim": 1, "entries": [[entry]]}))
+        code = cli.main(["compute", "--rho", str(path), "--sigma", str(path),
+                         "--alpha", "2", "--z", "1"])
+        out = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert "malformed matrix document" in out.err
+        assert out.out == ""
+
     @pytest.mark.parametrize("error", [ArithmeticError("dual-path mismatch"),
                                        np.linalg.LinAlgError("no convergence")])
     def test_internal_error_has_own_code(self, monkeypatch, capsys, error):

@@ -632,6 +632,71 @@ class TestBatchedKernel:
             sweep(rho, sigma, SweepSpec(alphas=(0.5, 2.0), zs=(1.0, -1.0)))
 
 
+class TestStackedDivergences:
+    """stacked_divergences against each pair's own divergences call."""
+
+    @staticmethod
+    def _stack():
+        # full rank, dominated rank-deficient, violating (overlapping, not
+        # dominated), orthogonal, and a partial overlap of inner rank 1
+        pairs = [dv.prepare(*_pair_of_class(cls))
+                 for cls in ("full", "dominating", "violating", "orthogonal")]
+        p, q = np.array([0.3, 0.7, 0.0, 0.0]), np.array([0.0, 0.6, 0.4, 0.0])
+        u = random_unitary(4, 5)
+        pairs.append(dv.prepare((u * p) @ u.conj().T, (u * q) @ u.conj().T))
+        return pairs
+
+    def test_rows_equal_own_calls_bit_for_bit(self):
+        pairs = self._stack()
+        assert [pair.inner_rank for pair in pairs] == [4, 2, 2, 0, 1]
+        alphas, zs = np.array([[0.3], [0.7], [1.0], [1.5], [3.0]]), [0.5, 1.0, 2.0]
+        rows = dv.stacked_divergences(pairs, alphas, zs)
+        assert rows.shape == (5, 5, 3)
+        for pair, row in zip(pairs, rows):
+            assert np.array_equal(row, pair.divergences(alphas, zs))
+        assert np.isinf(rows[2, 2:]).all() and np.isinf(rows[3]).all()
+        assert np.isfinite(rows[[0, 1]]).all()
+
+    def test_one_pair_is_divergences(self):
+        pair = dv.prepare(*_pair_of_class("full"))
+        alphas, zs = [0.5, 1.0, 2.0], [1.0, 1.0, -0.5]
+        assert np.array_equal(dv.stacked_divergences([pair], alphas, zs),
+                              pair.divergences(alphas, zs)[None])
+
+    def test_first_undefined_point_by_pair_then_by_point(self):
+        full, violating, dominated = (dv.prepare(*_pair_of_class(cls))
+                                      for cls in ("full", "violating", "dominating"))
+        # negative alpha is undefined on the dominated pair's rank-deficient
+        # rho; negative z below alpha = 1 on the violating pair's sigma too
+        alphas, zs = [-0.5, 0.5], [1.0, -1.0]
+        for stack, first in (([full, violating, dominated], violating),
+                             ([dominated, violating], dominated)):
+            with pytest.raises(DomainError) as own:
+                first.divergences(alphas, zs)
+            with pytest.raises(DomainError) as stacked:
+                dv.stacked_divergences(stack, alphas, zs)
+            assert str(stacked.value) == str(own.value)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow too
+    def test_earlier_pair_out_of_range_beats_later_undefined_point(self):
+        # the stack checks every pair for undefined points before any power;
+        # the full-rank pair's overflow at the second point still comes first
+        full, dominated = (dv.prepare(*_pair_of_class(cls)) for cls in ("full", "dominating"))
+        alphas, zs = [0.5, 2.0], [-1.0, 1e-300]
+        with pytest.raises(DomainError, match="spectral powers overflow") as own:
+            full.divergences(alphas, zs)
+        with pytest.raises(DomainError) as stacked:
+            dv.stacked_divergences([full, dominated], alphas, zs)
+        assert str(stacked.value) == str(own.value)
+
+    def test_mixed_dimensions_rejected(self):
+        pairs = [dv.prepare(random_density(d, 4), random_reference(d, 5)) for d in (3, 4)]
+        with pytest.raises(ValueError, match="one dimension"):
+            dv.stacked_divergences(pairs, [0.5], [1.0])
+        with pytest.raises(ValueError, match="one dimension"):
+            dv.stacked_divergences([], [0.5], [1.0])
+
+
 NON_FINITE_POINTS = [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 0.5),
                      (2.0, math.inf), (2.0, math.nan), (0.5, -math.inf)]
 
@@ -998,7 +1063,7 @@ class TestDecompositionCounts:
         from alphaz.suites import run_suites
 
         eigh, svd = counts(lambda: run_suites(["all"], 10))
-        assert eigh <= 86 and svd <= 226
+        assert eigh <= 86 and svd <= 183
 
     @pytest.mark.parametrize("name, svd", [("limits", 10), ("monotonicity", 10),
                                            ("derivatives", 20)])
@@ -1008,6 +1073,15 @@ class TestDecompositionCounts:
         # one prepare eigh per pair; limits and monotonicity make one kernel
         # call per pair, derivatives one for the slopes and one for dT/dz
         assert counts(lambda: run_suites([name], 10)) == (10, svd)
+
+    @pytest.mark.parametrize("name, svd", [("invariants", 10), ("classical", 7)])
+    def test_stacked_suites_one_kernel_call_per_family(self, counts, name, svd):
+        from alphaz.suites import run_suites
+
+        # invariants: one call per seeded pair for it, its rotation, its
+        # rescaled reference and (rho, rho); classical: one call per
+        # dimension of its 20 commuting pairs
+        assert counts(lambda: run_suites([name], 10))[1] == svd
 
     def test_dpi_suite_prepares_each_pair_once(self, counts):
         from alphaz.suites import run_suites

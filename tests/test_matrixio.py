@@ -66,6 +66,17 @@ class TestLoadValidation:
         with pytest.raises(SpecError, match="beyond double range"):
             matrix_from_json(doc)
 
+    @pytest.mark.parametrize("entry, message", [
+        (["1", "0"], "string"), ([1.0, "0"], "string"), ([True, False], "true or false"),
+        ([0.5, False], "true or false"), ([1.0, None], "NoneType"), ([10**400, 0], "too large"),
+    ], ids=["string", "string-im", "bool", "bool-im", "null", "huge-integer"])
+    def test_entries_must_be_json_numbers(self, tmp_path, entry, message):
+        # through a file, as the CLI reads a matrix
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"dim": 1, "entries": [[entry]]}))
+        with pytest.raises(SpecError, match=f"malformed matrix document: .*{message}"):
+            load_matrix(path)
+
     def test_small_defect_symmetrized_with_warning(self):
         doc = {"dim": 2, "entries": [[[1.0, 0.0], [0.5, 1e-10]],
                                      [[0.5, 1e-10], [1.0, 0.0]]]}
@@ -114,6 +125,13 @@ class TestStateSpecs:
         want_rho, want_sigma = example1_pair(0.25)
         assert max_abs(rho - want_rho) == 0.0
         assert max_abs(sigma - want_sigma) == 0.0
+
+    @pytest.mark.parametrize("p", [True, "0.25", None, 10**400],
+                             ids=["bool", "string", "null", "huge-integer"])
+    def test_example1_p_must_be_a_json_number(self, p):
+        spec = json.dumps({"example1": {"p": p}})
+        with pytest.raises(SpecError, match="'p'"):
+            resolve_state_spec(spec, "rho")
 
     def test_generator_support_pair(self):
         from alphaz.divergences import prepare
