@@ -182,7 +182,7 @@ class TraceFunctional:
 
     def value(self, alpha: float, z: float) -> float:
         """T(alpha, z); equals 1 at alpha = 1 for every z."""
-        return self.pair.trace(alpha, z)
+        return float(self.pair.traces(alpha, z))
 
     def divergence(self, alpha: float, z: float) -> float:
         """Finite alpha-z divergence value (dominance guarantees finiteness)."""

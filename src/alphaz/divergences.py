@@ -28,8 +28,9 @@ whose trace sum underflows to 0.
 Every quantum value comes from a PreparedPair, which validates both
 operators as one stack in one pass, decomposes them with one `eigh` and
 carries every family as a method; each module function prepares one pair
-per call and calls one method. `stacked_divergences` evaluates the same
-points on several prepared pairs of one dimension with one SVD.
+per call and calls one method. The trace functional T(a, z) is
+`prepare(rho, sigma).traces(alpha, z)`. `stacked_divergences` evaluates the
+same points on several prepared pairs of one dimension with one SVD.
 """
 
 from __future__ import annotations
@@ -130,21 +131,12 @@ def _reference(spectrum: Spectrum) -> Spectrum:
     return spectrum
 
 
-def check_density(rho: np.ndarray) -> Spectrum:
-    """Validate a density operator (Hermitian, PSD, unit trace) and return
-    its spectrum."""
-    return _density(support(rho))
-
-
-def check_reference(sigma: np.ndarray) -> Spectrum:
-    """Validate a reference operator (Hermitian, PSD, nonzero) and return
-    its spectrum."""
-    return _reference(support(sigma))
-
-
 def _renyi_order(alpha: float) -> float:
-    """alpha as a float; alpha = 1 is a DomainError (the KL limit)."""
+    """alpha as a float; a non-finite alpha and alpha = 1 (the KL limit) are
+    DomainErrors."""
     alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise DomainError(f"alpha must be finite, got {alpha!r}")
     if abs(alpha - 1.0) <= ALPHA_ONE_TOL:
         raise DomainError("alpha = 1 is the KL limit; call classical_kl")
     return alpha
@@ -176,7 +168,8 @@ class ClassicalPair:
         """Renyi divergence ln(sum_i p_i^alpha q_i^(1-alpha)) / (alpha - 1).
 
         Terms with p_i = 0 vanish for alpha > 0. For alpha > 1, mass of p
-        outside the support of q forces +inf.
+        outside the support of q forces +inf. A sum that leaves double range
+        is a DomainError naming alpha.
         """
         alpha = _renyi_order(alpha)
         total = 0.0
@@ -190,6 +183,9 @@ class ClassicalPair:
                     return DivergenceValue.infinite(INFINITY_SUPPORT)
                 continue  # q_i^(1-alpha) = 0 for alpha < 1
             total += pi**alpha * qi ** (1.0 - alpha)
+        if not math.isfinite(total):
+            raise DomainError(f"alpha beyond double range: the Renyi sum overflows "
+                              f"at alpha = {alpha!r}")
         if total <= 0.0:
             return DivergenceValue.infinite(INFINITY_ORTHOGONAL)
         return DivergenceValue.finite(math.log(total) / (alpha - 1.0))
@@ -297,9 +293,9 @@ class PreparedPair:
 
     `traces`, `divergences` and `evaluate` take arrays of points and run one
     stacked SVD for all of them: they are the one-pair case of the module's
-    stacked kernel (`stacked_divergences`). The scalar `trace` and
-    `divergence` build the same G for one point, and `petz`, `sandwiched`
-    and `mosonyi_ogawa` call them with their own self-checks."""
+    stacked kernel (`stacked_divergences`). The scalar `divergence` builds
+    the same G for one point (`_sums`), and `petz`, `sandwiched` and
+    `mosonyi_ogawa` call it with their own self-checks."""
 
     rho: Spectrum
     sigma: Spectrum
@@ -344,24 +340,13 @@ class PreparedPair:
         return self.rho.rank == dim and (self.sigma.rank == dim or self.dominated)
 
     def traces(self, alphas, zs) -> np.ndarray:
-        """T(a, z) at the broadcast points of alphas and zs, from one stacked
-        SVD. Raises the DomainError of `trace` at the first undefined point."""
+        """T(a, z) = Tr[(sigma^((1-a)/2z) rho^(a/z) sigma^((1-a)/2z))^z] with
+        generalized powers at the broadcast points of alphas and zs, from one
+        stacked SVD. Raises DomainError at the first point where a negative
+        exponent meets a rank-deficient operator outside the dominated case
+        (no endorsed interpretation exists there)."""
         a, z = _points(alphas, zs)
         return _stacked_traces([self], a.ravel(), z.ravel())[0].reshape(a.shape)
-
-    def trace(self, alpha: float, z: float) -> float:
-        """T(a, z) = Tr[(sigma^((1-a)/2z) rho^(a/z) sigma^((1-a)/2z))^z] with
-        generalized powers. Raises DomainError when a negative exponent meets
-        a rank-deficient operator outside the dominated case (no endorsed
-        interpretation exists there)."""
-        alpha, z = _point(alpha, z)
-        e_sigma, e_rho = (1.0 - alpha) / (2.0 * z), alpha / z
-        bad_rho, bad_sigma = self._undefined_points(e_sigma, e_rho)
-        if bad_rho:
-            raise _undefined("rho", e_rho)
-        if bad_sigma:
-            raise _undefined("sigma", e_sigma)
-        return self._sums(alpha, z, e_sigma, e_rho)
 
     def _closed(self, alpha):
         """Whether D needs no trace at alpha, a float or an array: alpha = 1,
@@ -387,17 +372,25 @@ class PreparedPair:
         return stacked_divergences([self], alphas, zs)[0]
 
     def divergence(self, alpha: float, z: float) -> DivergenceValue:
-        """D(a, z) = ln T(a, z) / (a - 1) with the module's support semantics."""
+        """D(a, z) = ln T(a, z) / (a - 1) with the module's support semantics,
+        T from `_sums`. Where D needs T and T is undefined, raises the
+        DomainError of `traces`."""
         alpha, z = _point(alpha, z)
         if self._closed(alpha):
             return self._closed_value(alpha)
-        return _from_trace(alpha, self.trace(alpha, z))
+        e_sigma, e_rho = (1.0 - alpha) / (2.0 * z), alpha / z
+        bad_rho, bad_sigma = self._undefined_points(e_sigma, e_rho)
+        if bad_rho:
+            raise _undefined("rho", e_rho)
+        if bad_sigma:
+            raise _undefined("sigma", e_sigma)
+        return _from_trace(alpha, self._sums(alpha, z, e_sigma, e_rho))
 
     def evaluate(self, alphas, zs) -> tuple[list[DivergenceValue], np.ndarray]:
         """D and T at the points of two equal-length sequences, from one
         stacked SVD. T is NaN where its formula is undefined, which happens
         only where D needs no trace; elsewhere an undefined T raises the
-        DomainError of `trace`."""
+        DomainError of `traces`."""
         a, z = _points(alphas, zs)
         closed = self._closed(a)
         t = _stacked_traces([self], a, z, optional=closed)[0]
@@ -413,7 +406,7 @@ class PreparedPair:
         """
         alpha = float(alpha)
         value = self.divergence(alpha, 1.0)
-        if value.is_finite and abs(alpha - 1.0) > ALPHA_ONE_TOL:
+        if not self._closed(alpha):
             t = float(self.sigma.powers(1.0 - alpha) @ self.weights @ self.rho.powers(alpha))
             _assert_dual_path("Petz", value, alpha, t)
         return value
@@ -433,7 +426,7 @@ class PreparedPair:
         if alpha == 0.0:
             raise DomainError("alpha = 0 puts z = 0, which is excluded")
         value = self.divergence(alpha, alpha)
-        if value.is_finite and abs(alpha - 1.0) > ALPHA_ONE_TOL:
+        if not self._closed(alpha):
             s_pow = self.sigma.operator(self.sigma.powers((1.0 - alpha) / (2.0 * alpha)))
             factor = s_pow @ self.rho.operator(self.rho.powers(0.5))
             singular = np.linalg.svd(factor, compute_uv=False)[:self.inner_rank]
@@ -443,7 +436,7 @@ class PreparedPair:
 
     def mosonyi_ogawa(self, alpha: float) -> DivergenceValue:
         """Piecewise divergence: Petz for alpha < 1, sandwiched for alpha > 1.
-        Within ALPHA_ONE_TOL of 1 both return the relative entropy."""
+        At alpha = 1 (as `_closed` decides it) both give the relative entropy."""
         alpha = float(alpha)
         if alpha <= 0.0:
             raise DomainError(f"order must be positive, got {alpha}")
@@ -598,27 +591,21 @@ def _divergence_rows(pairs: list[PreparedPair], alphas: np.ndarray,
     return values
 
 
-def _stacked_spectra(rho, sigma) -> tuple[Spectrum, Spectrum] | None:
-    """rho's and sigma's checked spectra from one validation pass and one
-    `eigh` of the (2, d, d) stack, or None when the shapes differ or any
-    check fails."""
-    try:
-        r, s = supports(np.array((rho, sigma), dtype=complex))
-        return _density(r), _reference(s)
-    except (ValueError, TypeError):
-        return None
-
-
 def prepare(rho: np.ndarray, sigma: np.ndarray) -> PreparedPair:
     """Validate and decompose a (rho, sigma) pair once, as one stack with one
     `eigh`. The inner rank is rank rho under dominance, 0 for orthogonal
     supports and rank sigma for a full-rank rho; otherwise it counts the
-    cosines between the supports whose square, a weight, exceeds eps."""
-    spectra = _stacked_spectra(rho, sigma)
-    if spectra is None:
-        # rho's checks, then sigma's, raise the first error with its message
-        spectra = check_density(rho), check_reference(sigma)
-    r, s = spectra
+    cosines between the supports whose square, a weight, exceeds eps.
+
+    rho must be a density operator (Hermitian, PSD, unit trace) and sigma a
+    nonzero PSD operator. When the stack fails (shapes differ or a check
+    fails), rho alone and then sigma alone are checked, so the error raised
+    is the first one of the per-operator order with its own message."""
+    try:
+        r, s = supports(np.array((rho, sigma), dtype=complex))
+        r, s = _density(r), _reference(s)
+    except (ValueError, TypeError):
+        r, s = _density(support(rho)), _reference(support(sigma))
     if r.values.shape != s.values.shape:
         raise ValueError(f"dimension mismatch: {r.vectors.shape} vs {s.vectors.shape}")
     overlap = s.vectors.conj().T @ r.vectors

@@ -4,10 +4,10 @@ calculus (generalized powers, logs on the support, pinching).
 
 An eigenvalue counts as zero iff it is <= eps * max|eigenvalue|, where eps
 defaults to 1e-12 and can be overridden through the RENYI_EPS environment
-variable. `eigensystems` validates a stack of operators in one pass,
+variable. `supports` validates a stack of PSD operators in one pass,
 decomposes it with one `eigh` and reads eps once into every Spectrum of the
-stack; `eigensystem` is its one-operator case. Every support decision about
-an operator uses its Spectrum.
+stack; `support` is its one-operator case. Every support decision about an
+operator uses its Spectrum.
 """
 
 from __future__ import annotations
@@ -167,10 +167,13 @@ class Spectrum:
         return hermitian_part(out)
 
 
-def eigensystems(stack) -> list[Spectrum]:
-    """Validate a stack of Hermitian matrices, shape (n, d, d), and decompose
-    it with one `eigh`: one Spectrum per matrix, eigenvalues sorted
-    descending, every one with the zero cutoff of one RENYI_EPS read."""
+def supports(stack) -> list[Spectrum]:
+    """Validate a stack of PSD operators, shape (n, d, d), and decompose it
+    with one `eigh`: one Spectrum per operator, eigenvalues sorted
+    descending, every one with the zero cutoff of one RENYI_EPS read. Ranks
+    and leading eigenvectors describe the supports. Rejects the first
+    spectrum, in stack order, with an eigenvalue below -threshold. A zero
+    operator has rank 0: an empty support."""
     stack = _hermitian_stack(np.asarray(stack, dtype=complex))
     try:
         values, vectors = np.linalg.eigh(stack)
@@ -186,28 +189,11 @@ def eigensystems(stack) -> list[Spectrum]:
         # eigh sorts each row ascending, so the rank is the count above the
         # threshold; a NaN eigenvalue makes the threshold NaN and the rank 0
         rank = len(row) - bisect.bisect_right(row, threshold)
+        if row[0] < -threshold and row[0] < 0.0:
+            raise NotPSDError(f"operator is not PSD: eigenvalue {row[0]:.6e}")
         spectra.append(Spectrum(values[i, ::-1].copy(), vectors[i, :, ::-1].copy(),
                                 eps, threshold, rank))
     return spectra
-
-
-def supports(stack) -> list[Spectrum]:
-    """`eigensystems` of a stack of PSD operators, whose ranks and leading
-    eigenvectors describe their supports. Rejects the first spectrum, in
-    stack order, with an eigenvalue below -threshold. A zero operator has
-    rank 0: an empty support."""
-    spectra = eigensystems(stack)
-    for spectrum in spectra:
-        vmin = float(spectrum.values[-1])
-        if vmin < -spectrum.threshold and vmin < 0.0:
-            raise NotPSDError(f"operator is not PSD: eigenvalue {vmin:.6e}")
-    return spectra
-
-
-def eigensystem(a: np.ndarray) -> Spectrum:
-    """Validate a Hermitian matrix and decompose it once, eigenvalues sorted
-    descending, with the zero cutoff read and applied."""
-    return eigensystems(_square(a)[None])[0]
 
 
 def support(a: np.ndarray) -> Spectrum:

@@ -18,9 +18,9 @@ field of another type is a SpecError. "rank" is required for
 "support_pair" and optional for "reference". The example1 "p" must be a
 JSON number (true and "0.25" are not).
 
-Every re and im of a matrix file must be a JSON number ("1", true and null
-are not) within double range; a matrix file with any other entry is a
-SpecError.
+A matrix file's "dim" must be a JSON integer (true, 1.9 and "1" are not),
+and every re and im a JSON number ("1", true and null are not) within
+double range; a matrix file with any other dim or entry is a SpecError.
 
 Paired generators ("commuting", "support_pair", "example1") use the
 requested role to pick the rho or sigma member.
@@ -60,7 +60,7 @@ def dump_matrix(a: np.ndarray, path: str | Path) -> None:
 
 def matrix_from_json(doc: dict) -> np.ndarray:
     try:
-        dim = int(doc["dim"])
+        dim = _typed(doc, "dim", int)
         entries = doc["entries"]
         # complex() refuses strings and null; of the JSON values it takes,
         # only true and false are not numbers
@@ -111,8 +111,9 @@ def parse_state_spec(text: str) -> dict:
 
 
 def _typed(spec: dict, key: str, kind: type):
-    """spec[key], which must be of type `kind`: int for a JSON integer (a
-    bool is not one), bool for a JSON boolean. KeyError when absent."""
+    """spec[key] of a state spec or matrix document, which must be of type
+    `kind`: int for a JSON integer (a bool is not one), bool for a JSON
+    boolean. KeyError when absent."""
     value = spec[key]
     if type(value) is not kind:
         what = "an integer" if kind is int else "a boolean"

@@ -141,6 +141,20 @@ class TestExitCodes:
         assert "malformed matrix document" in out.err
         assert out.out == ""
 
+    @pytest.mark.parametrize("dim", ["true", "1.9", '"1"'], ids=["bool", "fraction", "string"])
+    def test_mistyped_matrix_dim_is_usage_error(self, tmp_path, capsys, dim):
+        from alphaz import cli
+
+        # used as both rho and sigma, this file once printed 0 with exit 0
+        path = tmp_path / "m.json"
+        path.write_text(f'{{"dim": {dim}, "entries": [[[1, 0]]]}}')
+        code = cli.main(["compute", "--rho", str(path), "--sigma", str(path),
+                         "--alpha", "2", "--z", "1"])
+        out = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert "'dim' must be an integer" in out.err
+        assert out.out == ""
+
     @pytest.mark.parametrize("error", [ArithmeticError("dual-path mismatch"),
                                        np.linalg.LinAlgError("no convergence")])
     def test_internal_error_has_own_code(self, monkeypatch, capsys, error):

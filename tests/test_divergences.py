@@ -120,6 +120,43 @@ class TestClassicalRenyi:
         assert got.value == pytest.approx(math.log(0.5**0.5) / (0.5 - 1.0), abs=1e-14)
 
 
+class TestClassicalExtremeAlpha:
+    """A non-finite alpha, or a finite one whose Renyi sum leaves double
+    range, is a DomainError naming alpha on both classical routes, never an
+    invariant error of DivergenceValue."""
+
+    @staticmethod
+    def _calls(p, q, alpha):
+        return (lambda: classical_renyi(p, q, alpha),
+                lambda: dv.prepare_classical(p, q).renyi(alpha))
+
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+    def test_non_finite(self, alpha):
+        for call in self._calls([0.5, 0.5], [0.5, 0.5], alpha):
+            with pytest.raises(DomainError, match="alpha must be finite") as exc:
+                call()
+            assert str(exc.value).endswith(f"got {alpha!r}")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow too
+    @pytest.mark.parametrize("p, q, alpha", [
+        ([0.5, 0.5], [0.5, 0.5], 1e308),
+        ([0.5, 0.5], [0.5, 0.5], -1e308),
+        ([0.5, 0.5], [0.5, 0.5], 1100.0),
+        ([0.5, 0.5], [0.5, 0.5], 1500.0),
+        ([0.9, 0.1], [0.1, 0.9], 800.0),
+    ])
+    def test_sum_beyond_double_range(self, p, q, alpha):
+        for call in self._calls(p, q, alpha):
+            with pytest.raises(DomainError, match="alpha beyond double range") as exc:
+                call()
+            assert str(exc.value).endswith(f"at alpha = {alpha!r}")
+
+    def test_large_representable_alpha_is_finite(self):
+        # 9^300 is about 1e286, inside double range
+        for call in self._calls([0.9, 0.1], [0.1, 0.9], 300.0):
+            assert call().is_finite
+
+
 class TestClassicalPair:
     def test_methods_equal_module_functions(self):
         p, q = random_probs(5, 7), random_probs(5, 8)
@@ -304,7 +341,7 @@ class TestTraceFunctionalValues:
         rho = random_density(4, 61)
         sigma = random_reference(4, 62)
         for z in (0.5, 1.0, 2.0, -1.0):
-            assert dv.prepare(rho, sigma).trace(1.0, z) == pytest.approx(1.0, abs=1e-12)
+            assert float(dv.prepare(rho, sigma).traces(1.0, z)) == pytest.approx(1.0, abs=1e-12)
 
     @given(seeds)
     def test_diagonal_matches_classical_sum(self, seed):
@@ -313,7 +350,7 @@ class TestTraceFunctionalValues:
         for alpha in (0.5, 2.0):
             target = float(np.sum(p**alpha * q ** (1 - alpha)))
             for z in (0.5, 1.0, 2.0):
-                got = dv.prepare(np.diag(p), np.diag(q)).trace(alpha, z)
+                got = float(dv.prepare(np.diag(p), np.diag(q)).traces(alpha, z))
                 assert abs(got - target) <= 1e-12
 
 
@@ -509,7 +546,8 @@ class TestInnerRank:
 
 
 class TestBatchedKernel:
-    """PreparedPair.traces/divergences against the per-point scalar calls."""
+    """PreparedPair.traces/divergences against one-point `traces` calls and
+    the scalar `divergence`."""
 
     ALPHAS = np.array([0.2, 0.5, 0.9, 0.999, 1.0, 1.001, 1.5, 2.0, 3.0])
 
@@ -520,7 +558,7 @@ class TestBatchedKernel:
         d = pair.divergences(a, z)
         assert t.shape == d.shape == a.shape
         for idx in np.ndindex(a.shape):
-            t_ref = pair.trace(a[idx], z[idx])
+            t_ref = float(pair.traces(a[idx], z[idx]))
             d_ref = pair.divergence(a[idx], z[idx]).value
             assert abs(t[idx] - t_ref) <= rel * abs(t_ref)
             if math.isinf(d_ref):
@@ -559,10 +597,22 @@ class TestBatchedKernel:
     def test_undefined_point_raises_scalar_message(self, branch, rank, alpha, z):
         pair = dv.prepare(*random_support_pair(4, 23, rank=rank, branch=branch))
         with pytest.raises(DomainError) as scalar:
-            pair.trace(alpha, z)
+            pair.traces(alpha, z)
         with pytest.raises(DomainError) as batched:
             pair.traces([0.5, alpha, 0.7], [1.0, z, 2.0])
         assert str(batched.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("branch", ["dominating", "violating"])
+    def test_scalar_divergence_raises_traces_message(self, branch):
+        # alpha < 1 and z < 0: rho's exponent is negative, and so is sigma's,
+        # which only dominance endorses; D needs T at this point
+        pair = dv.prepare(*random_support_pair(4, 23, rank=3, branch=branch))
+        with pytest.raises(DomainError) as scalar:
+            pair.divergence(0.5, -1.0)
+        with pytest.raises(DomainError) as one_point:
+            pair.traces(0.5, -1.0)
+        assert str(scalar.value) == str(one_point.value)
+        assert ("rho" if branch == "dominating" else "sigma") in str(scalar.value)
 
     def test_z_zero_rejected(self):
         pair = dv.prepare(random_density(3, 4), random_reference(3, 5))
@@ -602,7 +652,7 @@ class TestBatchedKernel:
         pair = dv.prepare(*random_support_pair(4, 23, rank=3, branch="dominating"))
         alphas, zs = [0.5, 0.5, 0.7, 2.0], [1.0, -1.0, -2.0, -0.5]
         with pytest.raises(DomainError) as scalar:
-            pair.trace(0.5, -1.0)
+            pair.traces(0.5, -1.0)
         for call in (pair.traces, pair.divergences):
             with pytest.raises(DomainError) as batched:
                 call(alphas, zs)
@@ -713,7 +763,7 @@ class TestNonFiniteInput:
     def test_scalar_path(self, pair, alpha, z):
         prepared = dv.prepare(*pair)
         for call in (lambda: alpha_z_divergence(*pair, alpha, z),
-                     lambda: prepared.trace(alpha, z),
+                     lambda: prepared.traces(alpha, z),
                      lambda: prepared.divergence(alpha, z)):
             with pytest.raises(DomainError, match="finite"):
                 call()
@@ -757,7 +807,7 @@ class TestExtremeFiniteInput:
     def test_scalar_path(self, pair, alpha, z, what):
         prepared = dv.prepare(*pair)
         for call in (lambda: alpha_z_divergence(*pair, alpha, z),
-                     lambda: prepared.trace(alpha, z),
+                     lambda: prepared.traces(alpha, z),
                      lambda: prepared.divergence(alpha, z)):
             with pytest.raises(DomainError, match=f"beyond double range: the {what}") as exc:
                 call()
@@ -798,7 +848,7 @@ class TestExtremeFiniteInput:
         alphas, zs = [0.666, 1.0], [6.69e-4, -1.4e-3]
         traces = pair.traces(alphas, zs)
         for alpha, z, t in zip(alphas, zs, traces):
-            assert t == pytest.approx(pair.trace(alpha, z), rel=1e-12)
+            assert t == pytest.approx(float(pair.traces(alpha, z)), rel=1e-12)
 
     def test_large_representable_point_is_finite(self, pair):
         # sigma^-49 reaches about 3e29, far from double range
@@ -819,7 +869,7 @@ class TestUnderflow:
     def test_scalar_path(self, pair, z):
         prepared = dv.prepare(*pair)
         for call in (lambda: alpha_z_divergence(*pair, 0.5, z),
-                     lambda: prepared.trace(0.5, z),
+                     lambda: prepared.traces(0.5, z),
                      lambda: prepared.divergence(0.5, z)):
             with pytest.raises(DomainError, match="beyond double range: the trace sum "
                                                   "underflows") as exc:
@@ -848,7 +898,7 @@ class TestUnderflow:
         rho, sigma = random_support_pair(4, 31, rank=2, branch="orthogonal")
         prepared = dv.prepare(rho, sigma)
         assert prepared.inner_rank == 0
-        assert prepared.trace(0.5, 1.0) == 0.0
+        assert prepared.traces(0.5, 1.0) == 0.0
         assert (prepared.traces([0.3, 0.5], [1.0, 2.0]) == 0.0).all()
 
 
@@ -864,7 +914,7 @@ def _per_operator(rho, sigma):
     """prepare's documented per-operator order: rho's checks, sigma's, then
     the dimensions. The error as (type, message), or the two spectra."""
     try:
-        r, s = dv.check_density(rho), dv.check_reference(sigma)
+        r, s = dv._density(support(rho)), dv._reference(support(sigma))
     except ValueError as exc:
         return type(exc), str(exc)
     if r.values.shape != s.values.shape:

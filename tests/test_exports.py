@@ -14,6 +14,12 @@ REMOVED = [
     (divergences, "alpha_z_trace"),
     (divergences, "relative_entropy_variance"),
     (analysis.CurveSpec, "g_prime"),
+    (linalg, "eigensystem"),
+    (linalg, "eigensystems"),
+    (divergences.PreparedPair, "trace"),
+    (divergences, "check_density"),
+    (divergences, "check_reference"),
+    (divergences, "_stacked_spectra"),
 ]
 
 

@@ -77,6 +77,21 @@ class TestLoadValidation:
         with pytest.raises(SpecError, match=f"malformed matrix document: .*{message}"):
             load_matrix(path)
 
+    @pytest.mark.parametrize("dim", [True, 1.9, "1", 1.0, None],
+                             ids=["bool", "fraction", "string", "integral-float", "null"])
+    def test_dim_must_be_json_integer(self, tmp_path, dim):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"dim": dim, "entries": [[[1, 0]]]}))
+        with pytest.raises(SpecError, match="malformed matrix document: .*'dim' must be an "
+                                            "integer"):
+            load_matrix(path)
+
+    @pytest.mark.parametrize("doc", [[1, 2], "m", 5, {"entries": [[[1, 0]]]}],
+                             ids=["list", "string", "number", "no-dim"])
+    def test_document_without_integer_dim_field(self, doc):
+        with pytest.raises(SpecError, match="malformed matrix document"):
+            matrix_from_json(doc)
+
     def test_small_defect_symmetrized_with_warning(self):
         doc = {"dim": 2, "entries": [[[1.0, 0.0], [0.5, 1e-10]],
                                      [[0.5, 1e-10], [1.0, 0.0]]]}

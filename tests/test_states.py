@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from alphaz.divergences import alpha_z_divergence, prepare
-from alphaz.linalg import DomainError, eigensystem
+from alphaz.linalg import DomainError, support
 from alphaz.states import (
     MAX_DIM,
     commuting_pair,
@@ -24,7 +24,7 @@ class TestRandomDensity:
     def test_valid_density(self, seed, dim):
         rho = random_density(dim, seed)
         assert abs(np.trace(rho).real - 1.0) <= 1e-12
-        assert eigensystem(rho).values.min() >= -1e-14
+        assert support(rho).values.min() >= -1e-14
 
     def test_deterministic(self):
         assert max_abs(random_density(4, 7) - random_density(4, 7)) == 0.0
@@ -41,11 +41,11 @@ class TestRandomReference:
     @given(seeds, st.sampled_from([2, 3, 6]))
     def test_full_rank(self, seed, dim):
         sigma = random_reference(dim, seed)
-        assert eigensystem(sigma).values.min() > 0.0
+        assert support(sigma).values.min() > 0.0
 
     def test_rank_deficient(self):
         sigma = random_reference(5, 11, full_rank=False, rank=3)
-        values = eigensystem(sigma).values
+        values = support(sigma).values
         assert np.sum(values > 1e-10) == 3
 
     def test_inconsistent_flags(self):
@@ -90,7 +90,7 @@ class TestCommutingPair:
         assert max_abs(rho @ sigma - sigma @ rho) <= 1e-12
         assert abs(p.sum() - 1.0) <= 1e-12
         assert abs(q.sum() - 1.0) <= 1e-12
-        assert np.allclose(np.sort(eigensystem(rho).values), np.sort(p), atol=1e-12)
+        assert np.allclose(np.sort(support(rho).values), np.sort(p), atol=1e-12)
 
     def test_deterministic(self):
         a = commuting_pair(4, 99)
@@ -109,7 +109,7 @@ class TestExample1Pair:
     def test_matrices(self):
         rho, sigma = example1_pair(0.25)
         assert max_abs(sigma - np.diag([0.25, 0.75])) == 0.0
-        assert np.allclose(eigensystem(rho).values, [1.0, 0.0], atol=1e-14)
+        assert np.allclose(support(rho).values, [1.0, 0.0], atol=1e-14)
         pair = prepare(rho, sigma)
         assert pair.dominated
         assert not pair.orthogonal
