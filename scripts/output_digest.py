@@ -15,7 +15,10 @@ The list covers `verify` for every suite and `all` at 1, 3 and 10 seeds
 with `--json`, `sweep` grids and curves on full-rank, example1 and
 rank-deficient pairs (exit-3 cases included), `compute` for the four
 families with and without `--bits`, `dump`, and matrix files with a
-valid and a mistyped "dim". In a command, {in} is a directory of input
+valid and a mistyped "dim". Appended after those: the negative sweeps again
+with each value after its option as usual (not joined by "="), `compute` at
+a negative alpha and z in scientific notation, and `--example1` beside an
+explicit pair. In a command, {in} is a directory of input
 matrix files the script writes first, and {out} a fresh empty directory.
 """
 
@@ -92,6 +95,17 @@ def commands() -> list[tuple[dict, str]]:
                     "\"full_rank\": false, \"rank\": 2}' --role sigma --out {out}/m.json"))
     for name in INPUTS:
         out.append(({}, f"compute --rho {{in}}/{name} --sigma {{in}}/{name} --alpha 2 --z 1"))
+
+    # negative values in the usual form, which argparse once read as
+    # options: the twins of the "=" sweeps above, then two compute points
+    for grid in grids:
+        if "=" in grid:
+            twin = grid.replace("--alpha-grid=", "--alpha-grid ").replace("--z-grid=", "--z-grid ")
+            out.append(({}, f"sweep {twin} --out {{out}}/s.csv"))
+    out.append(({}, f"compute {D4} --alpha -1e-3 --z 1"))
+    out.append(({}, f"compute {D4} --alpha 2 --z -1e-1"))
+    # --example1 with an explicit pair, which once ignored the pair
+    out.append(({}, f"compute --example1 0.25 {D4} --alpha 2 --z 1"))
     return out
 
 

@@ -507,6 +507,14 @@ class SweepSpec:
         if not self.alphas or (self.zs is not None and not self.zs):
             raise ValueError("grids must be non-empty")
 
+    def points(self) -> tuple[np.ndarray, np.ndarray]:
+        """The grid's alphas and zs as two float arrays, alpha-major then z."""
+        alphas = np.array(self.alphas, dtype=float)
+        if self.curve is not None:
+            return alphas, np.array([self.curve.g(a) for a in alphas.tolist()], dtype=float)
+        zs = np.array(self.zs, dtype=float)
+        return np.repeat(alphas, zs.size), np.tile(zs, alphas.size)
+
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -525,12 +533,14 @@ def sweep(rho: np.ndarray, sigma: np.ndarray, spec: SweepSpec) -> list[SweepRow]
     alpha-major then z; infinite divergences keep their restricted-support
     trace value, and a NaN trace marks undefined-formula cells."""
     pair = dv.prepare(rho, sigma)
-    points = [(float(alpha), float(z)) for alpha in spec.alphas
-              for z in (spec.zs if spec.zs is not None else (spec.curve.g(alpha),))]
-    alphas, zs = zip(*points)
+    alphas, zs = spec.points()
     values, traces = pair.evaluate(alphas, zs)
-    return [SweepRow(alpha, z, value, t)
-            for (alpha, z), value, t in zip(points, values, traces.tolist())]
+    # an infinite value is a point the supports close, whose tagged value
+    # `divergence` returns without a trace
+    return [SweepRow(a, z, dv.DivergenceValue.finite(d) if math.isfinite(d)
+                     else pair.divergence(a, z), t)
+            for a, z, d, t in zip(alphas.tolist(), zs.tolist(), values.tolist(),
+                                  traces.tolist())]
 
 
 def alpha_monotonicity_violations(rows: list[SweepRow], slack: float = 1e-10) -> int:

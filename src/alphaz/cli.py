@@ -8,18 +8,29 @@ beyond double range: spectral powers or a trace sum that overflow, or a
 trace sum that underflows to 0, p out of range, unsupported support
 configuration), 4 internal numerical error (a dual-route mismatch, a
 collapsed trace, an eigensolver that did not converge).
+
+A pair is either --example1 P or both --rho and --sigma; giving --example1
+with either of the others is malformed input. A negative value of --alpha,
+--z, --example1, --alpha-grid or --z-grid may follow its option as usual
+(`--alpha-grid -1.5:3:10`) or be joined to it (`--alpha-grid=-1.5:3:10`).
+`sweep` writes its CSV lines straight from `PreparedPair.evaluate`'s arrays.
+`main` builds the argparse parser on its first call and reuses it, so
+in-process callers pay for it once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
+import re
 import sys
 
 import numpy as np
 
 from . import divergences as dv
-from .analysis import NAMED_CURVES, CurveSpec, SweepSpec, sweep
+from .analysis import NAMED_CURVES, CurveSpec, SweepSpec
 from .linalg import DomainError, NotPSDError
 from .matrixio import SpecError, dump_matrix, resolve_state_spec
 from .suites import SUITE_NAMES, run_suites
@@ -71,7 +82,9 @@ def _parse_curve(text: str) -> CurveSpec:
 
 
 def _load_pair(args) -> tuple[np.ndarray, np.ndarray]:
-    if getattr(args, "example1", None) is not None:
+    if args.example1 is not None:
+        if args.rho is not None or args.sigma is not None:
+            raise SpecError("--example1 cannot be combined with --rho or --sigma")
         raw = args.example1
         p = float(raw[2:] if raw.startswith("p=") else raw)
         from .states import example1_pair
@@ -112,14 +125,13 @@ def cmd_sweep(args) -> int:
         spec = SweepSpec(alphas=alphas, curve=_parse_curve(args.z_grid[len("curve:"):]))
     else:
         spec = SweepSpec(alphas=alphas, zs=_parse_grid(args.z_grid))
-    rows = sweep(rho, sigma, spec)
+    alphas, zs = spec.points()
+    values, traces = dv.prepare(rho, sigma).evaluate(alphas, zs)
     lines = ["alpha,z,divergence_nats,trace_functional,finite"]
-    for row in rows:
-        d = "inf" if not row.finite else _fmt_divergence(row.divergence.value)
-        lines.append(
-            f"{_fmt(row.alpha)},{_fmt(row.z)},{d},{_fmt(row.trace_value)},"
-            f"{'true' if row.finite else 'false'}"
-        )
+    for a, z, d, t in zip(alphas.tolist(), zs.tolist(), values.tolist(), traces.tolist()):
+        finite = math.isfinite(d)
+        lines.append(f"{_fmt(a)},{_fmt(z)},{_fmt_divergence(d) if finite else 'inf'},"
+                     f"{_fmt(t)},{'true' if finite else 'false'}")
     text = "\n".join(lines) + "\n"
     if args.out == "-":
         sys.stdout.write(text)
@@ -223,9 +235,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call: parsing does not change it, so
+    in-process callers of `main` share one."""
+    return build_parser()
+
+
+# options whose value may be negative; argparse reads a value such as
+# -1e-3 or -1.5:3:10 that is not a plain negative number as an option
+_SIGNED_OPTIONS = frozenset({"--alpha", "--z", "--example1", "--alpha-grid", "--z-grid"})
+_NEGATIVE_VALUE = re.compile(r"-[0-9.]")
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with each negative value of a signed option joined to it as
+    --opt=value, the form argparse reads as one argument."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _SIGNED_OPTIONS and _NEGATIVE_VALUE.match(token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parser().parse_args(_join_negative_values(argv))
     try:
         return args.func(args)
     except (DomainError, NotPSDError) as exc:

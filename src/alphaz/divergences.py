@@ -6,9 +6,10 @@ entropy and its variance, and the two-parameter alpha-z family
     D(a, z) = ln Tr[(sigma^((1-a)/2z) rho^(a/z) sigma^((1-a)/2z))^z] / (a - 1)
 
 together with its z=1 (Petz), z=a (sandwiched), and piecewise
-(Mosonyi-Ogawa) specializations. All values are in nats. Every quantum
-divergence returns a DivergenceValue carrying either a finite real or +inf
-with a reason tag describing which support condition failed.
+(Mosonyi-Ogawa) specializations. All values are in nats. Every scalar
+quantum divergence returns a DivergenceValue carrying either a finite real
+or +inf with a reason tag describing which support condition failed; the
+batched calls return float arrays, +inf where the supports force it.
 
 Support semantics for D(a, z):
   * a = 1 (within 1e-12): the relative entropy, closing the family at its
@@ -228,10 +229,11 @@ def _undefined(name: str, exponent: float) -> DomainError:
                        "is negative")
 
 
-def _from_trace(alpha: float, t: float) -> DivergenceValue:
+def _from_trace(alpha: float, t: float) -> float:
+    """D = ln T / (alpha - 1) at one point; T <= 0 is an internal fault."""
     if t <= 0.0:
         raise ArithmeticError(f"trace functional collapsed to {t!r}")
-    return DivergenceValue.finite(math.log(t) / (alpha - 1.0))
+    return math.log(t) / (alpha - 1.0)
 
 
 def _assert_dual_path(label: str, family: DivergenceValue, alpha: float,
@@ -384,18 +386,22 @@ class PreparedPair:
             raise _undefined("rho", e_rho)
         if bad_sigma:
             raise _undefined("sigma", e_sigma)
-        return _from_trace(alpha, self._sums(alpha, z, e_sigma, e_rho))
+        return DivergenceValue.finite(_from_trace(alpha, self._sums(alpha, z, e_sigma, e_rho)))
 
-    def evaluate(self, alphas, zs) -> tuple[list[DivergenceValue], np.ndarray]:
-        """D and T at the points of two equal-length sequences, from one
-        stacked SVD. T is NaN where its formula is undefined, which happens
-        only where D needs no trace; elsewhere an undefined T raises the
-        DomainError of `traces`."""
+    def evaluate(self, alphas, zs) -> tuple[np.ndarray, np.ndarray]:
+        """D in nats and T at the points of two equal-length sequences, as
+        two float arrays, from one stacked SVD. D is +inf where the supports
+        force it (`divergence` at that point gives the reason tag) and
+        otherwise ln T / (a - 1) per point, as `divergence` computes it.
+        T is NaN where its formula is undefined, which happens only where D
+        needs no trace; elsewhere an undefined T raises the DomainError of
+        `traces`."""
         a, z = _points(alphas, zs)
         closed = self._closed(a)
         t = _stacked_traces([self], a, z, optional=closed)[0]
-        return ([self._closed_value(x) if c else _from_trace(x, y)
-                 for x, c, y in zip(a.tolist(), closed.tolist(), t.tolist())], t)
+        values = [self._closed_value(x).value if c else _from_trace(x, y)
+                  for x, c, y in zip(a.tolist(), closed.tolist(), t.tolist())]
+        return np.array(values, dtype=float), t
 
     def petz(self, alpha: float) -> DivergenceValue:
         """Petz quantum Renyi divergence of order alpha, the z = 1 member.

@@ -386,3 +386,133 @@ class TestVerify:
     def test_unknown_suite_rejected(self):
         out = run_cli("verify", "--suite", "everything")
         assert out.returncode == 2
+
+
+D4 = ("--rho", '{"generator": "density", "seed": 3, "dim": 4}',
+      "--sigma", '{"generator": "reference", "seed": 4, "dim": 4}')
+
+
+def run_in_process(argv, capsys):
+    """(exit code, stdout, stderr) of one in-process `cli.main` call; argparse
+    rejects a command line with SystemExit."""
+    from alphaz import cli
+
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+class TestNegativeValues:
+    """A negative value may follow its option as usual, also where argparse
+    would read it as an option (-1e-3, -1.5:3:10), and gives what the
+    --opt=value form gives."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["compute", *D4, "--alpha", "-1e-3", "--z", "1"], 0),
+        (["compute", *D4, "--alpha", "2", "--z", "-1e-1"], 0),
+        (["compute", *D4, "--alpha", "-.5", "--z", "-2.5e0", "--bits"], 0),
+        (["compute", "--example1", "-1e-3", "--alpha", "2", "--z", "1"], 3),
+        (["sweep", *D4, "--alpha-grid", "-1.5:3:10", "--z-grid", "-2:3:12", "--out", "-"], 0),
+        (["sweep", "--example1", "0.25", "--alpha-grid", "0.2:3:4",
+          "--z-grid", "-2:-1:3", "--out", "-"], 3),
+    ])
+    def test_usual_form_equals_joined_form(self, capsys, argv, code):
+        joined, rest = [], list(argv)
+        while rest:
+            token = rest.pop(0)
+            if token in ("--alpha", "--z", "--example1", "--alpha-grid", "--z-grid"):
+                token = f"{token}={rest.pop(0)}"
+            joined.append(token)
+        usual = run_in_process(argv, capsys)
+        assert usual[0] == code
+        assert usual == run_in_process(joined, capsys)
+        if code == 0:
+            assert usual[1] and not usual[2]
+
+    def test_option_is_not_taken_as_a_value(self, capsys):
+        code, out, err = run_in_process(["compute", "--example1", "0.25", "--alpha", "2",
+                                         "--z", "--bits"], capsys)
+        assert code == 2
+        assert "argument --z: expected one argument" in err
+        assert out == ""
+
+
+class TestExample1ExcludesPair:
+    """--example1 with --rho or --sigma is malformed input, not a silent
+    choice of example1."""
+
+    @pytest.mark.parametrize("pair", [D4, D4[:2], D4[2:]], ids=["both", "rho", "sigma"])
+    def test_compute(self, capsys, pair):
+        code, out, err = run_in_process(["compute", "--example1", "0.25", *pair,
+                                         "--alpha", "2", "--z", "1"], capsys)
+        assert code == 2
+        assert "--example1 cannot be combined with --rho or --sigma" in err
+        assert out == ""
+
+    def test_sweep(self, capsys, tmp_path):
+        path = tmp_path / "s.csv"
+        code, out, err = run_in_process(["sweep", *D4, "--example1", "0.25",
+                                         "--alpha-grid", "0.5:2:3", "--z-grid", "1:2:2",
+                                         "--out", str(path)], capsys)
+        assert code == 2
+        assert "--example1 cannot be combined with --rho or --sigma" in err
+        assert out == "" and not path.exists()
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process; one call leaves nothing
+    behind that changes the next."""
+
+    COMMANDS = [
+        ["compute", "--example1", "0.25", "--alpha", "2", "--z", "1", "--bits"],
+        ["compute", "--example1", "0.25", "--alpha", "2", "--z", "1"],
+        ["compute", "--example1", "0.25", "--alpha", "2", "--bits", "--family", "nope"],
+        ["sweep", "--example1", "0.25", "--alpha-grid", "0.5:2:4", "--z-grid", "1:2:2",
+         "--out", "{out}/s.csv"],
+        ["verify", "--suite", "example1", "--seeds", "1", "--json", "{out}/v.json"],
+    ]
+
+    @staticmethod
+    def _argv(command, out_dir):
+        return [token.replace("{out}", str(out_dir)) for token in command]
+
+    @staticmethod
+    def _files(out_dir):
+        return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+    def test_each_call_equals_the_command_alone(self, capsys, tmp_path):
+        codes = []
+        for i, command in enumerate(self.COMMANDS):
+            shared, alone = tmp_path / f"shared{i}", tmp_path / f"alone{i}"
+            shared.mkdir()
+            alone.mkdir()
+            code, out, err = run_in_process(self._argv(command, shared), capsys)
+            ref = run_cli(*self._argv(command, alone))
+            assert (code, out, err) == (ref.returncode, ref.stdout, ref.stderr), command
+            assert self._files(shared) == self._files(alone), command
+            codes.append(code)
+        assert codes == [0, 0, 2, 0, 0]
+
+    def test_parser_built_once(self, monkeypatch, capsys, tmp_path):
+        from alphaz import cli
+
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        try:
+            for command in self.COMMANDS:
+                run_in_process(self._argv(command, tmp_path), capsys)
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+
+    def test_not_built_at_import(self):
+        out = subprocess.run([sys.executable, "-c",
+                              "import alphaz.cli as c; print(c._parser.cache_info().currsize)"],
+                             capture_output=True, text=True)
+        assert out.returncode == 0
+        assert out.stdout.strip() == "0"

@@ -624,7 +624,31 @@ class TestBatchedKernel:
         pair = dv.prepare(*_pair_of_class(cls))
         assert pair.traces([], []).shape == pair.divergences([], []).shape == (0,)
         values, traces = pair.evaluate([], [])
-        assert values == [] and traces.shape == (0,)
+        assert values.shape == traces.shape == (0,)
+
+    @pytest.mark.parametrize("cls", ["full", "dominating", "violating", "orthogonal"])
+    def test_evaluate_returns_floats(self, cls):
+        # D is ln T / (a - 1) of the returned T per point, or, where the
+        # supports decide it, the scalar divergence's +inf or relative entropy
+        pair = dv.prepare(*_pair_of_class(cls))
+        alphas, zs = np.repeat(self.ALPHAS, 2), np.tile([0.5, 2.0], self.ALPHAS.size)
+        values, traces = pair.evaluate(alphas, zs)
+        assert values.dtype == traces.dtype == np.float64
+        assert values.shape == traces.shape == alphas.shape
+        for a, z, d, t in zip(alphas.tolist(), zs.tolist(), values.tolist(), traces.tolist()):
+            ref = pair.divergence(a, z).value
+            if pair._closed(a):
+                assert d == ref
+            else:
+                assert d == math.log(t) / (a - 1.0)
+                assert abs(d - ref) <= 1e-13 * max(abs(ref), 1e-300)
+
+    def test_evaluate_raises_first_collapsed_trace(self, monkeypatch):
+        pair = dv.prepare(*_pair_of_class("full"))
+        monkeypatch.setattr(dv, "_stacked_traces",
+                            lambda *args, **kwargs: np.array([[0.5, -0.0, -1.0]]))
+        with pytest.raises(ArithmeticError, match=r"trace functional collapsed to -0\.0$"):
+            pair.evaluate([0.5, 2.0, 3.0], [1.0, 1.0, 1.0])
 
     def test_z_zero_reported_before_nan(self):
         pair = dv.prepare(random_density(3, 4), random_reference(3, 5))
