@@ -17,8 +17,9 @@ rank-deficient pairs (exit-3 cases included), `compute` for the four
 families with and without `--bits`, `dump`, and matrix files with a
 valid and a mistyped "dim". Appended after those: the negative sweeps again
 with each value after its option as usual (not joined by "="), `compute` at
-a negative alpha and z in scientific notation, and `--example1` beside an
-explicit pair. In a command, {in} is a directory of input
+a negative alpha and z in scientific notation, `--example1` beside an
+explicit pair, and two sweeps of a closed point whose trace leaves double
+range. In a command, {in} is a directory of input
 matrix files the script writes first, and {out} a fresh empty directory.
 """
 
@@ -106,6 +107,15 @@ def commands() -> list[tuple[dict, str]]:
     out.append(({}, f"compute {D4} --alpha 2 --z -1e-1"))
     # --example1 with an explicit pair, which once ignored the pair
     out.append(({}, f"compute --example1 0.25 {D4} --alpha 2 --z 1"))
+    # closed points whose trace leaves double range: alpha = 1, where the
+    # sum underflows, and alpha > 1 without dominance, where rho's powers
+    # overflow; the divergence needs no trace there, which prints as nan
+    rho = '{"generator": "density", "seed": 5, "dim": 3}'
+    for sigma, grid in (('{"generator": "density", "seed": 6, "dim": 3}',
+                         "--alpha-grid 1:1:1 --z-grid 1e-300:1e-300:1"),
+                        ('{"generator": "support_pair", "seed": 3, "dim": 3, "rank": 2, '
+                         '"branch": "violating"}', "--alpha-grid 1e300:1e300:1 --z-grid -1:-1:1")):
+        out.append(({}, f"sweep --rho '{rho}' --sigma '{sigma}' {grid} --out -"))
     return out
 
 

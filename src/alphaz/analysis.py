@@ -29,37 +29,23 @@ import numpy as np
 from . import divergences as dv
 from .linalg import DomainError
 
-FD_ORDERS = ("central2", "central4", "richardson")
-
 
 @dataclass(frozen=True)
 class FdScheme:
-    """Finite-difference step and stencil order."""
+    """Finite-difference step of the central stencils."""
 
     h: float = 1e-4
-    order: str = "central2"
 
     def __post_init__(self):
         if not 1e-7 <= self.h <= 1e-1:
             raise ValueError(f"step must lie in [1e-7, 1e-1], got {self.h}")
-        if self.order not in FD_ORDERS:
-            raise ValueError(f"order must be one of {FD_ORDERS}, got {self.order!r}")
 
 
-# Stencil tables: (offsets in units of h, integer weights, divisor). A first
-# derivative is sum_k w_k f(x0 + o_k h) / (divisor h), a second derivative
-# the same sum over divisor h^2. Richardson is (4 fine - coarse) / 3 of
-# central2 at h/2 and h, merged into one stencil.
-D1_STENCILS = {
-    "central2": ((1.0, -1.0), (1.0, -1.0), 2.0),
-    "central4": ((2.0, 1.0, -1.0, -2.0), (-1.0, 8.0, -8.0, 1.0), 12.0),
-    "richardson": ((0.5, -0.5, 1.0, -1.0), (8.0, -8.0, -1.0, 1.0), 6.0),
-}
-D2_STENCILS = {
-    "central2": ((1.0, 0.0, -1.0), (1.0, -2.0, 1.0), 1.0),
-    "central4": ((2.0, 1.0, 0.0, -1.0, -2.0), (-1.0, 16.0, -30.0, 16.0, -1.0), 12.0),
-    "richardson": ((0.5, 0.0, -0.5, 1.0, -1.0), (16.0, -30.0, 16.0, -1.0, -1.0), 3.0),
-}
+# The central stencils: (offsets in units of h, integer weights, divisor). A
+# first derivative is sum_k w_k f(x0 + o_k h) / (divisor h), a second
+# derivative the same sum over divisor h^2.
+_CENTRAL_D1 = ((1.0, -1.0), (1.0, -1.0), 2.0)
+_CENTRAL_D2 = ((1.0, 0.0, -1.0), (1.0, -2.0, 1.0), 1.0)
 
 
 def _apply_stencil(stencil, f: Callable[[np.ndarray], np.ndarray], x0,
@@ -85,17 +71,17 @@ def _apply_stencil(stencil, f: Callable[[np.ndarray], np.ndarray], x0,
 
 def fd_derivative(f: Callable[[np.ndarray], np.ndarray], x0,
                   scheme: FdScheme = FdScheme()):
-    """First derivative at x0, a point or an array of them, by the scheme's
-    central stencil. f maps the array of stencil points (offsets first, then
+    """First derivative at x0, a point or an array of them, by the central
+    stencil. f maps the array of stencil points (offsets first, then
     the axes of x0) to an array of samples of that leading shape."""
-    return _apply_stencil(D1_STENCILS[scheme.order], f, x0, scheme.h, 1)
+    return _apply_stencil(_CENTRAL_D1, f, x0, scheme.h, 1)
 
 
 def fd_second_derivative(f: Callable[[np.ndarray], np.ndarray], x0,
                          scheme: FdScheme = FdScheme(1e-3)):
-    """Second derivative at x0 by a symmetric stencil; f and x0 as in
+    """Second derivative at x0 by the central stencil; f and x0 as in
     fd_derivative."""
-    return _apply_stencil(D2_STENCILS[scheme.order], f, x0, scheme.h, 2)
+    return _apply_stencil(_CENTRAL_D2, f, x0, scheme.h, 2)
 
 
 @dataclass(frozen=True)
@@ -288,7 +274,7 @@ def _family_zs(alphas: np.ndarray) -> np.ndarray:
 
 
 def verify_derivative_at_one(tf: TraceFunctional,
-                             scheme: FdScheme = FdScheme(1e-4, "central2")
+                             scheme: FdScheme = FdScheme(1e-4)
                              ) -> CheckReport:
     """Check that the slope of both divergence families at a = 1 equals half
     the relative entropy variance.
@@ -352,7 +338,7 @@ STENCIL_AGREEMENT_TOL = 1e-9
 
 
 def verify_second_derivative_example1(p: float,
-                                      scheme: FdScheme = FdScheme(1e-3, "central2")
+                                      scheme: FdScheme = FdScheme(1e-3)
                                       ) -> CheckReport:
     """Second derivatives at a = 1 for the rank-1-vs-diagonal pair.
 
@@ -452,7 +438,7 @@ DZ_TRACE_OFFSETS = (1e-1, 1e-2, 1e-3, 1e-4)
 
 def verify_dz_trace_vanishes(tf: TraceFunctional, z0s: Sequence[float],
                              offsets: tuple[float, ...] = DZ_TRACE_OFFSETS,
-                             scheme: FdScheme = FdScheme(1e-4, "central2")
+                             scheme: FdScheme = FdScheme(1e-4)
                              ) -> list[CheckReport]:
     """Check dT/dz(alpha, z0) -> 0 as alpha -> 1: one report per z0, in
     order, from one batched call for every stencil point of every z0.

@@ -10,9 +10,10 @@ configuration), 4 internal numerical error (a dual-route mismatch, a
 collapsed trace, an eigensolver that did not converge).
 
 A pair is either --example1 P or both --rho and --sigma; giving --example1
-with either of the others is malformed input. A negative value of --alpha,
---z, --example1, --alpha-grid or --z-grid may follow its option as usual
-(`--alpha-grid -1.5:3:10`) or be joined to it (`--alpha-grid=-1.5:3:10`).
+with either of the others is malformed input. A negative value such as
+-1e-3, -inf or -1.5:3:10 may follow its option as usual (`--alpha-grid
+-1.5:3:10`, also after an abbreviated option such as `--alpha-g`) or be
+joined to it (`--alpha-grid=-1.5:3:10`).
 `sweep` writes its CSV lines straight from `PreparedPair.evaluate`'s arrays.
 `main` builds the argparse parser on its first call and reuses it, so
 in-process callers pay for it once.
@@ -181,8 +182,24 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+_NEGATIVE_VALUE = re.compile(r"-(?:[0-9.]|inf|nan)", re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a token such as -1e-3, -inf or -1.5:3:10
+    as a value: argparse itself reads every token that starts with "-" and
+    is not a plain negative number such as -0.5 as an option. This parser has
+    no option that starts with "-" and a digit, a point or inf/nan. Its
+    subparsers are of its class."""
+
+    def _parse_optional(self, arg_string):
+        if _NEGATIVE_VALUE.match(arg_string):
+            return None  # a positional token, which an option may take as its value
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="alphaz",
         description="alpha-z quantum Renyi divergence numerics",
     )
@@ -242,27 +259,8 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-# options whose value may be negative; argparse reads a value such as
-# -1e-3 or -1.5:3:10 that is not a plain negative number as an option
-_SIGNED_OPTIONS = frozenset({"--alpha", "--z", "--example1", "--alpha-grid", "--z-grid"})
-_NEGATIVE_VALUE = re.compile(r"-[0-9.]")
-
-
-def _join_negative_values(argv: list[str]) -> list[str]:
-    """argv with each negative value of a signed option joined to it as
-    --opt=value, the form argparse reads as one argument."""
-    out: list[str] = []
-    for token in argv:
-        if out and out[-1] in _SIGNED_OPTIONS and _NEGATIVE_VALUE.match(token):
-            out[-1] = f"{out[-1]}={token}"
-        else:
-            out.append(token)
-    return out
-
-
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = _parser().parse_args(_join_negative_values(argv))
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (DomainError, NotPSDError) as exc:

@@ -22,9 +22,15 @@ Support semantics for D(a, z):
     to the supports (all powers generalized), a finite value.
 Negative z and negative alpha are accepted whenever the required spectral
 powers are well defined; a negative exponent against a rank-deficient
-operator outside the dominated case raises DomainError. So does a finite
+operator outside the dominated case leaves T undefined. So does a finite
 alpha or z whose spectral powers or trace sum overflow double range, or
 whose trace sum underflows to 0.
+
+One route rule (`PreparedPair._route`) decides every point: closed, where
+D needs no trace (the first and the two +inf cases above), or the SVD
+route of T (`_factor`, `_trace_sums`). T is optional at a closed point: it
+is NaN there where it is undefined or out of double range. Where D needs
+T, such a T raises DomainError naming the point.
 
 Every quantum value comes from a PreparedPair, which validates both
 operators as one stack in one pass, decomposes them with one `eigh` and
@@ -36,7 +42,6 @@ same points on several prepared pairs of one dimension with one SVD.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -139,7 +144,7 @@ def _renyi_order(alpha: float) -> float:
     if not math.isfinite(alpha):
         raise DomainError(f"alpha must be finite, got {alpha!r}")
     if abs(alpha - 1.0) <= ALPHA_ONE_TOL:
-        raise DomainError("alpha = 1 is the KL limit; call classical_kl")
+        raise DomainError("alpha = 1 is the KL limit; call ClassicalPair.kl")
     return alpha
 
 
@@ -199,18 +204,6 @@ def prepare_classical(p, q) -> ClassicalPair:
     if p.shape != q.shape:
         raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
     return ClassicalPair(p, q)
-
-
-def classical_kl(p, q) -> DivergenceValue:
-    """Kullback-Leibler divergence in nats; see ClassicalPair.kl."""
-    return prepare_classical(p, q).kl()
-
-
-def classical_renyi(p, q, alpha: float) -> DivergenceValue:
-    """Classical Renyi divergence of order alpha != 1 in nats; see
-    ClassicalPair.renyi."""
-    alpha = _renyi_order(alpha)
-    return prepare_classical(p, q).renyi(alpha)
 
 
 def _point(alpha: float, z: float) -> tuple[float, float]:
@@ -293,11 +286,14 @@ class PreparedPair:
     rank of the supp sigma x supp rho block of W, which every inner operator
     sigma^e rho^f sigma^e of the pair shares.
 
-    `traces`, `divergences` and `evaluate` take arrays of points and run one
-    stacked SVD for all of them: they are the one-pair case of the module's
-    stacked kernel (`stacked_divergences`). The scalar `divergence` builds
-    the same G for one point (`_sums`), and `petz`, `sandwiched` and
-    `mosonyi_ogawa` call it with their own self-checks."""
+    Every entry point asks `_route` which way each point goes. `traces`,
+    `divergences` and `evaluate` take arrays of points and run one stacked
+    SVD for all of them: they are the one-pair case of the module's stacked
+    kernel (`stacked_divergences`), and `evaluate` returns the D of
+    `divergences` with the T beside it, NaN at a closed point where T is
+    undefined or out of double range. The scalar `divergence` runs the
+    same SVD route (`_factor`, `_trace_sums`) for one point, and `petz`,
+    `sandwiched` and `mosonyi_ogawa` call it with their own self-checks."""
 
     rho: Spectrum
     sigma: Spectrum
@@ -307,64 +303,103 @@ class PreparedPair:
     orthogonal: bool
     inner_rank: int
 
-    def _undefined_points(self, e_sigma, e_rho):
-        """(rho's, sigma's) undefined flags at scalar or array exponents: a
-        negative exponent on a rank-deficient operator, which for sigma is
-        endorsed (generalized inverse) only under dominance."""
+    def _route(self, alphas, zs, closing: bool = True):
+        """The route rule at points (alpha, z), floats or 1-d arrays that
+        `_point(s)` checked. Returns (closed, defined, e_sigma, e_rho):
+          * closed where D needs no trace (nowhere for T alone, closing
+            false): alpha = 1, where D is the relative entropy, and, without
+            dominance, alpha > 1 or orthogonal supports, where it is +inf;
+          * defined where T's formula is: no negative exponent on a
+            rank-deficient operator, except sigma's under dominance (its
+            generalized inverse); True for a pair where every point is;
+          * the exponents (1 - a)/2z and a/z of sigma and rho.
+        The SVD route (`_factor`, `_trace_sums`) takes the defined points; T
+        is optional at the closed ones. Raises the DomainError of the first
+        point that is neither closed nor defined."""
+        e_sigma, e_rho = (1.0 - alphas) / (2.0 * zs), alphas / zs
+        closed = False
+        if closing:
+            closed = abs(alphas - 1.0) <= ALPHA_ONE_TOL
+            if not self.dominated:
+                closed = closed | (alphas > 1.0) | self.orthogonal
         dim = self.rho.values.size
-        return ((e_rho < 0.0) & (self.rho.rank < dim),
-                (e_sigma < 0.0) & (self.sigma.rank < dim and not self.dominated))
+        rho_full, sigma_endorsed = self.rho.rank == dim, self.sigma.rank == dim or self.dominated
+        if rho_full and sigma_endorsed:
+            return closed, True, e_sigma, e_rho
+        # bools at one point, arrays at several: these operators serve both
+        defined = ((e_rho >= 0.0) | rho_full) & ((e_sigma >= 0.0) | sigma_endorsed)
+        passed = defined | closed
+        if not (passed if isinstance(passed, bool) else passed.all()):
+            e_s, e_r = (np.ravel(e)[np.argmin(passed)] for e in (e_sigma, e_rho))
+            raise _undefined("rho", e_r) if e_r < 0.0 and not rho_full else _undefined("sigma", e_s)
+        return closed, defined, e_sigma, e_rho
 
-    def _sums(self, alpha: float, z: float, e_sigma: float, e_rho: float) -> float:
-        """Tr[(sigma^e_sigma rho^e_rho sigma^e_sigma)^z] at one point (alpha,
-        z), from one SVD: the one-point case of `_stacked_traces`, whose
-        docstring gives the construction and the range checks. One point
-        needs no stacked reductions: its maxima and its sum are the tests."""
-        s_pow = self.sigma.powers(e_sigma)
-        r_pow = self.rho.powers(e_rho / 2.0)
-        if not math.isfinite(max(s_pow.tolist()) * max(r_pow.tolist())):
-            raise _beyond_range("the spectral powers overflow", alpha, z, False)
-        g = s_pow[:, None] * self.overlap
-        g *= r_pow[None, :]
-        singular = np.linalg.svd(g, compute_uv=False)[:self.inner_rank]
-        total = float(((singular * singular) ** z).sum())
-        if not math.isfinite(total):
-            raise _beyond_range("the trace sum overflows", alpha, z, False)
-        if not total > 0.0 and self.inner_rank > 0:
-            raise _beyond_range("the trace sum underflows", alpha, z, False)
-        return total
+    def _closed_value(self, alpha: float) -> DivergenceValue:
+        """D at a closed point of `_route`: the relative entropy, +inf
+        support_violation without dominance, but tagged orthogonal_states
+        below alpha = 1. Only the tag depends on alpha."""
+        if alpha < 1.0 - ALPHA_ONE_TOL:
+            return DivergenceValue.infinite(INFINITY_ORTHOGONAL)
+        return self.relative_entropy()
 
-    def _always_defined(self) -> bool:
-        """Whether T is defined at every point: no operator whose negative
-        powers lack an endorsed meaning (rho full rank, and sigma full rank
-        or dominating)."""
-        dim = self.rho.values.size
-        return self.rho.rank == dim and (self.sigma.rank == dim or self.dominated)
+    def _factor(self, alphas, zs, e_sigma, e_rho, optional=False):
+        """The SVD route's G = diag(sigma^e_sigma) W diag(rho^(e_rho/2)) at one
+        point (floats) or a row of points (1-d arrays), whose G G† is the
+        inner operator, and the points it lost (None if none). Scaling W by
+        rows and columns is exact per entry, and the singular values of G
+        give the inner eigenvalues to about the square root of the relative
+        error of an eigendecomposition of the assembled sandwich.
+
+        |W| <= 1 bounds every entry of G by the product of the largest power
+        on each side, so a finite bound keeps the SVD finite. A point whose
+        bound overflows raises the DomainError naming it, the first in order,
+        unless `optional` holds there: then it is lost, with powers 1 (G is
+        the unitary W). The test runs on all points first, per point only
+        when that fails; maxima starting at 0 also cover no points."""
+        s_pow, r_pow = self.sigma.powers(e_sigma), self.rho.powers(e_rho / 2.0)
+        lost = None
+        # one point's maxima in Python floats, which cost less than numpy's
+        bound = (max(s_pow.tolist()) * max(r_pow.tolist()) if s_pow.ndim == 1
+                 else float(s_pow.max(initial=0.0)) * float(r_pow.max(initial=0.0)))
+        if not math.isfinite(bound):
+            lost = _lost("the spectral powers overflow", alphas, zs, optional,
+                         np.isfinite(s_pow.max(axis=-1) * r_pow.max(axis=-1)))
+            s_pow[lost] = r_pow[lost] = 1.0
+        # s * W * r with the second product in place: a large stack's
+        # temporaries cost a fresh allocation each
+        g = s_pow[..., :, None] * self.overlap
+        g *= r_pow[..., None, :]
+        return g, lost
+
+    def _trace_sums(self, singular, alphas, zs, optional=False, lost=None):
+        """T from the singular values of `_factor`'s G at its points, one row
+        per point (one 1-d array for a point given as floats): the top
+        inner-rank values squared, raised to z and summed.
+        G has the pair's inner rank, so its smaller singular values are
+        round-off and are dropped whatever their size. A sum that overflows,
+        or one that is 0 while the inner rank is positive, where every term
+        underflowed, leaves double range: it raises as `_factor` does, or is
+        lost where `optional` holds. T is NaN at the lost points."""
+        one = isinstance(zs, float)
+        kept = singular[..., :self.inner_rank]
+        sums = ((kept * kept) ** (zs if one else zs[:, None])).sum(axis=-1)
+        values = sums.tolist()  # the tests in Python floats; one point's is a float
+        top, low = (values, values) if one else (sum(values), min(values, default=1.0))
+        if not math.isfinite(top):  # a sum is not finite if a NaN or an inf term is in
+            lost = _lost("the trace sum overflows", alphas, zs, optional,
+                         np.isfinite(sums), lost)
+        if not low > 0.0 and self.inner_rank > 0:
+            lost = _lost("the trace sum underflows", alphas, zs, optional, sums > 0.0, lost)
+        return sums if lost is None else np.where(lost, math.nan, sums)
 
     def traces(self, alphas, zs) -> np.ndarray:
         """T(a, z) = Tr[(sigma^((1-a)/2z) rho^(a/z) sigma^((1-a)/2z))^z] with
         generalized powers at the broadcast points of alphas and zs, from one
-        stacked SVD. Raises DomainError at the first point where a negative
-        exponent meets a rank-deficient operator outside the dominated case
-        (no endorsed interpretation exists there)."""
+        stacked SVD. Every point needs T, so the first point where its
+        formula is undefined (`_route`) or out of double range raises
+        DomainError."""
         a, z = _points(alphas, zs)
-        return _stacked_traces([self], a.ravel(), z.ravel())[0].reshape(a.shape)
-
-    def _closed(self, alpha):
-        """Whether D needs no trace at alpha, a float or an array: alpha = 1,
-        where D is the relative entropy, or +inf forced by the supports."""
-        closed = abs(alpha - 1.0) <= ALPHA_ONE_TOL
-        if not self.dominated:
-            closed = closed | (alpha > 1.0) | self.orthogonal
-        return closed
-
-    def _closed_value(self, alpha: float) -> DivergenceValue:
-        """D at a point where `_closed` holds: the relative entropy, which is
-        +inf support_violation without dominance, except below alpha = 1,
-        where only orthogonal supports are closed."""
-        if alpha < 1.0 - ALPHA_ONE_TOL:
-            return DivergenceValue.infinite(INFINITY_ORTHOGONAL)
-        return self.relative_entropy()
+        return _stacked_traces([self], a.ravel(), z.ravel())[1][0].reshape(a.shape)
 
     def divergences(self, alphas, zs) -> np.ndarray:
         """D(a, z) in nats at the broadcast points of alphas and zs, +inf
@@ -374,34 +409,33 @@ class PreparedPair:
         return stacked_divergences([self], alphas, zs)[0]
 
     def divergence(self, alpha: float, z: float) -> DivergenceValue:
-        """D(a, z) = ln T(a, z) / (a - 1) with the module's support semantics,
-        T from `_sums`. Where D needs T and T is undefined, raises the
-        DomainError of `traces`."""
+        """D(a, z) = ln T(a, z) / (a - 1) at one point with the module's
+        support semantics: `_route`'s rule, then the SVD route for this point
+        alone, with one G and one `svd`. Where D needs T and T is undefined
+        or out of double range, raises the DomainError of `traces`."""
+        return self._divergence(alpha, z)[0]
+
+    def _divergence(self, alpha: float, z: float) -> tuple[DivergenceValue, bool]:
+        """`divergence` and whether the point is closed."""
         alpha, z = _point(alpha, z)
-        if self._closed(alpha):
-            return self._closed_value(alpha)
-        e_sigma, e_rho = (1.0 - alpha) / (2.0 * z), alpha / z
-        bad_rho, bad_sigma = self._undefined_points(e_sigma, e_rho)
-        if bad_rho:
-            raise _undefined("rho", e_rho)
-        if bad_sigma:
-            raise _undefined("sigma", e_sigma)
-        return DivergenceValue.finite(_from_trace(alpha, self._sums(alpha, z, e_sigma, e_rho)))
+        closed, _, e_sigma, e_rho = self._route(alpha, z)
+        if closed:
+            return self._closed_value(alpha), True
+        g, _ = self._factor(alpha, z, e_sigma, e_rho)
+        t = self._trace_sums(np.linalg.svd(g, compute_uv=False), alpha, z)
+        return DivergenceValue.finite(_from_trace(alpha, float(t))), False
 
     def evaluate(self, alphas, zs) -> tuple[np.ndarray, np.ndarray]:
         """D in nats and T at the points of two equal-length sequences, as
-        two float arrays, from one stacked SVD. D is +inf where the supports
-        force it (`divergence` at that point gives the reason tag) and
-        otherwise ln T / (a - 1) per point, as `divergence` computes it.
-        T is NaN where its formula is undefined, which happens only where D
-        needs no trace; elsewhere an undefined T raises the DomainError of
-        `traces`."""
+        two float arrays, from one stacked SVD: the one-pair case of the
+        rows `divergences` takes its D from. D is +inf where the supports
+        force it (`divergence` at that point gives the reason tag). T is NaN
+        at a closed point, where D needs none, if its formula is undefined
+        or out of double range there; where D needs T, such a point raises
+        the DomainError of `divergences`."""
         a, z = _points(alphas, zs)
-        closed = self._closed(a)
-        t = _stacked_traces([self], a, z, optional=closed)[0]
-        values = [self._closed_value(x).value if c else _from_trace(x, y)
-                  for x, c, y in zip(a.tolist(), closed.tolist(), t.tolist())]
-        return np.array(values, dtype=float), t
+        values, traces = _divergence_rows([self], a, z)
+        return values[0], traces[0]
 
     def petz(self, alpha: float) -> DivergenceValue:
         """Petz quantum Renyi divergence of order alpha, the z = 1 member.
@@ -411,8 +445,8 @@ class PreparedPair:
         cancellation-free route) and asserts the two routes agree.
         """
         alpha = float(alpha)
-        value = self.divergence(alpha, 1.0)
-        if not self._closed(alpha):
+        value, closed = self._divergence(alpha, 1.0)
+        if not closed:
             t = float(self.sigma.powers(1.0 - alpha) @ self.weights @ self.rho.powers(alpha))
             _assert_dual_path("Petz", value, alpha, t)
         return value
@@ -431,8 +465,8 @@ class PreparedPair:
         alpha = float(alpha)
         if alpha == 0.0:
             raise DomainError("alpha = 0 puts z = 0, which is excluded")
-        value = self.divergence(alpha, alpha)
-        if not self._closed(alpha):
+        value, closed = self._divergence(alpha, alpha)
+        if not closed:
             s_pow = self.sigma.operator(self.sigma.powers((1.0 - alpha) / (2.0 * alpha)))
             factor = s_pow @ self.rho.operator(self.rho.powers(0.5))
             singular = np.linalg.svd(factor, compute_uv=False)[:self.inner_rank]
@@ -442,7 +476,7 @@ class PreparedPair:
 
     def mosonyi_ogawa(self, alpha: float) -> DivergenceValue:
         """Piecewise divergence: Petz for alpha < 1, sandwiched for alpha > 1.
-        At alpha = 1 (as `_closed` decides it) both give the relative entropy."""
+        At alpha = 1 (as `_route` decides it) both give the relative entropy."""
         alpha = float(alpha)
         if alpha <= 0.0:
             raise DomainError(f"order must be positive, got {alpha}")
@@ -470,82 +504,44 @@ class PreparedPair:
         return max(var, 0.0)
 
 
+def _lost(what: str, alphas, zs, optional, finite, lost=None):
+    """The points where `finite` is false, which leave double range: raises
+    the DomainError naming the first one where `optional` is false, and
+    otherwise returns them joined to the points already `lost`."""
+    fatal = np.logical_not(finite | optional)
+    if fatal.any():
+        raise _beyond_range(what, alphas, zs, np.logical_not(fatal))
+    return np.logical_not(finite) if lost is None else lost | np.logical_not(finite)
+
+
 def _stacked_traces(pairs: list[PreparedPair], alphas: np.ndarray, zs: np.ndarray,
-                    need=None, optional=False) -> np.ndarray:
-    """T at 1-d arrays of N points for P pairs of one dimension, shape
-    (P, N), from one SVD of the stack of every pair's G factors at its
-    points; NaN where `need`, a (P, N) mask (all points by default), is
-    false. An undefined point raises DomainError, the first one in (pair,
-    point) order, unless `optional` is true there; then its value is NaN.
-
-    The inner operator is G G† with G = diag(sigma powers) W diag(sqrt of
-    rho powers). Scaling W by rows and columns is exact per entry, and the
-    singular values of G give the inner eigenvalues to about the square root
-    of the relative error of an eigendecomposition of the assembled
-    sandwich. G has the pair's inner rank, so its smaller singular values
-    are round-off and are dropped whatever their size. Each pair's rows of
-    the stack are built and reduced as they would be alone, so its values
-    do not depend on the other pairs.
-
-    |W| <= 1 bounds every entry of G by the product of the largest power on
-    each side, so a finite bound per point keeps the SVD finite. A point
-    whose bound or trace sum leaves double range raises DomainError naming
-    it, the first in (pair, point) order: a sum that overflows, or one that
-    is 0 while the inner rank is positive, where every term underflowed.
-    Each test runs first on the whole stack and per point only when that
-    fails; powers and sums are >= 0, so extrema starting at 0 and 1 also
-    cover an empty stack."""
-    takes = []  # each pair's computed points: a slice for all, else a mask
-    for p, pair in enumerate(pairs):
-        take = slice(None) if need is None else need[p]
-        if not pair._always_defined():
-            e_sigma, e_rho = (1.0 - alphas) / (2.0 * zs), alphas / zs
-            bad_rho, bad_sigma = pair._undefined_points(e_sigma, e_rho)
-            defined = ~(bad_rho | bad_sigma)
-            fatal = ~(defined | np.asarray(optional))
-            if need is not None:
-                fatal &= take
-            if fatal.any():
-                i = int(np.argmax(fatal))
-                raise (_undefined("rho", e_rho[i]) if bad_rho[i]
-                       else _undefined("sigma", e_sigma[i]))
-            take = defined if need is None else defined & take
-        takes.append(take)
-    # the stack's rows: each pair's computed points, in (pair, point) order
-    a_parts = [alphas[t] for t in takes]
-    a, z = _cat(a_parts), _cat([zs[t] for t in takes])
-    ends = list(itertools.accumulate(len(part) for part in a_parts))
-    spans = [slice(lo, hi) for lo, hi in zip([0] + ends[:-1], ends)]
-    e_sigma, e_rho = (1.0 - a) / (2.0 * z), a / z
-    s_parts = [pair.sigma.powers(e_sigma[r]) for pair, r in zip(pairs, spans)]
-    s_pow = _cat(s_parts)
-    r_pow = _cat([pair.rho.powers(e_rho[r] / 2.0) for pair, r in zip(pairs, spans)])
-    bound = float(s_pow.max(initial=0.0)) * float(r_pow.max(initial=0.0))
-    if not math.isfinite(bound):
-        finite = np.isfinite(s_pow.max(axis=-1) * r_pow.max(axis=-1))
-        if not finite.all():
-            raise _beyond_range("the spectral powers overflow", a, z, finite)
-    # s * W * r with the second product in place: a large stack's
-    # temporaries cost a fresh allocation each
-    g = _cat([s[:, :, None] * pair.overlap for s, pair in zip(s_parts, pairs)])
-    g *= r_pow[:, None, :]
-    singular = np.linalg.svd(g, compute_uv=False)
-    kept = [singular[r, :pair.inner_rank] for pair, r in zip(pairs, spans)]
-    sums = _cat([((k * k) ** z[r, None]).sum(axis=-1) for k, r in zip(kept, spans)])
-    if not math.isfinite(sums.max(initial=0.0)):
-        raise _beyond_range("the trace sum overflows", a, z, np.isfinite(sums))
-    if not sums.min(initial=1.0) > 0.0:
-        empty = np.repeat([pair.inner_rank == 0 for pair in pairs],
-                          [r.stop - r.start for r in spans])
-        positive = (sums > 0.0) | empty
-        if not positive.all():
-            raise _beyond_range("the trace sum underflows", a, z, positive)
-    if all(isinstance(t, slice) for t in takes):
-        return sums.reshape(len(pairs), alphas.size)
+                    closing: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The closed points of `PreparedPair._route` (with closing) and T at
+    1-d arrays of N points for P pairs of one dimension, each of shape (P,
+    N), from one SVD of the stack of every pair's G (`_factor`) at the
+    points where T is defined. T is NaN at a closed point where it is
+    undefined or out of double range. Any other such point raises: the
+    undefined points are checked first on every pair, then the range per
+    pair, each in (pair, point) order. Each pair's rows of the stack are
+    built and reduced as they would be alone, so its values do not depend
+    on the other pairs."""
+    routes = [pair._route(alphas, zs, closing) for pair in pairs]
+    takes, factors = [], []
+    for pair, (closed, defined, e_sigma, e_rho) in zip(pairs, routes):
+        take = defined if isinstance(defined, np.ndarray) else slice(None)
+        optional = closed[take] if closing else False
+        takes.append((take, optional))
+        factors.append(pair._factor(alphas[take], zs[take], e_sigma[take], e_rho[take],
+                                    optional))
+    singular = np.linalg.svd(_cat([g for g, _ in factors]), compute_uv=False)
     out = np.full((len(pairs), alphas.size), math.nan)
-    for row, t, r in zip(out, takes, spans):
-        row[t] = sums[r]
-    return out
+    start = 0
+    for row, pair, (take, optional), (g, lost) in zip(out, pairs, takes, factors):
+        stop = start + len(g)
+        row[take] = pair._trace_sums(singular[start:stop], alphas[take], zs[take],
+                                     optional, lost)
+        start = stop
+    return np.array([route[0] for route in routes]), out
 
 
 def _cat(arrays: list[np.ndarray]) -> np.ndarray:
@@ -567,10 +563,10 @@ def stacked_divergences(pairs, alphas, zs) -> np.ndarray:
     a, z = _points(alphas, zs)
     shape, a, z = (len(pairs),) + a.shape, a.ravel(), z.ravel()
     try:
-        return _divergence_rows(pairs, a, z).reshape(shape)
+        return _divergence_rows(pairs, a, z)[0].reshape(shape)
     except (ValueError, ArithmeticError):
-        # the stack runs each check on all pairs at once; alone, in order,
-        # the first failing pair raises the error its own call would
+        # the stack checks every pair's undefined points before any range;
+        # alone, in order, the first failing pair raises its own call's error
         if len(pairs) > 1:
             for pair in pairs:
                 _divergence_rows([pair], a, z)
@@ -578,23 +574,21 @@ def stacked_divergences(pairs, alphas, zs) -> np.ndarray:
 
 
 def _divergence_rows(pairs: list[PreparedPair], alphas: np.ndarray,
-                     zs: np.ndarray) -> np.ndarray:
-    """D at 1-d arrays of points for pairs of one dimension, shape
-    (len(pairs), N): the closed points (`PreparedPair._closed`) take the
-    pair's `_closed_value`, which is +inf everywhere but at alpha = 1 under
-    dominance, and the rest ln T / (a - 1)."""
-    closed = np.array([pair._closed(alphas) for pair in pairs])
-    shut = closed.any()
-    t = _stacked_traces(pairs, alphas, zs, ~closed if shut else None)
-    if (t <= 0.0).any():
-        raise ArithmeticError(f"trace functional collapsed to {float(t[t <= 0.0][0])!r}")
-    # T is NaN at the closed points, where the quotient is NaN too
-    values = np.log(t) / (alphas - 1.0)
-    if shut:
-        for row, pair, at in zip(values, pairs, closed):
-            if at.any():
-                row[at] = pair.relative_entropy().value
-    return values
+                     zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D and T at 1-d arrays of points for pairs of one dimension, each of
+    shape (len(pairs), N): D is the pair's `_closed_value` at its closed
+    points and ln T / (a - 1) elsewhere; T is `_stacked_traces`'."""
+    closed, t = _stacked_traces(pairs, alphas, zs, closing=True)
+    # the quotient's T: NaN at the closed points, which need none
+    needed = np.where(closed, math.nan, t)
+    if (needed <= 0.0).any():
+        raise ArithmeticError(f"trace functional collapsed to "
+                              f"{float(needed[needed <= 0.0][0])!r}")
+    values = np.log(needed) / (alphas - 1.0)
+    for row, pair, at in zip(values, pairs, closed):
+        if at.any():
+            row[at] = pair._closed_value(1.0).value
+    return values, t
 
 
 def prepare(rho: np.ndarray, sigma: np.ndarray) -> PreparedPair:

@@ -69,8 +69,11 @@ def test_criterion_1_limit_along_curves(limits_run):
 def test_criterion_2_derivative_at_one(derivative_reports):
     rep = derivative_reports[0]
     assert rep.name.startswith("derivative at alpha=1")
-    # central h=1e-4 scheme with 1e-3 relative and 1e-5 cross-family bounds
-    assert analysis.FdScheme().h == 1e-4 and analysis.FdScheme().order == "central2"
+    # central h=1e-4 scheme with 1e-3 relative and 1e-5 cross-family bounds;
+    # the central stencil gives h^2 as the slope of x^3 at 0
+    assert analysis.FdScheme().h == 1e-4
+    assert analysis.fd_derivative(lambda x: x**3, 0.0, analysis.FdScheme(0.1)) == \
+        pytest.approx(0.01, rel=1e-12)
     assert analysis.DERIVATIVE_REL_TOL == 1e-3
     assert analysis.FAMILY_AGREEMENT_TOL == 1e-5
     ok = rep.passed

@@ -299,6 +299,30 @@ class TestSweep:
         assert out.returncode == 0
         assert out.stdout.splitlines()[1].startswith("2,1,0.980829253012,")
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow too
+    @pytest.mark.parametrize("sigma, alphas, zs, row", [
+        # alpha = 1 under dominance, where the trace sum underflows
+        ('{"generator": "density", "seed": 6, "dim": 3}', "1:1:1", "1e-300:1e-300:1",
+         "1,1e-300,0.836732630934,nan,true"),
+        # alpha > 1 without dominance, where rho's powers overflow
+        ('{"generator": "support_pair", "seed": 3, "dim": 3, "rank": 2, '
+         '"branch": "violating"}', "1e300:1e300:1", "-1:-1:1", "1e+300,-1,inf,nan,false"),
+    ], ids=["underflow", "overflow"])
+    def test_closed_point_out_of_range_has_nan_trace(self, capsys, sigma, alphas, zs, row):
+        # the divergence needs no trace there, as compute shows
+        rho = '{"generator": "density", "seed": 5, "dim": 3}'
+        code, out, _ = run_in_process(["sweep", "--rho", rho, "--sigma", sigma,
+                                       "--alpha-grid", alphas, "--z-grid", zs,
+                                       "--out", "-"], capsys)
+        assert code == 0
+        assert out.splitlines() == ["alpha,z,divergence_nats,trace_functional,finite", row]
+        alpha, z = row.split(",")[:2]
+        code, value, _ = run_in_process(["compute", "--rho", rho, "--sigma", sigma,
+                                         "--alpha", alpha, "--z", z], capsys)
+        assert code == 0
+        assert value.strip() == {"true": row.split(",")[2],
+                                 "false": "inf support_violation"}[row.split(",")[4]]
+
 
 class TestDump:
     def test_round_trip(self, tmp_path):
@@ -418,12 +442,17 @@ class TestNegativeValues:
         (["sweep", *D4, "--alpha-grid", "-1.5:3:10", "--z-grid", "-2:3:12", "--out", "-"], 0),
         (["sweep", "--example1", "0.25", "--alpha-grid", "0.2:3:4",
           "--z-grid", "-2:-1:3", "--out", "-"], 3),
+        # after an abbreviated option, and spelled with letters
+        (["sweep", "--example1", "0.25", "--alpha-g", "-1.5:3:3",
+          "--z-grid", "1:2:2", "--out", "-"], 3),
+        (["compute", "--example1", "0.25", "--alpha", "-inf", "--z", "1"], 3),
     ])
     def test_usual_form_equals_joined_form(self, capsys, argv, code):
         joined, rest = [], list(argv)
         while rest:
             token = rest.pop(0)
-            if token in ("--alpha", "--z", "--example1", "--alpha-grid", "--z-grid"):
+            value = rest[0] if rest else ""
+            if token.startswith("--") and value.startswith("-") and not value.startswith("--"):
                 token = f"{token}={rest.pop(0)}"
             joined.append(token)
         usual = run_in_process(argv, capsys)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,8 +9,6 @@ from alphaz import divergences as dv
 from alphaz.divergences import (
     DivergenceValue,
     alpha_z_divergence,
-    classical_kl,
-    classical_renyi,
     mosonyi_ogawa_divergence,
     petz_divergence,
     relative_entropy,
@@ -36,6 +35,14 @@ EX1_AZ_2_1 = 0.9808292530117262           # ln(8/3)
 EX1_SANDWICHED_2 = 0.9114927888166523     # 2 ln((2 + 2/sqrt(3))/2)
 
 seeds = st.integers(0, 2**32 - 1)
+
+
+def classical_kl(p, q):
+    return dv.prepare_classical(p, q).kl()
+
+
+def classical_renyi(p, q, alpha):
+    return dv.prepare_classical(p, q).renyi(alpha)
 
 
 def random_probs(dim, seed, low=0.05):
@@ -97,7 +104,7 @@ class TestClassicalRenyi:
         assert got.value == pytest.approx(LN_5_4, abs=1e-14)
 
     def test_alpha_one_rejected(self):
-        with pytest.raises(DomainError, match="classical_kl"):
+        with pytest.raises(DomainError, match=r"call ClassicalPair\.kl$"):
             classical_renyi([0.5, 0.5], [0.5, 0.5], 1.0)
 
     @given(seeds)
@@ -122,20 +129,14 @@ class TestClassicalRenyi:
 
 class TestClassicalExtremeAlpha:
     """A non-finite alpha, or a finite one whose Renyi sum leaves double
-    range, is a DomainError naming alpha on both classical routes, never an
-    invariant error of DivergenceValue."""
-
-    @staticmethod
-    def _calls(p, q, alpha):
-        return (lambda: classical_renyi(p, q, alpha),
-                lambda: dv.prepare_classical(p, q).renyi(alpha))
+    range, is a DomainError naming alpha from `ClassicalPair.renyi`, never
+    an invariant error of DivergenceValue."""
 
     @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
     def test_non_finite(self, alpha):
-        for call in self._calls([0.5, 0.5], [0.5, 0.5], alpha):
-            with pytest.raises(DomainError, match="alpha must be finite") as exc:
-                call()
-            assert str(exc.value).endswith(f"got {alpha!r}")
+        with pytest.raises(DomainError, match="alpha must be finite") as exc:
+            classical_renyi([0.5, 0.5], [0.5, 0.5], alpha)
+        assert str(exc.value).endswith(f"got {alpha!r}")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow too
     @pytest.mark.parametrize("p, q, alpha", [
@@ -146,33 +147,16 @@ class TestClassicalExtremeAlpha:
         ([0.9, 0.1], [0.1, 0.9], 800.0),
     ])
     def test_sum_beyond_double_range(self, p, q, alpha):
-        for call in self._calls(p, q, alpha):
-            with pytest.raises(DomainError, match="alpha beyond double range") as exc:
-                call()
-            assert str(exc.value).endswith(f"at alpha = {alpha!r}")
+        with pytest.raises(DomainError, match="alpha beyond double range") as exc:
+            classical_renyi(p, q, alpha)
+        assert str(exc.value).endswith(f"at alpha = {alpha!r}")
 
     def test_large_representable_alpha_is_finite(self):
         # 9^300 is about 1e286, inside double range
-        for call in self._calls([0.9, 0.1], [0.1, 0.9], 300.0):
-            assert call().is_finite
+        assert classical_renyi([0.9, 0.1], [0.1, 0.9], 300.0).is_finite
 
 
 class TestClassicalPair:
-    def test_methods_equal_module_functions(self):
-        p, q = random_probs(5, 7), random_probs(5, 8)
-        q[2] = 0.0
-        q /= q.sum()
-        pair = dv.prepare_classical(p, q)
-        assert pair.kl() == classical_kl(p, q)
-        for alpha in (-0.5, 0.3, 0.5, 2.0, 3.0):
-            assert pair.renyi(alpha) == classical_renyi(p, q, alpha)
-
-    def test_alpha_one_reported_before_invalid_vectors(self):
-        with pytest.raises(DomainError, match="classical_kl"):
-            classical_renyi([0.7, 0.7], [0.5], 1.0)
-        with pytest.raises(DomainError, match="classical_kl"):
-            dv.prepare_classical([0.5, 0.5], [0.5, 0.5]).renyi(1.0)
-
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
             dv.prepare_classical([1.0], [0.5, 0.5])
@@ -447,9 +431,15 @@ class TestMosonyiOgawa:
 
 
 def _pair_of_class(cls):
-    """A full-rank, dominating, violating or orthogonal (rho, sigma) pair."""
+    """A full-rank, dominating, violating, orthogonal or partial-overlap
+    (rho, sigma) pair of dimension 4; the last has inner rank 1 and neither
+    operator dominates."""
     if cls == "full":
         return random_density(4, 111), random_reference(4, 112)
+    if cls == "partial":
+        p, q = np.array([0.3, 0.7, 0.0, 0.0]), np.array([0.0, 0.6, 0.4, 0.0])
+        u = random_unitary(4, 5)
+        return (u * p) @ u.conj().T, (u * q) @ u.conj().T
     return random_support_pair(4, 113, rank=2, branch=cls)
 
 
@@ -626,27 +616,41 @@ class TestBatchedKernel:
         values, traces = pair.evaluate([], [])
         assert values.shape == traces.shape == (0,)
 
-    @pytest.mark.parametrize("cls", ["full", "dominating", "violating", "orthogonal"])
+    @pytest.mark.parametrize("cls", ["full", "dominating", "violating", "orthogonal",
+                                     "partial"])
     def test_evaluate_returns_floats(self, cls):
-        # D is ln T / (a - 1) of the returned T per point, or, where the
-        # supports decide it, the scalar divergence's +inf or relative entropy
+        # a grid of open, closed and undefined points (the points where D
+        # needs an undefined T are left out: they raise); D is the
+        # divergences row bit for bit, ln T / (a - 1) of the returned T by
+        # the one quotient where D needs T, and the scalar divergence's +inf
+        # or relative entropy where the supports decide it
         pair = dv.prepare(*_pair_of_class(cls))
-        alphas, zs = np.repeat(self.ALPHAS, 2), np.tile([0.5, 2.0], self.ALPHAS.size)
+        points = []
+        for a, z in itertools.product(self.ALPHAS.tolist(), [-1.0, 0.5, 2.0]):
+            try:
+                points.append((a, z, pair.divergence(a, z).value))
+            except DomainError:
+                pass
+        alphas, zs, refs = (np.array(x) for x in zip(*points))
         values, traces = pair.evaluate(alphas, zs)
         assert values.dtype == traces.dtype == np.float64
         assert values.shape == traces.shape == alphas.shape
-        for a, z, d, t in zip(alphas.tolist(), zs.tolist(), values.tolist(), traces.tolist()):
-            ref = pair.divergence(a, z).value
-            if pair._closed(a):
-                assert d == ref
-            else:
-                assert d == math.log(t) / (a - 1.0)
-                assert abs(d - ref) <= 1e-13 * max(abs(ref), 1e-300)
+        assert values.tobytes() == pair.divergences(alphas, zs).tobytes()
+        routes = [pair._route(a, z) for a, z, _ in points]
+        closed = np.array([bool(closed) for closed, _, _, _ in routes])
+        undefined = np.array([not defined for _, defined, _, _ in routes])
+        assert closed.any() and (cls == "orthogonal" or not closed.all())
+        assert undefined.any() == (cls != "full")
+        assert np.array_equal(np.isnan(traces), undefined)
+        assert np.array_equal(values[closed], refs[closed])
+        quotient = np.log(traces[~closed]) / (alphas[~closed] - 1.0)
+        assert values[~closed].tobytes() == quotient.tobytes()
+        assert np.allclose(values[~closed], refs[~closed], rtol=1e-13, atol=0.0)
 
     def test_evaluate_raises_first_collapsed_trace(self, monkeypatch):
         pair = dv.prepare(*_pair_of_class("full"))
-        monkeypatch.setattr(dv, "_stacked_traces",
-                            lambda *args, **kwargs: np.array([[0.5, -0.0, -1.0]]))
+        monkeypatch.setattr(dv, "_stacked_traces", lambda *args, **kwargs: (
+            np.zeros((1, 3), dtype=bool), np.array([[0.5, -0.0, -1.0]])))
         with pytest.raises(ArithmeticError, match=r"trace functional collapsed to -0\.0$"):
             pair.evaluate([0.5, 2.0, 3.0], [1.0, 1.0, 1.0])
 
@@ -677,7 +681,9 @@ class TestBatchedKernel:
         alphas, zs = [0.5, 0.5, 0.7, 2.0], [1.0, -1.0, -2.0, -0.5]
         with pytest.raises(DomainError) as scalar:
             pair.traces(0.5, -1.0)
-        for call in (pair.traces, pair.divergences):
+        full = dv.prepare(*_pair_of_class("full"))  # defined at every point
+        for call in (pair.traces, pair.divergences, pair.evaluate,
+                     lambda a, z: dv.stacked_divergences([full, pair], a, z)):
             with pytest.raises(DomainError) as batched:
                 call(alphas, zs)
             assert str(batched.value) == str(scalar.value)
@@ -705,6 +711,29 @@ class TestBatchedKernel:
         with pytest.raises(DomainError, match="rho is rank-deficient"):
             sweep(rho, sigma, SweepSpec(alphas=(0.5, 2.0), zs=(1.0, -1.0)))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow too
+    @pytest.mark.parametrize("sigma, alpha, z", [
+        # alpha = 1 under dominance: the trace sum underflows
+        (random_density(3, 6), 1.0, 1e-300),
+        # alpha > 1 without dominance: rho's powers overflow
+        (random_support_pair(3, 3, rank=2, branch="violating")[1], 1e300, -1.0),
+    ], ids=["underflow", "overflow"])
+    def test_sweep_closed_point_out_of_range(self, sigma, alpha, z):
+        # D needs no T at a closed point, so a T out of double range there
+        # is NaN, not an error
+        from alphaz.analysis import SweepSpec, sweep
+
+        rho = random_density(3, 5)
+        pair = dv.prepare(rho, sigma)
+        with pytest.raises(DomainError, match="beyond double range"):
+            pair.traces(alpha, z)
+        expected = pair.divergence(alpha, z)
+        values, traces = pair.evaluate([0.5, alpha], [1.0, z])
+        assert values[1] == expected.value and math.isnan(traces[1])
+        assert values[0] == pair.divergences(0.5, 1.0) and traces[0] == pair.traces(0.5, 1.0)
+        (row,) = sweep(rho, sigma, SweepSpec(alphas=(alpha,), zs=(z,)))
+        assert row.divergence == expected and math.isnan(row.trace_value)
+
 
 class TestStackedDivergences:
     """stacked_divergences against each pair's own divergences call."""
@@ -713,12 +742,8 @@ class TestStackedDivergences:
     def _stack():
         # full rank, dominated rank-deficient, violating (overlapping, not
         # dominated), orthogonal, and a partial overlap of inner rank 1
-        pairs = [dv.prepare(*_pair_of_class(cls))
-                 for cls in ("full", "dominating", "violating", "orthogonal")]
-        p, q = np.array([0.3, 0.7, 0.0, 0.0]), np.array([0.0, 0.6, 0.4, 0.0])
-        u = random_unitary(4, 5)
-        pairs.append(dv.prepare((u * p) @ u.conj().T, (u * q) @ u.conj().T))
-        return pairs
+        return [dv.prepare(*_pair_of_class(cls))
+                for cls in ("full", "dominating", "violating", "orthogonal", "partial")]
 
     def test_rows_equal_own_calls_bit_for_bit(self):
         pairs = self._stack()
@@ -842,14 +867,19 @@ class TestExtremeFiniteInput:
         from alphaz.analysis import SweepSpec, sweep
 
         prepared = dv.prepare(*pair)
+        other = dv.prepare(random_density(2, 1), random_reference(2, 2))
         alphas, zs = [0.5, alpha, 2.0], [1.0, z, 2.0]
+        messages = set()
         for call in (lambda: prepared.traces(alphas, zs),
                      lambda: prepared.divergences(alphas, zs),
                      lambda: prepared.evaluate(alphas, zs),
+                     lambda: dv.stacked_divergences([prepared, other], alphas, zs),
                      lambda: sweep(*pair, SweepSpec(alphas=(0.5, alpha), zs=(z,)))):
             with pytest.raises(DomainError, match="beyond double range") as exc:
                 call()
             assert f"({alpha!r}, {z!r})" in str(exc.value)
+            messages.add(str(exc.value))
+        assert len(messages) == 1
 
     def test_rank_deficient_batch(self):
         # the masked path of a pair with undefined points checks the same;
@@ -904,10 +934,12 @@ class TestUnderflow:
         from alphaz.analysis import SweepSpec, sweep
 
         prepared = dv.prepare(*pair)
+        other = dv.prepare(random_density(2, 1), random_reference(2, 2))
         alphas, zs = [0.3, 0.5, 2.0], [1.0, 1e-300, 2.0]
         for call in (lambda: prepared.traces(alphas, zs),
                      lambda: prepared.divergences(alphas, zs),
                      lambda: prepared.evaluate(alphas, zs),
+                     lambda: dv.stacked_divergences([prepared, other], alphas, zs),
                      lambda: sweep(*pair, SweepSpec(alphas=(0.3, 0.5), zs=(1e-300,)))):
             with pytest.raises(DomainError, match="trace sum underflows") as exc:
                 call()

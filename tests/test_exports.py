@@ -20,6 +20,12 @@ REMOVED = [
     (divergences, "check_density"),
     (divergences, "check_reference"),
     (divergences, "_stacked_spectra"),
+    (divergences, "classical_kl"),
+    (divergences, "classical_renyi"),
+    (analysis.FdScheme, "order"),
+    (analysis, "FD_ORDERS"),
+    (analysis, "D1_STENCILS"),
+    (analysis, "D2_STENCILS"),
 ]
 
 
