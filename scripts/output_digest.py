@@ -18,8 +18,10 @@ families with and without `--bits`, `dump`, and matrix files with a
 valid and a mistyped "dim". Appended after those: the negative sweeps again
 with each value after its option as usual (not joined by "="), `compute` at
 a negative alpha and z in scientific notation, `--example1` beside an
-explicit pair, and two sweeps of a closed point whose trace leaves double
-range. In a command, {in} is a directory of input
+explicit pair, two sweeps of a closed point whose trace leaves double
+range, all-integer-z sweeps (the product route) of a d = 16 pair and of a
+dominating rank-deficient pair, and integer-z `compute` points whose
+spectral powers or trace sum overflow (exit 3). In a command, {in} is a directory of input
 matrix files the script writes first, and {out} a fresh empty directory.
 """
 
@@ -116,6 +118,12 @@ def commands() -> list[tuple[dict, str]]:
                         ('{"generator": "support_pair", "seed": 3, "dim": 3, "rank": 2, '
                          '"branch": "violating"}', "--alpha-grid 1e300:1e300:1 --z-grid -1:-1:1")):
         out.append(({}, f"sweep --rho '{rho}' --sigma '{sigma}' {grid} --out -"))
+    # z = 1..16 on dominated pairs: the product route, and at the
+    # extremes the SVD route's range decision
+    for pair in (D16, _support_pair("dominating")):
+        out.append(({}, f"sweep {pair} --alpha-grid 0.2:3:15 --z-grid 1:16:16 --out -"))
+    for alpha, z in (("1e300", "2"), ("600", "1"), ("3000", "16")):
+        out.append(({}, f"compute --example1 0.25 --alpha {alpha} --z {z}"))
     return out
 
 

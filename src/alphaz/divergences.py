@@ -26,18 +26,24 @@ operator outside the dominated case leaves T undefined. So does a finite
 alpha or z whose spectral powers or trace sum overflow double range, or
 whose trace sum underflows to 0.
 
-One route rule (`PreparedPair._route`) decides every point: closed, where
-D needs no trace (the first and the two +inf cases above), or the SVD
-route of T (`_factor`, `_trace_sums`). T is optional at a closed point: it
-is NaN there where it is undefined or out of double range. Where D needs
-T, such a T raises DomainError naming the point.
+One route rule (`PreparedPair._route`) gives every point one of three
+outcomes: closed, where D needs no trace (the first and the two +inf cases
+above); the product route (`_factor`, `_power_sums`) at the open points of
+a dominated pair whose z is a positive integer up to Z_PRODUCT_MAX = 16,
+where T = Tr (G G†)^z is a sum of squares of matrix products; or the SVD
+route of T (`_factor`, `_trace_sums`). A product-route T outside
+[tiny, inf) is computed again by the SVD route, which alone decides the
+range. T is optional at a closed point: it is NaN there where it is
+undefined or out of double range. Where D needs T, such a T raises
+DomainError naming the point.
 
 Every quantum value comes from a PreparedPair, which validates both
 operators as one stack in one pass, decomposes them with one `eigh` and
 carries every family as a method; each module function prepares one pair
 per call and calls one method. The trace functional T(a, z) is
 `prepare(rho, sigma).traces(alpha, z)`. `stacked_divergences` evaluates the
-same points on several prepared pairs of one dimension with one SVD.
+same points on several prepared pairs of one dimension with at most one
+SVD.
 """
 
 from __future__ import annotations
@@ -59,8 +65,15 @@ LN2 = math.log(2.0)
 # long before this point.
 ALPHA_ONE_TOL = 1e-12
 
+# the largest positive integer z whose T the product route computes; a
+# numerics rule, like ALPHA_ONE_TOL. Larger z keeps the SVD route.
+Z_PRODUCT_MAX = 16
+
 # agreement tolerance for the built-in dual-route self-check
 _DUAL_PATH_TOL = 1e-10
+
+# the product route keeps a T in [_TINY, inf); the SVD route decides the rest
+_TINY = float(np.finfo(float).tiny)
 
 _TRACE_ATOL = 1e-10
 _PROB_ATOL = 1e-12
@@ -287,13 +300,15 @@ class PreparedPair:
     sigma^e rho^f sigma^e of the pair shares.
 
     Every entry point asks `_route` which way each point goes. `traces`,
-    `divergences` and `evaluate` take arrays of points and run one stacked
-    SVD for all of them: they are the one-pair case of the module's stacked
-    kernel (`stacked_divergences`), and `evaluate` returns the D of
-    `divergences` with the T beside it, NaN at a closed point where T is
-    undefined or out of double range. The scalar `divergence` runs the
-    same SVD route (`_factor`, `_trace_sums`) for one point, and `petz`,
-    `sandwiched` and `mosonyi_ogawa` call it with their own self-checks."""
+    `divergences` and `evaluate` take arrays of points, sum the product
+    points' matrix products and run one stacked SVD for the rest: they are
+    the one-pair case of the module's stacked kernel
+    (`stacked_divergences`), and `evaluate` returns the D of `divergences`
+    with the T beside it, NaN at a closed point where T is undefined or out
+    of double range. The scalar `divergence` runs the same product and SVD
+    routes (`_factor`, `_power_sums`, `_trace_sums`) for one point, and
+    `petz`, `sandwiched` and `mosonyi_ogawa` call it with their own
+    self-checks."""
 
     rho: Spectrum
     sigma: Spectrum
@@ -305,34 +320,44 @@ class PreparedPair:
 
     def _route(self, alphas, zs, closing: bool = True):
         """The route rule at points (alpha, z), floats or 1-d arrays that
-        `_point(s)` checked. Returns (closed, defined, e_sigma, e_rho):
+        `_point(s)` checked. Returns (closed, defined, product, e_sigma,
+        e_rho):
           * closed where D needs no trace (nowhere for T alone, closing
             false): alpha = 1, where D is the relative entropy, and, without
             dominance, alpha > 1 or orthogonal supports, where it is +inf;
           * defined where T's formula is: no negative exponent on a
             rank-deficient operator, except sigma's under dominance (its
             generalized inverse); True for a pair where every point is;
+          * product at the open points of a dominated pair whose z is a
+            positive integer up to Z_PRODUCT_MAX; False for a pair without
+            dominance, whose inner-rank truncation a product would skip;
           * the exponents (1 - a)/2z and a/z of sigma and rho.
-        The SVD route (`_factor`, `_trace_sums`) takes the defined points; T
-        is optional at the closed ones. Raises the DomainError of the first
-        point that is neither closed nor defined."""
+        So each point has one of three outcomes. Closed: D needs no T, which
+        is optional there. Product: the product route (`_factor`,
+        `_power_sums`) computes T, and hands a T out of [tiny, inf) to the
+        SVD route. Otherwise the SVD route (`_factor`, `_trace_sums`) takes
+        the defined points and raises the DomainError of the first point
+        that is neither closed nor defined. Product points are defined:
+        they are open, and every undefined open point raises."""
         e_sigma, e_rho = (1.0 - alphas) / (2.0 * zs), alphas / zs
-        closed = False
+        closed = product = False
         if closing:
             closed = abs(alphas - 1.0) <= ALPHA_ONE_TOL
             if not self.dominated:
                 closed = closed | (alphas > 1.0) | self.orthogonal
+        # bools at one point, arrays at several: these operators serve both
+        if self.dominated:  # where closed is alpha = 1 alone; ^ True negates it
+            product = (zs >= 1.0) & (zs <= Z_PRODUCT_MAX) & (zs % 1.0 == 0.0) & (closed ^ True)
         dim = self.rho.values.size
         rho_full, sigma_endorsed = self.rho.rank == dim, self.sigma.rank == dim or self.dominated
         if rho_full and sigma_endorsed:
-            return closed, True, e_sigma, e_rho
-        # bools at one point, arrays at several: these operators serve both
+            return closed, True, product, e_sigma, e_rho
         defined = ((e_rho >= 0.0) | rho_full) & ((e_sigma >= 0.0) | sigma_endorsed)
         passed = defined | closed
         if not (passed if isinstance(passed, bool) else passed.all()):
             e_s, e_r = (np.ravel(e)[np.argmin(passed)] for e in (e_sigma, e_rho))
             raise _undefined("rho", e_r) if e_r < 0.0 and not rho_full else _undefined("sigma", e_s)
-        return closed, defined, e_sigma, e_rho
+        return closed, defined, product, e_sigma, e_rho
 
     def _closed_value(self, alpha: float) -> DivergenceValue:
         """D at a closed point of `_route`: the relative entropy, +inf
@@ -392,10 +417,45 @@ class PreparedPair:
             lost = _lost("the trace sum underflows", alphas, zs, optional, sums > 0.0, lost)
         return sums if lost is None else np.where(lost, math.nan, sums)
 
+    @staticmethod
+    @np.errstate(all="ignore")  # the SVD route warns where it decides the range
+    def _power_sums(g, zs):
+        """The product route's T = Tr (G G†)^k at positive integer z = k,
+        from `_factor`'s G at one point (zs a float; a float out) or its rows
+        (one sum per row): with H = G G†, T is the squared Frobenius norm
+        of H^(k/2) at even k and of H^((k-1)/2) G at odd k, so sum |G_ij|^2
+        at k = 1 and at most 4 matrix products at k = 16. Every term of the
+        sum is a square and the powers of H are of a PSD matrix, so the
+        round-off stays relative to T for z >= 1. No range test: the
+        caller keeps a T in [tiny, inf) and hands the rest to the SVD
+        route."""
+        if isinstance(zs, float):
+            k = int(zs)
+            x = g
+            if k > 1:
+                x = np.linalg.matrix_power(g @ g.conj().T, k // 2)
+                if k % 2:
+                    x = x @ g
+            flat = x.reshape(-1).view(float)  # the rows' sum, for equal round-off
+            return float((flat * flat).sum())
+        ks = zs.astype(int)
+        sums = np.empty(len(g))
+        groups = set(ks.tolist())
+        for k in groups:
+            at = ks == k if len(groups) > 1 else slice(None)
+            x = g[at]
+            if k > 1:
+                p = np.linalg.matrix_power(x @ x.conj().swapaxes(-1, -2), k // 2)
+                x = p @ x if k % 2 else p
+            flat = x.reshape(len(x), -1).view(float)
+            sums[at] = (flat * flat).sum(axis=-1)
+        return sums
+
     def traces(self, alphas, zs) -> np.ndarray:
         """T(a, z) = Tr[(sigma^((1-a)/2z) rho^(a/z) sigma^((1-a)/2z))^z] with
-        generalized powers at the broadcast points of alphas and zs, from one
-        stacked SVD. Every point needs T, so the first point where its
+        generalized powers at the broadcast points of alphas and zs, from
+        matrix products at the product points of `_route` and one stacked
+        SVD for the rest. Every point needs T, so the first point where its
         formula is undefined (`_route`) or out of double range raises
         DomainError."""
         a, z = _points(alphas, zs)
@@ -403,50 +463,61 @@ class PreparedPair:
 
     def divergences(self, alphas, zs) -> np.ndarray:
         """D(a, z) in nats at the broadcast points of alphas and zs, +inf
-        where the supports force it, from one stacked SVD: the one-pair case
-        of `stacked_divergences`. `divergence` gives one point with its
-        infinity reason."""
+        where the supports force it, from at most one stacked SVD: the
+        one-pair case of `stacked_divergences`. `divergence` gives one point
+        with its infinity reason."""
         return stacked_divergences([self], alphas, zs)[0]
 
     def divergence(self, alpha: float, z: float) -> DivergenceValue:
         """D(a, z) = ln T(a, z) / (a - 1) at one point with the module's
-        support semantics: `_route`'s rule, then the SVD route for this point
-        alone, with one G and one `svd`. Where D needs T and T is undefined
-        or out of double range, raises the DomainError of `traces`."""
+        support semantics: `_route`'s rule, then the product or the SVD
+        route for this point alone, with one G and at most one `svd`. Where
+        D needs T and T is undefined or out of double range, raises the
+        DomainError of `traces`."""
         return self._divergence(alpha, z)[0]
 
-    def _divergence(self, alpha: float, z: float) -> tuple[DivergenceValue, bool]:
-        """`divergence` and whether the point is closed."""
+    def _divergence(self, alpha: float, z: float):
+        """`divergence`, how it was reached ("closed", or "product" or "svd",
+        the route that gave T) and the point's G (None if closed)."""
         alpha, z = _point(alpha, z)
-        closed, _, e_sigma, e_rho = self._route(alpha, z)
+        closed, _, product, e_sigma, e_rho = self._route(alpha, z)
         if closed:
-            return self._closed_value(alpha), True
+            return self._closed_value(alpha), "closed", None
         g, _ = self._factor(alpha, z, e_sigma, e_rho)
-        t = self._trace_sums(np.linalg.svd(g, compute_uv=False), alpha, z)
-        return DivergenceValue.finite(_from_trace(alpha, float(t))), False
+        t = self._power_sums(g, z) if product else math.nan
+        route = "product"
+        if not _TINY <= t < math.inf:  # a NaN fails too
+            t, route = float(self._trace_sums(np.linalg.svd(g, compute_uv=False), alpha, z)), "svd"
+        return DivergenceValue.finite(_from_trace(alpha, t)), route, g
 
     def evaluate(self, alphas, zs) -> tuple[np.ndarray, np.ndarray]:
-        """D in nats and T at the points of two equal-length sequences, as
-        two float arrays, from one stacked SVD: the one-pair case of the
-        rows `divergences` takes its D from. D is +inf where the supports
-        force it (`divergence` at that point gives the reason tag). T is NaN
-        at a closed point, where D needs none, if its formula is undefined
-        or out of double range there; where D needs T, such a point raises
-        the DomainError of `divergences`."""
+        """D in nats and T at the broadcast points of alphas and zs, as two
+        float arrays of the broadcast shape, from at most one stacked SVD:
+        the one-pair case of the rows `divergences` takes its D from. D is
+        +inf where the supports force it (`divergence` at that point gives
+        the reason tag). T is NaN at a closed point, where D needs none, if
+        its formula is undefined or out of double range there; where D
+        needs T, such a point raises the DomainError of `divergences`."""
         a, z = _points(alphas, zs)
-        values, traces = _divergence_rows([self], a, z)
-        return values[0], traces[0]
+        values, traces = _divergence_rows([self], a.ravel(), z.ravel())
+        return values[0].reshape(a.shape), traces[0].reshape(a.shape)
 
     def petz(self, alpha: float) -> DivergenceValue:
         """Petz quantum Renyi divergence of order alpha, the z = 1 member.
 
-        Also evaluates the direct formula ln Tr[rho^a sigma^(1-a)] / (a - 1)
-        through the overlap sum sum_ij |<v_j|u_i>|^2 r_i^a s_j^(1-a) (a
-        cancellation-free route) and asserts the two routes agree.
+        Also evaluates T by the route the value did not take and asserts
+        the two agree. Where the value came from the product route, whose
+        sum |G_ij|^2 is the overlap sum sum_ij |<v_j|u_i>|^2 r_i^a s_j^(1-a)
+        of the direct formula ln Tr[rho^a sigma^(1-a)] / (a - 1), the check
+        is the SVD route; where it came from the SVD route, the check is
+        that overlap sum (a cancellation-free route).
         """
         alpha = float(alpha)
-        value, closed = self._divergence(alpha, 1.0)
-        if not closed:
+        value, route, g = self._divergence(alpha, 1.0)
+        if route == "product":
+            t = float(self._trace_sums(np.linalg.svd(g, compute_uv=False), alpha, 1.0))
+            _assert_dual_path("Petz", value, alpha, t)
+        elif route == "svd":
             t = float(self.sigma.powers(1.0 - alpha) @ self.weights @ self.rho.powers(alpha))
             _assert_dual_path("Petz", value, alpha, t)
         return value
@@ -465,8 +536,8 @@ class PreparedPair:
         alpha = float(alpha)
         if alpha == 0.0:
             raise DomainError("alpha = 0 puts z = 0, which is excluded")
-        value, closed = self._divergence(alpha, alpha)
-        if not closed:
+        value, route, _ = self._divergence(alpha, alpha)
+        if route != "closed":
             s_pow = self.sigma.operator(self.sigma.powers((1.0 - alpha) / (2.0 * alpha)))
             factor = s_pow @ self.rho.operator(self.rho.powers(0.5))
             singular = np.linalg.svd(factor, compute_uv=False)[:self.inner_rank]
@@ -518,29 +589,42 @@ def _stacked_traces(pairs: list[PreparedPair], alphas: np.ndarray, zs: np.ndarra
                     closing: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The closed points of `PreparedPair._route` (with closing) and T at
     1-d arrays of N points for P pairs of one dimension, each of shape (P,
-    N), from one SVD of the stack of every pair's G (`_factor`) at the
-    points where T is defined. T is NaN at a closed point where it is
-    undefined or out of double range. Any other such point raises: the
+    N), from every pair's G (`_factor`) at the points where T is defined:
+    `_power_sums` at the product points, then one SVD of the stack of the
+    other rows, none if there are none. T is NaN at a closed point where it
+    is undefined or out of double range. Any other such point raises: the
     undefined points are checked first on every pair, then the range per
     pair, each in (pair, point) order. Each pair's rows of the stack are
     built and reduced as they would be alone, so its values do not depend
     on the other pairs."""
     routes = [pair._route(alphas, zs, closing) for pair in pairs]
-    takes, factors = [], []
-    for pair, (closed, defined, e_sigma, e_rho) in zip(pairs, routes):
-        take = defined if isinstance(defined, np.ndarray) else slice(None)
-        optional = closed[take] if closing else False
-        takes.append((take, optional))
-        factors.append(pair._factor(alphas[take], zs[take], e_sigma[take], e_rho[take],
-                                    optional))
-    singular = np.linalg.svd(_cat([g for g, _ in factors]), compute_uv=False)
     out = np.full((len(pairs), alphas.size), math.nan)
+    pending = []  # per pair: the SVD route's rows, T at the defined points
+    for pair, (closed, defined, product, e_sigma, e_rho) in zip(pairs, routes):
+        take = defined if isinstance(defined, np.ndarray) else slice(None)
+        a, z = alphas[take], zs[take]
+        optional = closed[take] if closing else False
+        g, lost = pair._factor(a, z, e_sigma[take], e_rho[take], optional)
+        t = np.full(len(g), math.nan)
+        rest = slice(None)
+        if isinstance(product, np.ndarray) and product.any():
+            on = product[take] if lost is None else product[take] & ~lost
+            t[on] = pair._power_sums(g[on], z[on])
+            rest = ~((t >= _TINY) & (t < math.inf))  # a NaN fails too
+            g, a, z = g[rest], a[rest], z[rest]
+            if closing:
+                optional = optional[rest]
+            if lost is not None:
+                lost = lost[rest]
+        pending.append((g, (a, z, optional, lost), t, rest, take))
+    stack = [g for g, *_ in pending if len(g)]
+    singular = np.linalg.svd(_cat(stack), compute_uv=False) if stack else None
     start = 0
-    for row, pair, (take, optional), (g, lost) in zip(out, pairs, takes, factors):
-        stop = start + len(g)
-        row[take] = pair._trace_sums(singular[start:stop], alphas[take], zs[take],
-                                     optional, lost)
-        start = stop
+    for row, pair, (g, args, t, rest, take) in zip(out, pairs, pending):
+        if len(g):
+            t[rest] = pair._trace_sums(singular[start:start + len(g)], *args)
+            start += len(g)
+        row[take] = t
     return np.array([route[0] for route in routes]), out
 
 
@@ -551,10 +635,10 @@ def _cat(arrays: list[np.ndarray]) -> np.ndarray:
 
 def stacked_divergences(pairs, alphas, zs) -> np.ndarray:
     """D(a, z) in nats for prepared pairs of one dimension at the same
-    broadcast points of alphas and zs, shape (len(pairs), *points), from one
-    stacked SVD. Row p equals `pairs[p].divergences(alphas, zs)` bit for
-    bit, +inf where the supports force it, and the error raised is the one
-    of the first pair whose own call fails. Pairs of different dimensions
+    broadcast points of alphas and zs, shape (len(pairs), *points), from at
+    most one stacked SVD. Row p equals `pairs[p].divergences(alphas, zs)`
+    bit for bit, +inf where the supports force it, and the error raised is
+    the one of the first pair whose own call fails. Pairs of different dimensions
     raise ValueError."""
     pairs = list(pairs)
     dims = {pair.rho.values.size for pair in pairs}

@@ -188,6 +188,20 @@ class TestExitCodes:
         assert "beyond double range" in out.stderr
         assert out.stdout == ""
 
+    @pytest.mark.parametrize("alpha, z, what", [
+        # integer z: the SVD route decides the range where the product route
+        # would take the point, with the same message as before it existed
+        ("1e308", "1", "the spectral powers overflow at (alpha, z) = (1e+308, 1.0)"),
+        ("1e300", "2", "the spectral powers overflow at (alpha, z) = (1e+300, 2.0)"),
+        ("600", "1", "the trace sum overflows at (alpha, z) = (600.0, 1.0)"),
+        ("3000", "16", "the trace sum overflows at (alpha, z) = (3000.0, 16.0)"),
+    ])
+    def test_integer_z_beyond_double_range_names_the_point(self, alpha, z, what):
+        out = run_cli("compute", "--example1", "0.25", "--alpha", alpha, "--z", z)
+        assert out.returncode == 3
+        assert f"domain error: alpha or z beyond double range: {what}\n" in out.stderr
+        assert out.stdout == ""
+
     @pytest.mark.parametrize("z", ["1e-308", "1e-300"])
     def test_underflowing_point_is_domain_error(self, z):
         out = run_cli("compute", "--example1", "0.25", "--alpha", "0.5", "--z", z)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -360,6 +361,45 @@ class TestPetz:
         assert not v.is_finite and v.infinity_reason == dv.INFINITY_ORTHOGONAL
 
 
+class TestDualPathChecks:
+    """petz and sandwiched check their kernel value against a second route;
+    one route off by 1e-6 trips the check."""
+
+    @staticmethod
+    def _skew(monkeypatch, name):
+        """Scale the T that the route method `name` returns by 1 + 1e-6."""
+        original = getattr(dv.PreparedPair, name)
+
+        def skewed(*args, **kwargs):
+            return original(*args, **kwargs) * (1.0 + 1e-6)
+
+        monkeypatch.setattr(dv.PreparedPair, name,
+                            staticmethod(skewed) if name == "_power_sums" else skewed)
+
+    @pytest.mark.parametrize("cls, route, skewed", [
+        # dominated: the kernel's product route against the SVD route
+        ("full", "product", "_power_sums"),
+        ("full", "product", "_trace_sums"),
+        ("dominating", "product", "_trace_sums"),
+        # not dominated: the kernel's SVD route against the overlap sum
+        ("partial", "svd", "_trace_sums"),
+    ])
+    def test_petz_mismatch_raises(self, monkeypatch, cls, route, skewed):
+        pair = dv.prepare(*_pair_of_class(cls))
+        assert pair._divergence(0.5, 1.0)[1] == route
+        self._skew(monkeypatch, skewed)
+        with pytest.raises(ArithmeticError, match="Petz dual-path mismatch"):
+            pair.petz(0.5)
+
+    @pytest.mark.parametrize("cls", ["full", "dominating"])
+    def test_sandwiched_mismatch_raises_at_two(self, monkeypatch, cls):
+        pair = dv.prepare(*_pair_of_class(cls))
+        assert pair._divergence(2.0, 2.0)[1] == "product"
+        self._skew(monkeypatch, "_power_sums")
+        with pytest.raises(ArithmeticError, match="sandwiched dual-path mismatch"):
+            pair.sandwiched(2.0)
+
+
 class TestSandwiched:
     def test_commuting_equals_petz(self):
         rho, sigma, _, _ = commuting_pair(4, 83)
@@ -637,8 +677,8 @@ class TestBatchedKernel:
         assert values.shape == traces.shape == alphas.shape
         assert values.tobytes() == pair.divergences(alphas, zs).tobytes()
         routes = [pair._route(a, z) for a, z, _ in points]
-        closed = np.array([bool(closed) for closed, _, _, _ in routes])
-        undefined = np.array([not defined for _, defined, _, _ in routes])
+        closed = np.array([bool(closed) for closed, *_ in routes])
+        undefined = np.array([not defined for _, defined, *_ in routes])
         assert closed.any() and (cls == "orthogonal" or not closed.all())
         assert undefined.any() == (cls != "full")
         assert np.array_equal(np.isnan(traces), undefined)
@@ -646,6 +686,21 @@ class TestBatchedKernel:
         quotient = np.log(traces[~closed]) / (alphas[~closed] - 1.0)
         assert values[~closed].tobytes() == quotient.tobytes()
         assert np.allclose(values[~closed], refs[~closed], rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("alphas, zs", [
+        (0.5, 1.0), (2.0, 2.5), (1.0, 3.0),
+        ([[0.5, 2.0]], [[1.0, 1.0]]),
+        ([[0.3], [1.0], [2.0]], [1.0, 0.5, 2.0, 16.0]),
+    ])
+    def test_evaluate_takes_broadcast_points(self, alphas, zs):
+        # D and T of the broadcast shape, D equal to `divergences` bit for bit
+        pair = dv.prepare(*_pair_of_class("full"))
+        values, traces = pair.evaluate(alphas, zs)
+        expected = pair.divergences(alphas, zs)
+        assert values.shape == traces.shape == expected.shape == np.broadcast(alphas, zs).shape
+        assert values.tobytes() == expected.tobytes()
+        t = pair.traces(alphas, zs)
+        assert np.allclose(traces, t, rtol=1e-13, atol=0.0)
 
     def test_evaluate_raises_first_collapsed_trace(self, monkeypatch):
         pair = dv.prepare(*_pair_of_class("full"))
@@ -748,9 +803,12 @@ class TestStackedDivergences:
     def test_rows_equal_own_calls_bit_for_bit(self):
         pairs = self._stack()
         assert [pair.inner_rank for pair in pairs] == [4, 2, 2, 0, 1]
-        alphas, zs = np.array([[0.3], [0.7], [1.0], [1.5], [3.0]]), [0.5, 1.0, 2.0]
+        # integer z up to Z_PRODUCT_MAX takes the product route on the
+        # dominated pairs, the rest the SVD route
+        alphas = np.array([[0.3], [0.7], [1.0], [1.5], [3.0]])
+        zs = [0.5, 1.0, 2.0, 2.5, 3.0, 16.0, 17.0]
         rows = dv.stacked_divergences(pairs, alphas, zs)
-        assert rows.shape == (5, 5, 3)
+        assert rows.shape == (5, 5, 7)
         for pair, row in zip(pairs, rows):
             assert np.array_equal(row, pair.divergences(alphas, zs))
         assert np.isinf(rows[2, 2:]).all() and np.isinf(rows[3]).all()
@@ -852,6 +910,11 @@ class TestExtremeFiniteInput:
         (1e308, 1.0, "spectral powers"),
         (2.0, 1e-308, "spectral powers"),
         (1e300, 1e300, "trace sum"),
+        # integer z: the product route hands an overflowing T to the SVD route
+        (1e300, 2.0, "spectral powers"),
+        (600.0, 1.0, "trace sum"),
+        (2000.0, 2.0, "trace sum"),
+        (3000.0, 16.0, "trace sum"),
     ])
     def test_scalar_path(self, pair, alpha, z, what):
         prepared = dv.prepare(*pair)
@@ -862,7 +925,8 @@ class TestExtremeFiniteInput:
                 call()
             assert f"({alpha!r}, {z!r})" in str(exc.value)
 
-    @pytest.mark.parametrize("alpha, z", [(1e308, 1.0), (2.0, 1e-308), (1e300, 1e300)])
+    @pytest.mark.parametrize("alpha, z", [(1e308, 1.0), (2.0, 1e-308), (1e300, 1e300),
+                                          (1e300, 2.0), (600.0, 1.0), (3000.0, 16.0)])
     def test_batched_path(self, pair, alpha, z):
         from alphaz.analysis import SweepSpec, sweep
 
@@ -948,6 +1012,29 @@ class TestUnderflow:
     def test_batch_names_first_underflowing_point(self, pair):
         with pytest.raises(DomainError, match=r"underflows at \(alpha, z\) = \(0\.5, 1e-300\)"):
             dv.prepare(*pair).traces([0.3, 0.5, 0.4], [1.0, 1e-300, 1e-300])
+
+    @pytest.mark.parametrize("z", [1.0, 2.0, 16.0])
+    def test_integer_z(self, z):
+        # rho = I/2 and sigma = 4 I: T = 2^(3 - 3a), which underflows to 0 at
+        # a = 600; the product route hands it to the SVD route, which raises
+        prepared = dv.prepare(np.eye(2) / 2, 4.0 * np.eye(2))
+        message = rf"trace sum underflows at \(alpha, z\) = \(600\.0, {z!r}\)"
+        for call in (lambda: prepared.divergence(600.0, z),
+                     lambda: prepared.traces([0.5, 600.0], z),
+                     lambda: prepared.divergences([0.5, 600.0], z)):
+            with pytest.raises(DomainError, match=message):
+                call()
+
+    @pytest.mark.parametrize("z", [1.0, 2.0, 16.0])
+    def test_subnormal_trace_takes_svd_route(self, z):
+        # T = 2^-1050 at a = 351 is below the smallest normal double: the SVD
+        # route, not the product route, gives it, as it gave it before
+        prepared = dv.prepare(np.eye(2) / 2, 4.0 * np.eye(2))
+        value, route, g = prepared._divergence(351.0, z)
+        t = prepared._trace_sums(np.linalg.svd(g, compute_uv=False), 351.0, z)
+        assert route == "svd" and 0.0 < t < np.finfo(float).tiny
+        assert value.value == math.log(t) / 350.0
+        assert prepared.divergences(351.0, z) == value.value
 
     def test_orthogonal_zero_trace_is_not_an_underflow(self):
         # inner rank 0: T = 0 is the value, not a lost one
@@ -1076,21 +1163,62 @@ class TestStackedPrepare:
             dv._density(nan)
 
 
-def _oracle_divergence(rho, sigma, alpha, z, dps=50):
-    """D(alpha, z) from mpmath eigendecompositions of rho, sigma and the
-    assembled inner operator at `dps` digits (full-rank inputs)."""
+@functools.lru_cache(maxsize=None)
+def _oracle_pair(rho: bytes, sigma: bytes, dim: int, dps: int):
+    """The eigenvalues of rho and sigma, complex dim x dim matrices given as
+    bytes, and the overlap W = V_sigma† U_rho of their eigenvectors, at
+    `dps` digits. Eigenvalues at or below 1e-12 times the largest (the
+    package's default cutoff) are exact zeros."""
     mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        spectra = []
+        for entries in (rho, sigma):
+            m = np.frombuffer(entries, dtype=complex).reshape(dim, dim)
+            values, vectors = mp.eighe(mp.matrix(m.tolist()))
+            values = [mp.re(v) for v in values]
+            cut = mp.mpf("1e-12") * max(abs(v) for v in values)
+            spectra.append(([v if v > cut else mp.mpf(0) for v in values], vectors))
+        (r, u), (s, v) = spectra
+        return r, s, v.H * u
+
+
+def _oracle_divergence(rho, sigma, alpha, z, dps=50):
+    """D(alpha, z) at `dps` digits from mpmath eigendecompositions of rho and
+    sigma (one per pair and dps, cached), with generalized powers (0 on
+    the kernel), in sigma's eigenbasis: the inner operator is
+    X = S^c W R^b W† S^c. T is the sum of X's mpmath eigenvalues raised to
+    z, or, at a positive integer z = k, Tr(P Q) for P = X^(k//2) and
+    Q = X^(k - k//2), which needs no eigendecomposition."""
+    mp = pytest.importorskip("mpmath")
+    dim = rho.shape[0]
+    r, s, w = _oracle_pair(*(np.asarray(m, dtype=complex).tobytes() for m in (rho, sigma)),
+                           dim, dps)
+    cells = list(itertools.product(range(dim), repeat=2))
     with mp.workdps(dps):
         a, zz = mp.mpf(alpha), mp.mpf(z)
 
-        def power(m, p):
-            values, vectors = mp.eighe(mp.matrix(m.tolist()))
-            return vectors * mp.diag([mp.re(v) ** p for v in values]) * vectors.H
+        def power(values, p):
+            return [x ** p if x else mp.mpf(0) for x in values]
 
-        outer = power(sigma, (1 - a) / (2 * zz))
-        inner = outer * power(rho, a / zz) * outer
-        values, _ = mp.eighe((inner + inner.H) / 2)
-        return mp.log(mp.fsum(mp.re(v) ** zz for v in values)) / (a - 1)
+        c, b = power(s, (1 - a) / (2 * zz)), power(r, a / zz)
+        wb = mp.matrix(dim, dim)
+        for i, j in cells:
+            wb[i, j] = w[i, j] * b[j]
+        inner = wb * w.H
+        for i, j in cells:
+            inner[i, j] *= c[i] * c[j]
+        if zz >= 1 and zz == int(zz):
+            k = int(zz)
+            if k == 1:
+                t = mp.fsum(mp.re(inner[i, i]) for i in range(dim))
+            else:
+                p = inner ** (k // 2)
+                q = p * inner if k % 2 else p
+                t = mp.re(mp.fsum(p[i, j] * q[j, i] for i, j in cells))
+        else:
+            values, _ = mp.eighe((inner + inner.H) / 2)
+            t = mp.fsum(mp.re(x) ** zz for x in values)
+        return mp.log(t) / (a - 1)
 
 
 class TestHighPrecisionOracle:
@@ -1102,6 +1230,43 @@ class TestHighPrecisionOracle:
         ref = _oracle_divergence(rho, sigma, alpha, z)
         got = alpha_z_divergence(rho, sigma, alpha, z).value
         assert abs(got - ref) / abs(ref) <= 1e-12
+
+
+class TestProductRouteOracle:
+    """The product route at positive integer z against the 50-digit oracle,
+    beside the SVD route on the same G (`_trace_sums` of its singular
+    values) at the same points."""
+
+    ALPHAS = (-0.5, 0.3, 0.7, 1.5, 3.0)
+    ZS = (1.0, 2.0, 3.0, 4.0, 8.0, 16.0)
+
+    def test_gate(self):
+        mp = pytest.importorskip("mpmath")
+        worst = {"product": math.inf, "svd": math.inf}
+        for rho, sigma in ((random_density(16, 21), random_reference(16, 22)),
+                           random_support_pair(6, 23, rank=3, branch="dominating")):
+            pair = dv.prepare(rho, sigma)
+            # negative alpha is undefined on the rank-deficient rho
+            alphas = [a for a in self.ALPHAS if a > 0.0 or pair.rho.rank == 16]
+            a, z = np.broadcast_arrays(np.array(alphas)[:, None], np.array(self.ZS)[None, :])
+            closed, _, product, e_sigma, e_rho = pair._route(a.ravel(), z.ravel())
+            assert product.all() and not closed.any()
+            g, _ = pair._factor(a.ravel(), z.ravel(), e_sigma, e_rho)
+            t_svd = pair._trace_sums(np.linalg.svd(g, compute_uv=False), a.ravel(), z.ravel())
+            routes = {"product": pair.divergences(a, z).ravel(),
+                      "svd": np.log(t_svd) / (a.ravel() - 1.0)}
+            for i, (alpha, zi) in enumerate(zip(a.ravel().tolist(), z.ravel().tolist())):
+                ref = _oracle_divergence(rho, sigma, alpha, zi)
+                for name, values in routes.items():
+                    error = abs(mp.mpf(float(values[i])) - ref) / abs(ref)
+                    digits = float(-mp.log10(error)) if error else math.inf
+                    assert name == "svd" or digits >= 12.0, (alpha, zi, digits)
+                    worst[name] = min(worst[name], digits)
+        # both routes reduce one G, whose power round-off sets the error of
+        # either (about 3e-14 here); their own round-off (about 1e-15 in T)
+        # moves the worst point either way, so the product route's worst
+        # error may exceed the SVD route's by at most a factor of 2
+        assert worst["product"] >= worst["svd"] - math.log10(2.0), worst
 
 
 class TestDecompositionCounts:
@@ -1158,6 +1323,15 @@ class TestDecompositionCounts:
         eigh, svd = counts(lambda: sweep(*pair, spec))
         assert eigh == 1 and svd == 1
 
+    def test_integer_z_takes_no_svd(self, counts, pair):
+        # every open point with integer z up to 16 on this full-rank pair
+        # takes the product route; a grid with non-integer z takes one svd
+        prepared = dv.prepare(*pair)
+        alphas = np.array([0.3, 0.7, 1.5, 2.0, 3.0])[:, None]
+        assert counts(lambda: prepared.evaluate(alphas, np.arange(1.0, 17.0))) == (0, 0)
+        assert counts(lambda: prepared.evaluate(alphas, np.linspace(0.5, 4.0, 8))) == (0, 1)
+        assert counts(lambda: prepared.divergence(2.0, 3.0)) == (0, 0)
+
     def test_curve_limit_one_svd(self, counts, pair):
         from alphaz.analysis import CurveSpec, TraceFunctional, verify_curve_limits
 
@@ -1169,7 +1343,7 @@ class TestDecompositionCounts:
         from alphaz.suites import run_suites
 
         eigh, svd = counts(lambda: run_suites(["all"], 10))
-        assert eigh <= 86 and svd <= 183
+        assert eigh <= 86 and svd <= 163
 
     @pytest.mark.parametrize("name, svd", [("limits", 10), ("monotonicity", 10),
                                            ("derivatives", 20)])
