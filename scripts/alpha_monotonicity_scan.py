@@ -31,8 +31,8 @@ def main() -> int:
     pairs = seeded_pairs(args.pairs, args.base_seed, tuple(args.dims))
     for k, (rho, sigma, _) in enumerate(pairs):
         dim = rho.shape[0]
-        rows = sweep(rho, sigma, SweepSpec(alphas=alphas, zs=tuple(args.zs)))
-        violations = alpha_monotonicity_violations(rows, slack=args.slack)
+        grid, zs, values, _ = sweep(rho, sigma, SweepSpec(alphas=alphas, zs=tuple(args.zs)))
+        violations = alpha_monotonicity_violations(grid, zs, values, slack=args.slack)
         total_violations += violations
         total_steps += (len(alphas) - 1) * len(args.zs)
         flag = "" if violations == 0 else f"  <-- {violations} violations"

@@ -20,9 +20,10 @@ with each value after its option as usual (not joined by "="), `compute` at
 a negative alpha and z in scientific notation, `--example1` beside an
 explicit pair, two sweeps of a closed point whose trace leaves double
 range, all-integer-z sweeps (the product route) of a d = 16 pair and of a
-dominating rank-deficient pair, and integer-z `compute` points whose
-spectral powers or trace sum overflow (exit 3). In a command, {in} is a directory of input
-matrix files the script writes first, and {out} a fresh empty directory.
+dominating rank-deficient pair, integer-z `compute` points whose spectral
+powers or trace sum overflow (exit 3), and `dump` to stdout. In a command,
+{in} is a directory of input matrix files the script writes first, and
+{out} a fresh empty directory.
 """
 
 import argparse
@@ -124,6 +125,8 @@ def commands() -> list[tuple[dict, str]]:
         out.append(({}, f"sweep {pair} --alpha-grid 0.2:3:15 --z-grid 1:16:16 --out -"))
     for alpha, z in (("1e300", "2"), ("600", "1"), ("3000", "16")):
         out.append(({}, f"compute --example1 0.25 --alpha {alpha} --z {z}"))
+    out.append(({}, "dump --state '{\"generator\": \"reference\", \"seed\": 7, \"dim\": 4, "
+                    "\"full_rank\": false, \"rank\": 2}' --role sigma --out -"))
     return out
 
 

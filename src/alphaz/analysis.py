@@ -16,6 +16,12 @@ residual, and a row-per-point trend table that serializes to JSON. The
 limit, z-monotonicity and dT/dz checks take a sequence of items (curves,
 alphas, z0s) and return one report per item, in order, from one batched
 kernel call for all of the items' points; one item is the one-element case.
+Their offset ladders and finite-difference steps are module constants, not
+options: LIMIT_OFFSETS, DZ_TRACE_OFFSETS, and the default step of
+fd_derivative (1e-4) or fd_second_derivative (1e-3).
+
+`sweep` maps an (alpha, z) grid to the arrays of D and T that `alphaz
+sweep` writes as CSV; the CLI and the alpha-monotonicity scan both call it.
 """
 
 from __future__ import annotations
@@ -41,20 +47,19 @@ class FdScheme:
             raise ValueError(f"step must lie in [1e-7, 1e-1], got {self.h}")
 
 
-# The central stencils: (offsets in units of h, integer weights, divisor). A
-# first derivative is sum_k w_k f(x0 + o_k h) / (divisor h), a second
-# derivative the same sum over divisor h^2.
-_CENTRAL_D1 = ((1.0, -1.0), (1.0, -1.0), 2.0)
-_CENTRAL_D2 = ((1.0, 0.0, -1.0), (1.0, -2.0, 1.0), 1.0)
+# The central stencils: (offsets in units of h, integer weights, divisor,
+# derivative order). A first derivative is sum_k w_k f(x0 + o_k h) /
+# (divisor h), a second derivative the same sum over divisor h^2.
+_CENTRAL_D1 = ((1.0, -1.0), (1.0, -1.0), 2.0, 1)
+_CENTRAL_D2 = ((1.0, 0.0, -1.0), (1.0, -2.0, 1.0), 1.0, 2)
 
 
-def _apply_stencil(stencil, f: Callable[[np.ndarray], np.ndarray], x0,
-                   h: float, order: int):
+def _apply_stencil(stencil, f: Callable[[np.ndarray], np.ndarray], x0, h: float):
     """sum_k w_k f(x0 + o_k h) / (divisor h^order), with f called once on all
     the stencil points: an array with one row per offset, each row shaped
     like x0. Samples may carry trailing axes, one derivative each; the result
     is then an array over the axes of x0 and of the samples."""
-    offsets, weights, divisor = stencil
+    offsets, weights, divisor, order = stencil
     x0 = np.asarray(x0, dtype=float)
     xs = x0 + h * np.reshape(offsets, (-1,) + (1,) * x0.ndim)
     ys = np.asarray(f(xs), dtype=float)
@@ -74,14 +79,14 @@ def fd_derivative(f: Callable[[np.ndarray], np.ndarray], x0,
     """First derivative at x0, a point or an array of them, by the central
     stencil. f maps the array of stencil points (offsets first, then
     the axes of x0) to an array of samples of that leading shape."""
-    return _apply_stencil(_CENTRAL_D1, f, x0, scheme.h, 1)
+    return _apply_stencil(_CENTRAL_D1, f, x0, scheme.h)
 
 
 def fd_second_derivative(f: Callable[[np.ndarray], np.ndarray], x0,
                          scheme: FdScheme = FdScheme(1e-3)):
     """Second derivative at x0 by the central stencil; f and x0 as in
     fd_derivative."""
-    return _apply_stencil(_CENTRAL_D2, f, x0, scheme.h, 2)
+    return _apply_stencil(_CENTRAL_D2, f, x0, scheme.h)
 
 
 @dataclass(frozen=True)
@@ -206,44 +211,36 @@ class CheckReport:
 LIMIT_LEVELS = 11
 LIMIT_BASE_OFFSET = 0.1
 LIMIT_FINAL_OFFSET = 1e-5
+# the decreasing |alpha - 1| offsets of every limit ladder
+LIMIT_OFFSETS = tuple(LIMIT_BASE_OFFSET * 2.0**-k
+                      for k in range(LIMIT_LEVELS)) + (LIMIT_FINAL_OFFSET,)
 LIMIT_TOL = 1e-3
 _TREND_SLACK = 1e-12
 # below this the residual is numerical noise and trend checks stop binding
 _TREND_NOISE_FLOOR = 1e-9
 
 
-def dyadic_offsets(levels: int = LIMIT_LEVELS,
-                   base: float = LIMIT_BASE_OFFSET,
-                   final: float | None = LIMIT_FINAL_OFFSET) -> list[float]:
-    """Decreasing |alpha - 1| offsets: base * 2^-k plus an optional final one."""
-    offsets = [base * 2.0**-k for k in range(levels)]
-    if final is not None:
-        offsets.append(final)
-    return offsets
-
-
 def verify_curve_limits(tf: TraceFunctional, curves: Sequence[CurveSpec],
-                        offsets: list[float] | None = None,
                         bias: float = 0.0) -> list[CheckReport]:
     """Check D(a, g(a)) -> relative entropy as a -> 1 along each curve, one
-    report per curve, in order; every curve's ladder is evaluated in one
-    batched call.
+    report per curve, in order; every curve's ladder (LIMIT_OFFSETS on both
+    sides of 1) is evaluated in one batched call.
 
     A curve passes iff its error at the tightest offset is <= 1e-3 on both
     sides and the error decays monotonically over the last three dyadic
     refinements. `bias` shifts every measured divergence (self-test hook).
     """
-    offsets = dyadic_offsets() if offsets is None else sorted(offsets, reverse=True)
     target = tf.relative_entropy()
-    alphas = [1.0 + side * off for side in (+1, -1) for off in offsets]
+    n = len(LIMIT_OFFSETS)
+    alphas = [1.0 + side * off for side in (+1, -1) for off in LIMIT_OFFSETS]
     zs = [[curve.g(alpha) for alpha in alphas] for curve in curves]
     values = tf.pair.divergences(alphas, np.reshape(zs, (-1, len(alphas)))) + bias
     reports = []
     for curve, z_row, d_row in zip(curves, zs, values.tolist()):
         rows = [{"alpha": alpha, "z": z, "divergence": d, "error": abs(d - target)}
                 for alpha, z, d in zip(alphas, z_row, d_row)]
-        errors = {+1: [r["error"] for r in rows[:len(offsets)]],
-                  -1: [r["error"] for r in rows[len(offsets):]]}
+        errors = {+1: [r["error"] for r in rows[:n]],
+                  -1: [r["error"] for r in rows[n:]]}
         final_err = max(errors[+1][-1], errors[-1][-1])
         trend_ok = True
         for side in (+1, -1):
@@ -273,11 +270,9 @@ def _family_zs(alphas: np.ndarray) -> np.ndarray:
     return np.stack([fn(alphas) for fn in FAMILIES.values()], axis=1)
 
 
-def verify_derivative_at_one(tf: TraceFunctional,
-                             scheme: FdScheme = FdScheme(1e-4)
-                             ) -> CheckReport:
+def verify_derivative_at_one(tf: TraceFunctional) -> CheckReport:
     """Check that the slope of both divergence families at a = 1 equals half
-    the relative entropy variance.
+    the relative entropy variance, by fd_derivative's default step.
 
     Passes iff each family's relative error is <= 1e-3, the two family
     estimates agree within 1e-5, and no slope dips below -1e-6 (the variance
@@ -289,7 +284,7 @@ def verify_derivative_at_one(tf: TraceFunctional,
     denom = abs(target) if abs(target) >= 1e-6 else 1.0
     rows = []
     slopes = fd_derivative(
-        lambda a: tf.pair.divergences(a[:, None], _family_zs(a)), 1.0, scheme)
+        lambda a: tf.pair.divergences(a[:, None], _family_zs(a)), 1.0)
     slopes = dict(zip(FAMILIES, slopes.tolist()))
     for name, slope in slopes.items():
         rows.append({
@@ -337,10 +332,9 @@ SECOND_DERIV_REL_TOL = 1e-3   # for the z=alpha family
 STENCIL_AGREEMENT_TOL = 1e-9
 
 
-def verify_second_derivative_example1(p: float,
-                                      scheme: FdScheme = FdScheme(1e-3)
-                                      ) -> CheckReport:
-    """Second derivatives at a = 1 for the rank-1-vs-diagonal pair.
+def verify_second_derivative_example1(p: float) -> CheckReport:
+    """Second derivatives at a = 1 for the rank-1-vs-diagonal pair, by
+    fd_second_derivative's default step.
 
     The z=1 family must have curvature 0 (within 1e-3) and the z=alpha
     family curvature -(ln p - ln(1-p))^2 / 4 (within 1e-3 relative); each
@@ -364,7 +358,7 @@ def verify_second_derivative_example1(p: float,
         gaps.append(np.abs(m - c).max(axis=0))
         return np.concatenate([m, c], axis=1)
 
-    d2 = fd_second_derivative(both, 1.0, scheme).tolist()
+    d2 = fd_second_derivative(both, 1.0).tolist()
     stencil_gaps = gaps[0].tolist()
     stencil_gap = max(stencil_gaps)
     rows = []
@@ -436,12 +430,11 @@ DZ_TRACE_TOL = 1e-4
 DZ_TRACE_OFFSETS = (1e-1, 1e-2, 1e-3, 1e-4)
 
 
-def verify_dz_trace_vanishes(tf: TraceFunctional, z0s: Sequence[float],
-                             offsets: tuple[float, ...] = DZ_TRACE_OFFSETS,
-                             scheme: FdScheme = FdScheme(1e-4)
-                             ) -> list[CheckReport]:
+def verify_dz_trace_vanishes(tf: TraceFunctional,
+                             z0s: Sequence[float]) -> list[CheckReport]:
     """Check dT/dz(alpha, z0) -> 0 as alpha -> 1: one report per z0, in
-    order, from one batched call for every stencil point of every z0.
+    order, from one batched call for every stencil point of every z0, by
+    fd_derivative's default step at alpha = 1 +/- DZ_TRACE_OFFSETS and 1.
 
     A z0 passes iff |dT/dz| decays (within slack) along the offset ladder on
     both sides of 1, is <= 1e-4 at the tightest offset, and is <= 1e-8 at
@@ -450,11 +443,10 @@ def verify_dz_trace_vanishes(tf: TraceFunctional, z0s: Sequence[float],
     z0s = [float(z0) for z0 in z0s]
     if 0.0 in z0s:
         raise DomainError("z = 0 is excluded")
-    offsets = tuple(sorted((float(o) for o in offsets), reverse=True))
     # every offset on both sides, then alpha = 1: one column each
-    alphas = [1.0 + side * off for side in (+1, -1) for off in offsets] + [1.0]
-    slopes = fd_derivative(lambda z: tf.pair.traces(alphas, z[..., None]), z0s, scheme)
-    n = len(offsets)
+    alphas = [1.0 + side * off for side in (+1, -1) for off in DZ_TRACE_OFFSETS] + [1.0]
+    slopes = fd_derivative(lambda z: tf.pair.traces(alphas, z[..., None]), z0s)
+    n = len(DZ_TRACE_OFFSETS)
     reports = []
     for z0, (*ladder, at_one) in zip(z0s, slopes.tolist()):
         rows = [{"alpha": alpha, "dT_dz": d, "abs": abs(d)}
@@ -502,44 +494,26 @@ class SweepSpec:
         return np.repeat(alphas, zs.size), np.tile(zs, alphas.size)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    alpha: float
-    z: float
-    divergence: dv.DivergenceValue
-    trace_value: float
-
-    @property
-    def finite(self) -> bool:
-        return self.divergence.is_finite
-
-
-def sweep(rho: np.ndarray, sigma: np.ndarray, spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate the divergence and trace functional over the grid,
-    alpha-major then z; infinite divergences keep their restricted-support
-    trace value, and a NaN trace marks undefined-formula cells."""
-    pair = dv.prepare(rho, sigma)
+def sweep(rho: np.ndarray, sigma: np.ndarray, spec: SweepSpec
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The grid's alphas and zs, alpha-major then z, with the divergence D
+    and the trace functional T at each point, as four float arrays. An
+    infinite D keeps its restricted-support T, and a NaN T marks a cell
+    whose formula is undefined or leaves double range."""
     alphas, zs = spec.points()
-    values, traces = pair.evaluate(alphas, zs)
-    # an infinite value is a point the supports close, whose tagged value
-    # `divergence` returns without a trace
-    return [SweepRow(a, z, dv.DivergenceValue.finite(d) if math.isfinite(d)
-                     else pair.divergence(a, z), t)
-            for a, z, d, t in zip(alphas.tolist(), zs.tolist(), values.tolist(),
-                                  traces.tolist())]
+    values, traces = dv.prepare(rho, sigma).evaluate(alphas, zs)
+    return alphas, zs, values, traces
 
 
-def alpha_monotonicity_violations(rows: list[SweepRow], slack: float = 1e-10) -> int:
-    """Count decreases of the divergence along alpha at fixed z; exploratory
-    only (monotonicity in alpha is conjectured, never asserted)."""
-    by_z: dict[float, list[SweepRow]] = {}
-    for row in rows:
-        if row.finite:
-            by_z.setdefault(row.z, []).append(row)
+def alpha_monotonicity_violations(alphas, zs, values, slack: float = 1e-10) -> int:
+    """Count decreases of the divergence along alpha at fixed z over the
+    finite cells of a sweep's arrays, each z's cells sorted by alpha first;
+    exploratory only (monotonicity in alpha is conjectured, never asserted)."""
+    alphas, zs, values = (np.asarray(x, dtype=float) for x in (alphas, zs, values))
+    finite = np.isfinite(values)
     violations = 0
-    for group in by_z.values():
-        group.sort(key=lambda r: r.alpha)
-        for a, b in zip(group, group[1:]):
-            if b.divergence.value < a.divergence.value - slack:
-                violations += 1
+    for z in np.unique(zs[finite]):
+        at_z = finite & (zs == z)
+        row = values[at_z][np.argsort(alphas[at_z], kind="stable")]
+        violations += int(np.count_nonzero(row[1:] < row[:-1] - slack))
     return violations

@@ -14,7 +14,7 @@ with either of the others is malformed input. A negative value such as
 -1e-3, -inf or -1.5:3:10 may follow its option as usual (`--alpha-grid
 -1.5:3:10`, also after an abbreviated option such as `--alpha-g`) or be
 joined to it (`--alpha-grid=-1.5:3:10`).
-`sweep` writes its CSV lines straight from `PreparedPair.evaluate`'s arrays.
+`sweep` writes its CSV lines straight from `analysis.sweep`'s arrays.
 `main` builds the argparse parser on its first call and reuses it, so
 in-process callers pay for it once.
 """
@@ -31,9 +31,9 @@ import sys
 import numpy as np
 
 from . import divergences as dv
-from .analysis import NAMED_CURVES, CurveSpec, SweepSpec
+from .analysis import NAMED_CURVES, CurveSpec, SweepSpec, sweep
 from .linalg import DomainError, NotPSDError
-from .matrixio import SpecError, dump_matrix, resolve_state_spec
+from .matrixio import SpecError, matrix_to_json, resolve_state_spec
 from .suites import SUITE_NAMES, run_suites
 
 EXIT_OK = 0
@@ -82,6 +82,18 @@ def _parse_curve(text: str) -> CurveSpec:
     raise SpecError(f"unknown curve {text!r}; known: {', '.join(known)}")
 
 
+def _write_out(path: str, text: str) -> None:
+    """Write text to the file at path, or to stdout for "-"."""
+    if path == "-":
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SpecError(f"cannot write {path}: {exc}") from exc
+
+
 def _load_pair(args) -> tuple[np.ndarray, np.ndarray]:
     if args.example1 is not None:
         if args.rho is not None or args.sigma is not None:
@@ -126,31 +138,18 @@ def cmd_sweep(args) -> int:
         spec = SweepSpec(alphas=alphas, curve=_parse_curve(args.z_grid[len("curve:"):]))
     else:
         spec = SweepSpec(alphas=alphas, zs=_parse_grid(args.z_grid))
-    alphas, zs = spec.points()
-    values, traces = dv.prepare(rho, sigma).evaluate(alphas, zs)
     lines = ["alpha,z,divergence_nats,trace_functional,finite"]
-    for a, z, d, t in zip(alphas.tolist(), zs.tolist(), values.tolist(), traces.tolist()):
+    for a, z, d, t in zip(*(x.tolist() for x in sweep(rho, sigma, spec))):
         finite = math.isfinite(d)
         lines.append(f"{_fmt(a)},{_fmt(z)},{_fmt_divergence(d) if finite else 'inf'},"
                      f"{_fmt(t)},{'true' if finite else 'false'}")
-    text = "\n".join(lines) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise SpecError(f"cannot write {args.out}: {exc}") from exc
+    _write_out(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def cmd_dump(args) -> int:
     matrix = resolve_state_spec(args.state, args.role)
-    try:
-        dump_matrix(matrix, args.out)
-    except OSError as exc:
-        raise SpecError(f"cannot write {args.out}: {exc}") from exc
+    _write_out(args.out, json.dumps(matrix_to_json(matrix)) + "\n")
     return EXIT_OK
 
 
@@ -238,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dump = sub.add_parser("dump", help="write a state-spec matrix as JSON")
     p_dump.add_argument("--state", required=True, help=spec_help)
     p_dump.add_argument("--role", default="rho", choices=["rho", "sigma"])
-    p_dump.add_argument("--out", required=True)
+    p_dump.add_argument("--out", required=True, help="output JSON path, - for stdout")
     p_dump.set_defaults(func=cmd_dump)
 
     p_verify = sub.add_parser("verify", help="run the certification suites")

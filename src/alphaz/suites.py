@@ -12,7 +12,7 @@ pair axis (`divergences.stacked_divergences`): invariants evaluates each
 seeded pair with its rotation, its rescaled reference and (rho, rho) in
 one call, and classical evaluates its commuting pairs one dimension at a
 time, then finds its worst rows in pair order. A `verify --suite all
---seeds 10` run makes 86 `eigh` and 183 `svd` calls.
+--seeds 10` run makes 86 `eigh` and 163 `svd` calls.
 """
 
 from __future__ import annotations

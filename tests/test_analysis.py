@@ -13,7 +13,6 @@ from alphaz.analysis import (
     SweepSpec,
     TraceFunctional,
     alpha_monotonicity_violations,
-    dyadic_offsets,
     example1_closed_form,
     fd_derivative,
     fd_second_derivative,
@@ -24,7 +23,7 @@ from alphaz.analysis import (
     verify_second_derivative_example1,
     verify_z_monotonicity,
 )
-from alphaz.divergences import alpha_z_divergence, relative_entropy
+from alphaz.divergences import alpha_z_divergence, prepare, relative_entropy
 from alphaz.linalg import DomainError
 from alphaz.states import commuting_pair, example1_pair, random_density, random_reference
 from alphaz.suites import (
@@ -187,7 +186,7 @@ class TestCurveLimit:
         assert not rep.passed
 
     def test_default_offsets(self):
-        offs = dyadic_offsets()
+        offs = analysis.LIMIT_OFFSETS
         assert offs[0] == 0.1 and offs[-1] == 1e-5 and len(offs) == 12
         assert all(a > b for a, b in zip(offs[:-1], offs[1:]))
 
@@ -266,8 +265,7 @@ class TestZMonotonicity:
 
 class TestDzTraceVanishes:
     def test_example1_ladder(self):
-        [rep] = verify_dz_trace_vanishes(example1_tf(), [1.0],
-                                         offsets=(0.1, 0.01, 0.001))
+        [rep] = verify_dz_trace_vanishes(example1_tf(), [1.0])
         assert rep.passed
         mags = [r["abs"] for r in rep.rows if r["alpha"] > 1.0]
         assert mags == sorted(mags, reverse=True)
@@ -303,14 +301,12 @@ class TestBatchedVerifications:
     def dicts(reports):
         return [rep.to_dict() for rep in reports]
 
-    @pytest.mark.parametrize("offsets, bias", [(None, 0.0), (None, 0.01),
-                                               ([0.05, 0.3, 1e-3, 2e-4], -0.2)])
-    def test_curve_limits(self, offsets, bias):
+    @pytest.mark.parametrize("bias", [0.0, 0.01, -0.2])
+    def test_curve_limits(self, bias):
         curves = LIMIT_CURVES + (CurveSpec.affine(-1.0, 2.5),)
         for tf in _batch_pairs():
-            singles = [verify_curve_limits(tf, [curve], offsets, bias)[0] for curve in curves]
-            assert self.dicts(verify_curve_limits(tf, curves, offsets, bias)) == \
-                self.dicts(singles)
+            singles = [verify_curve_limits(tf, [curve], bias)[0] for curve in curves]
+            assert self.dicts(verify_curve_limits(tf, curves, bias)) == self.dicts(singles)
 
     def test_z_monotonicity(self):
         alphas = MONOTONICITY_ALPHAS + (0.9, 3.0)
@@ -320,16 +316,11 @@ class TestBatchedVerifications:
             assert self.dicts(verify_z_monotonicity(tf, alphas, MONOTONICITY_ZS)) == \
                 self.dicts(singles)
 
-    @pytest.mark.parametrize("offsets, scheme", [
-        (analysis.DZ_TRACE_OFFSETS, FdScheme(1e-4)),
-        ((0.2, 0.02, 5e-3), FdScheme(1e-3)),
-    ])
-    def test_dz_trace_vanishes(self, offsets, scheme):
+    def test_dz_trace_vanishes(self):
         z0s = DZ_TRACE_Z0S + (0.25, 3.5)
         for tf in _batch_pairs():
-            singles = [verify_dz_trace_vanishes(tf, [z0], offsets, scheme)[0] for z0 in z0s]
-            assert self.dicts(verify_dz_trace_vanishes(tf, z0s, offsets, scheme)) == \
-                self.dicts(singles)
+            singles = [verify_dz_trace_vanishes(tf, [z0])[0] for z0 in z0s]
+            assert self.dicts(verify_dz_trace_vanishes(tf, z0s)) == self.dicts(singles)
 
     def test_no_items_no_reports(self):
         tf = example1_tf()
@@ -341,38 +332,53 @@ class TestBatchedVerifications:
 class TestSweep:
     def test_single_cell(self):
         rho, sigma = example1_pair(0.25)
-        rows = sweep(rho, sigma, SweepSpec(alphas=(2.0,), zs=(1.0,)))
-        assert len(rows) == 1
-        assert rows[0].divergence.value == pytest.approx(EX1_AZ_2_1, abs=1e-12)
-        assert rows[0].finite
+        alphas, zs, values, traces = sweep(rho, sigma, SweepSpec(alphas=(2.0,), zs=(1.0,)))
+        assert alphas.tolist() == [2.0] and zs.tolist() == [1.0]
+        assert values.shape == traces.shape == (1,)
+        assert values[0] == pytest.approx(EX1_AZ_2_1, abs=1e-12)
+
+    @pytest.mark.parametrize("branch", ["dominating", "violating"])
+    def test_arrays_are_the_kernel_evaluation(self, branch):
+        from alphaz.states import random_support_pair
+
+        # infinite values and NaN traces included on the violating pair
+        rho, sigma = random_support_pair(4, 59, rank=3, branch=branch)
+        spec = SweepSpec(alphas=(0.5, 1.0, 2.0), zs=(0.5, 1.0, 2.0))
+        got = sweep(rho, sigma, spec)
+        points = spec.points()
+        for a, b in zip(got, points + prepare(rho, sigma).evaluate(*points)):
+            np.testing.assert_array_equal(a, b, strict=True)
 
     def test_alpha_one_row_is_relative_entropy(self):
         rho, sigma = example1_pair(0.25)
-        rows = sweep(rho, sigma, SweepSpec(alphas=(0.5, 1.0, 2.0), zs=(1.0, 2.0)))
+        alphas, _, values, traces = sweep(rho, sigma,
+                                          SweepSpec(alphas=(0.5, 1.0, 2.0), zs=(1.0, 2.0)))
         target = relative_entropy(rho, sigma).value
-        for row in rows:
-            if row.alpha == 1.0:
-                assert row.divergence.value == pytest.approx(target, abs=1e-12)
-                assert row.trace_value == pytest.approx(1.0, abs=1e-12)
+        at_one = alphas == 1.0
+        assert at_one.sum() == 2
+        for d, t in zip(values[at_one].tolist(), traces[at_one].tolist()):
+            assert d == pytest.approx(target, abs=1e-12)
+            assert t == pytest.approx(1.0, abs=1e-12)
 
     def test_commuting_z_independence(self):
         rho, sigma, _, _ = commuting_pair(3, 53)
-        rows = sweep(rho, sigma, SweepSpec(alphas=(0.5, 2.0), zs=(0.5, 1.0, 2.0)))
+        alphas, _, values, _ = sweep(rho, sigma,
+                                     SweepSpec(alphas=(0.5, 2.0), zs=(0.5, 1.0, 2.0)))
         for alpha in (0.5, 2.0):
-            vals = [r.divergence.value for r in rows if r.alpha == alpha]
-            assert max(vals) - min(vals) <= 1e-10
+            vals = values[alphas == alpha]
+            assert vals.size == 3 and vals.max() - vals.min() <= 1e-10
 
     def test_alpha_major_ordering(self):
         rho, sigma = example1_pair(0.25)
-        rows = sweep(rho, sigma, SweepSpec(alphas=(0.5, 2.0), zs=(1.0, 2.0)))
-        assert [(r.alpha, r.z) for r in rows] == [
+        alphas, zs, _, _ = sweep(rho, sigma, SweepSpec(alphas=(0.5, 2.0), zs=(1.0, 2.0)))
+        assert list(zip(alphas.tolist(), zs.tolist())) == [
             (0.5, 1.0), (0.5, 2.0), (2.0, 1.0), (2.0, 2.0)]
 
     def test_curve_grid(self):
         rho, sigma = example1_pair(0.25)
-        rows = sweep(rho, sigma,
-                     SweepSpec(alphas=(0.5, 2.0), curve=CurveSpec.identity()))
-        assert [r.z for r in rows] == [0.5, 2.0]
+        _, zs, _, _ = sweep(rho, sigma,
+                            SweepSpec(alphas=(0.5, 2.0), curve=CurveSpec.identity()))
+        assert zs.tolist() == [0.5, 2.0]
 
     def test_infinite_cells(self):
         from alphaz.states import random_support_pair
@@ -380,14 +386,14 @@ class TestSweep:
         # violating pair at alpha > 1, z > 0: divergence inf and the
         # restricted trace hits the undefined-formula gate -> nan marker
         rho, sigma = random_support_pair(4, 59, rank=3, branch="violating")
-        rows = sweep(rho, sigma, SweepSpec(alphas=(2.0,), zs=(1.0,)))
-        assert not rows[0].finite
-        assert math.isnan(rows[0].trace_value)
+        _, _, values, traces = sweep(rho, sigma, SweepSpec(alphas=(2.0,), zs=(1.0,)))
+        assert values[0] == math.inf
+        assert math.isnan(traces[0])
         # orthogonal pair below one: divergence inf, trace well defined (0)
         rho_o, sigma_o = random_support_pair(4, 61, rank=2, branch="orthogonal")
-        rows = sweep(rho_o, sigma_o, SweepSpec(alphas=(0.5,), zs=(1.0,)))
-        assert not rows[0].finite
-        assert rows[0].trace_value == pytest.approx(0.0, abs=1e-12)
+        _, _, values, traces = sweep(rho_o, sigma_o, SweepSpec(alphas=(0.5,), zs=(1.0,)))
+        assert values[0] == math.inf
+        assert traces[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -399,9 +405,37 @@ class TestSweep:
 
     def test_alpha_monotonicity_counter(self):
         rho, sigma = example1_pair(0.25)
-        rows = sweep(rho, sigma,
-                     SweepSpec(alphas=tuple(np.linspace(0.3, 2.5, 12)), zs=(1.0, 2.0)))
-        assert alpha_monotonicity_violations(rows) == 0
+        alphas, zs, values, _ = sweep(
+            rho, sigma, SweepSpec(alphas=tuple(np.linspace(0.3, 2.5, 12)), zs=(1.0, 2.0)))
+        assert alpha_monotonicity_violations(alphas, zs, values) == 0
+
+
+class TestAlphaMonotonicityCounter:
+    """The counter on constructed arrays, alpha-major as a sweep gives them."""
+
+    def test_one_decrease_at_one_z(self):
+        # z = 1 rises; z = 2 falls once, from 0.5 to 0.4
+        alphas, zs = [0.5, 0.5, 1.0, 1.0, 2.0, 2.0], [1.0, 2.0] * 3
+        values = [0.1, 0.5, 0.2, 0.4, 0.3, 0.6]
+        assert alpha_monotonicity_violations(alphas, zs, values) == 1
+
+    def test_decrease_within_slack(self):
+        alphas, zs = [0.5, 1.0, 2.0], [1.0] * 3
+        values = [0.1, 0.1 - 5e-11, 0.2]
+        assert alpha_monotonicity_violations(alphas, zs, values) == 0
+        assert alpha_monotonicity_violations(alphas, zs, values, slack=1e-11) == 1
+
+    def test_compared_across_an_infinite_cell(self):
+        alphas, zs = [0.5, 1.0, 2.0], [1.0] * 3
+        assert alpha_monotonicity_violations(alphas, zs, [0.3, math.inf, 0.2]) == 1
+        assert alpha_monotonicity_violations(alphas, zs, [0.2, math.inf, 0.3]) == 0
+
+    def test_alphas_sorted_first(self):
+        alphas, zs = [2.0, 0.5, 1.0], [1.0] * 3
+        # ascending in alpha, though not in the order given
+        assert alpha_monotonicity_violations(alphas, zs, [0.3, 0.1, 0.2]) == 0
+        # descending in alpha: two decreases
+        assert alpha_monotonicity_violations(alphas, zs, [0.1, 0.3, 0.2]) == 2
 
 
 class TestExample1ClosedForm:

@@ -347,6 +347,28 @@ class TestDump:
         assert out.returncode == 0
         assert max_abs(load_matrix(path) - random_density(3, 3)) <= 1e-15
 
+    def test_stdout_output(self, capsys, monkeypatch, tmp_path):
+        # "-" is stdout, as for sweep, not a file named "-"
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_in_process(["dump", "--state",
+                                         '{"generator": "density", "seed": 3, "dim": 3}',
+                                         "--out", "-"], capsys)
+        assert (code, err) == (0, "")
+        assert list(tmp_path.iterdir()) == []
+        dump_matrix(random_density(3, 3), tmp_path / "m.json")
+        assert out == (tmp_path / "m.json").read_text()
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--example1", "0.25", "--alpha-grid", "0.5:2:4", "--z-grid", "1:2:2"],
+    ["dump", "--state", '{"generator": "density", "seed": 3, "dim": 3}'],
+], ids=["sweep", "dump"])
+def test_unwritable_out_is_malformed_input(capsys, tmp_path, command):
+    path = tmp_path / "missing" / "out"
+    code, out, err = run_in_process([*command, "--out", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+
 
 class TestVerify:
     def test_example1_suite_passes(self):
@@ -481,6 +503,24 @@ class TestNegativeValues:
         assert code == 2
         assert "argument --z: expected one argument" in err
         assert out == ""
+
+
+def test_sweep_goes_through_analysis_sweep(capsys, monkeypatch):
+    # the CLI and the scan share one sweep path
+    from alphaz import analysis, cli
+
+    assert cli.sweep is analysis.sweep
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return analysis.sweep(*args)
+
+    monkeypatch.setattr(cli, "sweep", counted)
+    code, out, _ = run_in_process(["sweep", "--example1", "0.25", "--alpha-grid", "0.5:2:4",
+                                   "--z-grid", "1:2:2", "--out", "-"], capsys)
+    assert code == 0 and len(out.splitlines()) == 1 + 4 * 2
+    assert calls == [analysis.SweepSpec(alphas=(0.5, 1.0, 1.5, 2.0), zs=(1.0, 2.0))]
 
 
 class TestExample1ExcludesPair:

@@ -755,9 +755,9 @@ class TestBatchedKernel:
         from alphaz.analysis import SweepSpec, sweep
 
         rho, sigma = random_support_pair(4, seed, rank=rank, branch=branch)
-        rows = sweep(rho, sigma, SweepSpec(alphas=alphas, zs=(-1.0, 0.5, 2.0)))
-        assert [math.isnan(r.trace_value) for r in rows] == nan_cells
-        assert not any(r.finite for r in rows)
+        _, _, values, traces = sweep(rho, sigma, SweepSpec(alphas=alphas, zs=(-1.0, 0.5, 2.0)))
+        assert [math.isnan(t) for t in traces.tolist()] == nan_cells
+        assert not np.isfinite(values).any()
 
     def test_sweep_raises_where_divergence_needs_undefined_trace(self):
         from alphaz.analysis import SweepSpec, sweep
@@ -786,8 +786,8 @@ class TestBatchedKernel:
         values, traces = pair.evaluate([0.5, alpha], [1.0, z])
         assert values[1] == expected.value and math.isnan(traces[1])
         assert values[0] == pair.divergences(0.5, 1.0) and traces[0] == pair.traces(0.5, 1.0)
-        (row,) = sweep(rho, sigma, SweepSpec(alphas=(alpha,), zs=(z,)))
-        assert row.divergence == expected and math.isnan(row.trace_value)
+        _, _, values, traces = sweep(rho, sigma, SweepSpec(alphas=(alpha,), zs=(z,)))
+        assert values.tolist() == [expected.value] and math.isnan(traces[0])
 
 
 class TestStackedDivergences:
