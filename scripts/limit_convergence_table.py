@@ -12,6 +12,8 @@ import argparse
 import sys
 
 from alphaz.analysis import NAMED_CURVES, TraceFunctional, verify_curve_limits
+from alphaz.cli import _write_out
+from alphaz.matrixio import SpecError
 from alphaz.states import example1_pair, random_density, random_reference
 
 
@@ -37,12 +39,11 @@ def main() -> int:
     for row in sorted(report.rows, key=lambda r: r["alpha"]):
         lines.append(f"{row['alpha']!r},{row['z']!r},"
                      f"{row['divergence']!r},{row['error']!r}")
-    text = "\n".join(lines) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    try:
+        _write_out(args.out, "\n".join(lines) + "\n")
+    except SpecError as exc:  # an unwritable path, as the CLI reports it
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"# {report.name}: passed={report.passed} "
           f"residual_at_1e-5={report.max_residual:.3e}  ({report.notes})",
           file=sys.stderr)

@@ -21,7 +21,10 @@ a negative alpha and z in scientific notation, `--example1` beside an
 explicit pair, two sweeps of a closed point whose trace leaves double
 range, all-integer-z sweeps (the product route) of a d = 16 pair and of a
 dominating rank-deficient pair, integer-z `compute` points whose spectral
-powers or trace sum overflow (exit 3), and `dump` to stdout. In a command,
+powers or trace sum overflow (exit 3), `dump` to stdout, `verify --json`
+to an unwritable path and to `-` (exit 2), and two sweeps of a dominating
+rank-deficient pair whose grid has an undefined point and an underflowing
+one, in both orders (exit 3, the undefined point named). In a command,
 {in} is a directory of input matrix files the script writes first, and
 {out} a fresh empty directory.
 """
@@ -127,6 +130,12 @@ def commands() -> list[tuple[dict, str]]:
         out.append(({}, f"compute --example1 0.25 --alpha {alpha} --z {z}"))
     out.append(({}, "dump --state '{\"generator\": \"reference\", \"seed\": 7, \"dim\": 4, "
                     "\"full_rank\": false, \"rank\": 2}' --role sigma --out -"))
+    # a fixed unwritable path, so that the message is the same on each run
+    for path in ("/dev/null/v.json", "-"):
+        out.append(({}, f"verify --suite example1 --seeds 1 --json {path}"))
+    for grid in ("--z-grid=-1:1e-300:2", "--z-grid 1e-300:-1:2"):
+        out.append(({}, f"sweep {_support_pair('dominating')} --alpha-grid 0.5:0.5:1 {grid} "
+                        "--out {out}/s.csv"))
     return out
 
 

@@ -154,6 +154,8 @@ def cmd_dump(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.json == "-":
+        raise SpecError("--json needs a file path, not -: stdout carries the report")
     bias = 0.01 if args.self_test_perturb else 0.0
     reports = run_suites([args.suite], n_seeds=args.seeds, bias=bias)
     width = max(len(r.name) for r in reports)
@@ -170,9 +172,8 @@ def cmd_verify(args) -> int:
             "passed": not failures,
             "checks": [r.to_dict() for r in reports],
         }
-        with open(args.json, "w") as fh:
-            # one write: json.dump would make thousands of small ones
-            fh.write(json.dumps(doc, indent=2, default=float) + "\n")
+        # one write: json.dump would make thousands of small ones
+        _write_out(args.json, json.dumps(doc, indent=2, default=float) + "\n")
     if failures:
         first = failures[0]
         print(f"first failure: {first.name} residual={first.max_residual:.6e}",

@@ -33,9 +33,12 @@ a dominated pair whose z is a positive integer up to Z_PRODUCT_MAX = 16,
 where T = Tr (G G†)^z is a sum of squares of matrix products; or the SVD
 route of T (`_factor`, `_trace_sums`). A product-route T outside
 [tiny, inf) is computed again by the SVD route, which alone decides the
-range. T is optional at a closed point: it is NaN there where it is
-undefined or out of double range. Where D needs T, such a T raises
-DomainError naming the point.
+range. The route steps raise nothing: they give each point a fault code,
+1 where T's formula is undefined, 2 where the spectral powers overflow, 3
+where the trace sum overflows and 4 where it underflows, and T is NaN at a
+point with a fault. Each entry point then raises one DomainError, for the
+lowest code at its first point among the points it needs (every point for
+T, the open points for D); a closed point's fault is no error.
 
 Every quantum value comes from a PreparedPair, which validates both
 operators as one stack in one pass, decomposes them with one `eigh` and
@@ -74,6 +77,14 @@ _DUAL_PATH_TOL = 1e-10
 
 # the product route keeps a T in [_TINY, inf); the SVD route decides the rest
 _TINY = float(np.finfo(float).tiny)
+
+# the kernel's fault code of a point, 0 where it has none; a point keeps the
+# first code it gets, and a call raises for its lowest code at its first
+# point with that code (`PreparedPair._raise`)
+_UNDEFINED, _POWERS_OVERFLOW, _SUM_OVERFLOW, _SUM_UNDERFLOW = 1, 2, 3, 4
+_BEYOND_RANGE = {_POWERS_OVERFLOW: "the spectral powers overflow",
+                 _SUM_OVERFLOW: "the trace sum overflows",
+                 _SUM_UNDERFLOW: "the trace sum underflows"}
 
 _TRACE_ATOL = 1e-10
 _PROB_ATOL = 1e-12
@@ -229,12 +240,6 @@ def _point(alpha: float, z: float) -> tuple[float, float]:
     return alpha, z
 
 
-def _undefined(name: str, exponent: float) -> DomainError:
-    return DomainError("formula undefined for this support configuration: "
-                       f"{name} is rank-deficient and its exponent {exponent:.6g} "
-                       "is negative")
-
-
 def _from_trace(alpha: float, t: float) -> float:
     """D = ln T / (alpha - 1) at one point; T <= 0 is an internal fault."""
     if t <= 0.0:
@@ -281,14 +286,9 @@ def _filled(shape: tuple[int, ...], x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _beyond_range(what: str, alphas, zs, finite) -> DomainError:
-    """The DomainError for the first point (in order) where `finite` is
-    false; alphas and zs are scalars or arrays that broadcast to the shape
-    of finite."""
-    i = int(np.argmin(finite))
-    alpha, z = (np.ravel(np.broadcast_to(x, np.shape(finite)))[i] for x in (alphas, zs))
-    return DomainError(f"alpha or z beyond double range: {what} at (alpha, z) = "
-                       f"({float(alpha)!r}, {float(z)!r})")
+def _joined(fault, code: int, at):
+    """The fault codes `fault` with `code` at the points `at` that have none."""
+    return np.where(fault, fault, code * at)
 
 
 @dataclass(frozen=True)
@@ -299,16 +299,18 @@ class PreparedPair:
     rank of the supp sigma x supp rho block of W, which every inner operator
     sigma^e rho^f sigma^e of the pair shares.
 
-    Every entry point asks `_route` which way each point goes. `traces`,
+    Every entry point asks `_route` which way each point goes, and the
+    route steps (`_factor`, `_power_sums`, `_trace_sums`) compute values and
+    per-point fault codes without raising; the entry point then raises once,
+    through `_raise`, for the faults at the points it needs. `traces`,
     `divergences` and `evaluate` take arrays of points, sum the product
     points' matrix products and run one stacked SVD for the rest: they are
     the one-pair case of the module's stacked kernel
     (`stacked_divergences`), and `evaluate` returns the D of `divergences`
     with the T beside it, NaN at a closed point where T is undefined or out
-    of double range. The scalar `divergence` runs the same product and SVD
-    routes (`_factor`, `_power_sums`, `_trace_sums`) for one point, and
-    `petz`, `sandwiched` and `mosonyi_ogawa` call it with their own
-    self-checks."""
+    of double range. The scalar `divergence` runs the same steps for one
+    point, and `petz`, `sandwiched` and `mosonyi_ogawa` call it with their
+    own self-checks."""
 
     rho: Spectrum
     sigma: Spectrum
@@ -318,13 +320,13 @@ class PreparedPair:
     orthogonal: bool
     inner_rank: int
 
-    def _route(self, alphas, zs, closing: bool = True):
+    def _route(self, alphas, zs):
         """The route rule at points (alpha, z), floats or 1-d arrays that
         `_point(s)` checked. Returns (closed, defined, product, e_sigma,
         e_rho):
-          * closed where D needs no trace (nowhere for T alone, closing
-            false): alpha = 1, where D is the relative entropy, and, without
-            dominance, alpha > 1 or orthogonal supports, where it is +inf;
+          * closed where D needs no trace: alpha = 1, where D is the
+            relative entropy, and, without dominance, alpha > 1 or
+            orthogonal supports, where it is +inf;
           * defined where T's formula is: no negative exponent on a
             rank-deficient operator, except sigma's under dominance (its
             generalized inverse); True for a pair where every point is;
@@ -332,32 +334,45 @@ class PreparedPair:
             positive integer up to Z_PRODUCT_MAX; False for a pair without
             dominance, whose inner-rank truncation a product would skip;
           * the exponents (1 - a)/2z and a/z of sigma and rho.
-        So each point has one of three outcomes. Closed: D needs no T, which
-        is optional there. Product: the product route (`_factor`,
-        `_power_sums`) computes T, and hands a T out of [tiny, inf) to the
-        SVD route. Otherwise the SVD route (`_factor`, `_trace_sums`) takes
-        the defined points and raises the DomainError of the first point
-        that is neither closed nor defined. Product points are defined:
-        they are open, and every undefined open point raises."""
+        So each point has one of three outcomes. Closed: D needs no T.
+        Product: the product route (`_factor`, `_power_sums`) computes T, and
+        hands a T out of [tiny, inf) to the SVD route. Otherwise the SVD
+        route (`_factor`, `_trace_sums`). `_factor` gives an undefined
+        point the fault code _UNDEFINED; `traces` needs T at a closed point
+        too."""
         e_sigma, e_rho = (1.0 - alphas) / (2.0 * zs), alphas / zs
-        closed = product = False
-        if closing:
-            closed = abs(alphas - 1.0) <= ALPHA_ONE_TOL
-            if not self.dominated:
-                closed = closed | (alphas > 1.0) | self.orthogonal
+        closed, product = abs(alphas - 1.0) <= ALPHA_ONE_TOL, False
         # bools at one point, arrays at several: these operators serve both
         if self.dominated:  # where closed is alpha = 1 alone; ^ True negates it
             product = (zs >= 1.0) & (zs <= Z_PRODUCT_MAX) & (zs % 1.0 == 0.0) & (closed ^ True)
+        else:
+            closed = closed | (alphas > 1.0) | self.orthogonal
         dim = self.rho.values.size
         rho_full, sigma_endorsed = self.rho.rank == dim, self.sigma.rank == dim or self.dominated
         if rho_full and sigma_endorsed:
             return closed, True, product, e_sigma, e_rho
         defined = ((e_rho >= 0.0) | rho_full) & ((e_sigma >= 0.0) | sigma_endorsed)
-        passed = defined | closed
-        if not (passed if isinstance(passed, bool) else passed.all()):
-            e_s, e_r = (np.ravel(e)[np.argmin(passed)] for e in (e_sigma, e_rho))
-            raise _undefined("rho", e_r) if e_r < 0.0 and not rho_full else _undefined("sigma", e_s)
         return closed, defined, product, e_sigma, e_rho
+
+    def _raise(self, fault, alphas, zs):
+        """Raise the DomainError of the lowest fault code in `fault` (an int
+        at one point, or one per point of the 1-d arrays alphas and zs) at
+        its first point with that code: for _UNDEFINED the operator whose
+        negative exponent has no generalized inverse there, rho before
+        sigma, and otherwise the range the point leaves."""
+        codes = np.ravel(fault)
+        code = int(codes[codes > 0].min())
+        i = int(np.argmax(codes == code))
+        alpha, z = float(np.ravel(alphas)[i]), float(np.ravel(zs)[i])
+        if code == _UNDEFINED:
+            *_, e_sigma, e_rho = self._route(alpha, z)
+            rho_first = e_rho < 0.0 and self.rho.rank < self.rho.values.size
+            name, exponent = ("rho", e_rho) if rho_first else ("sigma", e_sigma)
+            raise DomainError("formula undefined for this support configuration: "
+                              f"{name} is rank-deficient and its exponent {exponent:.6g} "
+                              "is negative")
+        raise DomainError(f"alpha or z beyond double range: {_BEYOND_RANGE[code]} at "
+                          f"(alpha, z) = ({alpha!r}, {z!r})")
 
     def _closed_value(self, alpha: float) -> DivergenceValue:
         """D at a closed point of `_route`: the relative entropy, +inf
@@ -367,99 +382,91 @@ class PreparedPair:
             return DivergenceValue.infinite(INFINITY_ORTHOGONAL)
         return self.relative_entropy()
 
-    def _factor(self, alphas, zs, e_sigma, e_rho, optional=False):
-        """The SVD route's G = diag(sigma^e_sigma) W diag(rho^(e_rho/2)) at one
-        point (floats) or a row of points (1-d arrays), whose G G† is the
-        inner operator, and the points it lost (None if none). Scaling W by
-        rows and columns is exact per entry, and the singular values of G
-        give the inner eigenvalues to about the square root of the relative
-        error of an eigendecomposition of the assembled sandwich.
+    def _factor(self, e_sigma, e_rho, defined):
+        """The G = diag(sigma^e_sigma) W diag(rho^(e_rho/2)) of both routes at
+        one point (floats) or a row of points (1-d arrays), whose G G† is the
+        inner operator, and the fault codes: _UNDEFINED where `defined`
+        (`_route`'s) is false, and _POWERS_OVERFLOW where the powers leave
+        double range; an int, 0 where no point has one, or one per point.
+        Scaling W by rows and columns is exact per entry, and the singular
+        values of G give the inner eigenvalues to about the square root of
+        the relative error of an eigendecomposition of the assembled
+        sandwich.
 
-        |W| <= 1 bounds every entry of G by the product of the largest power
-        on each side, so a finite bound keeps the SVD finite. A point whose
-        bound overflows raises the DomainError naming it, the first in order,
-        unless `optional` holds there: then it is lost, with powers 1 (G is
-        the unitary W). The test runs on all points first, per point only
-        when that fails; maxima starting at 0 also cover no points."""
+        An undefined point's G is built with exponents 0, which can neither
+        overflow nor warn. |W| <= 1 bounds every entry of G by the product of
+        the largest power on each side, so a finite bound keeps the SVD
+        finite. Where the bound overflows, the powers are set to 1 (G is the
+        unitary W). The test
+        runs on all points first, per point only when that fails; maxima
+        starting at 0 also cover no points."""
+        if defined is not True:  # exponents 0 where undefined: no overflow warning there
+            e_sigma, e_rho = np.where(defined, e_sigma, 0.0), np.where(defined, e_rho, 0.0)
         s_pow, r_pow = self.sigma.powers(e_sigma), self.rho.powers(e_rho / 2.0)
-        lost = None
+        fault = 1 - defined  # _UNDEFINED (1) where not defined: an int for a bool
         # one point's maxima in Python floats, which cost less than numpy's
         bound = (max(s_pow.tolist()) * max(r_pow.tolist()) if s_pow.ndim == 1
                  else float(s_pow.max(initial=0.0)) * float(r_pow.max(initial=0.0)))
         if not math.isfinite(bound):
-            lost = _lost("the spectral powers overflow", alphas, zs, optional,
-                         np.isfinite(s_pow.max(axis=-1) * r_pow.max(axis=-1)))
-            s_pow[lost] = r_pow[lost] = 1.0
+            over = ~np.isfinite(s_pow.max(axis=-1) * r_pow.max(axis=-1))
+            fault = _joined(fault, _POWERS_OVERFLOW, over)
+            s_pow[over] = r_pow[over] = 1.0
         # s * W * r with the second product in place: a large stack's
         # temporaries cost a fresh allocation each
         g = s_pow[..., :, None] * self.overlap
         g *= r_pow[..., None, :]
-        return g, lost
+        return g, fault
 
-    def _trace_sums(self, singular, alphas, zs, optional=False, lost=None):
-        """T from the singular values of `_factor`'s G at its points, one row
-        per point (one 1-d array for a point given as floats): the top
-        inner-rank values squared, raised to z and summed.
+    def _trace_sums(self, singular, zs):
+        """T from the singular values of `_factor`'s G at points without a
+        fault, one row per point (one 1-d array for a point given as a float
+        z), and the range faults of T as codes in `_factor`'s form: T is the
+        sum of the top inner-rank values squared, raised to z.
         G has the pair's inner rank, so its smaller singular values are
-        round-off and are dropped whatever their size. A sum that overflows,
-        or one that is 0 while the inner rank is positive, where every term
-        underflowed, leaves double range: it raises as `_factor` does, or is
-        lost where `optional` holds. T is NaN at the lost points."""
-        one = isinstance(zs, float)
+        round-off and are dropped whatever their size. A sum that overflows
+        gets _SUM_OVERFLOW, and one that is 0 while the inner rank is
+        positive, where every term underflowed, _SUM_UNDERFLOW."""
+        one, fault = isinstance(zs, float), 0
         kept = singular[..., :self.inner_rank]
         sums = ((kept * kept) ** (zs if one else zs[:, None])).sum(axis=-1)
         values = sums.tolist()  # the tests in Python floats; one point's is a float
         top, low = (values, values) if one else (sum(values), min(values, default=1.0))
         if not math.isfinite(top):  # a sum is not finite if a NaN or an inf term is in
-            lost = _lost("the trace sum overflows", alphas, zs, optional,
-                         np.isfinite(sums), lost)
+            fault = _joined(fault, _SUM_OVERFLOW, ~np.isfinite(sums))
         if not low > 0.0 and self.inner_rank > 0:
-            lost = _lost("the trace sum underflows", alphas, zs, optional, sums > 0.0, lost)
-        return sums if lost is None else np.where(lost, math.nan, sums)
+            fault = _joined(fault, _SUM_UNDERFLOW, ~(sums > 0.0))
+        return sums, fault
 
     @staticmethod
     @np.errstate(all="ignore")  # the SVD route warns where it decides the range
-    def _power_sums(g, zs):
-        """The product route's T = Tr (G G†)^k at positive integer z = k,
-        from `_factor`'s G at one point (zs a float; a float out) or its rows
-        (one sum per row): with H = G G†, T is the squared Frobenius norm
-        of H^(k/2) at even k and of H^((k-1)/2) G at odd k, so sum |G_ij|^2
-        at k = 1 and at most 4 matrix products at k = 16. Every term of the
-        sum is a square and the powers of H are of a PSD matrix, so the
-        round-off stays relative to T for z >= 1. No range test: the
+    def _power_sums(g, k: int):
+        """The product route's T = Tr (G G†)^k at a positive integer k, from
+        `_factor`'s G at one point (a float out) or a stack of its rows that
+        share k (one sum per row): with H = G G†, T is the squared Frobenius
+        norm of H^(k/2) at even k and of H^((k-1)/2) G at odd k, so
+        sum |G_ij|^2 at k = 1 and at most 4 matrix products at k = 16. Every
+        term of the sum is a square and the powers of H are of a PSD matrix,
+        so the round-off stays relative to T for z >= 1. No range test: the
         caller keeps a T in [tiny, inf) and hands the rest to the SVD
         route."""
-        if isinstance(zs, float):
-            k = int(zs)
-            x = g
-            if k > 1:
-                x = np.linalg.matrix_power(g @ g.conj().T, k // 2)
-                if k % 2:
-                    x = x @ g
-            flat = x.reshape(-1).view(float)  # the rows' sum, for equal round-off
-            return float((flat * flat).sum())
-        ks = zs.astype(int)
-        sums = np.empty(len(g))
-        groups = set(ks.tolist())
-        for k in groups:
-            at = ks == k if len(groups) > 1 else slice(None)
-            x = g[at]
-            if k > 1:
-                p = np.linalg.matrix_power(x @ x.conj().swapaxes(-1, -2), k // 2)
-                x = p @ x if k % 2 else p
-            flat = x.reshape(len(x), -1).view(float)
-            sums[at] = (flat * flat).sum(axis=-1)
-        return sums
+        if k > 1:
+            p = np.linalg.matrix_power(g @ g.conj().swapaxes(-1, -2), k // 2)
+            g = p @ g if k % 2 else p
+        flat = g.reshape(g.shape[:-2] + (-1,)).view(float)
+        return (flat * flat).sum(axis=-1)
 
     def traces(self, alphas, zs) -> np.ndarray:
         """T(a, z) = Tr[(sigma^((1-a)/2z) rho^(a/z) sigma^((1-a)/2z))^z] with
         generalized powers at the broadcast points of alphas and zs, from
         matrix products at the product points of `_route` and one stacked
-        SVD for the rest. Every point needs T, so the first point where its
-        formula is undefined (`_route`) or out of double range raises
-        DomainError."""
+        SVD for the rest. Every point needs T, so a fault at any point
+        raises the DomainError of `_raise`: where T's formula is undefined,
+        then where it leaves double range."""
         a, z = _points(alphas, zs)
-        return _stacked_traces([self], a.ravel(), z.ravel())[1][0].reshape(a.shape)
+        _, t, faults = _stacked_traces([self], a.ravel(), z.ravel())
+        if faults.any():
+            self._raise(faults, a, z)
+        return t[0].reshape(a.shape)
 
     def divergences(self, alphas, zs) -> np.ndarray:
         """D(a, z) in nats at the broadcast points of alphas and zs, +inf
@@ -480,15 +487,18 @@ class PreparedPair:
         """`divergence`, how it was reached ("closed", or "product" or "svd",
         the route that gave T) and the point's G (None if closed)."""
         alpha, z = _point(alpha, z)
-        closed, _, product, e_sigma, e_rho = self._route(alpha, z)
+        closed, defined, product, e_sigma, e_rho = self._route(alpha, z)
         if closed:
             return self._closed_value(alpha), "closed", None
-        g, _ = self._factor(alpha, z, e_sigma, e_rho)
-        t = self._power_sums(g, z) if product else math.nan
-        route = "product"
+        g, fault = self._factor(e_sigma, e_rho, defined)
+        if fault:
+            self._raise(fault, alpha, z)
+        t, route = (self._power_sums(g, int(z)) if product else math.nan), "product"
         if not _TINY <= t < math.inf:  # a NaN fails too
-            t, route = float(self._trace_sums(np.linalg.svd(g, compute_uv=False), alpha, z)), "svd"
-        return DivergenceValue.finite(_from_trace(alpha, t)), route, g
+            (t, fault), route = self._trace_sums(np.linalg.svd(g, compute_uv=False), z), "svd"
+            if fault:
+                self._raise(fault, alpha, z)
+        return DivergenceValue.finite(_from_trace(alpha, float(t))), route, g
 
     def evaluate(self, alphas, zs) -> tuple[np.ndarray, np.ndarray]:
         """D in nats and T at the broadcast points of alphas and zs, as two
@@ -515,8 +525,10 @@ class PreparedPair:
         alpha = float(alpha)
         value, route, g = self._divergence(alpha, 1.0)
         if route == "product":
-            t = float(self._trace_sums(np.linalg.svd(g, compute_uv=False), alpha, 1.0))
-            _assert_dual_path("Petz", value, alpha, t)
+            t, fault = self._trace_sums(np.linalg.svd(g, compute_uv=False), 1.0)
+            if fault:
+                self._raise(fault, alpha, 1.0)
+            _assert_dual_path("Petz", value, alpha, float(t))
         elif route == "svd":
             t = float(self.sigma.powers(1.0 - alpha) @ self.weights @ self.rho.powers(alpha))
             _assert_dual_path("Petz", value, alpha, t)
@@ -575,57 +587,43 @@ class PreparedPair:
         return max(var, 0.0)
 
 
-def _lost(what: str, alphas, zs, optional, finite, lost=None):
-    """The points where `finite` is false, which leave double range: raises
-    the DomainError naming the first one where `optional` is false, and
-    otherwise returns them joined to the points already `lost`."""
-    fatal = np.logical_not(finite | optional)
-    if fatal.any():
-        raise _beyond_range(what, alphas, zs, np.logical_not(fatal))
-    return np.logical_not(finite) if lost is None else lost | np.logical_not(finite)
-
-
-def _stacked_traces(pairs: list[PreparedPair], alphas: np.ndarray, zs: np.ndarray,
-                    closing: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """The closed points of `PreparedPair._route` (with closing) and T at
+def _stacked_traces(pairs: list[PreparedPair], alphas: np.ndarray, zs: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The closed points of `PreparedPair._route`, T and the fault codes at
     1-d arrays of N points for P pairs of one dimension, each of shape (P,
-    N), from every pair's G (`_factor`) at the points where T is defined:
-    `_power_sums` at the product points, then one SVD of the stack of the
-    other rows, none if there are none. T is NaN at a closed point where it
-    is undefined or out of double range. Any other such point raises: the
-    undefined points are checked first on every pair, then the range per
-    pair, each in (pair, point) order. Each pair's rows of the stack are
-    built and reduced as they would be alone, so its values do not depend
-    on the other pairs."""
-    routes = [pair._route(alphas, zs, closing) for pair in pairs]
-    out = np.full((len(pairs), alphas.size), math.nan)
-    pending = []  # per pair: the SVD route's rows, T at the defined points
-    for pair, (closed, defined, product, e_sigma, e_rho) in zip(pairs, routes):
-        take = defined if isinstance(defined, np.ndarray) else slice(None)
-        a, z = alphas[take], zs[take]
-        optional = closed[take] if closing else False
-        g, lost = pair._factor(a, z, e_sigma[take], e_rho[take], optional)
-        t = np.full(len(g), math.nan)
-        rest = slice(None)
+    N), from every pair's G (`_factor`): `_power_sums` at the product points
+    without a fault, then one SVD of the stack of the other rows without a
+    fault, none if there are none. T is NaN at every point with a fault;
+    nothing raises, and each caller raises for the points it needs. Each
+    pair's rows of the stack are built and reduced as they would be alone,
+    so its values do not depend on the other pairs."""
+    closed = np.empty((len(pairs), alphas.size), dtype=bool)
+    out = np.full(closed.shape, math.nan)
+    faults = np.zeros(closed.shape, dtype=int)
+    pending = []  # per pair: the SVD route's rows, their zs and their points
+    for p, pair in enumerate(pairs):
+        closed[p], defined, product, e_sigma, e_rho = pair._route(alphas, zs)
+        g, faults[p] = pair._factor(e_sigma, e_rho, defined)
+        todo = faults[p] == 0  # the points whose T is still to come
         if isinstance(product, np.ndarray) and product.any():
-            on = product[take] if lost is None else product[take] & ~lost
-            t[on] = pair._power_sums(g[on], z[on])
-            rest = ~((t >= _TINY) & (t < math.inf))  # a NaN fails too
-            g, a, z = g[rest], a[rest], z[rest]
-            if closing:
-                optional = optional[rest]
-            if lost is not None:
-                lost = lost[rest]
-        pending.append((g, (a, z, optional, lost), t, rest, take))
+            on = product & todo
+            groups = set(zs[on].tolist())
+            for k in groups:
+                at = on & (zs == k) if len(groups) > 1 else on
+                out[p, at] = pair._power_sums(g[at], int(k))
+            todo &= ~((out[p] >= _TINY) & (out[p] < math.inf))  # a NaN fails too
+        rest = slice(None) if todo.all() else todo
+        pending.append((g[rest], zs[rest], rest))
     stack = [g for g, *_ in pending if len(g)]
     singular = np.linalg.svd(_cat(stack), compute_uv=False) if stack else None
     start = 0
-    for row, pair, (g, args, t, rest, take) in zip(out, pairs, pending):
+    for p, (pair, (g, z, rest)) in enumerate(zip(pairs, pending)):
         if len(g):
-            t[rest] = pair._trace_sums(singular[start:start + len(g)], *args)
+            out[p, rest], faults[p, rest] = pair._trace_sums(singular[start:start + len(g)], z)
             start += len(g)
-        row[take] = t
-    return np.array([route[0] for route in routes]), out
+    if faults.any():
+        out[faults != 0] = math.nan
+    return closed, out, faults
 
 
 def _cat(arrays: list[np.ndarray]) -> np.ndarray:
@@ -638,36 +636,34 @@ def stacked_divergences(pairs, alphas, zs) -> np.ndarray:
     broadcast points of alphas and zs, shape (len(pairs), *points), from at
     most one stacked SVD. Row p equals `pairs[p].divergences(alphas, zs)`
     bit for bit, +inf where the supports force it, and the error raised is
-    the one of the first pair whose own call fails. Pairs of different dimensions
-    raise ValueError."""
+    the one of the first pair whose own call fails, read from the fault
+    codes of the one kernel pass. Pairs of different dimensions raise
+    ValueError."""
     pairs = list(pairs)
     dims = {pair.rho.values.size for pair in pairs}
     if len(dims) != 1:
         raise ValueError(f"stacked pairs need one dimension, got {sorted(dims)}")
     a, z = _points(alphas, zs)
-    shape, a, z = (len(pairs),) + a.shape, a.ravel(), z.ravel()
-    try:
-        return _divergence_rows(pairs, a, z)[0].reshape(shape)
-    except (ValueError, ArithmeticError):
-        # the stack checks every pair's undefined points before any range;
-        # alone, in order, the first failing pair raises its own call's error
-        if len(pairs) > 1:
-            for pair in pairs:
-                _divergence_rows([pair], a, z)
-        raise
+    return _divergence_rows(pairs, a.ravel(), z.ravel())[0].reshape((len(pairs),) + a.shape)
 
 
 def _divergence_rows(pairs: list[PreparedPair], alphas: np.ndarray,
                      zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """D and T at 1-d arrays of points for pairs of one dimension, each of
     shape (len(pairs), N): D is the pair's `_closed_value` at its closed
-    points and ln T / (a - 1) elsewhere; T is `_stacked_traces`'."""
-    closed, t = _stacked_traces(pairs, alphas, zs, closing=True)
+    points and ln T / (a - 1) elsewhere; T is `_stacked_traces'`. D needs T
+    at the open points only: the first pair with a fault or a T <= 0 there
+    raises, a fault through `_raise`."""
+    closed, t, faults = _stacked_traces(pairs, alphas, zs)
     # the quotient's T: NaN at the closed points, which need none
     needed = np.where(closed, math.nan, t)
-    if (needed <= 0.0).any():
+    faults = np.where(closed, 0, faults)
+    if faults.any() or (needed <= 0.0).any():
+        p = int(np.argmax(faults.any(axis=1) | (needed <= 0.0).any(axis=1)))
+        if faults[p].any():
+            pairs[p]._raise(faults[p], alphas, zs)
         raise ArithmeticError(f"trace functional collapsed to "
-                              f"{float(needed[needed <= 0.0][0])!r}")
+                              f"{float(needed[p][needed[p] <= 0.0][0])!r}")
     values = np.log(needed) / (alphas - 1.0)
     for row, pair, at in zip(values, pairs, closed):
         if at.any():

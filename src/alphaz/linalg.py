@@ -129,18 +129,15 @@ class Spectrum:
     def powers(self, p) -> np.ndarray:
         """Generalized power of the eigenvalues: kernel entries map to 0 for
         every exponent, so p = 0 gives the support indicator. An array of
-        exponents gives one row of powers per exponent."""
-        if isinstance(p, float):  # one exponent: the same power loop, no stacking
-            if self.rank == self.values.size:
-                return np.power(self.values, p)
-            out = np.zeros_like(self.values)
-            np.power(self.values[:self.rank], p, out=out[:self.rank])
-            return out
-        p = np.asarray(p, dtype=float)
+        exponents gives one row of powers per exponent; one body serves both,
+        and a float exponent takes no array and no row axis."""
+        if not isinstance(p, float):
+            p = np.asarray(p, dtype=float)[..., None]
         if self.rank == self.values.size:
-            return self.values ** p[..., None]
-        out = np.zeros(p.shape + self.values.shape)
-        out[..., :self.rank] = self.values[:self.rank] ** p[..., None]
+            return self.values ** p
+        support = self.values[:self.rank] ** p
+        out = np.zeros(support.shape[:-1] + self.values.shape)
+        out[..., :self.rank] = support
         return out
 
     def operator(self, diagonal: np.ndarray) -> np.ndarray:

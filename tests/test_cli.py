@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -370,7 +371,35 @@ def test_unwritable_out_is_malformed_input(capsys, tmp_path, command):
     assert err.startswith(f"error: cannot write {path}: ")
 
 
+def test_unwritable_table_out_is_malformed_input(tmp_path):
+    script = Path(__file__).parents[1] / "scripts" / "limit_convergence_table.py"
+    path = tmp_path / "missing" / "x.csv"
+    out = subprocess.run([sys.executable, str(script), "--dim", "2", "--out", str(path)],
+                         capture_output=True, text=True)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith(f"error: cannot write {path}: ")
+
+
 class TestVerify:
+    def test_unwritable_json_is_malformed_input(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "v.json"
+        code, out, err = run_in_process(["verify", "--suite", "example1", "--seeds", "1",
+                                         "--json", str(path)], capsys)
+        assert code == 2 and "4/4 checks passed" in out
+        assert err.startswith(f"error: cannot write {path}: ")
+
+    def test_json_stdout_rejected_before_any_suite(self, capsys, monkeypatch, tmp_path):
+        # stdout carries the report, so "-" is no path for the JSON document
+        from alphaz import cli
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run_suites", lambda *args, **kwargs: pytest.fail("ran"))
+        code, out, err = run_in_process(["verify", "--suite", "example1", "--json", "-"],
+                                        capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: --json needs a file path, not -: stdout carries the report\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_example1_suite_passes(self):
         out = run_cli("verify", "--suite", "example1")
         assert out.returncode == 0

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -367,11 +368,15 @@ class TestDualPathChecks:
 
     @staticmethod
     def _skew(monkeypatch, name):
-        """Scale the T that the route method `name` returns by 1 + 1e-6."""
+        """Scale the T that the route method `name` returns by 1 + 1e-6
+        (`_trace_sums` returns T with its fault codes)."""
         original = getattr(dv.PreparedPair, name)
 
         def skewed(*args, **kwargs):
-            return original(*args, **kwargs) * (1.0 + 1e-6)
+            if name == "_power_sums":
+                return original(*args, **kwargs) * (1.0 + 1e-6)
+            t, fault = original(*args, **kwargs)
+            return t * (1.0 + 1e-6), fault
 
         monkeypatch.setattr(dv.PreparedPair, name,
                             staticmethod(skewed) if name == "_power_sums" else skewed)
@@ -705,7 +710,8 @@ class TestBatchedKernel:
     def test_evaluate_raises_first_collapsed_trace(self, monkeypatch):
         pair = dv.prepare(*_pair_of_class("full"))
         monkeypatch.setattr(dv, "_stacked_traces", lambda *args, **kwargs: (
-            np.zeros((1, 3), dtype=bool), np.array([[0.5, -0.0, -1.0]])))
+            np.zeros((1, 3), dtype=bool), np.array([[0.5, -0.0, -1.0]]),
+            np.zeros((1, 3), dtype=int)))
         with pytest.raises(ArithmeticError, match=r"trace functional collapsed to -0\.0$"):
             pair.evaluate([0.5, 2.0, 3.0], [1.0, 1.0, 1.0])
 
@@ -836,8 +842,8 @@ class TestStackedDivergences:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow too
     def test_earlier_pair_out_of_range_beats_later_undefined_point(self):
-        # the stack checks every pair for undefined points before any power;
-        # the full-rank pair's overflow at the second point still comes first
+        # the first pair whose own call fails raises its own error, although
+        # a later pair has an undefined point
         full, dominated = (dv.prepare(*_pair_of_class(cls)) for cls in ("full", "dominating"))
         alphas, zs = [0.5, 2.0], [-1.0, 1e-300]
         with pytest.raises(DomainError, match="spectral powers overflow") as own:
@@ -946,8 +952,8 @@ class TestExtremeFiniteInput:
         assert len(messages) == 1
 
     def test_rank_deficient_batch(self):
-        # the masked path of a pair with undefined points checks the same;
-        # sigma's eigenvalues above 1 overflow at a large positive exponent
+        # a pair with undefined points checks the same; sigma's eigenvalues
+        # above 1 overflow at a large positive exponent
         rho, sigma = random_support_pair(4, 23, rank=3, branch="violating")
         pair = dv.prepare(rho, 100.0 * sigma)
         with pytest.raises(DomainError, match=r"beyond double range.*\(0\.5, 1e-300\)"):
@@ -1031,8 +1037,8 @@ class TestUnderflow:
         # route, not the product route, gives it, as it gave it before
         prepared = dv.prepare(np.eye(2) / 2, 4.0 * np.eye(2))
         value, route, g = prepared._divergence(351.0, z)
-        t = prepared._trace_sums(np.linalg.svd(g, compute_uv=False), 351.0, z)
-        assert route == "svd" and 0.0 < t < np.finfo(float).tiny
+        t, fault = prepared._trace_sums(np.linalg.svd(g, compute_uv=False), z)
+        assert route == "svd" and fault == 0 and 0.0 < t < np.finfo(float).tiny
         assert value.value == math.log(t) / 350.0
         assert prepared.divergences(351.0, z) == value.value
 
@@ -1043,6 +1049,49 @@ class TestUnderflow:
         assert prepared.inner_rank == 0
         assert prepared.traces(0.5, 1.0) == 0.0
         assert (prepared.traces([0.3, 0.5], [1.0, 2.0]) == 0.0).all()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow too
+class TestFaultOrder:
+    """Within one call, the lowest fault code wins over an earlier point:
+    an undefined formula, then overflowing powers, an overflowing trace sum
+    and an underflowing one."""
+
+    def test_undefined_beats_earlier_underflow(self):
+        from alphaz.analysis import SweepSpec, sweep
+
+        rho, sigma = random_support_pair(4, 23, rank=3, branch="dominating")
+        pair = dv.prepare(rho, sigma)
+        alphas, zs = [0.5, 0.5], [1e-300, -1.0]
+        with pytest.raises(DomainError, match="trace sum underflows"):
+            pair.traces(0.5, 1e-300)
+        for call in (lambda: pair.traces(alphas, zs),
+                     lambda: pair.divergences(alphas, zs),
+                     lambda: pair.evaluate(alphas, zs),
+                     lambda: sweep(rho, sigma, SweepSpec(alphas=(0.5,), zs=(1e-300, -1.0)))):
+            with pytest.raises(DomainError, match="rho is rank-deficient and its exponent "
+                                                  "-0.5 is negative"):
+                call()
+
+    def test_undefined_point_warns_nothing(self):
+        # sigma's eigenvalues above 1 would overflow at alpha = -1e300, where
+        # rho's negative exponent leaves the formula undefined: no warning
+        rho, sigma = random_support_pair(4, 23, rank=3, branch="dominating")
+        pair = dv.prepare(rho, 100.0 * sigma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: pair.divergence(-1e300, 1.0),
+                         lambda: pair.divergences([0.5, -1e300], [1.0, 1.0])):
+                with pytest.raises(DomainError, match="rho is rank-deficient"):
+                    call()
+
+    def test_powers_overflow_beats_earlier_trace_sum(self):
+        pair = dv.prepare(*example1_pair(0.25))
+        with pytest.raises(DomainError, match="trace sum overflows"):
+            pair.traces(1e300, 1e300)
+        with pytest.raises(DomainError, match=r"the spectral powers overflow at \(alpha, z\) "
+                                              r"= \(1e\+308, 1\.0\)"):
+            pair.traces([1e300, 1e308], [1e300, 1.0])
 
 
 def _same_spectrum(got, want):
@@ -1249,10 +1298,12 @@ class TestProductRouteOracle:
             # negative alpha is undefined on the rank-deficient rho
             alphas = [a for a in self.ALPHAS if a > 0.0 or pair.rho.rank == 16]
             a, z = np.broadcast_arrays(np.array(alphas)[:, None], np.array(self.ZS)[None, :])
-            closed, _, product, e_sigma, e_rho = pair._route(a.ravel(), z.ravel())
+            closed, defined, product, e_sigma, e_rho = pair._route(a.ravel(), z.ravel())
             assert product.all() and not closed.any()
-            g, _ = pair._factor(a.ravel(), z.ravel(), e_sigma, e_rho)
-            t_svd = pair._trace_sums(np.linalg.svd(g, compute_uv=False), a.ravel(), z.ravel())
+            g, fault = pair._factor(e_sigma, e_rho, defined)
+            assert not np.any(fault)
+            t_svd, fault = pair._trace_sums(np.linalg.svd(g, compute_uv=False), z.ravel())
+            assert not np.any(fault)
             routes = {"product": pair.divergences(a, z).ravel(),
                       "svd": np.log(t_svd) / (a.ravel() - 1.0)}
             for i, (alpha, zi) in enumerate(zip(a.ravel().tolist(), z.ravel().tolist())):
@@ -1331,6 +1382,22 @@ class TestDecompositionCounts:
         assert counts(lambda: prepared.evaluate(alphas, np.arange(1.0, 17.0))) == (0, 0)
         assert counts(lambda: prepared.evaluate(alphas, np.linspace(0.5, 4.0, 8))) == (0, 1)
         assert counts(lambda: prepared.divergence(2.0, 3.0)) == (0, 0)
+        # alpha = 1 is closed, where traces takes the SVD route: T = 1
+        assert counts(lambda: prepared.traces(1.0, 2.0)) == (0, 1)
+        assert prepared.traces(1.0, 2.0) == pytest.approx(1.0, abs=1e-14)
+
+    def test_failing_stack_takes_one_svd(self, counts):
+        # the first failing pair's own error comes from the fault codes of
+        # the one kernel pass, with no pair evaluated again
+        full = dv.prepare(random_density(4, 1), random_reference(4, 2))
+        other = dv.prepare(random_density(4, 3), random_reference(4, 4))
+
+        def stack():
+            with pytest.raises(DomainError, match=r"trace sum underflows at "
+                                                  r"\(alpha, z\) = \(0\.5, 1e-300\)"):
+                dv.stacked_divergences([full, other], [0.3, 0.5], [1.0, 1e-300])
+
+        assert counts(stack) == (0, 1)
 
     def test_curve_limit_one_svd(self, counts, pair):
         from alphaz.analysis import CurveSpec, TraceFunctional, verify_curve_limits
