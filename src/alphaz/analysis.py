@@ -36,115 +36,74 @@ from . import divergences as dv
 from .linalg import DomainError
 
 
-@dataclass(frozen=True)
-class FdScheme:
-    """Finite-difference step of the central stencils."""
-
-    h: float = 1e-4
-
-    def __post_init__(self):
-        if not 1e-7 <= self.h <= 1e-1:
-            raise ValueError(f"step must lie in [1e-7, 1e-1], got {self.h}")
-
-
-# The central stencils: (offsets in units of h, integer weights, divisor,
-# derivative order). A first derivative is sum_k w_k f(x0 + o_k h) /
-# (divisor h), a second derivative the same sum over divisor h^2.
-_CENTRAL_D1 = ((1.0, -1.0), (1.0, -1.0), 2.0, 1)
-_CENTRAL_D2 = ((1.0, 0.0, -1.0), (1.0, -2.0, 1.0), 1.0, 2)
-
-
-def _apply_stencil(stencil, f: Callable[[np.ndarray], np.ndarray], x0, h: float):
-    """sum_k w_k f(x0 + o_k h) / (divisor h^order), with f called once on all
-    the stencil points: an array with one row per offset, each row shaped
-    like x0. Samples may carry trailing axes, one derivative each; the result
-    is then an array over the axes of x0 and of the samples."""
-    offsets, weights, divisor, order = stencil
+def _samples(f: Callable[[np.ndarray], np.ndarray], x0, offsets: tuple[float, ...]
+             ) -> np.ndarray:
+    """f called once on the points x0 + o for every offset o: an array with
+    one row per offset, each row shaped like x0, and trailing axes if the
+    samples carry them. Raises ArithmeticError naming the first non-finite
+    sample."""
     x0 = np.asarray(x0, dtype=float)
-    xs = x0 + h * np.reshape(offsets, (-1,) + (1,) * x0.ndim)
+    xs = x0 + np.reshape(offsets, (-1,) + (1,) * x0.ndim)
     ys = np.asarray(f(xs), dtype=float)
     finite = np.isfinite(ys)
     if not finite.all():
         k = tuple(np.argwhere(~finite)[0])
         raise ArithmeticError(f"non-finite sample f({float(xs[k[:xs.ndim]])!r}) = "
                               f"{float(ys[k])!r} on the stencil")
-    # summed in stencil order, as the written-out formulas are
-    total = sum(w * y for w, y in zip(weights, ys))
-    out = total / (divisor * h if order == 1 else divisor * h * h)
+    return ys
+
+
+def _scalar(out):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def fd_derivative(f: Callable[[np.ndarray], np.ndarray], x0,
-                  scheme: FdScheme = FdScheme()):
+def fd_derivative(f: Callable[[np.ndarray], np.ndarray], x0, h: float = 1e-4):
     """First derivative at x0, a point or an array of them, by the central
-    stencil. f maps the array of stencil points (offsets first, then
-    the axes of x0) to an array of samples of that leading shape."""
-    return _apply_stencil(_CENTRAL_D1, f, x0, scheme.h)
+    difference (f(x0 + h) - f(x0 - h)) / 2h. f maps the array of the two
+    stencil points (x0 + h first, then x0 - h, each shaped like x0) to an
+    array of samples of that leading shape; samples may carry trailing axes,
+    one derivative each."""
+    up, down = _samples(f, x0, (h, -h))
+    return _scalar((up - down) / (2.0 * h))
 
 
-def fd_second_derivative(f: Callable[[np.ndarray], np.ndarray], x0,
-                         scheme: FdScheme = FdScheme(1e-3)):
-    """Second derivative at x0 by the central stencil; f and x0 as in
-    fd_derivative."""
-    return _apply_stencil(_CENTRAL_D2, f, x0, scheme.h)
+def fd_second_derivative(f: Callable[[np.ndarray], np.ndarray], x0, h: float = 1e-3):
+    """Second derivative at x0 by the central difference
+    (f(x0 + h) - 2 f(x0) + f(x0 - h)) / h^2; f and x0 as in fd_derivative,
+    with the three stencil points x0 + h, x0, x0 - h."""
+    up, mid, down = _samples(f, x0, (h, 0.0, -h))
+    return _scalar((up - 2.0 * mid + down) / (h * h))
 
 
 @dataclass(frozen=True)
 class CurveSpec:
-    """A z = g(alpha) curve with g(1) != 0, enforced at construction.
+    """A z = g(alpha) curve with g(1) != 0, enforced at construction, and
+    the label its reports print. The classmethods build the known curves."""
 
-    kinds: "constant" (params z0), "identity" (g = alpha), "affine"
-    (params a, b for g = a*alpha + b), "exponential" (g = e^(alpha-1)).
-    """
-
-    kind: str
-    params: tuple[float, ...] = ()
+    label: str
+    g: Callable[[float], float]
 
     def __post_init__(self):
-        if self.kind not in ("constant", "identity", "affine", "exponential"):
-            raise ValueError(f"unknown curve kind {self.kind!r}")
-        if self.kind == "constant" and len(self.params) != 1:
-            raise ValueError("constant curve needs one parameter z0")
-        if self.kind == "affine" and len(self.params) != 2:
-            raise ValueError("affine curve needs parameters (a, b)")
         if abs(self.g(1.0)) <= 1e-12:
-            raise DomainError(f"curve {self.label()} has g(1) = 0")
+            raise DomainError(f"curve {self.label} has g(1) = 0")
 
     @classmethod
     def constant(cls, z0: float) -> "CurveSpec":
-        return cls("constant", (float(z0),))
+        z0 = float(z0)
+        return cls(f"z={z0:g}", lambda alpha: z0)
 
     @classmethod
     def identity(cls) -> "CurveSpec":
-        return cls("identity")
+        return cls("z=alpha", lambda alpha: alpha)
 
     @classmethod
     def affine(cls, a: float, b: float) -> "CurveSpec":
-        return cls("affine", (float(a), float(b)))
+        a, b = float(a), float(b)
+        return cls(f"z={a:g}*alpha{b:+g}", lambda alpha: a * alpha + b)
 
     @classmethod
     def exponential(cls) -> "CurveSpec":
-        return cls("exponential")
-
-    def g(self, alpha: float) -> float:
-        if self.kind == "constant":
-            return self.params[0]
-        if self.kind == "identity":
-            return alpha
-        if self.kind == "affine":
-            a, b = self.params
-            return a * alpha + b
-        return math.exp(alpha - 1.0)
-
-    def label(self) -> str:
-        if self.kind == "constant":
-            return f"z={self.params[0]:g}"
-        if self.kind == "identity":
-            return "z=alpha"
-        if self.kind == "affine":
-            a, b = self.params
-            return f"z={a:g}*alpha{b:+g}"
-        return "z=exp(alpha-1)"
+        return cls("z=exp(alpha-1)", lambda alpha: math.exp(alpha - 1.0))
 
 
 # the curves known by name to `alphaz sweep --z-grid curve:NAME` and the scripts
@@ -248,7 +207,7 @@ def verify_curve_limits(tf: TraceFunctional, curves: Sequence[CurveSpec],
             trend_ok &= all(b <= max(a + _TREND_SLACK, _TREND_NOISE_FLOOR)
                             for a, b in zip(tail, tail[1:]))
         reports.append(CheckReport(
-            name=f"limit along {curve.label()}",
+            name=f"limit along {curve.label}",
             passed=final_err <= LIMIT_TOL and trend_ok,
             max_residual=final_err,
             rows=rows,

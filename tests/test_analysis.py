@@ -9,7 +9,6 @@ from alphaz import analysis
 from alphaz.analysis import (
     CheckReport,
     CurveSpec,
-    FdScheme,
     SweepSpec,
     TraceFunctional,
     alpha_monotonicity_violations,
@@ -56,44 +55,34 @@ def seeded_tf(dim, seed):
 
 
 class TestFdScheme:
-    def test_step_bounds(self):
-        with pytest.raises(ValueError):
-            FdScheme(1e-8)
-        with pytest.raises(ValueError):
-            FdScheme(0.5)
-
-    # the one stencil, central2, keeps the name it had among several
-    @pytest.mark.parametrize("order", ["central2"])
-    def test_square_derivative(self, order):
-        got = fd_derivative(lambda x: x * x, 3.0, FdScheme(1e-4))
+    def test_square_derivative(self):
+        got = fd_derivative(lambda x: x * x, 3.0, 1e-4)
         assert got == pytest.approx(6.0, abs=1e-8)
 
     def test_log_derivative(self):
-        got = fd_derivative(np.log, 1.0, FdScheme(1e-4))
+        got = fd_derivative(np.log, 1.0, 1e-4)
         assert got == pytest.approx(1.0, abs=1e-8)
 
-    @pytest.mark.parametrize("order", ["central2"])
-    def test_second_derivative_cubic(self, order):
-        got = fd_second_derivative(lambda x: x**3, 2.0, FdScheme(1e-3))
+    def test_second_derivative_cubic(self):
+        got = fd_second_derivative(lambda x: x**3, 2.0, 1e-3)
         assert got == pytest.approx(12.0, abs=1e-6)
 
     def test_non_finite_sample_names_point(self):
         with pytest.raises(ArithmeticError, match="f\\(1.0001"):
-            fd_derivative(lambda x: np.full_like(x, math.inf), 1.0, FdScheme(1e-4))
+            fd_derivative(lambda x: np.full_like(x, math.inf), 1.0, 1e-4)
         # an array of points: the first non-finite sample's own point
         with pytest.raises(ArithmeticError, match="f\\(2.0001"):
-            fd_derivative(lambda x: np.where(x > 2.0, math.inf, x), [1.0, 2.0], FdScheme(1e-4))
+            fd_derivative(lambda x: np.where(x > 2.0, math.inf, x), [1.0, 2.0], 1e-4)
 
-    @pytest.mark.parametrize("order", ["central2"])
-    def test_array_of_points_equals_each_point(self, order):
-        scheme = FdScheme(1e-3)
+    def test_array_of_points_equals_each_point(self):
+        h = 1e-3
         x0s = [0.3, 1.0, 2.5]
         f = lambda x: np.stack([np.exp(x), x**3], axis=-1)  # noqa: E731
-        batched = fd_derivative(f, x0s, scheme)
+        batched = fd_derivative(f, x0s, h)
         assert batched.shape == (3, 2)
-        assert batched.tolist() == [fd_derivative(f, x0, scheme).tolist() for x0 in x0s]
-        curvature = fd_second_derivative(f, x0s, scheme)
-        assert curvature.tolist() == [fd_second_derivative(f, x0, scheme).tolist()
+        assert batched.tolist() == [fd_derivative(f, x0, h).tolist() for x0 in x0s]
+        curvature = fd_second_derivative(f, x0s, h)
+        assert curvature.tolist() == [fd_second_derivative(f, x0, h).tolist()
                                       for x0 in x0s]
 
     def test_order2_convergence(self):
@@ -102,8 +91,7 @@ class TestFdScheme:
         target = 0.5 * tf.variance()
 
         def residual(h):
-            slope = fd_derivative(lambda a: tf.pair.divergences(a, 1.0), 1.0,
-                                  FdScheme(h))
+            slope = fd_derivative(lambda a: tf.pair.divergences(a, 1.0), 1.0, h)
             return abs(slope - target)
 
         r_coarse, r_fine = residual(2e-2), residual(1e-2)
@@ -117,16 +105,14 @@ class TestCurveSpec:
         assert CurveSpec.identity().g(1.3) == 1.3
         assert CurveSpec.affine(2.0, -1.0).g(1.5) == 2.0
         assert CurveSpec.exponential().g(1.0) == 1.0
+        assert [c.label for c in (CurveSpec.constant(2.0), CurveSpec.affine(0.5, 1.5))] == [
+            "z=2", "z=0.5*alpha+1.5"]
 
     def test_rejects_vanishing_at_one(self):
         with pytest.raises(DomainError, match="g\\(1\\) = 0"):
             CurveSpec.affine(1.0, -1.0)
         with pytest.raises(DomainError):
             CurveSpec.constant(0.0)
-
-    def test_bad_kind(self):
-        with pytest.raises(ValueError):
-            CurveSpec("spline")
 
 
 class TestTraceFunctional:

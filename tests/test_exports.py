@@ -22,7 +22,9 @@ REMOVED = [
     (divergences, "_stacked_spectra"),
     (divergences, "classical_kl"),
     (divergences, "classical_renyi"),
-    (analysis.FdScheme, "order"),
+    (analysis, "FdScheme"),
+    (analysis.CurveSpec, "kind"),
+    (analysis.CurveSpec, "params"),
     (analysis, "FD_ORDERS"),
     (analysis, "D1_STENCILS"),
     (analysis, "D2_STENCILS"),
