@@ -417,6 +417,27 @@ class PreparedPair:
         g *= r_pow[..., None, :]
         return g, fault
 
+    @staticmethod
+    def _graded(g, e_sigma, e_rho):
+        """`_factor`'s G ordered for the SVD route's `svd`: its rows reversed
+        where e_sigma < 0 and its columns where e_rho < 0, at one point
+        (float exponents; a view) or per row of a stack (arrays; in place).
+        Spectrum sorts eigenvalues largest first, so this grades G with its
+        large rows and columns first. Householder bidiagonalization keeps the
+        small singular values of a matrix graded that way to full relative
+        accuracy, not those of one graded smallest first (Demmel & Veselic
+        1992). The singular values do not depend on the order."""
+        if isinstance(e_sigma, float):  # one point: Python sign tests
+            if e_sigma < 0.0 or e_rho < 0.0:
+                g = g[::-1 if e_sigma < 0.0 else 1, ::-1 if e_rho < 0.0 else 1]
+            return g
+        rows, cols = e_sigma < 0.0, e_rho < 0.0
+        if rows.any():
+            g[rows] = g[rows, ::-1]
+        if cols.any():
+            g[cols] = g[cols, :, ::-1]
+        return g
+
     def _trace_sums(self, singular, zs):
         """T from the singular values of `_factor`'s G at points without a
         fault, one row per point (one 1-d array for a point given as a float
@@ -495,7 +516,8 @@ class PreparedPair:
             self._raise(fault, alpha, z)
         t, route = (self._power_sums(g, int(z)) if product else math.nan), "product"
         if not _TINY <= t < math.inf:  # a NaN fails too
-            (t, fault), route = self._trace_sums(np.linalg.svd(g, compute_uv=False), z), "svd"
+            singular = np.linalg.svd(self._graded(g, e_sigma, e_rho), compute_uv=False)
+            (t, fault), route = self._trace_sums(singular, z), "svd"
             if fault:
                 self._raise(fault, alpha, z)
         return DivergenceValue.finite(_from_trace(alpha, float(t))), route, g
@@ -525,6 +547,7 @@ class PreparedPair:
         alpha = float(alpha)
         value, route, g = self._divergence(alpha, 1.0)
         if route == "product":
+            g = self._graded(g, (1.0 - alpha) / 2.0, alpha)
             t, fault = self._trace_sums(np.linalg.svd(g, compute_uv=False), 1.0)
             if fault:
                 self._raise(fault, alpha, 1.0)
@@ -613,7 +636,7 @@ def _stacked_traces(pairs: list[PreparedPair], alphas: np.ndarray, zs: np.ndarra
                 out[p, at] = pair._power_sums(g[at], int(k))
             todo &= ~((out[p] >= _TINY) & (out[p] < math.inf))  # a NaN fails too
         rest = slice(None) if todo.all() else todo
-        pending.append((g[rest], zs[rest], rest))
+        pending.append((pair._graded(g[rest], e_sigma[rest], e_rho[rest]), zs[rest], rest))
     stack = [g for g, *_ in pending if len(g)]
     singular = np.linalg.svd(_cat(stack), compute_uv=False) if stack else None
     start = 0
