@@ -15,6 +15,10 @@ with either of the others is malformed input. A negative value such as
 -1.5:3:10`, also after an abbreviated option such as `--alpha-g`) or be
 joined to it (`--alpha-grid=-1.5:3:10`).
 `sweep` writes its CSV lines straight from `analysis.sweep`'s arrays.
+It evaluates at most 100,000 points (alpha points times z points, or the
+alpha points of a curve): the stacked kernel holds every point's G at once,
+4 KB a point at d = 16. A larger grid is malformed input, rejected before
+any grid is built.
 `main` builds the argparse parser on its first call and reuses it, so
 in-process callers pay for it once.
 """
@@ -42,6 +46,10 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_INTERNAL = 4
 
+# the most (alpha, z) points one `sweep` evaluates: the stacked kernel holds
+# one d x d complex G per point at once
+_SWEEP_MAX_POINTS = 100_000
+
 
 def _fmt(x: float) -> str:
     """12 significant digits, lowercase inf/nan, no locale."""
@@ -53,7 +61,8 @@ def _fmt_divergence(x: float) -> str:
     return "0" if abs(x) <= 1e-12 else _fmt(x)
 
 
-def _parse_grid(text: str) -> tuple[float, ...]:
+def _parse_grid(text: str) -> tuple[float, float, int]:
+    """lo, hi and the point count n >= 1 of a lo:hi:n grid."""
     parts = text.split(":")
     if len(parts) != 3:
         raise SpecError(f"grid must be lo:hi:n, got {text!r}")
@@ -63,7 +72,11 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         raise SpecError(f"bad grid {text!r}: {exc}") from exc
     if n < 1:
         raise SpecError(f"grid needs at least one point, got {n}")
-    return tuple(float(v) for v in np.linspace(lo, hi, n))
+    return lo, hi, n
+
+
+def _grid_points(grid: tuple[float, float, int]) -> tuple[float, ...]:
+    return tuple(float(v) for v in np.linspace(*grid))
 
 
 def _parse_curve(text: str) -> CurveSpec:
@@ -133,11 +146,18 @@ def cmd_compute(args) -> int:
 
 def cmd_sweep(args) -> int:
     rho, sigma = _load_pair(args)
-    alphas = _parse_grid(args.alpha_grid)
+    alpha_grid = _parse_grid(args.alpha_grid)
     if args.z_grid.startswith("curve:"):
-        spec = SweepSpec(alphas=alphas, curve=_parse_curve(args.z_grid[len("curve:"):]))
+        curve, z_grid = _parse_curve(args.z_grid[len("curve:"):]), None
+        points = alpha_grid[2]
     else:
-        spec = SweepSpec(alphas=alphas, zs=_parse_grid(args.z_grid))
+        curve, z_grid = None, _parse_grid(args.z_grid)
+        points = alpha_grid[2] * z_grid[2]
+    if points > _SWEEP_MAX_POINTS:  # before any grid is built
+        raise SpecError(f"sweep of {points} points exceeds the limit of "
+                        f"{_SWEEP_MAX_POINTS} points")
+    spec = SweepSpec(alphas=_grid_points(alpha_grid), curve=curve,
+                     zs=None if z_grid is None else _grid_points(z_grid))
     lines = ["alpha,z,divergence_nats,trace_functional,finite"]
     for a, z, d, t in zip(*(x.tolist() for x in sweep(rho, sigma, spec))):
         finite = math.isfinite(d)

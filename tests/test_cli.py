@@ -314,6 +314,36 @@ class TestSweep:
         assert out.returncode == 0
         assert out.stdout.splitlines()[1].startswith("2,1,0.980829253012,")
 
+    @pytest.mark.parametrize("alphas, zs, points", [
+        ("0.5:2:100000000000", "1:1:1", 10**11),
+        ("0.5:2:1001", "1:2:100", 100_100),
+        ("0.5:2:100000000000", "curve:sandwiched", 10**11),
+    ], ids=["alphas", "product", "curve"])
+    def test_oversize_sweep_is_usage_error(self, capsys, monkeypatch, alphas, zs, points):
+        from alphaz import cli
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("an oversize sweep built a grid")
+
+        monkeypatch.setattr(np, "linspace", no_grid)
+        code, out, err = run_in_process(["sweep", "--example1", "0.25", "--alpha-grid",
+                                         alphas, "--z-grid", zs, "--out", "-"], capsys)
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err == (f"error: sweep of {points} points exceeds the limit of "
+                       f"{cli._SWEEP_MAX_POINTS} points\n")
+
+    def test_sweep_at_the_point_limit_runs(self, capsys, monkeypatch):
+        from alphaz import cli
+
+        monkeypatch.setattr(cli, "_SWEEP_MAX_POINTS", 4)
+        argv = ["sweep", "--example1", "0.25", "--alpha-grid", "0.5:2:2", "--out", "-"]
+        code, out, _ = run_in_process(argv + ["--z-grid", "1:2:2"], capsys)
+        assert (code, len(out.splitlines())) == (0, 5)
+        code, _, err = run_in_process(argv + ["--z-grid", "1:2:3"], capsys)
+        assert code == cli.EXIT_USAGE
+        assert "sweep of 6 points exceeds the limit of 4 points" in err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow too
     @pytest.mark.parametrize("sigma, alphas, zs, row", [
         # alpha = 1 under dominance, where the trace sum underflows
