@@ -24,7 +24,10 @@ dominating rank-deficient pair, integer-z `compute` points whose spectral
 powers or trace sum overflow (exit 3), `dump` to stdout, `verify --json`
 to an unwritable path and to `-` (exit 2), and two sweeps of a dominating
 rank-deficient pair whose grid has an undefined point and an underflowing
-one, in both orders (exit 3, the undefined point named). In a command,
+one, in both orders (exit 3, the undefined point named), a sweep of 10^11
+points (exit 2, beyond the point limit), and `compute` on seeded pair 4 at
+(alpha, z) = (3, 0.05) and (3, -0.5), where the SVD route's G is graded with
+its small rows or columns first. In a command,
 {in} is a directory of input matrix files the script writes first, and
 {out} a fresh empty directory.
 """
@@ -136,6 +139,15 @@ def commands() -> list[tuple[dict, str]]:
     for grid in ("--z-grid=-1:1e-300:2", "--z-grid 1e-300:-1:2"):
         out.append(({}, f"sweep {_support_pair('dominating')} --alpha-grid 0.5:0.5:1 {grid} "
                         "--out {out}/s.csv"))
+    # a sweep beyond the CLI's point limit, rejected before any grid is built
+    out.append(({}, "sweep --example1 0.25 --alpha-grid 0.5:2:100000000000 --z-grid 1:1:1 "
+                    "--out -"))
+    # seeded pair 4 of the suites, where G's small rows (alpha > 1, z > 0) or
+    # small columns (z < 0) come first in sigma's and rho's spectral order
+    pair4 = ("--rho '{\"generator\": \"density\", \"seed\": 20240819, \"dim\": 6}' "
+             "--sigma '{\"generator\": \"reference\", \"seed\": 20240820, \"dim\": 6}'")
+    for z in ("0.05", "-0.5"):
+        out.append(({}, f"compute {pair4} --alpha 3 --z {z}"))
     return out
 
 
