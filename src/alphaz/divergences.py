@@ -418,22 +418,26 @@ class PreparedPair:
         return g, fault
 
     @staticmethod
-    def _graded(g, e_sigma, e_rho):
+    def _graded(g, e_sigma, e_rho, take=slice(None)):
         """`_factor`'s G ordered for the SVD route's `svd`: its rows reversed
-        where e_sigma < 0 and its columns where e_rho < 0, at one point
-        (float exponents; a view) or per row of a stack (arrays; in place).
-        Spectrum sorts eigenvalues largest first, so this grades G with its
-        large rows and columns first. Householder bidiagonalization keeps the
-        small singular values of a matrix graded that way to full relative
+        where e_sigma < 0 and its columns where e_rho < 0. At one point
+        (float exponents) a view; for a stack (arrays), a copy of its points
+        `take` (a slice or a mask), each G gathered in that order. Spectrum
+        sorts eigenvalues largest first, so this grades G with its large rows
+        and columns first. Householder bidiagonalization keeps the small
+        singular values of a matrix graded that way to full relative
         accuracy, not those of one graded smallest first (Demmel & Veselic
         1992). The singular values do not depend on the order."""
         if isinstance(e_sigma, float):  # one point: Python sign tests
             if e_sigma < 0.0 or e_rho < 0.0:
                 g = g[::-1 if e_sigma < 0.0 else 1, ::-1 if e_rho < 0.0 else 1]
             return g
-        rows, cols = e_sigma < 0.0, e_rho < 0.0
-        if rows.any():
-            g[rows] = g[rows, ::-1]
+        # one gather of the G rows, each point's reversed or not: a second
+        # copy of the stack for the reversal cost more than the gather
+        n, d = g.shape[0], g.shape[-1]
+        rows = np.arange(n * d).reshape(n, d)
+        g = g.reshape(-1, d)[np.where((e_sigma < 0.0)[:, None], rows[:, ::-1], rows)[take]]
+        cols = e_rho[take] < 0.0
         if cols.any():
             g[cols] = g[cols, :, ::-1]
         return g
@@ -636,7 +640,7 @@ def _stacked_traces(pairs: list[PreparedPair], alphas: np.ndarray, zs: np.ndarra
                 out[p, at] = pair._power_sums(g[at], int(k))
             todo &= ~((out[p] >= _TINY) & (out[p] < math.inf))  # a NaN fails too
         rest = slice(None) if todo.all() else todo
-        pending.append((pair._graded(g[rest], e_sigma[rest], e_rho[rest]), zs[rest], rest))
+        pending.append((pair._graded(g, e_sigma, e_rho, rest), zs[rest], rest))
     stack = [g for g, *_ in pending if len(g)]
     singular = np.linalg.svd(_cat(stack), compute_uv=False) if stack else None
     start = 0
