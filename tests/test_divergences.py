@@ -1324,7 +1324,7 @@ class TestGradedSvdOracle:
     """The SVD route against the 50-digit oracle where G = diag(s^e_sigma) W
     diag(r^(e_rho/2)) is graded with its small rows first (e_sigma < 0:
     alpha > 1 at z > 0, alpha < 1 at z < 0) or its small columns first
-    (e_rho < 0), by the stacked and the scalar driver. Where max |exponent|
+    (e_rho < 0), by the stacked kernel and by `divergence`. Where max |exponent|
     <= 10 both give >= 13 digits. Beyond that no bound exists yet, and those
     points' digits are printed, not asserted: eigh's absolute error on the
     small eigenvalues, raised to the exponent, sets the program's error, and
