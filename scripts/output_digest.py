@@ -148,6 +148,8 @@ def commands() -> list[tuple[dict, str]]:
              "--sigma '{\"generator\": \"reference\", \"seed\": 20240820, \"dim\": 6}'")
     for z in ("0.05", "-0.5"):
         out.append(({}, f"compute {pair4} --alpha 3 --z {z}"))
+    # a verify run beyond the CLI's seed limit, rejected before any pair is built
+    out.append(({}, "verify --suite all --seeds 1000000000"))
     return out
 
 

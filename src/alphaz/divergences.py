@@ -31,12 +31,14 @@ outcomes: closed, where D needs no trace (the first and the two +inf cases
 above); the product route (`_factor`, `_power_sums`) at the open points of
 a dominated pair whose z is a positive integer up to Z_PRODUCT_MAX = 16,
 where T = Tr (G G†)^z is a sum of squares of matrix products; or the SVD
-route of T (`_factor`, `_trace_sums`). A product-route T outside
-[tiny, inf) is computed again by the SVD route, which alone decides the
-range. The route steps raise nothing: they give each point a fault code,
-1 where T's formula is undefined, 2 where the spectral powers overflow, 3
-where the trace sum overflows and 4 where it underflows, and T is NaN at a
-point with a fault. Each entry point then raises one DomainError, for the
+route of T (`_factor`, `_trace_sums`). Both routes take G as `_factor`
+builds it, graded with its large rows and columns first for the SVD
+route's `svd`. A product-route T outside [tiny, inf) is computed again by
+the SVD route, which alone decides the range. The route steps raise
+nothing: they give each point a fault code, 1 where T's formula is
+undefined, 2 where the spectral powers overflow, 3 where the trace sum
+overflows and 4 where it underflows, and T is NaN at a point with a
+fault. Each entry point then raises one DomainError, for the
 lowest code at its first point among the points it needs (every point for
 T, the open points for D); a closed point's fault is no error.
 
@@ -51,6 +53,7 @@ SVD.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -301,8 +304,10 @@ class PreparedPair:
 
     Every entry point asks `_route` which way each point goes, and the
     route steps (`_factor`, `_power_sums`, `_trace_sums`) compute values and
-    per-point fault codes without raising; the entry point then raises once,
-    through `_raise`, for the faults at the points it needs. `traces`,
+    per-point fault codes without raising; the entry point then raises
+    once, through `_raise`, for the faults at the points it needs. `_factor`
+    alone decides the order of G's rows and columns, and every route and
+    self-check takes G as built. `traces`,
     `divergences` and `evaluate` take arrays of points, sum the product
     points' matrix products and run one stacked SVD for the rest: they are
     the one-pair case of the module's stacked kernel
@@ -393,6 +398,14 @@ class PreparedPair:
         the relative error of an eigendecomposition of the assembled
         sandwich.
 
+        G comes in the SVD route's order: its rows reversed where e_sigma < 0
+        and its columns where e_rho < 0, so that, the spectra being sorted
+        largest first, its large rows and columns come first. Householder
+        bidiagonalization keeps the small singular values of a matrix graded
+        that way to full relative accuracy, not those of one graded smallest
+        first (Demmel & Veselic 1992); neither the singular values nor
+        Tr (G G†)^k depend on the order.
+
         An undefined point's G is built with exponents 0, which can neither
         overflow nor warn. |W| <= 1 bounds every entry of G by the product of
         the largest power on each side, so a finite bound keeps the SVD
@@ -411,36 +424,23 @@ class PreparedPair:
             over = ~np.isfinite(s_pow.max(axis=-1) * r_pow.max(axis=-1))
             fault = _joined(fault, _POWERS_OVERFLOW, over)
             s_pow[over] = r_pow[over] = 1.0
-        # s * W * r with the second product in place: a large stack's
-        # temporaries cost a fresh allocation each
-        g = s_pow[..., :, None] * self.overlap
+        rows, cols = e_sigma < 0.0, e_rho < 0.0  # the sides to reverse
+        if s_pow.ndim == 1:  # one point: views of W and of its powers
+            rows, cols = slice(None, None, -1 if rows else 1), slice(None, None, -1 if cols else 1)
+            g, r_pow = s_pow[rows, None] * self.overlap[rows, cols], r_pow[cols]
+        else:  # a stack: each point's W gathered, then scaled in place
+            s_pow = np.where(rows[:, None], s_pow[:, ::-1], s_pow)
+            r_pow = np.where(cols[:, None], r_pow[:, ::-1], r_pow)
+            g = self._orientations[2 * rows + cols]
+            g *= s_pow[:, :, None]
         g *= r_pow[..., None, :]
         return g, fault
 
-    @staticmethod
-    def _graded(g, e_sigma, e_rho, take=slice(None)):
-        """`_factor`'s G ordered for the SVD route's `svd`: its rows reversed
-        where e_sigma < 0 and its columns where e_rho < 0. At one point
-        (float exponents) a view; for a stack (arrays), a copy of its points
-        `take` (a slice or a mask), each G gathered in that order. Spectrum
-        sorts eigenvalues largest first, so this grades G with its large rows
-        and columns first. Householder bidiagonalization keeps the small
-        singular values of a matrix graded that way to full relative
-        accuracy, not those of one graded smallest first (Demmel & Veselic
-        1992). The singular values do not depend on the order."""
-        if isinstance(e_sigma, float):  # one point: Python sign tests
-            if e_sigma < 0.0 or e_rho < 0.0:
-                g = g[::-1 if e_sigma < 0.0 else 1, ::-1 if e_rho < 0.0 else 1]
-            return g
-        # one gather of the G rows, each point's reversed or not: a second
-        # copy of the stack for the reversal cost more than the gather
-        n, d = g.shape[0], g.shape[-1]
-        rows = np.arange(n * d).reshape(n, d)
-        g = g.reshape(-1, d)[np.where((e_sigma < 0.0)[:, None], rows[:, ::-1], rows)[take]]
-        cols = e_rho[take] < 0.0
-        if cols.any():
-            g[cols] = g[cols, :, ::-1]
-        return g
+    @functools.cached_property
+    def _orientations(self) -> np.ndarray:
+        """W, then W with its columns, its rows and both reversed: index 2 for
+        rows plus 1 for columns. Built at the pair's first stacked `_factor`."""
+        return np.stack([self.overlap[::r, ::c] for r in (1, -1) for c in (1, -1)])
 
     def _trace_sums(self, singular, zs):
         """T from the singular values of `_factor`'s G at points without a
@@ -520,7 +520,7 @@ class PreparedPair:
             self._raise(fault, alpha, z)
         t, route = (self._power_sums(g, int(z)) if product else math.nan), "product"
         if not _TINY <= t < math.inf:  # a NaN fails too
-            singular = np.linalg.svd(self._graded(g, e_sigma, e_rho), compute_uv=False)
+            singular = np.linalg.svd(g, compute_uv=False)
             (t, fault), route = self._trace_sums(singular, z), "svd"
             if fault:
                 self._raise(fault, alpha, z)
@@ -551,7 +551,6 @@ class PreparedPair:
         alpha = float(alpha)
         value, route, g = self._divergence(alpha, 1.0)
         if route == "product":
-            g = self._graded(g, (1.0 - alpha) / 2.0, alpha)
             t, fault = self._trace_sums(np.linalg.svd(g, compute_uv=False), 1.0)
             if fault:
                 self._raise(fault, alpha, 1.0)
@@ -640,7 +639,7 @@ def _stacked_traces(pairs: list[PreparedPair], alphas: np.ndarray, zs: np.ndarra
                 out[p, at] = pair._power_sums(g[at], int(k))
             todo &= ~((out[p] >= _TINY) & (out[p] < math.inf))  # a NaN fails too
         rest = slice(None) if todo.all() else todo
-        pending.append((pair._graded(g, e_sigma, e_rho, rest), zs[rest], rest))
+        pending.append((g[rest], zs[rest], rest))
     stack = [g for g, *_ in pending if len(g)]
     singular = np.linalg.svd(_cat(stack), compute_uv=False) if stack else None
     start = 0

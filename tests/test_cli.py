@@ -460,6 +460,25 @@ class TestVerify:
         assert f"got {seeds}" in out.stderr
         assert "checks passed" not in out.stdout
 
+    def test_oversize_seeds_is_usage_error(self, capsys, monkeypatch):
+        from alphaz import cli
+
+        monkeypatch.setattr(cli, "run_suites", lambda *args, **kwargs: pytest.fail("ran"))
+        code, out, err = run_in_process(["verify", "--seeds", "1000000000"], capsys)
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err == (f"error: 1000000000 seeds exceed the limit of "
+                       f"{cli._VERIFY_MAX_SEEDS} seeds\n")
+
+    def test_seeds_at_the_limit_run(self, capsys, monkeypatch):
+        from alphaz import cli
+
+        monkeypatch.setattr(cli, "_VERIFY_MAX_SEEDS", 2)
+        code, out, _ = run_in_process(["verify", "--suite", "dpi", "--seeds", "2"], capsys)
+        assert code == 0 and "seeds=2" in out
+        code, out, err = run_in_process(["verify", "--suite", "dpi", "--seeds", "3"], capsys)
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err == "error: 3 seeds exceed the limit of 2 seeds\n"
+
     @pytest.mark.parametrize("names", [["dpi"], ["limits"], ["all"]])
     def test_run_suites_rejects_no_seeds(self, names):
         from alphaz.suites import run_suites

@@ -1234,10 +1234,14 @@ def _oracle_pair(rho: bytes, sigma: bytes, dim: int, dps: int):
 def _oracle_divergence(rho, sigma, alpha, z, dps=50):
     """D(alpha, z) at `dps` digits from mpmath eigendecompositions of rho and
     sigma (one per pair and dps, cached), with generalized powers (0 on
-    the kernel), in sigma's eigenbasis: the inner operator is
-    X = S^c W R^b W† S^c. T is the sum of X's mpmath eigenvalues raised to
-    z, or, at a positive integer z = k, Tr(P Q) for P = X^(k//2) and
-    Q = X^(k - k//2), which needs no eigendecomposition."""
+    the kernel), in sigma's eigenbasis. T is the sum of the squared singular
+    values of G = S^c W R^(b/2) on the supports raised to z, as in
+    benchmark/oracle.py, or, at a positive integer z = k, Tr(P Q) for
+    P = X^(k//2) and Q = X^(k - k//2) with the inner operator
+    X = S^c W R^b W† S^c, which needs no decomposition. Here c = (1-a)/2z
+    and b = a/z. Unlike eigenvalues of the assembled X, whose condition
+    number can pass 10^dps where an exponent is large, the singular values
+    of G keep their digits."""
     mp = pytest.importorskip("mpmath")
     dim = rho.shape[0]
     r, s, w = _oracle_pair(*(np.asarray(m, dtype=complex).tobytes() for m in (rho, sigma)),
@@ -1249,14 +1253,15 @@ def _oracle_divergence(rho, sigma, alpha, z, dps=50):
         def power(values, p):
             return [x ** p if x else mp.mpf(0) for x in values]
 
-        c, b = power(s, (1 - a) / (2 * zz)), power(r, a / zz)
-        wb = mp.matrix(dim, dim)
-        for i, j in cells:
-            wb[i, j] = w[i, j] * b[j]
-        inner = wb * w.H
-        for i, j in cells:
-            inner[i, j] *= c[i] * c[j]
+        c = power(s, (1 - a) / (2 * zz))
         if zz >= 1 and zz == int(zz):
+            b = power(r, a / zz)
+            wb = mp.matrix(dim, dim)
+            for i, j in cells:
+                wb[i, j] = w[i, j] * b[j]
+            inner = wb * w.H
+            for i, j in cells:
+                inner[i, j] *= c[i] * c[j]
             k = int(zz)
             if k == 1:
                 t = mp.fsum(mp.re(inner[i, i]) for i in range(dim))
@@ -1265,8 +1270,14 @@ def _oracle_divergence(rho, sigma, alpha, z, dps=50):
                 q = p * inner if k % 2 else p
                 t = mp.re(mp.fsum(p[i, j] * q[j, i] for i, j in cells))
         else:
-            values, _ = mp.eighe((inner + inner.H) / 2)
-            t = mp.fsum(mp.re(x) ** zz for x in values)
+            half_b = power(r, a / (2 * zz))
+            rows = [i for i in range(dim) if s[i]]
+            cols = [j for j in range(dim) if r[j]]
+            g = mp.matrix(len(rows), len(cols))
+            for (m, i), (n, j) in itertools.product(enumerate(rows), enumerate(cols)):
+                g[m, n] = c[i] * w[i, j] * half_b[j]
+            singular = mp.svd_c(g, compute_uv=False)
+            t = mp.fsum((x * x) ** zz for x in singular if x > 0)
         return mp.log(t) / (a - 1)
 
 
@@ -1320,6 +1331,49 @@ class TestProductRouteOracle:
         assert worst["product"] >= worst["svd"] - math.log10(2.0), worst
 
 
+class TestFactorOrder:
+    """`_factor` builds G = diag(s^e_sigma) W diag(r^(e_rho/2)) in the SVD
+    route's order, its rows reversed where e_sigma < 0 and its columns where
+    e_rho < 0, for a stack and for one point alike, over all four sign
+    combinations of the exponents. Each expected G takes the powers of the
+    call it checks: numpy's `power` rounds by array size, so a stack's
+    powers can differ from one point's in the last bit."""
+
+    ALPHAS = (-0.5, 0.5, 2.0)
+    ZS = (-1.0, 0.5, 2.0)
+
+    @staticmethod
+    def _expected(pair, s_pow, r_pow, e_sigma, e_rho):
+        g = s_pow[:, None] * pair.overlap * r_pow[None, :]
+        return g[::-1 if e_sigma < 0.0 else 1, ::-1 if e_rho < 0.0 else 1]
+
+    @pytest.mark.parametrize("pair", [
+        (random_density(5, 31), random_reference(5, 32)),
+        random_support_pair(5, 33, rank=3, branch="dominating"),
+    ], ids=["full-rank", "rank-deficient"])
+    def test_reversed_by_exponent_signs(self, pair):
+        pair = dv.prepare(*pair)
+        a, z = (x.ravel() for x in np.meshgrid(self.ALPHAS, self.ZS, indexing="ij"))
+        _, defined, _, e_sigma, e_rho = pair._route(a, z)
+        defined = np.broadcast_to(defined, a.shape)
+        stacked, _ = pair._factor(e_sigma, e_rho, defined)
+        # the powers of the stacked call, which takes exponents 0 where undefined
+        s_rows = pair.sigma.powers(np.where(defined, e_sigma, 0.0))
+        r_rows = pair.rho.powers(np.where(defined, e_rho, 0.0) / 2.0)
+        signs = set()
+        for i in np.flatnonzero(defined):
+            es, er = float(e_sigma[i]), float(e_rho[i])
+            expected = self._expected(pair, s_rows[i], r_rows[i], es, er)
+            assert np.array_equal(stacked[i], expected), (a[i], z[i])
+            one, fault = pair._factor(es, er, True)
+            expected = self._expected(pair, pair.sigma.powers(es), pair.rho.powers(er / 2.0),
+                                      es, er)
+            assert not fault and np.array_equal(one, expected), (a[i], z[i])
+            signs.add((es < 0.0, er < 0.0))
+        # a negative exponent of the rank-deficient rho is undefined
+        assert len(signs) == (4 if pair.rho.rank == 5 else 2)
+
+
 class TestGradedSvdOracle:
     """The SVD route against the 50-digit oracle where G = diag(s^e_sigma) W
     diag(r^(e_rho/2)) is graded with its small rows first (e_sigma < 0:
@@ -1327,10 +1381,10 @@ class TestGradedSvdOracle:
     (e_rho < 0), by the stacked kernel and by `divergence`. Where max |exponent|
     <= 10 both give >= 13 digits. Beyond that no bound exists yet, and those
     points' digits are printed, not asserted: eigh's absolute error on the
-    small eigenvalues, raised to the exponent, sets the program's error, and
-    the oracle's assembled inner operator can itself lose its 50 digits
-    there (at seeded pair 1, (1.5, 0.05), it has an imaginary part of 8e-4
-    while the program agrees with benchmark/oracle.py to 15 digits)."""
+    small eigenvalues, raised to the exponent, sets the program's error. The
+    oracle takes the singular values of G itself at 50 digits, so the
+    printed digits measure the program, not the oracle (at seeded pair 1,
+    (1.5, 0.05), it agrees with benchmark/oracle.py to 25 digits)."""
 
     ALPHAS = (-0.5, 0.3, 0.7, 1.5, 2.0, 3.0, 5.0)
     ZS = (0.05, 0.25, 2.5, -0.5, -2.5)
