@@ -38,9 +38,9 @@ the SVD route, which alone decides the range. The route steps raise
 nothing: they give each point a fault code, 1 where T's formula is
 undefined, 2 where the spectral powers overflow, 3 where the trace sum
 overflows and 4 where it underflows, and T is NaN at a point with a
-fault. Each entry point then raises one DomainError, for the
-lowest code at its first point among the points it needs (every point for
-T, the open points for D); a closed point's fault is no error.
+fault. Each entry point then raises one DomainError, for the lowest code
+at its first point among the points it needs (every point for T, the open
+points for D); a closed point's fault is no error.
 
 Every quantum value comes from a PreparedPair, which validates both
 operators as one stack in one pass, decomposes them with one `eigh` and
