@@ -47,8 +47,8 @@ operators as one stack in one pass, decomposes them with one `eigh` and
 carries every family as a method; each module function prepares one pair
 per call and calls one method. The trace functional T(a, z) is
 `prepare(rho, sigma).traces(alpha, z)`. `stacked_divergences` evaluates the
-same points on several prepared pairs of one dimension with at most one
-SVD.
+same points on several prepared pairs of any dimensions with at most one
+SVD per dimension.
 """
 
 from __future__ import annotations
@@ -616,17 +616,20 @@ class PreparedPair:
 def _stacked_traces(pairs: list[PreparedPair], alphas: np.ndarray, zs: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The closed points of `PreparedPair._route`, T and the fault codes at
-    1-d arrays of N points for P pairs of one dimension, each of shape (P,
+    1-d arrays of N points for P pairs of any dimensions, each of shape (P,
     N), from every pair's G (`_factor`): `_power_sums` at the product points
-    without a fault, then one SVD of the stack of the other rows without a
-    fault, none if there are none. T is NaN at every point with a fault;
-    nothing raises, and each caller raises for the points it needs. Each
-    pair's rows of the stack are built and reduced as they would be alone,
-    so its values do not depend on the other pairs."""
+    without a fault, then, for the other rows without a fault, one SVD of
+    the stack of the rows of each dimension, in the order in which the
+    dimensions first appear, none for a dimension without such rows. This
+    is the one place that knows one stack needs one matrix size. T is NaN
+    at every point with a fault; nothing raises, and each caller raises for
+    the points it needs. Each pair's rows of a stack are built and reduced
+    as they would be alone, so its values do not depend on the other
+    pairs."""
     closed = np.empty((len(pairs), alphas.size), dtype=bool)
     out = np.full(closed.shape, math.nan)
     faults = np.zeros(closed.shape, dtype=int)
-    pending = []  # per pair: the SVD route's rows, their zs and their points
+    pending = {}  # per dimension, per pair: its SVD route's rows, their zs and points
     for p, pair in enumerate(pairs):
         closed[p], defined, product, e_sigma, e_rho = pair._route(alphas, zs)
         g, faults[p] = pair._factor(e_sigma, e_rho, defined)
@@ -639,13 +642,13 @@ def _stacked_traces(pairs: list[PreparedPair], alphas: np.ndarray, zs: np.ndarra
                 out[p, at] = pair._power_sums(g[at], int(k))
             todo &= ~((out[p] >= _TINY) & (out[p] < math.inf))  # a NaN fails too
         rest = slice(None) if todo.all() else todo
-        pending.append((g[rest], zs[rest], rest))
-    stack = [g for g, *_ in pending if len(g)]
-    singular = np.linalg.svd(_cat(stack), compute_uv=False) if stack else None
-    start = 0
-    for p, (pair, (g, z, rest)) in enumerate(zip(pairs, pending)):
-        if len(g):
-            out[p, rest], faults[p, rest] = pair._trace_sums(singular[start:start + len(g)], z)
+        if todo.any():
+            pending.setdefault(g.shape[-1], []).append((p, g[rest], zs[rest], rest))
+    for stack in pending.values():
+        singular = np.linalg.svd(_cat([g for _, g, *_ in stack]), compute_uv=False)
+        start = 0
+        for p, g, z, rest in stack:
+            out[p, rest], faults[p, rest] = pairs[p]._trace_sums(singular[start:start + len(g)], z)
             start += len(g)
     if faults.any():
         out[faults != 0] = math.nan
@@ -658,24 +661,21 @@ def _cat(arrays: list[np.ndarray]) -> np.ndarray:
 
 
 def stacked_divergences(pairs, alphas, zs) -> np.ndarray:
-    """D(a, z) in nats for prepared pairs of one dimension at the same
+    """D(a, z) in nats for prepared pairs of any dimensions at the same
     broadcast points of alphas and zs, shape (len(pairs), *points), from at
-    most one stacked SVD. Row p equals `pairs[p].divergences(alphas, zs)`
-    bit for bit, +inf where the supports force it, and the error raised is
-    the one of the first pair whose own call fails, read from the fault
-    codes of the one kernel pass. Pairs of different dimensions raise
-    ValueError."""
+    most one stacked SVD per dimension. Row p equals
+    `pairs[p].divergences(alphas, zs)` bit for bit, +inf where the supports
+    force it, and the error raised is the one of the first pair whose own
+    call fails, read from the fault codes of the one kernel pass. No pairs
+    give shape (0, *points), once the points are checked."""
     pairs = list(pairs)
-    dims = {pair.rho.values.size for pair in pairs}
-    if len(dims) != 1:
-        raise ValueError(f"stacked pairs need one dimension, got {sorted(dims)}")
     a, z = _points(alphas, zs)
     return _divergence_rows(pairs, a.ravel(), z.ravel())[0].reshape((len(pairs),) + a.shape)
 
 
 def _divergence_rows(pairs: list[PreparedPair], alphas: np.ndarray,
                      zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """D and T at 1-d arrays of points for pairs of one dimension, each of
+    """D and T at 1-d arrays of points for pairs of any dimensions, each of
     shape (len(pairs), N): D is the pair's `_closed_value` at its closed
     points and ln T / (a - 1) elsewhere; T is `_stacked_traces'`. D needs T
     at the open points only: the first pair with a fault or a T <= 0 there

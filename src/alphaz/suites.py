@@ -7,12 +7,13 @@ in `states`, so a given (suite, seeds) always produces the same reports.
 monotonicity, dpi and invariants); those suites take them as their
 argument. The limits, monotonicity and dT/dz checks make one kernel call
 per pair for all of their items (curves, alphas, z0s) and regroup the
-per-pair reports into one aggregate per item. Two suites use the kernel's
-pair axis (`divergences.stacked_divergences`): invariants evaluates each
-seeded pair with its rotation, its rescaled reference and (rho, rho) in
-one call, and classical evaluates its commuting pairs one dimension at a
-time, then finds its worst rows in pair order. A `verify --suite all
---seeds 10` run makes 86 `eigh` and 163 `svd` calls.
+per-pair reports into one aggregate per item. Each pair family evaluates
+in one call on the kernel's pair axis (`divergences.stacked_divergences`),
+which takes pairs of any dimensions: invariants all seeded pairs, each with
+its rotation, its rescaled reference and (rho, rho); classical its
+commuting pairs, whose worst rows it then finds in pair order; example1
+its three pairs on the alpha grid. A `verify --suite all --seeds 10` run
+makes 86 `eigh` and 156 `svd` calls.
 """
 
 from __future__ import annotations
@@ -125,16 +126,17 @@ EXAMPLE1_GRID_TOL = 1e-10
 
 def suite_example1() -> list[CheckReport]:
     """Second-derivative split at a = 1 plus closed-form/pipeline agreement
-    for the rank-1-vs-diagonal pair family."""
+    for the rank-1-vs-diagonal pair family, whose three pairs are evaluated
+    on the alpha grid in one kernel call."""
     from .states import example1_pair
 
     reports = [verify_second_derivative_example1(p) for p in EXAMPLE1_PS]
     rows = []
     worst = 0.0
-    for p in EXAMPLE1_PS:
-        points = [(alpha, z) for alpha in EXAMPLE1_GRID_ALPHAS
-                  for z in (0.5, 1.0, alpha, 2.0, 5.0)]
-        values = dv.prepare(*example1_pair(p)).divergences(*zip(*points)).tolist()
+    points = [(alpha, z) for alpha in EXAMPLE1_GRID_ALPHAS for z in (0.5, 1.0, alpha, 2.0, 5.0)]
+    grid = dv.stacked_divergences([dv.prepare(*example1_pair(p)) for p in EXAMPLE1_PS],
+                                  *zip(*points))
+    for p, values in zip(EXAMPLE1_PS, grid.tolist()):
         for (alpha, z), value in zip(points, values):
             gap = abs(value - example1_closed_form(p, alpha, z))
             worst = max(worst, gap)
@@ -187,8 +189,9 @@ COMMUTING_DIMS = (2, 3, 4, 5, 6, 7, 8)
 
 def suite_classical(n_pairs: int = 20) -> list[CheckReport]:
     """Commuting pairs must reduce to the classical Renyi sum (z-independent)
-    and the classical KL divergence. The pairs of each dimension are
-    evaluated as one stack; the worst rows are then found in pair order."""
+    and the classical KL divergence. The pairs of every dimension are
+    evaluated in one kernel call; the worst rows are then found in pair
+    order."""
     worst_renyi = 0.0
     worst_kl = 0.0
     renyi_rows = []
@@ -201,13 +204,10 @@ def suite_classical(n_pairs: int = 20) -> list[CheckReport]:
         rho, sigma, p, q = commuting_pair(dim, BASE_SEED + 1000 + k)
         pairs.append(dv.prepare(rho, sigma))
         classicals.append(dv.prepare_classical(p, q))
-    values = {}  # pair index -> its divergences at the points
-    for dim in dict.fromkeys(dims):
-        ks = [k for k, d in enumerate(dims) if d == dim]
-        values.update(zip(ks, dv.stacked_divergences([pairs[k] for k in ks], alphas, zs)))
-    for k, (pair, classical, dim) in enumerate(zip(pairs, classicals, dims)):
+    values = dv.stacked_divergences(pairs, alphas, zs)
+    for k, (pair, classical, dim, row) in enumerate(zip(pairs, classicals, dims, values)):
         targets = {alpha: classical.renyi(alpha).value for alpha in CLASSICAL_ALPHAS}
-        gaps = np.abs(values[k] - [targets[alpha] for alpha in alphas])
+        gaps = np.abs(row - [targets[alpha] for alpha in alphas])
         i = int(np.argmax(gaps))  # the first worst point, in (alpha, z) order
         if gaps[i] > worst_renyi:
             worst_renyi = float(gaps[i])
@@ -253,14 +253,17 @@ def suite_invariants(tfs: SeededPairs) -> list[CheckReport]:
     alphas, zs = zip(*points)
     # per check: (worst residual, its row); the first pair always sets it
     worst = {"unitary": (-1.0, None), "scaling": (-1.0, None), "self": (-1.0, None)}
-    for k, (tf, label) in enumerate(tfs):
-        rho, sigma, dim = tf.rho, tf.sigma, tf.rho.shape[0]
-        u = random_unitary(dim, BASE_SEED + 5000 + k)
-        c = 0.25 + 1.5 * (k % 4)  # deterministic positive scales
+    family, scales = [], []
+    for k, (tf, _) in enumerate(tfs):
+        rho, sigma = tf.rho, tf.sigma
+        u = random_unitary(rho.shape[0], BASE_SEED + 5000 + k)
+        scales.append(c := 0.25 + 1.5 * (k % 4))  # deterministic positive scales
         # the pair, its rotation, its rescaled reference and (rho, rho)
-        base, rotated, scaled, self_values = dv.stacked_divergences(
-            [tf.pair, dv.prepare(u @ rho @ u.conj().T, u @ sigma @ u.conj().T),
-             dv.prepare(rho, c * sigma), dv.prepare(rho, rho)], alphas, zs)
+        family += [tf.pair, dv.prepare(u @ rho @ u.conj().T, u @ sigma @ u.conj().T),
+                   dv.prepare(rho, c * sigma), dv.prepare(rho, rho)]
+    values = dv.stacked_divergences(family, alphas, zs).reshape(len(tfs), 4, len(points))
+    for (tf, label), c, (base, rotated, scaled, self_values) in zip(tfs, scales, values):
+        dim = tf.rho.shape[0]
         residuals = {
             "unitary": np.abs(rotated - base),
             "scaling": np.abs(scaled - (base - math.log(c))),

@@ -852,12 +852,54 @@ class TestStackedDivergences:
             dv.stacked_divergences([full, dominated], alphas, zs)
         assert str(stacked.value) == str(own.value)
 
-    def test_mixed_dimensions_rejected(self):
-        pairs = [dv.prepare(random_density(d, 4), random_reference(d, 5)) for d in (3, 4)]
-        with pytest.raises(ValueError, match="one dimension"):
-            dv.stacked_divergences(pairs, [0.5], [1.0])
-        with pytest.raises(ValueError, match="one dimension"):
-            dv.stacked_divergences([], [0.5], [1.0])
+    @staticmethod
+    def _pair(dim, cls, seed):
+        if cls == "full":
+            return dv.prepare(random_density(dim, seed), random_reference(dim, seed + 1))
+        return dv.prepare(*random_support_pair(dim, seed, rank=dim - 1, branch=cls))
+
+    def test_interleaved_dimensions_equal_own_calls_bit_for_bit(self, monkeypatch):
+        # pair i has dimension (2, 3, 4)[i % 3] and class i % 4: all twelve
+        # combinations, no two neighbours of one dimension
+        classes = ("full", "dominating", "violating", "orthogonal")
+        pairs = [self._pair((2, 3, 4)[i % 3], classes[i % 4], 40 + 2 * i) for i in range(12)]
+        alphas = np.array([[0.3], [0.7], [1.0], [1.5], [3.0]])
+        zs = [0.5, 1.0, 2.0, 2.5, 3.0, 16.0, 17.0]
+        svd_calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda g, **kw: svd_calls.append(g.shape) or svd(g, **kw))
+        rows = dv.stacked_divergences(pairs, alphas, zs)
+        # one svd per dimension, in the order the dimensions first appear
+        assert [shape[-1] for shape in svd_calls] == [2, 3, 4]
+        monkeypatch.undo()
+        assert rows.shape == (12, 5, 7)
+        for pair, row in zip(pairs, rows):
+            assert np.array_equal(row, pair.divergences(alphas, zs))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow too
+    def test_mixed_dimensions_first_failing_pair_raises_its_own_error(self):
+        full3, violating2, dominated4 = (self._pair(3, "full", 50), self._pair(2, "violating", 52),
+                                         self._pair(4, "dominating", 54))
+        # undefined points: negative alpha on the dominated pair's rank-deficient
+        # rho, negative z below alpha = 1 on the violating pair's sigma; the
+        # full pair's powers overflow at z = 1e-300, which beats a later
+        # pair's undefined point
+        for (alphas, zs), stack, first in (
+                (([-0.5, 0.5], [1.0, -1.0]), [full3, violating2, dominated4], violating2),
+                (([-0.5, 0.5], [1.0, -1.0]), [full3, dominated4, violating2], dominated4),
+                (([0.5, 2.0], [-1.0, 1e-300]), [full3, dominated4], full3)):
+            with pytest.raises(DomainError) as own:
+                first.divergences(alphas, zs)
+            with pytest.raises(DomainError) as stacked:
+                dv.stacked_divergences(stack, alphas, zs)
+            assert str(stacked.value) == str(own.value)
+
+    def test_no_pairs(self):
+        rows = dv.stacked_divergences([], [[0.5], [2.0]], [1.0, 2.0, 3.0])
+        assert rows.shape == (0, 2, 3) and rows.dtype == float
+        # the points are checked before any pair is needed
+        with pytest.raises(DomainError, match="z = 0 is excluded"):
+            dv.stacked_divergences([], [0.5], [0.0])
 
 
 NON_FINITE_POINTS = [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 0.5),
@@ -1507,7 +1549,7 @@ class TestDecompositionCounts:
         from alphaz.suites import run_suites
 
         eigh, svd = counts(lambda: run_suites(["all"], 10))
-        assert eigh <= 86 and svd <= 163
+        assert eigh <= 86 and svd <= 156
 
     @pytest.mark.parametrize("name, svd", [("limits", 10), ("monotonicity", 10),
                                            ("derivatives", 20)])
@@ -1518,13 +1560,16 @@ class TestDecompositionCounts:
         # call per pair, derivatives one for the slopes and one for dT/dz
         assert counts(lambda: run_suites([name], 10)) == (10, svd)
 
-    @pytest.mark.parametrize("name, svd", [("invariants", 10), ("classical", 7)])
+    @pytest.mark.parametrize("name, svd", [("invariants", 5), ("classical", 7),
+                                           ("example1", 4)])
     def test_stacked_suites_one_kernel_call_per_family(self, counts, name, svd):
         from alphaz.suites import run_suites
 
-        # invariants: one call per seeded pair for it, its rotation, its
-        # rescaled reference and (rho, rho); classical: one call per
-        # dimension of its 20 commuting pairs
+        # one kernel call per family, with one svd per dimension in it:
+        # invariants for the seeded pairs of 5 dimensions, each with its
+        # rotation, its rescaled reference and (rho, rho); classical for its
+        # commuting pairs of 7 dimensions; example1 for its grid of three
+        # d = 2 pairs, after one svd per pair for the second derivatives
         assert counts(lambda: run_suites([name], 10))[1] == svd
 
     def test_dpi_suite_prepares_each_pair_once(self, counts):
