@@ -599,18 +599,18 @@ class PreparedPair:
         return DivergenceValue.finite(r @ self.rho.on_support(np.log) - ln_s @ self.weights @ r)
 
     def variance(self) -> float:
-        """Tr[rho d^2] - Tr[rho d]^2 for d = ln rho - ln sigma, clamped at 0."""
+        """V = Tr[rho (d - m)^2] = Tr[rho d^2] - m^2 for d = ln rho - ln sigma
+        and m = Tr[rho d], summed as sum_i r_i sum_j |d_ij - m delta_ij|^2 in
+        rho's eigenbasis: every term is a square, so V is never negative,
+        and no difference of two large numbers swamps a small V."""
         if not self.dominated:
             raise DomainError("variance undefined: sigma does not dominate rho")
-        # d in rho's eigenbasis, where (d^2)_ii is the squared norm of row i
+        # d in rho's eigenbasis, where ((d - m)^2)_ii is the squared norm of row i
         d = np.diag(self.rho.on_support(np.log)) - self.overlap.conj().T @ (
             self.sigma.on_support(np.log)[:, None] * self.overlap)
         r = self.rho.powers(1.0)
-        mean = float(r @ d.diagonal().real)
-        var = float(r @ np.sum(np.abs(d) ** 2, axis=1)) - mean * mean
-        if var < -1e-12:
-            raise ArithmeticError(f"variance computed as {var!r} < -1e-12")
-        return max(var, 0.0)
+        np.fill_diagonal(d, d.diagonal() - r @ d.diagonal().real)
+        return float(r @ np.sum(np.abs(d) ** 2, axis=1))
 
 
 def _stacked_traces(pairs: list[PreparedPair], alphas: np.ndarray, zs: np.ndarray

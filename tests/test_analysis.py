@@ -197,6 +197,14 @@ class TestDerivativeAtOne:
         slopes = [r["slope"] for r in rep.rows]
         assert abs(slopes[0] - slopes[1]) <= 1e-5
 
+    def test_rescaled_self_pair(self):
+        # V(rho || c rho) = 0 while D = -ln c = 115: the variance must not
+        # come out negative, and the slope check passes as for (rho, rho)
+        rho = random_density(4, 0)
+        rep = verify_derivative_at_one(TraceFunctional(rho, 1e-50 * rho))
+        assert rep.passed
+        assert all(0.0 <= r["half_variance"] <= 1e-20 for r in rep.rows)
+
 
 
 class TestSecondDerivativeExample1:
