@@ -605,7 +605,7 @@ class PreparedPair:
         and no difference of two large numbers swamps a small V."""
         if not self.dominated:
             raise DomainError("variance undefined: sigma does not dominate rho")
-        # d in rho's eigenbasis, where ((d - m)^2)_ii is the squared norm of row i
+        # d in rho's eigenbasis; centered, ((d - m)^2)_ii is the squared norm of row i
         d = np.diag(self.rho.on_support(np.log)) - self.overlap.conj().T @ (
             self.sigma.on_support(np.log)[:, None] * self.overlap)
         r = self.rho.powers(1.0)

@@ -253,11 +253,11 @@ def suite_invariants(tfs: SeededPairs) -> list[CheckReport]:
     alphas, zs = zip(*points)
     # per check: (worst residual, its row); the first pair always sets it
     worst = {"unitary": (-1.0, None), "scaling": (-1.0, None), "self": (-1.0, None)}
-    family, scales = [], []
-    for k, (tf, _) in enumerate(tfs):
+    scales = [0.25 + 1.5 * (k % 4) for k in range(len(tfs))]  # deterministic positive scales
+    family = []
+    for k, ((tf, _), c) in enumerate(zip(tfs, scales)):
         rho, sigma = tf.rho, tf.sigma
         u = random_unitary(rho.shape[0], BASE_SEED + 5000 + k)
-        scales.append(c := 0.25 + 1.5 * (k % 4))  # deterministic positive scales
         # the pair, its rotation, its rescaled reference and (rho, rho)
         family += [tf.pair, dv.prepare(u @ rho @ u.conj().T, u @ sigma @ u.conj().T),
                    dv.prepare(rho, c * sigma), dv.prepare(rho, rho)]

@@ -875,12 +875,12 @@ class TestStackedDivergences:
         pairs = [self._pair((2, 3, 4)[i % 3], classes[i % 4], 40 + 2 * i) for i in range(12)]
         alphas = np.array([[0.3], [0.7], [1.0], [1.5], [3.0]])
         zs = [0.5, 1.0, 2.0, 2.5, 3.0, 16.0, 17.0]
-        svd_calls = []
-        svd = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda g, **kw: svd_calls.append(g.shape) or svd(g, **kw))
+        sizes, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda g, **kw: sizes.append(g.shape[-1]) or svd(g, **kw))
         rows = dv.stacked_divergences(pairs, alphas, zs)
         # one svd per dimension, in the order the dimensions first appear
-        assert [shape[-1] for shape in svd_calls] == [2, 3, 4]
+        assert sizes == [2, 3, 4]
         monkeypatch.undo()
         assert rows.shape == (12, 5, 7)
         for pair, row in zip(pairs, rows):
