@@ -33,7 +33,7 @@ def main() -> int:
         rho = random_density(args.dim, args.seed)
         sigma = random_reference(args.dim, args.seed + 1)
     tf = TraceFunctional(rho, sigma)
-    report = verify_curve_limits(tf, [NAMED_CURVES[args.curve]])[0]
+    [[report]] = verify_curve_limits([tf], [NAMED_CURVES[args.curve]])
 
     lines = ["alpha,z,divergence,error"]
     for row in sorted(report.rows, key=lambda r: r["alpha"]):

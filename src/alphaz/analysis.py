@@ -13,9 +13,13 @@ Checks implemented here:
 
 Each verification returns CheckReports with a pass flag, a headline
 residual, and a row-per-point trend table that serializes to JSON. The
-limit, z-monotonicity and dT/dz checks take a sequence of items (curves,
-alphas, z0s) and return one report per item, in order, from one batched
-kernel call for all of the items' points; one item is the one-element case.
+limit, slope-at-1, z-monotonicity and dT/dz checks take a sequence of
+pairs (TraceFunctionals) and make one kernel call on the pair axis for
+all of them (`divergences.stacked_divergences` or `stacked_traces`); the
+limit, z-monotonicity and dT/dz checks also take a sequence of items
+(curves, alphas, z0s) and return, per pair, one report per item, in order,
+from that one call. One pair or one item is the one-element case, and a
+pair's reports do not depend on the pairs beside it.
 Their offset ladders and finite-difference steps are module constants, not
 options: LIMIT_OFFSETS, DZ_TRACE_OFFSETS, and the default step of
 fd_derivative (1e-4) or fd_second_derivative (1e-3).
@@ -179,23 +183,32 @@ _TREND_SLACK = 1e-12
 _TREND_NOISE_FLOOR = 1e-9
 
 
-def verify_curve_limits(tf: TraceFunctional, curves: Sequence[CurveSpec],
-                        bias: float = 0.0) -> list[CheckReport]:
-    """Check D(a, g(a)) -> relative entropy as a -> 1 along each curve, one
-    report per curve, in order; every curve's ladder (LIMIT_OFFSETS on both
-    sides of 1) is evaluated in one batched call.
+def verify_curve_limits(tfs: Sequence[TraceFunctional], curves: Sequence[CurveSpec],
+                        bias: float = 0.0) -> list[list[CheckReport]]:
+    """Check D(a, g(a)) -> relative entropy as a -> 1 along each curve: per
+    pair, one report per curve, in order; every curve's ladder
+    (LIMIT_OFFSETS on both sides of 1) is evaluated for every pair in one
+    kernel call.
 
     A curve passes iff its error at the tightest offset is <= 1e-3 on both
     sides and the error decays monotonically over the last three dyadic
     refinements. `bias` shifts every measured divergence (self-test hook).
     """
-    target = tf.relative_entropy()
-    n = len(LIMIT_OFFSETS)
     alphas = [1.0 + side * off for side in (+1, -1) for off in LIMIT_OFFSETS]
     zs = [[curve.g(alpha) for alpha in alphas] for curve in curves]
-    values = tf.pair.divergences(alphas, np.reshape(zs, (-1, len(alphas)))) + bias
+    values = dv.stacked_divergences([tf.pair for tf in tfs], alphas,
+                                    np.reshape(zs, (-1, len(alphas)))) + bias
+    return [_curve_limits(tf.relative_entropy(), curves, alphas, zs, rows)
+            for tf, rows in zip(tfs, values.tolist())]
+
+
+def _curve_limits(target: float, curves: Sequence[CurveSpec], alphas: list[float],
+                  zs: list[list[float]], values: list[list[float]]) -> list[CheckReport]:
+    """One pair's reports of `verify_curve_limits`, from its values: one
+    row per curve of D along that curve's ladder."""
+    n = len(LIMIT_OFFSETS)
     reports = []
-    for curve, z_row, d_row in zip(curves, zs, values.tolist()):
+    for curve, z_row, d_row in zip(curves, zs, values):
         rows = [{"alpha": alpha, "z": z, "divergence": d, "error": abs(d - target)}
                 for alpha, z, d in zip(alphas, z_row, d_row)]
         errors = {+1: [r["error"] for r in rows[:n]],
@@ -229,22 +242,29 @@ def _family_zs(alphas: np.ndarray) -> np.ndarray:
     return np.stack([fn(alphas) for fn in FAMILIES.values()], axis=1)
 
 
-def verify_derivative_at_one(tf: TraceFunctional) -> CheckReport:
+def verify_derivative_at_one(tfs: Sequence[TraceFunctional]) -> list[CheckReport]:
     """Check that the slope of both divergence families at a = 1 equals half
-    the relative entropy variance, by fd_derivative's default step.
+    the relative entropy variance, by fd_derivative's default step: one
+    report per pair, from one kernel call for every pair's stencil.
 
     Passes iff each family's relative error is <= 1e-3, the two family
     estimates agree within 1e-5, and no slope dips below -1e-6 (the variance
     is non-negative).
     """
-    target = 0.5 * tf.variance()
+    pairs = [tf.pair for tf in tfs]
+    slopes = fd_derivative(  # stencil points first: (2, pairs, families)
+        lambda a: np.moveaxis(dv.stacked_divergences(pairs, a[:, None], _family_zs(a)), 0, 1),
+        1.0)
+    return [_derivative_at_one(0.5 * tf.variance(), dict(zip(FAMILIES, row)))
+            for tf, row in zip(tfs, slopes.tolist())]
+
+
+def _derivative_at_one(target: float, slopes: dict[str, float]) -> CheckReport:
+    """One pair's report of `verify_derivative_at_one`, from its slopes."""
     # relative residual against a meaningful target, absolute once the target
     # sits below the finite-difference noise scale (e.g. rho = sigma)
     denom = abs(target) if abs(target) >= 1e-6 else 1.0
     rows = []
-    slopes = fd_derivative(
-        lambda a: tf.pair.divergences(a[:, None], _family_zs(a)), 1.0)
-    slopes = dict(zip(FAMILIES, slopes.tolist()))
     for name, slope in slopes.items():
         rows.append({
             "family": name,
@@ -354,18 +374,26 @@ def verify_second_derivative_example1(p: float) -> CheckReport:
 Z_MONOTONICITY_SLACK = 1e-10
 
 
-def verify_z_monotonicity(tf: TraceFunctional, alphas: Sequence[float],
-                          zs: Sequence[float]) -> list[CheckReport]:
+def verify_z_monotonicity(tfs: Sequence[TraceFunctional], alphas: Sequence[float],
+                          zs: Sequence[float]) -> list[list[CheckReport]]:
     """Check the sampled sequence z -> D(alpha, z) is non-increasing for
     alpha > 1 and non-decreasing for alpha < 1, with 1e-10 slack per step:
-    one report per alpha, in order, from one batched call for all of them."""
+    per pair, one report per alpha, in order, from one kernel call for all
+    pairs and alphas."""
     alphas = [float(alpha) for alpha in alphas]
     if any(abs(alpha - 1.0) <= dv.ALPHA_ONE_TOL for alpha in alphas):
         raise DomainError("alpha = 1 has no z dependence to check")
     zs = [float(z) for z in zs]
     if any(z <= 0.0 for z in zs) or list(zs) != sorted(zs):
         raise ValueError("zs must be positive and ascending")
-    values = tf.pair.divergences(np.reshape(alphas, (-1, 1)), zs).tolist()
+    values = dv.stacked_divergences([tf.pair for tf in tfs], np.reshape(alphas, (-1, 1)), zs)
+    return [_z_monotonicity(alphas, zs, rows) for rows in values.tolist()]
+
+
+def _z_monotonicity(alphas: list[float], zs: list[float],
+                    values: list[list[float]]) -> list[CheckReport]:
+    """One pair's reports of `verify_z_monotonicity`, from its values: one
+    row of D over zs per alpha."""
     reports = []
     for alpha, row in zip(alphas, values):
         sign = -1.0 if alpha > 1.0 else 1.0
@@ -389,11 +417,12 @@ DZ_TRACE_TOL = 1e-4
 DZ_TRACE_OFFSETS = (1e-1, 1e-2, 1e-3, 1e-4)
 
 
-def verify_dz_trace_vanishes(tf: TraceFunctional,
-                             z0s: Sequence[float]) -> list[CheckReport]:
-    """Check dT/dz(alpha, z0) -> 0 as alpha -> 1: one report per z0, in
-    order, from one batched call for every stencil point of every z0, by
-    fd_derivative's default step at alpha = 1 +/- DZ_TRACE_OFFSETS and 1.
+def verify_dz_trace_vanishes(tfs: Sequence[TraceFunctional],
+                             z0s: Sequence[float]) -> list[list[CheckReport]]:
+    """Check dT/dz(alpha, z0) -> 0 as alpha -> 1: per pair, one report per
+    z0, in order, from one kernel call for every stencil point of every z0
+    and pair, by fd_derivative's default step at alpha = 1 +/-
+    DZ_TRACE_OFFSETS and 1.
 
     A z0 passes iff |dT/dz| decays (within slack) along the offset ladder on
     both sides of 1, is <= 1e-4 at the tightest offset, and is <= 1e-8 at
@@ -404,10 +433,19 @@ def verify_dz_trace_vanishes(tf: TraceFunctional,
         raise DomainError("z = 0 is excluded")
     # every offset on both sides, then alpha = 1: one column each
     alphas = [1.0 + side * off for side in (+1, -1) for off in DZ_TRACE_OFFSETS] + [1.0]
-    slopes = fd_derivative(lambda z: tf.pair.traces(alphas, z[..., None]), z0s)
+    pairs = [tf.pair for tf in tfs]
+    slopes = fd_derivative(  # stencil points first: (2, pairs, z0s, alphas)
+        lambda z: np.moveaxis(dv.stacked_traces(pairs, alphas, z[..., None]), 0, 1), z0s)
+    return [_dz_trace(z0s, alphas, rows) for rows in slopes.tolist()]
+
+
+def _dz_trace(z0s: list[float], alphas: list[float],
+              slopes: list[list[float]]) -> list[CheckReport]:
+    """One pair's reports of `verify_dz_trace_vanishes`, from its slopes:
+    one row of dT/dz over alphas per z0."""
     n = len(DZ_TRACE_OFFSETS)
     reports = []
-    for z0, (*ladder, at_one) in zip(z0s, slopes.tolist()):
+    for z0, (*ladder, at_one) in zip(z0s, slopes):
         rows = [{"alpha": alpha, "dT_dz": d, "abs": abs(d)}
                 for alpha, d in zip(alphas, ladder)]
         passed = True

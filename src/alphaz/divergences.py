@@ -26,29 +26,30 @@ operator outside the dominated case leaves T undefined. So does a finite
 alpha or z whose spectral powers or trace sum overflow double range, or
 whose trace sum underflows to 0.
 
-One route rule (`PreparedPair._route`) gives every point one of three
-outcomes: closed, where D needs no trace (the first and the two +inf cases
-above); the product route (`_factor`, `_power_sums`) at the open points of
-a dominated pair whose z is a positive integer up to Z_PRODUCT_MAX = 16,
-where T = Tr (G G†)^z is a sum of squares of matrix products; or the SVD
-route of T (`_factor`, `_trace_sums`). Both routes take G as `_factor`
-builds it, graded with its large rows and columns first for the SVD
-route's `svd`. A product-route T outside [tiny, inf) is computed again by
-the SVD route, which alone decides the range. The route steps raise
-nothing: they give each point a fault code, 1 where T's formula is
-undefined, 2 where the spectral powers overflow, 3 where the trace sum
-overflows and 4 where it underflows, and T is NaN at a point with a
-fault. Each entry point then raises one DomainError, for the lowest code
-at its first point among the points it needs (every point for T, the open
-points for D); a closed point's fault is no error.
+One route rule (`_route`) gives every point one of three outcomes:
+closed, where D needs no trace (the first and the two +inf cases above);
+the product route (`_power_sums`) at the open points of a dominated pair
+whose z is a positive integer up to Z_PRODUCT_MAX = 16, where
+T = Tr (G G†)^z is a sum of squares of matrix products; or the SVD route
+of T (`_trace_sums`). Both routes take G as it is built (`_factor` at one
+point, `_Stack._factors` at many), graded with its large rows and columns
+first for the SVD route's `svd`. A product-route T outside [tiny, inf) is
+computed again by the SVD route, which alone decides the range. The route
+steps raise nothing: they give each point a fault code, 1 where T's
+formula is undefined, 2 where the spectral powers overflow, 3 where the
+trace sum overflows and 4 where it underflows, and T is NaN at a point
+with a fault. Each entry point then raises one DomainError, for the
+lowest code at its first point among the points it needs (every point for
+T, the open points for D); a closed point's fault is no error.
 
 Every quantum value comes from a PreparedPair, which validates both
 operators as one stack in one pass, decomposes them with one `eigh` and
 carries every family as a method; each module function prepares one pair
 per call and calls one method. The trace functional T(a, z) is
-`prepare(rho, sigma).traces(alpha, z)`. `stacked_divergences` evaluates the
-same points on several prepared pairs of any dimensions with at most one
-SVD per dimension.
+`prepare(rho, sigma).traces(alpha, z)`. `stacked_divergences`,
+`stacked_traces` and `stacked_mosonyi_ogawa` evaluate the same points on
+several prepared pairs of any dimensions with at most one SVD per dimension
+(and per self-check), working on the pairs of each dimension as one stack.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DomainError, Spectrum, support, support_relation, supports
+from .linalg import DomainError, Spectrum, hermitian_part, support, support_relation, supports
 
 INFINITY_SUPPORT = "support_violation"
 INFINITY_ORTHOGONAL = "orthogonal_states"
@@ -250,15 +251,17 @@ def _from_trace(alpha: float, t: float) -> float:
     return math.log(t) / (alpha - 1.0)
 
 
-def _assert_dual_path(label: str, family: DivergenceValue, alpha: float,
-                      t: float) -> None:
+def _assert_dual_path(label: str, value: float, alpha: float, t: float) -> None:
+    """Raise the ArithmeticError of a dual-route check where the family's D,
+    `value`, and the second route's T disagree beyond _DUAL_PATH_TOL, or
+    that T is not positive."""
     if t <= 0.0:
         raise ArithmeticError(f"{label} trace term collapsed to {t!r}")
     direct = math.log(t) / (alpha - 1.0)
-    tol = _DUAL_PATH_TOL * max(1.0, abs(family.value))
-    if abs(family.value - direct) > tol:
+    tol = _DUAL_PATH_TOL * max(1.0, abs(value))
+    if abs(value - direct) > tol:
         raise ArithmeticError(
-            f"{label} dual-path mismatch: alpha-z route {family.value!r} "
+            f"{label} dual-path mismatch: alpha-z route {value!r} "
             f"vs direct formula {direct!r}"
         )
 
@@ -294,6 +297,52 @@ def _joined(fault, code: int, at):
     return np.where(fault, fault, code * at)
 
 
+def _route(alphas, zs, dominated, orthogonal, rho_full, sigma_endorsed):
+    """The route rule at points (alpha, z), floats or a 1-d array, for pairs
+    with these support flags (`PreparedPair._flags`): bools for one pair or
+    for a stack whose pairs share them, or else a column of bools, one per
+    pair, which gives (pairs, points) arrays. Returns (closed, defined,
+    product, e_sigma, e_rho):
+      * closed where D needs no trace: alpha = 1, where D is the relative
+        entropy, and, without dominance, alpha > 1 or orthogonal supports,
+        where it is +inf;
+      * defined where T's formula is: no negative exponent on a
+        rank-deficient operator, except sigma's under dominance (its
+        generalized inverse); True where every point is;
+      * product at the open points of a dominated pair whose z is a
+        positive integer up to Z_PRODUCT_MAX; False where no pair is
+        dominated, since a product would skip the inner-rank truncation;
+      * the exponents (1 - a)/2z and a/z of sigma and rho, one per point.
+    So each point has one of three outcomes. Closed: D needs no T. Product:
+    the product route (`_power_sums`) computes T, and hands a T out of
+    [tiny, inf) to the SVD route. Otherwise the SVD route (`_trace_sums`).
+    An undefined point gets the fault code _UNDEFINED and no G; `traces`
+    needs T at a closed point too."""
+    e_sigma, e_rho = (1.0 - alphas) / (2.0 * zs), alphas / zs
+    closed, product = abs(alphas - 1.0) <= ALPHA_ONE_TOL, False
+    # bools at one point, arrays at several: these operators serve both,
+    # and x ^ True negates a bool and an array alike
+    if dominated is not False:  # where closed is alpha = 1 alone
+        product = ((zs >= 1.0) & (zs <= Z_PRODUCT_MAX) & (zs % 1.0 == 0.0) & (closed ^ True)
+                   & dominated)
+    if dominated is not True:
+        closed = closed | ((dominated ^ True) & ((alphas > 1.0) | orthogonal))
+    if rho_full is True and sigma_endorsed is True:
+        return closed, True, product, e_sigma, e_rho
+    defined = ((e_rho >= 0.0) | rho_full) & ((e_sigma >= 0.0) | sigma_endorsed)
+    return closed, defined, product, e_sigma, e_rho
+
+
+def _power(base: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """base ** exponents for an (R, m) base and one exponent per row, with
+    both operands laid out in full: numpy's `power` then takes its loop over
+    contiguous operands, and each entry rounds as it does in any other call.
+    With an exponent broadcast along a row, numpy takes sqrt, square or
+    reciprocal at 0.5, 2 or -1 in rows of a small call only, so the powers
+    of one point would depend on how many points share its call."""
+    return np.power(base, exponents.repeat(base.shape[-1]).reshape(base.shape))
+
+
 @dataclass(frozen=True)
 class PreparedPair:
     """A validated (rho, sigma) pair, decomposed once: the two spectra, the
@@ -305,13 +354,14 @@ class PreparedPair:
     Every entry point asks `_route` which way each point goes, and the
     route steps (`_factor`, `_power_sums`, `_trace_sums`) compute values and
     per-point fault codes without raising; the entry point then raises
-    once, through `_raise`, for the faults at the points it needs. `_factor`
-    alone decides the order of G's rows and columns, and every route and
-    self-check takes G as built. `traces`,
+    once, through `_raise`, for the faults at the points it needs. G is
+    built in the order `_factor` gives it, and every route and self-check
+    takes G as built. `traces`,
     `divergences` and `evaluate` take arrays of points, sum the product
     points' matrix products and run one stacked SVD for the rest: they are
     the one-pair case of the module's stacked kernel
-    (`stacked_divergences`), and `evaluate` returns the D of `divergences`
+    (`stacked_traces`, `stacked_divergences`), which takes the pair as its
+    one-pair `_Stack`, and `evaluate` returns the D of `divergences`
     with the T beside it, NaN at a closed point where T is undefined or out
     of double range. The scalar `divergence` runs the same steps for one
     point, and `petz`, `sandwiched` and `mosonyi_ogawa` call it with their
@@ -325,39 +375,18 @@ class PreparedPair:
     orthogonal: bool
     inner_rank: int
 
-    def _route(self, alphas, zs):
-        """The route rule at points (alpha, z), floats or 1-d arrays that
-        `_point(s)` checked. Returns (closed, defined, product, e_sigma,
-        e_rho):
-          * closed where D needs no trace: alpha = 1, where D is the
-            relative entropy, and, without dominance, alpha > 1 or
-            orthogonal supports, where it is +inf;
-          * defined where T's formula is: no negative exponent on a
-            rank-deficient operator, except sigma's under dominance (its
-            generalized inverse); True for a pair where every point is;
-          * product at the open points of a dominated pair whose z is a
-            positive integer up to Z_PRODUCT_MAX; False for a pair without
-            dominance, whose inner-rank truncation a product would skip;
-          * the exponents (1 - a)/2z and a/z of sigma and rho.
-        So each point has one of three outcomes. Closed: D needs no T.
-        Product: the product route (`_factor`, `_power_sums`) computes T, and
-        hands a T out of [tiny, inf) to the SVD route. Otherwise the SVD
-        route (`_factor`, `_trace_sums`). `_factor` gives an undefined
-        point the fault code _UNDEFINED; `traces` needs T at a closed point
-        too."""
-        e_sigma, e_rho = (1.0 - alphas) / (2.0 * zs), alphas / zs
-        closed, product = abs(alphas - 1.0) <= ALPHA_ONE_TOL, False
-        # bools at one point, arrays at several: these operators serve both
-        if self.dominated:  # where closed is alpha = 1 alone; ^ True negates it
-            product = (zs >= 1.0) & (zs <= Z_PRODUCT_MAX) & (zs % 1.0 == 0.0) & (closed ^ True)
-        else:
-            closed = closed | (alphas > 1.0) | self.orthogonal
+    @property
+    def _flags(self) -> tuple[bool, bool, bool, bool]:
+        """The support flags the route rule takes: dominated, orthogonal,
+        rho of full rank, and sigma of full rank or dominating rho."""
         dim = self.rho.values.size
-        rho_full, sigma_endorsed = self.rho.rank == dim, self.sigma.rank == dim or self.dominated
-        if rho_full and sigma_endorsed:
-            return closed, True, product, e_sigma, e_rho
-        defined = ((e_rho >= 0.0) | rho_full) & ((e_sigma >= 0.0) | sigma_endorsed)
-        return closed, defined, product, e_sigma, e_rho
+        return (self.dominated, self.orthogonal, self.rho.rank == dim,
+                self.sigma.rank == dim or self.dominated)
+
+    def _route(self, alphas, zs):
+        """`_route`, the module's route rule, for this pair at points (alpha,
+        z): floats, or 1-d arrays that `_point(s)` checked."""
+        return _route(alphas, zs, *self._flags)
 
     def _raise(self, fault, alphas, zs):
         """Raise the DomainError of the lowest fault code in `fault` (an int
@@ -387,16 +416,15 @@ class PreparedPair:
             return DivergenceValue.infinite(INFINITY_ORTHOGONAL)
         return self.relative_entropy()
 
-    def _factor(self, e_sigma, e_rho, defined):
+    def _factor(self, e_sigma: float, e_rho: float, defined: bool):
         """The G = diag(sigma^e_sigma) W diag(rho^(e_rho/2)) of both routes at
-        one point (floats) or a row of points (1-d arrays), whose G G† is the
-        inner operator, and the fault codes: _UNDEFINED where `defined`
-        (`_route`'s) is false, and _POWERS_OVERFLOW where the powers leave
-        double range; an int, 0 where no point has one, or one per point.
-        Scaling W by rows and columns is exact per entry, and the singular
-        values of G give the inner eigenvalues to about the square root of
-        the relative error of an eigendecomposition of the assembled
-        sandwich.
+        one point, whose G G† is the inner operator, and its fault code:
+        _UNDEFINED where `defined` (`_route`'s) is false and _POWERS_OVERFLOW
+        where the powers leave double range, with no G (None); 0 and G
+        otherwise. Scaling W by rows and columns is exact per entry, and the
+        singular values of G give the inner eigenvalues to about the square
+        root of the relative error of an eigendecomposition of the assembled
+        sandwich. `_Stack._factors` builds the G of many points the same way.
 
         G comes in the SVD route's order: its rows reversed where e_sigma < 0
         and its columns where e_rho < 0, so that, the spectra being sorted
@@ -404,56 +432,53 @@ class PreparedPair:
         bidiagonalization keeps the small singular values of a matrix graded
         that way to full relative accuracy, not those of one graded smallest
         first (Demmel & Veselic 1992); neither the singular values nor
-        Tr (G G†)^k depend on the order.
-
-        An undefined point's G is built with exponents 0, which can neither
-        overflow nor warn. |W| <= 1 bounds every entry of G by the product of
-        the largest power on each side, so a finite bound keeps the SVD
-        finite. Where the bound overflows, the powers are set to 1 (G is the
-        unitary W). The test
-        runs on all points first, per point only when that fails; maxima
-        starting at 0 also cover no points."""
-        if defined is not True:  # exponents 0 where undefined: no overflow warning there
-            e_sigma, e_rho = np.where(defined, e_sigma, 0.0), np.where(defined, e_rho, 0.0)
+        Tr (G G†)^k depend on the order. |W| <= 1 bounds every entry of G by
+        the product of the largest power on each side, so a finite bound
+        keeps the SVD finite."""
+        if not defined:
+            return None, _UNDEFINED
         s_pow, r_pow = self.sigma.powers(e_sigma), self.rho.powers(e_rho / 2.0)
-        fault = 1 - defined  # _UNDEFINED (1) where not defined: an int for a bool
-        # one point's maxima in Python floats, which cost less than numpy's
-        bound = (max(s_pow.tolist()) * max(r_pow.tolist()) if s_pow.ndim == 1
-                 else float(s_pow.max(initial=0.0)) * float(r_pow.max(initial=0.0)))
-        if not math.isfinite(bound):
-            over = ~np.isfinite(s_pow.max(axis=-1) * r_pow.max(axis=-1))
-            fault = _joined(fault, _POWERS_OVERFLOW, over)
-            s_pow[over] = r_pow[over] = 1.0
-        rows, cols = e_sigma < 0.0, e_rho < 0.0  # the sides to reverse
-        if s_pow.ndim == 1:  # one point: views of W and of its powers
-            rows, cols = slice(None, None, -1 if rows else 1), slice(None, None, -1 if cols else 1)
-            g, r_pow = s_pow[rows, None] * self.overlap[rows, cols], r_pow[cols]
-        else:  # a stack: each point's W gathered, then scaled in place
-            s_pow = np.where(rows[:, None], s_pow[:, ::-1], s_pow)
-            r_pow = np.where(cols[:, None], r_pow[:, ::-1], r_pow)
-            g = self._orientations[2 * rows + cols]
-            g *= s_pow[:, :, None]
-        g *= r_pow[..., None, :]
-        return g, fault
+        # the maxima in Python floats, which cost less than numpy's
+        if not math.isfinite(max(s_pow.tolist()) * max(r_pow.tolist())):
+            return None, _POWERS_OVERFLOW
+        rows = slice(None, None, -1 if e_sigma < 0.0 else 1)  # the sides to reverse
+        cols = slice(None, None, -1 if e_rho < 0.0 else 1)
+        g = s_pow[rows, None] * self.overlap[rows, cols]
+        g *= r_pow[cols]
+        return g, 0
 
     @functools.cached_property
-    def _orientations(self) -> np.ndarray:
-        """W, then W with its columns, its rows and both reversed: index 2 for
-        rows plus 1 for columns. Built at the pair's first stacked `_factor`."""
-        return np.stack([self.overlap[::r, ::c] for r in (1, -1) for c in (1, -1)])
+    def _stack(self) -> "_Stack":
+        """This pair as a one-pair `_Stack`, built at its first stacked call
+        (assigned in place: a few numpy calls cost less than one np.stack)."""
+        dim, w = self.rho.values.size, self.overlap
+        values, masks = np.array((self.sigma.values, self.rho.values)), None
+        if self.sigma.rank < dim or self.rho.rank < dim:
+            support = np.arange(dim) < np.array([[self.sigma.rank], [self.rho.rank]])
+            values[~support] = 1.0
+            masks = np.empty((1, 2, 2, dim))
+            masks[0, :, 0], masks[0, :, 1] = support, support[:, ::-1]
+        bases = np.empty((1, 2, 2, dim))
+        bases[0, :, 0], bases[0, :, 1] = values, values[:, ::-1]
+        orientations = np.empty((4, dim, dim), dtype=complex)
+        orientations[0], orientations[1], orientations[2], orientations[3] = (
+            w, w[:, ::-1], w[::-1], w[::-1, ::-1])
+        return _Stack([self], self._flags, np.array([self.inner_rank]), bases, masks,
+                      orientations)
 
     def _trace_sums(self, singular, zs):
-        """T from the singular values of `_factor`'s G at points without a
-        fault, one row per point (one 1-d array for a point given as a float
-        z), and the range faults of T as codes in `_factor`'s form: T is the
-        sum of the top inner-rank values squared, raised to z.
+        """T from the singular values of G at points without a fault, one
+        row per point of pairs of this pair's inner rank (one 1-d array for a
+        point given as a float z), and the range faults of T as an int, 0
+        where no point has one, or one code per point: T is the sum of the
+        top inner-rank values squared, raised to z.
         G has the pair's inner rank, so its smaller singular values are
         round-off and are dropped whatever their size. A sum that overflows
         gets _SUM_OVERFLOW, and one that is 0 while the inner rank is
         positive, where every term underflowed, _SUM_UNDERFLOW."""
         one, fault = isinstance(zs, float), 0
         kept = singular[..., :self.inner_rank]
-        sums = ((kept * kept) ** (zs if one else zs[:, None])).sum(axis=-1)
+        sums = ((kept * kept) ** zs if one else _power(kept * kept, zs)).sum(axis=-1)
         values = sums.tolist()  # the tests in Python floats; one point's is a float
         top, low = (values, values) if one else (sum(values), min(values, default=1.0))
         if not math.isfinite(top):  # a sum is not finite if a NaN or an inf term is in
@@ -466,14 +491,14 @@ class PreparedPair:
     @np.errstate(all="ignore")  # the SVD route warns where it decides the range
     def _power_sums(g, k: int):
         """The product route's T = Tr (G G†)^k at a positive integer k, from
-        `_factor`'s G at one point (a float out) or a stack of its rows that
-        share k (one sum per row): with H = G G†, T is the squared Frobenius
-        norm of H^(k/2) at even k and of H^((k-1)/2) G at odd k, so
-        sum |G_ij|^2 at k = 1 and at most 4 matrix products at k = 16. Every
-        term of the sum is a square and the powers of H are of a PSD matrix,
-        so the round-off stays relative to T for z >= 1. No range test: the
-        caller keeps a T in [tiny, inf) and hands the rest to the SVD
-        route."""
+        G at one point (a float out) or a stack of rows, of one pair or
+        many, that share k (one sum per row): with H = G G†, T is the
+        squared Frobenius norm of H^(k/2) at even k and of H^((k-1)/2) G at
+        odd k, so sum |G_ij|^2 at k = 1 and at most 4 matrix products at
+        k = 16. Every term of the sum is a square and the powers of H are of
+        a PSD matrix, so the round-off stays relative to T for z >= 1. No
+        range test: the caller keeps a T in [tiny, inf) and hands the rest
+        to the SVD route."""
         if k > 1:
             p = np.linalg.matrix_power(g @ g.conj().swapaxes(-1, -2), k // 2)
             g = p @ g if k % 2 else p
@@ -484,14 +509,10 @@ class PreparedPair:
         """T(a, z) = Tr[(sigma^((1-a)/2z) rho^(a/z) sigma^((1-a)/2z))^z] with
         generalized powers at the broadcast points of alphas and zs, from
         matrix products at the product points of `_route` and one stacked
-        SVD for the rest. Every point needs T, so a fault at any point
-        raises the DomainError of `_raise`: where T's formula is undefined,
-        then where it leaves double range."""
-        a, z = _points(alphas, zs)
-        _, t, faults = _stacked_traces([self], a.ravel(), z.ravel())
-        if faults.any():
-            self._raise(faults, a, z)
-        return t[0].reshape(a.shape)
+        SVD for the rest: the one-pair case of `stacked_traces`. Every point
+        needs T, so a fault at any point raises the DomainError of `_raise`:
+        where T's formula is undefined, then where it leaves double range."""
+        return stacked_traces([self], alphas, zs)[0]
 
     def divergences(self, alphas, zs) -> np.ndarray:
         """D(a, z) in nats at the broadcast points of alphas and zs, +inf
@@ -535,7 +556,7 @@ class PreparedPair:
         its formula is undefined or out of double range there; where D
         needs T, such a point raises the DomainError of `divergences`."""
         a, z = _points(alphas, zs)
-        values, traces = _divergence_rows([self], a.ravel(), z.ravel())
+        values, traces, *_ = _divergence_rows([self], a.ravel(), z.ravel())
         return values[0].reshape(a.shape), traces[0].reshape(a.shape)
 
     def petz(self, alpha: float) -> DivergenceValue:
@@ -554,10 +575,10 @@ class PreparedPair:
             t, fault = self._trace_sums(np.linalg.svd(g, compute_uv=False), 1.0)
             if fault:
                 self._raise(fault, alpha, 1.0)
-            _assert_dual_path("Petz", value, alpha, float(t))
+            _assert_dual_path("Petz", value.value, alpha, float(t))
         elif route == "svd":
             t = float(self.sigma.powers(1.0 - alpha) @ self.weights @ self.rho.powers(alpha))
-            _assert_dual_path("Petz", value, alpha, t)
+            _assert_dual_path("Petz", value.value, alpha, t)
         return value
 
     def sandwiched(self, alpha: float) -> DivergenceValue:
@@ -579,7 +600,7 @@ class PreparedPair:
             s_pow = self.sigma.operator(self.sigma.powers((1.0 - alpha) / (2.0 * alpha)))
             factor = s_pow @ self.rho.operator(self.rho.powers(0.5))
             singular = np.linalg.svd(factor, compute_uv=False)[:self.inner_rank]
-            _assert_dual_path("sandwiched", value, alpha,
+            _assert_dual_path("sandwiched", value.value, alpha,
                               float(np.sum((singular * singular) ** alpha)))
         return value
 
@@ -613,51 +634,211 @@ class PreparedPair:
         return float(r @ np.sum(np.abs(d) ** 2, axis=1))
 
 
-def _stacked_traces(pairs: list[PreparedPair], alphas: np.ndarray, zs: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The closed points of `PreparedPair._route`, T and the fault codes at
-    1-d arrays of N points for P pairs of any dimensions, each of shape (P,
-    N), from every pair's G (`_factor`): `_power_sums` at the product points
-    without a fault, then, for the other rows without a fault, one SVD of
-    the stack of the rows of each dimension, in the order in which the
-    dimensions first appear, none for a dimension without such rows. This
-    is the one place that knows one stack needs one matrix size. T is NaN
-    at every point with a fault; nothing raises, and each caller raises for
-    the points it needs. Each pair's rows of a stack are built and reduced
-    as they would be alone, so its values do not depend on the other
-    pairs."""
-    closed = np.empty((len(pairs), alphas.size), dtype=bool)
-    out = np.full(closed.shape, math.nan)
-    faults = np.zeros(closed.shape, dtype=int)
-    pending = {}  # per dimension, per pair: its SVD route's rows, their zs and points
-    for p, pair in enumerate(pairs):
-        closed[p], defined, product, e_sigma, e_rho = pair._route(alphas, zs)
-        g, faults[p] = pair._factor(e_sigma, e_rho, defined)
-        todo = faults[p] == 0  # the points whose T is still to come
-        if isinstance(product, np.ndarray) and product.any():
-            on = product & todo
-            groups = set(zs[on].tolist())
+class _Stack:
+    """The pairs of one dimension in a kernel call, laid out along a pair
+    axis: their support flags (`PreparedPair._flags`: a bool where the
+    pairs share it, else a column of bools) and inner ranks; per pair, the
+    eigenvalues of sigma and rho in both orders with the kernel entries set
+    to 1, indexed [pair, sigma 0 or rho 1, reversed 0 or 1, entry], and the
+    support masks that zero those entries' powers (None where every
+    operator has full rank); and W, then W with its columns, its rows and
+    both reversed (`orientations`, index 4 per pair, 2 for rows and 1 for
+    columns). Each kernel step runs on these once for all the rows, one row
+    per pair and point, of the stack. Every step is elementwise, per row or
+    per matrix, so a pair's rows come out as they would in a stack of its
+    own."""
+
+    def __init__(self, pairs, flags, inner_ranks, bases, masks, orientations):
+        self.pairs, self.flags, self.inner_ranks = pairs, flags, inner_ranks
+        self.bases, self.masks, self.orientations = bases, masks, orientations
+
+    @classmethod
+    def of(cls, pairs: list[PreparedPair]) -> "_Stack":
+        """The stack of pairs of one dimension, joined from their one-pair
+        stacks (`PreparedPair._stack`)."""
+        if len(pairs) == 1:
+            return pairs[0]._stack
+        stacks = [pair._stack for pair in pairs]
+        flags = tuple(column[0] if len(set(column)) == 1 else np.array(column)[:, None]
+                      for column in zip(*(stack.flags for stack in stacks)))
+        masks = None
+        if any(stack.masks is not None for stack in stacks):
+            masks = np.concatenate([np.ones_like(stack.bases) if stack.masks is None
+                                    else stack.masks for stack in stacks])
+        return cls(pairs, flags,
+                   np.concatenate([stack.inner_ranks for stack in stacks]),
+                   np.concatenate([stack.bases for stack in stacks]), masks,
+                   np.concatenate([stack.orientations for stack in stacks]))
+
+    def _powers(self, pi, side: int, order, exponents) -> np.ndarray:
+        """The generalized powers of operator `side` (0 sigma, 1 rho) of
+        the pairs pi in the orders `order` (1 reversed), one row per
+        exponent: 0 on the kernel for every exponent."""
+        out = _power(self.bases[pi, side, order], exponents)
+        if self.masks is not None:
+            out *= self.masks[pi, side, order]
+        return out
+
+    def _factors(self, pi, ni, e_sigma, e_rho):
+        """`PreparedPair._factor`'s G at the rows (pairs pi, points ni) and
+        the rows whose powers leave double range (None where none does),
+        whose G is W in its order. Each row's W is gathered in its order from
+        `orientations`, then scaled in place by powers taken in that order."""
+        rows = (e_sigma < 0.0).astype(np.intp)[ni]  # the sides to reverse
+        cols = (e_rho < 0.0).astype(np.intp)[ni]
+        s_pow = self._powers(pi, 0, rows, e_sigma[ni])
+        r_pow = self._powers(pi, 1, cols, (e_rho / 2.0)[ni])
+        over = None
+        if not math.isfinite(float(s_pow.max(initial=0.0)) * float(r_pow.max(initial=0.0))):
+            over = ~np.isfinite(s_pow.max(axis=-1) * r_pow.max(axis=-1))
+            s_pow[over] = r_pow[over] = 1.0
+        g = self.orientations[4 * pi + 2 * rows + cols]
+        g *= s_pow[:, :, None]
+        g *= r_pow[:, None, :]
+        return g, over
+
+    def _trace_sums(self, singular, zs, pi):
+        """`PreparedPair._trace_sums` at rows of the pairs pi, taken per
+        inner rank: each row sums its own inner rank's singular values, as
+        alone. (Zeros in place of the dropped values would change numpy's
+        summation order in rows of 8 or more.)"""
+        ranks = self.inner_ranks[pi]
+        groups = set(ranks.tolist())
+        if len(groups) == 1:
+            return self.pairs[pi[0]]._trace_sums(singular, zs)
+        sums, fault = np.empty(zs.size), np.zeros(zs.size, dtype=int)
+        for rank in groups:
+            at = ranks == rank
+            sums[at], fault[at] = self.pairs[pi[np.argmax(at)]]._trace_sums(singular[at], zs[at])
+        return sums, fault
+
+    def traces(self, alphas, zs):
+        """`_stacked_traces` for this stack's pairs. Only defined points get
+        a G; T is NaN with the code _UNDEFINED at the others."""
+        closed, defined, product, e_sigma, e_rho = _route(alphas, zs, *self.flags)
+        closed = np.broadcast_to(closed, (len(self.pairs), alphas.size))
+        if defined is True:
+            rows = np.arange(closed.size)
+        else:
+            defined = np.broadcast_to(defined, closed.shape)
+            rows = np.flatnonzero(defined)
+        pi, ni = np.divmod(rows, alphas.size)
+        g, over = self._factors(pi, ni, e_sigma, e_rho)
+        t, fault = np.full(rows.size, math.nan), np.zeros(rows.size, dtype=int)
+        if over is not None:
+            fault[over] = _POWERS_OVERFLOW
+        todo = fault == 0  # the rows whose T is still to come
+        on = np.zeros(rows.size, dtype=bool)
+        if product is not False:
+            on = todo & np.broadcast_to(product, closed.shape).ravel()[rows]
+        if on.any():
+            ks = zs[ni]
+            groups = set(ks[on].tolist())
             for k in groups:
-                at = on & (zs == k) if len(groups) > 1 else on
-                out[p, at] = pair._power_sums(g[at], int(k))
-            todo &= ~((out[p] >= _TINY) & (out[p] < math.inf))  # a NaN fails too
-        rest = slice(None) if todo.all() else todo
+                at = on & (ks == k) if len(groups) > 1 else on
+                t[at] = PreparedPair._power_sums(g[at], int(k))
+            on &= (t >= _TINY) & (t < math.inf)  # a NaN fails too
+            todo &= ~on
         if todo.any():
-            pending.setdefault(g.shape[-1], []).append((p, g[rest], zs[rest], rest))
-    for stack in pending.values():
-        singular = np.linalg.svd(_cat([g for _, g, *_ in stack]), compute_uv=False)
-        start = 0
-        for p, g, z, rest in stack:
-            out[p, rest], faults[p, rest] = pairs[p]._trace_sums(singular[start:start + len(g)], z)
-            start += len(g)
-    if faults.any():
-        out[faults != 0] = math.nan
-    return closed, out, faults
+            rest = slice(None) if todo.all() else todo
+            singular = np.linalg.svd(g[rest], compute_uv=False)
+            t[rest], fault[rest] = self._trace_sums(singular, zs[ni[rest]], pi[rest])
+            if fault.any():
+                t[fault != 0] = math.nan
+        if rows.size == closed.size:  # every point defined, rows in order
+            return closed, t.reshape(closed.shape), fault.reshape(closed.shape), on.reshape(
+                closed.shape)
+        out, faults = np.full(closed.shape, math.nan), np.where(defined, 0, _UNDEFINED)
+        by_product = np.zeros(closed.shape, dtype=bool)
+        out.flat[rows], faults.flat[rows], by_product.flat[rows] = t, fault, on
+        return closed, out, faults, by_product
+
+    def dual_traces(self, alphas, zs, closed, by_product) -> np.ndarray:
+        """The second route's T of the self-checks of `petz` and
+        `sandwiched` at the open points of this stack's pairs, NaN at the
+        closed ones, where a point with alpha < 1 is a Petz value (z = 1) and
+        the others sandwiched values (z = alpha): the SVD route of the same G
+        where the product route gave T (`by_product`), the overlap sum
+        sum_ij w_ji r_i^a s_j^(1-a) where the SVD route gave it, and for a
+        sandwiched value the squared top inner-rank singular values of the
+        assembled factor sigma^((1-a)/2a) rho^(1/2) raised to alpha; one
+        `svd` for each of the first and the last. A fault of the SVD route
+        raises the pair's DomainError."""
+        out = np.full(closed.shape, math.nan)
+        petz = ~closed & (alphas < 1.0)
+        rows = np.flatnonzero(petz & by_product)
+        if rows.size:
+            pi, ni = np.divmod(rows, alphas.size)
+            *_, e_sigma, e_rho = _route(alphas, zs, *self.flags)
+            g, _ = self._factors(pi, ni, e_sigma, e_rho)
+            t, fault = self._trace_sums(np.linalg.svd(g, compute_uv=False), zs[ni], pi)
+            if np.any(fault):
+                i = int(np.argmax(fault != 0))
+                self.pairs[pi[i]]._raise(int(fault[i]), alphas[ni[i]], zs[ni[i]])
+            out.flat[rows] = t
+        rows = np.flatnonzero(petz & ~by_product)
+        if rows.size:
+            pi, ni = np.divmod(rows, alphas.size)
+            weights = np.stack([p.weights for p in self.pairs])[pi]
+            out.flat[rows] = np.einsum("rj,rji,ri->r", self._powers(pi, 0, 0, 1.0 - alphas[ni]),
+                                       weights, self._powers(pi, 1, 0, alphas[ni]))
+        rows = np.flatnonzero(~closed & ~petz)
+        if rows.size:
+            pi, ni = np.divmod(rows, alphas.size)
+            singular = np.linalg.svd(_sandwiched_factors(self, pi, alphas[ni]), compute_uv=False)
+            kept = np.arange(singular.shape[-1]) < self.inner_ranks[pi][:, None]
+            out.flat[rows] = (_power(singular * singular, alphas[ni]) * kept).sum(axis=-1)
+        return out
 
 
-def _cat(arrays: list[np.ndarray]) -> np.ndarray:
-    """The arrays joined along their first axis; one array is not copied."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+def _sandwiched_factors(stack: _Stack, pi, alphas) -> np.ndarray:
+    """The sandwiched self-check's factors sigma^((1-a)/2a) rho^(1/2) of the
+    pairs pi of a stack at the orders alphas, one per row, each operator
+    assembled in its eigenbasis as `Spectrum.operator` assembles it."""
+    sigmas = np.stack([p.sigma.vectors for p in stack.pairs])[pi]
+    rhos = np.stack([p.rho.vectors for p in stack.pairs])
+    every = np.arange(len(stack.pairs))
+    s_pow = stack._powers(pi, 0, 0, (1.0 - alphas) / (2.0 * alphas))
+    r_half = stack._powers(every, 1, 0, np.full(every.size, 0.5))
+    s_op = hermitian_part((sigmas * s_pow[:, None, :]) @ sigmas.conj().swapaxes(-1, -2))
+    half = hermitian_part((rhos * r_half[:, None, :]) @ rhos.conj().swapaxes(-1, -2))
+    return s_op @ half[pi]
+
+
+def _by_dimension(pairs: list[PreparedPair]) -> list[list[int]]:
+    """The indices of the pairs of each dimension, in the order in which the
+    dimensions first appear."""
+    groups = {}
+    for p, pair in enumerate(pairs):
+        groups.setdefault(pair.rho.values.size, []).append(p)
+    return list(groups.values())
+
+
+def _stacked_traces(pairs: list[PreparedPair], alphas: np.ndarray, zs: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The closed points of `_route`, T, the fault codes and the points
+    whose T came from the product route, at 1-d arrays of N points for P
+    pairs of any dimensions, each of shape (P, N). The pairs of each
+    dimension, in the order in which the dimensions first appear, go
+    through one `_Stack`: its route, powers, G (at the defined points
+    only), product-route k-groups (`_power_sums`) and trace sums
+    (`_trace_sums`, per inner rank) each run once for all of its pairs, with
+    one SVD of the stack for the rows without a fault that the product route
+    did not settle, none where there are no such rows. This is the one place
+    that knows one stack needs one matrix size. T is NaN at every point with
+    a fault; nothing raises, and each caller raises for the points it needs.
+    Each pair's rows are computed as they would be alone, so its values do
+    not depend on the other pairs of the call."""
+    stacks = _by_dimension(pairs)
+    if len(stacks) == 1:
+        return _Stack.of(pairs).traces(alphas, zs)
+    shape = (len(pairs), alphas.size)
+    out = (np.empty(shape, dtype=bool), np.empty(shape), np.empty(shape, dtype=int),
+           np.empty(shape, dtype=bool))
+    for members in stacks:
+        for whole, part in zip(out, _Stack.of([pairs[p] for p in members]).traces(alphas, zs)):
+            whole[members] = part
+    return out
 
 
 def stacked_divergences(pairs, alphas, zs) -> np.ndarray:
@@ -673,14 +854,58 @@ def stacked_divergences(pairs, alphas, zs) -> np.ndarray:
     return _divergence_rows(pairs, a.ravel(), z.ravel())[0].reshape((len(pairs),) + a.shape)
 
 
-def _divergence_rows(pairs: list[PreparedPair], alphas: np.ndarray,
-                     zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def stacked_traces(pairs, alphas, zs) -> np.ndarray:
+    """T(a, z) for prepared pairs of any dimensions at the same broadcast
+    points of alphas and zs, shape (len(pairs), *points), from at most one
+    stacked SVD per dimension. Row p equals `pairs[p].traces(alphas, zs)`
+    bit for bit. Every point needs T, so the first pair with a fault raises
+    the DomainError of its own `traces` call."""
+    pairs = list(pairs)
+    a, z = _points(alphas, zs)
+    _, t, faults, _ = _stacked_traces(pairs, a.ravel(), z.ravel())
+    if faults.any():
+        p = int(np.argmax(faults.any(axis=1)))
+        pairs[p]._raise(faults[p], a, z)
+    return t.reshape((len(pairs),) + a.shape)
+
+
+def stacked_mosonyi_ogawa(pairs, alphas) -> np.ndarray:
+    """`PreparedPair.mosonyi_ogawa` in nats for prepared pairs of any
+    dimensions at the orders alphas > 0, shape (len(pairs), *alphas), from
+    one kernel call: Petz (z = 1) below alpha = 1, sandwiched (z = alpha)
+    from it, +inf where the supports force it. Every value that is not
+    closed then passes the self-check of `petz` or `sandwiched`, run for all
+    of them at once (`_Stack.dual_traces`); a mismatch raises that method's
+    ArithmeticError for the first such value in pair order. The values
+    agree with the scalar methods' to round-off."""
+    pairs = list(pairs)
+    a = np.asarray(alphas, dtype=float)
+    if (a <= 0.0).any():
+        raise DomainError(f"order must be positive, got {float(a[a <= 0.0][0])}")
+    a, z = _points(a, np.where(a < 1.0, 1.0, a))
+    shape = (len(pairs),) + a.shape
+    a, z = a.ravel(), z.ravel()
+    values, _, closed, by_product = _divergence_rows(pairs, a, z)
+    checked = np.full(values.shape, math.nan)
+    for members in _by_dimension(pairs):
+        checked[members] = _Stack.of([pairs[p] for p in members]).dual_traces(
+            a, z, closed[members], by_product[members])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        direct = np.log(checked) / (a - 1.0)
+    tol = _DUAL_PATH_TOL * np.maximum(1.0, np.abs(values))
+    for p, n in np.argwhere((checked <= 0.0) | (np.abs(values - direct) > tol)).tolist():
+        _assert_dual_path("Petz" if a[n] < 1.0 else "sandwiched", float(values[p, n]),
+                          float(a[n]), float(checked[p, n]))
+    return values.reshape(shape)
+
+
+def _divergence_rows(pairs: list[PreparedPair], alphas: np.ndarray, zs: np.ndarray):
     """D and T at 1-d arrays of points for pairs of any dimensions, each of
-    shape (len(pairs), N): D is the pair's `_closed_value` at its closed
-    points and ln T / (a - 1) elsewhere; T is `_stacked_traces'`. D needs T
-    at the open points only: the first pair with a fault or a T <= 0 there
-    raises, a fault through `_raise`."""
-    closed, t, faults = _stacked_traces(pairs, alphas, zs)
+    shape (len(pairs), N), with `_stacked_traces`' closed points and product
+    points: D is the pair's `_closed_value` at its closed points and
+    ln T / (a - 1) elsewhere. D needs T at the open points only: the first
+    pair with a fault or a T <= 0 there raises, a fault through `_raise`."""
+    closed, t, faults, by_product = _stacked_traces(pairs, alphas, zs)
     # the quotient's T: NaN at the closed points, which need none
     needed = np.where(closed, math.nan, t)
     faults = np.where(closed, 0, faults)
@@ -694,7 +919,7 @@ def _divergence_rows(pairs: list[PreparedPair], alphas: np.ndarray,
     for row, pair, at in zip(values, pairs, closed):
         if at.any():
             row[at] = pair._closed_value(1.0).value
-    return values, t
+    return values, t, closed, by_product
 
 
 def prepare(rho: np.ndarray, sigma: np.ndarray) -> PreparedPair:

@@ -50,9 +50,9 @@ def zero_cutoff() -> float:
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """Return (A + A†)/2."""
+    """Return (A + A†)/2, for one matrix or for each of a stack."""
     a = np.asarray(a, dtype=complex)
-    return (a + a.conj().T) / 2.0
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
 def _square(a) -> np.ndarray:
@@ -126,18 +126,13 @@ class Spectrum:
         out[:self.rank] = fn(self.values[:self.rank])
         return out
 
-    def powers(self, p) -> np.ndarray:
+    def powers(self, p: float) -> np.ndarray:
         """Generalized power of the eigenvalues: kernel entries map to 0 for
-        every exponent, so p = 0 gives the support indicator. An array of
-        exponents gives one row of powers per exponent; one body serves both,
-        and a float exponent takes no array and no row axis."""
-        if not isinstance(p, float):
-            p = np.asarray(p, dtype=float)[..., None]
+        every exponent, so p = 0 gives the support indicator."""
         if self.rank == self.values.size:
             return self.values ** p
-        support = self.values[:self.rank] ** p
-        out = np.zeros(support.shape[:-1] + self.values.shape)
-        out[..., :self.rank] = support
+        out = np.zeros_like(self.values)
+        out[:self.rank] = self.values[:self.rank] ** p
         return out
 
     def operator(self, diagonal: np.ndarray) -> np.ndarray:

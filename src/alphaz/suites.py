@@ -5,15 +5,18 @@ in `states`, so a given (suite, seeds) always produces the same reports.
 `run_suites` prepares the seeded pairs once per call and hands the same
 `TraceFunctional`s to every suite that checks them (limits, derivatives,
 monotonicity, dpi and invariants); those suites take them as their
-argument. The limits, monotonicity and dT/dz checks make one kernel call
-per pair for all of their items (curves, alphas, z0s) and regroup the
-per-pair reports into one aggregate per item. Each pair family evaluates
-in one call on the kernel's pair axis (`divergences.stacked_divergences`),
-which takes pairs of any dimensions: invariants all seeded pairs, each with
-its rotation, its rescaled reference and (rho, rho); classical its
+argument. Each pair family evaluates in one call on the kernel's pair
+axis, which takes pairs of any dimensions and works on the pairs of each
+dimension as one stack, with one `svd` per dimension: the limits,
+monotonicity and dT/dz checks one call for all seeded pairs and all of
+their items (curves, alphas, z0s), regrouped into one aggregate per item,
+and the slopes at alpha = 1 one more; dpi the seeded pairs and their
+pinched images at every alpha, with the self-checks of every value
+(`divergences.stacked_mosonyi_ogawa`); invariants all seeded pairs, each
+with its rotation, its rescaled reference and (rho, rho); classical its
 commuting pairs, whose worst rows it then finds in pair order; example1
 its three pairs on the alpha grid. A `verify --suite all --seeds 10` run
-makes 86 `eigh` and 156 `svd` calls.
+makes 86 `eigh` and 51 `svd` calls.
 """
 
 from __future__ import annotations
@@ -90,11 +93,12 @@ def _seeded_functionals(n_seeds: int) -> SeededPairs:
 
 
 def _over_pairs(tfs: SeededPairs, check) -> list[CheckReport]:
-    """Run `check` once per pair and aggregate its reports item by item:
-    `check(tf)` returns one report per item, the same items in the same order
-    for every pair, and each aggregate's members are tagged by pair."""
+    """Run `check` once on all the pairs and aggregate its reports item by
+    item: `check(functionals)` returns, per pair, one report per item, the
+    same items in the same order for every pair, and each aggregate's
+    members are tagged by pair."""
     aggregates = []
-    for reports in zip(*(check(tf) for tf, _ in tfs)):
+    for reports in zip(*check([tf for tf, _ in tfs])):
         name = reports[0].name
         for rep, (_, label) in zip(reports, tfs):
             rep.name = f"{name} [{label}]"
@@ -104,18 +108,18 @@ def _over_pairs(tfs: SeededPairs, check) -> list[CheckReport]:
 
 def suite_limits(tfs: SeededPairs, bias: float = 0.0) -> list[CheckReport]:
     """Limit of D(a, g(a)) at a -> 1 for five curves over the seeded pairs."""
-    return _over_pairs(tfs, lambda tf: verify_curve_limits(tf, LIMIT_CURVES, bias=bias))
+    return _over_pairs(tfs, lambda fs: verify_curve_limits(fs, LIMIT_CURVES, bias=bias))
 
 
 def suite_derivatives(tfs: SeededPairs) -> list[CheckReport]:
     """Slope-at-1 checks for both families plus the dT/dz -> 0 checks."""
-    return (_over_pairs(tfs, lambda tf: [verify_derivative_at_one(tf)])
-            + _over_pairs(tfs, lambda tf: verify_dz_trace_vanishes(tf, DZ_TRACE_Z0S)))
+    return (_over_pairs(tfs, lambda fs: [[rep] for rep in verify_derivative_at_one(fs)])
+            + _over_pairs(tfs, lambda fs: verify_dz_trace_vanishes(fs, DZ_TRACE_Z0S)))
 
 
 def suite_monotonicity(tfs: SeededPairs) -> list[CheckReport]:
     """z-monotonicity of the divergence for each sampled alpha."""
-    return _over_pairs(tfs, lambda tf: verify_z_monotonicity(tf, MONOTONICITY_ALPHAS,
+    return _over_pairs(tfs, lambda fs: verify_z_monotonicity(fs, MONOTONICITY_ALPHAS,
                                                              MONOTONICITY_ZS))
 
 
@@ -157,18 +161,19 @@ DPI_SLACK = 1e-9
 def suite_dpi(tfs: SeededPairs) -> list[CheckReport]:
     """Sampled data-processing check for the piecewise divergence under
     pinching in the reference operator's eigenbasis; each pinched image is
-    prepared once for all alphas, from the pair's own spectrum of sigma."""
-    pairs = [(tf.pair,
-              dv.prepare(tf.pair.sigma.pinch(tf.rho), tf.pair.sigma.pinch(tf.sigma)),
-              label)
-             for tf, label in tfs]
+    prepared once, from the pair's own spectrum of sigma. The pairs and
+    their images are evaluated at every alpha in one kernel call, with the
+    Petz and sandwiched self-checks of every value
+    (`divergences.stacked_mosonyi_ogawa`)."""
+    pinched = [dv.prepare(tf.pair.sigma.pinch(tf.rho), tf.pair.sigma.pinch(tf.sigma))
+               for tf, _ in tfs]
+    values = dv.stacked_mosonyi_ogawa([tf.pair for tf, _ in tfs] + pinched, DPI_ALPHAS)
+    befores, afters = values[:len(tfs)].T.tolist(), values[len(tfs):].T.tolist()
     reports = []
-    for alpha in DPI_ALPHAS:
+    for alpha, before_row, after_row in zip(DPI_ALPHAS, befores, afters):
         worst = -math.inf
         rows = []
-        for pair, pinched, label in pairs:
-            before = pair.mosonyi_ogawa(alpha).value
-            after = pinched.mosonyi_ogawa(alpha).value
+        for (_, label), before, after in zip(tfs, before_row, after_row):
             violation = after - before  # > 0 would break data processing
             worst = max(worst, violation)
             rows.append({"pair": label, "before": before, "after": after,

@@ -151,24 +151,24 @@ class TestTraceFunctional:
 
 class TestCurveLimit:
     def test_constant_curve(self):
-        [rep] = verify_curve_limits(seeded_tf(4, 11), [CurveSpec.constant(1.0)])
+        [[rep]] = verify_curve_limits([seeded_tf(4, 11)], [CurveSpec.constant(1.0)])
         assert rep.passed
         assert rep.max_residual <= 1e-3
 
     def test_identity_curve_example1(self):
-        [rep] = verify_curve_limits(example1_tf(), [CurveSpec.identity()])
+        [[rep]] = verify_curve_limits([example1_tf()], [CurveSpec.identity()])
         assert rep.passed
         # errors shrink toward the relative entropy target
         assert abs(rep.rows[0]["divergence"] - EX1_REL_ENT) > rep.max_residual
 
     def test_self_pair_flat(self):
         rho = random_density(3, 13)
-        [rep] = verify_curve_limits(TraceFunctional(rho, rho), [CurveSpec.identity()])
+        [[rep]] = verify_curve_limits([TraceFunctional(rho, rho)], [CurveSpec.identity()])
         assert rep.passed
         assert all(abs(row["divergence"]) <= 1e-10 for row in rep.rows)
 
     def test_bias_forces_failure(self):
-        [rep] = verify_curve_limits(seeded_tf(3, 17), [CurveSpec.constant(1.0)], bias=0.01)
+        [[rep]] = verify_curve_limits([seeded_tf(3, 17)], [CurveSpec.constant(1.0)], bias=0.01)
         assert not rep.passed
 
     def test_default_offsets(self):
@@ -180,19 +180,19 @@ class TestCurveLimit:
 class TestDerivativeAtOne:
     def test_self_pair(self):
         rho = random_density(3, 19)
-        rep = verify_derivative_at_one(TraceFunctional(rho, rho))
+        [rep] = verify_derivative_at_one([TraceFunctional(rho, rho)])
         assert rep.passed
         assert all(abs(r["slope"]) <= 1e-6 for r in rep.rows)
 
     def test_example1_target(self):
-        rep = verify_derivative_at_one(example1_tf())
+        [rep] = verify_derivative_at_one([example1_tf()])
         assert rep.passed
         for row in rep.rows:
             assert row["half_variance"] == pytest.approx(EX1_HALF_VARIANCE, abs=1e-12)
             assert row["slope"] == pytest.approx(EX1_HALF_VARIANCE, rel=1e-3)
 
     def test_families_agree(self):
-        rep = verify_derivative_at_one(seeded_tf(4, 23))
+        [rep] = verify_derivative_at_one([seeded_tf(4, 23)])
         assert rep.passed
         slopes = [r["slope"] for r in rep.rows]
         assert abs(slopes[0] - slopes[1]) <= 1e-5
@@ -201,7 +201,7 @@ class TestDerivativeAtOne:
         # V(rho || c rho) = 0 while D = -ln c = 115: the variance must not
         # come out negative, and the slope check passes as for (rho, rho)
         rho = random_density(4, 0)
-        rep = verify_derivative_at_one(TraceFunctional(rho, 1e-50 * rho))
+        [rep] = verify_derivative_at_one([TraceFunctional(rho, 1e-50 * rho)])
         assert rep.passed
         assert all(0.0 <= r["half_variance"] <= 1e-20 for r in rep.rows)
 
@@ -227,58 +227,58 @@ class TestSecondDerivativeExample1:
 
 class TestZMonotonicity:
     def test_decreasing_above_one(self):
-        [rep] = verify_z_monotonicity(seeded_tf(4, 31), [2.0], [0.5, 1.0, 2.0, 4.0, 8.0])
+        [[rep]] = verify_z_monotonicity([seeded_tf(4, 31)], [2.0], [0.5, 1.0, 2.0, 4.0, 8.0])
         assert rep.passed
         assert all(r["step"] <= 1e-10 for r in rep.rows)
 
     def test_increasing_below_one(self):
-        [rep] = verify_z_monotonicity(seeded_tf(4, 31), [0.5], [0.5, 1.0, 2.0, 4.0, 8.0])
+        [[rep]] = verify_z_monotonicity([seeded_tf(4, 31)], [0.5], [0.5, 1.0, 2.0, 4.0, 8.0])
         assert rep.passed
         assert all(r["step"] >= -1e-10 for r in rep.rows)
 
     def test_commuting_constant(self):
         rho, sigma, _, _ = commuting_pair(4, 37)
-        [rep] = verify_z_monotonicity(TraceFunctional(rho, sigma), [2.0],
+        [[rep]] = verify_z_monotonicity([TraceFunctional(rho, sigma)], [2.0],
                                       [0.5, 1.0, 2.0, 4.0, 8.0])
         assert rep.passed
         assert all(abs(r["step"]) <= 1e-10 for r in rep.rows)
 
     def test_alpha_one_rejected(self):
         with pytest.raises(DomainError):
-            verify_z_monotonicity(seeded_tf(3, 41), [1.0], [1.0, 2.0])
+            verify_z_monotonicity([seeded_tf(3, 41)], [1.0], [1.0, 2.0])
         with pytest.raises(DomainError):
-            verify_z_monotonicity(seeded_tf(3, 41), [2.0, 1.0], [1.0, 2.0])
+            verify_z_monotonicity([seeded_tf(3, 41)], [2.0, 1.0], [1.0, 2.0])
 
     def test_zs_validation(self):
         tf = seeded_tf(3, 41)
         with pytest.raises(ValueError, match="ascending"):
-            verify_z_monotonicity(tf, [2.0], [2.0, 1.0])
+            verify_z_monotonicity([tf], [2.0], [2.0, 1.0])
         with pytest.raises(ValueError, match="positive"):
-            verify_z_monotonicity(tf, [2.0], [-1.0, 1.0])
+            verify_z_monotonicity([tf], [2.0], [-1.0, 1.0])
 
 
 class TestDzTraceVanishes:
     def test_example1_ladder(self):
-        [rep] = verify_dz_trace_vanishes(example1_tf(), [1.0])
+        [[rep]] = verify_dz_trace_vanishes([example1_tf()], [1.0])
         assert rep.passed
         mags = [r["abs"] for r in rep.rows if r["alpha"] > 1.0]
         assert mags == sorted(mags, reverse=True)
 
     def test_seeded_pair(self):
-        [rep] = verify_dz_trace_vanishes(seeded_tf(3, 43), [2.0])
+        [[rep]] = verify_dz_trace_vanishes([seeded_tf(3, 43)], [2.0])
         assert rep.passed
         assert rep.max_residual <= 1e-4
 
     def test_exactly_at_one(self):
-        [rep] = verify_dz_trace_vanishes(seeded_tf(4, 47), [0.5])
+        [[rep]] = verify_dz_trace_vanishes([seeded_tf(4, 47)], [0.5])
         at_one = [r for r in rep.rows if r["alpha"] == 1.0]
         assert len(at_one) == 1 and at_one[0]["abs"] <= 1e-8
 
     def test_z_zero_rejected(self):
         with pytest.raises(DomainError):
-            verify_dz_trace_vanishes(seeded_tf(3, 43), [0.0])
+            verify_dz_trace_vanishes([seeded_tf(3, 43)], [0.0])
         with pytest.raises(DomainError):
-            verify_dz_trace_vanishes(seeded_tf(3, 43), [1.0, 0.0])
+            verify_dz_trace_vanishes([seeded_tf(3, 43)], [1.0, 0.0])
 
 
 def _batch_pairs():
@@ -288,8 +288,9 @@ def _batch_pairs():
 
 
 class TestBatchedVerifications:
-    """Each batched verification equals its one-element calls, report for
-    report, down to the last bit of every float."""
+    """Each batched verification, over all pairs and all items in one call,
+    equals its one-pair, one-item calls, report for report, down to the
+    last bit of every float."""
 
     @staticmethod
     def dicts(reports):
@@ -298,29 +299,43 @@ class TestBatchedVerifications:
     @pytest.mark.parametrize("bias", [0.0, 0.01, -0.2])
     def test_curve_limits(self, bias):
         curves = LIMIT_CURVES + (CurveSpec.affine(-1.0, 2.5),)
-        for tf in _batch_pairs():
-            singles = [verify_curve_limits(tf, [curve], bias)[0] for curve in curves]
-            assert self.dicts(verify_curve_limits(tf, curves, bias)) == self.dicts(singles)
+        tfs = _batch_pairs()
+        for tf, reports in zip(tfs, verify_curve_limits(tfs, curves, bias), strict=True):
+            singles = [verify_curve_limits([tf], [curve], bias)[0][0] for curve in curves]
+            assert self.dicts(reports) == self.dicts(singles)
+
+    def test_derivative_at_one(self):
+        tfs = _batch_pairs()
+        singles = [verify_derivative_at_one([tf])[0] for tf in tfs]
+        assert self.dicts(verify_derivative_at_one(tfs)) == self.dicts(singles)
 
     def test_z_monotonicity(self):
         alphas = MONOTONICITY_ALPHAS + (0.9, 3.0)
-        for tf in _batch_pairs():
-            singles = [verify_z_monotonicity(tf, [alpha], MONOTONICITY_ZS)[0]
+        tfs = _batch_pairs()
+        for tf, reports in zip(tfs, verify_z_monotonicity(tfs, alphas, MONOTONICITY_ZS),
+                               strict=True):
+            singles = [verify_z_monotonicity([tf], [alpha], MONOTONICITY_ZS)[0][0]
                        for alpha in alphas]
-            assert self.dicts(verify_z_monotonicity(tf, alphas, MONOTONICITY_ZS)) == \
-                self.dicts(singles)
+            assert self.dicts(reports) == self.dicts(singles)
 
     def test_dz_trace_vanishes(self):
         z0s = DZ_TRACE_Z0S + (0.25, 3.5)
-        for tf in _batch_pairs():
-            singles = [verify_dz_trace_vanishes(tf, [z0])[0] for z0 in z0s]
-            assert self.dicts(verify_dz_trace_vanishes(tf, z0s)) == self.dicts(singles)
+        tfs = _batch_pairs()
+        for tf, reports in zip(tfs, verify_dz_trace_vanishes(tfs, z0s), strict=True):
+            singles = [verify_dz_trace_vanishes([tf], [z0])[0][0] for z0 in z0s]
+            assert self.dicts(reports) == self.dicts(singles)
 
     def test_no_items_no_reports(self):
-        tf = example1_tf()
-        assert verify_curve_limits(tf, []) == []
-        assert verify_z_monotonicity(tf, [], MONOTONICITY_ZS) == []
-        assert verify_dz_trace_vanishes(tf, []) == []
+        tfs = _batch_pairs()
+        assert verify_curve_limits(tfs, []) == [[]] * len(tfs)
+        assert verify_z_monotonicity(tfs, [], MONOTONICITY_ZS) == [[]] * len(tfs)
+        assert verify_dz_trace_vanishes(tfs, []) == [[]] * len(tfs)
+
+    def test_no_pairs_no_reports(self):
+        assert verify_curve_limits([], LIMIT_CURVES) == []
+        assert verify_derivative_at_one([]) == []
+        assert verify_z_monotonicity([], MONOTONICITY_ALPHAS, MONOTONICITY_ZS) == []
+        assert verify_dz_trace_vanishes([], DZ_TRACE_Z0S) == []
 
 
 class TestSweep:
@@ -461,7 +476,7 @@ class TestExample1ClosedForm:
 
 class TestCheckReport:
     def test_json_serializable(self):
-        [rep] = verify_curve_limits(example1_tf(), [CurveSpec.constant(1.0)])
+        [[rep]] = verify_curve_limits([example1_tf()], [CurveSpec.constant(1.0)])
         text = json.dumps(rep.to_dict())
         doc = json.loads(text)
         assert doc["passed"] is True

@@ -500,13 +500,14 @@ class TestVerify:
         pairs = [(analysis.TraceFunctional(rho, sigma), label)
                  for rho, sigma, label in suites.seeded_pairs(n_seeds)]
         singles = {
-            "limits": [lambda tf, c=c: analysis.verify_curve_limits(tf, [c])
+            "limits": [lambda tf, c=c: analysis.verify_curve_limits([tf], [c])[0]
                        for c in suites.LIMIT_CURVES],
             "monotonicity": [
-                lambda tf, a=a: analysis.verify_z_monotonicity(tf, [a], suites.MONOTONICITY_ZS)
+                lambda tf, a=a: analysis.verify_z_monotonicity([tf], [a],
+                                                               suites.MONOTONICITY_ZS)[0]
                 for a in suites.MONOTONICITY_ALPHAS],
-            "derivatives": [lambda tf: [analysis.verify_derivative_at_one(tf)]] + [
-                lambda tf, z0=z0: analysis.verify_dz_trace_vanishes(tf, [z0])
+            "derivatives": [lambda tf: analysis.verify_derivative_at_one([tf])] + [
+                lambda tf, z0=z0: analysis.verify_dz_trace_vanishes([tf], [z0])[0]
                 for z0 in suites.DZ_TRACE_Z0S],
         }
         for name, checks in singles.items():

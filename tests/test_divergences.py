@@ -414,6 +414,43 @@ class TestDualPathChecks:
         with pytest.raises(ArithmeticError, match="sandwiched dual-path mismatch"):
             pair.sandwiched(2.0)
 
+    @pytest.mark.parametrize("skewed, label", [
+        # the kernel's product route against the Petz check's SVD route
+        ("_power_sums", "Petz"),
+        ("_trace_sums", "Petz"),
+        # the sandwiched check's assembled factors against the kernel
+        ("_sandwiched_factors", "sandwiched"),
+    ])
+    def test_batched_dpi_mismatch_raises(self, monkeypatch, capsys, skewed, label):
+        # the dpi suite checks every value of its one kernel call at once
+        from alphaz import cli
+        from alphaz.suites import run_suites
+
+        if skewed == "_sandwiched_factors":
+            original = dv._sandwiched_factors
+            monkeypatch.setattr(dv, skewed, lambda *args: original(*args) * (1.0 + 1e-6))
+        else:
+            self._skew(monkeypatch, skewed)
+        with pytest.raises(ArithmeticError, match=f"{label} dual-path mismatch"):
+            run_suites(["dpi"], 3)
+        capsys.readouterr()
+        assert cli.main(["verify", "--suite", "dpi", "--seeds", "3"]) == cli.EXIT_INTERNAL
+        assert f"{label} dual-path mismatch" in capsys.readouterr().err
+
+    def test_batched_checks_pass_unskewed(self):
+        # every route and check of the batch on pairs of every support class:
+        # Petz values from both routes, sandwiched values, closed points
+        pairs = [dv.prepare(*_pair_of_class(cls))
+                 for cls in ("full", "dominating", "violating", "orthogonal", "partial")]
+        alphas = [0.3, 0.7, 1.0, 1.5, 2.0, 3.0]
+        values = dv.stacked_mosonyi_ogawa(pairs, alphas)
+        for pair, row in zip(pairs, values, strict=True):
+            for alpha, value in zip(alphas, row.tolist()):
+                expected = pair.mosonyi_ogawa(alpha).value
+                assert value == expected or abs(value - expected) <= 1e-13 * abs(expected)
+        with pytest.raises(DomainError, match="order must be positive, got -0.5"):
+            dv.stacked_mosonyi_ogawa(pairs, [0.5, -0.5])
+
 
 class TestSandwiched:
     def test_commuting_equals_petz(self):
@@ -721,7 +758,7 @@ class TestBatchedKernel:
         pair = dv.prepare(*_pair_of_class("full"))
         monkeypatch.setattr(dv, "_stacked_traces", lambda *args, **kwargs: (
             np.zeros((1, 3), dtype=bool), np.array([[0.5, -0.0, -1.0]]),
-            np.zeros((1, 3), dtype=int)))
+            np.zeros((1, 3), dtype=int), np.zeros((1, 3), dtype=bool)))
         with pytest.raises(ArithmeticError, match=r"trace functional collapsed to -0\.0$"):
             pair.evaluate([0.5, 2.0, 3.0], [1.0, 1.0, 1.0])
 
@@ -903,6 +940,41 @@ class TestStackedDivergences:
             with pytest.raises(DomainError) as stacked:
                 dv.stacked_divergences(stack, alphas, zs)
             assert str(stacked.value) == str(own.value)
+
+    def test_one_dimension_mixed_inner_ranks_bit_for_bit(self):
+        # d = 9 pairs of inner rank 9 (full), 5 (violating), 3 and 8
+        # (dominating) in one stack: rows of 8 and 9 singular values sum in
+        # numpy's unrolled order, so each must keep its own [:inner_rank]
+        full9 = self._pair(9, "full", 60)
+        violating5, dominated3, dominated8 = (
+            dv.prepare(*random_support_pair(9, seed, rank=rank, branch=branch))
+            for seed, rank, branch in ((62, 5, "violating"), (64, 3, "dominating"),
+                                       (66, 8, "dominating")))
+        stack = [full9, violating5, dominated3, dominated8]
+        assert [pair.inner_rank for pair in stack] == [9, 5, 3, 8]
+        alphas = np.array([[0.3], [0.7], [1.5], [3.0]])
+        zs = [0.5, 1.0, 2.5, 3.0, 7.5]
+        for pair, row in zip(stack, dv.stacked_divergences(stack, alphas, zs), strict=True):
+            assert np.array_equal(row, pair.divergences(alphas, zs))
+        # T and fault codes where the violating pair, in the middle, is
+        # undefined at z < 0 below alpha = 1, and so are the rank-deficient
+        # rhos of the dominating pairs
+        a, z = np.array([0.3, 0.7, 1.5, 0.5, 3.0]), np.array([0.5, -1.0, 2.5, -2.5, 1.0])
+        _, t, faults, _ = dv._stacked_traces(stack, a, z)
+        assert faults[1].any() and not faults[0].any()
+        for pair, t_row, fault_row in zip(stack, t, faults):
+            _, own_t, own_faults, _ = dv._stacked_traces([pair], a, z)
+            assert np.array_equal(t_row, own_t[0], equal_nan=True)
+            assert np.array_equal(fault_row, own_faults[0])
+        # D needs T there: the first failing pair raises its own error,
+        # sigma's, where the later dominating pairs' own error is rho's
+        with pytest.raises(DomainError, match="sigma is rank-deficient") as own:
+            violating5.divergences(a, z)
+        with pytest.raises(DomainError, match="rho is rank-deficient"):
+            dominated3.divergences(a, z)
+        with pytest.raises(DomainError) as stacked:
+            dv.stacked_divergences(stack, a, z)
+        assert str(stacked.value) == str(own.value)
 
     def test_no_pairs(self):
         rows = dv.stacked_divergences([], [[0.5], [2.0]], [1.0, 2.0, 3.0])
@@ -1362,9 +1434,9 @@ class TestProductRouteOracle:
             alphas = [a for a in self.ALPHAS if a > 0.0 or pair.rho.rank == 16]
             a, z = np.broadcast_arrays(np.array(alphas)[:, None], np.array(self.ZS)[None, :])
             closed, defined, product, e_sigma, e_rho = pair._route(a.ravel(), z.ravel())
-            assert product.all() and not closed.any()
-            g, fault = pair._factor(e_sigma, e_rho, defined)
-            assert not np.any(fault)
+            assert product.all() and not closed.any() and np.all(defined)
+            g, over = _stack_factors(pair, e_sigma, e_rho)
+            assert over is None
             t_svd, fault = pair._trace_sums(np.linalg.svd(g, compute_uv=False), z.ravel())
             assert not np.any(fault)
             routes = {"product": pair.divergences(a, z).ravel(),
@@ -1383,13 +1455,21 @@ class TestProductRouteOracle:
         assert worst["product"] >= worst["svd"] - math.log10(2.0), worst
 
 
+def _stack_factors(pair, e_sigma, e_rho):
+    """The stacked kernel's G of one pair at every point of the exponent
+    rows, and its overflow rows (`_Stack._factors`)."""
+    n = e_sigma.size
+    return pair._stack._factors(np.zeros(n, dtype=np.intp), np.arange(n), e_sigma, e_rho)
+
+
 class TestFactorOrder:
-    """`_factor` builds G = diag(s^e_sigma) W diag(r^(e_rho/2)) in the SVD
-    route's order, its rows reversed where e_sigma < 0 and its columns where
-    e_rho < 0, for a stack and for one point alike, over all four sign
-    combinations of the exponents. Each expected G takes the powers of the
-    call it checks: numpy's `power` rounds by array size, so a stack's
-    powers can differ from one point's in the last bit."""
+    """`_factor` and the stacked kernel's `_Stack._factors` build G =
+    diag(s^e_sigma) W diag(r^(e_rho/2)) in the SVD route's order, its rows
+    reversed where e_sigma < 0 and its columns where e_rho < 0, for a stack
+    and for one point alike, over all four sign combinations of the
+    exponents. Each expected G takes the powers of the call it checks: the
+    stack takes numpy's contiguous `power` loop (`dv._power`), and one point
+    a float exponent, which numpy rounds apart from it at 0.5, 2 and -1."""
 
     ALPHAS = (-0.5, 0.5, 2.0)
     ZS = (-1.0, 0.5, 2.0)
@@ -1398,6 +1478,13 @@ class TestFactorOrder:
     def _expected(pair, s_pow, r_pow, e_sigma, e_rho):
         g = s_pow[:, None] * pair.overlap * r_pow[None, :]
         return g[::-1 if e_sigma < 0.0 else 1, ::-1 if e_rho < 0.0 else 1]
+
+    @staticmethod
+    def _stack_powers(spectrum, exponent):
+        """The generalized power as the stack takes it: 0 on the kernel."""
+        support = np.arange(spectrum.values.size) < spectrum.rank
+        base = np.where(support, spectrum.values, 1.0)
+        return np.where(support, dv._power(base[None], np.array([exponent]))[0], 0.0)
 
     @pytest.mark.parametrize("pair", [
         (random_density(5, 31), random_reference(5, 32)),
@@ -1408,15 +1495,15 @@ class TestFactorOrder:
         a, z = (x.ravel() for x in np.meshgrid(self.ALPHAS, self.ZS, indexing="ij"))
         _, defined, _, e_sigma, e_rho = pair._route(a, z)
         defined = np.broadcast_to(defined, a.shape)
-        stacked, _ = pair._factor(e_sigma, e_rho, defined)
-        # the powers of the stacked call, which takes exponents 0 where undefined
-        s_rows = pair.sigma.powers(np.where(defined, e_sigma, 0.0))
-        r_rows = pair.rho.powers(np.where(defined, e_rho, 0.0) / 2.0)
+        # the stack builds G at the defined points only
+        stacked, over = _stack_factors(pair, e_sigma[defined], e_rho[defined])
+        assert over is None and len(stacked) == np.count_nonzero(defined)
         signs = set()
-        for i in np.flatnonzero(defined):
+        for row, i in enumerate(np.flatnonzero(defined)):
             es, er = float(e_sigma[i]), float(e_rho[i])
-            expected = self._expected(pair, s_rows[i], r_rows[i], es, er)
-            assert np.array_equal(stacked[i], expected), (a[i], z[i])
+            expected = self._expected(pair, self._stack_powers(pair.sigma, es),
+                                      self._stack_powers(pair.rho, er / 2.0), es, er)
+            assert np.array_equal(stacked[row], expected), (a[i], z[i])
             one, fault = pair._factor(es, er, True)
             expected = self._expected(pair, pair.sigma.powers(es), pair.rho.powers(er / 2.0),
                                       es, er)
@@ -1553,21 +1640,22 @@ class TestDecompositionCounts:
 
         tf = TraceFunctional(*pair)
         curves = (CurveSpec.constant(2.0), CurveSpec.exponential())
-        assert counts(lambda: verify_curve_limits(tf, curves)) == (0, 1)
+        assert counts(lambda: verify_curve_limits([tf], curves)) == (0, 1)
 
     def test_certification_suites(self, counts):
         from alphaz.suites import run_suites
 
         eigh, svd = counts(lambda: run_suites(["all"], 10))
-        assert eigh <= 86 and svd <= 156
+        assert eigh <= 86 and svd <= 51
 
-    @pytest.mark.parametrize("name, svd", [("limits", 10), ("monotonicity", 10),
-                                           ("derivatives", 20)])
+    @pytest.mark.parametrize("name, svd", [("limits", 5), ("monotonicity", 5),
+                                           ("derivatives", 10)])
     def test_batched_suites_one_kernel_call_per_pair(self, counts, name, svd):
         from alphaz.suites import run_suites
 
         # one prepare eigh per pair; limits and monotonicity make one kernel
-        # call per pair, derivatives one for the slopes and one for dT/dz
+        # call for all pairs, derivatives one for the slopes and one for
+        # dT/dz, each with one svd per dimension (the pairs have 5)
         assert counts(lambda: run_suites([name], 10)) == (10, svd)
 
     @pytest.mark.parametrize("name, svd", [("invariants", 5), ("classical", 7),
@@ -1586,10 +1674,12 @@ class TestDecompositionCounts:
         from alphaz.suites import run_suites
 
         # 10 pairs: one prepare eigh for the pair and one for its pinched
-        # image, 8 kernel svd and 4 sandwiched self-check svd each; pinching
-        # reuses the pair's spectrum of sigma
+        # image (pinching reuses the pair's spectrum of sigma); then, per
+        # dimension (5), one kernel svd for the 20 pairs' SVD-route values,
+        # one for the Petz self-check of the product-route values and one
+        # for the sandwiched self-check's factors
         eigh, svd = counts(lambda: run_suites(["dpi"], 10))
-        assert eigh <= 20 and svd <= 120
+        assert eigh <= 20 and svd <= 15
 
     @pytest.mark.parametrize("name, eigh", [("classical", 20), ("example1", 6)])
     def test_unseeded_suites_prepare_no_seeded_pair(self, counts, name, eigh):

@@ -52,14 +52,14 @@ def test_removed_name_is_gone(owner, name):
 
 def test_derivative_check_has_no_family_parameter():
     params = inspect.signature(alphaz.verify_derivative_at_one).parameters
-    assert list(params) == ["tf"]
+    assert list(params) == ["tfs"]
 
 
 # the offset ladders and finite-difference steps are module constants
 @pytest.mark.parametrize("function, params", [
-    (alphaz.verify_curve_limits, ["tf", "curves", "bias"]),
+    (alphaz.verify_curve_limits, ["tfs", "curves", "bias"]),
     (alphaz.verify_second_derivative_example1, ["p"]),
-    (alphaz.verify_dz_trace_vanishes, ["tf", "z0s"]),
+    (alphaz.verify_dz_trace_vanishes, ["tfs", "z0s"]),
 ], ids=["limits", "second_derivative", "dz_trace"])
 def test_verification_has_no_offset_or_step_parameter(function, params):
     assert list(inspect.signature(function).parameters) == params
