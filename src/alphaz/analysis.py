@@ -18,8 +18,10 @@ pairs (TraceFunctionals) and make one kernel call on the pair axis for
 all of them (`divergences.stacked_divergences` or `stacked_traces`); the
 limit, z-monotonicity and dT/dz checks also take a sequence of items
 (curves, alphas, z0s) and return, per pair, one report per item, in order,
-from that one call. One pair or one item is the one-element case, and a
-pair's reports do not depend on the pairs beside it.
+from that one call. The example1 second-derivative check takes a sequence
+of ps and makes one kernel call for all of their pairs' stencils. One pair
+or one item is the one-element case, and a pair's reports do not depend on
+the pairs beside it.
 Their offset ladders and finite-difference steps are module constants, not
 options: LIMIT_OFFSETS, DZ_TRACE_OFFSETS, and the default step of
 fd_derivative (1e-4) or fd_second_derivative (1e-3).
@@ -311,9 +313,10 @@ SECOND_DERIV_REL_TOL = 1e-3   # for the z=alpha family
 STENCIL_AGREEMENT_TOL = 1e-9
 
 
-def verify_second_derivative_example1(p: float) -> CheckReport:
-    """Second derivatives at a = 1 for the rank-1-vs-diagonal pair, by
-    fd_second_derivative's default step.
+def verify_second_derivative_example1(ps: Sequence[float]) -> list[CheckReport]:
+    """Second derivatives at a = 1 for the rank-1-vs-diagonal pair of each p,
+    by fd_second_derivative's default step: one report per p, from one
+    kernel call for every pair's stencil.
 
     The z=1 family must have curvature 0 (within 1e-3) and the z=alpha
     family curvature -(ln p - ln(1-p))^2 / 4 (within 1e-3 relative); each
@@ -322,23 +325,32 @@ def verify_second_derivative_example1(p: float) -> CheckReport:
     """
     from .states import example1_pair
 
-    rho, sigma = example1_pair(p)
-    tf = TraceFunctional(rho, sigma)
-    curvature_target = -0.25 * (math.log(p) - math.log(1.0 - p)) ** 2
-    names = list(FAMILIES)
+    ps = [float(p) for p in ps]
+    pairs = dv._prepare_pairs(example1_pair(p) for p in ps)
     gaps = []
 
     def both(a):
-        """The matrix pipeline, then the closed form, one column per family."""
+        """The matrix pipeline, then the closed form, one column per family:
+        (stencil points, pairs, 2 families x 2 routes)."""
         zs = _family_zs(a)
-        m = tf.pair.divergences(a[:, None], zs)
-        c = np.array([[example1_closed_form(p, x, z) for z in row]
+        m = np.moveaxis(dv.stacked_divergences(pairs, a[:, None], zs), 0, 1)
+        c = np.array([[[example1_closed_form(p, x, z) for z in row] for p in ps]
                       for x, row in zip(a.tolist(), zs.tolist())])
         gaps.append(np.abs(m - c).max(axis=0))
-        return np.concatenate([m, c], axis=1)
+        return np.concatenate([m, c], axis=2)
 
     d2 = fd_second_derivative(both, 1.0).tolist()
-    stencil_gaps = gaps[0].tolist()
+    return [_second_derivative_example1(p, row, stencil_gaps)
+            for p, row, stencil_gaps in zip(ps, d2, gaps[0].tolist())]
+
+
+def _second_derivative_example1(p: float, d2: list[float],
+                                stencil_gaps: list[float]) -> CheckReport:
+    """One pair's report of `verify_second_derivative_example1`, from its
+    second derivatives (matrix pipeline per family, then closed form per
+    family) and each family's largest stencil gap."""
+    curvature_target = -0.25 * (math.log(p) - math.log(1.0 - p)) ** 2
+    names = list(FAMILIES)
     stencil_gap = max(stencil_gaps)
     rows = []
     results = {}

@@ -45,8 +45,10 @@ T, the open points for D); a closed point's fault is no error.
 Every quantum value comes from a PreparedPair, which validates both
 operators as one stack in one pass, decomposes them with one `eigh` and
 carries every family as a method; each module function prepares one pair
-per call and calls one method. The trace functional T(a, z) is
-`prepare(rho, sigma).traces(alpha, z)`. `stacked_divergences`,
+per call and calls one method. `_prepare_pairs` prepares a family of pairs
+with one stack, one `eigh`, per dimension, equal to `prepare` of each. The
+trace functional T(a, z) is `prepare(rho, sigma).traces(alpha, z)`.
+`stacked_divergences`,
 `stacked_traces` and `stacked_mosonyi_ogawa` evaluate the same points on
 several prepared pairs of any dimensions with at most one SVD per dimension
 (and per self-check), working on the pairs of each dimension as one stack.
@@ -922,24 +924,15 @@ def _divergence_rows(pairs: list[PreparedPair], alphas: np.ndarray, zs: np.ndarr
     return values, t, closed, by_product
 
 
-def prepare(rho: np.ndarray, sigma: np.ndarray) -> PreparedPair:
-    """Validate and decompose a (rho, sigma) pair once, as one stack with one
-    `eigh`. The inner rank is rank rho under dominance, 0 for orthogonal
-    supports and rank sigma for a full-rank rho; otherwise it counts the
-    cosines between the supports whose square, a weight, exceeds eps.
-
-    rho must be a density operator (Hermitian, PSD, unit trace) and sigma a
-    nonzero PSD operator. When the stack fails (shapes differ or a check
-    fails), rho alone and then sigma alone are checked, so the error raised
-    is the first one of the per-operator order with its own message."""
-    try:
-        r, s = supports(np.array((rho, sigma), dtype=complex))
-        r, s = _density(r), _reference(s)
-    except (ValueError, TypeError):
-        r, s = _density(support(rho)), _reference(support(sigma))
-    if r.values.shape != s.values.shape:
-        raise ValueError(f"dimension mismatch: {r.vectors.shape} vs {s.vectors.shape}")
-    overlap = s.vectors.conj().T @ r.vectors
+def _paired(r: Spectrum, s: Spectrum, overlap: np.ndarray) -> PreparedPair:
+    """The PreparedPair of the spectra r of rho and s of sigma, of one
+    dimension, with their overlap W = V_sigma† U_rho: checks rho's unit
+    trace and sigma's nonzero rank, then gives weights = |W|^2, the support
+    relation and the inner rank. The inner rank is rank rho under
+    dominance, 0 for orthogonal supports and rank sigma for a full-rank
+    rho; otherwise it counts the cosines between the supports whose square,
+    a weight, exceeds eps."""
+    r, s = _density(r), _reference(s)
     weights = np.abs(overlap) ** 2
     dominated, orthogonal = support_relation(r, s, weights)
     if dominated or orthogonal or r.rank == r.values.size:
@@ -948,6 +941,49 @@ def prepare(rho: np.ndarray, sigma: np.ndarray) -> PreparedPair:
         cosines = np.linalg.svd(overlap[:s.rank, :r.rank], compute_uv=False)
         inner_rank = int(np.count_nonzero(cosines * cosines > s.eps))
     return PreparedPair(r, s, overlap, weights, dominated, orthogonal, inner_rank)
+
+
+def prepare(rho: np.ndarray, sigma: np.ndarray) -> PreparedPair:
+    """Validate and decompose a (rho, sigma) pair once, as one stack with one
+    `eigh`; `_paired` gives the pair from the two spectra.
+
+    rho must be a density operator (Hermitian, PSD, unit trace) and sigma a
+    nonzero PSD operator. When the stack fails (shapes differ or a check
+    fails), rho alone and then sigma alone are checked, so the error raised
+    is the first one of the per-operator order with its own message. Each
+    family of pairs that the suites check is prepared by `_prepare_pairs`,
+    whose pairs equal this function's field for field."""
+    try:
+        r, s = supports(np.array((rho, sigma), dtype=complex))
+    except (ValueError, TypeError):
+        r, s = _density(support(rho)), _reference(support(sigma))
+        if r.values.shape != s.values.shape:
+            raise ValueError(f"dimension mismatch: {r.vectors.shape} vs {s.vectors.shape}")
+    return _paired(r, s, s.vectors.conj().T @ r.vectors)
+
+
+def _prepare_pairs(pairs) -> list[PreparedPair]:
+    """`prepare` of each (rho, sigma) in `pairs`, in order, with the pairs of
+    each dimension validated and decomposed as one stack: one `supports`
+    call (one `eigh`, one cutoff read) and one batched product for the
+    overlaps. When a stack fails, every pair is prepared on its own in
+    order, so the first failing pair raises its own error."""
+    pairs = list(pairs)
+    out = [None] * len(pairs)
+    try:
+        groups: dict[tuple, list[int]] = {}
+        for i, (rho, _) in enumerate(pairs):
+            groups.setdefault(np.shape(rho), []).append(i)
+        for at in groups.values():
+            spectra = supports(np.array([op for i in at for op in pairs[i]], dtype=complex))
+            rhos, sigmas = spectra[::2], spectra[1::2]
+            overlaps = (np.array([s.vectors for s in sigmas]).conj().swapaxes(1, 2)
+                        @ np.array([r.vectors for r in rhos]))
+            for i, r, s, overlap in zip(at, rhos, sigmas, overlaps):
+                out[i] = _paired(r, s, overlap)
+    except (ValueError, TypeError):
+        return [prepare(rho, sigma) for rho, sigma in pairs]
+    return out
 
 
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> DivergenceValue:

@@ -143,20 +143,20 @@ class Spectrum:
         """Pinch A in this eigenbasis: sum_i P_i A P_i over the spectral
         projectors P_i (neighbouring eigenvalues closer than 1e-8 times the
         largest magnitude share a block). Trace preserving and Hermiticity
-        preserving."""
+        preserving. Computed as one product V (M ∘ V†AV) V†, where M is the
+        block mask: M_ij = 1 iff eigenvalues i and j share a block."""
         a = as_hermitian(a)
         if a.shape != self.vectors.shape:
             raise ValueError(f"dimension mismatch: {a.shape} vs {self.vectors.shape}")
         scale = max(float(np.abs(self.values).max()), 1e-300)
         cluster_tol = 1e-8 * scale
-        # eigenvalues are sorted descending; split where the gap exceeds tolerance
-        splits = np.nonzero(np.abs(np.diff(self.values)) > cluster_tol)[0] + 1
-        out = np.zeros_like(a)
-        for block in np.split(np.arange(self.values.size), splits):
-            u = self.vectors[:, block]
-            proj = u @ u.conj().T
-            out += proj @ a @ proj
-        return hermitian_part(out)
+        # eigenvalues are sorted descending; a new block starts where the gap
+        # exceeds tolerance, so each eigenvalue's block is the count of such gaps
+        # before it
+        blocks = np.concatenate(([0], np.cumsum(np.abs(np.diff(self.values)) > cluster_tol)))
+        adjoint = self.vectors.conj().T
+        in_basis = adjoint @ a @ self.vectors
+        return hermitian_part(self.vectors @ ((blocks[:, None] == blocks) * in_basis) @ adjoint)
 
 
 def supports(stack) -> list[Spectrum]:

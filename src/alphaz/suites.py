@@ -5,7 +5,12 @@ in `states`, so a given (suite, seeds) always produces the same reports.
 `run_suites` prepares the seeded pairs once per call and hands the same
 `TraceFunctional`s to every suite that checks them (limits, derivatives,
 monotonicity, dpi and invariants); those suites take them as their
-argument. Each pair family evaluates in one call on the kernel's pair
+argument. Every other pair family is prepared by
+`divergences._prepare_pairs`, which validates and decomposes the pairs of
+each dimension as one stack with one `eigh`: classical's commuting pairs,
+invariants' rotated, rescaled and (rho, rho) pairs, dpi's pinched images
+and example1's pairs, once for the second derivatives and once for the
+grid. Each pair family evaluates in one call on the kernel's pair
 axis, which takes pairs of any dimensions and works on the pairs of each
 dimension as one stack, with one `svd` per dimension: the limits,
 monotonicity and dT/dz checks one call for all seeded pairs and all of
@@ -15,8 +20,9 @@ pinched images at every alpha, with the self-checks of every value
 (`divergences.stacked_mosonyi_ogawa`); invariants all seeded pairs, each
 with its rotation, its rescaled reference and (rho, rho); classical its
 commuting pairs, whose worst rows it then finds in pair order; example1
-its three pairs on the alpha grid. A `verify --suite all --seeds 10` run
-makes 86 `eigh` and 51 `svd` calls.
+its three pairs on the alpha grid, after one call for the second
+derivatives of all three. A `verify --suite all --seeds 10` run makes 39
+`eigh` and 49 `svd` calls.
 """
 
 from __future__ import annotations
@@ -130,15 +136,16 @@ EXAMPLE1_GRID_TOL = 1e-10
 
 def suite_example1() -> list[CheckReport]:
     """Second-derivative split at a = 1 plus closed-form/pipeline agreement
-    for the rank-1-vs-diagonal pair family, whose three pairs are evaluated
-    on the alpha grid in one kernel call."""
+    for the rank-1-vs-diagonal pair family: two kernel calls, one for the
+    second-derivative stencils of the three pairs and one for the three
+    pairs on the alpha grid."""
     from .states import example1_pair
 
-    reports = [verify_second_derivative_example1(p) for p in EXAMPLE1_PS]
+    reports = verify_second_derivative_example1(EXAMPLE1_PS)
     rows = []
     worst = 0.0
     points = [(alpha, z) for alpha in EXAMPLE1_GRID_ALPHAS for z in (0.5, 1.0, alpha, 2.0, 5.0)]
-    grid = dv.stacked_divergences([dv.prepare(*example1_pair(p)) for p in EXAMPLE1_PS],
+    grid = dv.stacked_divergences(dv._prepare_pairs(example1_pair(p) for p in EXAMPLE1_PS),
                                   *zip(*points))
     for p, values in zip(EXAMPLE1_PS, grid.tolist()):
         for (alpha, z), value in zip(points, values):
@@ -161,12 +168,13 @@ DPI_SLACK = 1e-9
 def suite_dpi(tfs: SeededPairs) -> list[CheckReport]:
     """Sampled data-processing check for the piecewise divergence under
     pinching in the reference operator's eigenbasis; each pinched image is
-    prepared once, from the pair's own spectrum of sigma. The pairs and
+    made from the pair's own spectrum of sigma, and the images are prepared
+    as one stack per dimension. The pairs and
     their images are evaluated at every alpha in one kernel call, with the
     Petz and sandwiched self-checks of every value
     (`divergences.stacked_mosonyi_ogawa`)."""
-    pinched = [dv.prepare(tf.pair.sigma.pinch(tf.rho), tf.pair.sigma.pinch(tf.sigma))
-               for tf, _ in tfs]
+    pinched = dv._prepare_pairs((tf.pair.sigma.pinch(tf.rho), tf.pair.sigma.pinch(tf.sigma))
+                                for tf, _ in tfs)
     values = dv.stacked_mosonyi_ogawa([tf.pair for tf, _ in tfs] + pinched, DPI_ALPHAS)
     befores, afters = values[:len(tfs)].T.tolist(), values[len(tfs):].T.tolist()
     reports = []
@@ -194,9 +202,9 @@ COMMUTING_DIMS = (2, 3, 4, 5, 6, 7, 8)
 
 def suite_classical(n_pairs: int = 20) -> list[CheckReport]:
     """Commuting pairs must reduce to the classical Renyi sum (z-independent)
-    and the classical KL divergence. The pairs of every dimension are
-    evaluated in one kernel call; the worst rows are then found in pair
-    order."""
+    and the classical KL divergence. The pairs are prepared as one stack
+    per dimension and evaluated in one kernel call; the worst rows are
+    then found in pair order."""
     worst_renyi = 0.0
     worst_kl = 0.0
     renyi_rows = []
@@ -204,11 +212,12 @@ def suite_classical(n_pairs: int = 20) -> list[CheckReport]:
     points = [(alpha, z) for alpha in CLASSICAL_ALPHAS for z in CLASSICAL_ZS + (alpha,)]
     alphas, zs = zip(*points)
     dims = [COMMUTING_DIMS[k % len(COMMUTING_DIMS)] for k in range(n_pairs)]
-    pairs, classicals = [], []
+    operators, classicals = [], []
     for k, dim in enumerate(dims):
         rho, sigma, p, q = commuting_pair(dim, BASE_SEED + 1000 + k)
-        pairs.append(dv.prepare(rho, sigma))
+        operators.append((rho, sigma))
         classicals.append(dv.prepare_classical(p, q))
+    pairs = dv._prepare_pairs(operators)
     values = dv.stacked_divergences(pairs, alphas, zs)
     for k, (pair, classical, dim, row) in enumerate(zip(pairs, classicals, dims, values)):
         targets = {alpha: classical.renyi(alpha).value for alpha in CLASSICAL_ALPHAS}
@@ -251,7 +260,9 @@ INVARIANT_ZS = (0.5, 1.0, 2.0)
 
 def suite_invariants(tfs: SeededPairs) -> list[CheckReport]:
     """Structural invariants: unitary invariance, reference scaling,
-    self-divergence, and the infinity reason tags."""
+    self-divergence, and the infinity reason tags. Each pair's rotation,
+    rescaled reference and (rho, rho) are prepared as one stack per
+    dimension; the tag checks call the scalar API, one pair at a time."""
     from .states import random_unitary
 
     points = [(alpha, z) for alpha in INVARIANT_ALPHAS for z in INVARIANT_ZS + (alpha,)]
@@ -259,13 +270,17 @@ def suite_invariants(tfs: SeededPairs) -> list[CheckReport]:
     # per check: (worst residual, its row); the first pair always sets it
     worst = {"unitary": (-1.0, None), "scaling": (-1.0, None), "self": (-1.0, None)}
     scales = [0.25 + 1.5 * (k % 4) for k in range(len(tfs))]  # deterministic positive scales
-    family = []
+    variants = []
     for k, ((tf, _), c) in enumerate(zip(tfs, scales)):
         rho, sigma = tf.rho, tf.sigma
         u = random_unitary(rho.shape[0], BASE_SEED + 5000 + k)
-        # the pair, its rotation, its rescaled reference and (rho, rho)
-        family += [tf.pair, dv.prepare(u @ rho @ u.conj().T, u @ sigma @ u.conj().T),
-                   dv.prepare(rho, c * sigma), dv.prepare(rho, rho)]
+        # the pair's rotation, its rescaled reference and (rho, rho)
+        variants += [(u @ rho @ u.conj().T, u @ sigma @ u.conj().T), (rho, c * sigma),
+                     (rho, rho)]
+    variants = dv._prepare_pairs(variants)
+    family = []  # each pair beside its three variants
+    for k, (tf, _) in enumerate(tfs):
+        family += [tf.pair] + variants[3 * k:3 * k + 3]
     values = dv.stacked_divergences(family, alphas, zs).reshape(len(tfs), 4, len(points))
     for (tf, label), c, (base, rotated, scaled, self_values) in zip(tfs, scales, values):
         dim = tf.rho.shape[0]

@@ -210,7 +210,7 @@ class TestDerivativeAtOne:
 class TestSecondDerivativeExample1:
     @pytest.mark.parametrize("p", [0.1, 0.25, 0.4])
     def test_split_curvatures(self, p):
-        rep = verify_second_derivative_example1(p)
+        [rep] = verify_second_derivative_example1([p])
         assert rep.passed
         by_family = {r["family"]: r for r in rep.rows}
         assert by_family["z_equals_1"]["second_derivative_matrix"] == pytest.approx(
@@ -221,8 +221,16 @@ class TestSecondDerivativeExample1:
             pytest.approx(CURVATURES[p], rel=1e-3)
 
     def test_stencil_agreement(self):
-        rep = verify_second_derivative_example1(0.25)
+        [rep] = verify_second_derivative_example1([0.25])
         assert all(r["max_stencil_gap"] <= 1e-9 for r in rep.rows)
+
+    def test_one_call_equals_one_call_per_p(self):
+        # the three pairs share one kernel call; each report is the one its
+        # pair gives alone, in the order of ps
+        ps = [0.4, 0.1, 0.25]
+        together = verify_second_derivative_example1(ps)
+        alone = [verify_second_derivative_example1([p])[0] for p in ps]
+        assert [rep.to_dict() for rep in together] == [rep.to_dict() for rep in alone]
 
 
 class TestZMonotonicity:

@@ -1335,6 +1335,95 @@ class TestStackedPrepare:
         with pytest.raises(DomainError, match="trace 1, got nan"):
             dv._density(nan)
 
+    # `_prepare_pairs` prepares a family of pairs as one stack per dimension
+
+    @staticmethod
+    def _family():
+        """Pairs of interleaved dimensions 1..16 in every support class, with
+        a rank-deficient rho that sigma does not dominate (inner rank from
+        the cosine SVD), generic and with an exact zero cosine."""
+        pairs = []
+        for k, dim in enumerate([1, 16, 2, 9, 3, 16, 4, 2, 5, 8, 6, 3, 7, 12, 10, 4]):
+            rho, sigma = random_density(dim, 300 + k), random_reference(dim, 400 + k)
+            pairs.append((rho, sigma))
+            if dim == 1:
+                continue
+            rank = max(1, dim // 2)
+            for branch in ("dominating", "violating", "orthogonal"):
+                pairs.append(random_support_pair(dim, 500 + k, rank=rank, branch=branch))
+            rho_deficient = random_support_pair(dim, 600 + k, rank=rank)[0]
+            pairs.append((rho_deficient, random_support_pair(dim, 700 + k, rank=dim - 1)[1]))
+            commuting = commuting_pair(dim, 800 + k)
+            pairs += [commuting[:2], (rho, rho)]
+        # supports meeting in e0 only: one cosine 1, one exactly 0
+        pairs.append((np.diag([0.5, 0.5, 0.0]), np.diag([0.5, 0.0, 0.5])))
+        return pairs
+
+    @pytest.mark.parametrize("eps", [None, "1e-8"])
+    def test_pairs_equal_prepare(self, monkeypatch, eps):
+        if eps is None:
+            monkeypatch.delenv("RENYI_EPS", raising=False)
+        else:
+            monkeypatch.setenv("RENYI_EPS", eps)
+        pairs = self._family()
+        got = dv._prepare_pairs(pairs)
+        assert len(got) == len(pairs)
+        classes = set()
+        for (rho, sigma), pair in zip(pairs, got):
+            want = dv.prepare(rho, sigma)
+            _same_spectrum(pair.rho, want.rho)
+            _same_spectrum(pair.sigma, want.sigma)
+            for field in ("overlap", "weights", "dominated", "orthogonal", "inner_rank"):
+                assert np.array_equal(getattr(pair, field), getattr(want, field)), field
+            classes.add((pair.dominated, pair.orthogonal, pair.rho.rank < rho.shape[0]))
+        # dominated, orthogonal, full-rank violating, and the cosine SVD
+        assert {(True, False, False), (False, True, True), (False, False, False),
+                (False, False, True)} <= classes
+        assert dv._prepare_pairs(pairs[-1:])[0].inner_rank == 1
+
+    def test_one_eigh_and_one_cutoff_read_per_dimension(self, monkeypatch):
+        from alphaz import linalg
+
+        calls = {"eigh": 0, "cutoff": 0}
+        eigh, cutoff = np.linalg.eigh, linalg.zero_cutoff
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: calls.__setitem__("eigh", calls["eigh"] + 1) or eigh(a))
+        monkeypatch.setattr(linalg, "zero_cutoff",
+                            lambda: calls.__setitem__("cutoff", calls["cutoff"] + 1) or cutoff())
+        pairs = self._family()
+        dv._prepare_pairs(pairs)
+        dims = {rho.shape[0] for rho, _ in pairs}
+        assert calls == {"eigh": len(dims), "cutoff": len(dims)}
+
+    def test_first_failing_pair_raises_its_own_error(self):
+        not_psd = (np.diag([1.5, -0.5]), np.eye(2))
+        trace_two = (np.diag([1.0, 0.5, 0.5]), np.eye(3))
+        zero_sigma = (np.eye(2) / 2, np.zeros((2, 2)))
+        good = (random_density(2, 1), random_reference(2, 2))
+        failing = [not_psd, trace_two, zero_sigma]
+        messages = ["operator is not PSD: eigenvalue -5.000000e-01",
+                    "density operator must have trace 1, got 2.0",
+                    "reference operator must be nonzero"]
+        for k, (kind, message) in enumerate(zip([NotPSDError, DomainError, DomainError],
+                                                messages)):
+            with pytest.raises(kind) as exc:
+                dv.prepare(*failing[k])
+            assert str(exc.value) == message
+            with pytest.raises(kind) as exc:
+                dv._prepare_pairs([good] + failing[k:] + [good])
+            assert type(exc.value) is kind and str(exc.value) == message
+
+    def test_dimension_mismatch(self):
+        pairs = [(random_density(2, 1), random_reference(2, 2)),
+                 (np.eye(3) / 3, np.eye(2))]
+        with pytest.raises(ValueError) as exc:
+            dv._prepare_pairs(pairs)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "dimension mismatch: (3, 3) vs (2, 2)"
+
+    def test_no_pairs(self):
+        assert dv._prepare_pairs([]) == []
+
 
 @functools.lru_cache(maxsize=None)
 def _oracle_pair(rho: bytes, sigma: bytes, dim: int, dps: int):
@@ -1646,7 +1735,7 @@ class TestDecompositionCounts:
         from alphaz.suites import run_suites
 
         eigh, svd = counts(lambda: run_suites(["all"], 10))
-        assert eigh <= 86 and svd <= 51
+        assert eigh <= 39 and svd <= 49
 
     @pytest.mark.parametrize("name, svd", [("limits", 5), ("monotonicity", 5),
                                            ("derivatives", 10)])
@@ -1659,7 +1748,7 @@ class TestDecompositionCounts:
         assert counts(lambda: run_suites([name], 10)) == (10, svd)
 
     @pytest.mark.parametrize("name, svd", [("invariants", 5), ("classical", 7),
-                                           ("example1", 4)])
+                                           ("example1", 2)])
     def test_stacked_suites_one_kernel_call_per_family(self, counts, name, svd):
         from alphaz.suites import run_suites
 
@@ -1667,24 +1756,28 @@ class TestDecompositionCounts:
         # invariants for the seeded pairs of 5 dimensions, each with its
         # rotation, its rescaled reference and (rho, rho); classical for its
         # commuting pairs of 7 dimensions; example1 for its grid of three
-        # d = 2 pairs, after one svd per pair for the second derivatives
+        # d = 2 pairs, after one for the second derivatives of the three
         assert counts(lambda: run_suites([name], 10))[1] == svd
 
     def test_dpi_suite_prepares_each_pair_once(self, counts):
         from alphaz.suites import run_suites
 
-        # 10 pairs: one prepare eigh for the pair and one for its pinched
-        # image (pinching reuses the pair's spectrum of sigma); then, per
-        # dimension (5), one kernel svd for the 20 pairs' SVD-route values,
-        # one for the Petz self-check of the product-route values and one
-        # for the sandwiched self-check's factors
+        # one prepare eigh for each of the 10 pairs, and one per dimension
+        # (5) for the pinched images, which are prepared as one stack per
+        # dimension (pinching reuses the pair's spectrum of sigma); then, per
+        # dimension, one kernel svd for the 20 pairs' SVD-route values, one
+        # for the Petz self-check of the product-route values and one for
+        # the sandwiched self-check's factors
         eigh, svd = counts(lambda: run_suites(["dpi"], 10))
-        assert eigh <= 20 and svd <= 15
+        assert eigh <= 15 and svd <= 15
 
-    @pytest.mark.parametrize("name, eigh", [("classical", 20), ("example1", 6)])
+    @pytest.mark.parametrize("name, eigh", [("classical", 7), ("example1", 2)])
     def test_unseeded_suites_prepare_no_seeded_pair(self, counts, name, eigh):
         from alphaz.suites import run_suites
 
+        # one eigh per dimension of each family: classical's commuting pairs
+        # have 7; example1's three d = 2 pairs are prepared once for the
+        # second derivatives and once for the grid
         assert counts(lambda: run_suites([name], 10))[0] == eigh
 
     def test_no_state_between_calls(self, counts):

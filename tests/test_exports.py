@@ -58,7 +58,7 @@ def test_derivative_check_has_no_family_parameter():
 # the offset ladders and finite-difference steps are module constants
 @pytest.mark.parametrize("function, params", [
     (alphaz.verify_curve_limits, ["tfs", "curves", "bias"]),
-    (alphaz.verify_second_derivative_example1, ["p"]),
+    (alphaz.verify_second_derivative_example1, ["ps"]),
     (alphaz.verify_dz_trace_vanishes, ["tfs", "z0s"]),
 ], ids=["limits", "second_derivative", "dz_trace"])
 def test_verification_has_no_offset_or_step_parameter(function, params):

@@ -231,6 +231,44 @@ class TestSpectrumPinch:
             spectrum.pinch(np.triu(np.ones((3, 3))))
 
 
+def _block_loop_pinch(spectrum, a):
+    """The reference pinch: sum over the blocks of P A P, with P the block's
+    projector and the blocks of `Spectrum.pinch`'s clustering rule."""
+    tol = 1e-8 * max(float(np.abs(spectrum.values).max()), 1e-300)
+    splits = np.nonzero(np.abs(np.diff(spectrum.values)) > tol)[0] + 1
+    out = np.zeros_like(a, dtype=complex)
+    for block in np.split(np.arange(spectrum.values.size), splits):
+        u = spectrum.vectors[:, block]
+        proj = u @ u.conj().T
+        out += proj @ a @ proj
+    return hermitian_part(out)
+
+
+class TestPinchOneProduct:
+    """`Spectrum.pinch` as one product V (M ∘ V†AV) V† equals the loop over
+    the eigenvalue blocks."""
+
+    @pytest.mark.parametrize("seed", [3, 17, 29])
+    @pytest.mark.parametrize("repeated", [False, True])
+    def test_equals_block_loop(self, seed, repeated):
+        if repeated:
+            # blocks of 3 and 2 repeated eigenvalues beside a simple one, in
+            # a random basis, with round-off in the repeated eigenvalues
+            u = random_unitary(6, seed)
+            sigma = hermitian_part((u * [0.3, 0.3, 0.3, 0.1, 0.1, 0.2]) @ u.conj().T)
+        else:
+            sigma = random_reference(6, seed)
+        spectrum = support(sigma)
+        blocks = 1 + int(np.count_nonzero(
+            np.abs(np.diff(spectrum.values)) > 1e-8 * spectrum.values[0]))
+        assert blocks == (3 if repeated else 6)
+        a = random_density(6, seed + 1)
+        got = spectrum.pinch(a)
+        assert max_abs(got - _block_loop_pinch(spectrum, a)) <= 1e-14
+        assert max_abs(got - got.conj().T) == 0.0
+        assert abs(np.trace(got) - np.trace(a)) <= 1e-14
+
+
 class TestCutoffOverride:
     def test_default(self):
         assert zero_cutoff() == 1e-12
