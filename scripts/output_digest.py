@@ -27,9 +27,12 @@ rank-deficient pair whose grid has an undefined point and an underflowing
 one, in both orders (exit 3, the undefined point named), a sweep of 10^11
 points (exit 2, beyond the point limit), and `compute` on seeded pair 4 at
 (alpha, z) = (3, 0.05) and (3, -0.5), where the SVD route's G is graded with
-its small rows or columns first. In a command,
-{in} is a directory of input matrix files the script writes first, and
-{out} a fresh empty directory.
+its small rows or columns first. Last come `compute` points of a
+near-orthogonal pair, whose cosines between the supports square to 8e-13,
+below the cutoff, while rho's weight on supp sigma exceeds rho's zero
+threshold: alpha-z (z = 1), Petz and piecewise at alpha = 0.5 and 2. In a
+command, {in} is a directory of input matrix files the script writes first,
+and {out} a fresh empty directory.
 """
 
 import argparse
@@ -45,8 +48,20 @@ import warnings
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
+
 from alphaz import cli
+from alphaz.matrixio import matrix_to_json
 from alphaz.suites import SUITE_NAMES
+
+
+def _near_orthogonal() -> tuple[np.ndarray, np.ndarray]:
+    """rho, the even mixture of (d, 0, c, 0) and (0, d, 0, c) with
+    d^2 = 8e-13 and c^2 = 1 - d^2, and sigma = diag(1/2, 1/2, 0, 0)."""
+    d, c = np.sqrt(0.8e-12), np.sqrt(1.0 - 0.8e-12)
+    v = np.array([[d, 0.0, c, 0.0], [0.0, d, 0.0, c]])
+    return v.T @ v / 2.0, np.diag([0.5, 0.5, 0.0, 0.0])
+
 
 # matrix files written into {in}: a valid 1 x 1 density and three mistyped dims
 INPUTS = {
@@ -55,6 +70,9 @@ INPUTS = {
     "dim-fraction.json": '{"dim": 1.9, "entries": [[[1, 0]]]}',
     "dim-string.json": '{"dim": "1", "entries": [[[1, 0]]]}',
 }
+# the near-orthogonal pair's two operators, also written into {in}
+NEAR_ORTHOGONAL = {f"near-orthogonal-{role}.json": json.dumps(matrix_to_json(a))
+                   for role, a in zip(("rho", "sigma"), _near_orthogonal())}
 
 D4 = ("--rho '{\"generator\": \"density\", \"seed\": 3, \"dim\": 4}' "
       "--sigma '{\"generator\": \"reference\", \"seed\": 4, \"dim\": 4}'")
@@ -150,6 +168,12 @@ def commands() -> list[tuple[dict, str]]:
         out.append(({}, f"compute {pair4} --alpha 3 --z {z}"))
     # a verify run beyond the CLI's seed limit, rejected before any pair is built
     out.append(({}, "verify --suite all --seeds 1000000000"))
+    # supports whose cosines all fall below the cutoff are orthogonal, even
+    # where rho's weight on supp sigma does not count as zero
+    near = "--rho {in}/near-orthogonal-rho.json --sigma {in}/near-orthogonal-sigma.json"
+    for family, z in (("alphaz", " --z 1"), ("petz", ""), ("mo", "")):
+        for alpha in ("0.5", "2"):
+            out.append(({}, f"compute {near} --family {family} --alpha {alpha}{z}"))
     return out
 
 
@@ -181,7 +205,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         inputs = Path(tmp, "in")
         inputs.mkdir()
-        for name, text in INPUTS.items():
+        for name, text in {**INPUTS, **NEAR_ORTHOGONAL}.items():
             (inputs / name).write_text(text + "\n")
         for i, (env, line) in enumerate(commands()):
             out_dir = Path(tmp, f"out{i}")

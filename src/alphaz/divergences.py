@@ -56,13 +56,12 @@ several prepared pairs of any dimensions with at most one SVD per dimension
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DomainError, Spectrum, hermitian_part, support, support_relation, supports
+from .linalg import DomainError, Spectrum, hermitian_part, support, supports
 
 INFINITY_SUPPORT = "support_violation"
 INFINITY_ORTHOGONAL = "orthogonal_states"
@@ -349,9 +348,10 @@ def _power(base: np.ndarray, exponents: np.ndarray) -> np.ndarray:
 class PreparedPair:
     """A validated (rho, sigma) pair, decomposed once: the two spectra, the
     overlap W = V_sigma† U_rho of their eigenvectors, weights = |W|^2, the
-    support relation of `linalg.support_relation`, and the inner rank: the
-    rank of the supp sigma x supp rho block of W, which every inner operator
-    sigma^e rho^f sigma^e of the pair shares.
+    support relation and the inner rank: the rank of the supp sigma x supp
+    rho block of W, which every inner operator sigma^e rho^f sigma^e of the
+    pair shares. `_paired` decides dominance, orthogonality and the inner
+    rank together; `orthogonal` is true iff the inner rank is 0.
 
     Every entry point asks `_route` which way each point goes, and the
     route steps (`_factor`, `_power_sums`, `_trace_sums`) compute values and
@@ -448,25 +448,6 @@ class PreparedPair:
         g = s_pow[rows, None] * self.overlap[rows, cols]
         g *= r_pow[cols]
         return g, 0
-
-    @functools.cached_property
-    def _stack(self) -> "_Stack":
-        """This pair as a one-pair `_Stack`, built at its first stacked call
-        (assigned in place: a few numpy calls cost less than one np.stack)."""
-        dim, w = self.rho.values.size, self.overlap
-        values, masks = np.array((self.sigma.values, self.rho.values)), None
-        if self.sigma.rank < dim or self.rho.rank < dim:
-            support = np.arange(dim) < np.array([[self.sigma.rank], [self.rho.rank]])
-            values[~support] = 1.0
-            masks = np.empty((1, 2, 2, dim))
-            masks[0, :, 0], masks[0, :, 1] = support, support[:, ::-1]
-        bases = np.empty((1, 2, 2, dim))
-        bases[0, :, 0], bases[0, :, 1] = values, values[:, ::-1]
-        orientations = np.empty((4, dim, dim), dtype=complex)
-        orientations[0], orientations[1], orientations[2], orientations[3] = (
-            w, w[:, ::-1], w[::-1], w[::-1, ::-1])
-        return _Stack([self], self._flags, np.array([self.inner_rank]), bases, masks,
-                      orientations)
 
     def _trace_sums(self, singular, zs):
         """T from the singular values of G at points without a fault, one
@@ -638,39 +619,41 @@ class PreparedPair:
 
 class _Stack:
     """The pairs of one dimension in a kernel call, laid out along a pair
-    axis: their support flags (`PreparedPair._flags`: a bool where the
-    pairs share it, else a column of bools) and inner ranks; per pair, the
-    eigenvalues of sigma and rho in both orders with the kernel entries set
-    to 1, indexed [pair, sigma 0 or rho 1, reversed 0 or 1, entry], and the
-    support masks that zero those entries' powers (None where every
-    operator has full rank); and W, then W with its columns, its rows and
-    both reversed (`orientations`, index 4 per pair, 2 for rows and 1 for
-    columns). Each kernel step runs on these once for all the rows, one row
-    per pair and point, of the stack. Every step is elementwise, per row or
-    per matrix, so a pair's rows come out as they would in a stack of its
-    own."""
+    axis when the call builds the stack: their support flags
+    (`PreparedPair._flags`: a bool where the pairs share it, else a column
+    of bools) and inner ranks; per pair, the eigenvalues of sigma and rho in
+    both orders with the kernel entries set to 1, indexed [pair, sigma 0 or
+    rho 1, reversed 0 or 1, entry], and the support masks that zero those
+    entries' powers (None where every operator has full rank); and W, then W
+    with its columns, its rows and both reversed (`orientations`, index 4
+    per pair, 2 for rows and 1 for columns). Each array is allocated once
+    and filled for all the pairs; nothing is cached on a pair. Each kernel
+    step runs on these once for all the rows, one row per pair and point, of
+    the stack. Every step is elementwise, per row or per matrix, so a pair's
+    rows come out as they would in a stack of its own."""
 
-    def __init__(self, pairs, flags, inner_ranks, bases, masks, orientations):
-        self.pairs, self.flags, self.inner_ranks = pairs, flags, inner_ranks
-        self.bases, self.masks, self.orientations = bases, masks, orientations
-
-    @classmethod
-    def of(cls, pairs: list[PreparedPair]) -> "_Stack":
-        """The stack of pairs of one dimension, joined from their one-pair
-        stacks (`PreparedPair._stack`)."""
-        if len(pairs) == 1:
-            return pairs[0]._stack
-        stacks = [pair._stack for pair in pairs]
-        flags = tuple(column[0] if len(set(column)) == 1 else np.array(column)[:, None]
-                      for column in zip(*(stack.flags for stack in stacks)))
-        masks = None
-        if any(stack.masks is not None for stack in stacks):
-            masks = np.concatenate([np.ones_like(stack.bases) if stack.masks is None
-                                    else stack.masks for stack in stacks])
-        return cls(pairs, flags,
-                   np.concatenate([stack.inner_ranks for stack in stacks]),
-                   np.concatenate([stack.bases for stack in stacks]), masks,
-                   np.concatenate([stack.orientations for stack in stacks]))
+    def __init__(self, pairs: list[PreparedPair]):
+        self.pairs, count, dim = pairs, len(pairs), pairs[0].rho.values.size
+        self.flags = tuple(column[0] if len(set(column)) == 1 else np.array(column)[:, None]
+                           for column in zip(*(pair._flags for pair in pairs)))
+        self.inner_ranks = np.array([pair.inner_rank for pair in pairs])
+        self.bases, self.masks = np.empty((count, 2, 2, dim)), None
+        values = self.bases[:, :, 0]  # a view: the eigenvalues in their own order
+        values[:, 0] = [pair.sigma.values for pair in pairs]
+        values[:, 1] = [pair.rho.values for pair in pairs]
+        if any(pair.sigma.rank < dim or pair.rho.rank < dim for pair in pairs):
+            ranks = np.array([(pair.sigma.rank, pair.rho.rank) for pair in pairs])
+            support = np.arange(dim) < ranks[:, :, None]
+            values[~support] = 1.0
+            self.masks = np.empty((count, 2, 2, dim))
+            self.masks[:, :, 0], self.masks[:, :, 1] = support, support[..., ::-1]
+        self.bases[:, :, 1] = values[..., ::-1]
+        orientations = np.empty((count, 4, dim, dim), dtype=complex)
+        w = orientations[:, 0]  # a view: W as it is
+        w[...] = [pair.overlap for pair in pairs]
+        orientations[:, 1], orientations[:, 2], orientations[:, 3] = (
+            w[..., ::-1], w[:, ::-1], w[:, ::-1, ::-1])
+        self.orientations = orientations.reshape(4 * count, dim, dim)
 
     def _powers(self, pi, side: int, order, exponents) -> np.ndarray:
         """The generalized powers of operator `side` (0 sigma, 1 rho) of
@@ -821,9 +804,9 @@ def _stacked_traces(pairs: list[PreparedPair], alphas: np.ndarray, zs: np.ndarra
     """The closed points of `_route`, T, the fault codes and the points
     whose T came from the product route, at 1-d arrays of N points for P
     pairs of any dimensions, each of shape (P, N). The pairs of each
-    dimension, in the order in which the dimensions first appear, go
-    through one `_Stack`: its route, powers, G (at the defined points
-    only), product-route k-groups (`_power_sums`) and trace sums
+    dimension, in the order in which the dimensions first appear, are laid
+    out as one `_Stack` for this call: its route, powers, G (at the defined
+    points only), product-route k-groups (`_power_sums`) and trace sums
     (`_trace_sums`, per inner rank) each run once for all of its pairs, with
     one SVD of the stack for the rows without a fault that the product route
     did not settle, none where there are no such rows. This is the one place
@@ -833,12 +816,12 @@ def _stacked_traces(pairs: list[PreparedPair], alphas: np.ndarray, zs: np.ndarra
     not depend on the other pairs of the call."""
     stacks = _by_dimension(pairs)
     if len(stacks) == 1:
-        return _Stack.of(pairs).traces(alphas, zs)
+        return _Stack(pairs).traces(alphas, zs)
     shape = (len(pairs), alphas.size)
     out = (np.empty(shape, dtype=bool), np.empty(shape), np.empty(shape, dtype=int),
            np.empty(shape, dtype=bool))
     for members in stacks:
-        for whole, part in zip(out, _Stack.of([pairs[p] for p in members]).traces(alphas, zs)):
+        for whole, part in zip(out, _Stack([pairs[p] for p in members]).traces(alphas, zs)):
             whole[members] = part
     return out
 
@@ -890,7 +873,7 @@ def stacked_mosonyi_ogawa(pairs, alphas) -> np.ndarray:
     values, _, closed, by_product = _divergence_rows(pairs, a, z)
     checked = np.full(values.shape, math.nan)
     for members in _by_dimension(pairs):
-        checked[members] = _Stack.of([pairs[p] for p in members]).dual_traces(
+        checked[members] = _Stack([pairs[p] for p in members]).dual_traces(
             a, z, closed[members], by_product[members])
     with np.errstate(divide="ignore", invalid="ignore"):
         direct = np.log(checked) / (a - 1.0)
@@ -927,20 +910,31 @@ def _divergence_rows(pairs: list[PreparedPair], alphas: np.ndarray, zs: np.ndarr
 def _paired(r: Spectrum, s: Spectrum, overlap: np.ndarray) -> PreparedPair:
     """The PreparedPair of the spectra r of rho and s of sigma, of one
     dimension, with their overlap W = V_sigma† U_rho: checks rho's unit
-    trace and sigma's nonzero rank, then gives weights = |W|^2, the support
-    relation and the inner rank. The inner rank is rank rho under
-    dominance, 0 for orthogonal supports and rank sigma for a full-rank
-    rho; otherwise it counts the cosines between the supports whose square,
-    a weight, exceeds eps."""
+    trace and sigma's nonzero rank, then gives weights = |W|^2 and decides
+    the support relation; no other code does. rho's weight on a set J of
+    sigma's eigenvectors is the sum of r_i weights[j, i] over j in J and i
+    in supp rho, and, as with rank, it counts as zero iff it is <= rho's
+    threshold. sigma dominates rho iff rho's weight on ker sigma is zero. The inner rank is
+    rank rho under dominance; 0 where rho's weight on supp sigma is zero;
+    rank sigma for a full-rank rho; and otherwise the number of cosines
+    between the supports (the singular values of the supp sigma x supp rho
+    block of W) whose square exceeds eps. The supports are orthogonal iff
+    the inner rank is 0, which also covers supports whose cosines are all
+    too small to count while rho's weight on supp sigma is not zero."""
     r, s = _density(r), _reference(s)
     weights = np.abs(overlap) ** 2
-    dominated, orthogonal = support_relation(r, s, weights)
-    if dominated or orthogonal or r.rank == r.values.size:
-        inner_rank = r.rank if dominated else 0 if orthogonal else s.rank
+    mass = weights[:, :r.rank] @ r.values[:r.rank]
+    dominated = float(mass[s.rank:].sum()) <= r.threshold
+    if dominated:
+        inner_rank = r.rank
+    elif float(mass[:s.rank].sum()) <= r.threshold:
+        inner_rank = 0
+    elif r.rank == r.values.size:
+        inner_rank = s.rank
     else:
         cosines = np.linalg.svd(overlap[:s.rank, :r.rank], compute_uv=False)
         inner_rank = int(np.count_nonzero(cosines * cosines > s.eps))
-    return PreparedPair(r, s, overlap, weights, dominated, orthogonal, inner_rank)
+    return PreparedPair(r, s, overlap, weights, dominated, inner_rank == 0, inner_rank)
 
 
 def prepare(rho: np.ndarray, sigma: np.ndarray) -> PreparedPair:

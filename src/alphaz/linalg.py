@@ -193,17 +193,3 @@ def support(a: np.ndarray) -> Spectrum:
     describe its support; the one-operator case of `supports`."""
     return supports(_square(a)[None])[0]
 
-
-def support_relation(rho: Spectrum, sigma: Spectrum,
-                     weights: np.ndarray) -> tuple[bool, bool]:
-    """(dominated, orthogonal) for PSD spectra, where
-    weights[j, i] = |<v_j|u_i>|^2 for the eigenvectors v of sigma and u of rho.
-
-    rho's weight on a subspace is sum r_i weights[j, i] over i in supp rho
-    and j spanning the subspace. As with rank, it counts as zero iff it is
-    <= rho.threshold: sigma dominates rho iff the weight on ker sigma is
-    zero, and the supports are orthogonal iff the weight on supp sigma is.
-    """
-    mass = weights[:, :rho.rank] @ rho.values[:rho.rank]
-    return (float(mass[sigma.rank:].sum()) <= rho.threshold,
-            float(mass[:sigma.rank].sum()) <= rho.threshold)

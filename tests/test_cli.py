@@ -10,7 +10,7 @@ import pytest
 from alphaz.matrixio import dump_matrix, load_matrix
 from alphaz.states import random_density, random_support_pair
 
-from conftest import max_abs
+from conftest import max_abs, near_orthogonal_pair
 
 
 def run_cli(*args, env_extra=None):
@@ -51,6 +51,24 @@ class TestCompute:
         out = run_cli("compute", "--rho", str(rho_p), "--sigma", str(sigma_p),
                       "--alpha", "0.5", "--z", "1")
         assert out.stdout.strip() == "inf orthogonal_states"
+
+    @pytest.mark.parametrize("family", ["alphaz", "petz", "mo"])
+    def test_near_orthogonal_supports_are_orthogonal(self, tmp_path, capsys, family):
+        from alphaz import cli
+
+        # each cosine between the supports squares to 8e-13, below eps, and
+        # so does rho's weight on supp sigma, above rho's zero threshold;
+        # this pair once exited 4 with "trace functional collapsed to 0.0"
+        rho, sigma = near_orthogonal_pair(0.8e-12)
+        rho_p, sigma_p = tmp_path / "rho.json", tmp_path / "sigma.json"
+        dump_matrix(rho, rho_p)
+        dump_matrix(sigma, sigma_p)
+        z = ["--z", "1"] if family == "alphaz" else []
+        for alpha, expected in (("0.5", "inf orthogonal_states"), ("2", "inf support_violation")):
+            code = cli.main(["compute", "--rho", str(rho_p), "--sigma", str(sigma_p),
+                             "--family", family, "--alpha", alpha, *z])
+            out = capsys.readouterr()
+            assert (code, out.out.strip(), out.err) == (0, expected, "")
 
     def test_bits_is_nats_over_ln2(self):
         nats = float(run_cli("compute", "--example1", "0.25", "--alpha", "2",

@@ -26,7 +26,7 @@ from alphaz.states import (
     random_unitary,
 )
 
-from conftest import max_abs
+from conftest import max_abs, near_orthogonal_pair
 
 # frozen oracle values (direct summation / hand-derived closed forms)
 LN2 = 0.6931471805599453
@@ -625,6 +625,35 @@ class TestInnerRank:
         target = classical_renyi(p, q, 0.5).value
         for z in (0.25, 0.5, 2.0):
             assert abs(alpha_z_divergence(rho, sigma, 0.5, z).value - target) <= 1e-10
+
+
+class TestNearOrthogonalSupports:
+    # rho's weight on supp sigma, 8e-13, exceeds rho's zero threshold of
+    # 5e-13, while each cosine between the supports squares to 8e-13, below
+    # eps: the inner rank is 0, so the supports are orthogonal. Once the
+    # weight alone decided orthogonality, and alpha < 1 reached the SVD
+    # route with no singular value kept: "trace functional collapsed to 0.0"
+    RHO, SIGMA = near_orthogonal_pair(0.8e-12)
+
+    def test_inner_rank_zero_is_orthogonal(self):
+        pair = dv.prepare(self.RHO, self.SIGMA)
+        weight = float(pair.weights[:2, :2].sum(axis=0) @ pair.rho.values[:2])
+        assert weight > pair.rho.threshold
+        assert (pair.dominated, pair.orthogonal, pair.inner_rank) == (False, True, 0)
+
+    @pytest.mark.parametrize("family", ["alphaz", "petz", "sandwiched", "mo"])
+    def test_infinite_on_both_sides_of_one(self, family):
+        pair = dv.prepare(self.RHO, self.SIGMA)
+        method = {"alphaz": lambda a: pair.divergence(a, 1.0), "petz": pair.petz,
+                  "sandwiched": pair.sandwiched, "mo": pair.mosonyi_ogawa}[family]
+        assert method(0.5) == DivergenceValue.infinite(dv.INFINITY_ORTHOGONAL)
+        assert method(2.0) == DivergenceValue.infinite(dv.INFINITY_SUPPORT)
+        assert alpha_z_divergence(self.RHO, self.SIGMA, 0.5, 1.0) == method(0.5)
+
+    def test_stacked_calls(self):
+        pair = dv.prepare(self.RHO, self.SIGMA)
+        assert pair.divergences([0.5, 2.0], 1.0).tolist() == [math.inf, math.inf]
+        assert dv.stacked_mosonyi_ogawa([pair], [0.5, 2.0]).tolist() == [[math.inf, math.inf]]
 
 
 class TestBatchedKernel:
@@ -1548,7 +1577,7 @@ def _stack_factors(pair, e_sigma, e_rho):
     """The stacked kernel's G of one pair at every point of the exponent
     rows, and its overflow rows (`_Stack._factors`)."""
     n = e_sigma.size
-    return pair._stack._factors(np.zeros(n, dtype=np.intp), np.arange(n), e_sigma, e_rho)
+    return dv._Stack([pair])._factors(np.zeros(n, dtype=np.intp), np.arange(n), e_sigma, e_rho)
 
 
 class TestFactorOrder:

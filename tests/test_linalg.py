@@ -104,7 +104,7 @@ class TestSupport:
 
 
 class TestSupportRelations:
-    # the relation support_relation decides, as a prepared pair records it
+    # the support relation `divergences._paired` decides, as a prepared pair records it
     def test_full_rank_dominates(self):
         rho = random_density(3, 5)
         assert prepare(rho, np.eye(3)).dominated
