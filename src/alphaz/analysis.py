@@ -26,6 +26,12 @@ Their offset ladders and finite-difference steps are module constants, not
 options: LIMIT_OFFSETS, DZ_TRACE_OFFSETS, and the default step of
 fd_derivative (1e-4) or fd_second_derivative (1e-3).
 
+Every check, here and in `suites`, picks its worst residual and row by one
+rule, `_worst`: the largest residual, the first of them in row-major
+(pair, point) order, with a NaN counting as the largest. So a NaN residual
+fails its check and is the residual, and the row, it reports; a limit curve
+whose ladder holds a NaN error anywhere fails with that NaN.
+
 `sweep` maps an (alpha, z) grid to the arrays of D and T that `alphaz
 sweep` writes as CSV; the CLI and the alpha-monotonicity scan both call it.
 """
@@ -40,6 +46,17 @@ import numpy as np
 
 from . import divergences as dv
 from .linalg import DomainError
+
+
+def _worst(residuals) -> tuple[float, int]:
+    """The largest of the residuals, an array or a nested sequence of
+    floats, and the index of its first occurrence in their row-major
+    (pair, point) order. A NaN counts as the largest, as in numpy's argmax,
+    so a NaN residual is the one a check reports, and fails it. Every check
+    picks its worst residual and row here."""
+    residuals = np.asarray(residuals, dtype=float)
+    i = int(np.argmax(residuals))
+    return float(residuals.flat[i]), i
 
 
 def _samples(f: Callable[[np.ndarray], np.ndarray], x0, offsets: tuple[float, ...]
@@ -215,7 +232,9 @@ def _curve_limits(target: float, curves: Sequence[CurveSpec], alphas: list[float
                 for alpha, z, d in zip(alphas, z_row, d_row)]
         errors = {+1: [r["error"] for r in rows[:n]],
                   -1: [r["error"] for r in rows[n:]]}
-        final_err = max(errors[+1][-1], errors[-1][-1])
+        # the error at the tightest offsets; a NaN anywhere on the ladder wins
+        final_err, _ = _worst([errors[+1][-1], errors[-1][-1]]
+                              + [r["error"] for r in rows if math.isnan(r["error"])])
         trend_ok = True
         for side in (+1, -1):
             tail = errors[side][-5:-1]  # the last three dyadic refinement steps
@@ -274,7 +293,7 @@ def _derivative_at_one(target: float, slopes: dict[str, float]) -> CheckReport:
             "half_variance": target,
             "rel_error": abs(slope - target) / denom,
         })
-    max_rel = max(r["rel_error"] for r in rows)
+    max_rel, _ = _worst([r["rel_error"] for r in rows])
     cross = abs(slopes["z_equals_1"] - slopes["z_equals_alpha"])
     passed = (
         max_rel <= DERIVATIVE_REL_TOL
@@ -336,22 +355,22 @@ def verify_second_derivative_example1(ps: Sequence[float]) -> list[CheckReport]:
         m = np.moveaxis(dv.stacked_divergences(pairs, a[:, None], zs), 0, 1)
         c = np.array([[[example1_closed_form(p, x, z) for z in row] for p in ps]
                       for x, row in zip(a.tolist(), zs.tolist())])
-        gaps.append(np.abs(m - c).max(axis=0))
+        gaps.append(np.abs(m - c))
         return np.concatenate([m, c], axis=2)
 
     d2 = fd_second_derivative(both, 1.0).tolist()
     return [_second_derivative_example1(p, row, stencil_gaps)
-            for p, row, stencil_gaps in zip(ps, d2, gaps[0].tolist())]
+            for p, row, stencil_gaps in zip(ps, d2, np.moveaxis(gaps[0], 1, 0).tolist())]
 
 
 def _second_derivative_example1(p: float, d2: list[float],
-                                stencil_gaps: list[float]) -> CheckReport:
+                                stencil_gaps: list[list[float]]) -> CheckReport:
     """One pair's report of `verify_second_derivative_example1`, from its
     second derivatives (matrix pipeline per family, then closed form per
-    family) and each family's largest stencil gap."""
+    family) and its gap per stencil point and family."""
     curvature_target = -0.25 * (math.log(p) - math.log(1.0 - p)) ** 2
     names = list(FAMILIES)
-    stencil_gap = max(stencil_gaps)
+    stencil_gap, _ = _worst(stencil_gaps)
     rows = []
     results = {}
     for k, name in enumerate(names):
@@ -360,12 +379,11 @@ def _second_derivative_example1(p: float, d2: list[float],
             "family": name,
             "second_derivative_matrix": d2[k],
             "second_derivative_closed_form": d2[len(names) + k],
-            "max_stencil_gap": stencil_gaps[k],
+            "max_stencil_gap": _worst([gap[k] for gap in stencil_gaps])[0],
         })
-    z1_residual = max(abs(v) for v in results["z_equals_1"])
-    za_residual = max(
-        abs(v - curvature_target) for v in results["z_equals_alpha"]
-    ) / abs(curvature_target)
+    z1_residual, _ = _worst([abs(v) for v in results["z_equals_1"]])
+    za_gap, _ = _worst([abs(v - curvature_target) for v in results["z_equals_alpha"]])
+    za_residual = za_gap / abs(curvature_target)
     passed = (
         z1_residual <= SECOND_DERIV_ABS_TOL
         and za_residual <= SECOND_DERIV_REL_TOL
@@ -374,7 +392,7 @@ def _second_derivative_example1(p: float, d2: list[float],
     return CheckReport(
         name=f"second derivatives at alpha=1, p={p:g}",
         passed=passed,
-        max_residual=max(z1_residual, za_residual),
+        max_residual=_worst([z1_residual, za_residual])[0],
         rows=rows,
         notes=(
             f"z=alpha curvature target {curvature_target:.12g}, "
@@ -409,12 +427,11 @@ def _z_monotonicity(alphas: list[float], zs: list[float],
     reports = []
     for alpha, row in zip(alphas, values):
         sign = -1.0 if alpha > 1.0 else 1.0
-        worst = 0.0
-        rows = []
-        for (z0, v0), (z1, v1) in zip(zip(zs, row), zip(zs[1:], row[1:])):
-            violation = sign * (v0 - v1)  # > 0 means the wrong direction
-            worst = max(worst, violation)
-            rows.append({"z_from": z0, "z_to": z1, "step": v1 - v0, "violation": violation})
+        rows = [{"z_from": z0, "z_to": z1, "step": v1 - v0,
+                 "violation": sign * (v0 - v1)}  # > 0 means the wrong direction
+                for (z0, v0), (z1, v1) in zip(zip(zs, row), zip(zs[1:], row[1:]))]
+        # a check without a violation reads 0
+        worst, _ = _worst([0.0] + [r["violation"] for r in rows])
         direction = "non-increasing" if alpha > 1.0 else "non-decreasing"
         reports.append(CheckReport(
             name=f"z-monotonicity at alpha={alpha:g} ({direction})",
@@ -461,12 +478,11 @@ def _dz_trace(z0s: list[float], alphas: list[float],
         rows = [{"alpha": alpha, "dT_dz": d, "abs": abs(d)}
                 for alpha, d in zip(alphas, ladder)]
         passed = True
-        final_mag = 0.0
         for side in range(2):
             mags = [abs(d) for d in ladder[side * n:(side + 1) * n]]
             passed &= all(b <= a + Z_MONOTONICITY_SLACK for a, b in zip(mags, mags[1:]))
             passed &= mags[-1] <= DZ_TRACE_TOL
-            final_mag = max(final_mag, mags[-1])
+        final_mag, _ = _worst([abs(ladder[n - 1]), abs(ladder[-1])])
         at_one = abs(at_one)
         rows.append({"alpha": 1.0, "dT_dz": at_one, "abs": at_one})
         passed &= at_one <= 1e-8

@@ -40,7 +40,13 @@ formula is undefined, 2 where the spectral powers overflow, 3 where the
 trace sum overflows and 4 where it underflows, and T is NaN at a point
 with a fault. Each entry point then raises one DomainError, for the
 lowest code at its first point among the points it needs (every point for
-T, the open points for D); a closed point's fault is no error.
+T, the open points for D); a closed point's fault is no error. Since the
+steps report every range fault themselves, numpy's floating-point
+warnings are off where they run, entered once per driver: around the
+scalar `PreparedPair._divergence` with its self-check, each stack's
+`_Stack.traces` and `_Stack.dual_traces`, and `ClassicalPair.renyi`. The
+self-checks of `petz`, `sandwiched` and `stacked_mosonyi_ogawa` fail on a
+NaN value or check T, as an ArithmeticError.
 
 Every quantum value comes from a PreparedPair, which validates both
 operators as one stack in one pass, decomposes them with one `eigh` and
@@ -208,16 +214,17 @@ class ClassicalPair:
         """
         alpha = _renyi_order(alpha)
         total = 0.0
-        for pi, qi in zip(self.p, self.q):
-            if pi <= 0.0:
-                if alpha <= 0.0:
-                    raise DomainError("alpha <= 0 with zero p-entries is undefined")
-                continue
-            if qi <= 0.0:
-                if alpha > 1.0:
-                    return DivergenceValue.infinite(INFINITY_SUPPORT)
-                continue  # q_i^(1-alpha) = 0 for alpha < 1
-            total += pi**alpha * qi ** (1.0 - alpha)
+        with np.errstate(all="ignore"):  # the range test below reports an overflow
+            for pi, qi in zip(self.p, self.q):
+                if pi <= 0.0:
+                    if alpha <= 0.0:
+                        raise DomainError("alpha <= 0 with zero p-entries is undefined")
+                    continue
+                if qi <= 0.0:
+                    if alpha > 1.0:
+                        return DivergenceValue.infinite(INFINITY_SUPPORT)
+                    continue  # q_i^(1-alpha) = 0 for alpha < 1
+                total += pi**alpha * qi ** (1.0 - alpha)
         if not math.isfinite(total):
             raise DomainError(f"alpha beyond double range: the Renyi sum overflows "
                               f"at alpha = {alpha!r}")
@@ -255,12 +262,13 @@ def _from_trace(alpha: float, t: float) -> float:
 def _assert_dual_path(label: str, value: float, alpha: float, t: float) -> None:
     """Raise the ArithmeticError of a dual-route check where the family's D,
     `value`, and the second route's T disagree beyond _DUAL_PATH_TOL, or
-    that T is not positive."""
-    if t <= 0.0:
+    that T is not positive. Both tests are written so that a NaN fails
+    them: a NaN T or D is an error, never a pass."""
+    if not t > 0.0:
         raise ArithmeticError(f"{label} trace term collapsed to {t!r}")
     direct = math.log(t) / (alpha - 1.0)
     tol = _DUAL_PATH_TOL * max(1.0, abs(value))
-    if abs(value - direct) > tol:
+    if not abs(value - direct) <= tol:
         raise ArithmeticError(
             f"{label} dual-path mismatch: alpha-z route {value!r} "
             f"vs direct formula {direct!r}"
@@ -351,7 +359,8 @@ class PreparedPair:
     support relation and the inner rank: the rank of the supp sigma x supp
     rho block of W, which every inner operator sigma^e rho^f sigma^e of the
     pair shares. `_paired` decides dominance, orthogonality and the inner
-    rank together; `orthogonal` is true iff the inner rank is 0.
+    rank together, and cuts that block of W to the inner rank where it has
+    cosines that count as zero; `orthogonal` is true iff the inner rank is 0.
 
     Every entry point asks `_route` which way each point goes, and the
     route steps (`_factor`, `_power_sums`, `_trace_sums`) compute values and
@@ -471,7 +480,6 @@ class PreparedPair:
         return sums, fault
 
     @staticmethod
-    @np.errstate(all="ignore")  # the SVD route warns where it decides the range
     def _power_sums(g, k: int):
         """The product route's T = Tr (G G†)^k at a positive integer k, from
         G at one point (a float out) or a stack of rows, of one pair or
@@ -512,23 +520,33 @@ class PreparedPair:
         DomainError of `traces`."""
         return self._divergence(alpha, z)[0]
 
-    def _divergence(self, alpha: float, z: float):
+    def _divergence(self, alpha: float, z: float, check=None):
         """`divergence`, how it was reached ("closed", or "product" or "svd",
-        the route that gave T) and the point's G (None if closed)."""
+        the route that gave T) and the point's G (None if closed). At an
+        open point, `check(value, route, g)`, the self-check of `petz` or
+        `sandwiched`, runs on the value in nats before it becomes a
+        DivergenceValue, so that a NaN value meets the check. The route
+        steps and the check run with numpy's floating-point warnings off,
+        entered once: the steps report every range fault themselves, as a
+        DomainError."""
         alpha, z = _point(alpha, z)
         closed, defined, product, e_sigma, e_rho = self._route(alpha, z)
         if closed:
             return self._closed_value(alpha), "closed", None
-        g, fault = self._factor(e_sigma, e_rho, defined)
-        if fault:
-            self._raise(fault, alpha, z)
-        t, route = (self._power_sums(g, int(z)) if product else math.nan), "product"
-        if not _TINY <= t < math.inf:  # a NaN fails too
-            singular = np.linalg.svd(g, compute_uv=False)
-            (t, fault), route = self._trace_sums(singular, z), "svd"
+        with np.errstate(all="ignore"):
+            g, fault = self._factor(e_sigma, e_rho, defined)
             if fault:
                 self._raise(fault, alpha, z)
-        return DivergenceValue.finite(_from_trace(alpha, float(t))), route, g
+            t, route = (self._power_sums(g, int(z)) if product else math.nan), "product"
+            if not _TINY <= t < math.inf:  # a NaN fails too
+                singular = np.linalg.svd(g, compute_uv=False)
+                (t, fault), route = self._trace_sums(singular, z), "svd"
+                if fault:
+                    self._raise(fault, alpha, z)
+            value = _from_trace(alpha, float(t))
+            if check is not None:
+                check(value, route, g)
+        return DivergenceValue.finite(value), route, g
 
     def evaluate(self, alphas, zs) -> tuple[np.ndarray, np.ndarray]:
         """D in nats and T at the broadcast points of alphas and zs, as two
@@ -553,16 +571,17 @@ class PreparedPair:
         that overlap sum (a cancellation-free route).
         """
         alpha = float(alpha)
-        value, route, g = self._divergence(alpha, 1.0)
-        if route == "product":
-            t, fault = self._trace_sums(np.linalg.svd(g, compute_uv=False), 1.0)
-            if fault:
-                self._raise(fault, alpha, 1.0)
-            _assert_dual_path("Petz", value.value, alpha, float(t))
-        elif route == "svd":
-            t = float(self.sigma.powers(1.0 - alpha) @ self.weights @ self.rho.powers(alpha))
-            _assert_dual_path("Petz", value.value, alpha, t)
-        return value
+
+        def check(value, route, g):
+            if route == "product":
+                t, fault = self._trace_sums(np.linalg.svd(g, compute_uv=False), 1.0)
+                if fault:
+                    self._raise(fault, alpha, 1.0)
+            else:
+                t = self.sigma.powers(1.0 - alpha) @ self.weights @ self.rho.powers(alpha)
+            _assert_dual_path("Petz", value, alpha, float(t))
+
+        return self._divergence(alpha, 1.0, check)[0]
 
     def sandwiched(self, alpha: float) -> DivergenceValue:
         """Sandwiched quantum Renyi divergence of order alpha, the z = alpha member.
@@ -578,14 +597,15 @@ class PreparedPair:
         alpha = float(alpha)
         if alpha == 0.0:
             raise DomainError("alpha = 0 puts z = 0, which is excluded")
-        value, route, _ = self._divergence(alpha, alpha)
-        if route != "closed":
+
+        def check(value, route, g):
             s_pow = self.sigma.operator(self.sigma.powers((1.0 - alpha) / (2.0 * alpha)))
             factor = s_pow @ self.rho.operator(self.rho.powers(0.5))
             singular = np.linalg.svd(factor, compute_uv=False)[:self.inner_rank]
-            _assert_dual_path("sandwiched", value.value, alpha,
+            _assert_dual_path("sandwiched", value, alpha,
                               float(np.sum((singular * singular) ** alpha)))
-        return value
+
+        return self._divergence(alpha, alpha, check)[0]
 
     def mosonyi_ogawa(self, alpha: float) -> DivergenceValue:
         """Piecewise divergence: Petz for alpha < 1, sandwiched for alpha > 1.
@@ -697,9 +717,11 @@ class _Stack:
             sums[at], fault[at] = self.pairs[pi[np.argmax(at)]]._trace_sums(singular[at], zs[at])
         return sums, fault
 
+    @np.errstate(all="ignore")  # the steps report every range fault themselves
     def traces(self, alphas, zs):
         """`_stacked_traces` for this stack's pairs. Only defined points get
-        a G; T is NaN with the code _UNDEFINED at the others."""
+        a G; T is NaN with the code _UNDEFINED at the others. Runs with
+        numpy's floating-point warnings off, as `dual_traces` does."""
         closed, defined, product, e_sigma, e_rho = _route(alphas, zs, *self.flags)
         closed = np.broadcast_to(closed, (len(self.pairs), alphas.size))
         if defined is True:
@@ -738,6 +760,7 @@ class _Stack:
         out.flat[rows], faults.flat[rows], by_product.flat[rows] = t, fault, on
         return closed, out, faults, by_product
 
+    @np.errstate(all="ignore")
     def dual_traces(self, alphas, zs, closed, by_product) -> np.ndarray:
         """The second route's T of the self-checks of `petz` and
         `sandwiched` at the open points of this stack's pairs, NaN at the
@@ -861,8 +884,10 @@ def stacked_mosonyi_ogawa(pairs, alphas) -> np.ndarray:
     from it, +inf where the supports force it. Every value that is not
     closed then passes the self-check of `petz` or `sandwiched`, run for all
     of them at once (`_Stack.dual_traces`); a mismatch raises that method's
-    ArithmeticError for the first such value in pair order. The values
-    agree with the scalar methods' to round-off."""
+    ArithmeticError for the first such value in pair order. As there, a
+    NaN value or check T fails the check; the check reads the open points
+    only, since `dual_traces` is NaN at the closed ones by design. The
+    values agree with the scalar methods' to round-off."""
     pairs = list(pairs)
     a = np.asarray(alphas, dtype=float)
     if (a <= 0.0).any():
@@ -875,10 +900,10 @@ def stacked_mosonyi_ogawa(pairs, alphas) -> np.ndarray:
     for members in _by_dimension(pairs):
         checked[members] = _Stack([pairs[p] for p in members]).dual_traces(
             a, z, closed[members], by_product[members])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = np.log(checked) / (a - 1.0)
+    # a T <= 0 gives a NaN direct value, which fails the test below as a NaN does
+    direct = np.log(np.where(checked > 0.0, checked, math.nan)) / (a - 1.0)
     tol = _DUAL_PATH_TOL * np.maximum(1.0, np.abs(values))
-    for p, n in np.argwhere((checked <= 0.0) | (np.abs(values - direct) > tol)).tolist():
+    for p, n in np.argwhere(~closed & ~(np.abs(values - direct) <= tol)).tolist():
         _assert_dual_path("Petz" if a[n] < 1.0 else "sandwiched", float(values[p, n]),
                           float(a[n]), float(checked[p, n]))
     return values.reshape(shape)
@@ -918,7 +943,11 @@ def _paired(r: Spectrum, s: Spectrum, overlap: np.ndarray) -> PreparedPair:
     rank rho under dominance; 0 where rho's weight on supp sigma is zero;
     rank sigma for a full-rank rho; and otherwise the number of cosines
     between the supports (the singular values of the supp sigma x supp rho
-    block of W) whose square exceeds eps. The supports are orthogonal iff
+    block of W) whose square exceeds eps. Where some of those cosines count
+    and others do not, the block of W is cut to its top inner-rank part, as
+    are the weights: a cosine that counts as zero is zero in every route
+    and self-check of the pair, the Petz overlap sum included, which once
+    kept it and raised a dual-path mismatch. The supports are orthogonal iff
     the inner rank is 0, which also covers supports whose cosines are all
     too small to count while rho's weight on supp sigma is not zero."""
     r, s = _density(r), _reference(s)
@@ -934,6 +963,13 @@ def _paired(r: Spectrum, s: Spectrum, overlap: np.ndarray) -> PreparedPair:
     else:
         cosines = np.linalg.svd(overlap[:s.rank, :r.rank], compute_uv=False)
         inner_rank = int(np.count_nonzero(cosines * cosines > s.eps))
+        if 0 < inner_rank < cosines.size:
+            # the cosines that count as zero are zero: cut the block to its top
+            # inner-rank part, so that every G of the pair has the inner rank
+            left, kept, right = np.linalg.svd(overlap[:s.rank, :r.rank])
+            k, overlap = inner_rank, overlap.copy()
+            overlap[:s.rank, :r.rank] = (left[:, :k] * kept[:k]) @ right[:k]
+            weights = np.abs(overlap) ** 2
     return PreparedPair(r, s, overlap, weights, dominated, inner_rank == 0, inner_rank)
 
 

@@ -19,10 +19,15 @@ and the slopes at alpha = 1 one more; dpi the seeded pairs and their
 pinched images at every alpha, with the self-checks of every value
 (`divergences.stacked_mosonyi_ogawa`); invariants all seeded pairs, each
 with its rotation, its rescaled reference and (rho, rho); classical its
-commuting pairs, whose worst rows it then finds in pair order; example1
-its three pairs on the alpha grid, after one call for the second
-derivatives of all three. A `verify --suite all --seeds 10` run makes 39
-`eigh` and 49 `svd` calls.
+commuting pairs; example1 its three pairs on the alpha grid, after one call
+for the second derivatives of all three. A `verify --suite all --seeds 10`
+run makes 39 `eigh` and 49 `svd` calls.
+
+Each check reduces its residuals, one (pair, point) array or one list, by
+`analysis._worst`, as each aggregate reduces its members: the worst
+residual and its row are the first largest in pair order, then point
+order, and a NaN residual is the worst, so it fails the check and is the
+row reported. classical lists no row where every residual is exactly 0.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import numpy as np
 from . import divergences as dv
 from .analysis import (
     CheckReport,
+    _worst,
     CurveSpec,
     TraceFunctional,
     verify_curve_limits,
@@ -77,11 +83,12 @@ def seeded_pairs(n: int, base_seed: int = BASE_SEED,
 
 
 def _aggregate(name: str, reports: list[CheckReport], notes: str = "") -> CheckReport:
-    worst = max(reports, key=lambda r: r.max_residual)
+    value, i = _worst([r.max_residual for r in reports])
+    worst = reports[i]
     return CheckReport(
         name=name,
         passed=all(r.passed for r in reports),
-        max_residual=worst.max_residual,
+        max_residual=value,
         rows=[{"member": r.name, "passed": r.passed, "max_residual": r.max_residual}
               for r in reports],
         notes=notes or f"{len(reports)} members, worst: {worst.name}",
@@ -142,22 +149,20 @@ def suite_example1() -> list[CheckReport]:
     from .states import example1_pair
 
     reports = verify_second_derivative_example1(EXAMPLE1_PS)
-    rows = []
-    worst = 0.0
     points = [(alpha, z) for alpha in EXAMPLE1_GRID_ALPHAS for z in (0.5, 1.0, alpha, 2.0, 5.0)]
     grid = dv.stacked_divergences(dv._prepare_pairs(example1_pair(p) for p in EXAMPLE1_PS),
                                   *zip(*points))
-    for p, values in zip(EXAMPLE1_PS, grid.tolist()):
-        for (alpha, z), value in zip(points, values):
-            gap = abs(value - example1_closed_form(p, alpha, z))
-            worst = max(worst, gap)
-            rows.append({"p": p, "alpha": alpha, "z": z, "gap": gap})
+    closed = [[example1_closed_form(p, alpha, z) for alpha, z in points] for p in EXAMPLE1_PS]
+    gaps = np.abs(grid - closed)
+    worst, i = _worst(gaps)
+    k, n = divmod(i, len(points))
+    alpha, z = points[n]
     reports.append(CheckReport(
         name="closed form vs matrix pipeline on the alpha grid",
         passed=worst <= EXAMPLE1_GRID_TOL,
         max_residual=worst,
-        rows=[r for r in rows if r["gap"] == worst][:1],
-        notes=f"{len(rows)} grid points, tolerance {EXAMPLE1_GRID_TOL:g}",
+        rows=[{"p": EXAMPLE1_PS[k], "alpha": alpha, "z": z, "gap": worst}],
+        notes=f"{gaps.size} grid points, tolerance {EXAMPLE1_GRID_TOL:g}",
     ))
     return reports
 
@@ -179,17 +184,15 @@ def suite_dpi(tfs: SeededPairs) -> list[CheckReport]:
     befores, afters = values[:len(tfs)].T.tolist(), values[len(tfs):].T.tolist()
     reports = []
     for alpha, before_row, after_row in zip(DPI_ALPHAS, befores, afters):
-        worst = -math.inf
-        rows = []
-        for (_, label), before, after in zip(tfs, before_row, after_row):
-            violation = after - before  # > 0 would break data processing
-            worst = max(worst, violation)
-            rows.append({"pair": label, "before": before, "after": after,
-                         "violation": violation})
+        rows = [{"pair": label, "before": before, "after": after,
+                 "violation": after - before}  # > 0 would break data processing
+                for (_, label), before, after in zip(tfs, before_row, after_row)]
+        # a check without a violation reads 0
+        worst, _ = _worst([0.0] + [r["violation"] for r in rows])
         reports.append(CheckReport(
             name=f"pinching DPI at alpha={alpha:g}",
             passed=worst <= DPI_SLACK,
-            max_residual=max(worst, 0.0),
+            max_residual=worst,
             rows=rows,
         ))
     return reports
@@ -203,12 +206,8 @@ COMMUTING_DIMS = (2, 3, 4, 5, 6, 7, 8)
 def suite_classical(n_pairs: int = 20) -> list[CheckReport]:
     """Commuting pairs must reduce to the classical Renyi sum (z-independent)
     and the classical KL divergence. The pairs are prepared as one stack
-    per dimension and evaluated in one kernel call; the worst rows are
-    then found in pair order."""
-    worst_renyi = 0.0
-    worst_kl = 0.0
-    renyi_rows = []
-    kl_rows = []
+    per dimension and evaluated in one kernel call. Each check reports its
+    worst (pair, point) row, and no row where every gap is exactly 0."""
     points = [(alpha, z) for alpha in CLASSICAL_ALPHAS for z in CLASSICAL_ZS + (alpha,)]
     alphas, zs = zip(*points)
     dims = [COMMUTING_DIMS[k % len(COMMUTING_DIMS)] for k in range(n_pairs)]
@@ -218,20 +217,17 @@ def suite_classical(n_pairs: int = 20) -> list[CheckReport]:
         operators.append((rho, sigma))
         classicals.append(dv.prepare_classical(p, q))
     pairs = dv._prepare_pairs(operators)
-    values = dv.stacked_divergences(pairs, alphas, zs)
-    for k, (pair, classical, dim, row) in enumerate(zip(pairs, classicals, dims, values)):
-        targets = {alpha: classical.renyi(alpha).value for alpha in CLASSICAL_ALPHAS}
-        gaps = np.abs(row - [targets[alpha] for alpha in alphas])
-        i = int(np.argmax(gaps))  # the first worst point, in (alpha, z) order
-        if gaps[i] > worst_renyi:
-            worst_renyi = float(gaps[i])
-            alpha, z = points[i]
-            renyi_rows = [{"pair": k, "dim": dim, "alpha": alpha, "z": z,
-                           "gap": worst_renyi}]
-        kl_gap = abs(pair.relative_entropy().value - classical.kl().value)
-        if kl_gap > worst_kl:
-            worst_kl = kl_gap
-            kl_rows = [{"pair": k, "dim": dim, "gap": kl_gap}]
+    targets = []  # each pair's classical Renyi value at every point
+    for classical in classicals:
+        renyi = {alpha: classical.renyi(alpha).value for alpha in CLASSICAL_ALPHAS}
+        targets.append([renyi[alpha] for alpha in alphas])
+    worst_renyi, i = _worst(np.abs(dv.stacked_divergences(pairs, alphas, zs) - targets))
+    k, n = divmod(i, len(points))
+    renyi_rows = [{"pair": k, "dim": dims[k], "alpha": alphas[n], "z": zs[n],
+                   "gap": worst_renyi}] if worst_renyi != 0.0 else []
+    worst_kl, k = _worst([abs(pair.relative_entropy().value - classical.kl().value)
+                          for pair, classical in zip(pairs, classicals)])
+    kl_rows = [{"pair": k, "dim": dims[k], "gap": worst_kl}] if worst_kl != 0.0 else []
     return [
         CheckReport(
             name="commuting reduction: alpha-z vs classical Renyi",
@@ -267,8 +263,6 @@ def suite_invariants(tfs: SeededPairs) -> list[CheckReport]:
 
     points = [(alpha, z) for alpha in INVARIANT_ALPHAS for z in INVARIANT_ZS + (alpha,)]
     alphas, zs = zip(*points)
-    # per check: (worst residual, its row); the first pair always sets it
-    worst = {"unitary": (-1.0, None), "scaling": (-1.0, None), "self": (-1.0, None)}
     scales = [0.25 + 1.5 * (k % 4) for k in range(len(tfs))]  # deterministic positive scales
     variants = []
     for k, ((tf, _), c) in enumerate(zip(tfs, scales)):
@@ -282,28 +276,22 @@ def suite_invariants(tfs: SeededPairs) -> list[CheckReport]:
     for k, (tf, _) in enumerate(tfs):
         family += [tf.pair] + variants[3 * k:3 * k + 3]
     values = dv.stacked_divergences(family, alphas, zs).reshape(len(tfs), 4, len(points))
-    for (tf, label), c, (base, rotated, scaled, self_values) in zip(tfs, scales, values):
-        dim = tf.rho.shape[0]
-        residuals = {
-            "unitary": np.abs(rotated - base),
-            "scaling": np.abs(scaled - (base - math.log(c))),
-            "self": np.abs(self_values),
-        }
-        for check, res in residuals.items():
-            i = int(np.argmax(res))
-            if res[i] > worst[check][0]:
-                alpha, z = points[i]
-                worst[check] = (float(res[i]), {"pair": label, "dim": dim, "alpha": alpha,
-                                                "z": z, "residual": float(res[i])})
+    base, rotated, scaled, self_values = values.swapaxes(0, 1)  # each (pair, point)
+    shifts = np.array([[math.log(c)] for c in scales])  # math.log: np.log may round apart
 
-    def report(name: str, check: str, tol: float) -> CheckReport:
-        value, row = worst[check]
+    def report(name: str, residuals: np.ndarray, tol: float) -> CheckReport:
+        value, i = _worst(residuals)
+        k, n = divmod(i, len(points))
+        tf, label = tfs[k]
+        row = {"pair": label, "dim": tf.rho.shape[0], "alpha": alphas[n], "z": zs[n],
+               "residual": value}
         return CheckReport(name, value <= tol, value, rows=[row], notes=f"tolerance {tol:g}")
 
     reports = [
-        report("unitary invariance", "unitary", UNITARY_INVARIANCE_TOL),
-        report("reference scaling D(rho||c sigma) = D - ln c", "scaling", SCALING_TOL),
-        report("self-divergence D(rho||rho) = 0", "self", SELF_DIVERGENCE_TOL),
+        report("unitary invariance", np.abs(rotated - base), UNITARY_INVARIANCE_TOL),
+        report("reference scaling D(rho||c sigma) = D - ln c",
+               np.abs(scaled - (base - shifts)), SCALING_TOL),
+        report("self-divergence D(rho||rho) = 0", np.abs(self_values), SELF_DIVERGENCE_TOL),
     ]
     # infinity semantics on constructed support configurations
     rows = []

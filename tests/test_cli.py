@@ -70,6 +70,21 @@ class TestCompute:
             out = capsys.readouterr()
             assert (code, out.out.strip(), out.err) == (0, expected, "")
 
+    @pytest.mark.parametrize("family", ["petz", "mo"])
+    def test_near_orthogonal_supports_cut_to_inner_rank(self, tmp_path, capsys, family):
+        from alphaz import cli
+
+        # cosines squared 1.25e-12 and 0.25e-12, on both sides of eps: this
+        # pair once exited 4 with "Petz dual-path mismatch"
+        rho_p, sigma_p = tmp_path / "rho.json", tmp_path / "sigma.json"
+        for operator, path in zip(near_orthogonal_pair(1.25e-12, 0.25e-12), (rho_p, sigma_p)):
+            dump_matrix(operator, path)
+        code = cli.main(["compute", "--rho", str(rho_p), "--sigma", str(sigma_p),
+                         "--family", family, "--alpha", "0.5"])
+        out = capsys.readouterr()
+        assert (code, out.err) == (0, "")
+        assert abs(float(out.out) + 2.0 * math.log(0.625e-12)) <= 1e-10
+
     def test_bits_is_nats_over_ln2(self):
         nats = float(run_cli("compute", "--example1", "0.25", "--alpha", "2",
                              "--z", "1").stdout)
@@ -362,7 +377,7 @@ class TestSweep:
         assert code == cli.EXIT_USAGE
         assert "sweep of 6 points exceeds the limit of 4 points" in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow too
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # no numpy warning beside the error
     @pytest.mark.parametrize("sigma, alphas, zs, row", [
         # alpha = 1 under dominance, where the trace sum underflows
         ('{"generator": "density", "seed": 6, "dim": 3}', "1:1:1", "1e-300:1e-300:1",

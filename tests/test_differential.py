@@ -17,12 +17,19 @@ at and beside 1 and integer z up to 17, and checks one promise:
     of its first pair whose own call fails, and the scalar `divergence`
     raises the error of a one-point `evaluate`;
   * `orthogonal` is true iff the inner rank is 0;
-  * elsewhere the round-off rule of `_scalar_gap_bound`.
+  * elsewhere the round-off rule of `_scalar_gap_bound`;
+  * on the same stacked G of dominated pairs at integer z in 1..16, the
+    product route's T (`_power_sums`) and the SVD route's (`_trace_sums`)
+    within the rule of `_route_gap_bound`;
+  * the second-route T of the self-checks of `petz` and `sandwiched` and
+    the same pair's row of `_Stack.dual_traces` within the rule of
+    `_check_gap_bound`.
 
 The examples are derandomized, so every run draws the same ones.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,8 +38,8 @@ from hypothesis import given, settings, strategies as st
 from alphaz import divergences as dv
 from alphaz.states import random_density, random_reference, random_support_pair, random_unitary
 
-# the kernel's range tests meet overflowing powers, which numpy reports too
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# the kernel reports every range fault itself, with numpy's warnings off
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 U = 2.0 ** -53  # the unit round-off of a double
 COS_SQ = (0.25e-12, 0.5e-12, 0.8e-12, 1.25e-12, 2e-12, 4e-12)  # around eps = 1e-12
@@ -56,12 +63,15 @@ def _near_orthogonal(dim: int, seed: int, rank: int, cos_sq: list[float]):
     return u @ rho @ u.conj().T, u @ sigma @ u.conj().T
 
 
+KINDS = ("full", "dominating", "violating", "orthogonal", "near-orthogonal")
+
+
 @st.composite
-def pair_operators(draw):
-    """One (rho, sigma) of a drawn support class and dimension 1..6."""
+def pair_operators(draw, kinds=KINDS):
+    """One (rho, sigma) of a support class drawn from `kinds` and dimension
+    1..6."""
     dim = draw(st.integers(1, 6))
-    kind = "full" if dim == 1 else draw(st.sampled_from(
-        ["full", "dominating", "violating", "orthogonal", "near-orthogonal"]))
+    kind = "full" if dim == 1 else draw(st.sampled_from(kinds))
     seed = draw(st.integers(0, 2**31))
     if kind == "full":
         return random_density(dim, seed), random_reference(dim, seed + 1)
@@ -208,3 +218,164 @@ def test_scalar_divergence_against_one_point_evaluate(operators, grid):
         else:
             bound = _scalar_gap_bound(pair, alpha, z, value.value, route, g)
             assert abs(got - value.value) <= bound, (alpha, z, route, got, value.value, bound)
+
+
+def _weighted_shares(singular, z: float) -> float:
+    """sum_i w_i sigma_1 / sigma_i over the singular values kept, with
+    w_i = sigma_i^(2z) / T the share of term i in T = sum_i sigma_i^(2z)."""
+    terms = (singular * singular) ** z
+    weights = terms / terms.sum()
+    return float(weights @ np.divide(singular[0], singular, out=np.zeros(singular.size),
+                                     where=weights > 0.0))
+
+
+def _route_gap_bound(d: int, k: int, rank: int, singular) -> float:
+    """The largest relative gap that round-off allows between the product
+    route's and the SVD route's T = Tr (G G†)^k of one G of dimension d,
+    inner rank `rank` and kept singular values `singular`; u = 2^-53.
+
+    The product route forms H = G G†, then H^(k/2) (even k) or H^((k-1)/2) G
+    (odd k) by at most k - 1 complex matrix products counting H, each of
+    inner dimension d, and sums the squares of the result's entries. A
+    complex product AB is within c ||A||_F ||B||_F of the exact one in the
+    Frobenius norm, c = sqrt(2) (d + 2) u (Higham, Accuracy and Stability,
+    3.6). Every factor is a power of the PSD H, or G, so ||H^a||_F <= sqrt(d)
+    sigma_1^(2a), and each product adds at most c d sigma_1^(2(a+b)); an
+    error carried in a factor scales by the other factor's 2-norm. Counting
+    the errors of H at each of the k/2 places it enters and of every
+    product, the result X is within k c d sigma_1^k of the exact one. T is
+    ||X||_F^2 >= sigma_1^(2k), so its relative error is at most 2 k c d,
+    plus 2 d^2 u for the squares and the sum of the 2 d^2 real parts.
+
+    The SVD route takes each singular value within d u sigma_1 (LAPACK's
+    normwise bound, with its p(d) taken as d, as in `_scalar_gap_bound`),
+    which moves T by the relative 2 k d u sum_i w_i sigma_1 / sigma_i to
+    first order, plus (rank + 2) u for the square, the power and the sum of
+    the terms. The singular values it drops are exact zeros under dominance,
+    where G vanishes outside the supp sigma x supp rho block. The bound is
+    twice the first-order sum of both routes, which covers the second-order
+    terms."""
+    product = 2 * k * math.sqrt(2.0) * (d + 2) * d * U + 2 * d * d * U
+    svd = 2 * k * d * U * _weighted_shares(singular, k) + (rank + 2) * U
+    return 2.0 * (product + svd)
+
+
+open_alphas = st.one_of(st.sampled_from([0.999, 1.001, 0.5, 2.0, -0.5, 0.0]),
+                        st.floats(-1.5, 5.0)).filter(lambda a: abs(a - 1.0) > dv.ALPHA_ONE_TOL)
+
+
+@settings(derandomize=True, max_examples=100)
+@given(st.lists(pair_operators(("full", "dominating")), min_size=1, max_size=4),
+       st.lists(st.tuples(open_alphas, st.integers(1, dv.Z_PRODUCT_MAX)), min_size=1,
+                max_size=6))
+def test_product_route_against_svd_route(operators, grid):
+    pairs = dv._prepare_pairs(operators)
+    a, z = (np.array(column, dtype=float) for column in zip(*grid))
+    for members in dv._by_dimension(pairs):
+        stack = dv._Stack([pairs[p] for p in members])
+        _, defined, product, e_sigma, e_rho = dv._route(a, z, *stack.flags)
+        assert np.all(product)  # dominated, open and integer z in range
+        pi, ni = np.divmod(np.arange(len(members) * a.size), a.size)
+        # the steps as `_Stack.traces` runs them, with numpy's warnings off
+        with np.errstate(all="ignore"):
+            g, over = stack._factors(pi, ni, e_sigma, e_rho)
+            kept = np.broadcast_to(defined, (len(members), a.size)).ravel().copy()
+            if over is not None:
+                kept &= ~over
+            for k in set(z[ni[kept]].tolist()):
+                at = kept & (z[ni] == k)
+                by_product = dv.PreparedPair._power_sums(g[at], int(k))
+                singular = np.linalg.svd(g[at], compute_uv=False)
+                by_svd, fault = stack._trace_sums(singular, z[ni[at]], pi[at])
+                for row, prod, svd, code, p in zip(singular, by_product, by_svd,
+                                                   np.broadcast_to(fault, by_svd.shape),
+                                                   pi[at]):
+                    if code or not (dv._TINY <= prod < math.inf):
+                        continue  # the SVD route decides these, alone
+                    pair = stack.pairs[p]
+                    bound = _route_gap_bound(pair.rho.values.size, int(k), pair.inner_rank,
+                                             row[:pair.inner_rank])
+                    assert abs(prod - svd) <= bound * max(prod, svd), (k, prod, svd, bound)
+
+
+def _check_gap_bound(pair, alpha: float, route: str) -> float:
+    """The largest relative gap that round-off allows between the second
+    route's T of the scalar self-check (`petz` or `sandwiched`) and that of
+    `_Stack.dual_traces` for the same pair at the open point alpha; u =
+    2^-53. Both take the same second route, from operands that differ only
+    by rounding: the scalar path raises a vector to a float exponent, which
+    numpy may take as sqrt, square or reciprocal, and the stack lays the
+    exponent out in full (`_power`); each power is within one ulp, 2u
+    relative, of the exact one.
+
+      * "svd" (a Petz value from the product route): the SVD route of G.
+        The two G differ as in `_scalar_gap_bound`, so their singular values
+        differ by at most e sigma_1, e = (8 + 6 d) u, and T = sum_i
+        sigma_i^2 moves by the relative 2 e sum_i w_i sigma_1 / sigma_i,
+        plus (r + 2) u per path for the terms' square, power and sum, r the
+        inner rank.
+      * "overlap" (a Petz value from the SVD route): the overlap sum
+        sum_ij s_j^(1-a) w_ji r_i^a of d^2 positive terms. Each term has two
+        powers (2u each) and two products (u each), and any order of the
+        sums of positive terms adds at most (d^2 - 1) u relative to the sum,
+        so each path is within (d^2 + 5) u.
+      * "sandwiched": the squared top r singular values of F =
+        sigma^((1-a)/2a) rho^(1/2), raised to alpha. Each path assembles
+        both operators as V diag(p) V† (a complex product of inner
+        dimension d, within c ||p||_inf d of exact in the 2-norm, c =
+        sqrt(2) (d + 2) u, since |V| has 2-norm at most sqrt(d)), takes
+        their Hermitian parts (u) and their product (c d more), so F is
+        within 3 (c + u) d ||S|| ||R|| per path, S and R the two
+        operators. With kappa = ||S|| ||R|| / sigma_1 and each SVD within
+        d u sigma_1, the two paths' singular values differ by e sigma_1,
+        e = (6 (c/u + 1) d kappa + 2 d) u, which moves T by the relative
+        2 alpha e sum_i w_i sigma_1 / sigma_i, plus (r + 2) u per path.
+
+    The bound is twice the first-order sum, which covers its second-order
+    terms."""
+    d, r = pair.rho.values.size, pair.inner_rank
+    if route == "overlap":
+        return 2.0 * 2 * (d * d + 5) * U
+    if route == "svd":
+        singular = np.linalg.svd(pair._divergence(alpha, 1.0)[2], compute_uv=False)[:r]
+        e, z = (8 + 6 * d) * U, 1.0
+    else:
+        s_pow = pair.sigma.powers((1.0 - alpha) / (2.0 * alpha))
+        r_half = pair.rho.powers(0.5)
+        factor = pair.sigma.operator(s_pow) @ pair.rho.operator(r_half)
+        singular = np.linalg.svd(factor, compute_uv=False)[:r]
+        kappa = float(s_pow.max() * r_half.max() / singular[0])
+        c = math.sqrt(2.0) * (d + 2)
+        e, z = (6 * (c + 1) * d * kappa + 2 * d) * U, alpha
+    return 2.0 * (2 * z * e * _weighted_shares(singular, z) + 2 * (r + 2) * U)
+
+
+@settings(derandomize=True, max_examples=100)
+@given(families, st.lists(st.one_of(st.sampled_from([0.3, 0.5, 0.999, 1.001, 2.0, 3.0]),
+                                    st.floats(0.05, 5.0)), min_size=1, max_size=5))
+def test_scalar_self_checks_against_stacked(operators, alphas):
+    pairs = [dv.prepare(rho, sigma) for rho, sigma in operators]
+    stacked, original = {}, dv._Stack.dual_traces
+
+    def recorded(stack, *args):
+        out = original(stack, *args)
+        stacked.update({id(pair): row for pair, row in zip(stack.pairs, out)})
+        return out
+
+    with mock.patch.object(dv._Stack, "dual_traces", recorded):
+        dv.stacked_mosonyi_ogawa(pairs, alphas)
+    for pair in pairs:
+        for n, alpha in enumerate(alphas):
+            checked = []
+            with mock.patch.object(dv, "_assert_dual_path",
+                                   lambda label, value, a, t: checked.append(t)):
+                value, route, _ = pair._divergence(alpha, 1.0 if alpha < 1.0 else alpha)
+                pair.petz(alpha) if alpha < 1.0 else pair.sandwiched(alpha)
+            want = stacked[id(pair)][n]
+            if route == "closed":  # no self-check, and NaN in the stack by design
+                assert not checked and math.isnan(want)
+                continue
+            kind = "sandwiched" if alpha >= 1.0 else "svd" if route == "product" else "overlap"
+            [got] = checked
+            bound = _check_gap_bound(pair, alpha, kind)
+            assert abs(got - want) <= bound * max(got, want), (alpha, kind, got, want, bound)

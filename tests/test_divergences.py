@@ -140,7 +140,7 @@ class TestClassicalExtremeAlpha:
             classical_renyi([0.5, 0.5], [0.5, 0.5], alpha)
         assert str(exc.value).endswith(f"got {alpha!r}")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow too
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # no numpy warning beside the error
     @pytest.mark.parametrize("p, q, alpha", [
         ([0.5, 0.5], [0.5, 0.5], 1e308),
         ([0.5, 0.5], [0.5, 0.5], -1e308),
@@ -374,19 +374,20 @@ class TestPetz:
 
 class TestDualPathChecks:
     """petz and sandwiched check their kernel value against a second route;
-    one route off by 1e-6 trips the check."""
+    one route off by 1e-6 trips the check, and so does a NaN on either
+    route."""
 
     @staticmethod
-    def _skew(monkeypatch, name):
-        """Scale the T that the route method `name` returns by 1 + 1e-6
+    def _skew(monkeypatch, name, factor=1.0 + 1e-6):
+        """Scale the T that the route method `name` returns by `factor`
         (`_trace_sums` returns T with its fault codes)."""
         original = getattr(dv.PreparedPair, name)
 
         def skewed(*args, **kwargs):
             if name == "_power_sums":
-                return original(*args, **kwargs) * (1.0 + 1e-6)
+                return original(*args, **kwargs) * factor
             t, fault = original(*args, **kwargs)
-            return t * (1.0 + 1e-6), fault
+            return t * factor, fault
 
         monkeypatch.setattr(dv.PreparedPair, name,
                             staticmethod(skewed) if name == "_power_sums" else skewed)
@@ -405,6 +406,31 @@ class TestDualPathChecks:
         self._skew(monkeypatch, skewed)
         with pytest.raises(ArithmeticError, match="Petz dual-path mismatch"):
             pair.petz(0.5)
+
+    @pytest.mark.parametrize("cls, route, message", [
+        # the Petz check's SVD route gives a NaN T
+        ("full", "product", "Petz trace term collapsed to nan"),
+        ("dominating", "product", "Petz trace term collapsed to nan"),
+        # the kernel's SVD route gives a NaN value, which the overlap sum meets
+        ("partial", "svd", "Petz dual-path mismatch: alpha-z route nan"),
+    ])
+    def test_petz_nan_raises(self, monkeypatch, cls, route, message):
+        pair = dv.prepare(*_pair_of_class(cls))
+        assert pair._divergence(0.5, 1.0)[1] == route
+        self._skew(monkeypatch, "_trace_sums", math.nan)
+        with pytest.raises(ArithmeticError, match=message):
+            pair.petz(0.5)
+
+    @pytest.mark.parametrize("cls", ["full", "dominating"])
+    def test_sandwiched_nan_raises(self, monkeypatch, cls):
+        # the kernel's SVD route at alpha = 1.5 gives a NaN value, which the
+        # check's assembled factor meets
+        pair = dv.prepare(*_pair_of_class(cls))
+        assert pair._divergence(1.5, 1.5)[1] == "svd"
+        self._skew(monkeypatch, "_trace_sums", math.nan)
+        with pytest.raises(ArithmeticError,
+                           match="sandwiched dual-path mismatch: alpha-z route nan"):
+            pair.sandwiched(1.5)
 
     @pytest.mark.parametrize("cls", ["full", "dominating"])
     def test_sandwiched_mismatch_raises_at_two(self, monkeypatch, cls):
@@ -436,6 +462,26 @@ class TestDualPathChecks:
         capsys.readouterr()
         assert cli.main(["verify", "--suite", "dpi", "--seeds", "3"]) == cli.EXIT_INTERNAL
         assert f"{label} dual-path mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("planted", ["_trace_sums", "dual_traces"])
+    def test_batched_dpi_nan_raises(self, monkeypatch, capsys, planted):
+        # a NaN kernel value (the SVD route's T) or a NaN check T fails the
+        # batched checks at the first open point, a Petz value at alpha = 0.3
+        from alphaz import cli
+        from alphaz.suites import run_suites
+
+        if planted == "dual_traces":
+            original = dv._Stack.dual_traces
+            monkeypatch.setattr(dv._Stack, planted,
+                                lambda *args: original(*args) * math.nan)
+        else:
+            self._skew(monkeypatch, planted, math.nan)
+        message = "Petz (dual-path mismatch|trace term collapsed)"
+        with pytest.raises(ArithmeticError, match=message):
+            run_suites(["dpi"], 3)
+        capsys.readouterr()
+        assert cli.main(["verify", "--suite", "dpi", "--seeds", "3"]) == cli.EXIT_INTERNAL
+        assert "Petz" in capsys.readouterr().err
 
     def test_batched_checks_pass_unskewed(self):
         # every route and check of the batch on pairs of every support class:
@@ -655,6 +701,21 @@ class TestNearOrthogonalSupports:
         assert pair.divergences([0.5, 2.0], 1.0).tolist() == [math.inf, math.inf]
         assert dv.stacked_mosonyi_ogawa([pair], [0.5, 2.0]).tolist() == [[math.inf, math.inf]]
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+    def test_cosines_on_both_sides_of_eps(self, alpha):
+        # cosines squared 1.25e-12 and 0.25e-12: the inner rank is 1, and the
+        # cosine below eps counts as zero in the kernel and in the Petz
+        # self-check's overlap sum alike. Once the overlap sum kept it, and
+        # petz raised "Petz dual-path mismatch" on this valid pair
+        pair = dv.prepare(*near_orthogonal_pair(1.25e-12, 0.25e-12))
+        assert (pair.dominated, pair.orthogonal, pair.inner_rank) == (False, False, 1)
+        # sigma and rho are 1/2 on both support vectors, so T = 1.25e-12 / 2
+        expected = math.log(0.5 * 1.25e-12) / (alpha - 1.0)
+        for value in (pair.petz(alpha).value, pair.mosonyi_ogawa(alpha).value,
+                      pair.divergence(alpha, 1.0).value,
+                      float(dv.stacked_mosonyi_ogawa([pair], [alpha])[0, 0])):
+            assert abs(value - expected) <= 1e-10 * abs(expected)
+
 
 class TestBatchedKernel:
     """PreparedPair.traces/divergences against one-point `traces` calls and
@@ -848,7 +909,7 @@ class TestBatchedKernel:
         with pytest.raises(DomainError, match="rho is rank-deficient"):
             sweep(rho, sigma, SweepSpec(alphas=(0.5, 2.0), zs=(1.0, -1.0)))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow too
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # no numpy warning beside the error
     @pytest.mark.parametrize("sigma, alpha, z", [
         # alpha = 1 under dominance: the trace sum underflows
         (random_density(3, 6), 1.0, 1e-300),
@@ -916,7 +977,7 @@ class TestStackedDivergences:
                 dv.stacked_divergences(stack, alphas, zs)
             assert str(stacked.value) == str(own.value)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow too
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # no numpy warning beside the error
     def test_earlier_pair_out_of_range_beats_later_undefined_point(self):
         # the first pair whose own call fails raises its own error, although
         # a later pair has an undefined point
@@ -952,7 +1013,7 @@ class TestStackedDivergences:
         for pair, row in zip(pairs, rows):
             assert np.array_equal(row, pair.divergences(alphas, zs))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow too
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # no numpy warning beside the error
     def test_mixed_dimensions_first_failing_pair_raises_its_own_error(self):
         full3, violating2, dominated4 = (self._pair(3, "full", 50), self._pair(2, "violating", 52),
                                          self._pair(4, "dominating", 54))
@@ -1055,7 +1116,7 @@ class TestNonFiniteInput:
                 function(*pair, alpha)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow too
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no numpy warning beside the error
 class TestExtremeFiniteInput:
     """A finite alpha or z whose spectral powers or trace sum leave double
     range is a DomainError naming the point, never an eigensolver failure
@@ -1204,7 +1265,7 @@ class TestUnderflow:
         assert (prepared.traces([0.3, 0.5], [1.0, 2.0]) == 0.0).all()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow too
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no numpy warning beside the error
 class TestFaultOrder:
     """Within one call, the lowest fault code wins over an earlier point:
     an undefined formula, then overflowing powers, an overflowing trace sum
@@ -1270,7 +1331,7 @@ def _per_operator(rho, sigma):
 BIG = 1e308 + 1e308j  # finite, but A + A† overflows
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow too
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no numpy warning beside the error
 class TestStackedPrepare:
     """`prepare` validates (rho, sigma) as one stack and decomposes it with
     one eigh: the spectra equal the per-operator ones bit for bit, and every
