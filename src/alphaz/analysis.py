@@ -14,14 +14,17 @@ Checks implemented here:
 Each verification returns CheckReports with a pass flag, a headline
 residual, and a row-per-point trend table that serializes to JSON. The
 limit, slope-at-1, z-monotonicity and dT/dz checks take a sequence of
-pairs (TraceFunctionals) and make one kernel call on the pair axis for
-all of them (`divergences.stacked_divergences` or `stacked_traces`); the
-limit, z-monotonicity and dT/dz checks also take a sequence of items
-(curves, alphas, z0s) and return, per pair, one report per item, in order,
-from that one call. The example1 second-derivative check takes a sequence
-of ps and makes one kernel call for all of their pairs' stencils. One pair
-or one item is the one-element case, and a pair's reports do not depend on
-the pairs beside it.
+pairs (TraceFunctionals) and make one kernel request for all of them
+(`divergences._Pass.add`); the limit, z-monotonicity and dT/dz checks also
+take a sequence of items (curves, alphas, z0s) and return, per pair, one
+report per item, in order, from that one request. The example1
+second-derivative check takes a sequence of ps and makes one kernel
+request for all of their pairs' stencils. One pair or one item is the
+one-element case, and a pair's reports do not depend on the pairs beside
+it. Each check is split into its plan (`_plan_*`), which adds its requests
+to a kernel pass and returns its report builder, and its public
+`verify_*`, which runs the plan in a pass of its own (`_own_pass`); the
+suites run the plans of a whole run in one pass.
 Their offset ladders and finite-difference steps are module constants, not
 options: LIMIT_OFFSETS, DZ_TRACE_OFFSETS, and the default step of
 fd_derivative (1e-4) or fd_second_derivative (1e-3).
@@ -59,14 +62,20 @@ def _worst(residuals) -> tuple[float, int]:
     return float(residuals.flat[i]), i
 
 
+def _stencil(x0, offsets: tuple[float, ...]) -> np.ndarray:
+    """The points x0 + o for every offset o, one row per offset, each row
+    shaped like x0."""
+    x0 = np.asarray(x0, dtype=float)
+    return x0 + np.reshape(offsets, (-1,) + (1,) * x0.ndim)
+
+
 def _samples(f: Callable[[np.ndarray], np.ndarray], x0, offsets: tuple[float, ...]
              ) -> np.ndarray:
-    """f called once on the points x0 + o for every offset o: an array with
-    one row per offset, each row shaped like x0, and trailing axes if the
-    samples carry them. Raises ArithmeticError naming the first non-finite
+    """f called once on the `_stencil` points of x0: an array with one row
+    per offset, each row shaped like x0, and trailing axes if the samples
+    carry them. Raises ArithmeticError naming the first non-finite
     sample."""
-    x0 = np.asarray(x0, dtype=float)
-    xs = x0 + np.reshape(offsets, (-1,) + (1,) * x0.ndim)
+    xs = _stencil(x0, offsets)
     ys = np.asarray(f(xs), dtype=float)
     finite = np.isfinite(ys)
     if not finite.all():
@@ -80,7 +89,11 @@ def _scalar(out):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def fd_derivative(f: Callable[[np.ndarray], np.ndarray], x0, h: float = 1e-4):
+# the default steps of fd_derivative and fd_second_derivative
+_FD_STEP, _FD2_STEP = 1e-4, 1e-3
+
+
+def fd_derivative(f: Callable[[np.ndarray], np.ndarray], x0, h: float = _FD_STEP):
     """First derivative at x0, a point or an array of them, by the central
     difference (f(x0 + h) - f(x0 - h)) / 2h. f maps the array of the two
     stencil points (x0 + h first, then x0 - h, each shaped like x0) to an
@@ -90,7 +103,7 @@ def fd_derivative(f: Callable[[np.ndarray], np.ndarray], x0, h: float = 1e-4):
     return _scalar((up - down) / (2.0 * h))
 
 
-def fd_second_derivative(f: Callable[[np.ndarray], np.ndarray], x0, h: float = 1e-3):
+def fd_second_derivative(f: Callable[[np.ndarray], np.ndarray], x0, h: float = _FD2_STEP):
     """Second derivative at x0 by the central difference
     (f(x0 + h) - 2 f(x0) + f(x0 - h)) / h^2; f and x0 as in fd_derivative,
     with the three stencil points x0 + h, x0, x0 - h."""
@@ -202,23 +215,40 @@ _TREND_SLACK = 1e-12
 _TREND_NOISE_FLOOR = 1e-9
 
 
+def _own_pass(plan: Callable[..., Callable[[], list]], *args) -> list:
+    """The reports of one check from a kernel pass of its own: the check's
+    plan, `plan(kernel, *args)`, adds its requests to the pass and returns
+    the function that builds its reports once the pass has run.
+    `suites.run_suites` runs the plans of every suite it runs in one pass
+    instead."""
+    kernel = dv._Pass()
+    reports = plan(kernel, *args)
+    kernel.run()
+    return reports()
+
+
 def verify_curve_limits(tfs: Sequence[TraceFunctional], curves: Sequence[CurveSpec],
                         bias: float = 0.0) -> list[list[CheckReport]]:
     """Check D(a, g(a)) -> relative entropy as a -> 1 along each curve: per
     pair, one report per curve, in order; every curve's ladder
     (LIMIT_OFFSETS on both sides of 1) is evaluated for every pair in one
-    kernel call.
+    kernel request.
 
     A curve passes iff its error at the tightest offset is <= 1e-3 on both
     sides and the error decays monotonically over the last three dyadic
     refinements. `bias` shifts every measured divergence (self-test hook).
     """
+    return _own_pass(_plan_curve_limits, tfs, curves, bias)
+
+
+def _plan_curve_limits(kernel: dv._Pass, tfs: Sequence[TraceFunctional],
+                       curves: Sequence[CurveSpec], bias: float):
+    """`verify_curve_limits` as a plan of `_own_pass`."""
     alphas = [1.0 + side * off for side in (+1, -1) for off in LIMIT_OFFSETS]
     zs = [[curve.g(alpha) for alpha in alphas] for curve in curves]
-    values = dv.stacked_divergences([tf.pair for tf in tfs], alphas,
-                                    np.reshape(zs, (-1, len(alphas)))) + bias
-    return [_curve_limits(tf.relative_entropy(), curves, alphas, zs, rows)
-            for tf, rows in zip(tfs, values.tolist())]
+    request = kernel.add([tf.pair for tf in tfs], alphas, np.reshape(zs, (-1, len(alphas))))
+    return lambda: [_curve_limits(tf.relative_entropy(), curves, alphas, zs, rows)
+                    for tf, rows in zip(tfs, (request.evaluate()[0] + bias).tolist())]
 
 
 def _curve_limits(target: float, curves: Sequence[CurveSpec], alphas: list[float],
@@ -266,18 +296,29 @@ def _family_zs(alphas: np.ndarray) -> np.ndarray:
 def verify_derivative_at_one(tfs: Sequence[TraceFunctional]) -> list[CheckReport]:
     """Check that the slope of both divergence families at a = 1 equals half
     the relative entropy variance, by fd_derivative's default step: one
-    report per pair, from one kernel call for every pair's stencil.
+    report per pair, from one kernel request for every pair's stencil.
 
     Passes iff each family's relative error is <= 1e-3, the two family
     estimates agree within 1e-5, and no slope dips below -1e-6 (the variance
     is non-negative).
     """
-    pairs = [tf.pair for tf in tfs]
-    slopes = fd_derivative(  # stencil points first: (2, pairs, families)
-        lambda a: np.moveaxis(dv.stacked_divergences(pairs, a[:, None], _family_zs(a)), 0, 1),
-        1.0)
-    return [_derivative_at_one(0.5 * tf.variance(), dict(zip(FAMILIES, row)))
-            for tf, row in zip(tfs, slopes.tolist())]
+    return _own_pass(_plan_derivative_at_one, tfs)
+
+
+def _plan_derivative_at_one(kernel: dv._Pass, tfs: Sequence[TraceFunctional]):
+    """`verify_derivative_at_one` as a plan of `_own_pass`."""
+    a = _stencil(1.0, (_FD_STEP, -_FD_STEP))
+    request = kernel.add([tf.pair for tf in tfs], a[:, None], _family_zs(a))
+
+    def reports():
+        # f gives the request's samples, at the stencil points fd_derivative
+        # forms from the same x0 and step
+        slopes = fd_derivative(  # stencil points first: (2, pairs, families)
+            lambda _: np.moveaxis(request.evaluate()[0], 0, 1), 1.0)
+        return [_derivative_at_one(0.5 * tf.variance(), dict(zip(FAMILIES, row)))
+                for tf, row in zip(tfs, slopes.tolist())]
+
+    return reports
 
 
 def _derivative_at_one(target: float, slopes: dict[str, float]) -> CheckReport:
@@ -335,32 +376,43 @@ STENCIL_AGREEMENT_TOL = 1e-9
 def verify_second_derivative_example1(ps: Sequence[float]) -> list[CheckReport]:
     """Second derivatives at a = 1 for the rank-1-vs-diagonal pair of each p,
     by fd_second_derivative's default step: one report per p, from one
-    kernel call for every pair's stencil.
+    kernel request for every pair's stencil.
 
     The z=1 family must have curvature 0 (within 1e-3) and the z=alpha
     family curvature -(ln p - ln(1-p))^2 / 4 (within 1e-3 relative); each
     is computed through both the closed form and the matrix pipeline, which
     must agree within 1e-9 at every stencil point.
     """
+    return _own_pass(_plan_second_derivative_example1, ps)
+
+
+def _plan_second_derivative_example1(kernel: dv._Pass, ps: Sequence[float]):
+    """`verify_second_derivative_example1` as a plan of `_own_pass`."""
     from .states import example1_pair
 
     ps = [float(p) for p in ps]
-    pairs = dv._prepare_pairs(example1_pair(p) for p in ps)
+    a = _stencil(1.0, (_FD2_STEP, 0.0, -_FD2_STEP))
+    request = kernel.add(dv._prepare_pairs(example1_pair(p) for p in ps), a[:, None],
+                         _family_zs(a))
     gaps = []
 
     def both(a):
-        """The matrix pipeline, then the closed form, one column per family:
-        (stencil points, pairs, 2 families x 2 routes)."""
+        """The request's matrix pipeline, at the stencil points `a`, then the
+        closed form, one column per family: (stencil points, pairs,
+        2 families x 2 routes)."""
         zs = _family_zs(a)
-        m = np.moveaxis(dv.stacked_divergences(pairs, a[:, None], zs), 0, 1)
+        m = np.moveaxis(request.evaluate()[0], 0, 1)
         c = np.array([[[example1_closed_form(p, x, z) for z in row] for p in ps]
                       for x, row in zip(a.tolist(), zs.tolist())])
         gaps.append(np.abs(m - c))
         return np.concatenate([m, c], axis=2)
 
-    d2 = fd_second_derivative(both, 1.0).tolist()
-    return [_second_derivative_example1(p, row, stencil_gaps)
-            for p, row, stencil_gaps in zip(ps, d2, np.moveaxis(gaps[0], 1, 0).tolist())]
+    def reports():
+        d2 = fd_second_derivative(both, 1.0).tolist()
+        return [_second_derivative_example1(p, row, stencil_gaps)
+                for p, row, stencil_gaps in zip(ps, d2, np.moveaxis(gaps[0], 1, 0).tolist())]
+
+    return reports
 
 
 def _second_derivative_example1(p: float, d2: list[float],
@@ -408,16 +460,24 @@ def verify_z_monotonicity(tfs: Sequence[TraceFunctional], alphas: Sequence[float
                           zs: Sequence[float]) -> list[list[CheckReport]]:
     """Check the sampled sequence z -> D(alpha, z) is non-increasing for
     alpha > 1 and non-decreasing for alpha < 1, with 1e-10 slack per step:
-    per pair, one report per alpha, in order, from one kernel call for all
-    pairs and alphas."""
+    per pair, one report per alpha, in order, from one kernel request for
+    all pairs and alphas."""
+    return _own_pass(_plan_z_monotonicity, tfs, alphas, zs)
+
+
+def _plan_z_monotonicity(kernel: dv._Pass, tfs: Sequence[TraceFunctional],
+                         alphas: Sequence[float], zs: Sequence[float]):
+    """`verify_z_monotonicity` as a plan of `_own_pass`; checks the alphas
+    and zs first."""
     alphas = [float(alpha) for alpha in alphas]
     if any(abs(alpha - 1.0) <= dv.ALPHA_ONE_TOL for alpha in alphas):
         raise DomainError("alpha = 1 has no z dependence to check")
     zs = [float(z) for z in zs]
     if any(z <= 0.0 for z in zs) or list(zs) != sorted(zs):
         raise ValueError("zs must be positive and ascending")
-    values = dv.stacked_divergences([tf.pair for tf in tfs], np.reshape(alphas, (-1, 1)), zs)
-    return [_z_monotonicity(alphas, zs, rows) for rows in values.tolist()]
+    request = kernel.add([tf.pair for tf in tfs], np.reshape(alphas, (-1, 1)), zs)
+    return lambda: [_z_monotonicity(alphas, zs, rows)
+                    for rows in request.evaluate()[0].tolist()]
 
 
 def _z_monotonicity(alphas: list[float], zs: list[float],
@@ -449,7 +509,7 @@ DZ_TRACE_OFFSETS = (1e-1, 1e-2, 1e-3, 1e-4)
 def verify_dz_trace_vanishes(tfs: Sequence[TraceFunctional],
                              z0s: Sequence[float]) -> list[list[CheckReport]]:
     """Check dT/dz(alpha, z0) -> 0 as alpha -> 1: per pair, one report per
-    z0, in order, from one kernel call for every stencil point of every z0
+    z0, in order, from one kernel request for every stencil point of every z0
     and pair, by fd_derivative's default step at alpha = 1 +/-
     DZ_TRACE_OFFSETS and 1.
 
@@ -457,15 +517,28 @@ def verify_dz_trace_vanishes(tfs: Sequence[TraceFunctional],
     both sides of 1, is <= 1e-4 at the tightest offset, and is <= 1e-8 at
     alpha = 1 exactly (where T is identically 1 in z).
     """
+    return _own_pass(_plan_dz_trace_vanishes, tfs, z0s)
+
+
+def _plan_dz_trace_vanishes(kernel: dv._Pass, tfs: Sequence[TraceFunctional],
+                            z0s: Sequence[float]):
+    """`verify_dz_trace_vanishes` as a plan of `_own_pass`."""
     z0s = [float(z0) for z0 in z0s]
     if 0.0 in z0s:
         raise DomainError("z = 0 is excluded")
     # every offset on both sides, then alpha = 1: one column each
     alphas = [1.0 + side * off for side in (+1, -1) for off in DZ_TRACE_OFFSETS] + [1.0]
-    pairs = [tf.pair for tf in tfs]
-    slopes = fd_derivative(  # stencil points first: (2, pairs, z0s, alphas)
-        lambda z: np.moveaxis(dv.stacked_traces(pairs, alphas, z[..., None]), 0, 1), z0s)
-    return [_dz_trace(z0s, alphas, rows) for rows in slopes.tolist()]
+    zs = _stencil(z0s, (_FD_STEP, -_FD_STEP))
+    request = kernel.add([tf.pair for tf in tfs], alphas, zs[..., None])
+
+    def reports():
+        # f gives the request's samples, at the stencil points fd_derivative
+        # forms from the same z0s and step
+        slopes = fd_derivative(  # stencil points first: (2, pairs, z0s, alphas)
+            lambda _: np.moveaxis(request.traces(), 0, 1), z0s)
+        return [_dz_trace(z0s, alphas, rows) for rows in slopes.tolist()]
+
+    return reports
 
 
 def _dz_trace(z0s: list[float], alphas: list[float],

@@ -16,14 +16,14 @@ with either of the others is malformed input. A negative value such as
 joined to it (`--alpha-grid=-1.5:3:10`).
 `sweep` writes its CSV lines straight from `analysis.sweep`'s arrays.
 It evaluates at most 100,000 points (alpha points times z points, or the
-alpha points of a curve): the stacked kernel holds every point's G at once,
-4 KB a point at d = 16. A larger grid is malformed input, rejected before
-any grid is built.
-`verify` takes at most 10,000 seeds: every seeded pair is built before the
-first check, and a run costs about 5 ms, 0.06 MB of memory and 3 KB of JSON
-per seed (measured from 10 to 1,000 seeds), so the limit keeps a run to about
-a minute and 0.7 GB. A larger count is malformed input, rejected before any
-pair is built.
+alpha points of a curve): the kernel pass holds every point's row and
+values at once, and the G of up to 4,096 points, 4 KB a point at d = 16. A
+larger grid is malformed input, rejected before any grid is built.
+`verify` takes at most 10,000 seeds: every seeded pair, and every row of the
+run's one kernel pass, is built before the first report, and a run costs
+about 4 ms, 0.08 MB of memory and 3 KB of JSON per seed (measured from 10 to
+2,000 seeds), so the limit keeps a run to about a minute and 0.9 GB. A
+larger count is malformed input, rejected before any pair is built.
 `main` builds the argparse parser on its first call and reuses it, so
 in-process callers pay for it once.
 """
@@ -51,12 +51,12 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_INTERNAL = 4
 
-# the most (alpha, z) points one `sweep` evaluates: the stacked kernel holds
-# one d x d complex G per point at once
+# the most (alpha, z) points one `sweep` evaluates: the kernel pass holds
+# every point's row and values at once
 _SWEEP_MAX_POINTS = 100_000
 
-# the most seeds one `verify` takes: every seeded pair is built before the
-# first check, at about 0.06 MB a seed
+# the most seeds one `verify` takes: every seeded pair and kernel row is built
+# before the first report, at about 0.08 MB a seed
 _VERIFY_MAX_SEEDS = 10_000
 
 

@@ -40,13 +40,15 @@ formula is undefined, 2 where the spectral powers overflow, 3 where the
 trace sum overflows and 4 where it underflows, and T is NaN at a point
 with a fault. Each entry point then raises one DomainError, for the
 lowest code at its first point among the points it needs (every point for
-T, the open points for D); a closed point's fault is no error. Since the
-steps report every range fault themselves, numpy's floating-point
-warnings are off where they run, entered once per driver: around the
-scalar `PreparedPair._divergence` with its self-check, each stack's
-`_Stack.traces` and `_Stack.dual_traces`, and `ClassicalPair.renyi`. The
-self-checks of `petz`, `sandwiched` and `stacked_mosonyi_ogawa` fail on a
-NaN value or check T, as an ArithmeticError.
+T, the open points for D); a closed point's fault is no error. Where D
+needs T, a T that is not positive, NaN included, is an ArithmeticError.
+Since the steps report every range fault themselves, numpy's
+floating-point warnings are off where they run, entered once per driver:
+around the scalar `PreparedPair._divergence` with its self-check, each
+stack's `_Stack.traces` and `_Stack.dual_traces`, and
+`ClassicalPair.renyi`. The self-checks of `petz`, `sandwiched` and
+`stacked_mosonyi_ogawa` fail on a NaN value or check T, as an
+ArithmeticError.
 
 Every quantum value comes from a PreparedPair, which validates both
 operators as one stack in one pass, decomposes them with one `eigh` and
@@ -54,10 +56,17 @@ carries every family as a method; each module function prepares one pair
 per call and calls one method. `_prepare_pairs` prepares a family of pairs
 with one stack, one `eigh`, per dimension, equal to `prepare` of each. The
 trace functional T(a, z) is `prepare(rho, sigma).traces(alpha, z)`.
-`stacked_divergences`,
-`stacked_traces` and `stacked_mosonyi_ogawa` evaluate the same points on
-several prepared pairs of any dimensions with at most one SVD per dimension
-(and per self-check), working on the pairs of each dimension as one stack.
+
+The kernel works on rows, one per pair and point (alpha, z). A kernel pass
+(`_Pass`) takes the rows of several requests, each some prepared pairs of
+any dimensions at the same points, and evaluates them together: the pairs
+of each dimension as one stack (`_Stack`), with at most one SVD per
+dimension and per self-check route for up to _STACK_ROWS rows. Each
+request then reads its own D, T or Mosonyi-Ogawa values (`_Request`).
+`stacked_divergences`, `stacked_traces` and `stacked_mosonyi_ogawa`, and
+through them `PreparedPair.divergences`, `traces` and `evaluate`, are the
+one-request case; `suites.run_suites` puts every family of a run in one
+pass.
 """
 
 from __future__ import annotations
@@ -82,6 +91,10 @@ ALPHA_ONE_TOL = 1e-12
 # the largest positive integer z whose T the product route computes; a
 # numerics rule, like ALPHA_ONE_TOL. Larger z keeps the SVD route.
 Z_PRODUCT_MAX = 16
+
+# the most rows one `_Stack` evaluates at once, which bounds the memory of a
+# kernel pass: rows are independent, so no value depends on it
+_STACK_ROWS = 4096
 
 # agreement tolerance for the built-in dual-route self-check
 _DUAL_PATH_TOL = 1e-10
@@ -252,9 +265,12 @@ def _point(alpha: float, z: float) -> tuple[float, float]:
     return alpha, z
 
 
-def _from_trace(alpha: float, t: float) -> float:
-    """D = ln T / (alpha - 1) at one point; T <= 0 is an internal fault."""
-    if t <= 0.0:
+def _from_trace(alpha: float, t: float, checked: bool) -> float:
+    """D = ln T / (alpha - 1) at one point. A T that is not positive, NaN
+    included, is an internal fault, except that a NaN T gives a NaN D where
+    a self-check is to meet it (`checked`); `_Request.evaluate` holds the
+    same rule for the kernel pass."""
+    if t <= 0.0 if checked else not t > 0.0:
         raise ArithmeticError(f"trace functional collapsed to {t!r}")
     return math.log(t) / (alpha - 1.0)
 
@@ -367,16 +383,14 @@ class PreparedPair:
     per-point fault codes without raising; the entry point then raises
     once, through `_raise`, for the faults at the points it needs. G is
     built in the order `_factor` gives it, and every route and self-check
-    takes G as built. `traces`,
-    `divergences` and `evaluate` take arrays of points, sum the product
-    points' matrix products and run one stacked SVD for the rest: they are
-    the one-pair case of the module's stacked kernel
-    (`stacked_traces`, `stacked_divergences`), which takes the pair as its
-    one-pair `_Stack`, and `evaluate` returns the D of `divergences`
-    with the T beside it, NaN at a closed point where T is undefined or out
-    of double range. The scalar `divergence` runs the same steps for one
-    point, and `petz`, `sandwiched` and `mosonyi_ogawa` call it with their
-    own self-checks."""
+    takes G as built. `traces`, `divergences` and `evaluate` take arrays of
+    points, sum the product points' matrix products and run one stacked SVD
+    for the rest: they are the one-pair case of the module's kernel pass
+    (`stacked_traces`, `stacked_divergences`), and `evaluate` returns the D
+    of `divergences` with the T beside it, NaN at a closed point where T is
+    undefined or out of double range. The scalar `divergence` runs the same
+    steps for one point, and `petz`, `sandwiched` and `mosonyi_ogawa` call
+    it with their own self-checks."""
 
     rho: Spectrum
     sigma: Spectrum
@@ -543,7 +557,7 @@ class PreparedPair:
                 (t, fault), route = self._trace_sums(singular, z), "svd"
                 if fault:
                     self._raise(fault, alpha, z)
-            value = _from_trace(alpha, float(t))
+            value = _from_trace(alpha, float(t), check is not None)
             if check is not None:
                 check(value, route, g)
         return DivergenceValue.finite(value), route, g
@@ -551,14 +565,14 @@ class PreparedPair:
     def evaluate(self, alphas, zs) -> tuple[np.ndarray, np.ndarray]:
         """D in nats and T at the broadcast points of alphas and zs, as two
         float arrays of the broadcast shape, from at most one stacked SVD:
-        the one-pair case of the rows `divergences` takes its D from. D is
-        +inf where the supports force it (`divergence` at that point gives
-        the reason tag). T is NaN at a closed point, where D needs none, if
-        its formula is undefined or out of double range there; where D
-        needs T, such a point raises the DomainError of `divergences`."""
-        a, z = _points(alphas, zs)
-        values, traces, *_ = _divergence_rows([self], a.ravel(), z.ravel())
-        return values[0].reshape(a.shape), traces[0].reshape(a.shape)
+        the one-pair case of `_Request.evaluate`, which `divergences` takes
+        its D from. D is +inf where the supports force it (`divergence` at
+        that point gives the reason tag). T is NaN at a closed point, where
+        D needs none, if its formula is undefined or out of double range
+        there; where D needs T, such a point raises the DomainError of
+        `divergences`."""
+        values, traces = _alone([self], alphas, zs).evaluate()
+        return values[0], traces[0]
 
     def petz(self, alpha: float) -> DivergenceValue:
         """Petz quantum Renyi divergence of order alpha, the z = 1 member.
@@ -638,23 +652,24 @@ class PreparedPair:
 
 
 class _Stack:
-    """The pairs of one dimension in a kernel call, laid out along a pair
-    axis when the call builds the stack: their support flags
-    (`PreparedPair._flags`: a bool where the pairs share it, else a column
-    of bools) and inner ranks; per pair, the eigenvalues of sigma and rho in
-    both orders with the kernel entries set to 1, indexed [pair, sigma 0 or
-    rho 1, reversed 0 or 1, entry], and the support masks that zero those
-    entries' powers (None where every operator has full rank); and W, then W
-    with its columns, its rows and both reversed (`orientations`, index 4
-    per pair, 2 for rows and 1 for columns). Each array is allocated once
-    and filled for all the pairs; nothing is cached on a pair. Each kernel
-    step runs on these once for all the rows, one row per pair and point, of
-    the stack. Every step is elementwise, per row or per matrix, so a pair's
-    rows come out as they would in a stack of its own."""
+    """The pairs of one dimension in a kernel pass, laid out along a pair
+    axis once per pass: their support flags (`PreparedPair._flags`: a bool
+    where the pairs share it, else an array of bools, one per pair) and
+    inner ranks; per pair, the eigenvalues of sigma and rho in both orders
+    with the kernel entries set to 1, indexed [pair, sigma 0 or rho 1,
+    reversed 0 or 1, entry], and the support masks that zero those entries'
+    powers (None where every operator has full rank); and W, then W with
+    its columns, its rows and both reversed (`orientations`, index 4 per
+    pair, 2 for rows and 1 for columns). Each array is allocated once and
+    filled for all the pairs; nothing is cached on a pair. A row is a pair
+    of the stack, by its index pi, at one point (alpha, z), and each kernel
+    step runs once for all the rows it is given. Every step is elementwise,
+    per row or per matrix, so a row comes out as it would in a stack of its
+    own, whatever else shares the stack."""
 
     def __init__(self, pairs: list[PreparedPair]):
         self.pairs, count, dim = pairs, len(pairs), pairs[0].rho.values.size
-        self.flags = tuple(column[0] if len(set(column)) == 1 else np.array(column)[:, None]
+        self.flags = tuple(column[0] if len(set(column)) == 1 else np.array(column)
                            for column in zip(*(pair._flags for pair in pairs)))
         self.inner_ranks = np.array([pair.inner_rank for pair in pairs])
         self.bases, self.masks = np.empty((count, 2, 2, dim)), None
@@ -675,6 +690,12 @@ class _Stack:
             w[..., ::-1], w[:, ::-1], w[:, ::-1, ::-1])
         self.orientations = orientations.reshape(4 * count, dim, dim)
 
+    def _route(self, pi, alphas, zs):
+        """`_route`, the module's route rule, at the rows (pairs pi, points
+        alphas and zs, 1-d arrays of one entry per row)."""
+        return _route(alphas, zs, *(flag if isinstance(flag, bool) else flag[pi]
+                                    for flag in self.flags))
+
     def _powers(self, pi, side: int, order, exponents) -> np.ndarray:
         """The generalized powers of operator `side` (0 sigma, 1 rho) of
         the pairs pi in the orders `order` (1 reversed), one row per
@@ -684,15 +705,16 @@ class _Stack:
             out *= self.masks[pi, side, order]
         return out
 
-    def _factors(self, pi, ni, e_sigma, e_rho):
-        """`PreparedPair._factor`'s G at the rows (pairs pi, points ni) and
-        the rows whose powers leave double range (None where none does),
-        whose G is W in its order. Each row's W is gathered in its order from
-        `orientations`, then scaled in place by powers taken in that order."""
-        rows = (e_sigma < 0.0).astype(np.intp)[ni]  # the sides to reverse
-        cols = (e_rho < 0.0).astype(np.intp)[ni]
-        s_pow = self._powers(pi, 0, rows, e_sigma[ni])
-        r_pow = self._powers(pi, 1, cols, (e_rho / 2.0)[ni])
+    def _factors(self, pi, e_sigma, e_rho):
+        """`PreparedPair._factor`'s G at the rows (pairs pi, exponents e_sigma
+        and e_rho) and the rows whose powers leave double range (None where
+        none does), whose G is W in its order. Each row's W is gathered in
+        its order from `orientations`, then scaled in place by powers taken
+        in that order."""
+        rows = (e_sigma < 0.0).astype(np.intp)  # the sides to reverse
+        cols = (e_rho < 0.0).astype(np.intp)
+        s_pow = self._powers(pi, 0, rows, e_sigma)
+        r_pow = self._powers(pi, 1, cols, e_rho / 2.0)
         over = None
         if not math.isfinite(float(s_pow.max(initial=0.0)) * float(r_pow.max(initial=0.0))):
             over = ~np.isfinite(s_pow.max(axis=-1) * r_pow.max(axis=-1))
@@ -718,218 +740,289 @@ class _Stack:
         return sums, fault
 
     @np.errstate(all="ignore")  # the steps report every range fault themselves
-    def traces(self, alphas, zs):
-        """`_stacked_traces` for this stack's pairs. Only defined points get
-        a G; T is NaN with the code _UNDEFINED at the others. Runs with
-        numpy's floating-point warnings off, as `dual_traces` does."""
-        closed, defined, product, e_sigma, e_rho = _route(alphas, zs, *self.flags)
-        closed = np.broadcast_to(closed, (len(self.pairs), alphas.size))
-        if defined is True:
-            rows = np.arange(closed.size)
-        else:
-            defined = np.broadcast_to(defined, closed.shape)
-            rows = np.flatnonzero(defined)
-        pi, ni = np.divmod(rows, alphas.size)
-        g, over = self._factors(pi, ni, e_sigma, e_rho)
-        t, fault = np.full(rows.size, math.nan), np.zeros(rows.size, dtype=int)
+    def traces(self, pi, alphas, zs):
+        """`_stacked_traces` at the rows (pairs pi of this stack, points
+        alphas and zs). Only defined rows get a G; T is NaN with the code
+        _UNDEFINED at the others. Runs with numpy's floating-point warnings
+        off, as `dual_traces` does."""
+        closed, defined, product, e_sigma, e_rho = self._route(pi, alphas, zs)
+        rows = slice(None) if defined is True else np.flatnonzero(defined)
+        pi, zs = pi[rows], zs[rows]
+        g, over = self._factors(pi, e_sigma[rows], e_rho[rows])
+        t, fault = np.full(pi.size, math.nan), np.zeros(pi.size, dtype=int)
         if over is not None:
             fault[over] = _POWERS_OVERFLOW
         todo = fault == 0  # the rows whose T is still to come
-        on = np.zeros(rows.size, dtype=bool)
+        on = np.zeros(pi.size, dtype=bool)
         if product is not False:
-            on = todo & np.broadcast_to(product, closed.shape).ravel()[rows]
+            on = todo & product[rows]
         if on.any():
-            ks = zs[ni]
-            groups = set(ks[on].tolist())
+            groups = set(zs[on].tolist())
             for k in groups:
-                at = on & (ks == k) if len(groups) > 1 else on
+                at = on & (zs == k) if len(groups) > 1 else on
                 t[at] = PreparedPair._power_sums(g[at], int(k))
             on &= (t >= _TINY) & (t < math.inf)  # a NaN fails too
             todo &= ~on
         if todo.any():
             rest = slice(None) if todo.all() else todo
             singular = np.linalg.svd(g[rest], compute_uv=False)
-            t[rest], fault[rest] = self._trace_sums(singular, zs[ni[rest]], pi[rest])
+            t[rest], fault[rest] = self._trace_sums(singular, zs[rest], pi[rest])
             if fault.any():
                 t[fault != 0] = math.nan
-        if rows.size == closed.size:  # every point defined, rows in order
-            return closed, t.reshape(closed.shape), fault.reshape(closed.shape), on.reshape(
-                closed.shape)
-        out, faults = np.full(closed.shape, math.nan), np.where(defined, 0, _UNDEFINED)
-        by_product = np.zeros(closed.shape, dtype=bool)
-        out.flat[rows], faults.flat[rows], by_product.flat[rows] = t, fault, on
-        return closed, out, faults, by_product
+        out = (np.full(closed.size, math.nan), np.full(closed.size, _UNDEFINED),
+               np.zeros(closed.size, dtype=bool))
+        for whole, part in zip(out, (t, fault, on)):
+            whole[rows] = part
+        return (closed,) + out
 
     @np.errstate(all="ignore")
-    def dual_traces(self, alphas, zs, closed, by_product) -> np.ndarray:
+    def dual_traces(self, pi, alphas, zs, closed, by_product):
         """The second route's T of the self-checks of `petz` and
-        `sandwiched` at the open points of this stack's pairs, NaN at the
-        closed ones, where a point with alpha < 1 is a Petz value (z = 1) and
-        the others sandwiched values (z = alpha): the SVD route of the same G
-        where the product route gave T (`by_product`), the overlap sum
-        sum_ij w_ji r_i^a s_j^(1-a) where the SVD route gave it, and for a
-        sandwiched value the squared top inner-rank singular values of the
-        assembled factor sigma^((1-a)/2a) rho^(1/2) raised to alpha; one
-        `svd` for each of the first and the last. A fault of the SVD route
-        raises the pair's DomainError."""
-        out = np.full(closed.shape, math.nan)
+        `sandwiched` at the open rows (pairs pi of this stack, points alphas
+        and zs), NaN at the closed ones, where a row with alpha < 1 is a
+        Petz value (z = 1) and the others sandwiched values (z = alpha): the
+        SVD route of the same G where the product route gave T
+        (`by_product`), the overlap sum sum_ij w_ji r_i^a s_j^(1-a) where the
+        SVD route gave it, and for a sandwiched value the squared top
+        inner-rank singular values of the assembled factor
+        sigma^((1-a)/2a) rho^(1/2) raised to alpha; one `svd` for each of
+        the first and the last. Also the fault codes of the SVD route, 0
+        where it has none."""
+        t, fault = np.full(pi.size, math.nan), np.zeros(pi.size, dtype=int)
         petz = ~closed & (alphas < 1.0)
-        rows = np.flatnonzero(petz & by_product)
-        if rows.size:
-            pi, ni = np.divmod(rows, alphas.size)
-            *_, e_sigma, e_rho = _route(alphas, zs, *self.flags)
-            g, _ = self._factors(pi, ni, e_sigma, e_rho)
-            t, fault = self._trace_sums(np.linalg.svd(g, compute_uv=False), zs[ni], pi)
-            if np.any(fault):
-                i = int(np.argmax(fault != 0))
-                self.pairs[pi[i]]._raise(int(fault[i]), alphas[ni[i]], zs[ni[i]])
-            out.flat[rows] = t
-        rows = np.flatnonzero(petz & ~by_product)
-        if rows.size:
-            pi, ni = np.divmod(rows, alphas.size)
-            weights = np.stack([p.weights for p in self.pairs])[pi]
-            out.flat[rows] = np.einsum("rj,rji,ri->r", self._powers(pi, 0, 0, 1.0 - alphas[ni]),
-                                       weights, self._powers(pi, 1, 0, alphas[ni]))
-        rows = np.flatnonzero(~closed & ~petz)
-        if rows.size:
-            pi, ni = np.divmod(rows, alphas.size)
-            singular = np.linalg.svd(_sandwiched_factors(self, pi, alphas[ni]), compute_uv=False)
-            kept = np.arange(singular.shape[-1]) < self.inner_ranks[pi][:, None]
-            out.flat[rows] = (_power(singular * singular, alphas[ni]) * kept).sum(axis=-1)
-        return out
+        at = np.flatnonzero(petz & by_product)
+        if at.size:
+            *_, e_sigma, e_rho = self._route(pi[at], alphas[at], zs[at])
+            g, _ = self._factors(pi[at], e_sigma, e_rho)
+            t[at], fault[at] = self._trace_sums(np.linalg.svd(g, compute_uv=False), zs[at],
+                                                pi[at])
+        at = np.flatnonzero(petz & ~by_product)
+        if at.size:
+            weights = np.stack([self.pairs[p].weights for p in pi[at].tolist()])
+            t[at] = np.einsum("rj,rji,ri->r", self._powers(pi[at], 0, 0, 1.0 - alphas[at]),
+                              weights, self._powers(pi[at], 1, 0, alphas[at]))
+        at = np.flatnonzero(~closed & ~petz)
+        if at.size:
+            singular = np.linalg.svd(_sandwiched_factors(self, pi[at], alphas[at]),
+                                     compute_uv=False)
+            kept = np.arange(singular.shape[-1]) < self.inner_ranks[pi[at]][:, None]
+            t[at] = (_power(singular * singular, alphas[at]) * kept).sum(axis=-1)
+        return t, fault
 
 
 def _sandwiched_factors(stack: _Stack, pi, alphas) -> np.ndarray:
     """The sandwiched self-check's factors sigma^((1-a)/2a) rho^(1/2) of the
     pairs pi of a stack at the orders alphas, one per row, each operator
-    assembled in its eigenbasis as `Spectrum.operator` assembles it."""
-    sigmas = np.stack([p.sigma.vectors for p in stack.pairs])[pi]
-    rhos = np.stack([p.rho.vectors for p in stack.pairs])
-    every = np.arange(len(stack.pairs))
+    assembled in its eigenbasis as `Spectrum.operator` assembles it; rho^(1/2)
+    once per pair that the rows name."""
+    named, at = np.unique(pi, return_inverse=True)
+    sigmas = np.stack([stack.pairs[p].sigma.vectors for p in pi.tolist()])
+    rhos = np.stack([stack.pairs[p].rho.vectors for p in named.tolist()])
     s_pow = stack._powers(pi, 0, 0, (1.0 - alphas) / (2.0 * alphas))
-    r_half = stack._powers(every, 1, 0, np.full(every.size, 0.5))
+    r_half = stack._powers(named, 1, 0, np.full(named.size, 0.5))
     s_op = hermitian_part((sigmas * s_pow[:, None, :]) @ sigmas.conj().swapaxes(-1, -2))
     half = hermitian_part((rhos * r_half[:, None, :]) @ rhos.conj().swapaxes(-1, -2))
-    return s_op @ half[pi]
+    return s_op @ half[at]
 
 
-def _by_dimension(pairs: list[PreparedPair]) -> list[list[int]]:
-    """The indices of the pairs of each dimension, in the order in which the
-    dimensions first appear."""
-    groups = {}
-    for p, pair in enumerate(pairs):
-        groups.setdefault(pair.rho.values.size, []).append(p)
-    return list(groups.values())
-
-
-def _stacked_traces(pairs: list[PreparedPair], alphas: np.ndarray, zs: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The closed points of `_route`, T, the fault codes and the points
-    whose T came from the product route, at 1-d arrays of N points for P
-    pairs of any dimensions, each of shape (P, N). The pairs of each
-    dimension, in the order in which the dimensions first appear, are laid
-    out as one `_Stack` for this call: its route, powers, G (at the defined
-    points only), product-route k-groups (`_power_sums`) and trace sums
-    (`_trace_sums`, per inner rank) each run once for all of its pairs, with
-    one SVD of the stack for the rows without a fault that the product route
-    did not settle, none where there are no such rows. This is the one place
-    that knows one stack needs one matrix size. T is NaN at every point with
-    a fault; nothing raises, and each caller raises for the points it needs.
-    Each pair's rows are computed as they would be alone, so its values do
-    not depend on the other pairs of the call."""
-    stacks = _by_dimension(pairs)
-    if len(stacks) == 1:
-        return _Stack(pairs).traces(alphas, zs)
-    shape = (len(pairs), alphas.size)
-    out = (np.empty(shape, dtype=bool), np.empty(shape), np.empty(shape, dtype=int),
-           np.empty(shape, dtype=bool))
-    for members in stacks:
-        for whole, part in zip(out, _Stack([pairs[p] for p in members]).traces(alphas, zs)):
-            whole[members] = part
+def _stacked_traces(pairs: list[PreparedPair], pi, alphas, zs, checked):
+    """The kernel pass at rows (pairs[pi], alphas, zs), 1-d arrays of one
+    entry per row, for pairs of any dimensions: per row, whether it is
+    closed (`_route`), T, its fault code and whether the product route gave
+    T, and at the rows where `checked` is true the second route's T of the
+    self-checks and its fault codes (`_Stack.dual_traces`; NaN and 0
+    elsewhere). The pairs of each dimension that the rows name are laid out
+    as one `_Stack`: its route, powers, G (at the defined rows only),
+    product-route k-groups (`_power_sums`) and trace sums (`_trace_sums`,
+    per inner rank) each run once for all of its rows, with one SVD of the
+    stack for the rows without a fault that the product route did not
+    settle, none where there are no such rows, and the self-checks run on
+    the same stack. This is the one place that knows one stack needs one
+    matrix size. T is NaN at every row with a fault; nothing raises, and
+    each request raises for the rows it needs (`_Request`). Each row is
+    computed as it would be alone, so its values do not depend on the other
+    rows of the pass."""
+    out = (np.empty(pi.size, dtype=bool), np.empty(pi.size), np.empty(pi.size, dtype=int),
+           np.empty(pi.size, dtype=bool), np.full(pi.size, math.nan),
+           np.zeros(pi.size, dtype=int))
+    sizes = np.array([pair.rho.values.size for pair in pairs], dtype=int)
+    dims = sizes[pi]
+    local = np.empty(len(pairs), dtype=np.intp)  # a pair's index in its stack
+    for dim in dict.fromkeys(sizes.tolist()):
+        members = np.flatnonzero(sizes == dim)
+        local[members] = np.arange(members.size)
+        stack = _Stack([pairs[p] for p in members.tolist()])
+        every = np.flatnonzero(dims == dim)
+        for start in range(0, every.size, _STACK_ROWS):
+            rows = every[start:start + _STACK_ROWS]
+            parts = stack.traces(local[pi[rows]], alphas[rows], zs[rows])
+            for whole, part in zip(out, parts):
+                whole[rows] = part
+            rows = rows[checked[rows]]
+            if rows.size:
+                parts = stack.dual_traces(local[pi[rows]], alphas[rows], zs[rows],
+                                          out[0][rows], out[3][rows])
+                for whole, part in zip(out[4:], parts):
+                    whole[rows] = part
     return out
+
+
+class _Pass:
+    """Requests for D, T or Mosonyi-Ogawa values on prepared pairs of any
+    dimensions, evaluated in one kernel pass: `add` each request, `run`
+    once, then read each request's values from its `_Request`. The rows of
+    every request, one per pair and point, go to `_stacked_traces` at once,
+    so each pair that several requests name is laid out once, and each
+    dimension takes one `_Stack`. A row's values do not depend on what else
+    shares the pass, so each read gives what that request's own `stacked_*`
+    call gives, bit for bit, and raises what that call raises."""
+
+    def __init__(self):
+        # each pair's index in the pass and the pair, by id; each request's rows
+        self._pairs, self._rows, self.rows = {}, [], None
+
+    def add(self, pairs, alphas, zs=None) -> "_Request":
+        """Request `pairs` at the broadcast points of alphas and zs, checked
+        here as `_points` checks them. Without zs, the Mosonyi-Ogawa points
+        of the orders alphas > 0 (z = 1 below alpha = 1, z = alpha from it),
+        whose values the pass also checks by a second route."""
+        checked = zs is None
+        if checked:
+            alphas = np.asarray(alphas, dtype=float)
+            if (alphas <= 0.0).any():
+                raise DomainError(f"order must be positive, got {float(alphas[alphas <= 0.0][0])}")
+            zs = np.where(alphas < 1.0, 1.0, alphas)
+        a, z = _points(alphas, zs)
+        pairs = list(pairs)
+        for pair in pairs:
+            self._pairs.setdefault(id(pair), (len(self._pairs), pair))
+        index = [self._pairs[id(pair)][0] for pair in pairs]
+        start = sum(rows[0].size for rows in self._rows)
+        count = len(pairs) * a.size
+        shape = (len(pairs), a.size)  # pair-major rows
+        self._rows.append((np.repeat(np.array(index, dtype=np.intp), a.size),
+                           _filled(shape, a.ravel()).ravel(), _filled(shape, z.ravel()).ravel(),
+                           np.full(count, checked)))
+        return _Request(self, pairs, a, z, slice(start, start + count), checked)
+
+    def run(self) -> None:
+        """Evaluate every request's rows in one kernel pass."""
+        if self._rows:
+            self.rows = _stacked_traces([pair for _, pair in self._pairs.values()],
+                                        *map(np.concatenate, zip(*self._rows)))
+
+
+class _Request:
+    """One request of a `_Pass`: its pairs and points, and, once the pass
+    has run, its values, each of shape (len(pairs), *points)."""
+
+    def __init__(self, kernel: _Pass, pairs, alphas, zs, rows: slice, checked: bool):
+        self.kernel, self.pairs, self.shape = kernel, pairs, (len(pairs),) + alphas.shape
+        self.alphas, self.zs, self.rows, self.checked = alphas.ravel(), zs.ravel(), rows, checked
+
+    def _read(self, k: int) -> np.ndarray:
+        """Array k of the pass at this request's rows, one row per pair."""
+        return self.kernel.rows[k][self.rows].reshape(len(self.pairs), self.alphas.size)
+
+    def _raise_first(self, faults: np.ndarray) -> None:
+        """Raise the DomainError of the first pair with a fault code in
+        `faults`, one row per pair, through its `_raise`; none if none."""
+        if faults.any():
+            p = int(np.argmax(faults.any(axis=1)))
+            self.pairs[p]._raise(faults[p], self.alphas, self.zs)
+
+    def traces(self) -> np.ndarray:
+        """T. Every point needs T, so the first pair with a fault raises the
+        DomainError of its own `traces` call."""
+        self._raise_first(self._read(2))
+        return self._read(1).reshape(self.shape)
+
+    def evaluate(self) -> tuple[np.ndarray, np.ndarray]:
+        """D in nats and T, as `PreparedPair.evaluate` gives them per pair:
+        D is the pair's `_closed_value` at its closed points and
+        ln T / (a - 1) elsewhere. D needs T at the open points only, and
+        there the first pair whose T is not positive, NaN included, raises:
+        for a fault, whose T is NaN, through `_raise`, else an
+        ArithmeticError. A checked request (`_Pass.add` without zs) keeps
+        the NaN D of a NaN T without a fault instead, for its self-check to
+        meet, as the checks of `petz` and `sandwiched` meet it. This is the
+        one place that forms D from T."""
+        closed, t, faults = self._read(0), self._read(1), self._read(2)
+        collapsed = ~closed & ((t <= 0.0) | (faults != 0) if self.checked else ~(t > 0.0))
+        if collapsed.any():
+            p = int(np.argmax(collapsed.any(axis=1)))
+            faults = np.where(closed[p], 0, faults[p])
+            if faults.any():
+                self.pairs[p]._raise(faults, self.alphas, self.zs)
+            raise ArithmeticError(f"trace functional collapsed to "
+                                  f"{float(t[p][collapsed[p]][0])!r}")
+        values = np.log(np.where(closed, math.nan, t)) / (self.alphas - 1.0)
+        for row, pair, at in zip(values, self.pairs, closed):
+            if at.any():
+                row[at] = pair._closed_value(1.0).value
+        return values.reshape(self.shape), t.reshape(self.shape)
+
+    def mosonyi_ogawa(self) -> np.ndarray:
+        """`PreparedPair.mosonyi_ogawa` in nats, for a request added without
+        zs: the D of `evaluate`, of which every value that is not closed
+        then passes the self-check of `petz` or `sandwiched`. A fault of the
+        check's SVD route raises the pair's DomainError, and a mismatch that
+        method's ArithmeticError, each for the first such value in pair
+        order. As there, a NaN value or check T fails the check; the check
+        reads the open points only, since the check T is NaN at the closed
+        ones by design."""
+        values = self.evaluate()[0].reshape(len(self.pairs), self.alphas.size)
+        closed, checked = self._read(0), self._read(4)
+        self._raise_first(self._read(5))
+        # a T <= 0 gives a NaN direct value, which fails the test below as a NaN does
+        direct = np.log(np.where(checked > 0.0, checked, math.nan)) / (self.alphas - 1.0)
+        tol = _DUAL_PATH_TOL * np.maximum(1.0, np.abs(values))
+        for p, n in np.argwhere(~closed & ~(np.abs(values - direct) <= tol)).tolist():
+            _assert_dual_path("Petz" if self.alphas[n] < 1.0 else "sandwiched",
+                              float(values[p, n]), float(self.alphas[n]), float(checked[p, n]))
+        return values.reshape(self.shape)
+
+
+def _alone(pairs, alphas, zs=None) -> _Request:
+    """One request (`_Pass.add`) in a pass of its own, run."""
+    kernel = _Pass()
+    request = kernel.add(pairs, alphas, zs)
+    kernel.run()
+    return request
 
 
 def stacked_divergences(pairs, alphas, zs) -> np.ndarray:
     """D(a, z) in nats for prepared pairs of any dimensions at the same
-    broadcast points of alphas and zs, shape (len(pairs), *points), from at
-    most one stacked SVD per dimension. Row p equals
+    broadcast points of alphas and zs, shape (len(pairs), *points), from
+    one kernel pass: at most one stacked SVD per dimension. Row p equals
     `pairs[p].divergences(alphas, zs)` bit for bit, +inf where the supports
     force it, and the error raised is the one of the first pair whose own
-    call fails, read from the fault codes of the one kernel pass. No pairs
-    give shape (0, *points), once the points are checked."""
-    pairs = list(pairs)
-    a, z = _points(alphas, zs)
-    return _divergence_rows(pairs, a.ravel(), z.ravel())[0].reshape((len(pairs),) + a.shape)
+    call fails, read from the fault codes of the pass. No pairs give shape
+    (0, *points), once the points are checked."""
+    return _alone(pairs, alphas, zs).evaluate()[0]
 
 
 def stacked_traces(pairs, alphas, zs) -> np.ndarray:
     """T(a, z) for prepared pairs of any dimensions at the same broadcast
-    points of alphas and zs, shape (len(pairs), *points), from at most one
-    stacked SVD per dimension. Row p equals `pairs[p].traces(alphas, zs)`
-    bit for bit. Every point needs T, so the first pair with a fault raises
-    the DomainError of its own `traces` call."""
-    pairs = list(pairs)
-    a, z = _points(alphas, zs)
-    _, t, faults, _ = _stacked_traces(pairs, a.ravel(), z.ravel())
-    if faults.any():
-        p = int(np.argmax(faults.any(axis=1)))
-        pairs[p]._raise(faults[p], a, z)
-    return t.reshape((len(pairs),) + a.shape)
+    points of alphas and zs, shape (len(pairs), *points), from one kernel
+    pass: at most one stacked SVD per dimension. Row p equals
+    `pairs[p].traces(alphas, zs)` bit for bit. Every point needs T, so the
+    first pair with a fault raises the DomainError of its own `traces`
+    call."""
+    return _alone(pairs, alphas, zs).traces()
 
 
 def stacked_mosonyi_ogawa(pairs, alphas) -> np.ndarray:
     """`PreparedPair.mosonyi_ogawa` in nats for prepared pairs of any
     dimensions at the orders alphas > 0, shape (len(pairs), *alphas), from
-    one kernel call: Petz (z = 1) below alpha = 1, sandwiched (z = alpha)
+    one kernel pass: Petz (z = 1) below alpha = 1, sandwiched (z = alpha)
     from it, +inf where the supports force it. Every value that is not
     closed then passes the self-check of `petz` or `sandwiched`, run for all
-    of them at once (`_Stack.dual_traces`); a mismatch raises that method's
-    ArithmeticError for the first such value in pair order. As there, a
-    NaN value or check T fails the check; the check reads the open points
-    only, since `dual_traces` is NaN at the closed ones by design. The
-    values agree with the scalar methods' to round-off."""
-    pairs = list(pairs)
-    a = np.asarray(alphas, dtype=float)
-    if (a <= 0.0).any():
-        raise DomainError(f"order must be positive, got {float(a[a <= 0.0][0])}")
-    a, z = _points(a, np.where(a < 1.0, 1.0, a))
-    shape = (len(pairs),) + a.shape
-    a, z = a.ravel(), z.ravel()
-    values, _, closed, by_product = _divergence_rows(pairs, a, z)
-    checked = np.full(values.shape, math.nan)
-    for members in _by_dimension(pairs):
-        checked[members] = _Stack([pairs[p] for p in members]).dual_traces(
-            a, z, closed[members], by_product[members])
-    # a T <= 0 gives a NaN direct value, which fails the test below as a NaN does
-    direct = np.log(np.where(checked > 0.0, checked, math.nan)) / (a - 1.0)
-    tol = _DUAL_PATH_TOL * np.maximum(1.0, np.abs(values))
-    for p, n in np.argwhere(~closed & ~(np.abs(values - direct) <= tol)).tolist():
-        _assert_dual_path("Petz" if a[n] < 1.0 else "sandwiched", float(values[p, n]),
-                          float(a[n]), float(checked[p, n]))
-    return values.reshape(shape)
-
-
-def _divergence_rows(pairs: list[PreparedPair], alphas: np.ndarray, zs: np.ndarray):
-    """D and T at 1-d arrays of points for pairs of any dimensions, each of
-    shape (len(pairs), N), with `_stacked_traces`' closed points and product
-    points: D is the pair's `_closed_value` at its closed points and
-    ln T / (a - 1) elsewhere. D needs T at the open points only: the first
-    pair with a fault or a T <= 0 there raises, a fault through `_raise`."""
-    closed, t, faults, by_product = _stacked_traces(pairs, alphas, zs)
-    # the quotient's T: NaN at the closed points, which need none
-    needed = np.where(closed, math.nan, t)
-    faults = np.where(closed, 0, faults)
-    if faults.any() or (needed <= 0.0).any():
-        p = int(np.argmax(faults.any(axis=1) | (needed <= 0.0).any(axis=1)))
-        if faults[p].any():
-            pairs[p]._raise(faults[p], alphas, zs)
-        raise ArithmeticError(f"trace functional collapsed to "
-                              f"{float(needed[p][needed[p] <= 0.0][0])!r}")
-    values = np.log(needed) / (alphas - 1.0)
-    for row, pair, at in zip(values, pairs, closed):
-        if at.any():
-            row[at] = pair._closed_value(1.0).value
-    return values, t, closed, by_product
+    of them at once on the pass's stacks (`_Stack.dual_traces`); a fault or
+    a mismatch raises for the first such value in pair order
+    (`_Request.mosonyi_ogawa`). The values agree with the scalar methods'
+    to round-off."""
+    return _alone(pairs, alphas).mosonyi_ogawa()
 
 
 def _paired(r: Spectrum, s: Spectrum, overlap: np.ndarray) -> PreparedPair:

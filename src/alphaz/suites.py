@@ -10,18 +10,26 @@ argument. Every other pair family is prepared by
 each dimension as one stack with one `eigh`: classical's commuting pairs,
 invariants' rotated, rescaled and (rho, rho) pairs, dpi's pinched images
 and example1's pairs, once for the second derivatives and once for the
-grid. Each pair family evaluates in one call on the kernel's pair
-axis, which takes pairs of any dimensions and works on the pairs of each
-dimension as one stack, with one `svd` per dimension: the limits,
-monotonicity and dT/dz checks one call for all seeded pairs and all of
-their items (curves, alphas, z0s), regrouped into one aggregate per item,
-and the slopes at alpha = 1 one more; dpi the seeded pairs and their
-pinched images at every alpha, with the self-checks of every value
-(`divergences.stacked_mosonyi_ogawa`); invariants all seeded pairs, each
+grid. Each pair family is one request of a kernel pass
+(`divergences._Pass`): the limits, monotonicity and dT/dz checks one for
+all seeded pairs and all of their items (curves, alphas, z0s), regrouped
+into one aggregate per item, and the slopes at alpha = 1 one more; dpi the
+seeded pairs and their pinched images at every alpha, with the self-checks
+of every value (the Mosonyi-Ogawa request of
+`divergences.stacked_mosonyi_ogawa`); invariants all seeded pairs, each
 with its rotation, its rescaled reference and (rho, rho); classical its
-commuting pairs; example1 its three pairs on the alpha grid, after one call
-for the second derivatives of all three. A `verify --suite all --seeds 10`
-run makes 39 `eigh` and 49 `svd` calls.
+commuting pairs; example1 its three pairs on the alpha grid, and its
+second-derivative stencils of all three.
+
+Each suite is split into its plan (`_plan_*`), which adds the suite's
+requests to a pass and returns its report builder, and its public
+`suite_*`, which runs the plan in a pass of its own. `run_suites` adds the
+requests of every suite it runs to one pass and runs it once, before it
+builds any report: the pass lays out the pairs of each dimension once, as
+one stack, with one `svd` per dimension, and runs dpi's self-checks on
+the same stacks. A `verify --suite all --seeds 10` run makes 39 `eigh` and
+17 `svd` calls (7 for the pass and 10 for dpi's self-checks) and 7 stack
+layouts.
 
 Each check reduces its residuals, one (pair, point) array or one list, by
 `analysis._worst`, as each aggregate reduces its members: the worst
@@ -39,14 +47,15 @@ import numpy as np
 from . import divergences as dv
 from .analysis import (
     CheckReport,
+    _own_pass,
+    _plan_curve_limits,
+    _plan_derivative_at_one,
+    _plan_dz_trace_vanishes,
+    _plan_second_derivative_example1,
+    _plan_z_monotonicity,
     _worst,
     CurveSpec,
     TraceFunctional,
-    verify_curve_limits,
-    verify_derivative_at_one,
-    verify_dz_trace_vanishes,
-    verify_second_derivative_example1,
-    verify_z_monotonicity,
     example1_closed_form,
 )
 from .states import commuting_pair, random_density, random_reference, random_support_pair
@@ -105,13 +114,13 @@ def _seeded_functionals(n_seeds: int) -> SeededPairs:
             for rho, sigma, label in seeded_pairs(n_seeds)]
 
 
-def _over_pairs(tfs: SeededPairs, check) -> list[CheckReport]:
-    """Run `check` once on all the pairs and aggregate its reports item by
-    item: `check(functionals)` returns, per pair, one report per item, the
-    same items in the same order for every pair, and each aggregate's
-    members are tagged by pair."""
+def _over_pairs(tfs: SeededPairs, per_pair: list[list[CheckReport]]) -> list[CheckReport]:
+    """Aggregate one check's reports on all the pairs item by item:
+    `per_pair` holds, per pair, one report per item, the same items in the
+    same order for every pair, and each aggregate's members are tagged by
+    pair."""
     aggregates = []
-    for reports in zip(*check([tf for tf, _ in tfs])):
+    for reports in zip(*per_pair):
         name = reports[0].name
         for rep, (_, label) in zip(reports, tfs):
             rep.name = f"{name} [{label}]"
@@ -121,19 +130,37 @@ def _over_pairs(tfs: SeededPairs, check) -> list[CheckReport]:
 
 def suite_limits(tfs: SeededPairs, bias: float = 0.0) -> list[CheckReport]:
     """Limit of D(a, g(a)) at a -> 1 for five curves over the seeded pairs."""
-    return _over_pairs(tfs, lambda fs: verify_curve_limits(fs, LIMIT_CURVES, bias=bias))
+    return _own_pass(_plan_limits, tfs, bias)
+
+
+def _plan_limits(kernel: dv._Pass, tfs: SeededPairs, bias: float):
+    """`suite_limits` as a plan of `analysis._own_pass`."""
+    reports = _plan_curve_limits(kernel, [tf for tf, _ in tfs], LIMIT_CURVES, bias)
+    return lambda: _over_pairs(tfs, reports())
 
 
 def suite_derivatives(tfs: SeededPairs) -> list[CheckReport]:
     """Slope-at-1 checks for both families plus the dT/dz -> 0 checks."""
-    return (_over_pairs(tfs, lambda fs: [[rep] for rep in verify_derivative_at_one(fs)])
-            + _over_pairs(tfs, lambda fs: verify_dz_trace_vanishes(fs, DZ_TRACE_Z0S)))
+    return _own_pass(_plan_derivatives, tfs)
+
+
+def _plan_derivatives(kernel: dv._Pass, tfs: SeededPairs):
+    """`suite_derivatives` as a plan of `analysis._own_pass`."""
+    slopes = _plan_derivative_at_one(kernel, [tf for tf, _ in tfs])
+    dz = _plan_dz_trace_vanishes(kernel, [tf for tf, _ in tfs], DZ_TRACE_Z0S)
+    return lambda: (_over_pairs(tfs, [[rep] for rep in slopes()]) + _over_pairs(tfs, dz()))
 
 
 def suite_monotonicity(tfs: SeededPairs) -> list[CheckReport]:
     """z-monotonicity of the divergence for each sampled alpha."""
-    return _over_pairs(tfs, lambda fs: verify_z_monotonicity(fs, MONOTONICITY_ALPHAS,
-                                                             MONOTONICITY_ZS))
+    return _own_pass(_plan_monotonicity, tfs)
+
+
+def _plan_monotonicity(kernel: dv._Pass, tfs: SeededPairs):
+    """`suite_monotonicity` as a plan of `analysis._own_pass`."""
+    reports = _plan_z_monotonicity(kernel, [tf for tf, _ in tfs], MONOTONICITY_ALPHAS,
+                                   MONOTONICITY_ZS)
+    return lambda: _over_pairs(tfs, reports())
 
 
 EXAMPLE1_PS = (0.1, 0.25, 0.4)
@@ -143,27 +170,37 @@ EXAMPLE1_GRID_TOL = 1e-10
 
 def suite_example1() -> list[CheckReport]:
     """Second-derivative split at a = 1 plus closed-form/pipeline agreement
-    for the rank-1-vs-diagonal pair family: two kernel calls, one for the
-    second-derivative stencils of the three pairs and one for the three
+    for the rank-1-vs-diagonal pair family: two kernel requests, one for
+    the second-derivative stencils of the three pairs and one for the three
     pairs on the alpha grid."""
+    return _own_pass(_plan_example1)
+
+
+def _plan_example1(kernel: dv._Pass):
+    """`suite_example1` as a plan of `analysis._own_pass`."""
     from .states import example1_pair
 
-    reports = verify_second_derivative_example1(EXAMPLE1_PS)
+    second = _plan_second_derivative_example1(kernel, EXAMPLE1_PS)
     points = [(alpha, z) for alpha in EXAMPLE1_GRID_ALPHAS for z in (0.5, 1.0, alpha, 2.0, 5.0)]
-    grid = dv.stacked_divergences(dv._prepare_pairs(example1_pair(p) for p in EXAMPLE1_PS),
-                                  *zip(*points))
-    closed = [[example1_closed_form(p, alpha, z) for alpha, z in points] for p in EXAMPLE1_PS]
-    gaps = np.abs(grid - closed)
-    worst, i = _worst(gaps)
-    k, n = divmod(i, len(points))
-    alpha, z = points[n]
-    reports.append(CheckReport(
-        name="closed form vs matrix pipeline on the alpha grid",
-        passed=worst <= EXAMPLE1_GRID_TOL,
-        max_residual=worst,
-        rows=[{"p": EXAMPLE1_PS[k], "alpha": alpha, "z": z, "gap": worst}],
-        notes=f"{gaps.size} grid points, tolerance {EXAMPLE1_GRID_TOL:g}",
-    ))
+    grid = kernel.add(dv._prepare_pairs(example1_pair(p) for p in EXAMPLE1_PS), *zip(*points))
+
+    def reports():
+        reports = second()
+        closed = [[example1_closed_form(p, alpha, z) for alpha, z in points]
+                  for p in EXAMPLE1_PS]
+        gaps = np.abs(grid.evaluate()[0] - closed)
+        worst, i = _worst(gaps)
+        k, n = divmod(i, len(points))
+        alpha, z = points[n]
+        reports.append(CheckReport(
+            name="closed form vs matrix pipeline on the alpha grid",
+            passed=worst <= EXAMPLE1_GRID_TOL,
+            max_residual=worst,
+            rows=[{"p": EXAMPLE1_PS[k], "alpha": alpha, "z": z, "gap": worst}],
+            notes=f"{gaps.size} grid points, tolerance {EXAMPLE1_GRID_TOL:g}",
+        ))
+        return reports
+
     return reports
 
 
@@ -174,27 +211,37 @@ def suite_dpi(tfs: SeededPairs) -> list[CheckReport]:
     """Sampled data-processing check for the piecewise divergence under
     pinching in the reference operator's eigenbasis; each pinched image is
     made from the pair's own spectrum of sigma, and the images are prepared
-    as one stack per dimension. The pairs and
-    their images are evaluated at every alpha in one kernel call, with the
-    Petz and sandwiched self-checks of every value
-    (`divergences.stacked_mosonyi_ogawa`)."""
+    as one stack per dimension. The pairs and their images are evaluated at
+    every alpha in one kernel request, with the Petz and sandwiched
+    self-checks of every value (`divergences.stacked_mosonyi_ogawa`)."""
+    return _own_pass(_plan_dpi, tfs)
+
+
+def _plan_dpi(kernel: dv._Pass, tfs: SeededPairs):
+    """`suite_dpi` as a plan of `analysis._own_pass`."""
     pinched = dv._prepare_pairs((tf.pair.sigma.pinch(tf.rho), tf.pair.sigma.pinch(tf.sigma))
                                 for tf, _ in tfs)
-    values = dv.stacked_mosonyi_ogawa([tf.pair for tf, _ in tfs] + pinched, DPI_ALPHAS)
-    befores, afters = values[:len(tfs)].T.tolist(), values[len(tfs):].T.tolist()
-    reports = []
-    for alpha, before_row, after_row in zip(DPI_ALPHAS, befores, afters):
-        rows = [{"pair": label, "before": before, "after": after,
-                 "violation": after - before}  # > 0 would break data processing
-                for (_, label), before, after in zip(tfs, before_row, after_row)]
-        # a check without a violation reads 0
-        worst, _ = _worst([0.0] + [r["violation"] for r in rows])
-        reports.append(CheckReport(
-            name=f"pinching DPI at alpha={alpha:g}",
-            passed=worst <= DPI_SLACK,
-            max_residual=worst,
-            rows=rows,
-        ))
+    # no zs: the Mosonyi-Ogawa values, checked by a second route
+    request = kernel.add([tf.pair for tf, _ in tfs] + pinched, DPI_ALPHAS)
+
+    def reports():
+        values = request.mosonyi_ogawa()
+        befores, afters = values[:len(tfs)].T.tolist(), values[len(tfs):].T.tolist()
+        reports = []
+        for alpha, before_row, after_row in zip(DPI_ALPHAS, befores, afters):
+            rows = [{"pair": label, "before": before, "after": after,
+                     "violation": after - before}  # > 0 would break data processing
+                    for (_, label), before, after in zip(tfs, before_row, after_row)]
+            # a check without a violation reads 0
+            worst, _ = _worst([0.0] + [r["violation"] for r in rows])
+            reports.append(CheckReport(
+                name=f"pinching DPI at alpha={alpha:g}",
+                passed=worst <= DPI_SLACK,
+                max_residual=worst,
+                rows=rows,
+            ))
+        return reports
+
     return reports
 
 
@@ -206,8 +253,13 @@ COMMUTING_DIMS = (2, 3, 4, 5, 6, 7, 8)
 def suite_classical(n_pairs: int = 20) -> list[CheckReport]:
     """Commuting pairs must reduce to the classical Renyi sum (z-independent)
     and the classical KL divergence. The pairs are prepared as one stack
-    per dimension and evaluated in one kernel call. Each check reports its
-    worst (pair, point) row, and no row where every gap is exactly 0."""
+    per dimension and evaluated in one kernel request. Each check reports
+    its worst (pair, point) row, and no row where every gap is exactly 0."""
+    return _own_pass(_plan_classical, n_pairs)
+
+
+def _plan_classical(kernel: dv._Pass, n_pairs: int):
+    """`suite_classical` as a plan of `analysis._own_pass`."""
     points = [(alpha, z) for alpha in CLASSICAL_ALPHAS for z in CLASSICAL_ZS + (alpha,)]
     alphas, zs = zip(*points)
     dims = [COMMUTING_DIMS[k % len(COMMUTING_DIMS)] for k in range(n_pairs)]
@@ -217,34 +269,39 @@ def suite_classical(n_pairs: int = 20) -> list[CheckReport]:
         operators.append((rho, sigma))
         classicals.append(dv.prepare_classical(p, q))
     pairs = dv._prepare_pairs(operators)
-    targets = []  # each pair's classical Renyi value at every point
-    for classical in classicals:
-        renyi = {alpha: classical.renyi(alpha).value for alpha in CLASSICAL_ALPHAS}
-        targets.append([renyi[alpha] for alpha in alphas])
-    worst_renyi, i = _worst(np.abs(dv.stacked_divergences(pairs, alphas, zs) - targets))
-    k, n = divmod(i, len(points))
-    renyi_rows = [{"pair": k, "dim": dims[k], "alpha": alphas[n], "z": zs[n],
-                   "gap": worst_renyi}] if worst_renyi != 0.0 else []
-    worst_kl, k = _worst([abs(pair.relative_entropy().value - classical.kl().value)
-                          for pair, classical in zip(pairs, classicals)])
-    kl_rows = [{"pair": k, "dim": dims[k], "gap": worst_kl}] if worst_kl != 0.0 else []
-    return [
-        CheckReport(
-            name="commuting reduction: alpha-z vs classical Renyi",
-            passed=worst_renyi <= CLASSICAL_RENYI_TOL,
-            max_residual=worst_renyi,
-            rows=renyi_rows,
-            notes=f"{n_pairs} pairs x {len(CLASSICAL_ALPHAS)} alphas x "
-                  f"{len(CLASSICAL_ZS) + 1} zs, tolerance {CLASSICAL_RENYI_TOL:g}",
-        ),
-        CheckReport(
-            name="commuting reduction: relative entropy vs classical KL",
-            passed=worst_kl <= CLASSICAL_KL_TOL,
-            max_residual=worst_kl,
-            rows=kl_rows,
-            notes=f"tolerance {CLASSICAL_KL_TOL:g}",
-        ),
-    ]
+    request = kernel.add(pairs, alphas, zs)
+
+    def reports():
+        targets = []  # each pair's classical Renyi value at every point
+        for classical in classicals:
+            renyi = {alpha: classical.renyi(alpha).value for alpha in CLASSICAL_ALPHAS}
+            targets.append([renyi[alpha] for alpha in alphas])
+        worst_renyi, i = _worst(np.abs(request.evaluate()[0] - targets))
+        k, n = divmod(i, len(points))
+        renyi_rows = [{"pair": k, "dim": dims[k], "alpha": alphas[n], "z": zs[n],
+                       "gap": worst_renyi}] if worst_renyi != 0.0 else []
+        worst_kl, k = _worst([abs(pair.relative_entropy().value - classical.kl().value)
+                              for pair, classical in zip(pairs, classicals)])
+        kl_rows = [{"pair": k, "dim": dims[k], "gap": worst_kl}] if worst_kl != 0.0 else []
+        return [
+            CheckReport(
+                name="commuting reduction: alpha-z vs classical Renyi",
+                passed=worst_renyi <= CLASSICAL_RENYI_TOL,
+                max_residual=worst_renyi,
+                rows=renyi_rows,
+                notes=f"{n_pairs} pairs x {len(CLASSICAL_ALPHAS)} alphas x "
+                      f"{len(CLASSICAL_ZS) + 1} zs, tolerance {CLASSICAL_RENYI_TOL:g}",
+            ),
+            CheckReport(
+                name="commuting reduction: relative entropy vs classical KL",
+                passed=worst_kl <= CLASSICAL_KL_TOL,
+                max_residual=worst_kl,
+                rows=kl_rows,
+                notes=f"tolerance {CLASSICAL_KL_TOL:g}",
+            ),
+        ]
+
+    return reports
 
 
 UNITARY_INVARIANCE_TOL = 1e-9
@@ -258,7 +315,13 @@ def suite_invariants(tfs: SeededPairs) -> list[CheckReport]:
     """Structural invariants: unitary invariance, reference scaling,
     self-divergence, and the infinity reason tags. Each pair's rotation,
     rescaled reference and (rho, rho) are prepared as one stack per
-    dimension; the tag checks call the scalar API, one pair at a time."""
+    dimension and evaluated in one kernel request; the tag checks call the
+    scalar API, one pair at a time."""
+    return _own_pass(_plan_invariants, tfs)
+
+
+def _plan_invariants(kernel: dv._Pass, tfs: SeededPairs):
+    """`suite_invariants` as a plan of `analysis._own_pass`."""
     from .states import random_unitary
 
     points = [(alpha, z) for alpha in INVARIANT_ALPHAS for z in INVARIANT_ZS + (alpha,)]
@@ -275,48 +338,53 @@ def suite_invariants(tfs: SeededPairs) -> list[CheckReport]:
     family = []  # each pair beside its three variants
     for k, (tf, _) in enumerate(tfs):
         family += [tf.pair] + variants[3 * k:3 * k + 3]
-    values = dv.stacked_divergences(family, alphas, zs).reshape(len(tfs), 4, len(points))
-    base, rotated, scaled, self_values = values.swapaxes(0, 1)  # each (pair, point)
-    shifts = np.array([[math.log(c)] for c in scales])  # math.log: np.log may round apart
+    request = kernel.add(family, alphas, zs)
 
-    def report(name: str, residuals: np.ndarray, tol: float) -> CheckReport:
-        value, i = _worst(residuals)
-        k, n = divmod(i, len(points))
-        tf, label = tfs[k]
-        row = {"pair": label, "dim": tf.rho.shape[0], "alpha": alphas[n], "z": zs[n],
-               "residual": value}
-        return CheckReport(name, value <= tol, value, rows=[row], notes=f"tolerance {tol:g}")
+    def reports():
+        values = request.evaluate()[0].reshape(len(tfs), 4, len(points))
+        base, rotated, scaled, self_values = values.swapaxes(0, 1)  # each (pair, point)
+        shifts = np.array([[math.log(c)] for c in scales])  # math.log: np.log may round apart
 
-    reports = [
-        report("unitary invariance", np.abs(rotated - base), UNITARY_INVARIANCE_TOL),
-        report("reference scaling D(rho||c sigma) = D - ln c",
-               np.abs(scaled - (base - shifts)), SCALING_TOL),
-        report("self-divergence D(rho||rho) = 0", np.abs(self_values), SELF_DIVERGENCE_TOL),
-    ]
-    # infinity semantics on constructed support configurations
-    rows = []
-    ok = True
-    for k in range(max(2, len(tfs) // 2)):
-        dim = 3 + (k % 3)
-        rho_v, sigma_v = random_support_pair(dim, BASE_SEED + 7000 + k,
-                                             rank=dim - 1, branch="violating")
-        val = dv.alpha_z_divergence(rho_v, sigma_v, 2.0, 1.0)
-        good_v = (not val.is_finite
-                  and val.infinity_reason == dv.INFINITY_SUPPORT)
-        rho_o, sigma_o = random_support_pair(dim, BASE_SEED + 8000 + k,
-                                             rank=dim - 2 if dim > 2 else 1,
-                                             branch="orthogonal")
-        pair_o = dv.prepare(rho_o, sigma_o)
-        val_lo, val_hi = pair_o.divergence(0.5, 1.0), pair_o.divergence(2.0, 1.0)
-        good_o = (not val_lo.is_finite
-                  and val_lo.infinity_reason == dv.INFINITY_ORTHOGONAL
-                  and not val_hi.is_finite
-                  and val_hi.infinity_reason == dv.INFINITY_SUPPORT)
-        ok &= good_v and good_o
-        rows.append({"dim": dim, "violating_tag_ok": good_v,
-                     "orthogonal_tags_ok": good_o})
-    reports.append(CheckReport("infinity semantics and reason tags", ok,
-                               0.0 if ok else 1.0, rows=rows))
+        def report(name: str, residuals: np.ndarray, tol: float) -> CheckReport:
+            value, i = _worst(residuals)
+            k, n = divmod(i, len(points))
+            tf, label = tfs[k]
+            row = {"pair": label, "dim": tf.rho.shape[0], "alpha": alphas[n], "z": zs[n],
+                   "residual": value}
+            return CheckReport(name, value <= tol, value, rows=[row], notes=f"tolerance {tol:g}")
+
+        reports = [
+            report("unitary invariance", np.abs(rotated - base), UNITARY_INVARIANCE_TOL),
+            report("reference scaling D(rho||c sigma) = D - ln c",
+                   np.abs(scaled - (base - shifts)), SCALING_TOL),
+            report("self-divergence D(rho||rho) = 0", np.abs(self_values), SELF_DIVERGENCE_TOL),
+        ]
+        # infinity semantics on constructed support configurations
+        rows = []
+        ok = True
+        for k in range(max(2, len(tfs) // 2)):
+            dim = 3 + (k % 3)
+            rho_v, sigma_v = random_support_pair(dim, BASE_SEED + 7000 + k,
+                                                 rank=dim - 1, branch="violating")
+            val = dv.alpha_z_divergence(rho_v, sigma_v, 2.0, 1.0)
+            good_v = (not val.is_finite
+                      and val.infinity_reason == dv.INFINITY_SUPPORT)
+            rho_o, sigma_o = random_support_pair(dim, BASE_SEED + 8000 + k,
+                                                 rank=dim - 2 if dim > 2 else 1,
+                                                 branch="orthogonal")
+            pair_o = dv.prepare(rho_o, sigma_o)
+            val_lo, val_hi = pair_o.divergence(0.5, 1.0), pair_o.divergence(2.0, 1.0)
+            good_o = (not val_lo.is_finite
+                      and val_lo.infinity_reason == dv.INFINITY_ORTHOGONAL
+                      and not val_hi.is_finite
+                      and val_hi.infinity_reason == dv.INFINITY_SUPPORT)
+            ok &= good_v and good_o
+            rows.append({"dim": dim, "violating_tag_ok": good_v,
+                         "orthogonal_tags_ok": good_o})
+        reports.append(CheckReport("infinity semantics and reason tags", ok,
+                                   0.0 if ok else 1.0, rows=rows))
+        return reports
+
     return reports
 
 
@@ -329,23 +397,29 @@ SEEDED_SUITES = ("limits", "derivatives", "monotonicity", "dpi", "invariants")
 def run_suites(names, n_seeds: int = 10, bias: float = 0.0) -> list[CheckReport]:
     """Run the named suites (or all of them, in SUITE_NAMES order) on
     n_seeds >= 1 seeded pairs and return their reports. The seeded pairs are
-    prepared once per call, and only when a requested suite checks them."""
+    prepared once per call, and only when a requested suite checks them.
+    Every requested suite adds its kernel requests to one pass, which runs
+    before any report is built; a suite's reports are those it gives when
+    run alone."""
     if n_seeds < 1:
         raise ValueError(f"need at least one seed, got {n_seeds}")
-    # each runner reads tfs, prepared below once the names are checked
-    runners = {
-        "limits": lambda: suite_limits(tfs, bias=bias),
-        "derivatives": lambda: suite_derivatives(tfs),
-        "monotonicity": lambda: suite_monotonicity(tfs),
-        "example1": lambda: suite_example1(),
-        "dpi": lambda: suite_dpi(tfs),
-        "classical": lambda: suite_classical(2 * n_seeds),
-        "invariants": lambda: suite_invariants(tfs),
+    # each plan reads tfs, prepared below once the names are checked
+    plans = {
+        "limits": lambda kernel: _plan_limits(kernel, tfs, bias),
+        "derivatives": lambda kernel: _plan_derivatives(kernel, tfs),
+        "monotonicity": lambda kernel: _plan_monotonicity(kernel, tfs),
+        "example1": _plan_example1,
+        "dpi": lambda kernel: _plan_dpi(kernel, tfs),
+        "classical": lambda kernel: _plan_classical(kernel, 2 * n_seeds),
+        "invariants": lambda kernel: _plan_invariants(kernel, tfs),
     }
-    wanted = list(runners) if "all" in names else list(names)
+    wanted = list(plans) if "all" in names else list(names)
     for name in wanted:
-        if name not in runners:
+        if name not in plans:
             raise ValueError(f"unknown suite {name!r}")
     tfs = (_seeded_functionals(n_seeds) if any(n in SEEDED_SUITES for n in wanted)
            else None)
-    return [report for name in wanted for report in runners[name]()]
+    kernel = dv._Pass()
+    builds = [plans[name](kernel) for name in wanted]
+    kernel.run()
+    return [report for build in builds for report in build()]

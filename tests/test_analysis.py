@@ -225,7 +225,7 @@ class TestSecondDerivativeExample1:
         assert all(r["max_stencil_gap"] <= 1e-9 for r in rep.rows)
 
     def test_one_call_equals_one_call_per_p(self):
-        # the three pairs share one kernel call; each report is the one its
+        # the three pairs share one kernel request; each report is the one its
         # pair gives alone, in the order of ps
         ps = [0.4, 0.1, 0.25]
         together = verify_second_derivative_example1(ps)

@@ -203,6 +203,29 @@ class TestExitCodes:
         assert code == cli.EXIT_INTERNAL == 4
         assert "internal error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["compute", "--alpha", "0.5", "--z", "0.5"],
+                                         ["sweep", "--alpha-grid", "0.5:2:2",
+                                          "--z-grid", "0.5:0.5:1", "--out", "-"]])
+    def test_nan_trace_is_internal_error(self, monkeypatch, capsys, command):
+        from alphaz import cli
+        from alphaz import divergences as dv
+
+        # a NaN T without a fault code once printed nan (sweep) or exited 2
+        # with "divergence cannot be NaN" (compute)
+        original = dv.PreparedPair._trace_sums
+
+        def nan_sums(pair, singular, zs):
+            t, _ = original(pair, singular, zs)
+            return t * math.nan, 0
+
+        monkeypatch.setattr(dv.PreparedPair, "_trace_sums", nan_sums)
+        pair = ["--rho", '{"generator": "density", "seed": 1, "dim": 3}',
+                "--sigma", '{"generator": "reference", "seed": 2, "dim": 3}']
+        code = cli.main(command[:1] + pair + command[1:])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_INTERNAL
+        assert "trace functional collapsed to nan" in err
+
     @pytest.mark.parametrize("point", [("--alpha", "2", "--z", "inf"),
                                        ("--alpha", "nan", "--z", "1"),
                                        ("--alpha", "inf", "--z", "1"),

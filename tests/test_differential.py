@@ -10,12 +10,15 @@ between the supports square to values on both sides of the cutoff eps =
 at and beside 1 and integer z up to 17, and checks one promise:
 
   * bit for bit, NaN equal to NaN, where the code promises it: the pairs of
-    `_prepare_pairs` equal those of `prepare` field for field, and a pair's
+    `_prepare_pairs` equal those of `prepare` field for field, a pair's
     rows of `stacked_divergences` and `stacked_traces` in a family equal its
-    own `evaluate` and `traces`;
+    own `evaluate` and `traces`, and the values of a request that shares a
+    kernel pass (`_Pass`) with other requests equal its own `stacked_*`
+    call;
   * the same error type and message everywhere: a family raises the error
-    of its first pair whose own call fails, and the scalar `divergence`
-    raises the error of a one-point `evaluate`;
+    of its first pair whose own call fails, a request in a shared pass the
+    error of its own call, and the scalar `divergence` raises the error of
+    a one-point `evaluate`;
   * `orthogonal` is true iff the inner rank is 0;
   * elsewhere the round-off rule of `_scalar_gap_bound`;
   * on the same stacked G of dominated pairs at integer z in 1..16, the
@@ -200,6 +203,42 @@ def test_family_rows_equal_own_calls(operators, grid):
             assert _identical(out[0], pair.divergences(a, z))
 
 
+mo_alphas = st.lists(st.one_of(st.sampled_from([0.3, 0.5, 0.999, 1.0, 1.001, 2.0, 3.0]),
+                               st.floats(0.05, 5.0)), min_size=1, max_size=5)
+# one request: the indices of its pairs in a shared pool, and either its
+# points (alpha, z) or, for a Mosonyi-Ogawa request, its orders alone
+requests = st.tuples(st.lists(st.integers(0, 4), max_size=4),
+                     st.one_of(points.map(lambda grid: ("points", grid)),
+                               mo_alphas.map(lambda alphas: ("orders", alphas))))
+
+
+@settings(derandomize=True, max_examples=100)
+@given(families, st.lists(requests, min_size=2, max_size=3))
+def test_requests_in_one_pass_equal_own_calls(operators, specs):
+    pool = [dv.prepare(rho, sigma) for rho, sigma in operators]
+    kernel, added = dv._Pass(), []
+    for indices, (kind, grid) in specs:
+        pairs = [pool[i % len(pool)] for i in indices]
+        if kind == "orders":
+            added.append((kernel.add(pairs, grid), pairs, grid, None))
+        else:
+            a, z = (np.array(column) for column in zip(*grid))
+            added.append((kernel.add(pairs, a, z), pairs, a, z))
+    kernel.run()
+    for request, pairs, a, z in added:
+        if z is None:
+            reads = [(request.mosonyi_ogawa, lambda: dv.stacked_mosonyi_ogawa(pairs, a))]
+        else:
+            reads = [(lambda: request.evaluate()[0], lambda: dv.stacked_divergences(pairs, a, z)),
+                     (request.traces, lambda: dv.stacked_traces(pairs, a, z))]
+        for read, own_call in reads:
+            got, own = _outcome(read), _outcome(own_call)
+            if _failed(got) or _failed(own):
+                assert got == own
+            else:
+                assert _identical(got, own)
+
+
 @settings(derandomize=True, max_examples=200)
 @given(pair_operators(), points)
 def test_scalar_divergence_against_one_point_evaluate(operators, grid):
@@ -271,25 +310,30 @@ open_alphas = st.one_of(st.sampled_from([0.999, 1.001, 0.5, 2.0, -0.5, 0.0]),
 def test_product_route_against_svd_route(operators, grid):
     pairs = dv._prepare_pairs(operators)
     a, z = (np.array(column, dtype=float) for column in zip(*grid))
-    for members in dv._by_dimension(pairs):
+    # one row per pair and point, and one stack per dimension, as in a pass
+    pi = np.repeat(np.arange(len(pairs)), a.size)
+    a, z = np.tile(a, len(pairs)), np.tile(z, len(pairs))
+    dims = np.array([pair.rho.values.size for pair in pairs])[pi]
+    for dim in set(dims.tolist()):
+        members = np.unique(pi[dims == dim])
         stack = dv._Stack([pairs[p] for p in members])
-        _, defined, product, e_sigma, e_rho = dv._route(a, z, *stack.flags)
+        rows, z_rows = np.searchsorted(members, pi[dims == dim]), z[dims == dim]
+        _, defined, product, e_sigma, e_rho = stack._route(rows, a[dims == dim], z_rows)
         assert np.all(product)  # dominated, open and integer z in range
-        pi, ni = np.divmod(np.arange(len(members) * a.size), a.size)
         # the steps as `_Stack.traces` runs them, with numpy's warnings off
         with np.errstate(all="ignore"):
-            g, over = stack._factors(pi, ni, e_sigma, e_rho)
-            kept = np.broadcast_to(defined, (len(members), a.size)).ravel().copy()
+            g, over = stack._factors(rows, e_sigma, e_rho)
+            kept = np.broadcast_to(defined, rows.shape).copy()
             if over is not None:
                 kept &= ~over
-            for k in set(z[ni[kept]].tolist()):
-                at = kept & (z[ni] == k)
+            for k in set(z_rows[kept].tolist()):
+                at = kept & (z_rows == k)
                 by_product = dv.PreparedPair._power_sums(g[at], int(k))
                 singular = np.linalg.svd(g[at], compute_uv=False)
-                by_svd, fault = stack._trace_sums(singular, z[ni[at]], pi[at])
+                by_svd, fault = stack._trace_sums(singular, z_rows[at], rows[at])
                 for row, prod, svd, code, p in zip(singular, by_product, by_svd,
                                                    np.broadcast_to(fault, by_svd.shape),
-                                                   pi[at]):
+                                                   rows[at]):
                     if code or not (dv._TINY <= prod < math.inf):
                         continue  # the SVD route decides these, alone
                     pair = stack.pairs[p]
@@ -357,21 +401,22 @@ def test_scalar_self_checks_against_stacked(operators, alphas):
     pairs = [dv.prepare(rho, sigma) for rho, sigma in operators]
     stacked, original = {}, dv._Stack.dual_traces
 
-    def recorded(stack, *args):
-        out = original(stack, *args)
-        stacked.update({id(pair): row for pair, row in zip(stack.pairs, out)})
-        return out
+    def recorded(stack, pi, alphas, *args):
+        t, fault = original(stack, pi, alphas, *args)
+        stacked.update({(id(stack.pairs[p]), alpha): value for p, alpha, value
+                        in zip(pi.tolist(), alphas.tolist(), t.tolist())})
+        return t, fault
 
     with mock.patch.object(dv._Stack, "dual_traces", recorded):
         dv.stacked_mosonyi_ogawa(pairs, alphas)
     for pair in pairs:
-        for n, alpha in enumerate(alphas):
+        for alpha in alphas:
             checked = []
             with mock.patch.object(dv, "_assert_dual_path",
                                    lambda label, value, a, t: checked.append(t)):
                 value, route, _ = pair._divergence(alpha, 1.0 if alpha < 1.0 else alpha)
                 pair.petz(alpha) if alpha < 1.0 else pair.sandwiched(alpha)
-            want = stacked[id(pair)][n]
+            want = stacked[id(pair), alpha]
             if route == "closed":  # no self-check, and NaN in the stack by design
                 assert not checked and math.isnan(want)
                 continue

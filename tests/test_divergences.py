@@ -448,7 +448,7 @@ class TestDualPathChecks:
         ("_sandwiched_factors", "sandwiched"),
     ])
     def test_batched_dpi_mismatch_raises(self, monkeypatch, capsys, skewed, label):
-        # the dpi suite checks every value of its one kernel call at once
+        # the dpi suite checks every value of its one kernel pass at once
         from alphaz import cli
         from alphaz.suites import run_suites
 
@@ -472,8 +472,12 @@ class TestDualPathChecks:
 
         if planted == "dual_traces":
             original = dv._Stack.dual_traces
-            monkeypatch.setattr(dv._Stack, planted,
-                                lambda *args: original(*args) * math.nan)
+
+            def nan_traces(*args):
+                t, fault = original(*args)
+                return t * math.nan, fault
+
+            monkeypatch.setattr(dv._Stack, planted, nan_traces)
         else:
             self._skew(monkeypatch, planted, math.nan)
         message = "Petz (dual-path mismatch|trace term collapsed)"
@@ -847,8 +851,8 @@ class TestBatchedKernel:
     def test_evaluate_raises_first_collapsed_trace(self, monkeypatch):
         pair = dv.prepare(*_pair_of_class("full"))
         monkeypatch.setattr(dv, "_stacked_traces", lambda *args, **kwargs: (
-            np.zeros((1, 3), dtype=bool), np.array([[0.5, -0.0, -1.0]]),
-            np.zeros((1, 3), dtype=int), np.zeros((1, 3), dtype=bool)))
+            np.zeros(3, dtype=bool), np.array([0.5, -0.0, -1.0]), np.zeros(3, dtype=int),
+            np.zeros(3, dtype=bool), np.full(3, math.nan), np.zeros(3, dtype=int)))
         with pytest.raises(ArithmeticError, match=r"trace functional collapsed to -0\.0$"):
             pair.evaluate([0.5, 2.0, 3.0], [1.0, 1.0, 1.0])
 
@@ -1050,10 +1054,18 @@ class TestStackedDivergences:
         # undefined at z < 0 below alpha = 1, and so are the rank-deficient
         # rhos of the dominating pairs
         a, z = np.array([0.3, 0.7, 1.5, 0.5, 3.0]), np.array([0.5, -1.0, 2.5, -2.5, 1.0])
-        _, t, faults, _ = dv._stacked_traces(stack, a, z)
+        def rows(pairs):
+            """T and the fault codes of the pass, one row per pair."""
+            pi = np.repeat(np.arange(len(pairs)), a.size)
+            _, t, faults, *_ = dv._stacked_traces(pairs, pi, np.tile(a, len(pairs)),
+                                                  np.tile(z, len(pairs)),
+                                                  np.zeros(pi.size, dtype=bool))
+            return t.reshape(len(pairs), a.size), faults.reshape(len(pairs), a.size)
+
+        t, faults = rows(stack)
         assert faults[1].any() and not faults[0].any()
         for pair, t_row, fault_row in zip(stack, t, faults):
-            _, own_t, own_faults, _ = dv._stacked_traces([pair], a, z)
+            own_t, own_faults = rows([pair])
             assert np.array_equal(t_row, own_t[0], equal_nan=True)
             assert np.array_equal(fault_row, own_faults[0])
         # D needs T there: the first failing pair raises its own error,
@@ -1266,6 +1278,41 @@ class TestUnderflow:
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # no numpy warning beside the error
+def _nan_trace_sums(monkeypatch):
+    """Let the SVD route give a NaN T at every point, with no fault code."""
+    original = dv.PreparedPair._trace_sums
+
+    def nan_sums(pair, singular, zs):
+        t, _ = original(pair, singular, zs)
+        return t * math.nan, 0
+
+    monkeypatch.setattr(dv.PreparedPair, "_trace_sums", nan_sums)
+
+
+class TestNanTraceWithoutFault:
+    """A NaN T that carries no fault code fails the positivity test where D
+    needs T, as an ArithmeticError: it once passed both tests (T <= 0 is
+    false for a NaN), so the stacked calls returned a NaN D and the scalar
+    one raised the ValueError of a NaN DivergenceValue."""
+
+    def test_scalar(self, monkeypatch):
+        pair = dv.prepare(random_density(3, 1), random_reference(3, 2))
+        _nan_trace_sums(monkeypatch)
+        with pytest.raises(ArithmeticError, match=r"trace functional collapsed to nan$"):
+            pair.divergence(0.5, 0.5)
+
+    def test_stacked(self, monkeypatch):
+        pair = dv.prepare(random_density(3, 1), random_reference(3, 2))
+        _nan_trace_sums(monkeypatch)
+        for call in (lambda: dv.stacked_divergences([pair], [0.5, 2.0], [0.5, 0.5]),
+                     lambda: pair.divergences([0.5, 2.0], [0.5, 0.5]),
+                     lambda: pair.evaluate(0.5, 0.5)):
+            with pytest.raises(ArithmeticError, match=r"trace functional collapsed to nan$"):
+                call()
+        # a closed point needs no T: D is the relative entropy there
+        assert pair.divergences(1.0, 0.5) == pair.relative_entropy().value
+
+
 class TestFaultOrder:
     """Within one call, the lowest fault code wins over an earlier point:
     an undefined formula, then overflowing powers, an overflowing trace sum
@@ -1637,8 +1684,7 @@ class TestProductRouteOracle:
 def _stack_factors(pair, e_sigma, e_rho):
     """The stacked kernel's G of one pair at every point of the exponent
     rows, and its overflow rows (`_Stack._factors`)."""
-    n = e_sigma.size
-    return dv._Stack([pair])._factors(np.zeros(n, dtype=np.intp), np.arange(n), e_sigma, e_rho)
+    return dv._Stack([pair])._factors(np.zeros(e_sigma.size, dtype=np.intp), e_sigma, e_rho)
 
 
 class TestFactorOrder:
@@ -1824,29 +1870,49 @@ class TestDecompositionCounts:
     def test_certification_suites(self, counts):
         from alphaz.suites import run_suites
 
+        # one kernel pass for every family of the run: one svd for each of
+        # the 7 dimensions, and 10 for dpi's self-checks (two per dimension
+        # of its 5)
         eigh, svd = counts(lambda: run_suites(["all"], 10))
-        assert eigh <= 39 and svd <= 49
+        assert eigh == 39 and svd <= 17
+
+    @pytest.mark.parametrize("name, layouts", [("dpi", 5), ("all", 7)])
+    def test_one_stack_layout_per_dimension(self, monkeypatch, name, layouts):
+        from alphaz.suites import run_suites
+
+        # the pass lays out one _Stack per dimension, shared by every family
+        # and by dpi's self-checks: dpi's pairs and images have 5 dimensions,
+        # and the whole run 7, those of classical's commuting pairs
+        made, original = [], dv._Stack.__init__
+
+        def counted(stack, pairs):
+            made.append(len(pairs))
+            original(stack, pairs)
+
+        monkeypatch.setattr(dv._Stack, "__init__", counted)
+        run_suites([name], 10)
+        assert len(made) == layouts
 
     @pytest.mark.parametrize("name, svd", [("limits", 5), ("monotonicity", 5),
-                                           ("derivatives", 10)])
+                                           ("derivatives", 5)])
     def test_batched_suites_one_kernel_call_per_pair(self, counts, name, svd):
         from alphaz.suites import run_suites
 
-        # one prepare eigh per pair; limits and monotonicity make one kernel
-        # call for all pairs, derivatives one for the slopes and one for
-        # dT/dz, each with one svd per dimension (the pairs have 5)
+        # one prepare eigh per pair; each suite makes one kernel pass, for
+        # the slopes and dT/dz together in derivatives, with one svd per
+        # dimension (the pairs have 5)
         assert counts(lambda: run_suites([name], 10)) == (10, svd)
 
     @pytest.mark.parametrize("name, svd", [("invariants", 5), ("classical", 7),
-                                           ("example1", 2)])
+                                           ("example1", 1)])
     def test_stacked_suites_one_kernel_call_per_family(self, counts, name, svd):
         from alphaz.suites import run_suites
 
-        # one kernel call per family, with one svd per dimension in it:
+        # one kernel pass per suite, with one svd per dimension in it:
         # invariants for the seeded pairs of 5 dimensions, each with its
         # rotation, its rescaled reference and (rho, rho); classical for its
-        # commuting pairs of 7 dimensions; example1 for its grid of three
-        # d = 2 pairs, after one for the second derivatives of the three
+        # commuting pairs of 7 dimensions; example1 for the second
+        # derivatives and the grid of its three d = 2 pairs together
         assert counts(lambda: run_suites([name], 10))[1] == svd
 
     def test_dpi_suite_prepares_each_pair_once(self, counts):

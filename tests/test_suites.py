@@ -7,6 +7,7 @@ residual and, where it lists one, as its worst row; every other report of
 the suite is as in a run without the NaN.
 """
 
+import json
 import math
 import types
 
@@ -51,18 +52,21 @@ def clean():
     return runs
 
 
-def _plant(monkeypatch, function, shape, at):
-    """Let the kernel function `function` of `divergences` return a NaN at
-    index `at` in the one call of the suite whose output has this shape."""
-    original = getattr(dv, function)
+def _plant(monkeypatch, read, shape, at):
+    """Let the kernel request read `read` of `divergences._Request`
+    ("evaluate", whose D it plants in, or "mosonyi_ogawa") return a NaN at
+    index `at` in the one request of the suite whose values have this
+    shape."""
+    original = getattr(dv._Request, read)
 
-    def planted(*args, **kwargs):
-        out = original(*args, **kwargs)
-        if out.shape == shape:
-            out[at] = math.nan
+    def planted(request):
+        out = original(request)
+        values = out[0] if read == "evaluate" else out
+        if values.shape == shape:
+            values[at] = math.nan
         return out
 
-    monkeypatch.setattr(dv, function, planted)
+    monkeypatch.setattr(dv._Request, read, planted)
 
 
 def _only_failure(reports, clean_reports, index):
@@ -91,7 +95,7 @@ def _points(alphas, zs):
 @pytest.mark.parametrize("pair, point", [(0, 0), (3, 17), (2 * N_SEEDS - 1, 29)])
 def test_classical_renyi_nan(monkeypatch, clean, pair, point):
     points = _points(suites.CLASSICAL_ALPHAS, suites.CLASSICAL_ZS)
-    _plant(monkeypatch, "stacked_divergences", (2 * N_SEEDS, len(points)), (pair, point))
+    _plant(monkeypatch, "evaluate", (2 * N_SEEDS, len(points)), (pair, point))
     failed = _only_failure(_run("classical"), clean["classical"], 0)
     alpha, z = points[point]
     dim = suites.COMMUTING_DIMS[pair % len(suites.COMMUTING_DIMS)]
@@ -120,7 +124,7 @@ def test_classical_kl_nan(monkeypatch, clean, pair):
 @pytest.mark.parametrize("pair, point", [(0, 0), (N_SEEDS - 1, 13)])
 def test_invariants_nan(monkeypatch, clean, variant, pair, point):
     points = _points(suites.INVARIANT_ALPHAS, suites.INVARIANT_ZS)
-    _plant(monkeypatch, "stacked_divergences", (4 * N_SEEDS, len(points)),
+    _plant(monkeypatch, "evaluate", (4 * N_SEEDS, len(points)),
            (4 * pair + variant, point))
     failed = _only_failure(_run("invariants"), clean["invariants"], variant - 1)
     rho, _, label = suites.seeded_pairs(N_SEEDS)[pair]
@@ -133,7 +137,7 @@ def test_invariants_nan(monkeypatch, clean, variant, pair, point):
 def test_example1_grid_nan(monkeypatch, clean, pair, point):
     points = [(alpha, z) for alpha in suites.EXAMPLE1_GRID_ALPHAS
               for z in (0.5, 1.0, alpha, 2.0, 5.0)]
-    _plant(monkeypatch, "stacked_divergences", (len(suites.EXAMPLE1_PS), len(points)),
+    _plant(monkeypatch, "evaluate", (len(suites.EXAMPLE1_PS), len(points)),
            (pair, point))
     failed = _only_failure(_run("example1"), clean["example1"], len(suites.EXAMPLE1_PS))
     alpha, z = points[point]
@@ -144,7 +148,7 @@ def test_example1_grid_nan(monkeypatch, clean, pair, point):
 @pytest.mark.parametrize("alpha", range(len(suites.DPI_ALPHAS)))
 @pytest.mark.parametrize("row, pinched", [(0, True), (N_SEEDS - 1, False)])
 def test_dpi_nan(monkeypatch, clean, alpha, row, pinched):
-    _plant(monkeypatch, "stacked_mosonyi_ogawa", (2 * N_SEEDS, len(suites.DPI_ALPHAS)),
+    _plant(monkeypatch, "mosonyi_ogawa", (2 * N_SEEDS, len(suites.DPI_ALPHAS)),
            (row + N_SEEDS * pinched, alpha))
     failed = _only_failure(_run("dpi"), clean["dpi"], alpha)
     want = clean["dpi"][alpha]["rows"]
@@ -158,7 +162,7 @@ def test_dpi_nan(monkeypatch, clean, alpha, row, pinched):
 def test_z_monotonicity_nan(monkeypatch, clean, alpha):
     shape = (N_SEEDS, len(suites.MONOTONICITY_ALPHAS), len(suites.MONOTONICITY_ZS))
     pair, z = alpha % N_SEEDS, (2 * alpha) % len(suites.MONOTONICITY_ZS)
-    _plant(monkeypatch, "stacked_divergences", shape, (pair, alpha, z))
+    _plant(monkeypatch, "evaluate", shape, (pair, alpha, z))
     failed = _only_failure(_run("monotonicity"), clean["monotonicity"], alpha)
     label = suites.seeded_pairs(N_SEEDS)[pair][2]
     assert failed["notes"].endswith(f"[{label}]")
@@ -170,7 +174,17 @@ def test_z_monotonicity_nan(monkeypatch, clean, alpha):
 def test_limit_nan_at_any_rung(monkeypatch, clean, rung):
     curve, pair = rung % len(suites.LIMIT_CURVES), rung % N_SEEDS
     shape = (N_SEEDS, len(suites.LIMIT_CURVES), N_RUNGS)
-    _plant(monkeypatch, "stacked_divergences", shape, (pair, curve, rung))
+    _plant(monkeypatch, "evaluate", shape, (pair, curve, rung))
     failed = _only_failure(_run("limits"), clean["limits"], curve)
     label = suites.seeded_pairs(N_SEEDS)[pair][2]
     assert failed["notes"].endswith(f"[{label}]")
+
+
+@pytest.mark.parametrize("n_seeds", [1, 3])
+def test_all_equals_each_suite_alone(n_seeds):
+    # the run evaluates every family in one kernel pass; each family's
+    # values, and so its reports, are those of its suite run alone
+    alone = [r.to_dict() for name in suites.SUITE_NAMES[1:]
+             for r in suites.run_suites([name], n_seeds)]
+    together = [r.to_dict() for r in suites.run_suites(["all"], n_seeds)]
+    assert json.dumps(together) == json.dumps(alone)
