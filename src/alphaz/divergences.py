@@ -325,9 +325,9 @@ def _joined(fault, code: int, at):
 def _route(alphas, zs, dominated, orthogonal, rho_full, sigma_endorsed):
     """The route rule at points (alpha, z), floats or a 1-d array, for pairs
     with these support flags (`PreparedPair._flags`): bools for one pair or
-    for a stack whose pairs share them, or else a column of bools, one per
-    pair, which gives (pairs, points) arrays. Returns (closed, defined,
-    product, e_sigma, e_rho):
+    for a stack whose pairs share them, or else 1-d arrays of bools with one
+    entry per row (`_Stack._route`), which give 1-d arrays. Returns (closed,
+    defined, product, e_sigma, e_rho):
       * closed where D needs no trace: alpha = 1, where D is the relative
         entropy, and, without dominance, alpha > 1 or orthogonal supports,
         where it is +inf;
@@ -572,7 +572,7 @@ class PreparedPair:
         there; where D needs T, such a point raises the DomainError of
         `divergences`."""
         values, traces = _alone([self], alphas, zs).evaluate()
-        return values[0], traces[0]
+        return values[0, ...], traces[0, ...]  # 0-d arrays at one point, as at several
 
     def petz(self, alpha: float) -> DivergenceValue:
         """Petz quantum Renyi divergence of order alpha, the z = 1 member.
@@ -769,6 +769,8 @@ class _Stack:
             t[rest], fault[rest] = self._trace_sums(singular, zs[rest], pi[rest])
             if fault.any():
                 t[fault != 0] = math.nan
+        if defined is True:
+            return closed, t, fault, on
         out = (np.full(closed.size, math.nan), np.full(closed.size, _UNDEFINED),
                np.zeros(closed.size, dtype=bool))
         for whole, part in zip(out, (t, fault, on)):
@@ -838,14 +840,18 @@ def _stacked_traces(pairs: list[PreparedPair], pi, alphas, zs, checked):
     stack for the rows without a fault that the product route did not
     settle, none where there are no such rows, and the self-checks run on
     the same stack. This is the one place that knows one stack needs one
-    matrix size. T is NaN at every row with a fault; nothing raises, and
+    matrix size. A stack takes at most _STACK_ROWS rows at once
+    (`_stack_rows`), and a pass of one dimension within that bound goes to
+    its stack whole. T is NaN at every row with a fault; nothing raises, and
     each request raises for the rows it needs (`_Request`). Each row is
     computed as it would be alone, so its values do not depend on the other
     rows of the pass."""
+    sizes = [pair.rho.values.size for pair in pairs]
+    if len(set(sizes)) == 1 and pi.size <= _STACK_ROWS:  # one stack, one chunk
+        return _stack_rows(_Stack(pairs), pi, alphas, zs, checked)
     out = (np.empty(pi.size, dtype=bool), np.empty(pi.size), np.empty(pi.size, dtype=int),
-           np.empty(pi.size, dtype=bool), np.full(pi.size, math.nan),
-           np.zeros(pi.size, dtype=int))
-    sizes = np.array([pair.rho.values.size for pair in pairs], dtype=int)
+           np.empty(pi.size, dtype=bool), np.empty(pi.size), np.empty(pi.size, dtype=int))
+    sizes = np.array(sizes, dtype=int)
     dims = sizes[pi]
     local = np.empty(len(pairs), dtype=np.intp)  # a pair's index in its stack
     for dim in dict.fromkeys(sizes.tolist()):
@@ -855,16 +861,22 @@ def _stacked_traces(pairs: list[PreparedPair], pi, alphas, zs, checked):
         every = np.flatnonzero(dims == dim)
         for start in range(0, every.size, _STACK_ROWS):
             rows = every[start:start + _STACK_ROWS]
-            parts = stack.traces(local[pi[rows]], alphas[rows], zs[rows])
+            parts = _stack_rows(stack, local[pi[rows]], alphas[rows], zs[rows], checked[rows])
             for whole, part in zip(out, parts):
                 whole[rows] = part
-            rows = rows[checked[rows]]
-            if rows.size:
-                parts = stack.dual_traces(local[pi[rows]], alphas[rows], zs[rows],
-                                          out[0][rows], out[3][rows])
-                for whole, part in zip(out[4:], parts):
-                    whole[rows] = part
     return out
+
+
+def _stack_rows(stack: _Stack, pi, alphas, zs, checked):
+    """`_stacked_traces` at rows of one stack (pairs pi of the stack)."""
+    closed, t, fault, by_product = stack.traces(pi, alphas, zs)
+    dual = np.full(pi.size, math.nan), np.zeros(pi.size, dtype=int)
+    at = np.flatnonzero(checked)
+    if at.size:
+        parts = stack.dual_traces(pi[at], alphas[at], zs[at], closed[at], by_product[at])
+        for whole, part in zip(dual, parts):
+            whole[at] = part
+    return (closed, t, fault, by_product) + dual
 
 
 class _Pass:
@@ -908,8 +920,9 @@ class _Pass:
     def run(self) -> None:
         """Evaluate every request's rows in one kernel pass."""
         if self._rows:
-            self.rows = _stacked_traces([pair for _, pair in self._pairs.values()],
-                                        *map(np.concatenate, zip(*self._rows)))
+            rows = self._rows[0] if len(self._rows) == 1 else map(np.concatenate,
+                                                                  zip(*self._rows))
+            self.rows = _stacked_traces([pair for _, pair in self._pairs.values()], *rows)
 
 
 class _Request:

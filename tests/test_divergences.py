@@ -802,6 +802,14 @@ class TestBatchedKernel:
         values, traces = pair.evaluate([], [])
         assert values.shape == traces.shape == (0,)
 
+    def test_evaluate_at_one_point_gives_arrays(self):
+        # 0-d arrays at a scalar point, not numpy scalars
+        pair = dv.prepare(*_pair_of_class("full"))
+        values, traces = pair.evaluate(0.5, 2.0)
+        assert type(values) is type(traces) is np.ndarray
+        assert values.shape == traces.shape == ()
+        assert float(values) == pair.divergences(0.5, 2.0)
+
     @pytest.mark.parametrize("cls", ["full", "dominating", "violating", "orthogonal",
                                      "partial"])
     def test_evaluate_returns_floats(self, cls):
@@ -960,6 +968,24 @@ class TestStackedDivergences:
             assert np.array_equal(row, pair.divergences(alphas, zs))
         assert np.isinf(rows[2, 2:]).all() and np.isinf(rows[3]).all()
         assert np.isfinite(rows[[0, 1]]).all()
+
+    def test_rows_in_chunks_bit_for_bit(self, monkeypatch):
+        # a stack that evaluates its rows a few at a time gives the values
+        # of one that takes them at once, for one dimension and for several
+        pairs = self._stack() + [self._pair(3, "full", 70)]
+        alphas = np.array([[0.3], [0.7], [1.0], [1.5], [3.0]])
+        zs = [0.5, 1.0, 2.0, 2.5, 16.0]
+        calls = {"divergences": lambda ps: dv.stacked_divergences(ps, alphas, zs),
+                 "mosonyi_ogawa": lambda ps: dv.stacked_mosonyi_ogawa(ps, alphas[:, 0])}
+        whole = {name: (call(pairs[:5]), call(pairs)) for name, call in calls.items()}
+        sizes, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda g, **kw: sizes.append(len(g)) or svd(g, **kw))
+        monkeypatch.setattr(dv, "_STACK_ROWS", 3)
+        for name, call in calls.items():
+            for got, want in zip((call(pairs[:5]), call(pairs)), whole[name], strict=True):
+                assert np.array_equal(got, want)
+        assert sizes and max(sizes) <= 3
 
     def test_one_pair_is_divergences(self):
         pair = dv.prepare(*_pair_of_class("full"))
@@ -1277,7 +1303,6 @@ class TestUnderflow:
         assert (prepared.traces([0.3, 0.5], [1.0, 2.0]) == 0.0).all()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")  # no numpy warning beside the error
 def _nan_trace_sums(monkeypatch):
     """Let the SVD route give a NaN T at every point, with no fault code."""
     original = dv.PreparedPair._trace_sums
@@ -1289,6 +1314,7 @@ def _nan_trace_sums(monkeypatch):
     monkeypatch.setattr(dv.PreparedPair, "_trace_sums", nan_sums)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no numpy warning beside the error
 class TestNanTraceWithoutFault:
     """A NaN T that carries no fault code fails the positivity test where D
     needs T, as an ArithmeticError: it once passed both tests (T <= 0 is
@@ -1313,6 +1339,7 @@ class TestNanTraceWithoutFault:
         assert pair.divergences(1.0, 0.5) == pair.relative_entropy().value
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no numpy warning beside the error
 class TestFaultOrder:
     """Within one call, the lowest fault code wins over an earlier point:
     an undefined formula, then overflowing powers, an overflowing trace sum
