@@ -21,10 +21,10 @@ report per item, in order, from that one request. The example1
 second-derivative check takes a sequence of ps and makes one kernel
 request for all of their pairs' stencils. One pair or one item is the
 one-element case, and a pair's reports do not depend on the pairs beside
-it. Each check is split into its plan (`_plan_*`), which adds its requests
-to a kernel pass and returns its report builder, and its public
-`verify_*`, which runs the plan in a pass of its own (`_own_pass`); the
-suites run the plans of a whole run in one pass.
+it. Each check is its plan (`_plan_*`), which adds its requests to a
+kernel pass and returns its report builder; the builder's first read runs
+the pass. A public `verify_*` calls its plan on a pass of its own and
+builds the reports; the suites add the plans of a whole run to one pass.
 Their offset ladders and finite-difference steps are module constants, not
 options: LIMIT_OFFSETS, DZ_TRACE_OFFSETS, and the default step of
 fd_derivative (1e-4) or fd_second_derivative (1e-3).
@@ -215,18 +215,6 @@ _TREND_SLACK = 1e-12
 _TREND_NOISE_FLOOR = 1e-9
 
 
-def _own_pass(plan: Callable[..., Callable[[], list]], *args) -> list:
-    """The reports of one check from a kernel pass of its own: the check's
-    plan, `plan(kernel, *args)`, adds its requests to the pass and returns
-    the function that builds its reports once the pass has run.
-    `suites.run_suites` runs the plans of every suite it runs in one pass
-    instead."""
-    kernel = dv._Pass()
-    reports = plan(kernel, *args)
-    kernel.run()
-    return reports()
-
-
 def verify_curve_limits(tfs: Sequence[TraceFunctional], curves: Sequence[CurveSpec],
                         bias: float = 0.0) -> list[list[CheckReport]]:
     """Check D(a, g(a)) -> relative entropy as a -> 1 along each curve: per
@@ -238,12 +226,13 @@ def verify_curve_limits(tfs: Sequence[TraceFunctional], curves: Sequence[CurveSp
     sides and the error decays monotonically over the last three dyadic
     refinements. `bias` shifts every measured divergence (self-test hook).
     """
-    return _own_pass(_plan_curve_limits, tfs, curves, bias)
+    return _plan_curve_limits(dv._Pass(), tfs, curves, bias)()
 
 
 def _plan_curve_limits(kernel: dv._Pass, tfs: Sequence[TraceFunctional],
                        curves: Sequence[CurveSpec], bias: float):
-    """`verify_curve_limits` as a plan of `_own_pass`."""
+    """Add the ladders of `verify_curve_limits` to the pass `kernel` as one
+    request, and return the function that builds its reports."""
     alphas = [1.0 + side * off for side in (+1, -1) for off in LIMIT_OFFSETS]
     zs = [[curve.g(alpha) for alpha in alphas] for curve in curves]
     request = kernel.add([tf.pair for tf in tfs], alphas, np.reshape(zs, (-1, len(alphas))))
@@ -302,11 +291,12 @@ def verify_derivative_at_one(tfs: Sequence[TraceFunctional]) -> list[CheckReport
     estimates agree within 1e-5, and no slope dips below -1e-6 (the variance
     is non-negative).
     """
-    return _own_pass(_plan_derivative_at_one, tfs)
+    return _plan_derivative_at_one(dv._Pass(), tfs)()
 
 
 def _plan_derivative_at_one(kernel: dv._Pass, tfs: Sequence[TraceFunctional]):
-    """`verify_derivative_at_one` as a plan of `_own_pass`."""
+    """Add the stencils of `verify_derivative_at_one` to the pass `kernel`
+    as one request, and return the function that builds its reports."""
     a = _stencil(1.0, (_FD_STEP, -_FD_STEP))
     request = kernel.add([tf.pair for tf in tfs], a[:, None], _family_zs(a))
 
@@ -383,34 +373,31 @@ def verify_second_derivative_example1(ps: Sequence[float]) -> list[CheckReport]:
     is computed through both the closed form and the matrix pipeline, which
     must agree within 1e-9 at every stencil point.
     """
-    return _own_pass(_plan_second_derivative_example1, ps)
+    return _plan_second_derivative_example1(dv._Pass(), ps)()
 
 
 def _plan_second_derivative_example1(kernel: dv._Pass, ps: Sequence[float]):
-    """`verify_second_derivative_example1` as a plan of `_own_pass`."""
+    """Add the stencils of `verify_second_derivative_example1` to the pass
+    `kernel` as one request, and return the function that builds its
+    reports."""
     from .states import example1_pair
 
     ps = [float(p) for p in ps]
     a = _stencil(1.0, (_FD2_STEP, 0.0, -_FD2_STEP))
-    request = kernel.add(dv._prepare_pairs(example1_pair(p) for p in ps), a[:, None],
-                         _family_zs(a))
-    gaps = []
+    zs = _family_zs(a)
+    request = kernel.add(dv._prepare_pairs(example1_pair(p) for p in ps), a[:, None], zs)
 
-    def both(a):
-        """The request's matrix pipeline, at the stencil points `a`, then the
-        closed form, one column per family: (stencil points, pairs,
-        2 families x 2 routes)."""
-        zs = _family_zs(a)
+    def reports():
+        # the matrix pipeline and the closed form at the stencil points
+        # fd_second_derivative forms from the same x0 and step, one column
+        # per family: (stencil points, pairs, families)
         m = np.moveaxis(request.evaluate()[0], 0, 1)
         c = np.array([[[example1_closed_form(p, x, z) for z in row] for p in ps]
                       for x, row in zip(a.tolist(), zs.tolist())])
-        gaps.append(np.abs(m - c))
-        return np.concatenate([m, c], axis=2)
-
-    def reports():
-        d2 = fd_second_derivative(both, 1.0).tolist()
+        d2 = fd_second_derivative(lambda _: np.concatenate([m, c], axis=2), 1.0).tolist()
+        gaps = np.moveaxis(np.abs(m - c), 1, 0).tolist()
         return [_second_derivative_example1(p, row, stencil_gaps)
-                for p, row, stencil_gaps in zip(ps, d2, np.moveaxis(gaps[0], 1, 0).tolist())]
+                for p, row, stencil_gaps in zip(ps, d2, gaps)]
 
     return reports
 
@@ -462,13 +449,14 @@ def verify_z_monotonicity(tfs: Sequence[TraceFunctional], alphas: Sequence[float
     alpha > 1 and non-decreasing for alpha < 1, with 1e-10 slack per step:
     per pair, one report per alpha, in order, from one kernel request for
     all pairs and alphas."""
-    return _own_pass(_plan_z_monotonicity, tfs, alphas, zs)
+    return _plan_z_monotonicity(dv._Pass(), tfs, alphas, zs)()
 
 
 def _plan_z_monotonicity(kernel: dv._Pass, tfs: Sequence[TraceFunctional],
                          alphas: Sequence[float], zs: Sequence[float]):
-    """`verify_z_monotonicity` as a plan of `_own_pass`; checks the alphas
-    and zs first."""
+    """Check the alphas and zs of `verify_z_monotonicity`, add its z-rows to
+    the pass `kernel` as one request, and return the function that builds
+    its reports."""
     alphas = [float(alpha) for alpha in alphas]
     if any(abs(alpha - 1.0) <= dv.ALPHA_ONE_TOL for alpha in alphas):
         raise DomainError("alpha = 1 has no z dependence to check")
@@ -517,12 +505,13 @@ def verify_dz_trace_vanishes(tfs: Sequence[TraceFunctional],
     both sides of 1, is <= 1e-4 at the tightest offset, and is <= 1e-8 at
     alpha = 1 exactly (where T is identically 1 in z).
     """
-    return _own_pass(_plan_dz_trace_vanishes, tfs, z0s)
+    return _plan_dz_trace_vanishes(dv._Pass(), tfs, z0s)()
 
 
 def _plan_dz_trace_vanishes(kernel: dv._Pass, tfs: Sequence[TraceFunctional],
                             z0s: Sequence[float]):
-    """`verify_dz_trace_vanishes` as a plan of `_own_pass`."""
+    """Add the stencils of `verify_dz_trace_vanishes` to the pass `kernel`
+    as one request, and return the function that builds its reports."""
     z0s = [float(z0) for z0 in z0s]
     if 0.0 in z0s:
         raise DomainError("z = 0 is excluded")

@@ -62,7 +62,8 @@ The kernel works on rows, one per pair and point (alpha, z). A kernel pass
 any dimensions at the same points, and evaluates them together: the pairs
 of each dimension as one stack (`_Stack`), with at most one SVD per
 dimension and per self-check route for up to _STACK_ROWS rows. Each
-request then reads its own D, T or Mosonyi-Ogawa values (`_Request`).
+request then reads its own D, T or Mosonyi-Ogawa values (`_Request`); the
+first read runs the pass, which then takes no more requests.
 `stacked_divergences`, `stacked_traces` and `stacked_mosonyi_ogawa`, and
 through them `PreparedPair.divergences`, `traces` and `evaluate`, are the
 one-request case; `suites.run_suites` puts every family of a run in one
@@ -571,7 +572,7 @@ class PreparedPair:
         D needs none, if its formula is undefined or out of double range
         there; where D needs T, such a point raises the DomainError of
         `divergences`."""
-        values, traces = _alone([self], alphas, zs).evaluate()
+        values, traces = _Pass().add([self], alphas, zs).evaluate()
         return values[0, ...], traces[0, ...]  # 0-d arrays at one point, as at several
 
     def petz(self, alpha: float) -> DivergenceValue:
@@ -881,23 +882,29 @@ def _stack_rows(stack: _Stack, pi, alphas, zs, checked):
 
 class _Pass:
     """Requests for D, T or Mosonyi-Ogawa values on prepared pairs of any
-    dimensions, evaluated in one kernel pass: `add` each request, `run`
-    once, then read each request's values from its `_Request`. The rows of
-    every request, one per pair and point, go to `_stacked_traces` at once,
-    so each pair that several requests name is laid out once, and each
-    dimension takes one `_Stack`. A row's values do not depend on what else
-    shares the pass, so each read gives what that request's own `stacked_*`
-    call gives, bit for bit, and raises what that call raises."""
+    dimensions, evaluated in one kernel pass: `add` each request, then read
+    each request's values from its `_Request`. The first read runs the pass
+    (`run`), and a pass that has run takes no more requests, so no request
+    misses the pass it joined. The rows of every request, one per pair and
+    point, go to `_stacked_traces` at once, so each pair that several
+    requests name is laid out once, and each dimension takes one `_Stack`.
+    A row's values do not depend on what else shares the pass, so each read
+    gives what that request's own `stacked_*` call gives, bit for bit, and
+    raises what that call raises."""
 
     def __init__(self):
-        # each pair's index in the pass and the pair, by id; each request's rows
+        # each pair's index in the pass and the pair, by id; each request's
+        # rows; the pass's arrays, None until it has run
         self._pairs, self._rows, self.rows = {}, [], None
 
     def add(self, pairs, alphas, zs=None) -> "_Request":
         """Request `pairs` at the broadcast points of alphas and zs, checked
         here as `_points` checks them. Without zs, the Mosonyi-Ogawa points
         of the orders alphas > 0 (z = 1 below alpha = 1, z = alpha from it),
-        whose values the pass also checks by a second route."""
+        whose values the pass also checks by a second route. Raises
+        RuntimeError once the pass has run."""
+        if self.rows is not None:
+            raise RuntimeError("a kernel pass takes no request once it has run")
         checked = zs is None
         if checked:
             alphas = np.asarray(alphas, dtype=float)
@@ -918,23 +925,26 @@ class _Pass:
         return _Request(self, pairs, a, z, slice(start, start + count), checked)
 
     def run(self) -> None:
-        """Evaluate every request's rows in one kernel pass."""
-        if self._rows:
-            rows = self._rows[0] if len(self._rows) == 1 else map(np.concatenate,
-                                                                  zip(*self._rows))
-            self.rows = _stacked_traces([pair for _, pair in self._pairs.values()], *rows)
+        """Evaluate every request's rows in one kernel pass; a request's
+        first read calls it."""
+        rows = self._rows[0] if len(self._rows) == 1 else map(np.concatenate, zip(*self._rows))
+        self.rows = _stacked_traces([pair for _, pair in self._pairs.values()], *rows)
 
 
 class _Request:
-    """One request of a `_Pass`: its pairs and points, and, once the pass
-    has run, its values, each of shape (len(pairs), *points)."""
+    """One request of a `_Pass`: its pairs and points, and its values, each
+    of shape (len(pairs), *points), read from the pass, which the first
+    read of any of its requests runs."""
 
     def __init__(self, kernel: _Pass, pairs, alphas, zs, rows: slice, checked: bool):
         self.kernel, self.pairs, self.shape = kernel, pairs, (len(pairs),) + alphas.shape
         self.alphas, self.zs, self.rows, self.checked = alphas.ravel(), zs.ravel(), rows, checked
 
     def _read(self, k: int) -> np.ndarray:
-        """Array k of the pass at this request's rows, one row per pair."""
+        """Array k of the pass at this request's rows, one row per pair;
+        runs the pass first if it has not run."""
+        if self.kernel.rows is None:
+            self.kernel.run()
         return self.kernel.rows[k][self.rows].reshape(len(self.pairs), self.alphas.size)
 
     def _raise_first(self, faults: np.ndarray) -> None:
@@ -996,14 +1006,6 @@ class _Request:
         return values.reshape(self.shape)
 
 
-def _alone(pairs, alphas, zs=None) -> _Request:
-    """One request (`_Pass.add`) in a pass of its own, run."""
-    kernel = _Pass()
-    request = kernel.add(pairs, alphas, zs)
-    kernel.run()
-    return request
-
-
 def stacked_divergences(pairs, alphas, zs) -> np.ndarray:
     """D(a, z) in nats for prepared pairs of any dimensions at the same
     broadcast points of alphas and zs, shape (len(pairs), *points), from
@@ -1012,7 +1014,7 @@ def stacked_divergences(pairs, alphas, zs) -> np.ndarray:
     force it, and the error raised is the one of the first pair whose own
     call fails, read from the fault codes of the pass. No pairs give shape
     (0, *points), once the points are checked."""
-    return _alone(pairs, alphas, zs).evaluate()[0]
+    return _Pass().add(pairs, alphas, zs).evaluate()[0]
 
 
 def stacked_traces(pairs, alphas, zs) -> np.ndarray:
@@ -1022,7 +1024,7 @@ def stacked_traces(pairs, alphas, zs) -> np.ndarray:
     `pairs[p].traces(alphas, zs)` bit for bit. Every point needs T, so the
     first pair with a fault raises the DomainError of its own `traces`
     call."""
-    return _alone(pairs, alphas, zs).traces()
+    return _Pass().add(pairs, alphas, zs).traces()
 
 
 def stacked_mosonyi_ogawa(pairs, alphas) -> np.ndarray:
@@ -1035,7 +1037,7 @@ def stacked_mosonyi_ogawa(pairs, alphas) -> np.ndarray:
     a mismatch raises for the first such value in pair order
     (`_Request.mosonyi_ogawa`). The values agree with the scalar methods'
     to round-off."""
-    return _alone(pairs, alphas).mosonyi_ogawa()
+    return _Pass().add(pairs, alphas).mosonyi_ogawa()
 
 
 def _paired(r: Spectrum, s: Spectrum, overlap: np.ndarray) -> PreparedPair:

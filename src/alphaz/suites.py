@@ -21,15 +21,15 @@ with its rotation, its rescaled reference and (rho, rho); classical its
 commuting pairs; example1 its three pairs on the alpha grid, and its
 second-derivative stencils of all three.
 
-Each suite is split into its plan (`_plan_*`), which adds the suite's
-requests to a pass and returns its report builder, and its public
-`suite_*`, which runs the plan in a pass of its own. `run_suites` adds the
-requests of every suite it runs to one pass and runs it once, before it
-builds any report: the pass lays out the pairs of each dimension once, as
-one stack, with one `svd` per dimension, and runs dpi's self-checks on
-the same stacks. A `verify --suite all --seeds 10` run makes 39 `eigh` and
-17 `svd` calls (7 for the pass and 10 for dpi's self-checks) and 7 stack
-layouts.
+Each suite is its plan (`_plan_*`), which adds the suite's requests to a
+pass and returns its report builder. `run_suites` calls the plan of every
+suite it runs on one pass before it builds any report, so the first
+builder's read runs the pass once for all of them: the pass lays out the
+pairs of each dimension once, as one stack, with one `svd` per dimension,
+and runs dpi's self-checks on the same stacks. A suite run alone is the
+same plan on a pass of its own. A `verify --suite all --seeds 10` run
+makes 39 `eigh` and 17 `svd` calls (7 for the pass and 10 for dpi's
+self-checks) and 7 stack layouts.
 
 Each check reduces its residuals, one (pair, point) array or one list, by
 `analysis._worst`, as each aggregate reduces its members: the worst
@@ -47,7 +47,6 @@ import numpy as np
 from . import divergences as dv
 from .analysis import (
     CheckReport,
-    _own_pass,
     _plan_curve_limits,
     _plan_derivative_at_one,
     _plan_dz_trace_vanishes,
@@ -128,36 +127,26 @@ def _over_pairs(tfs: SeededPairs, per_pair: list[list[CheckReport]]) -> list[Che
     return aggregates
 
 
-def suite_limits(tfs: SeededPairs, bias: float = 0.0) -> list[CheckReport]:
-    """Limit of D(a, g(a)) at a -> 1 for five curves over the seeded pairs."""
-    return _own_pass(_plan_limits, tfs, bias)
-
-
 def _plan_limits(kernel: dv._Pass, tfs: SeededPairs, bias: float):
-    """`suite_limits` as a plan of `analysis._own_pass`."""
+    """Limit of D(a, g(a)) at a -> 1 for five curves over the seeded pairs,
+    one request for all of them, one aggregate per curve."""
     reports = _plan_curve_limits(kernel, [tf for tf, _ in tfs], LIMIT_CURVES, bias)
     return lambda: _over_pairs(tfs, reports())
 
 
-def suite_derivatives(tfs: SeededPairs) -> list[CheckReport]:
-    """Slope-at-1 checks for both families plus the dT/dz -> 0 checks."""
-    return _own_pass(_plan_derivatives, tfs)
-
-
 def _plan_derivatives(kernel: dv._Pass, tfs: SeededPairs):
-    """`suite_derivatives` as a plan of `analysis._own_pass`."""
+    """Slope-at-1 checks for both families plus the dT/dz -> 0 checks at
+    DZ_TRACE_Z0S over the seeded pairs, one request each: one aggregate
+    for the slopes, then one per z0."""
     slopes = _plan_derivative_at_one(kernel, [tf for tf, _ in tfs])
     dz = _plan_dz_trace_vanishes(kernel, [tf for tf, _ in tfs], DZ_TRACE_Z0S)
     return lambda: (_over_pairs(tfs, [[rep] for rep in slopes()]) + _over_pairs(tfs, dz()))
 
 
-def suite_monotonicity(tfs: SeededPairs) -> list[CheckReport]:
-    """z-monotonicity of the divergence for each sampled alpha."""
-    return _own_pass(_plan_monotonicity, tfs)
-
-
 def _plan_monotonicity(kernel: dv._Pass, tfs: SeededPairs):
-    """`suite_monotonicity` as a plan of `analysis._own_pass`."""
+    """z-monotonicity of the divergence over MONOTONICITY_ZS for each
+    alpha of MONOTONICITY_ALPHAS over the seeded pairs, one request for all
+    of them, one aggregate per alpha."""
     reports = _plan_z_monotonicity(kernel, [tf for tf, _ in tfs], MONOTONICITY_ALPHAS,
                                    MONOTONICITY_ZS)
     return lambda: _over_pairs(tfs, reports())
@@ -168,16 +157,12 @@ EXAMPLE1_GRID_ALPHAS = tuple(round(0.2 + 0.2 * k, 10) for k in range(15))  # 0.2
 EXAMPLE1_GRID_TOL = 1e-10
 
 
-def suite_example1() -> list[CheckReport]:
-    """Second-derivative split at a = 1 plus closed-form/pipeline agreement
-    for the rank-1-vs-diagonal pair family: two kernel requests, one for
-    the second-derivative stencils of the three pairs and one for the three
-    pairs on the alpha grid."""
-    return _own_pass(_plan_example1)
-
-
 def _plan_example1(kernel: dv._Pass):
-    """`suite_example1` as a plan of `analysis._own_pass`."""
+    """Second-derivative split at a = 1 plus closed-form/pipeline agreement
+    (within EXAMPLE1_GRID_TOL) for the rank-1-vs-diagonal pair of each p of
+    EXAMPLE1_PS: two kernel requests, one for the second-derivative
+    stencils of the three pairs and one for the three pairs on the alpha
+    grid."""
     from .states import example1_pair
 
     second = _plan_second_derivative_example1(kernel, EXAMPLE1_PS)
@@ -207,18 +192,15 @@ def _plan_example1(kernel: dv._Pass):
 DPI_SLACK = 1e-9
 
 
-def suite_dpi(tfs: SeededPairs) -> list[CheckReport]:
-    """Sampled data-processing check for the piecewise divergence under
-    pinching in the reference operator's eigenbasis; each pinched image is
-    made from the pair's own spectrum of sigma, and the images are prepared
-    as one stack per dimension. The pairs and their images are evaluated at
-    every alpha in one kernel request, with the Petz and sandwiched
-    self-checks of every value (`divergences.stacked_mosonyi_ogawa`)."""
-    return _own_pass(_plan_dpi, tfs)
-
-
 def _plan_dpi(kernel: dv._Pass, tfs: SeededPairs):
-    """`suite_dpi` as a plan of `analysis._own_pass`."""
+    """Sampled data-processing check for the piecewise divergence under
+    pinching in the reference operator's eigenbasis, within DPI_SLACK, one
+    report per alpha of DPI_ALPHAS; each pinched image is made from the
+    pair's own spectrum of sigma, and the images are prepared as one stack
+    per dimension. The pairs and their images are evaluated at every alpha
+    in one kernel request, with the Petz and sandwiched self-checks of
+    every value (the Mosonyi-Ogawa request of
+    `divergences.stacked_mosonyi_ogawa`)."""
     pinched = dv._prepare_pairs((tf.pair.sigma.pinch(tf.rho), tf.pair.sigma.pinch(tf.sigma))
                                 for tf, _ in tfs)
     # no zs: the Mosonyi-Ogawa values, checked by a second route
@@ -250,16 +232,13 @@ CLASSICAL_KL_TOL = 1e-12
 COMMUTING_DIMS = (2, 3, 4, 5, 6, 7, 8)
 
 
-def suite_classical(n_pairs: int = 20) -> list[CheckReport]:
-    """Commuting pairs must reduce to the classical Renyi sum (z-independent)
-    and the classical KL divergence. The pairs are prepared as one stack
-    per dimension and evaluated in one kernel request. Each check reports
-    its worst (pair, point) row, and no row where every gap is exactly 0."""
-    return _own_pass(_plan_classical, n_pairs)
-
-
 def _plan_classical(kernel: dv._Pass, n_pairs: int):
-    """`suite_classical` as a plan of `analysis._own_pass`."""
+    """n_pairs commuting pairs of COMMUTING_DIMS must reduce to the
+    classical Renyi sum (z-independent, within CLASSICAL_RENYI_TOL) and the
+    classical KL divergence (within CLASSICAL_KL_TOL). The pairs are
+    prepared as one stack per dimension and evaluated in one kernel
+    request. Each check reports its worst (pair, point) row, and no row
+    where every gap is exactly 0."""
     points = [(alpha, z) for alpha in CLASSICAL_ALPHAS for z in CLASSICAL_ZS + (alpha,)]
     alphas, zs = zip(*points)
     dims = [COMMUTING_DIMS[k % len(COMMUTING_DIMS)] for k in range(n_pairs)]
@@ -311,17 +290,13 @@ INVARIANT_ALPHAS = (0.3, 0.7, 1.5, 2.0, 3.0)
 INVARIANT_ZS = (0.5, 1.0, 2.0)
 
 
-def suite_invariants(tfs: SeededPairs) -> list[CheckReport]:
-    """Structural invariants: unitary invariance, reference scaling,
-    self-divergence, and the infinity reason tags. Each pair's rotation,
-    rescaled reference and (rho, rho) are prepared as one stack per
-    dimension and evaluated in one kernel request; the tag checks call the
-    scalar API, one pair at a time."""
-    return _own_pass(_plan_invariants, tfs)
-
-
 def _plan_invariants(kernel: dv._Pass, tfs: SeededPairs):
-    """`suite_invariants` as a plan of `analysis._own_pass`."""
+    """Structural invariants of the seeded pairs: unitary invariance,
+    reference scaling, self-divergence (within UNITARY_INVARIANCE_TOL,
+    SCALING_TOL and SELF_DIVERGENCE_TOL), and the infinity reason tags.
+    Each pair's rotation, rescaled reference and (rho, rho) are prepared as
+    one stack per dimension and evaluated, with the pair, in one kernel
+    request; the tag checks call the scalar API, one pair at a time."""
     from .states import random_unitary
 
     points = [(alpha, z) for alpha in INVARIANT_ALPHAS for z in INVARIANT_ZS + (alpha,)]
@@ -398,9 +373,9 @@ def run_suites(names, n_seeds: int = 10, bias: float = 0.0) -> list[CheckReport]
     """Run the named suites (or all of them, in SUITE_NAMES order) on
     n_seeds >= 1 seeded pairs and return their reports. The seeded pairs are
     prepared once per call, and only when a requested suite checks them.
-    Every requested suite adds its kernel requests to one pass, which runs
-    before any report is built; a suite's reports are those it gives when
-    run alone."""
+    Every requested suite adds its kernel requests to one pass before any
+    report is built, so the first report's read runs the pass once for
+    all; a suite's reports are those it gives when run alone."""
     if n_seeds < 1:
         raise ValueError(f"need at least one seed, got {n_seeds}")
     # each plan reads tfs, prepared below once the names are checked
@@ -421,5 +396,4 @@ def run_suites(names, n_seeds: int = 10, bias: float = 0.0) -> list[CheckReport]
            else None)
     kernel = dv._Pass()
     builds = [plans[name](kernel) for name in wanted]
-    kernel.run()
     return [report for build in builds for report in build()]

@@ -542,12 +542,6 @@ class TestVerify:
         with pytest.raises(ValueError, match="got 0"):
             run_suites(names, 0)
 
-    def test_all_equals_each_suite_alone(self):
-        from alphaz.suites import SUITE_NAMES, run_suites
-
-        alone = [r.to_dict() for name in SUITE_NAMES[1:] for r in run_suites([name], 10)]
-        assert [r.to_dict() for r in run_suites(["all"], 10)] == alone
-
     @pytest.mark.parametrize("n_seeds", [1, 3, 6])
     def test_batched_suites_regroup_per_item(self, n_seeds):
         # each aggregate lists, pair by pair, that item's one-element report

@@ -1112,6 +1112,40 @@ class TestStackedDivergences:
             dv.stacked_divergences([], [0.5], [0.0])
 
 
+class TestKernelPass:
+    """A `_Pass` runs when one of its requests is first read, and takes no
+    request once it has run."""
+
+    def test_first_read_runs_the_pass_once(self, monkeypatch):
+        pairs = TestStackedDivergences._stack()
+        alphas, zs = [[0.3], [1.0], [2.0]], [0.5, 1.0, 3.0]
+        own = (dv.stacked_divergences(pairs, alphas, zs),
+               dv.stacked_mosonyi_ogawa(pairs[:2], [0.5, 2.0]))
+        calls, stacked_traces = [], dv._stacked_traces
+        monkeypatch.setattr(dv, "_stacked_traces",
+                            lambda *args: calls.append(1) or stacked_traces(*args))
+        kernel = dv._Pass()
+        requests = kernel.add(pairs, alphas, zs), kernel.add(pairs[:2], [0.5, 2.0])
+        assert calls == []
+        # no explicit run: each read equals its own call bit for bit
+        assert np.array_equal(requests[0].evaluate()[0], own[0])
+        assert np.array_equal(requests[1].mosonyi_ogawa(), own[1])
+        assert calls == [1]
+
+    @pytest.mark.parametrize("run", ["run", "read"])
+    def test_no_request_after_the_pass_has_run(self, run):
+        pair = dv.prepare(*_pair_of_class("full"))
+        kernel = dv._Pass()
+        request = kernel.add([pair], [2.0], [1.0])
+        if run == "run":
+            kernel.run()
+        else:
+            request.traces()
+        with pytest.raises(RuntimeError, match="no request once it has run"):
+            kernel.add([pair], [3.0], [1.0])
+        assert np.array_equal(request.evaluate()[0], dv.stacked_divergences([pair], [2.0], [1.0]))
+
+
 NON_FINITE_POINTS = [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 0.5),
                      (2.0, math.inf), (2.0, math.nan), (0.5, -math.inf)]
 

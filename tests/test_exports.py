@@ -3,7 +3,7 @@ import inspect
 import pytest
 
 import alphaz
-from alphaz import analysis, divergences, linalg
+from alphaz import analysis, divergences, linalg, suites
 
 # names removed from the public API, with the module or class that defined them
 REMOVED = [
@@ -30,6 +30,15 @@ REMOVED = [
     (analysis, "D2_STENCILS"),
     (analysis, "SweepRow"),
     (analysis, "dyadic_offsets"),
+    (suites, "suite_limits"),
+    (suites, "suite_derivatives"),
+    (suites, "suite_monotonicity"),
+    (suites, "suite_example1"),
+    (suites, "suite_dpi"),
+    (suites, "suite_classical"),
+    (suites, "suite_invariants"),
+    (analysis, "_own_pass"),
+    (divergences, "_alone"),
 ]
 
 

@@ -180,7 +180,7 @@ def test_limit_nan_at_any_rung(monkeypatch, clean, rung):
     assert failed["notes"].endswith(f"[{label}]")
 
 
-@pytest.mark.parametrize("n_seeds", [1, 3])
+@pytest.mark.parametrize("n_seeds", [1, 3, 10])
 def test_all_equals_each_suite_alone(n_seeds):
     # the run evaluates every family in one kernel pass; each family's
     # values, and so its reports, are those of its suite run alone
