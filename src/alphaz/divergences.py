@@ -45,7 +45,7 @@ needs T, a T that is not positive, NaN included, is an ArithmeticError.
 Since the steps report every range fault themselves, numpy's
 floating-point warnings are off where they run, entered once per driver:
 around the scalar `PreparedPair._divergence` with its self-check, each
-stack's `_Stack.traces` and `_Stack.dual_traces`, and
+stack's `_Stack.rows` and `_Stack.dual_traces`, and
 `ClassicalPair.renyi`. The self-checks of `petz`, `sandwiched` and
 `stacked_mosonyi_ogawa` fail on a NaN value or check T, as an
 ArithmeticError.
@@ -60,8 +60,9 @@ trace functional T(a, z) is `prepare(rho, sigma).traces(alpha, z)`.
 The kernel works on rows, one per pair and point (alpha, z). A kernel pass
 (`_Pass`) takes the rows of several requests, each some prepared pairs of
 any dimensions at the same points, and evaluates them together: the pairs
-of each dimension as one stack (`_Stack`), with at most one SVD per
-dimension and per self-check route for up to _STACK_ROWS rows. Each
+of each dimension as one stack (`_Stack`), whose `rows` gives each row's
+closed flag, T and fault code and its self-check's T, with at most one SVD
+per dimension and per self-check route for up to _STACK_ROWS rows. Each
 request then reads its own D, T or Mosonyi-Ogawa values (`_Request`); the
 first read runs the pass, which then takes no more requests.
 `stacked_divergences`, `stacked_traces` and `stacked_mosonyi_ogawa`, and
@@ -342,7 +343,7 @@ def _route(alphas, zs, dominated, orthogonal, rho_full, sigma_endorsed):
     So each point has one of three outcomes. Closed: D needs no T. Product:
     the product route (`_power_sums`) computes T, and hands a T out of
     [tiny, inf) to the SVD route. Otherwise the SVD route (`_trace_sums`).
-    An undefined point gets the fault code _UNDEFINED and no G; `traces`
+    An undefined point gets the fault code _UNDEFINED and no T; `traces`
     needs T at a closed point too."""
     e_sigma, e_rho = (1.0 - alphas) / (2.0 * zs), alphas / zs
     closed, product = abs(alphas - 1.0) <= ALPHA_ONE_TOL, False
@@ -664,9 +665,9 @@ class _Stack:
     pair, 2 for rows and 1 for columns). Each array is allocated once and
     filled for all the pairs; nothing is cached on a pair. A row is a pair
     of the stack, by its index pi, at one point (alpha, z), and each kernel
-    step runs once for all the rows it is given. Every step is elementwise,
-    per row or per matrix, so a row comes out as it would in a stack of its
-    own, whatever else shares the stack."""
+    step of `rows` runs once for all the rows it is given. Every step is
+    elementwise, per row or per matrix, so a row comes out as it would in a
+    stack of its own, whatever else shares the stack."""
 
     def __init__(self, pairs: list[PreparedPair]):
         self.pairs, count, dim = pairs, len(pairs), pairs[0].rho.values.size
@@ -741,70 +742,70 @@ class _Stack:
         return sums, fault
 
     @np.errstate(all="ignore")  # the steps report every range fault themselves
-    def traces(self, pi, alphas, zs):
-        """`_stacked_traces` at the rows (pairs pi of this stack, points
-        alphas and zs). Only defined rows get a G; T is NaN with the code
-        _UNDEFINED at the others. Runs with numpy's floating-point warnings
-        off, as `dual_traces` does."""
+    def rows(self, pi, alphas, zs, checked):
+        """The kernel at the rows (pairs pi of this stack, points alphas and
+        zs, and `checked`, the rows whose value is to pass a self-check),
+        1-d arrays of one entry per row: per row, whether it is closed
+        (`_route`), T and its fault code, and the self-check's T and fault
+        code (`dual_traces`; NaN and 0 at a closed or unchecked row). The
+        route, powers and G (`_factors`), the product-route k-groups
+        (`_power_sums`) and the trace sums (`_trace_sums`, per inner rank)
+        each run once for all the rows, with one SVD for the rows without a
+        fault that the product route did not settle, none where there are
+        none, and the self-checks take the same G. An undefined row has the
+        code _UNDEFINED from the start; T is NaN at every row with a fault.
+        Nothing raises: each request raises for the rows it needs
+        (`_Request`). Runs with numpy's floating-point warnings off."""
         closed, defined, product, e_sigma, e_rho = self._route(pi, alphas, zs)
-        rows = slice(None) if defined is True else np.flatnonzero(defined)
-        pi, zs = pi[rows], zs[rows]
-        g, over = self._factors(pi, e_sigma[rows], e_rho[rows])
-        t, fault = np.full(pi.size, math.nan), np.zeros(pi.size, dtype=int)
+        g, over = self._factors(pi, e_sigma, e_rho)
+        t, fault = np.full(pi.size, math.nan), np.where(defined, 0, np.full(pi.size, _UNDEFINED))
         if over is not None:
-            fault[over] = _POWERS_OVERFLOW
+            fault = _joined(fault, _POWERS_OVERFLOW, over)
         todo = fault == 0  # the rows whose T is still to come
-        on = np.zeros(pi.size, dtype=bool)
-        if product is not False:
-            on = todo & product[rows]
-        if on.any():
-            groups = set(zs[on].tolist())
+        by_product = todo & product  # no row where product is False
+        if by_product.any():
+            groups = set(zs[by_product].tolist())
             for k in groups:
-                at = on & (zs == k) if len(groups) > 1 else on
+                at = by_product & (zs == k) if len(groups) > 1 else by_product
                 t[at] = PreparedPair._power_sums(g[at], int(k))
-            on &= (t >= _TINY) & (t < math.inf)  # a NaN fails too
-            todo &= ~on
+            by_product &= (t >= _TINY) & (t < math.inf)  # a NaN fails too
+            todo &= ~by_product
         if todo.any():
             rest = slice(None) if todo.all() else todo
             singular = np.linalg.svd(g[rest], compute_uv=False)
             t[rest], fault[rest] = self._trace_sums(singular, zs[rest], pi[rest])
             if fault.any():
                 t[fault != 0] = math.nan
-        if defined is True:
-            return closed, t, fault, on
-        out = (np.full(closed.size, math.nan), np.full(closed.size, _UNDEFINED),
-               np.zeros(closed.size, dtype=bool))
-        for whole, part in zip(out, (t, fault, on)):
-            whole[rows] = part
-        return (closed,) + out
+        if not checked.any():  # no self-check to run
+            return closed, t, fault, np.full(pi.size, math.nan), np.zeros(pi.size, dtype=int)
+        return (closed, t, fault) + self.dual_traces(pi, alphas, zs, checked & ~closed,
+                                                     by_product, g)
 
     @np.errstate(all="ignore")
-    def dual_traces(self, pi, alphas, zs, closed, by_product):
+    def dual_traces(self, pi, alphas, zs, checked, by_product, g):
         """The second route's T of the self-checks of `petz` and
-        `sandwiched` at the open rows (pairs pi of this stack, points alphas
-        and zs), NaN at the closed ones, where a row with alpha < 1 is a
-        Petz value (z = 1) and the others sandwiched values (z = alpha): the
-        SVD route of the same G where the product route gave T
-        (`by_product`), the overlap sum sum_ij w_ji r_i^a s_j^(1-a) where the
-        SVD route gave it, and for a sandwiched value the squared top
-        inner-rank singular values of the assembled factor
-        sigma^((1-a)/2a) rho^(1/2) raised to alpha; one `svd` for each of
-        the first and the last. Also the fault codes of the SVD route, 0
-        where it has none."""
+        `sandwiched` at the rows `checked` (pairs pi of this stack, points
+        alphas and zs, and their G as `rows` built it), NaN at the others,
+        where a row with alpha < 1 is a Petz value (z = 1) and the others
+        sandwiched values (z = alpha): the SVD route of that G where the
+        product route gave T (`by_product`), the overlap sum
+        sum_ij w_ji r_i^a s_j^(1-a) where the SVD route gave it, and for a
+        sandwiched value the squared top inner-rank singular values of the
+        assembled factor sigma^((1-a)/2a) rho^(1/2) raised to alpha; one
+        `svd` for each of the first and the last. Also the fault codes of
+        the SVD route, 0 where it has none."""
         t, fault = np.full(pi.size, math.nan), np.zeros(pi.size, dtype=int)
-        petz = ~closed & (alphas < 1.0)
+        petz = checked & (alphas < 1.0)
         at = np.flatnonzero(petz & by_product)
         if at.size:
-            *_, e_sigma, e_rho = self._route(pi[at], alphas[at], zs[at])
-            g, _ = self._factors(pi[at], e_sigma, e_rho)
-            t[at], fault[at] = self._trace_sums(np.linalg.svd(g, compute_uv=False), zs[at],
+            t[at], fault[at] = self._trace_sums(np.linalg.svd(g[at], compute_uv=False), zs[at],
                                                 pi[at])
         at = np.flatnonzero(petz & ~by_product)
         if at.size:
             weights = np.stack([self.pairs[p].weights for p in pi[at].tolist()])
             t[at] = np.einsum("rj,rji,ri->r", self._powers(pi[at], 0, 0, 1.0 - alphas[at]),
                               weights, self._powers(pi[at], 1, 0, alphas[at]))
-        at = np.flatnonzero(~closed & ~petz)
+        at = np.flatnonzero(checked & ~petz)
         if at.size:
             singular = np.linalg.svd(_sandwiched_factors(self, pi[at], alphas[at]),
                                      compute_uv=False)
@@ -828,69 +829,18 @@ def _sandwiched_factors(stack: _Stack, pi, alphas) -> np.ndarray:
     return s_op @ half[at]
 
 
-def _stacked_traces(pairs: list[PreparedPair], pi, alphas, zs, checked):
-    """The kernel pass at rows (pairs[pi], alphas, zs), 1-d arrays of one
-    entry per row, for pairs of any dimensions: per row, whether it is
-    closed (`_route`), T, its fault code and whether the product route gave
-    T, and at the rows where `checked` is true the second route's T of the
-    self-checks and its fault codes (`_Stack.dual_traces`; NaN and 0
-    elsewhere). The pairs of each dimension that the rows name are laid out
-    as one `_Stack`: its route, powers, G (at the defined rows only),
-    product-route k-groups (`_power_sums`) and trace sums (`_trace_sums`,
-    per inner rank) each run once for all of its rows, with one SVD of the
-    stack for the rows without a fault that the product route did not
-    settle, none where there are no such rows, and the self-checks run on
-    the same stack. This is the one place that knows one stack needs one
-    matrix size. A stack takes at most _STACK_ROWS rows at once
-    (`_stack_rows`), and a pass of one dimension within that bound goes to
-    its stack whole. T is NaN at every row with a fault; nothing raises, and
-    each request raises for the rows it needs (`_Request`). Each row is
-    computed as it would be alone, so its values do not depend on the other
-    rows of the pass."""
-    sizes = [pair.rho.values.size for pair in pairs]
-    if len(set(sizes)) == 1 and pi.size <= _STACK_ROWS:  # one stack, one chunk
-        return _stack_rows(_Stack(pairs), pi, alphas, zs, checked)
-    out = (np.empty(pi.size, dtype=bool), np.empty(pi.size), np.empty(pi.size, dtype=int),
-           np.empty(pi.size, dtype=bool), np.empty(pi.size), np.empty(pi.size, dtype=int))
-    sizes = np.array(sizes, dtype=int)
-    dims = sizes[pi]
-    local = np.empty(len(pairs), dtype=np.intp)  # a pair's index in its stack
-    for dim in dict.fromkeys(sizes.tolist()):
-        members = np.flatnonzero(sizes == dim)
-        local[members] = np.arange(members.size)
-        stack = _Stack([pairs[p] for p in members.tolist()])
-        every = np.flatnonzero(dims == dim)
-        for start in range(0, every.size, _STACK_ROWS):
-            rows = every[start:start + _STACK_ROWS]
-            parts = _stack_rows(stack, local[pi[rows]], alphas[rows], zs[rows], checked[rows])
-            for whole, part in zip(out, parts):
-                whole[rows] = part
-    return out
-
-
-def _stack_rows(stack: _Stack, pi, alphas, zs, checked):
-    """`_stacked_traces` at rows of one stack (pairs pi of the stack)."""
-    closed, t, fault, by_product = stack.traces(pi, alphas, zs)
-    dual = np.full(pi.size, math.nan), np.zeros(pi.size, dtype=int)
-    at = np.flatnonzero(checked)
-    if at.size:
-        parts = stack.dual_traces(pi[at], alphas[at], zs[at], closed[at], by_product[at])
-        for whole, part in zip(dual, parts):
-            whole[at] = part
-    return (closed, t, fault, by_product) + dual
-
-
 class _Pass:
     """Requests for D, T or Mosonyi-Ogawa values on prepared pairs of any
     dimensions, evaluated in one kernel pass: `add` each request, then read
     each request's values from its `_Request`. The first read runs the pass
     (`run`), and a pass that has run takes no more requests, so no request
     misses the pass it joined. The rows of every request, one per pair and
-    point, go to `_stacked_traces` at once, so each pair that several
-    requests name is laid out once, and each dimension takes one `_Stack`.
-    A row's values do not depend on what else shares the pass, so each read
-    gives what that request's own `stacked_*` call gives, bit for bit, and
-    raises what that call raises."""
+    point, are evaluated at once, so each pair that several requests name
+    is laid out once, and each dimension takes one `_Stack`, whose `rows`
+    gives each row's closed flag, T and fault code and its self-check's T
+    and fault code. A row's values do not depend on what else shares the
+    pass, so each read gives what that request's own `stacked_*` call
+    gives, bit for bit, and raises what that call raises."""
 
     def __init__(self):
         # each pair's index in the pass and the pair, by id; each request's
@@ -926,15 +876,41 @@ class _Pass:
 
     def run(self) -> None:
         """Evaluate every request's rows in one kernel pass; a request's
-        first read calls it."""
-        rows = self._rows[0] if len(self._rows) == 1 else map(np.concatenate, zip(*self._rows))
-        self.rows = _stacked_traces([pair for _, pair in self._pairs.values()], *rows)
+        first read calls it. The pairs of each dimension are laid out as one
+        `_Stack`, which takes that dimension's rows (`_Stack.rows`) at most
+        _STACK_ROWS at once; a pass of one dimension within that bound goes
+        to its stack whole. This is the one place that knows one stack needs
+        one matrix size."""
+        pairs = [pair for _, pair in self._pairs.values()]
+        pi, alphas, zs, checked = (self._rows[0] if len(self._rows) == 1
+                                   else map(np.concatenate, zip(*self._rows)))
+        sizes = [pair.rho.values.size for pair in pairs]
+        if len(set(sizes)) == 1 and pi.size <= _STACK_ROWS:  # one stack, one chunk
+            self.rows = _Stack(pairs).rows(pi, alphas, zs, checked)
+            return
+        out = (np.empty(pi.size, dtype=bool), np.empty(pi.size), np.empty(pi.size, dtype=int),
+               np.empty(pi.size), np.empty(pi.size, dtype=int))
+        sizes = np.array(sizes, dtype=int)
+        dims = sizes[pi]
+        local = np.empty(len(pairs), dtype=np.intp)  # a pair's index in its stack
+        for dim in dict.fromkeys(sizes.tolist()):
+            members = np.flatnonzero(sizes == dim)
+            local[members] = np.arange(members.size)
+            stack = _Stack([pairs[p] for p in members.tolist()])
+            every = np.flatnonzero(dims == dim)
+            for start in range(0, every.size, _STACK_ROWS):
+                rows = every[start:start + _STACK_ROWS]
+                parts = stack.rows(local[pi[rows]], alphas[rows], zs[rows], checked[rows])
+                for whole, part in zip(out, parts):
+                    whole[rows] = part
+        self.rows = out
 
 
 class _Request:
     """One request of a `_Pass`: its pairs and points, and its values, each
-    of shape (len(pairs), *points), read from the pass, which the first
-    read of any of its requests runs."""
+    of shape (len(pairs), *points), read from the pass's arrays in the order
+    of `_Stack.rows` (closed, T, fault code, self-check T and its fault
+    code), which the first read of any of its requests fills."""
 
     def __init__(self, kernel: _Pass, pairs, alphas, zs, rows: slice, checked: bool):
         self.kernel, self.pairs, self.shape = kernel, pairs, (len(pairs),) + alphas.shape
@@ -995,8 +971,8 @@ class _Request:
         reads the open points only, since the check T is NaN at the closed
         ones by design."""
         values = self.evaluate()[0].reshape(len(self.pairs), self.alphas.size)
-        closed, checked = self._read(0), self._read(4)
-        self._raise_first(self._read(5))
+        closed, checked = self._read(0), self._read(3)
+        self._raise_first(self._read(4))
         # a T <= 0 gives a NaN direct value, which fails the test below as a NaN does
         direct = np.log(np.where(checked > 0.0, checked, math.nan)) / (self.alphas - 1.0)
         tol = _DUAL_PATH_TOL * np.maximum(1.0, np.abs(values))

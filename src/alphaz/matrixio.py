@@ -12,11 +12,12 @@ State specs select a matrix by exactly one of:
      optional "full_rank": bool, "rank": int, "branch": str}
     {"example1": {"p": 0.25}}
 
-"seed", "dim" and "rank" must be JSON integers (true, 7.0 and "7" are not)
-and "full_rank" a JSON boolean ("false" is not); a generator spec with a
-field of another type is a SpecError. "rank" is required for
-"support_pair" and optional for "reference". The example1 "p" must be a
-JSON number (true and "0.25" are not).
+"file" must be a JSON string (5 and null are not), "seed", "dim" and
+"rank" JSON integers (true, 7.0 and "7" are not) and "full_rank" a JSON
+boolean ("false" is not); a spec with a field of another type is a
+SpecError. "rank" is required for "support_pair" and optional for
+"reference". The example1 "p" must be a JSON number (true and "0.25" are
+not).
 
 A matrix file's "dim" must be a JSON integer (true, 1.9 and "1" are not),
 and every re and im a JSON number ("1", true and null are not) within
@@ -113,10 +114,10 @@ def parse_state_spec(text: str) -> dict:
 def _typed(spec: dict, key: str, kind: type):
     """spec[key] of a state spec or matrix document, which must be of type
     `kind`: int for a JSON integer (a bool is not one), bool for a JSON
-    boolean. KeyError when absent."""
+    boolean, str for a JSON string. KeyError when absent."""
     value = spec[key]
     if type(value) is not kind:
-        what = "an integer" if kind is int else "a boolean"
+        what = {int: "an integer", bool: "a boolean", str: "a string"}[kind]
         raise SpecError(f"state spec field {key!r} must be {what}, got {value!r}")
     return value
 
@@ -133,7 +134,7 @@ def resolve_state_spec(spec: str | dict, role: str) -> np.ndarray:
                         f" got {sorted(spec)}")
     kind = variants[0]
     if kind == "file":
-        return load_matrix(spec["file"])
+        return load_matrix(_typed(spec, "file", str))
     if kind == "example1":
         params = spec["example1"]
         try:

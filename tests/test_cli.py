@@ -151,6 +151,24 @@ class TestExitCodes:
         assert "'full_rank' must be a boolean" in out.err
         assert out.out == ""
 
+    @pytest.mark.parametrize("command", [
+        ["compute", "--sigma", '{"generator": "density", "seed": 3, "dim": 2}',
+         "--alpha", "2", "--z", "1", "--rho"],
+        ["sweep", "--sigma", '{"generator": "density", "seed": 3, "dim": 2}',
+         "--alpha-grid", "0.5:2:2", "--z-grid", "1:1:1", "--out", "-", "--rho"],
+        ["dump", "--out", "-", "--state"],
+    ], ids=["compute", "sweep", "dump"])
+    @pytest.mark.parametrize("path", ["5", "null"])
+    def test_mistyped_file_field_is_usage_error(self, capsys, command, path):
+        from alphaz import cli
+
+        # a non-string path once escaped as a TypeError traceback, exit 1
+        code = cli.main(command + [f'{{"file": {path}}}'])
+        out = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert "'file' must be a string" in out.err
+        assert out.out == ""
+
     @pytest.mark.parametrize("p", ["true", '"0.25"'])
     def test_mistyped_example1_p_is_usage_error(self, capsys, p):
         from alphaz import cli

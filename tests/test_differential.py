@@ -320,7 +320,7 @@ def test_product_route_against_svd_route(operators, grid):
         rows, z_rows = np.searchsorted(members, pi[dims == dim]), z[dims == dim]
         _, defined, product, e_sigma, e_rho = stack._route(rows, a[dims == dim], z_rows)
         assert np.all(product)  # dominated, open and integer z in range
-        # the steps as `_Stack.traces` runs them, with numpy's warnings off
+        # the steps as `_Stack.rows` runs them, with numpy's warnings off
         with np.errstate(all="ignore"):
             g, over = stack._factors(rows, e_sigma, e_rho)
             kept = np.broadcast_to(defined, rows.shape).copy()

@@ -858,9 +858,9 @@ class TestBatchedKernel:
 
     def test_evaluate_raises_first_collapsed_trace(self, monkeypatch):
         pair = dv.prepare(*_pair_of_class("full"))
-        monkeypatch.setattr(dv, "_stacked_traces", lambda *args, **kwargs: (
+        monkeypatch.setattr(dv._Stack, "rows", lambda *args, **kwargs: (
             np.zeros(3, dtype=bool), np.array([0.5, -0.0, -1.0]), np.zeros(3, dtype=int),
-            np.zeros(3, dtype=bool), np.full(3, math.nan), np.zeros(3, dtype=int)))
+            np.full(3, math.nan), np.zeros(3, dtype=int)))
         with pytest.raises(ArithmeticError, match=r"trace functional collapsed to -0\.0$"):
             pair.evaluate([0.5, 2.0, 3.0], [1.0, 1.0, 1.0])
 
@@ -1083,9 +1083,9 @@ class TestStackedDivergences:
         def rows(pairs):
             """T and the fault codes of the pass, one row per pair."""
             pi = np.repeat(np.arange(len(pairs)), a.size)
-            _, t, faults, *_ = dv._stacked_traces(pairs, pi, np.tile(a, len(pairs)),
-                                                  np.tile(z, len(pairs)),
-                                                  np.zeros(pi.size, dtype=bool))
+            _, t, faults, *_ = dv._Stack(pairs).rows(pi, np.tile(a, len(pairs)),
+                                                     np.tile(z, len(pairs)),
+                                                     np.zeros(pi.size, dtype=bool))
             return t.reshape(len(pairs), a.size), faults.reshape(len(pairs), a.size)
 
         t, faults = rows(stack)
@@ -1121,9 +1121,8 @@ class TestKernelPass:
         alphas, zs = [[0.3], [1.0], [2.0]], [0.5, 1.0, 3.0]
         own = (dv.stacked_divergences(pairs, alphas, zs),
                dv.stacked_mosonyi_ogawa(pairs[:2], [0.5, 2.0]))
-        calls, stacked_traces = [], dv._stacked_traces
-        monkeypatch.setattr(dv, "_stacked_traces",
-                            lambda *args: calls.append(1) or stacked_traces(*args))
+        calls, run = [], dv._Pass.run
+        monkeypatch.setattr(dv._Pass, "run", lambda kernel: calls.append(1) or run(kernel))
         kernel = dv._Pass()
         requests = kernel.add(pairs, alphas, zs), kernel.add(pairs[:2], [0.5, 2.0])
         assert calls == []
@@ -1953,6 +1952,22 @@ class TestDecompositionCounts:
         monkeypatch.setattr(dv._Stack, "__init__", counted)
         run_suites([name], 10)
         assert len(made) == layouts
+
+    @pytest.mark.parametrize("name, builds", [("dpi", 5), ("all", 7)])
+    def test_one_factor_build_per_stack(self, monkeypatch, name, builds):
+        from alphaz.suites import run_suites
+
+        # each stack builds its rows' G once, and dpi's Petz self-check of a
+        # product-route value takes the SVD of that same G
+        calls, original = [], dv._Stack._factors
+
+        def counted(stack, *args):
+            calls.append(1)
+            return original(stack, *args)
+
+        monkeypatch.setattr(dv._Stack, "_factors", counted)
+        run_suites([name], 10)
+        assert len(calls) == builds
 
     @pytest.mark.parametrize("name, svd", [("limits", 5), ("monotonicity", 5),
                                            ("derivatives", 5)])

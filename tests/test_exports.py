@@ -39,6 +39,9 @@ REMOVED = [
     (suites, "suite_invariants"),
     (analysis, "_own_pass"),
     (divergences, "_alone"),
+    (divergences, "_stacked_traces"),
+    (divergences, "_stack_rows"),
+    (divergences._Stack, "traces"),
 ]
 
 

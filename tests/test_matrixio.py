@@ -174,6 +174,12 @@ class TestStateSpecs:
         with pytest.raises(SpecError, match=f"'{field}' must be"):
             resolve_state_spec(json.dumps(spec), "sigma")
 
+    @pytest.mark.parametrize("path", [5, None, True, ["m.json"]])
+    def test_file_field_type(self, path):
+        # through the JSON text, as the CLI reads a spec; once a TypeError
+        with pytest.raises(SpecError, match="'file' must be a string"):
+            resolve_state_spec(json.dumps({"file": path}), "rho")
+
     @pytest.mark.parametrize("rank", [3.0, True, "3"])
     def test_support_pair_rank_type(self, rank):
         spec = {"generator": "support_pair", "seed": 13, "dim": 4, "rank": rank}
