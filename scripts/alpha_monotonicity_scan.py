@@ -6,6 +6,7 @@ counts and reports violations across seeded pairs; it never asserts.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -25,21 +26,25 @@ def main() -> int:
     parser.add_argument("--slack", type=float, default=1e-10)
     args = parser.parse_args()
 
-    alphas = tuple(np.linspace(0.05, args.alpha_max, args.alpha_points))
-    total_violations = 0
-    total_steps = 0
-    pairs = seeded_pairs(args.pairs, args.base_seed, tuple(args.dims))
-    for k, (rho, sigma, _) in enumerate(pairs):
-        dim = rho.shape[0]
-        grid, zs, values, _ = sweep(rho, sigma, SweepSpec(alphas=alphas, zs=tuple(args.zs)))
-        violations = alpha_monotonicity_violations(grid, zs, values, slack=args.slack)
-        total_violations += violations
-        total_steps += (len(alphas) - 1) * len(args.zs)
-        flag = "" if violations == 0 else f"  <-- {violations} violations"
-        print(f"pair {k:3d} (dim {dim}): {violations} decreasing steps{flag}")
-    print(f"\n{total_violations} violations out of {total_steps} alpha-steps "
-          f"across {args.pairs} pairs (slack {args.slack:g})")
-    print("reported only; monotonicity in alpha stays a conjecture")
+    try:
+        alphas = tuple(np.linspace(0.05, args.alpha_max, args.alpha_points))
+        total_violations = 0
+        total_steps = 0
+        pairs = seeded_pairs(args.pairs, args.base_seed, tuple(args.dims))
+        for k, (rho, sigma, _) in enumerate(pairs):
+            dim = rho.shape[0]
+            grid, zs, values, _ = sweep(rho, sigma, SweepSpec(alphas=alphas, zs=tuple(args.zs)))
+            violations = alpha_monotonicity_violations(grid, zs, values, slack=args.slack)
+            total_violations += violations
+            total_steps += (len(alphas) - 1) * len(args.zs)
+            flag = "" if violations == 0 else f"  <-- {violations} violations"
+            print(f"pair {k:3d} (dim {dim}): {violations} decreasing steps{flag}")
+        print(f"\n{total_violations} violations out of {total_steps} alpha-steps "
+              f"across {args.pairs} pairs (slack {args.slack:g})")
+        print("reported only; monotonicity in alpha stays a conjecture")
+    except ValueError as exc:  # a bad dim, grid or z: malformed input, as the CLI reports it
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -13,7 +13,6 @@ import sys
 
 from alphaz.analysis import NAMED_CURVES, TraceFunctional, verify_curve_limits
 from alphaz.cli import _write_out
-from alphaz.matrixio import SpecError
 from alphaz.states import example1_pair, random_density, random_reference
 
 
@@ -27,21 +26,23 @@ def main() -> int:
     parser.add_argument("--out", default="-", help="CSV path, - for stdout")
     args = parser.parse_args()
 
-    if args.example1_p is not None:
-        rho, sigma = example1_pair(args.example1_p)
-    else:
-        rho = random_density(args.dim, args.seed)
-        sigma = random_reference(args.dim, args.seed + 1)
-    tf = TraceFunctional(rho, sigma)
-    [[report]] = verify_curve_limits([tf], [NAMED_CURVES[args.curve]])
-
-    lines = ["alpha,z,divergence,error"]
-    for row in sorted(report.rows, key=lambda r: r["alpha"]):
-        lines.append(f"{row['alpha']!r},{row['z']!r},"
-                     f"{row['divergence']!r},{row['error']!r}")
     try:
+        if args.example1_p is not None:
+            rho, sigma = example1_pair(args.example1_p)
+        else:
+            rho = random_density(args.dim, args.seed)
+            sigma = random_reference(args.dim, args.seed + 1)
+        tf = TraceFunctional(rho, sigma)
+        [[report]] = verify_curve_limits([tf], [NAMED_CURVES[args.curve]])
+
+        lines = ["alpha,z,divergence,error"]
+        for row in sorted(report.rows, key=lambda r: r["alpha"]):
+            lines.append(f"{row['alpha']!r},{row['z']!r},"
+                         f"{row['divergence']!r},{row['error']!r}")
         _write_out(args.out, "\n".join(lines) + "\n")
-    except SpecError as exc:  # an unwritable path, as the CLI reports it
+    except ValueError as exc:
+        # a bad dim, seed or p, or an unwritable path: malformed input, as the
+        # CLI reports it (exit 1 says that the limit check failed)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"# {report.name}: passed={report.passed} "

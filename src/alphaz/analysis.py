@@ -69,13 +69,16 @@ def _stencil(x0, offsets: tuple[float, ...]) -> np.ndarray:
     return x0 + np.reshape(offsets, (-1,) + (1,) * x0.ndim)
 
 
-def _samples(f: Callable[[np.ndarray], np.ndarray], x0, offsets: tuple[float, ...]
-             ) -> np.ndarray:
-    """f called once on the `_stencil` points of x0: an array with one row
-    per offset, each row shaped like x0, and trailing axes if the samples
-    carry them. Raises ArithmeticError naming the first non-finite
-    sample."""
-    xs = _stencil(x0, offsets)
+def _samples(f: Callable[[np.ndarray], np.ndarray], x0, h: float,
+             multiples: tuple[float, ...]) -> np.ndarray:
+    """f called once on the `_stencil` points of x0 at the offsets m h for
+    the multiples m of the step h: an array with one row per offset, each
+    row shaped like x0, and trailing axes if the samples carry them. Raises
+    ValueError naming h unless it is positive and finite, and
+    ArithmeticError naming the first non-finite sample."""
+    if not 0.0 < h < math.inf:  # a NaN fails too
+        raise ValueError(f"finite-difference step h must be positive and finite, got {h!r}")
+    xs = _stencil(x0, tuple(m * h for m in multiples))
     ys = np.asarray(f(xs), dtype=float)
     finite = np.isfinite(ys)
     if not finite.all():
@@ -99,7 +102,7 @@ def fd_derivative(f: Callable[[np.ndarray], np.ndarray], x0, h: float = _FD_STEP
     stencil points (x0 + h first, then x0 - h, each shaped like x0) to an
     array of samples of that leading shape; samples may carry trailing axes,
     one derivative each."""
-    up, down = _samples(f, x0, (h, -h))
+    up, down = _samples(f, x0, h, (1.0, -1.0))
     return _scalar((up - down) / (2.0 * h))
 
 
@@ -107,7 +110,7 @@ def fd_second_derivative(f: Callable[[np.ndarray], np.ndarray], x0, h: float = _
     """Second derivative at x0 by the central difference
     (f(x0 + h) - 2 f(x0) + f(x0 - h)) / h^2; f and x0 as in fd_derivative,
     with the three stencil points x0 + h, x0, x0 - h."""
-    up, mid, down = _samples(f, x0, (h, 0.0, -h))
+    up, mid, down = _samples(f, x0, h, (1.0, 0.0, -1.0))
     return _scalar((up - 2.0 * mid + down) / (h * h))
 
 

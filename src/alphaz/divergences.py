@@ -78,7 +78,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DomainError, Spectrum, hermitian_part, support, supports
+from .linalg import DomainError, Spectrum, _power, hermitian_part, support, supports
 
 INFINITY_SUPPORT = "support_violation"
 INFINITY_ORTHOGONAL = "orthogonal_states"
@@ -257,24 +257,15 @@ def prepare_classical(p, q) -> ClassicalPair:
     return ClassicalPair(p, q)
 
 
-def _point(alpha: float, z: float) -> tuple[float, float]:
-    """alpha and z as floats; z = 0 or a non-finite value is a DomainError."""
-    alpha, z = float(alpha), float(z)
-    if z == 0.0:
-        raise DomainError("z = 0 is excluded")
-    if not (math.isfinite(alpha) and math.isfinite(z)):
-        raise DomainError(f"alpha and z must be finite, got ({alpha!r}, {z!r})")
-    return alpha, z
-
-
 def _from_trace(alpha: float, t: float, checked: bool) -> float:
     """D = ln T / (alpha - 1) at one point. A T that is not positive, NaN
     included, is an internal fault, except that a NaN T gives a NaN D where
     a self-check is to meet it (`checked`); `_Request.evaluate` holds the
-    same rule for the kernel pass."""
+    same rule for the kernel pass. The log is numpy's, which rounds as the
+    kernel's logs do (`math.log` does not)."""
     if t <= 0.0 if checked else not t > 0.0:
         raise ArithmeticError(f"trace functional collapsed to {t!r}")
-    return math.log(t) / (alpha - 1.0)
+    return float(np.log(t) / (alpha - 1.0))
 
 
 def _assert_dual_path(label: str, value: float, alpha: float, t: float) -> None:
@@ -284,7 +275,7 @@ def _assert_dual_path(label: str, value: float, alpha: float, t: float) -> None:
     them: a NaN T or D is an error, never a pass."""
     if not t > 0.0:
         raise ArithmeticError(f"{label} trace term collapsed to {t!r}")
-    direct = math.log(t) / (alpha - 1.0)
+    direct = _from_trace(alpha, t, False)  # t > 0: no error
     tol = _DUAL_PATH_TOL * max(1.0, abs(value))
     if not abs(value - direct) <= tol:
         raise ArithmeticError(
@@ -296,7 +287,7 @@ def _assert_dual_path(label: str, value: float, alpha: float, t: float) -> None:
 def _points(alphas, zs) -> tuple[np.ndarray, np.ndarray]:
     """alphas and zs broadcast against each other, as float arrays of the
     broadcast shape; z = 0 or a non-finite value anywhere is a DomainError,
-    as in `_point`."""
+    z = 0 first. The scalar `divergence` raises by this rule too."""
     a, z = np.asarray(alphas, dtype=float), np.asarray(zs, dtype=float)
     if a.shape != z.shape:
         # broadcast copies: np.broadcast_arrays costs more than the copies
@@ -360,16 +351,6 @@ def _route(alphas, zs, dominated, orthogonal, rho_full, sigma_endorsed):
     return closed, defined, product, e_sigma, e_rho
 
 
-def _power(base: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """base ** exponents for an (R, m) base and one exponent per row, with
-    both operands laid out in full: numpy's `power` then takes its loop over
-    contiguous operands, and each entry rounds as it does in any other call.
-    With an exponent broadcast along a row, numpy takes sqrt, square or
-    reciprocal at 0.5, 2 or -1 in rows of a small call only, so the powers
-    of one point would depend on how many points share its call."""
-    return np.power(base, exponents.repeat(base.shape[-1]).reshape(base.shape))
-
-
 @dataclass(frozen=True)
 class PreparedPair:
     """A validated (rho, sigma) pair, decomposed once: the two spectra, the
@@ -392,7 +373,10 @@ class PreparedPair:
     of `divergences` with the T beside it, NaN at a closed point where T is
     undefined or out of double range. The scalar `divergence` runs the same
     steps for one point, and `petz`, `sandwiched` and `mosonyi_ogawa` call
-    it with their own self-checks."""
+    it with their own self-checks. Both drivers round alike: every power is
+    taken by `_power`, every trace sum is a row of `_trace_sums` (or of
+    `_overlap_sums`) and every log is numpy's, so each D and T, and each
+    self-check's T, is the kernel's bit for bit."""
 
     rho: Spectrum
     sigma: Spectrum
@@ -412,7 +396,7 @@ class PreparedPair:
 
     def _route(self, alphas, zs):
         """`_route`, the module's route rule, for this pair at points (alpha,
-        z): floats, or 1-d arrays that `_point(s)` checked."""
+        z): floats, or 1-d arrays that `_points` checked."""
         return _route(alphas, zs, *self._flags)
 
     def _raise(self, fault, alphas, zs):
@@ -476,22 +460,21 @@ class PreparedPair:
 
     def _trace_sums(self, singular, zs):
         """T from the singular values of G at points without a fault, one
-        row per point of pairs of this pair's inner rank (one 1-d array for a
-        point given as a float z), and the range faults of T as an int, 0
-        where no point has one, or one code per point: T is the sum of the
-        top inner-rank values squared, raised to z.
+        row per point of pairs of this pair's inner rank (one row at one
+        point), and the range faults of T as an int, 0 where no point has
+        one, or one code per point: T is the sum of the top inner-rank values
+        squared, raised to z. Every trace sum of the package, the self-checks'
+        included, is a row of this sum, so each is the same bits in any call.
         G has the pair's inner rank, so its smaller singular values are
         round-off and are dropped whatever their size. A sum that overflows
         gets _SUM_OVERFLOW, and one that is 0 while the inner rank is
         positive, where every term underflowed, _SUM_UNDERFLOW."""
-        one, fault = isinstance(zs, float), 0
-        kept = singular[..., :self.inner_rank]
-        sums = ((kept * kept) ** zs if one else _power(kept * kept, zs)).sum(axis=-1)
-        values = sums.tolist()  # the tests in Python floats; one point's is a float
-        top, low = (values, values) if one else (sum(values), min(values, default=1.0))
-        if not math.isfinite(top):  # a sum is not finite if a NaN or an inf term is in
+        fault, kept = 0, singular[:, :self.inner_rank]
+        sums = _power(kept * kept, zs[:, None]).sum(axis=-1)
+        values = sums.tolist()  # the tests in Python floats
+        if not math.isfinite(sum(values)):  # a sum is not finite if a NaN or an inf term is in
             fault = _joined(fault, _SUM_OVERFLOW, ~np.isfinite(sums))
-        if not low > 0.0 and self.inner_rank > 0:
+        if not min(values, default=1.0) > 0.0 and self.inner_rank > 0:
             fault = _joined(fault, _SUM_UNDERFLOW, ~(sums > 0.0))
         return sums, fault
 
@@ -545,7 +528,9 @@ class PreparedPair:
         steps and the check run with numpy's floating-point warnings off,
         entered once: the steps report every range fault themselves, as a
         DomainError."""
-        alpha, z = _point(alpha, z)
+        alpha, z = float(alpha), float(z)
+        if not (z and math.isfinite(alpha) and math.isfinite(z)):
+            _points(alpha, z)  # raises the DomainError of the kernel's rule
         closed, defined, product, e_sigma, e_rho = self._route(alpha, z)
         if closed:
             return self._closed_value(alpha), "closed", None
@@ -555,11 +540,11 @@ class PreparedPair:
                 self._raise(fault, alpha, z)
             t, route = (self._power_sums(g, int(z)) if product else math.nan), "product"
             if not _TINY <= t < math.inf:  # a NaN fails too
-                singular = np.linalg.svd(g, compute_uv=False)
-                (t, fault), route = self._trace_sums(singular, z), "svd"
+                singular = np.linalg.svd(g, compute_uv=False)[None]  # one row, as in the kernel
+                (t, fault), route = self._trace_sums(singular, np.array([z])), "svd"
                 if fault:
                     self._raise(fault, alpha, z)
-            value = _from_trace(alpha, float(t), check is not None)
+            value = _from_trace(alpha, t.item(), check is not None)
             if check is not None:
                 check(value, route, g)
         return DivergenceValue.finite(value), route, g
@@ -590,12 +575,13 @@ class PreparedPair:
 
         def check(value, route, g):
             if route == "product":
-                t, fault = self._trace_sums(np.linalg.svd(g, compute_uv=False), 1.0)
+                t, fault = self._trace_sums(np.linalg.svd(g, compute_uv=False)[None], np.ones(1))
                 if fault:
                     self._raise(fault, alpha, 1.0)
             else:
-                t = self.sigma.powers(1.0 - alpha) @ self.weights @ self.rho.powers(alpha)
-            _assert_dual_path("Petz", value, alpha, float(t))
+                t = _overlap_sums(self.sigma.powers(1.0 - alpha), self.weights,
+                                  self.rho.powers(alpha))
+            _assert_dual_path("Petz", value, alpha, t.item())
 
         return self._divergence(alpha, 1.0, check)[0]
 
@@ -616,10 +602,9 @@ class PreparedPair:
 
         def check(value, route, g):
             s_pow = self.sigma.operator(self.sigma.powers((1.0 - alpha) / (2.0 * alpha)))
-            factor = s_pow @ self.rho.operator(self.rho.powers(0.5))
-            singular = np.linalg.svd(factor, compute_uv=False)[:self.inner_rank]
-            _assert_dual_path("sandwiched", value, alpha,
-                              float(np.sum((singular * singular) ** alpha)))
+            factor = (s_pow @ self.rho.operator(self.rho.powers(0.5)))[None]  # one row
+            t, _ = self._trace_sums(np.linalg.svd(factor, compute_uv=False), np.array([alpha]))
+            _assert_dual_path("sandwiched", value, alpha, t.item())
 
         return self._divergence(alpha, alpha, check)[0]
 
@@ -702,7 +687,7 @@ class _Stack:
         """The generalized powers of operator `side` (0 sigma, 1 rho) of
         the pairs pi in the orders `order` (1 reversed), one row per
         exponent: 0 on the kernel for every exponent."""
-        out = _power(self.bases[pi, side, order], exponents)
+        out = _power(self.bases[pi, side, order], exponents[:, None])
         if self.masks is not None:
             out *= self.masks[pi, side, order]
         return out
@@ -789,11 +774,12 @@ class _Stack:
         where a row with alpha < 1 is a Petz value (z = 1) and the others
         sandwiched values (z = alpha): the SVD route of that G where the
         product route gave T (`by_product`), the overlap sum
-        sum_ij w_ji r_i^a s_j^(1-a) where the SVD route gave it, and for a
-        sandwiched value the squared top inner-rank singular values of the
-        assembled factor sigma^((1-a)/2a) rho^(1/2) raised to alpha; one
-        `svd` for each of the first and the last. Also the fault codes of
-        the SVD route, 0 where it has none."""
+        sum_ij w_ji r_i^a s_j^(1-a) (`_overlap_sums`) where the SVD route
+        gave it, and for a sandwiched value the squared top inner-rank
+        singular values of the assembled factor sigma^((1-a)/2a) rho^(1/2)
+        raised to alpha (`_trace_sums`); one `svd` for each of the first and
+        the last. Also the fault codes of the SVD route, 0 where it has
+        none."""
         t, fault = np.full(pi.size, math.nan), np.zeros(pi.size, dtype=int)
         petz = checked & (alphas < 1.0)
         at = np.flatnonzero(petz & by_product)
@@ -803,15 +789,23 @@ class _Stack:
         at = np.flatnonzero(petz & ~by_product)
         if at.size:
             weights = np.stack([self.pairs[p].weights for p in pi[at].tolist()])
-            t[at] = np.einsum("rj,rji,ri->r", self._powers(pi[at], 0, 0, 1.0 - alphas[at]),
-                              weights, self._powers(pi[at], 1, 0, alphas[at]))
+            t[at] = _overlap_sums(self._powers(pi[at], 0, 0, 1.0 - alphas[at]), weights,
+                                  self._powers(pi[at], 1, 0, alphas[at]))
         at = np.flatnonzero(checked & ~petz)
         if at.size:
             singular = np.linalg.svd(_sandwiched_factors(self, pi[at], alphas[at]),
                                      compute_uv=False)
-            kept = np.arange(singular.shape[-1]) < self.inner_ranks[pi[at]][:, None]
-            t[at] = (_power(singular * singular, alphas[at]) * kept).sum(axis=-1)
+            t[at] = self._trace_sums(singular, alphas[at], pi[at])[0]
         return t, fault
+
+
+def _overlap_sums(s_pow, weights, r_pow) -> np.ndarray:
+    """The Petz overlap sum sum_ij s_j w_ji r_i of sigma's powers s_pow and
+    rho's r_pow, shape (d,), and the weights, (d, d), or one sum per row of
+    such operands, (R, d) and (R, d, d): a product per matrix, the same
+    bits for one pair as for its row in any stack (an `einsum`'s sums
+    depend on the rows beside them)."""
+    return (s_pow[..., None, :] @ weights @ r_pow[..., :, None])[..., 0, 0]
 
 
 def _sandwiched_factors(stack: _Stack, pi, alphas) -> np.ndarray:
@@ -969,14 +963,12 @@ class _Request:
         method's ArithmeticError, each for the first such value in pair
         order. As there, a NaN value or check T fails the check; the check
         reads the open points only, since the check T is NaN at the closed
-        ones by design."""
+        ones by design. Each value meets the scalar methods' own check,
+        `_assert_dual_path`, so the two drivers share one check rule."""
         values = self.evaluate()[0].reshape(len(self.pairs), self.alphas.size)
         closed, checked = self._read(0), self._read(3)
         self._raise_first(self._read(4))
-        # a T <= 0 gives a NaN direct value, which fails the test below as a NaN does
-        direct = np.log(np.where(checked > 0.0, checked, math.nan)) / (self.alphas - 1.0)
-        tol = _DUAL_PATH_TOL * np.maximum(1.0, np.abs(values))
-        for p, n in np.argwhere(~closed & ~(np.abs(values - direct) <= tol)).tolist():
+        for p, n in np.argwhere(~closed).tolist():
             _assert_dual_path("Petz" if self.alphas[n] < 1.0 else "sandwiched",
                               float(values[p, n]), float(self.alphas[n]), float(checked[p, n]))
         return values.reshape(self.shape)
@@ -1011,8 +1003,8 @@ def stacked_mosonyi_ogawa(pairs, alphas) -> np.ndarray:
     closed then passes the self-check of `petz` or `sandwiched`, run for all
     of them at once on the pass's stacks (`_Stack.dual_traces`); a fault or
     a mismatch raises for the first such value in pair order
-    (`_Request.mosonyi_ogawa`). The values agree with the scalar methods'
-    to round-off."""
+    (`_Request.mosonyi_ogawa`). The values and the self-checks' T equal
+    those of the scalar methods bit for bit."""
     return _Pass().add(pairs, alphas).mosonyi_ogawa()
 
 

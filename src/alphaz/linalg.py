@@ -105,6 +105,18 @@ def as_hermitian(a: np.ndarray) -> np.ndarray:
     return _hermitian_stack(_square(a)[None])[0]
 
 
+def _power(base: np.ndarray, exponents) -> np.ndarray:
+    """base ** exponents with the exponents laid out in full over the base: a
+    float, or one exponent per row of a base of rows as a column (R, 1).
+    numpy's `power` then takes its loop over contiguous operands, and each
+    entry rounds as it does in any other call. A float exponent, or one
+    broadcast along a row, makes numpy take sqrt, square or reciprocal at
+    0.5, 2 or -1 in some calls, which round apart from that loop. Every
+    spectral power is taken here, so a power is the same bit for bit
+    whichever driver asks for it and whatever rows share its call."""
+    return np.power(base, np.full(base.shape, exponents))
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Eigendecomposition of one Hermitian operator with its zero cutoff.
@@ -122,18 +134,17 @@ class Spectrum:
 
     def on_support(self, fn) -> np.ndarray:
         """fn of the support eigenvalues (all > 0), 0 on the kernel."""
-        out = np.zeros_like(self.values)
+        out = np.zeros(self.values.shape)
         out[:self.rank] = fn(self.values[:self.rank])
         return out
 
     def powers(self, p: float) -> np.ndarray:
-        """Generalized power of the eigenvalues: kernel entries map to 0 for
-        every exponent, so p = 0 gives the support indicator."""
+        """Generalized power of the eigenvalues, taken by `_power`: kernel
+        entries map to 0 for every exponent, so p = 0 gives the support
+        indicator."""
         if self.rank == self.values.size:
-            return self.values ** p
-        out = np.zeros_like(self.values)
-        out[:self.rank] = self.values[:self.rank] ** p
-        return out
+            return _power(self.values, p)
+        return self.on_support(lambda values: _power(values, p))
 
     def operator(self, diagonal: np.ndarray) -> np.ndarray:
         """The operator with these eigenvalues in this eigenbasis."""

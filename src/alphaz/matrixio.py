@@ -8,9 +8,19 @@ State specs select a matrix by exactly one of:
 
     {"file": "path.json"}
     {"generator": "density"|"reference"|"commuting"|"support_pair",
-     "seed": u64, "dim": n,
-     optional "full_rank": bool, "rank": int, "branch": str}
+     "seed": u64, "dim": n, ...}
     {"example1": {"p": 0.25}}
+
+and take these fields, no others:
+
+    file                   file
+    example1               example1
+    density, commuting     generator, seed, dim
+    reference              generator, seed, dim; optional full_rank and rank
+    support_pair           generator, seed, dim, rank; optional branch
+
+A spec with any other field, a misspelled one included, is a SpecError
+that names it.
 
 "file" must be a JSON string (5 and null are not), "seed", "dim" and
 "rank" JSON integers (true, 7.0 and "7" are not) and "full_rank" a JSON
@@ -44,6 +54,13 @@ HERMITICITY_WARN_TOL = 1e-12
 
 class SpecError(ValueError):
     """Malformed matrix file or state spec."""
+
+
+# the fields of each kind of state spec, by variant or generator name
+_GENERATED = ("generator", "seed", "dim")
+_SPEC_FIELDS = {"file": ("file",), "example1": ("example1",), "density": _GENERATED,
+                "commuting": _GENERATED, "reference": _GENERATED + ("full_rank", "rank"),
+                "support_pair": _GENERATED + ("rank", "branch")}
 
 
 def matrix_to_json(a: np.ndarray) -> dict:
@@ -133,6 +150,12 @@ def resolve_state_spec(spec: str | dict, role: str) -> np.ndarray:
         raise SpecError(f"state spec must have exactly one of file/generator/example1,"
                         f" got {sorted(spec)}")
     kind = variants[0]
+    # a generator name may be any JSON value, hence str(); an unknown
+    # generator, whose fields are unknown too, is rejected below
+    fields = _SPEC_FIELDS.get(str(spec[kind]) if kind == "generator" else kind, tuple(spec))
+    unknown = [key for key in spec if key not in fields]
+    if unknown:
+        raise SpecError(f"unknown state spec field {unknown[0]!r}, not one of {', '.join(fields)}")
     if kind == "file":
         return load_matrix(_typed(spec, "file", str))
     if kind == "example1":

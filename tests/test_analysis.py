@@ -74,6 +74,14 @@ class TestFdScheme:
         with pytest.raises(ArithmeticError, match="f\\(2.0001"):
             fd_derivative(lambda x: np.where(x > 2.0, math.inf, x), [1.0, 2.0], 1e-4)
 
+    @pytest.mark.parametrize("h", [0.0, -1e-4, math.inf, math.nan])
+    def test_step_must_be_positive_and_finite(self, h):
+        # h = 0 once returned nan with a RuntimeWarning, and h = inf raised
+        # a misleading "non-finite sample" ArithmeticError
+        for fd in (fd_derivative, fd_second_derivative):
+            with pytest.raises(ValueError, match="step h must be positive and finite, got"):
+                fd(lambda x: x * x, 1.0, h)
+
     def test_array_of_points_equals_each_point(self):
         h = 1e-3
         x0s = [0.3, 1.0, 2.5]

@@ -152,6 +152,24 @@ class TestExitCodes:
         assert out.out == ""
 
     @pytest.mark.parametrize("command", [
+        ["compute", "--rho", '{"generator": "density", "seed": 3, "dim": 3}',
+         "--alpha", "2", "--z", "1", "--sigma"],
+        ["sweep", "--rho", '{"generator": "density", "seed": 3, "dim": 3}',
+         "--alpha-grid", "0.5:2:2", "--z-grid", "1:1:1", "--out", "-", "--sigma"],
+        ["dump", "--role", "sigma", "--out", "-", "--state"],
+    ], ids=["compute", "sweep", "dump"])
+    def test_unknown_spec_field_is_usage_error(self, capsys, command):
+        # a misspelled field was once ignored: a full-rank reference, exit 0
+        from alphaz import cli
+
+        code = cli.main(command + ['{"generator": "reference", "seed": 1, "dim": 3, '
+                                   '"full_rnak": false}'])
+        out = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert "unknown state spec field 'full_rnak'" in out.err
+        assert out.out == ""
+
+    @pytest.mark.parametrize("command", [
         ["compute", "--sigma", '{"generator": "density", "seed": 3, "dim": 2}',
          "--alpha", "2", "--z", "1", "--rho"],
         ["sweep", "--sigma", '{"generator": "density", "seed": 3, "dim": 2}',
@@ -473,6 +491,22 @@ def test_unwritable_out_is_malformed_input(capsys, tmp_path, command):
     code, out, err = run_in_process([*command, "--out", str(path)], capsys)
     assert code == 2 and out == ""
     assert err.startswith(f"error: cannot write {path}: ")
+
+
+@pytest.mark.parametrize("script, args, message", [
+    ("limit_convergence_table.py", ["--dim", "20"], "dim must be in 1..16"),
+    ("limit_convergence_table.py", ["--example1-p", "0.5"], "p must lie in (0,1)"),
+    ("limit_convergence_table.py", ["--seed", "-5"], "non-negative"),
+    ("alpha_monotonicity_scan.py", ["--dims", "20"], "dim must be in 1..16"),
+])
+def test_script_bad_input_is_malformed_input(script, args, message):
+    # once a traceback with exit 1, which the table script gives for a
+    # failed limit check
+    path = Path(__file__).parents[1] / "scripts" / script
+    out = subprocess.run([sys.executable, str(path), *args], capture_output=True, text=True)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("error: ") and message in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 def test_unwritable_table_out_is_malformed_input(tmp_path):

@@ -192,6 +192,21 @@ class TestStateSpecs:
         with pytest.raises(SpecError, match="exactly one"):
             resolve_state_spec({}, "rho")
 
+    @pytest.mark.parametrize("spec, field", [
+        ({"generator": "reference", "seed": 1, "dim": 3, "full_rnak": False}, "full_rnak"),
+        ({"generator": "density", "seed": 1, "dim": 3, "rank": 2}, "rank"),
+        ({"generator": "commuting", "seed": 1, "dim": 3, "branch": "violating"}, "branch"),
+        ({"generator": "support_pair", "seed": 1, "dim": 3, "rank": 1, "full_rank": False},
+         "full_rank"),
+        ({"file": "x.json", "role": "rho"}, "role"),
+        ({"example1": {"p": 0.25}, "seed": 1}, "seed"),
+    ])
+    def test_unknown_field(self, spec, field):
+        # through the JSON text, as the CLI reads a spec; an unknown field was
+        # once ignored, so the misspelled full_rank gave a full-rank reference
+        with pytest.raises(SpecError, match=f"unknown state spec field '{field}', not one of"):
+            resolve_state_spec(json.dumps(spec), "sigma")
+
     def test_unknown_generator(self):
         with pytest.raises(SpecError, match="unknown generator"):
             resolve_state_spec({"generator": "ghz", "seed": 1, "dim": 2}, "rho")
