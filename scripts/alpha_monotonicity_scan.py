@@ -27,6 +27,10 @@ def main() -> int:
     args = parser.parse_args()
 
     try:
+        if args.pairs < 1:
+            raise ValueError(f"--pairs must be >= 1, got {args.pairs}")
+        if args.alpha_points < 2:
+            raise ValueError(f"--alpha-points must be >= 2, got {args.alpha_points}")
         alphas = tuple(np.linspace(0.05, args.alpha_max, args.alpha_points))
         total_violations = 0
         total_steps = 0
@@ -42,7 +46,7 @@ def main() -> int:
         print(f"\n{total_violations} violations out of {total_steps} alpha-steps "
               f"across {args.pairs} pairs (slack {args.slack:g})")
         print("reported only; monotonicity in alpha stays a conjecture")
-    except ValueError as exc:  # a bad dim, grid or z: malformed input, as the CLI reports it
+    except ValueError as exc:  # a bad count, dim, grid or z: malformed input, as in the CLI
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -429,13 +429,15 @@ class PreparedPair:
 
     def _factor(self, e_sigma: float, e_rho: float, defined: bool):
         """The G = diag(sigma^e_sigma) W diag(rho^(e_rho/2)) of both routes at
-        one point, whose G G† is the inner operator, and its fault code:
-        _UNDEFINED where `defined` (`_route`'s) is false and _POWERS_OVERFLOW
-        where the powers leave double range, with no G (None); 0 and G
-        otherwise. Scaling W by rows and columns is exact per entry, and the
-        singular values of G give the inner eigenvalues to about the square
-        root of the relative error of an eigendecomposition of the assembled
-        sandwich. `_Stack._factors` builds the G of many points the same way.
+        one point, whose G G† is the inner operator, its fault code and the
+        powers (sigma^e_sigma, rho^(e_rho/2)) it was built from, in the
+        spectra's order: _UNDEFINED where `defined` (`_route`'s) is false and
+        _POWERS_OVERFLOW where the powers leave double range, with no G and
+        no powers (None); 0, G and the powers otherwise. Scaling W by rows
+        and columns is exact per entry, and the singular values of G give the
+        inner eigenvalues to about the square root of the relative error of
+        an eigendecomposition of the assembled sandwich. `_Stack._factors`
+        builds the G of many points the same way.
 
         G comes in the SVD route's order: its rows reversed where e_sigma < 0
         and its columns where e_rho < 0, so that, the spectra being sorted
@@ -447,16 +449,16 @@ class PreparedPair:
         the product of the largest power on each side, so a finite bound
         keeps the SVD finite."""
         if not defined:
-            return None, _UNDEFINED
+            return None, _UNDEFINED, None
         s_pow, r_pow = self.sigma.powers(e_sigma), self.rho.powers(e_rho / 2.0)
         # the maxima in Python floats, which cost less than numpy's
         if not math.isfinite(max(s_pow.tolist()) * max(r_pow.tolist())):
-            return None, _POWERS_OVERFLOW
+            return None, _POWERS_OVERFLOW, None
         rows = slice(None, None, -1 if e_sigma < 0.0 else 1)  # the sides to reverse
         cols = slice(None, None, -1 if e_rho < 0.0 else 1)
         g = s_pow[rows, None] * self.overlap[rows, cols]
         g *= r_pow[cols]
-        return g, 0
+        return g, 0, (s_pow, r_pow)
 
     def _trace_sums(self, singular, zs):
         """T from the singular values of G at points without a fault, one
@@ -522,12 +524,12 @@ class PreparedPair:
     def _divergence(self, alpha: float, z: float, check=None):
         """`divergence`, how it was reached ("closed", or "product" or "svd",
         the route that gave T) and the point's G (None if closed). At an
-        open point, `check(value, route, g)`, the self-check of `petz` or
-        `sandwiched`, runs on the value in nats before it becomes a
-        DivergenceValue, so that a NaN value meets the check. The route
-        steps and the check run with numpy's floating-point warnings off,
-        entered once: the steps report every range fault themselves, as a
-        DomainError."""
+        open point, `check(value, route, g, powers)`, the self-check of
+        `petz` or `sandwiched` given the powers G was built from (`_factor`),
+        runs on the value in nats before it becomes a DivergenceValue, so
+        that a NaN value meets the check. The route steps and the check run
+        with numpy's floating-point warnings off, entered once: the steps
+        report every range fault themselves, as a DomainError."""
         alpha, z = float(alpha), float(z)
         if not (z and math.isfinite(alpha) and math.isfinite(z)):
             _points(alpha, z)  # raises the DomainError of the kernel's rule
@@ -535,7 +537,7 @@ class PreparedPair:
         if closed:
             return self._closed_value(alpha), "closed", None
         with np.errstate(all="ignore"):
-            g, fault = self._factor(e_sigma, e_rho, defined)
+            g, fault, powers = self._factor(e_sigma, e_rho, defined)
             if fault:
                 self._raise(fault, alpha, z)
             t, route = (self._power_sums(g, int(z)) if product else math.nan), "product"
@@ -546,7 +548,7 @@ class PreparedPair:
                     self._raise(fault, alpha, z)
             value = _from_trace(alpha, t.item(), check is not None)
             if check is not None:
-                check(value, route, g)
+                check(value, route, g, powers)
         return DivergenceValue.finite(value), route, g
 
     def evaluate(self, alphas, zs) -> tuple[np.ndarray, np.ndarray]:
@@ -573,7 +575,7 @@ class PreparedPair:
         """
         alpha = float(alpha)
 
-        def check(value, route, g):
+        def check(value, route, g, _):
             if route == "product":
                 t, fault = self._trace_sums(np.linalg.svd(g, compute_uv=False)[None], np.ones(1))
                 if fault:
@@ -600,9 +602,10 @@ class PreparedPair:
         if alpha == 0.0:
             raise DomainError("alpha = 0 puts z = 0, which is excluded")
 
-        def check(value, route, g):
-            s_pow = self.sigma.operator(self.sigma.powers((1.0 - alpha) / (2.0 * alpha)))
-            factor = (s_pow @ self.rho.operator(self.rho.powers(0.5)))[None]  # one row
+        def check(value, route, g, powers):
+            # at z = alpha, G's powers are sigma^((1-a)/2a) and rho^(1/2)
+            s_pow, r_half = powers
+            factor = (self.sigma.operator(s_pow) @ self.rho.operator(r_half))[None]  # one row
             t, _ = self._trace_sums(np.linalg.svd(factor, compute_uv=False), np.array([alpha]))
             _assert_dual_path("sandwiched", value, alpha, t.item())
 
@@ -1028,8 +1031,13 @@ def _paired(r: Spectrum, s: Spectrum, overlap: np.ndarray) -> PreparedPair:
     too small to count while rho's weight on supp sigma is not zero."""
     r, s = _density(r), _reference(s)
     weights = np.abs(overlap) ** 2
-    mass = weights[:, :r.rank] @ r.values[:r.rank]
-    dominated = float(mass[s.rank:].sum()) <= r.threshold
+    if s.rank == s.values.size:
+        # rho's weight on ker sigma is an empty sum, and a density operator's
+        # threshold is finite and >= 0: sigma dominates rho
+        dominated = 0.0 <= r.threshold
+    else:
+        mass = weights[:, :r.rank] @ r.values[:r.rank]
+        dominated = float(mass[s.rank:].sum()) <= r.threshold
     if dominated:
         inner_rank = r.rank
     elif float(mass[:s.rank].sum()) <= r.threshold:

@@ -72,24 +72,26 @@ def _hermitian_stack(stack: np.ndarray) -> np.ndarray:
     Rejects non-finite entries, entries beyond double range (a modulus above
     MAX_ENTRY_MODULUS, where A + A† could overflow) and a matrix whose
     Hermiticity defect exceeds HERMITICITY_RTOL times its scale max(1,
-    max-abs entry); otherwise returns the exactly Hermitian parts. Each test
-    reads the whole stack once: a NaN or inf entry makes the max-abs entry
-    non-finite, so the exact finiteness test runs only when the max-abs
-    entry fails the range test, and scales are >= 1, so per-matrix scales
-    are needed only when the largest defect exceeds HERMITICITY_RTOL (or is
-    NaN)."""
+    max-abs entry); otherwise returns the exactly Hermitian parts. A stack
+    equal to its adjoint entry for entry is its own Hermitian part (the
+    range test keeps A + A† finite) and is returned as it is. A NaN or inf
+    entry makes the max-abs entry non-finite, so the exact finiteness test
+    runs only when the max-abs entry fails the range test, and scales are
+    >= 1, so per-matrix scales are needed only when the largest defect
+    exceeds HERMITICITY_RTOL (or is NaN)."""
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
         raise ValueError(f"expected a stack of square matrices, got shape {stack.shape}")
-    modulus = np.abs(stack)
-    if not modulus.max() <= MAX_ENTRY_MODULUS:
+    if not np.abs(stack).max() <= MAX_ENTRY_MODULUS:
         if not np.isfinite(stack).all():
             raise ValueError("matrix has non-finite entries")
         raise ValueError("matrix has entries beyond double range")
     adjoint = stack.conj().swapaxes(1, 2)
+    if not (stack != adjoint).any():
+        return stack
     gap = np.abs(stack - adjoint)
     if not gap.max() <= HERMITICITY_RTOL:
         defect = gap.max(axis=(1, 2))
-        faulty = defect > HERMITICITY_RTOL * np.maximum(modulus.max(axis=(1, 2)), 1.0)
+        faulty = defect > HERMITICITY_RTOL * np.maximum(np.abs(stack).max(axis=(1, 2)), 1.0)
         if faulty.any():
             raise ValueError(f"matrix is not Hermitian: max defect {defect[faulty][0]:.3e}")
     return (stack + adjoint) / 2.0
@@ -114,7 +116,9 @@ def _power(base: np.ndarray, exponents) -> np.ndarray:
     0.5, 2 or -1 in some calls, which round apart from that loop. Every
     spectral power is taken here, so a power is the same bit for bit
     whichever driver asks for it and whatever rows share its call."""
-    return np.power(base, np.full(base.shape, exponents))
+    laid = np.empty(base.shape)
+    laid[...] = exponents
+    return np.power(base, laid)
 
 
 @dataclass(frozen=True)
@@ -133,7 +137,10 @@ class Spectrum:
     rank: int
 
     def on_support(self, fn) -> np.ndarray:
-        """fn of the support eigenvalues (all > 0), 0 on the kernel."""
+        """fn of the support eigenvalues (all > 0), 0 on the kernel: at full
+        rank, fn of the eigenvalues as they are."""
+        if self.rank == self.values.size:
+            return fn(self.values)
         out = np.zeros(self.values.shape)
         out[:self.rank] = fn(self.values[:self.rank])
         return out
@@ -141,10 +148,8 @@ class Spectrum:
     def powers(self, p: float) -> np.ndarray:
         """Generalized power of the eigenvalues, taken by `_power`: kernel
         entries map to 0 for every exponent, so p = 0 gives the support
-        indicator."""
-        if self.rank == self.values.size:
-            return _power(self.values, p)
-        return self.on_support(lambda values: _power(values, p))
+        indicator. x**1.0 is x, so p = 1 gives a copy of the eigenvalues."""
+        return self.on_support(lambda values: values.copy() if p == 1.0 else _power(values, p))
 
     def operator(self, diagonal: np.ndarray) -> np.ndarray:
         """The operator with these eigenvalues in this eigenbasis."""
@@ -173,7 +178,8 @@ class Spectrum:
 def supports(stack) -> list[Spectrum]:
     """Validate a stack of PSD operators, shape (n, d, d), and decompose it
     with one `eigh`: one Spectrum per operator, eigenvalues sorted
-    descending, every one with the zero cutoff of one RENYI_EPS read. Ranks
+    descending (C-contiguous rows of one reversed copy of eigh's arrays),
+    every one with the zero cutoff of one RENYI_EPS read. Ranks
     and leading eigenvectors describe the supports. Rejects the first
     spectrum, in stack order, with an eigenvalue below -threshold. A zero
     operator has rank 0: an empty support."""
@@ -185,17 +191,19 @@ def supports(stack) -> list[Spectrum]:
             f"eigensolver failed to converge on a {stack.shape[1]}x{stack.shape[2]} "
             f"matrix with max-abs entry {np.abs(stack).max():.3e}: {exc}"
         ) from exc
-    eps = zero_cutoff()
-    thresholds = (eps * np.abs(values).max(axis=1)).tolist()
+    eps, rows = zero_cutoff(), values.tolist()
+    values, vectors = values[:, ::-1].copy(), vectors[:, :, ::-1].copy()
     spectra = []
-    for i, (row, threshold) in enumerate(zip(values.tolist(), thresholds)):
-        # eigh sorts each row ascending, so the rank is the count above the
-        # threshold; a NaN eigenvalue makes the threshold NaN and the rank 0
+    for i, row in enumerate(rows):
+        # eigh sorts each row ascending, so the largest magnitude sits at an
+        # end and the rank is the count above the threshold. eigh raises
+        # where its arithmetic goes invalid, so a NaN eigenvalue comes only
+        # in a row of NaNs: its threshold is NaN and its rank 0
+        threshold = eps * max(abs(row[0]), abs(row[-1]))
         rank = len(row) - bisect.bisect_right(row, threshold)
         if row[0] < -threshold and row[0] < 0.0:
             raise NotPSDError(f"operator is not PSD: eigenvalue {row[0]:.6e}")
-        spectra.append(Spectrum(values[i, ::-1].copy(), vectors[i, :, ::-1].copy(),
-                                eps, threshold, rank))
+        spectra.append(Spectrum(values[i], vectors[i], eps, threshold, rank))
     return spectra
 
 

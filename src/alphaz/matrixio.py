@@ -11,7 +11,7 @@ State specs select a matrix by exactly one of:
      "seed": u64, "dim": n, ...}
     {"example1": {"p": 0.25}}
 
-and take these fields, no others:
+and take these fields, no others (the example1 object takes "p" alone):
 
     file                   file
     example1               example1
@@ -24,10 +24,10 @@ that names it.
 
 "file" must be a JSON string (5 and null are not), "seed", "dim" and
 "rank" JSON integers (true, 7.0 and "7" are not) and "full_rank" a JSON
-boolean ("false" is not); a spec with a field of another type is a
-SpecError. "rank" is required for "support_pair" and optional for
-"reference". The example1 "p" must be a JSON number (true and "0.25" are
-not).
+boolean ("false" is not); a spec with a field of another type, or with a
+seed outside [0, 2**64), is a SpecError. "rank" is required for
+"support_pair" and optional for "reference". The example1 "p" must be a
+JSON number (true and "0.25" are not).
 
 A matrix file's "dim" must be a JSON integer (true, 1.9 and "1" are not),
 and every re and im a JSON number ("1", true and null are not) within
@@ -65,10 +65,9 @@ _SPEC_FIELDS = {"file": ("file",), "example1": ("example1",), "density": _GENERA
 
 def matrix_to_json(a: np.ndarray) -> dict:
     a = np.asarray(a, dtype=complex)
-    return {
-        "dim": int(a.shape[0]),
-        "entries": [[[float(v.real), float(v.imag)] for v in row] for row in a],
-    }
+    # each complex entry is two adjacent doubles, listed as one [re, im] pair
+    pairs = np.ascontiguousarray(a).view(float).reshape(a.shape + (2,))
+    return {"dim": int(a.shape[0]), "entries": pairs.tolist()}
 
 
 def dump_matrix(a: np.ndarray, path: str | Path) -> None:
@@ -164,6 +163,9 @@ def resolve_state_spec(spec: str | dict, role: str) -> np.ndarray:
             p = params["p"]
         except (KeyError, TypeError) as exc:
             raise SpecError(f"example1 spec needs a numeric p: {exc}") from exc
+        unknown = [key for key in params if key != "p"]
+        if unknown:
+            raise SpecError(f"unknown example1 spec field {unknown[0]!r}, not p")
         if isinstance(p, bool) or not isinstance(p, (int, float)):
             raise SpecError(f"example1 spec field 'p' must be a JSON number, got {p!r}")
         try:
@@ -178,6 +180,8 @@ def resolve_state_spec(spec: str | dict, role: str) -> np.ndarray:
         dim = _typed(spec, "dim", int)
     except KeyError as exc:
         raise SpecError(f"generator spec needs integer seed and dim: {exc}") from exc
+    if not 0 <= seed < 2**64:
+        raise SpecError(f"state spec field 'seed' must lie in [0, 2**64), got {seed}")
     if name == "density":
         return states.random_density(dim, seed)
     if name == "reference":

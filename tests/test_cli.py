@@ -174,6 +174,31 @@ class TestExitCodes:
          "--alpha", "2", "--z", "1", "--rho"],
         ["sweep", "--sigma", '{"generator": "density", "seed": 3, "dim": 2}',
          "--alpha-grid", "0.5:2:2", "--z-grid", "1:1:1", "--out", "-", "--rho"],
+        ["dump", "--role", "rho", "--out", "-", "--state"],
+    ], ids=["compute", "sweep", "dump"])
+    @pytest.mark.parametrize("spec, message", [
+        ('{"example1": {"p": 0.25, "q": 1}}', "unknown example1 spec field 'q'"),
+        ('{"generator": "density", "seed": -5, "dim": 2}',
+         "state spec field 'seed' must lie in [0, 2**64), got -5"),
+        (f'{{"generator": "density", "seed": {2**126}, "dim": 2}}',
+         f"state spec field 'seed' must lie in [0, 2**64), got {2**126}"),
+    ], ids=["example1-extra-field", "negative-seed", "seed-2**126"])
+    def test_bad_spec_field_is_usage_error(self, capsys, command, spec, message):
+        # the extra field was once ignored (the p = 0.25 rho, exit 0), a
+        # negative seed gave numpy's message, and a seed of 2**126 was used
+        from alphaz import cli
+
+        code = cli.main(command + [spec])
+        out = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert message in out.err
+        assert out.out == ""
+
+    @pytest.mark.parametrize("command", [
+        ["compute", "--sigma", '{"generator": "density", "seed": 3, "dim": 2}',
+         "--alpha", "2", "--z", "1", "--rho"],
+        ["sweep", "--sigma", '{"generator": "density", "seed": 3, "dim": 2}',
+         "--alpha-grid", "0.5:2:2", "--z-grid", "1:1:1", "--out", "-", "--rho"],
         ["dump", "--out", "-", "--state"],
     ], ids=["compute", "sweep", "dump"])
     @pytest.mark.parametrize("path", ["5", "null"])
@@ -498,6 +523,9 @@ def test_unwritable_out_is_malformed_input(capsys, tmp_path, command):
     ("limit_convergence_table.py", ["--example1-p", "0.5"], "p must lie in (0,1)"),
     ("limit_convergence_table.py", ["--seed", "-5"], "non-negative"),
     ("alpha_monotonicity_scan.py", ["--dims", "20"], "dim must be in 1..16"),
+    ("alpha_monotonicity_scan.py", ["--pairs", "-3"], "--pairs must be >= 1, got -3"),
+    ("alpha_monotonicity_scan.py", ["--pairs", "0"], "--pairs must be >= 1, got 0"),
+    ("alpha_monotonicity_scan.py", ["--alpha-points", "1"], "--alpha-points must be >= 2, got 1"),
 ])
 def test_script_bad_input_is_malformed_input(script, args, message):
     # once a traceback with exit 1, which the table script gives for a

@@ -16,7 +16,7 @@ from alphaz.divergences import (
     relative_entropy,
     sandwiched_divergence,
 )
-from alphaz.linalg import DomainError, NotPSDError, Spectrum, support
+from alphaz.linalg import DomainError, NotPSDError, Spectrum, hermitian_part, support
 from alphaz.states import (
     commuting_pair,
     example1_pair,
@@ -440,6 +440,29 @@ class TestDualPathChecks:
                            match="sandwiched dual-path mismatch: alpha-z route nan"):
             pair.sandwiched(1.5)
 
+    @pytest.mark.parametrize("cls", ["full", "dominating", "violating", "leak"])
+    @pytest.mark.parametrize("alpha", [0.3, 1.5, 2.5])
+    def test_sandwiched_check_equals_kernel(self, monkeypatch, cls, alpha):
+        # the scalar check takes G's powers at z = alpha; the kernel's
+        # sandwiched rows (`dual_traces` for alpha > 1, where a row with
+        # alpha < 1 is a Petz row) take their own, and both give one T
+        pair = dv.prepare(*_pair_of_class(cls))
+        checked = []
+        monkeypatch.setattr(dv, "_assert_dual_path", lambda label, value, a, t: checked.append(t))
+        pair.sandwiched(alpha)
+        if pair._divergence(alpha, alpha)[1] == "closed":  # no self-check
+            assert not checked
+            return
+        stack, pi, a = dv._Stack([pair]), np.zeros(1, dtype=int), np.array([alpha])
+        singular = np.linalg.svd(dv._sandwiched_factors(stack, pi, a), compute_uv=False)
+        [want] = stack._trace_sums(singular, a, pi)[0]
+        if alpha > 1.0:
+            [row] = stack.dual_traces(pi, a, a, np.ones(1, dtype=bool), np.zeros(1, dtype=bool),
+                                      None)[0]
+            assert np.float64(row).tobytes() == want.tobytes()
+        [got] = checked
+        assert np.float64(got).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("cls", ["full", "dominating"])
     def test_sandwiched_mismatch_raises_at_two(self, monkeypatch, cls):
         pair = dv.prepare(*_pair_of_class(cls))
@@ -580,17 +603,27 @@ class TestMosonyiOgawa:
         assert after <= before + 1e-9
 
 
-def _pair_of_class(cls):
-    """A full-rank, dominating, violating, orthogonal or partial-overlap
-    (rho, sigma) pair of dimension 4; the last has inner rank 1 and neither
-    operator dominates."""
+def _pair_of_class(cls, dim=4):
+    """A full-rank, dominating, violating, orthogonal, partial-overlap or
+    leaking (rho, sigma) pair, of dimension 4 unless `dim` says otherwise;
+    the partial-overlap pair (dimension 4) has inner rank 1 and neither
+    operator dominates, and the leaking rho puts weight 1e-10 on ker sigma,
+    above the zero cutoff."""
     if cls == "full":
-        return random_density(4, 111), random_reference(4, 112)
+        return random_density(dim, 111), random_reference(dim, 112)
     if cls == "partial":
         p, q = np.array([0.3, 0.7, 0.0, 0.0]), np.array([0.0, 0.6, 0.4, 0.0])
         u = random_unitary(4, 5)
         return (u * p) @ u.conj().T, (u * q) @ u.conj().T
-    return random_support_pair(4, 113, rank=2, branch=cls)
+    rank = dim // 2
+    if cls == "leak":
+        u, leak = random_unitary(dim, 114), 1e-10
+        inner = np.zeros((dim, dim), dtype=complex)
+        inner[:rank, :rank] = (1.0 - leak) * random_density(rank, 115)
+        inner[rank, rank] = leak
+        q = np.pad(np.full(rank, 1.0 / rank), (0, dim - rank))
+        return hermitian_part(u @ inner @ u.conj().T), hermitian_part((u * q) @ u.conj().T)
+    return random_support_pair(dim, 113, rank=rank, branch=cls)
 
 
 class TestPreparedPairFamilies:
@@ -1624,6 +1657,21 @@ class TestStackedPrepare:
     def test_no_pairs(self):
         assert dv._prepare_pairs([]) == []
 
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16])
+    def test_scalar_call_classes_equal_prepare(self, dim):
+        # the five classes of single scalar calls: full rank, dominating,
+        # violating, orthogonal, and rho leaking 1e-10 onto ker sigma
+        pairs = [_pair_of_class(cls, dim) for cls in ("full", "dominating", "violating",
+                                                      "orthogonal", "leak")]
+        for (rho, sigma), pair in zip(pairs, dv._prepare_pairs(pairs)):
+            want = dv.prepare(rho, sigma)
+            _same_spectrum(pair.rho, want.rho)
+            _same_spectrum(pair.sigma, want.sigma)
+            for field in ("overlap", "weights"):
+                assert getattr(pair, field).tobytes() == getattr(want, field).tobytes(), field
+            for field in ("dominated", "orthogonal", "inner_rank"):
+                assert getattr(pair, field) == getattr(want, field), field
+
 
 @functools.lru_cache(maxsize=None)
 def _oracle_pair(rho: bytes, sigma: bytes, dim: int, dps: int):
@@ -1784,7 +1832,7 @@ class TestFactorOrder:
             expected = self._expected(pair, pair.sigma.powers(es), pair.rho.powers(er / 2.0),
                                       es, er)
             assert np.array_equal(stacked[row], expected), (a[i], z[i])
-            one, fault = pair._factor(es, er, True)
+            one, fault, _ = pair._factor(es, er, True)
             assert not fault and np.array_equal(one, expected), (a[i], z[i])
             signs.add((es < 0.0, er < 0.0))
         # a negative exponent of the rank-deficient rho is undefined

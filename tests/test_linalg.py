@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -288,3 +290,67 @@ class TestCutoffOverride:
 
     def test_module_default_constant(self):
         assert linalg.DEFAULT_EPS == 1e-12
+
+
+class TestSupportsStack:
+    """What `supports` hands to `eigh`, and the cutoffs it reads off eigh's
+    sorted rows."""
+
+    @staticmethod
+    def _eigh_inputs(monkeypatch) -> list:
+        seen, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(a) or eigh(a))
+        return seen
+
+    def test_exactly_hermitian_stack_is_decomposed_as_given(self, monkeypatch):
+        seen = self._eigh_inputs(monkeypatch)
+        stack = np.array([random_density(4, 1), random_reference(4, 2)], dtype=complex)
+        linalg.supports(stack)
+        assert np.shares_memory(seen[0], stack)
+
+    def test_small_defect_is_still_symmetrized(self, monkeypatch):
+        seen = self._eigh_inputs(monkeypatch)
+        stack = np.array([random_density(4, 1), random_reference(4, 2)], dtype=complex)
+        stack[1, 0, 2] += 1e-14
+        linalg.supports(stack)
+        assert not np.shares_memory(seen[0], stack)
+        assert seen[0].tobytes() == hermitian_part(stack).tobytes()
+
+    @pytest.mark.parametrize("rows", [
+        [[0.0, 0.0, 0.0], [-0.0, 0.0, 0.0]],  # zero operators, one of largest magnitude -0.0
+        [[-3e-17, 0.25, 0.75], [-1e-320, 1e-300, 2e-300]],  # negative round-off at the low end
+        [[math.nan] * 3, [0.0, 0.5, 0.5]],  # eigh's NaN comes in a row of NaNs
+        [[0.1, 0.2, math.inf], [-math.inf, 0.0, 1.0]],  # infinite eigenvalues
+    ], ids=["zero", "round-off", "nan", "inf"])
+    def test_thresholds_equal_numpys_maximum(self, monkeypatch, rows):
+        values = np.array(rows)
+        count, dim = values.shape
+        vectors = np.broadcast_to(np.eye(dim, dtype=complex), (count, dim, dim)).copy()
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (values.copy(), vectors.copy()))
+        spectra = linalg.supports(np.zeros((count, dim, dim)))
+        want = zero_cutoff() * np.abs(values).max(axis=1)
+        for spectrum, threshold, row in zip(spectra, want, rows):
+            assert np.float64(spectrum.threshold).tobytes() == threshold.tobytes()
+            if math.isnan(threshold):  # the NaN rule: a NaN eigenvalue leaves no support
+                assert spectrum.rank == 0
+
+    def test_largest_magnitude_at_the_negative_end_is_not_psd(self, monkeypatch):
+        # eps < 1 puts the threshold below that magnitude
+        values, vectors = np.array([[-2e-17, 0.0, 1e-17]]), np.eye(3, dtype=complex)[None]
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (values, vectors))
+        with pytest.raises(NotPSDError, match="-2.000000e-17"):
+            linalg.supports(np.zeros((1, 3, 3)))
+
+    @given(seeds, dims)
+    def test_thresholds_of_seeded_stacks(self, seed, dim):
+        stack = np.array([random_density(dim, seed), random_reference(dim, seed + 1),
+                          random_reference(dim, seed + 2, full_rank=False, rank=1)])
+        values = np.linalg.eigh(stack)[0]
+        want = zero_cutoff() * np.abs(values).max(axis=1)
+        got = [spectrum.threshold for spectrum in linalg.supports(stack)]
+        assert np.array(got).tobytes() == want.tobytes()
+
+    def test_spectrum_arrays_are_c_contiguous(self):
+        for spectrum in linalg.supports(np.array([random_density(5, 3), random_reference(5, 4)])):
+            assert spectrum.values.flags.c_contiguous and spectrum.vectors.flags.c_contiguous
+            assert np.all(np.diff(spectrum.values) <= 0)

@@ -32,6 +32,21 @@ class TestRoundTrip:
         assert doc["entries"][0][0] == [1.0, 0.0]
         assert doc["entries"][0][1] == [0.0, 0.0]
 
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_dump_bytes_equal_per_entry_form(self, transposed):
+        # signed zeros, a subnormal and 1e300 in both parts; a transposed
+        # (non-contiguous) input lists its own entries, not its buffer's
+        a = random_density(4, 7)
+        a[0, 1], a[1, 0] = complex(-0.0, 0.0), complex(0.0, -0.0)
+        a[2, 3], a[3, 2] = complex(5e-324, -1e300), complex(5e-324, 1e300)
+        a[0, 0] = complex(1e300, -0.0)
+        if transposed:
+            a = a.T
+            assert not a.flags.c_contiguous
+        per_entry = {"dim": 4, "entries": [[[float(v.real), float(v.imag)] for v in row]
+                                           for row in a]}
+        assert json.dumps(matrix_to_json(a)) == json.dumps(per_entry)
+
 
 class TestLoadValidation:
     def test_bad_json(self, tmp_path):
@@ -206,6 +221,31 @@ class TestStateSpecs:
         # once ignored, so the misspelled full_rank gave a full-rank reference
         with pytest.raises(SpecError, match=f"unknown state spec field '{field}', not one of"):
             resolve_state_spec(json.dumps(spec), "sigma")
+
+    @pytest.mark.parametrize("params, field", [
+        ({"p": 0.25, "q": 1}, "q"),
+        ({"p": 0.25, "P": 0.3}, "P"),
+        ({"p": 0.25, "role": "rho"}, "role"),
+    ])
+    def test_unknown_example1_field(self, params, field):
+        # through the JSON text, as the CLI reads a spec; an extra field was
+        # once ignored, and q = 1 gave the p = 0.25 pair
+        with pytest.raises(SpecError, match=f"unknown example1 spec field '{field}', not p"):
+            resolve_state_spec(json.dumps({"example1": params}), "rho")
+
+    @pytest.mark.parametrize("seed", [-5, -1, 2**64, 2**126])
+    def test_seed_outside_u64(self, seed):
+        # -5 once reached numpy, whose message named neither field nor
+        # value, and 2**126 was accepted
+        spec = json.dumps({"generator": "density", "seed": seed, "dim": 3})
+        with pytest.raises(SpecError,
+                           match=rf"'seed' must lie in \[0, 2\*\*64\), got {seed}$"):
+            resolve_state_spec(spec, "rho")
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_at_the_ends_of_u64(self, seed):
+        spec = json.dumps({"generator": "density", "seed": seed, "dim": 3})
+        assert max_abs(resolve_state_spec(spec, "rho") - random_density(3, seed)) == 0.0
 
     def test_unknown_generator(self):
         with pytest.raises(SpecError, match="unknown generator"):
