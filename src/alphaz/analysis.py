@@ -22,18 +22,24 @@ second-derivative check takes a sequence of ps and makes one kernel
 request for all of their pairs' stencils. One pair or one item is the
 one-element case, and a pair's reports do not depend on the pairs beside
 it. Each check is its plan (`_plan_*`), which adds its requests to a
-kernel pass and returns its report builder; the builder's first read runs
-the pass. A public `verify_*` calls its plan on a pass of its own and
-builds the reports; the suites add the plans of a whole run to one pass.
-Their offset ladders and finite-difference steps are module constants, not
-options: LIMIT_OFFSETS, DZ_TRACE_OFFSETS, and the default step of
-fd_derivative (1e-4) or fd_second_derivative (1e-3).
+kernel pass and returns its builder; the builder's first read runs the
+pass. A public `verify_*` calls its plan on a pass of its own; the suites
+add the plans of a whole run to one pass. The builder of each of the four
+batched checks is a judge: it gives the check's verdicts (`_Verdicts`),
+the residual and pass flag of every (pair, item), computed on the arrays
+of its request, where each pass/fail rule is written once. A public
+`verify_*` builds its reports, rows included, from those arrays; the
+suites aggregate the verdicts and build no pair's report. Their offset
+ladders and finite-difference steps are module constants, not options:
+LIMIT_OFFSETS, DZ_TRACE_OFFSETS, and the default step of fd_derivative
+(1e-4) or fd_second_derivative (1e-3).
 
 Every check, here and in `suites`, picks its worst residual and row by one
-rule, `_worst`: the largest residual, the first of them in row-major
-(pair, point) order, with a NaN counting as the largest. So a NaN residual
-fails its check and is the residual, and the row, it reports; a limit curve
-whose ladder holds a NaN error anywhere fails with that NaN.
+rule, `_worst` (`_worst_along` on an array's last axis): the largest
+residual, the first of them in row-major (pair, point) order, with a NaN
+counting as the largest. So a NaN residual fails its check and is the
+residual, and the row, it reports; a limit curve whose ladder holds a NaN
+error anywhere fails with that NaN.
 
 `sweep` maps an (alpha, z) grid to the arrays of D and T that `alphaz
 sweep` writes as CSV; the CLI and the alpha-monotonicity scan both call it.
@@ -60,6 +66,13 @@ def _worst(residuals) -> tuple[float, int]:
     residuals = np.asarray(residuals, dtype=float)
     i = int(np.argmax(residuals))
     return float(residuals.flat[i]), i
+
+
+def _worst_along(residuals: np.ndarray) -> np.ndarray:
+    """`_worst`'s value along the last axis of an array, for every index of
+    the others: the first largest, a NaN counting as the largest."""
+    i = np.argmax(residuals, axis=-1)[..., None]
+    return np.take_along_axis(residuals, i, axis=-1)[..., 0]
 
 
 def _stencil(x0, offsets: tuple[float, ...]) -> np.ndarray:
@@ -218,6 +231,27 @@ _TREND_SLACK = 1e-12
 _TREND_NOISE_FLOOR = 1e-9
 
 
+@dataclass
+class _Verdicts:
+    """One check's verdicts on every pair and item, judged on the arrays of
+    its kernel request: each item's report name, each (pair, item) residual
+    and pass flag as (pairs, items) arrays, and `details`, which gives each
+    (pair, item)'s rows and notes, per pair, from the same arrays. The
+    suites aggregate the verdicts without calling `details`."""
+
+    names: list[str]
+    residuals: np.ndarray
+    passed: np.ndarray
+    details: Callable[[], list[list[tuple[list[dict], str]]]]
+
+    def reports(self) -> list[list[CheckReport]]:
+        """Each pair's reports, one per item, in order."""
+        return [[CheckReport(name, ok, residual, rows, notes)
+                 for name, ok, residual, (rows, notes) in zip(self.names, oks, residuals, details)]
+                for oks, residuals, details in zip(self.passed.tolist(),
+                                                   self.residuals.tolist(), self.details())]
+
+
 def verify_curve_limits(tfs: Sequence[TraceFunctional], curves: Sequence[CurveSpec],
                         bias: float = 0.0) -> list[list[CheckReport]]:
     """Check D(a, g(a)) -> relative entropy as a -> 1 along each curve: per
@@ -229,47 +263,43 @@ def verify_curve_limits(tfs: Sequence[TraceFunctional], curves: Sequence[CurveSp
     sides and the error decays monotonically over the last three dyadic
     refinements. `bias` shifts every measured divergence (self-test hook).
     """
-    return _plan_curve_limits(dv._Pass(), tfs, curves, bias)()
+    return _plan_curve_limits(dv._Pass(), [tf.pair for tf in tfs], curves, bias)().reports()
 
 
-def _plan_curve_limits(kernel: dv._Pass, tfs: Sequence[TraceFunctional],
+def _plan_curve_limits(kernel: dv._Pass, pairs: Sequence[dv.PreparedPair],
                        curves: Sequence[CurveSpec], bias: float):
     """Add the ladders of `verify_curve_limits` to the pass `kernel` as one
-    request, and return the function that builds its reports."""
+    request, and return the function that judges them."""
     alphas = [1.0 + side * off for side in (+1, -1) for off in LIMIT_OFFSETS]
     zs = [[curve.g(alpha) for alpha in alphas] for curve in curves]
-    request = kernel.add([tf.pair for tf in tfs], alphas, np.reshape(zs, (-1, len(alphas))))
-    return lambda: [_curve_limits(tf.relative_entropy(), curves, alphas, zs, rows)
-                    for tf, rows in zip(tfs, (request.evaluate()[0] + bias).tolist())]
+    request = kernel.add(pairs, alphas, np.reshape(zs, (-1, len(alphas))))
+    names = [f"limit along {curve.label}" for curve in curves]
 
-
-def _curve_limits(target: float, curves: Sequence[CurveSpec], alphas: list[float],
-                  zs: list[list[float]], values: list[list[float]]) -> list[CheckReport]:
-    """One pair's reports of `verify_curve_limits`, from its values: one
-    row per curve of D along that curve's ladder."""
-    n = len(LIMIT_OFFSETS)
-    reports = []
-    for curve, z_row, d_row in zip(curves, zs, values):
-        rows = [{"alpha": alpha, "z": z, "divergence": d, "error": abs(d - target)}
-                for alpha, z, d in zip(alphas, z_row, d_row)]
-        errors = {+1: [r["error"] for r in rows[:n]],
-                  -1: [r["error"] for r in rows[n:]]}
+    def judge() -> _Verdicts:
+        n = len(LIMIT_OFFSETS)
+        targets = [pair.relative_entropy().value for pair in pairs]
+        values = request.evaluate()[0] + bias  # (pairs, curves, rungs)
+        errors = np.abs(values - np.reshape(targets, (-1, 1, 1)))
         # the error at the tightest offsets; a NaN anywhere on the ladder wins
-        final_err, _ = _worst([errors[+1][-1], errors[-1][-1]]
-                              + [r["error"] for r in rows if math.isnan(r["error"])])
-        trend_ok = True
-        for side in (+1, -1):
-            tail = errors[side][-5:-1]  # the last three dyadic refinement steps
-            trend_ok &= all(b <= max(a + _TREND_SLACK, _TREND_NOISE_FLOOR)
-                            for a, b in zip(tail, tail[1:]))
-        reports.append(CheckReport(
-            name=f"limit along {curve.label}",
-            passed=final_err <= LIMIT_TOL and trend_ok,
-            max_residual=final_err,
-            rows=rows,
-            notes=f"target D = {target:.12g}, trend_ok = {trend_ok}",
-        ))
-    return reports
+        final = np.where(np.isnan(errors).any(axis=2), math.nan,
+                         _worst_along(errors[..., [n - 1, -1]]))
+        # the last three dyadic refinement steps of each side
+        tails = errors.reshape(errors.shape[:2] + (2, n))[..., -5:-1]
+        trend_ok = (tails[..., 1:] <= np.maximum(tails[..., :-1] + _TREND_SLACK,
+                                                 _TREND_NOISE_FLOOR)).all(axis=(2, 3))
+        passed = (final <= LIMIT_TOL) & trend_ok
+
+        def details():
+            return [[([{"alpha": alpha, "z": z, "divergence": d, "error": e}
+                       for alpha, z, d, e in zip(alphas, z_row, d_row, e_row)],
+                      f"target D = {target:.12g}, trend_ok = {trend}")
+                     for z_row, d_row, e_row, trend in zip(zs, d_rows, e_rows, trends)]
+                    for target, d_rows, e_rows, trends in zip(
+                        targets, values.tolist(), errors.tolist(), trend_ok.tolist())]
+
+        return _Verdicts(names, final, passed, details)
+
+    return judge
 
 
 DERIVATIVE_REL_TOL = 1e-3
@@ -294,54 +324,41 @@ def verify_derivative_at_one(tfs: Sequence[TraceFunctional]) -> list[CheckReport
     estimates agree within 1e-5, and no slope dips below -1e-6 (the variance
     is non-negative).
     """
-    return _plan_derivative_at_one(dv._Pass(), tfs)()
+    return [rep for [rep] in _plan_derivative_at_one(dv._Pass(), [tf.pair for tf in tfs])()
+            .reports()]
 
 
-def _plan_derivative_at_one(kernel: dv._Pass, tfs: Sequence[TraceFunctional]):
+def _plan_derivative_at_one(kernel: dv._Pass, pairs: Sequence[dv.PreparedPair]):
     """Add the stencils of `verify_derivative_at_one` to the pass `kernel`
-    as one request, and return the function that builds its reports."""
+    as one request, and return the function that judges them: one item
+    per pair."""
     a = _stencil(1.0, (_FD_STEP, -_FD_STEP))
-    request = kernel.add([tf.pair for tf in tfs], a[:, None], _family_zs(a))
+    request = kernel.add(pairs, a[:, None], _family_zs(a))
+    name = "derivative at alpha=1 vs half-variance"
 
-    def reports():
+    def judge() -> _Verdicts:
         # f gives the request's samples, at the stencil points fd_derivative
-        # forms from the same x0 and step
-        slopes = fd_derivative(  # stencil points first: (2, pairs, families)
-            lambda _: np.moveaxis(request.evaluate()[0], 0, 1), 1.0)
-        return [_derivative_at_one(0.5 * tf.variance(), dict(zip(FAMILIES, row)))
-                for tf, row in zip(tfs, slopes.tolist())]
+        # forms from the same x0 and step: (2, pairs, families)
+        slopes = fd_derivative(lambda _: np.moveaxis(request.evaluate()[0], 0, 1), 1.0)
+        targets = np.reshape([0.5 * pair.variance() for pair in pairs], (-1, 1))
+        # relative residual against a meaningful target, absolute once the
+        # target sits below the finite-difference noise scale (e.g. rho = sigma)
+        rel = np.abs(slopes - targets) / np.where(np.abs(targets) >= 1e-6, np.abs(targets), 1.0)
+        max_rel = _worst_along(rel)
+        cross = np.abs(slopes[:, 0] - slopes[:, 1])
+        passed = ((max_rel <= DERIVATIVE_REL_TOL) & (cross <= FAMILY_AGREEMENT_TOL)
+                  & (slopes >= SLOPE_FLOOR).all(axis=1))
 
-    return reports
+        def details():
+            return [[([{"family": family, "slope": slope, "half_variance": target,
+                        "rel_error": e} for family, slope, e in zip(FAMILIES, slope_row, rel_row)],
+                      f"cross-family |diff| = {diff:.3e}")]
+                    for [target], slope_row, rel_row, diff in zip(
+                        targets.tolist(), slopes.tolist(), rel.tolist(), cross.tolist())]
 
+        return _Verdicts([name], max_rel[:, None], passed[:, None], details)
 
-def _derivative_at_one(target: float, slopes: dict[str, float]) -> CheckReport:
-    """One pair's report of `verify_derivative_at_one`, from its slopes."""
-    # relative residual against a meaningful target, absolute once the target
-    # sits below the finite-difference noise scale (e.g. rho = sigma)
-    denom = abs(target) if abs(target) >= 1e-6 else 1.0
-    rows = []
-    for name, slope in slopes.items():
-        rows.append({
-            "family": name,
-            "slope": slope,
-            "half_variance": target,
-            "rel_error": abs(slope - target) / denom,
-        })
-    max_rel, _ = _worst([r["rel_error"] for r in rows])
-    cross = abs(slopes["z_equals_1"] - slopes["z_equals_alpha"])
-    passed = (
-        max_rel <= DERIVATIVE_REL_TOL
-        and cross <= FAMILY_AGREEMENT_TOL
-        and all(s >= SLOPE_FLOOR for s in slopes.values())
-    )
-    return CheckReport(
-        name="derivative at alpha=1 vs half-variance",
-        passed=passed,
-        max_residual=max_rel,
-        rows=rows,
-        notes=f"cross-family |diff| = {cross:.3e}",
-    )
-
+    return judge
 
 def example1_closed_form(p: float, alpha: float, z: float) -> float:
     """Closed-form divergence of the rank-1-vs-diagonal pair:
@@ -376,19 +393,21 @@ def verify_second_derivative_example1(ps: Sequence[float]) -> list[CheckReport]:
     is computed through both the closed form and the matrix pipeline, which
     must agree within 1e-9 at every stencil point.
     """
-    return _plan_second_derivative_example1(dv._Pass(), ps)()
-
-
-def _plan_second_derivative_example1(kernel: dv._Pass, ps: Sequence[float]):
-    """Add the stencils of `verify_second_derivative_example1` to the pass
-    `kernel` as one request, and return the function that builds its
-    reports."""
     from .states import example1_pair
 
     ps = [float(p) for p in ps]
+    pairs = dv._prepare_pairs(example1_pair(p) for p in ps)
+    return _plan_second_derivative_example1(dv._Pass(), ps, pairs)()
+
+
+def _plan_second_derivative_example1(kernel: dv._Pass, ps: Sequence[float],
+                                     pairs: list[dv.PreparedPair]):
+    """Add the stencils of `verify_second_derivative_example1` for the
+    prepared example1 pairs of the ps to the pass `kernel` as one request,
+    and return the function that builds its reports."""
     a = _stencil(1.0, (_FD2_STEP, 0.0, -_FD2_STEP))
     zs = _family_zs(a)
-    request = kernel.add(dv._prepare_pairs(example1_pair(p) for p in ps), a[:, None], zs)
+    request = kernel.add(pairs, a[:, None], zs)
 
     def reports():
         # the matrix pipeline and the closed form at the stencil points
@@ -452,45 +471,45 @@ def verify_z_monotonicity(tfs: Sequence[TraceFunctional], alphas: Sequence[float
     alpha > 1 and non-decreasing for alpha < 1, with 1e-10 slack per step:
     per pair, one report per alpha, in order, from one kernel request for
     all pairs and alphas."""
-    return _plan_z_monotonicity(dv._Pass(), tfs, alphas, zs)()
+    return _plan_z_monotonicity(dv._Pass(), [tf.pair for tf in tfs], alphas, zs)().reports()
 
 
-def _plan_z_monotonicity(kernel: dv._Pass, tfs: Sequence[TraceFunctional],
+def _plan_z_monotonicity(kernel: dv._Pass, pairs: Sequence[dv.PreparedPair],
                          alphas: Sequence[float], zs: Sequence[float]):
     """Check the alphas and zs of `verify_z_monotonicity`, add its z-rows to
-    the pass `kernel` as one request, and return the function that builds
-    its reports."""
+    the pass `kernel` as one request, and return the function that judges
+    them."""
     alphas = [float(alpha) for alpha in alphas]
     if any(abs(alpha - 1.0) <= dv.ALPHA_ONE_TOL for alpha in alphas):
         raise DomainError("alpha = 1 has no z dependence to check")
     zs = [float(z) for z in zs]
     if any(z <= 0.0 for z in zs) or list(zs) != sorted(zs):
         raise ValueError("zs must be positive and ascending")
-    request = kernel.add([tf.pair for tf in tfs], np.reshape(alphas, (-1, 1)), zs)
-    return lambda: [_z_monotonicity(alphas, zs, rows)
-                    for rows in request.evaluate()[0].tolist()]
+    request = kernel.add(pairs, np.reshape(alphas, (-1, 1)), zs)
+    names = [f"z-monotonicity at alpha={alpha:g} "
+             f"({'non-increasing' if alpha > 1.0 else 'non-decreasing'})" for alpha in alphas]
 
-
-def _z_monotonicity(alphas: list[float], zs: list[float],
-                    values: list[list[float]]) -> list[CheckReport]:
-    """One pair's reports of `verify_z_monotonicity`, from its values: one
-    row of D over zs per alpha."""
-    reports = []
-    for alpha, row in zip(alphas, values):
-        sign = -1.0 if alpha > 1.0 else 1.0
-        rows = [{"z_from": z0, "z_to": z1, "step": v1 - v0,
-                 "violation": sign * (v0 - v1)}  # > 0 means the wrong direction
-                for (z0, v0), (z1, v1) in zip(zip(zs, row), zip(zs[1:], row[1:]))]
+    def judge() -> _Verdicts:
+        values = request.evaluate()[0]  # (pairs, alphas, zs)
+        steps = values[..., 1:] - values[..., :-1]
+        # > 0 means the wrong direction
+        signs = np.where(np.array(alphas) > 1.0, -1.0, 1.0)[:, None]
+        violations = signs * (values[..., :-1] - values[..., 1:])
         # a check without a violation reads 0
-        worst, _ = _worst([0.0] + [r["violation"] for r in rows])
-        direction = "non-increasing" if alpha > 1.0 else "non-decreasing"
-        reports.append(CheckReport(
-            name=f"z-monotonicity at alpha={alpha:g} ({direction})",
-            passed=worst <= Z_MONOTONICITY_SLACK,
-            max_residual=worst,
-            rows=rows,
-        ))
-    return reports
+        worst = _worst_along(np.concatenate([np.zeros(values.shape[:2] + (1,)), violations],
+                                            axis=2))
+        passed = worst <= Z_MONOTONICITY_SLACK
+
+        def details():
+            return [[([{"z_from": z0, "z_to": z1, "step": step, "violation": violation}
+                       for z0, z1, step, violation in zip(zs, zs[1:], step_row, violation_row)],
+                      "")
+                     for step_row, violation_row in zip(step_rows, violation_rows)]
+                    for step_rows, violation_rows in zip(steps.tolist(), violations.tolist())]
+
+        return _Verdicts(names, worst, passed, details)
+
+    return judge
 
 
 DZ_TRACE_TOL = 1e-4
@@ -508,57 +527,45 @@ def verify_dz_trace_vanishes(tfs: Sequence[TraceFunctional],
     both sides of 1, is <= 1e-4 at the tightest offset, and is <= 1e-8 at
     alpha = 1 exactly (where T is identically 1 in z).
     """
-    return _plan_dz_trace_vanishes(dv._Pass(), tfs, z0s)()
+    return _plan_dz_trace_vanishes(dv._Pass(), [tf.pair for tf in tfs], z0s)().reports()
 
 
-def _plan_dz_trace_vanishes(kernel: dv._Pass, tfs: Sequence[TraceFunctional],
+def _plan_dz_trace_vanishes(kernel: dv._Pass, pairs: Sequence[dv.PreparedPair],
                             z0s: Sequence[float]):
     """Add the stencils of `verify_dz_trace_vanishes` to the pass `kernel`
-    as one request, and return the function that builds its reports."""
+    as one request, and return the function that judges them."""
     z0s = [float(z0) for z0 in z0s]
     if 0.0 in z0s:
         raise DomainError("z = 0 is excluded")
     # every offset on both sides, then alpha = 1: one column each
     alphas = [1.0 + side * off for side in (+1, -1) for off in DZ_TRACE_OFFSETS] + [1.0]
     zs = _stencil(z0s, (_FD_STEP, -_FD_STEP))
-    request = kernel.add([tf.pair for tf in tfs], alphas, zs[..., None])
+    request = kernel.add(pairs, alphas, zs[..., None])
+    names = [f"dT/dz -> 0 at z0={z0:g}" for z0 in z0s]
 
-    def reports():
+    def judge() -> _Verdicts:
+        n = len(DZ_TRACE_OFFSETS)
         # f gives the request's samples, at the stencil points fd_derivative
-        # forms from the same z0s and step
-        slopes = fd_derivative(  # stencil points first: (2, pairs, z0s, alphas)
-            lambda _: np.moveaxis(request.traces(), 0, 1), z0s)
-        return [_dz_trace(z0s, alphas, rows) for rows in slopes.tolist()]
+        # forms from the same z0s and step: (2, pairs, z0s, alphas)
+        slopes = fd_derivative(lambda _: np.moveaxis(request.traces(), 0, 1), z0s)
+        mags = np.abs(slopes)
+        ladders, at_one = mags[..., :-1].reshape(mags.shape[:2] + (2, n)), mags[..., -1]
+        passed = ((ladders[..., 1:] <= ladders[..., :-1] + Z_MONOTONICITY_SLACK).all(axis=(2, 3))
+                  & (ladders[..., -1] <= DZ_TRACE_TOL).all(axis=2) & (at_one <= 1e-8))
+        final = _worst_along(ladders[..., -1])
 
-    return reports
+        def details():
+            return [[([{"alpha": alpha, "dT_dz": d, "abs": m}
+                       for alpha, d, m in zip(alphas[:-1], slope_row, mag_row)]
+                      + [{"alpha": 1.0, "dT_dz": one, "abs": one}],
+                      f"|dT/dz| at alpha=1 exactly: {one:.3e}")
+                     for slope_row, mag_row, one in zip(slope_rows, mag_rows, ones)]
+                    for slope_rows, mag_rows, ones in zip(slopes.tolist(), mags.tolist(),
+                                                          at_one.tolist())]
 
+        return _Verdicts(names, final, passed, details)
 
-def _dz_trace(z0s: list[float], alphas: list[float],
-              slopes: list[list[float]]) -> list[CheckReport]:
-    """One pair's reports of `verify_dz_trace_vanishes`, from its slopes:
-    one row of dT/dz over alphas per z0."""
-    n = len(DZ_TRACE_OFFSETS)
-    reports = []
-    for z0, (*ladder, at_one) in zip(z0s, slopes):
-        rows = [{"alpha": alpha, "dT_dz": d, "abs": abs(d)}
-                for alpha, d in zip(alphas, ladder)]
-        passed = True
-        for side in range(2):
-            mags = [abs(d) for d in ladder[side * n:(side + 1) * n]]
-            passed &= all(b <= a + Z_MONOTONICITY_SLACK for a, b in zip(mags, mags[1:]))
-            passed &= mags[-1] <= DZ_TRACE_TOL
-        final_mag, _ = _worst([abs(ladder[n - 1]), abs(ladder[-1])])
-        at_one = abs(at_one)
-        rows.append({"alpha": 1.0, "dT_dz": at_one, "abs": at_one})
-        passed &= at_one <= 1e-8
-        reports.append(CheckReport(
-            name=f"dT/dz -> 0 at z0={z0:g}",
-            passed=passed,
-            max_residual=final_mag,
-            rows=rows,
-            notes=f"|dT/dz| at alpha=1 exactly: {at_one:.3e}",
-        ))
-    return reports
+    return judge
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,13 @@
 matrix dumps, and the certification suites.
 
 Exit codes: 0 success (all checks passed for `verify`), 1 verification
-failure, 2 malformed input (matrix entries beyond double range included) or
-I/O error, 3 domain error (z = 0, a non-finite alpha or z, alpha or z
-beyond double range: spectral powers or a trace sum that overflow, or a
-trace sum that underflows to 0, p out of range, unsupported support
-configuration), 4 internal numerical error (a dual-route mismatch, a
-collapsed trace, an eigensolver that did not converge).
+failure, 2 malformed input (matrix entries, or a reference operator's
+eigenvalues, beyond double range included) or I/O error, 3 domain error
+(z = 0, a non-finite alpha or z, alpha or z beyond double range: spectral
+powers or a trace sum that overflow, or a trace sum that underflows to 0,
+p out of range, unsupported support configuration), 4 internal numerical
+error (a dual-route mismatch, a collapsed trace, an eigensolver that did
+not converge).
 
 A pair is either --example1 P or both --rho and --sigma; giving --example1
 with either of the others is malformed input. A negative value such as
@@ -21,9 +22,10 @@ values at once, and the G of up to 4,096 points, 4 KB a point at d = 16. A
 larger grid is malformed input, rejected before any grid is built.
 `verify` takes at most 10,000 seeds: every seeded pair, and every row of the
 run's one kernel pass, is built before the first report, and a run costs
-about 4 ms, 0.08 MB of memory and 3 KB of JSON per seed (measured from 10 to
-2,000 seeds), so the limit keeps a run to about a minute and 0.9 GB. A
-larger count is malformed input, rejected before any pair is built.
+about 2 ms of CPU, 0.06 MB of memory and 3 KB of JSON per seed (measured
+from 10 to 10,000 seeds, one BLAS thread), so the limit keeps a run to about
+20 s and 0.7 GB. A larger count is malformed input, rejected before any
+pair is built.
 `main` builds the argparse parser on its first call and reuses it, so
 in-process callers pay for it once.
 """
@@ -56,7 +58,7 @@ EXIT_INTERNAL = 4
 _SWEEP_MAX_POINTS = 100_000
 
 # the most seeds one `verify` takes: every seeded pair and kernel row is built
-# before the first report, at about 0.08 MB a seed
+# before the first report, at about 0.06 MB a seed
 _VERIFY_MAX_SEEDS = 10_000
 
 

@@ -181,8 +181,12 @@ def _density(spectrum: Spectrum) -> Spectrum:
 
 
 def _reference(spectrum: Spectrum) -> Spectrum:
-    """The spectrum of a PSD operator, checked to be nonzero."""
+    """The spectrum of a PSD operator, checked to be nonzero. Eigenvalues
+    that leave double range (an inf from `eigh` makes every threshold inf,
+    so the rank 0) are malformed input, as entries beyond range are."""
     if spectrum.rank == 0:
+        if not np.isfinite(spectrum.values).all():
+            raise ValueError("matrix has eigenvalues beyond double range")
         raise DomainError("reference operator must be nonzero")
     return spectrum
 
@@ -207,12 +211,13 @@ class ClassicalPair:
     q: np.ndarray
 
     def kl(self) -> DivergenceValue:
-        """Kullback-Leibler divergence sum_i p_i ln(p_i/q_i), with 0 ln 0 = 0.
+        """Kullback-Leibler divergence sum_i p_i ln(p_i/q_i), with 0 ln 0 = 0,
+        summed in Python floats, which round as numpy's scalars do.
 
         Returns +inf (support_violation) when p puts mass where q has none.
         """
         total = 0.0
-        for pi, qi in zip(self.p, self.q):
+        for pi, qi in zip(self.p.tolist(), self.q.tolist()):
             if pi <= 0.0:
                 continue
             if qi <= 0.0:
@@ -225,21 +230,25 @@ class ClassicalPair:
 
         Terms with p_i = 0 vanish for alpha > 0. For alpha > 1, mass of p
         outside the support of q forces +inf. A sum that leaves double range
-        is a DomainError naming alpha.
+        is a DomainError naming alpha. The terms are Python floats, which
+        round as numpy's scalars do; a power that overflows, where float
+        `**` raises, is an infinite term, as numpy's would be.
         """
         alpha = _renyi_order(alpha)
         total = 0.0
-        with np.errstate(all="ignore"):  # the range test below reports an overflow
-            for pi, qi in zip(self.p, self.q):
-                if pi <= 0.0:
-                    if alpha <= 0.0:
-                        raise DomainError("alpha <= 0 with zero p-entries is undefined")
-                    continue
-                if qi <= 0.0:
-                    if alpha > 1.0:
-                        return DivergenceValue.infinite(INFINITY_SUPPORT)
-                    continue  # q_i^(1-alpha) = 0 for alpha < 1
+        for pi, qi in zip(self.p.tolist(), self.q.tolist()):
+            if pi <= 0.0:
+                if alpha <= 0.0:
+                    raise DomainError("alpha <= 0 with zero p-entries is undefined")
+                continue
+            if qi <= 0.0:
+                if alpha > 1.0:
+                    return DivergenceValue.infinite(INFINITY_SUPPORT)
+                continue  # q_i^(1-alpha) = 0 for alpha < 1
+            try:
                 total += pi**alpha * qi ** (1.0 - alpha)
+            except OverflowError:  # the range test below reports it
+                total = math.inf
         if not math.isfinite(total):
             raise DomainError(f"alpha beyond double range: the Renyi sum overflows "
                               f"at alpha = {alpha!r}")

@@ -3,23 +3,22 @@
 Every suite is deterministic: states come from the pinned-seed generators
 in `states`, so a given (suite, seeds) always produces the same reports.
 `run_suites` prepares the seeded pairs once per call and hands the same
-`TraceFunctional`s to every suite that checks them (limits, derivatives,
+`PreparedPair`s to every suite that checks them (limits, derivatives,
 monotonicity, dpi and invariants); those suites take them as their
-argument. Every other pair family is prepared by
-`divergences._prepare_pairs`, which validates and decomposes the pairs of
-each dimension as one stack with one `eigh`: classical's commuting pairs,
-invariants' rotated, rescaled and (rho, rho) pairs, dpi's pinched images
-and example1's pairs, once for the second derivatives and once for the
-grid. Each pair family is one request of a kernel pass
+argument. Every pair family is prepared by `divergences._prepare_pairs`,
+which validates and decomposes the pairs of each dimension as one stack
+with one `eigh`: the seeded pairs, classical's commuting pairs,
+invariants' rotated, rescaled and (rho, rho) pairs and the pairs of its
+infinity tags, dpi's pinched images and example1's three pairs, once for
+both of its requests. Each pair family is one request of a kernel pass
 (`divergences._Pass`): the limits, monotonicity and dT/dz checks one for
-all seeded pairs and all of their items (curves, alphas, z0s), regrouped
-into one aggregate per item, and the slopes at alpha = 1 one more; dpi the
-seeded pairs and their pinched images at every alpha, with the self-checks
-of every value (the Mosonyi-Ogawa request of
-`divergences.stacked_mosonyi_ogawa`); invariants all seeded pairs, each
-with its rotation, its rescaled reference and (rho, rho); classical its
-commuting pairs; example1 its three pairs on the alpha grid, and its
-second-derivative stencils of all three.
+all seeded pairs and all of their items (curves, alphas, z0s), and the
+slopes at alpha = 1 one more; dpi the seeded pairs and their pinched
+images at every alpha, with the self-checks of every value (the
+Mosonyi-Ogawa request of `divergences.stacked_mosonyi_ogawa`); invariants
+all seeded pairs, each with its rotation, its rescaled reference and
+(rho, rho); classical its commuting pairs; example1 its three pairs on the
+alpha grid, and its second-derivative stencils of all three.
 
 Each suite is its plan (`_plan_*`), which adds the suite's requests to a
 pass and returns its report builder. `run_suites` calls the plan of every
@@ -28,9 +27,14 @@ builder's read runs the pass once for all of them: the pass lays out the
 pairs of each dimension once, as one stack, with one `svd` per dimension,
 and runs dpi's self-checks on the same stacks. A suite run alone is the
 same plan on a pass of its own. A `verify --suite all --seeds 10` run
-makes 39 `eigh` and 17 `svd` calls (7 for the pass and 10 for dpi's
+makes 26 `eigh` and 17 `svd` calls (7 for the pass and 10 for dpi's
 self-checks) and 7 stack layouts.
 
+The limits, monotonicity and derivatives checks are aggregates: one
+report per item (curve, alpha, z0, or the slopes), whose members are the
+seeded pairs. Each is judged on the arrays of its request for all pairs
+at once (`analysis._Verdicts`), and an aggregate's rows are its members'
+pass flags and residuals; no member's report or per-point row is built.
 Each check reduces its residuals, one (pair, point) array or one list, by
 `analysis._worst`, as each aggregate reduces its members: the worst
 residual and its row are the first largest in pair order, then point
@@ -41,6 +45,7 @@ row reported. classical lists no row where every residual is exactly 0.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,9 +57,9 @@ from .analysis import (
     _plan_dz_trace_vanishes,
     _plan_second_derivative_example1,
     _plan_z_monotonicity,
+    _Verdicts,
     _worst,
     CurveSpec,
-    TraceFunctional,
     example1_closed_form,
 )
 from .states import commuting_pair, random_density, random_reference, random_support_pair
@@ -90,66 +95,67 @@ def seeded_pairs(n: int, base_seed: int = BASE_SEED,
     return pairs
 
 
-def _aggregate(name: str, reports: list[CheckReport], notes: str = "") -> CheckReport:
-    value, i = _worst([r.max_residual for r in reports])
-    worst = reports[i]
-    return CheckReport(
-        name=name,
-        passed=all(r.passed for r in reports),
-        max_residual=value,
-        rows=[{"member": r.name, "passed": r.passed, "max_residual": r.max_residual}
-              for r in reports],
-        notes=notes or f"{len(reports)} members, worst: {worst.name}",
-    )
+class SeededPairs(NamedTuple):
+    """The seeded pairs as run_suites hands them to the suites: their
+    states (rho, sigma), their labels, and their prepared pairs, those of
+    each dimension validated and decomposed as one stack."""
+
+    states: list[tuple[np.ndarray, np.ndarray]]
+    labels: list[str]
+    pairs: list[dv.PreparedPair]
 
 
-# the seeded pairs as run_suites hands them to the suites
-SeededPairs = list[tuple[TraceFunctional, str]]
+def _prepare_seeded(n_seeds: int) -> SeededPairs:
+    """The first n_seeds seeded pairs, prepared by `divergences._prepare_pairs`."""
+    seeded = seeded_pairs(n_seeds)
+    states = [(rho, sigma) for rho, sigma, _ in seeded]
+    return SeededPairs(states, [label for *_, label in seeded], dv._prepare_pairs(states))
 
 
-def _seeded_functionals(n_seeds: int) -> SeededPairs:
-    """The seeded pairs, each validated and decomposed once, with their labels."""
-    return [(TraceFunctional(rho, sigma), label)
-            for rho, sigma, label in seeded_pairs(n_seeds)]
-
-
-def _over_pairs(tfs: SeededPairs, per_pair: list[list[CheckReport]]) -> list[CheckReport]:
-    """Aggregate one check's reports on all the pairs item by item:
-    `per_pair` holds, per pair, one report per item, the same items in the
-    same order for every pair, and each aggregate's members are tagged by
-    pair."""
+def _over_pairs(labels: list[str], verdicts: _Verdicts) -> list[CheckReport]:
+    """One aggregate per item of a check on all the seeded pairs, from its
+    verdicts, without building any pair's report: each member row is one
+    pair's pass flag and residual on that item, tagged by pair; the
+    aggregate passes iff every member does, and its residual and worst
+    member are `_worst`'s over the members."""
     aggregates = []
-    for reports in zip(*per_pair):
-        name = reports[0].name
-        for rep, (_, label) in zip(reports, tfs):
-            rep.name = f"{name} [{label}]"
-        aggregates.append(_aggregate(name, list(reports)))
+    for name, passed, residuals in zip(verdicts.names, verdicts.passed.T.tolist(),
+                                       verdicts.residuals.T.tolist()):
+        members = [f"{name} [{label}]" for label in labels]
+        value, i = _worst(residuals)
+        aggregates.append(CheckReport(
+            name=name,
+            passed=all(passed),
+            max_residual=value,
+            rows=[{"member": member, "passed": ok, "max_residual": residual}
+                  for member, ok, residual in zip(members, passed, residuals)],
+            notes=f"{len(members)} members, worst: {members[i]}",
+        ))
     return aggregates
 
 
-def _plan_limits(kernel: dv._Pass, tfs: SeededPairs, bias: float):
+def _plan_limits(kernel: dv._Pass, seeded: SeededPairs, bias: float):
     """Limit of D(a, g(a)) at a -> 1 for five curves over the seeded pairs,
     one request for all of them, one aggregate per curve."""
-    reports = _plan_curve_limits(kernel, [tf for tf, _ in tfs], LIMIT_CURVES, bias)
-    return lambda: _over_pairs(tfs, reports())
+    judge = _plan_curve_limits(kernel, seeded.pairs, LIMIT_CURVES, bias)
+    return lambda: _over_pairs(seeded.labels, judge())
 
 
-def _plan_derivatives(kernel: dv._Pass, tfs: SeededPairs):
+def _plan_derivatives(kernel: dv._Pass, seeded: SeededPairs):
     """Slope-at-1 checks for both families plus the dT/dz -> 0 checks at
     DZ_TRACE_Z0S over the seeded pairs, one request each: one aggregate
     for the slopes, then one per z0."""
-    slopes = _plan_derivative_at_one(kernel, [tf for tf, _ in tfs])
-    dz = _plan_dz_trace_vanishes(kernel, [tf for tf, _ in tfs], DZ_TRACE_Z0S)
-    return lambda: (_over_pairs(tfs, [[rep] for rep in slopes()]) + _over_pairs(tfs, dz()))
+    slopes = _plan_derivative_at_one(kernel, seeded.pairs)
+    dz = _plan_dz_trace_vanishes(kernel, seeded.pairs, DZ_TRACE_Z0S)
+    return lambda: _over_pairs(seeded.labels, slopes()) + _over_pairs(seeded.labels, dz())
 
 
-def _plan_monotonicity(kernel: dv._Pass, tfs: SeededPairs):
+def _plan_monotonicity(kernel: dv._Pass, seeded: SeededPairs):
     """z-monotonicity of the divergence over MONOTONICITY_ZS for each
     alpha of MONOTONICITY_ALPHAS over the seeded pairs, one request for all
     of them, one aggregate per alpha."""
-    reports = _plan_z_monotonicity(kernel, [tf for tf, _ in tfs], MONOTONICITY_ALPHAS,
-                                   MONOTONICITY_ZS)
-    return lambda: _over_pairs(tfs, reports())
+    judge = _plan_z_monotonicity(kernel, seeded.pairs, MONOTONICITY_ALPHAS, MONOTONICITY_ZS)
+    return lambda: _over_pairs(seeded.labels, judge())
 
 
 EXAMPLE1_PS = (0.1, 0.25, 0.4)
@@ -160,14 +166,15 @@ EXAMPLE1_GRID_TOL = 1e-10
 def _plan_example1(kernel: dv._Pass):
     """Second-derivative split at a = 1 plus closed-form/pipeline agreement
     (within EXAMPLE1_GRID_TOL) for the rank-1-vs-diagonal pair of each p of
-    EXAMPLE1_PS: two kernel requests, one for the second-derivative
-    stencils of the three pairs and one for the three pairs on the alpha
-    grid."""
+    EXAMPLE1_PS: the three pairs are prepared once, as one stack, for two
+    kernel requests, one for their second-derivative stencils and one for
+    the alpha grid."""
     from .states import example1_pair
 
-    second = _plan_second_derivative_example1(kernel, EXAMPLE1_PS)
+    pairs = dv._prepare_pairs(example1_pair(p) for p in EXAMPLE1_PS)
+    second = _plan_second_derivative_example1(kernel, EXAMPLE1_PS, pairs)
     points = [(alpha, z) for alpha in EXAMPLE1_GRID_ALPHAS for z in (0.5, 1.0, alpha, 2.0, 5.0)]
-    grid = kernel.add(dv._prepare_pairs(example1_pair(p) for p in EXAMPLE1_PS), *zip(*points))
+    grid = kernel.add(pairs, *zip(*points))
 
     def reports():
         reports = second()
@@ -192,7 +199,7 @@ def _plan_example1(kernel: dv._Pass):
 DPI_SLACK = 1e-9
 
 
-def _plan_dpi(kernel: dv._Pass, tfs: SeededPairs):
+def _plan_dpi(kernel: dv._Pass, seeded: SeededPairs):
     """Sampled data-processing check for the piecewise divergence under
     pinching in the reference operator's eigenbasis, within DPI_SLACK, one
     report per alpha of DPI_ALPHAS; each pinched image is made from the
@@ -201,19 +208,20 @@ def _plan_dpi(kernel: dv._Pass, tfs: SeededPairs):
     in one kernel request, with the Petz and sandwiched self-checks of
     every value (the Mosonyi-Ogawa request of
     `divergences.stacked_mosonyi_ogawa`)."""
-    pinched = dv._prepare_pairs((tf.pair.sigma.pinch(tf.rho), tf.pair.sigma.pinch(tf.sigma))
-                                for tf, _ in tfs)
+    n = len(seeded.pairs)
+    pinched = dv._prepare_pairs((pair.sigma.pinch(rho), pair.sigma.pinch(sigma))
+                                for pair, (rho, sigma) in zip(seeded.pairs, seeded.states))
     # no zs: the Mosonyi-Ogawa values, checked by a second route
-    request = kernel.add([tf.pair for tf, _ in tfs] + pinched, DPI_ALPHAS)
+    request = kernel.add(seeded.pairs + pinched, DPI_ALPHAS)
 
     def reports():
         values = request.mosonyi_ogawa()
-        befores, afters = values[:len(tfs)].T.tolist(), values[len(tfs):].T.tolist()
+        befores, afters = values[:n].T.tolist(), values[n:].T.tolist()
         reports = []
         for alpha, before_row, after_row in zip(DPI_ALPHAS, befores, afters):
             rows = [{"pair": label, "before": before, "after": after,
                      "violation": after - before}  # > 0 would break data processing
-                    for (_, label), before, after in zip(tfs, before_row, after_row)]
+                    for label, before, after in zip(seeded.labels, before_row, after_row)]
             # a check without a violation reads 0
             worst, _ = _worst([0.0] + [r["violation"] for r in rows])
             reports.append(CheckReport(
@@ -290,42 +298,52 @@ INVARIANT_ALPHAS = (0.3, 0.7, 1.5, 2.0, 3.0)
 INVARIANT_ZS = (0.5, 1.0, 2.0)
 
 
-def _plan_invariants(kernel: dv._Pass, tfs: SeededPairs):
+def _plan_invariants(kernel: dv._Pass, seeded: SeededPairs):
     """Structural invariants of the seeded pairs: unitary invariance,
     reference scaling, self-divergence (within UNITARY_INVARIANCE_TOL,
     SCALING_TOL and SELF_DIVERGENCE_TOL), and the infinity reason tags.
     Each pair's rotation, rescaled reference and (rho, rho) are prepared as
     one stack per dimension and evaluated, with the pair, in one kernel
-    request; the tag checks call the scalar API, one pair at a time."""
+    request. The pairs of the tag checks are prepared as one stack per
+    dimension too, and each tag is read from the scalar `divergence` of
+    its pair."""
     from .states import random_unitary
 
     points = [(alpha, z) for alpha in INVARIANT_ALPHAS for z in INVARIANT_ZS + (alpha,)]
     alphas, zs = zip(*points)
-    scales = [0.25 + 1.5 * (k % 4) for k in range(len(tfs))]  # deterministic positive scales
+    n = len(seeded.pairs)
+    scales = [0.25 + 1.5 * (k % 4) for k in range(n)]  # deterministic positive scales
     variants = []
-    for k, ((tf, _), c) in enumerate(zip(tfs, scales)):
-        rho, sigma = tf.rho, tf.sigma
+    for k, ((rho, sigma), c) in enumerate(zip(seeded.states, scales)):
         u = random_unitary(rho.shape[0], BASE_SEED + 5000 + k)
         # the pair's rotation, its rescaled reference and (rho, rho)
         variants += [(u @ rho @ u.conj().T, u @ sigma @ u.conj().T), (rho, c * sigma),
                      (rho, rho)]
     variants = dv._prepare_pairs(variants)
     family = []  # each pair beside its three variants
-    for k, (tf, _) in enumerate(tfs):
-        family += [tf.pair] + variants[3 * k:3 * k + 3]
+    for k, pair in enumerate(seeded.pairs):
+        family += [pair] + variants[3 * k:3 * k + 3]
     request = kernel.add(family, alphas, zs)
+    # infinity semantics on constructed support configurations: each
+    # violating pair, then its orthogonal one
+    tags = []
+    for k in range(max(2, n // 2)):
+        dim = 3 + (k % 3)
+        tags += [random_support_pair(dim, BASE_SEED + 7000 + k, rank=dim - 1, branch="violating"),
+                 random_support_pair(dim, BASE_SEED + 8000 + k,
+                                     rank=dim - 2 if dim > 2 else 1, branch="orthogonal")]
+    tags = dv._prepare_pairs(tags)
 
     def reports():
-        values = request.evaluate()[0].reshape(len(tfs), 4, len(points))
+        values = request.evaluate()[0].reshape(n, 4, len(points))
         base, rotated, scaled, self_values = values.swapaxes(0, 1)  # each (pair, point)
         shifts = np.array([[math.log(c)] for c in scales])  # math.log: np.log may round apart
 
         def report(name: str, residuals: np.ndarray, tol: float) -> CheckReport:
             value, i = _worst(residuals)
-            k, n = divmod(i, len(points))
-            tf, label = tfs[k]
-            row = {"pair": label, "dim": tf.rho.shape[0], "alpha": alphas[n], "z": zs[n],
-                   "residual": value}
+            k, at = divmod(i, len(points))
+            row = {"pair": seeded.labels[k], "dim": seeded.states[k][0].shape[0],
+                   "alpha": alphas[at], "z": zs[at], "residual": value}
             return CheckReport(name, value <= tol, value, rows=[row], notes=f"tolerance {tol:g}")
 
         reports = [
@@ -334,27 +352,19 @@ def _plan_invariants(kernel: dv._Pass, tfs: SeededPairs):
                    np.abs(scaled - (base - shifts)), SCALING_TOL),
             report("self-divergence D(rho||rho) = 0", np.abs(self_values), SELF_DIVERGENCE_TOL),
         ]
-        # infinity semantics on constructed support configurations
         rows = []
         ok = True
-        for k in range(max(2, len(tfs) // 2)):
-            dim = 3 + (k % 3)
-            rho_v, sigma_v = random_support_pair(dim, BASE_SEED + 7000 + k,
-                                                 rank=dim - 1, branch="violating")
-            val = dv.alpha_z_divergence(rho_v, sigma_v, 2.0, 1.0)
+        for pair_v, pair_o in zip(tags[::2], tags[1::2]):
+            val = pair_v.divergence(2.0, 1.0)
             good_v = (not val.is_finite
                       and val.infinity_reason == dv.INFINITY_SUPPORT)
-            rho_o, sigma_o = random_support_pair(dim, BASE_SEED + 8000 + k,
-                                                 rank=dim - 2 if dim > 2 else 1,
-                                                 branch="orthogonal")
-            pair_o = dv.prepare(rho_o, sigma_o)
             val_lo, val_hi = pair_o.divergence(0.5, 1.0), pair_o.divergence(2.0, 1.0)
             good_o = (not val_lo.is_finite
                       and val_lo.infinity_reason == dv.INFINITY_ORTHOGONAL
                       and not val_hi.is_finite
                       and val_hi.infinity_reason == dv.INFINITY_SUPPORT)
             ok &= good_v and good_o
-            rows.append({"dim": dim, "violating_tag_ok": good_v,
+            rows.append({"dim": pair_v.rho.values.size, "violating_tag_ok": good_v,
                          "orthogonal_tags_ok": good_o})
         reports.append(CheckReport("infinity semantics and reason tags", ok,
                                    0.0 if ok else 1.0, rows=rows))
@@ -378,22 +388,22 @@ def run_suites(names, n_seeds: int = 10, bias: float = 0.0) -> list[CheckReport]
     all; a suite's reports are those it gives when run alone."""
     if n_seeds < 1:
         raise ValueError(f"need at least one seed, got {n_seeds}")
-    # each plan reads tfs, prepared below once the names are checked
+    # each plan reads seeded, prepared below once the names are checked
     plans = {
-        "limits": lambda kernel: _plan_limits(kernel, tfs, bias),
-        "derivatives": lambda kernel: _plan_derivatives(kernel, tfs),
-        "monotonicity": lambda kernel: _plan_monotonicity(kernel, tfs),
+        "limits": lambda kernel: _plan_limits(kernel, seeded, bias),
+        "derivatives": lambda kernel: _plan_derivatives(kernel, seeded),
+        "monotonicity": lambda kernel: _plan_monotonicity(kernel, seeded),
         "example1": _plan_example1,
-        "dpi": lambda kernel: _plan_dpi(kernel, tfs),
+        "dpi": lambda kernel: _plan_dpi(kernel, seeded),
         "classical": lambda kernel: _plan_classical(kernel, 2 * n_seeds),
-        "invariants": lambda kernel: _plan_invariants(kernel, tfs),
+        "invariants": lambda kernel: _plan_invariants(kernel, seeded),
     }
     wanted = list(plans) if "all" in names else list(names)
     for name in wanted:
         if name not in plans:
             raise ValueError(f"unknown suite {name!r}")
-    tfs = (_seeded_functionals(n_seeds) if any(n in SEEDED_SUITES for n in wanted)
-           else None)
+    seeded = (_prepare_seeded(n_seeds) if any(n in SEEDED_SUITES for n in wanted)
+              else None)
     kernel = dv._Pass()
     builds = [plans[name](kernel) for name in wanted]
     return [report for build in builds for report in build()]

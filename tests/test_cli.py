@@ -345,6 +345,17 @@ class TestExitCodes:
             assert "matrix has entries beyond double range" in out.stderr
             assert out.stdout == ""
 
+    def test_eigenvalues_beyond_double_range_are_usage_error(self, tmp_path):
+        # entries within range, but sigma's largest eigenvalue is not: the
+        # error is that of entries beyond range, not a zero sigma
+        path = tmp_path / "sigma.json"
+        dump_matrix(np.full((3, 3), 8e307), path)
+        rho = json.dumps({"generator": "density", "seed": 3, "dim": 3})
+        out = run_cli("compute", "--rho", rho, "--sigma", str(path), "--alpha", "2", "--z", "1")
+        assert out.returncode == 2
+        assert out.stderr == "error: matrix has eigenvalues beyond double range\n"
+        assert out.stdout == ""
+
     def test_grid_beyond_double_range_is_domain_error(self):
         out = run_cli("sweep", "--example1", "0.25", "--alpha-grid", "2:1e308:2",
                       "--z-grid", "1:2:2", "--out", "-")
@@ -622,15 +633,38 @@ class TestVerify:
         with pytest.raises(ValueError, match="got 0"):
             run_suites(names, 0)
 
-    @pytest.mark.parametrize("n_seeds", [1, 3, 6])
-    def test_batched_suites_regroup_per_item(self, n_seeds):
+    @pytest.mark.parametrize("n_seeds, names, bias, nan_pair", [
+        pytest.param(1, ("limits", "monotonicity", "derivatives"), 0.0, None, id="1"),
+        pytest.param(3, ("limits", "monotonicity", "derivatives"), 0.0, None, id="3"),
+        pytest.param(6, ("limits", "monotonicity", "derivatives"), 0.0, None, id="6"),
+        # a NaN in the values of the last pair: each of its members fails
+        # and is the worst, though the pairs before it come first
+        pytest.param(3, ("limits", "monotonicity"), 0.0, 2, id="3-nan"),
+        # the bias of --self-test-perturb
+        pytest.param(3, ("limits",), 0.01, None, id="3-bias"),
+        pytest.param(100, ("limits",), 0.0, None, id="100-limits"),
+    ])
+    def test_batched_suites_regroup_per_item(self, monkeypatch, n_seeds, names, bias,
+                                             nan_pair):
         # each aggregate lists, pair by pair, that item's one-element report
-        from alphaz import analysis, suites
+        from alphaz import analysis, divergences as dv, suites
 
-        pairs = [(analysis.TraceFunctional(rho, sigma), label)
-                 for rho, sigma, label in suites.seeded_pairs(n_seeds)]
+        seeded = suites.seeded_pairs(n_seeds)
+        if nan_pair is not None:
+            target = dv.prepare(*seeded[nan_pair][:2]).rho.values
+            original = dv._Request.evaluate
+
+            def planted(request):
+                values, traces = original(request)
+                for p, pair in enumerate(request.pairs):
+                    if np.array_equal(pair.rho.values, target):
+                        values[p, ..., 0] = math.nan
+                return values, traces
+
+            monkeypatch.setattr(dv._Request, "evaluate", planted)
+        pairs = [(analysis.TraceFunctional(rho, sigma), label) for rho, sigma, label in seeded]
         singles = {
-            "limits": [lambda tf, c=c: analysis.verify_curve_limits([tf], [c])[0]
+            "limits": [lambda tf, c=c: analysis.verify_curve_limits([tf], [c], bias)[0]
                        for c in suites.LIMIT_CURVES],
             "monotonicity": [
                 lambda tf, a=a: analysis.verify_z_monotonicity([tf], [a],
@@ -640,8 +674,9 @@ class TestVerify:
                 lambda tf, z0=z0: analysis.verify_dz_trace_vanishes([tf], [z0])[0]
                 for z0 in suites.DZ_TRACE_Z0S],
         }
-        for name, checks in singles.items():
-            aggregates = suites.run_suites([name], n_seeds)
+        for name in names:
+            checks = singles[name]
+            aggregates = suites.run_suites([name], n_seeds, bias)
             assert len(aggregates) == len(checks)
             for aggregate, check in zip(aggregates, checks):
                 expected = []
@@ -650,7 +685,33 @@ class TestVerify:
                     assert rep.name == aggregate.name
                     expected.append({"member": f"{rep.name} [{label}]", "passed": rep.passed,
                                      "max_residual": rep.max_residual})
-                assert aggregate.rows == expected
+                # json: a NaN residual equals a NaN
+                assert json.dumps(aggregate.rows) == json.dumps(expected)
+                assert aggregate.passed == all(row["passed"] for row in expected)
+                if nan_pair is not None:
+                    worst = expected[nan_pair]
+                    assert not worst["passed"] and math.isnan(worst["max_residual"])
+                    assert math.isnan(aggregate.max_residual)
+                    assert aggregate.notes.endswith(f"worst: {worst['member']}")
+                if bias:
+                    assert not aggregate.passed
+
+    def test_run_suites_builds_no_member_report(self, monkeypatch):
+        # an aggregated check judges its members on the request's arrays:
+        # the run builds its aggregates and no per-pair report or row
+        from alphaz import analysis, suites
+
+        built, original = [], analysis.CheckReport.__init__
+
+        def counted(report, *args, **kwargs):
+            original(report, *args, **kwargs)
+            built.append(report.name)
+
+        monkeypatch.setattr(analysis.CheckReport, "__init__", counted)
+        aggregates = suites.run_suites(["limits", "monotonicity", "derivatives"], 10)
+        assert built == [aggregate.name for aggregate in aggregates]
+        assert len(built) == len(suites.LIMIT_CURVES) + len(suites.MONOTONICITY_ALPHAS) + 1 + len(
+            suites.DZ_TRACE_Z0S)
 
     def test_unknown_suite_rejected(self):
         out = run_cli("verify", "--suite", "everything")
