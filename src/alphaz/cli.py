@@ -22,9 +22,9 @@ values at once, and the G of up to 4,096 points, 4 KB a point at d = 16. A
 larger grid is malformed input, rejected before any grid is built.
 `verify` takes at most 10,000 seeds: every seeded pair, and every row of the
 run's one kernel pass, is built before the first report, and a run costs
-about 2 ms of CPU, 0.06 MB of memory and 3 KB of JSON per seed (measured
-from 10 to 10,000 seeds, one BLAS thread), so the limit keeps a run to about
-20 s and 0.7 GB. A larger count is malformed input, rejected before any
+about 1.6-2 ms of CPU, 0.06 MB of memory and 3 KB of JSON per seed
+(measured from 10 to 10,000 seeds, one BLAS thread), so the limit keeps a
+run to about 20 s and 0.7 GB. A larger count is malformed input, rejected before any
 pair is built.
 `main` builds the argparse parser on its first call and reuses it, so
 in-process callers pay for it once.

@@ -163,13 +163,23 @@ def check_probability_vector(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError(f"expected a non-empty 1-d vector, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
+    return _probability_rows(p[None])[0]
+
+
+def _probability_rows(rows: np.ndarray) -> np.ndarray:
+    """`check_probability_vector` of each row of a float stack (n, m), m >= 1,
+    in one pass: the first failing check, at its first failing row, raises
+    its error."""
+    if not np.isfinite(rows).all():
         raise ValueError("probability vector has non-finite entries")
-    if p.min() < -_PROB_ATOL:
-        raise ValueError(f"negative probability {p.min():.3e}")
-    if abs(p.sum() - 1.0) > max(_PROB_ATOL, 1e-13 * p.size):
-        raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
-    return np.clip(p, 0.0, None)
+    lows = rows.min(axis=1)
+    if (lows < -_PROB_ATOL).any():
+        raise ValueError(f"negative probability {lows[lows < -_PROB_ATOL][0]:.3e}")
+    sums = rows.sum(axis=1)
+    off = np.abs(sums - 1.0) > max(_PROB_ATOL, 1e-13 * rows.shape[1])
+    if off.any():
+        raise ValueError(f"probabilities sum to {sums[off][0]!r}, not 1")
+    return np.clip(rows, 0.0, None)
 
 
 def _density(spectrum: Spectrum) -> Spectrum:

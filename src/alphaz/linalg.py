@@ -7,7 +7,9 @@ defaults to 1e-12 and can be overridden through the RENYI_EPS environment
 variable. `supports` validates a stack of PSD operators in one pass,
 decomposes it with one `eigh` and reads eps once into every Spectrum of the
 stack; `support` is its one-operator case. Every support decision about an
-operator uses its Spectrum.
+operator uses its Spectrum. `_pinches` pinches a stack of operators, each in
+the eigenbasis of its own Spectrum, with one product; `Spectrum.pinch` is
+its one-operator case.
 """
 
 from __future__ import annotations
@@ -156,23 +158,33 @@ class Spectrum:
         return hermitian_part((self.vectors * diagonal) @ self.vectors.conj().T)
 
     def pinch(self, a: np.ndarray) -> np.ndarray:
-        """Pinch A in this eigenbasis: sum_i P_i A P_i over the spectral
-        projectors P_i (neighbouring eigenvalues closer than 1e-8 times the
-        largest magnitude share a block). Trace preserving and Hermiticity
-        preserving. Computed as one product V (M ∘ V†AV) V†, where M is the
-        block mask: M_ij = 1 iff eigenvalues i and j share a block."""
-        a = as_hermitian(a)
-        if a.shape != self.vectors.shape:
-            raise ValueError(f"dimension mismatch: {a.shape} vs {self.vectors.shape}")
-        scale = max(float(np.abs(self.values).max()), 1e-300)
-        cluster_tol = 1e-8 * scale
-        # eigenvalues are sorted descending; a new block starts where the gap
-        # exceeds tolerance, so each eigenvalue's block is the count of such gaps
-        # before it
-        blocks = np.concatenate(([0], np.cumsum(np.abs(np.diff(self.values)) > cluster_tol)))
-        adjoint = self.vectors.conj().T
-        in_basis = adjoint @ a @ self.vectors
-        return hermitian_part(self.vectors @ ((blocks[:, None] == blocks) * in_basis) @ adjoint)
+        """Pinch A in this eigenbasis: the one-operator case of `_pinches`."""
+        return _pinches([self], _square(a)[None])[0]
+
+
+def _pinches(spectra: list[Spectrum], stack) -> np.ndarray:
+    """Pinch each A of a stack, shape (n, d, d), in the eigenbasis of its
+    Spectrum: sum_i P_i A P_i over the spectral projectors P_i (neighbouring
+    eigenvalues closer than 1e-8 times the largest magnitude share a block).
+    Trace preserving and Hermiticity preserving. Each A is validated and
+    symmetrized as `as_hermitian` does, and the stack is computed as one
+    product V (M ∘ V†AV) V†, where M is the block mask of each spectrum:
+    M_ij = 1 iff eigenvalues i and j share a block."""
+    stack = _hermitian_stack(np.asarray(stack, dtype=complex))
+    vectors = np.array([s.vectors for s in spectra])
+    if stack.shape != vectors.shape:
+        raise ValueError(f"dimension mismatch: {stack.shape[1:]} vs {vectors.shape[1:]}")
+    values = np.array([s.values for s in spectra])
+    scales = np.maximum(np.abs(values).max(axis=1), 1e-300)
+    # eigenvalues are sorted descending; a new block starts where the gap
+    # exceeds tolerance, so each eigenvalue's block is the count of such gaps
+    # before it
+    gaps = np.abs(np.diff(values, axis=1)) > 1e-8 * scales[:, None]
+    blocks = np.concatenate((np.zeros((len(spectra), 1), int), np.cumsum(gaps, axis=1)), axis=1)
+    adjoints = vectors.conj().swapaxes(1, 2)
+    in_basis = adjoints @ stack @ vectors
+    mask = blocks[:, :, None] == blocks[:, None, :]
+    return hermitian_part(vectors @ (mask * in_basis) @ adjoints)
 
 
 def supports(stack) -> list[Spectrum]:

@@ -2,6 +2,12 @@
 
 Every suite is deterministic: states come from the pinned-seed generators
 in `states`, so a given (suite, seeds) always produces the same reports.
+Each family's states are drawn one stack per dimension (`_per_dim`), by the
+stacked forms of the generators: each seed draws from its own generator,
+and the `qr`, products and normalizations run once per dimension. So are
+the images made from them: invariants' rotations u A u† and dpi's pinched
+images (`linalg._pinches`, from the prepared spectra of sigma), and
+classical's probability vectors are checked as one stack per dimension.
 `run_suites` prepares the seeded pairs once per call and hands the same
 `PreparedPair`s to every suite that checks them (limits, derivatives,
 monotonicity, dpi and invariants); those suites take them as their
@@ -28,7 +34,9 @@ pairs of each dimension once, as one stack, with one `svd` per dimension,
 and runs dpi's self-checks on the same stacks. A suite run alone is the
 same plan on a pass of its own. A `verify --suite all --seeds 10` run
 makes 26 `eigh` and 17 `svd` calls (7 for the pass and 10 for dpi's
-self-checks) and 7 stack layouts.
+self-checks), 15 `qr` calls (one per dimension of classical's commuting
+pairs, 7, of invariants' rotations, 5, and of its tag pairs, 3) and 7 stack
+layouts.
 
 The limits, monotonicity and derivatives checks are aggregates: one
 report per item (curve, alpha, z0, or the slopes), whose members are the
@@ -62,7 +70,8 @@ from .analysis import (
     CurveSpec,
     example1_closed_form,
 )
-from .states import commuting_pair, random_density, random_reference, random_support_pair
+from .linalg import _pinches
+from .states import _commuting_pairs, _densities, _support_pairs, _unitaries
 
 BASE_SEED = 20240811
 PAIR_DIMS = (2, 3, 4, 5, 6)
@@ -83,16 +92,33 @@ CLASSICAL_ALPHAS = (0.3, 0.7, 1.5, 2.0, 3.0)
 CLASSICAL_ZS = (-2.0, -0.5, 0.5, 1.0, 2.0, 10.0)  # plus z = alpha per point
 
 
+def _per_dim(dims: list[int], make) -> list:
+    """Item k of a family whose member k has dimension dims[k], made one
+    stack per dimension: make(dim, at) gives the items of the members `at`
+    (their indices, in order) of one dimension, in that order."""
+    groups: dict[int, list[int]] = {}
+    for k, dim in enumerate(dims):
+        groups.setdefault(dim, []).append(k)
+    items = [None] * len(dims)
+    for dim, at in groups.items():
+        for k, item in zip(at, make(dim, at)):
+            items[k] = item
+    return items
+
+
 def seeded_pairs(n: int, base_seed: int = BASE_SEED,
                  dims: tuple[int, ...] = PAIR_DIMS) -> list[tuple[np.ndarray, np.ndarray, str]]:
-    """n deterministic (rho, sigma) full-rank pairs cycling through dims."""
-    pairs = []
-    for k in range(n):
-        dim = dims[k % len(dims)]
-        rho = random_density(dim, base_seed + 2 * k)
-        sigma = random_reference(dim, base_seed + 2 * k + 1)
-        pairs.append((rho, sigma, f"pair{k}(dim={dim})"))
-    return pairs
+    """n deterministic (rho, sigma) full-rank pairs cycling through dims:
+    pair k is (random_density(dim, base_seed + 2k), random_reference(dim,
+    base_seed + 2k + 1)), the states of each dimension made as one stack
+    (a full-rank reference is a Wishart density too)."""
+    def make(dim, at):
+        states = _densities(dim, [base_seed + 2 * k + side for k in at for side in (0, 1)])
+        return zip(states[::2], states[1::2])
+
+    dims = [dims[k % len(dims)] for k in range(n)]
+    return [(rho, sigma, f"pair{k}(dim={dim})")
+            for k, (dim, (rho, sigma)) in enumerate(zip(dims, _per_dim(dims, make)))]
 
 
 class SeededPairs(NamedTuple):
@@ -209,8 +235,13 @@ def _plan_dpi(kernel: dv._Pass, seeded: SeededPairs):
     every value (the Mosonyi-Ogawa request of
     `divergences.stacked_mosonyi_ogawa`)."""
     n = len(seeded.pairs)
-    pinched = dv._prepare_pairs((pair.sigma.pinch(rho), pair.sigma.pinch(sigma))
-                                for pair, (rho, sigma) in zip(seeded.pairs, seeded.states))
+
+    def pinch(_, at):
+        spectra = [seeded.pairs[k].sigma for k in at]
+        images = _pinches(spectra * 2, [seeded.states[k][side] for side in (0, 1) for k in at])
+        return zip(images[:len(at)], images[len(at):])
+
+    pinched = dv._prepare_pairs(_per_dim([rho.shape[0] for rho, _ in seeded.states], pinch))
     # no zs: the Mosonyi-Ogawa values, checked by a second route
     request = kernel.add(seeded.pairs + pinched, DPI_ALPHAS)
 
@@ -250,12 +281,14 @@ def _plan_classical(kernel: dv._Pass, n_pairs: int):
     points = [(alpha, z) for alpha in CLASSICAL_ALPHAS for z in CLASSICAL_ZS + (alpha,)]
     alphas, zs = zip(*points)
     dims = [COMMUTING_DIMS[k % len(COMMUTING_DIMS)] for k in range(n_pairs)]
-    operators, classicals = [], []
-    for k, dim in enumerate(dims):
-        rho, sigma, p, q = commuting_pair(dim, BASE_SEED + 1000 + k)
-        operators.append((rho, sigma))
-        classicals.append(dv.prepare_classical(p, q))
-    pairs = dv._prepare_pairs(operators)
+
+    def commuting(dim, at):
+        rhos, sigmas, ps, qs = _commuting_pairs(dim, [BASE_SEED + 1000 + k for k in at])
+        return zip(rhos, sigmas, dv._probability_rows(ps), dv._probability_rows(qs))
+
+    family = _per_dim(dims, commuting)
+    pairs = dv._prepare_pairs((rho, sigma) for rho, sigma, _, _ in family)
+    classicals = [dv.ClassicalPair(p, q) for _, _, p, q in family]
     request = kernel.add(pairs, alphas, zs)
 
     def reports():
@@ -307,32 +340,39 @@ def _plan_invariants(kernel: dv._Pass, seeded: SeededPairs):
     request. The pairs of the tag checks are prepared as one stack per
     dimension too, and each tag is read from the scalar `divergence` of
     its pair."""
-    from .states import random_unitary
-
     points = [(alpha, z) for alpha in INVARIANT_ALPHAS for z in INVARIANT_ZS + (alpha,)]
     alphas, zs = zip(*points)
     n = len(seeded.pairs)
     scales = [0.25 + 1.5 * (k % 4) for k in range(n)]  # deterministic positive scales
-    variants = []
-    for k, ((rho, sigma), c) in enumerate(zip(seeded.states, scales)):
-        u = random_unitary(rho.shape[0], BASE_SEED + 5000 + k)
-        # the pair's rotation, its rescaled reference and (rho, rho)
-        variants += [(u @ rho @ u.conj().T, u @ sigma @ u.conj().T), (rho, c * sigma),
-                     (rho, rho)]
-    variants = dv._prepare_pairs(variants)
+
+    def rotate(dim, at):
+        u = _unitaries(dim, [BASE_SEED + 5000 + k for k in at])
+        u = np.concatenate((u, u))
+        states = np.array([seeded.states[k][side] for side in (0, 1) for k in at])
+        rotated = u @ states @ u.conj().swapaxes(1, 2)
+        return zip(rotated[:len(at)], rotated[len(at):])
+
+    # each pair's rotation, its rescaled reference and (rho, rho)
+    variants = dv._prepare_pairs(
+        variant for rotated, (rho, sigma), c in zip(
+            _per_dim([rho.shape[0] for rho, _ in seeded.states], rotate), seeded.states, scales)
+        for variant in (rotated, (rho, c * sigma), (rho, rho)))
     family = []  # each pair beside its three variants
     for k, pair in enumerate(seeded.pairs):
         family += [pair] + variants[3 * k:3 * k + 3]
     request = kernel.add(family, alphas, zs)
+
     # infinity semantics on constructed support configurations: each
-    # violating pair, then its orthogonal one
-    tags = []
-    for k in range(max(2, n // 2)):
-        dim = 3 + (k % 3)
-        tags += [random_support_pair(dim, BASE_SEED + 7000 + k, rank=dim - 1, branch="violating"),
-                 random_support_pair(dim, BASE_SEED + 8000 + k,
-                                     rank=dim - 2 if dim > 2 else 1, branch="orthogonal")]
-    tags = dv._prepare_pairs(tags)
+    # violating pair, then its orthogonal one, those of one dimension drawn
+    # as one stack
+    def tag_pairs(dim, at):
+        violating, orthogonal = _support_pairs(dim, [
+            (dim - 1, "violating", [BASE_SEED + 7000 + k for k in at]),
+            (dim - 2 if dim > 2 else 1, "orthogonal", [BASE_SEED + 8000 + k for k in at])])
+        return zip(zip(*violating), zip(*orthogonal))
+
+    tag_dims = [3 + (k % 3) for k in range(max(2, n // 2))]
+    tags = dv._prepare_pairs(pair for both in _per_dim(tag_dims, tag_pairs) for pair in both)
 
     def reports():
         values = request.evaluate()[0].reshape(n, 4, len(points))

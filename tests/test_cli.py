@@ -517,6 +517,14 @@ class TestDump:
         dump_matrix(random_density(3, 3), tmp_path / "m.json")
         assert out == (tmp_path / "m.json").read_text()
 
+    @pytest.mark.parametrize("branch", ["dominating", "violating", "orthogonal"])
+    def test_one_dimensional_support_pair_is_usage_error(self, capsys, branch):
+        # once "rank must be in 1..0, got 1", which no rank can satisfy
+        spec = f'{{"generator": "support_pair", "seed": 1, "dim": 1, "rank": 1, "branch": "{branch}"}}'
+        code, out, err = run_in_process(["dump", "--state", spec, "--out", "-"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: a support pair needs dim >= 2, got 1\n"
+
 
 @pytest.mark.parametrize("command", [
     ["sweep", "--example1", "0.25", "--alpha-grid", "0.5:2:4", "--z-grid", "1:2:2"],

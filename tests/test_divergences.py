@@ -244,12 +244,15 @@ class TestClassicalPair:
     def test_suite_validates_each_vector_once(self, monkeypatch):
         from alphaz.suites import run_suites
 
-        calls = []
-        original = dv.check_probability_vector
-        monkeypatch.setattr(dv, "check_probability_vector",
-                            lambda p: calls.append(1) or original(p))
+        # the suite checks its vectors as one stack of ps and one of qs per
+        # dimension, through the stacked form of check_probability_vector
+        rows = []
+        original = dv._probability_rows
+        monkeypatch.setattr(dv, "_probability_rows",
+                            lambda stack: rows.extend(map(bytes, stack)) or original(stack))
         run_suites(["classical"], 10)
-        assert len(calls) == 40  # 20 commuting pairs, p and q once each
+        assert len(rows) == 40  # 20 commuting pairs, p and q once each
+        assert len(set(rows)) == 40
 
 
 class TestRelativeEntropy:
@@ -1976,7 +1979,7 @@ class TestGradedSvdOracle:
 class TestDecompositionCounts:
     @pytest.fixture
     def counts(self, monkeypatch):
-        calls = {"eigh": 0, "svd": 0}
+        calls = {"eigh": 0, "svd": 0, "qr": 0}
         for name in calls:
             original = getattr(np.linalg, name)
 
@@ -1986,10 +1989,10 @@ class TestDecompositionCounts:
 
             monkeypatch.setattr(np.linalg, name, counted)
 
-        def measure(fn):
-            calls.update(eigh=0, svd=0)
+        def measure(fn, names=("eigh", "svd")):
+            calls.update(eigh=0, svd=0, qr=0)
             fn()
-            return calls["eigh"], calls["svd"]
+            return tuple(calls[name] for name in names)
 
         return measure
 
@@ -2067,9 +2070,22 @@ class TestDecompositionCounts:
         # classical's commuting pairs 7, example1's pairs 1 and the pairs of
         # the infinity tags 3; one kernel pass for every family of the run:
         # one svd for each of the 7 dimensions, and 10 for dpi's self-checks
-        # (two per dimension of its 5)
-        eigh, svd = counts(lambda: run_suites(["all"], 10))
-        assert eigh == 26 and svd <= 17
+        # (two per dimension of its 5); one qr per dimension of each family
+        # of random unitaries: classical's commuting pairs 7, invariants'
+        # rotations 5 and the pairs of its infinity tags 3
+        eigh, svd, qr = counts(lambda: run_suites(["all"], 10), ("eigh", "svd", "qr"))
+        assert eigh == 26 and svd <= 17 and qr == 15
+
+    @pytest.mark.parametrize("name, qr", [("classical", 7), ("invariants", 8), ("limits", 0),
+                                          ("dpi", 0), ("example1", 0)])
+    def test_one_qr_per_dimension_per_family(self, counts, name, qr):
+        from alphaz.suites import run_suites
+
+        # the unitaries of each family are drawn per seed and factored as
+        # one stack per dimension: classical's commuting pairs have 7
+        # dimensions, invariants' rotations 5 and its tag pairs 3 (each
+        # dimension's violating and orthogonal pairs share one stack)
+        assert counts(lambda: run_suites([name], 10), ("qr",)) == (qr,)
 
     @pytest.mark.parametrize("name, layouts", [("dpi", 5), ("all", 7)])
     def test_one_stack_layout_per_dimension(self, monkeypatch, name, layouts):

@@ -271,6 +271,59 @@ class TestPinchOneProduct:
         assert abs(np.trace(got) - np.trace(a)) <= 1e-14
 
 
+def _one_product_pinch(spectrum, a):
+    """`Spectrum.pinch` as it was computed before pinches were stacked: one
+    operator, its own block mask."""
+    scale = max(float(np.abs(spectrum.values).max()), 1e-300)
+    blocks = np.concatenate(([0], np.cumsum(np.abs(np.diff(spectrum.values)) > 1e-8 * scale)))
+    adjoint = spectrum.vectors.conj().T
+    in_basis = adjoint @ a @ spectrum.vectors
+    return hermitian_part(spectrum.vectors @ ((blocks[:, None] == blocks) * in_basis) @ adjoint)
+
+
+class TestStackedPinch:
+    """`linalg._pinches` pinches a stack of operators, each in the eigenbasis
+    of its own Spectrum, with one product; `Spectrum.pinch` is its
+    one-operator case. Every image equals the one-operator pinch bit for
+    bit, clustered spectra included."""
+
+    @staticmethod
+    def _sigmas(dim):
+        u = random_unitary(dim, dim)
+        clustered = np.ones(dim)
+        clustered[dim // 2:] = 2.0
+        # generic spectra, I/d (one block), two blocks with round-off, and a
+        # rank-deficient reference
+        return ([random_reference(dim, seed) for seed in range(4)]
+                + [np.eye(dim) / dim,
+                   hermitian_part((u * (clustered / clustered.sum())) @ u.conj().T),
+                   random_reference(dim, 9, full_rank=False, rank=max(1, dim // 2))])
+
+    @pytest.mark.parametrize("dim", range(1, 17))
+    def test_equals_one_operator_pinch(self, dim):
+        spectra = linalg.supports(np.array(self._sigmas(dim)))
+        ops = [random_density(dim, 100 + k) for k in range(len(spectra))]
+        ops += self._sigmas(dim)
+        images = linalg._pinches(spectra + spectra, np.array(ops))
+        assert images.shape == (2 * len(spectra), dim, dim)
+        for spectrum, a, image in zip(spectra + spectra, ops, images):
+            assert np.array_equal(image, spectrum.pinch(a))
+            assert image.tobytes() == _one_product_pinch(spectrum, a).tobytes()
+
+    def test_identity_over_d_is_one_block(self):
+        # sigma = I/d has one block, so each image is the operator itself
+        spectra = linalg.supports(np.array([np.eye(5) / 5] * 3))
+        ops = np.array([random_density(5, k) for k in range(3)])
+        assert max_abs(linalg._pinches(spectra, ops) - ops) <= 1e-15
+
+    def test_validation(self):
+        spectra = linalg.supports(np.array([np.eye(3) / 3] * 2))
+        with pytest.raises(ValueError, match=r"dimension mismatch: \(2, 2\) vs \(3, 3\)"):
+            linalg._pinches(spectra, np.array([np.eye(2)] * 2))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            linalg._pinches(spectra, np.array([np.eye(3), np.triu(np.ones((3, 3)))]))
+
+
 class TestCutoffOverride:
     def test_default(self):
         assert zero_cutoff() == 1e-12

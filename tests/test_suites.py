@@ -188,3 +188,58 @@ def test_all_equals_each_suite_alone(n_seeds):
              for r in suites.run_suites([name], n_seeds)]
     together = [r.to_dict() for r in suites.run_suites(["all"], n_seeds)]
     assert json.dumps(together) == json.dumps(alone)
+
+
+class TestFamilies:
+    """Each suite draws its family one stack per dimension; every member
+    equals the per-seed public generators' state bit for bit, as the
+    families were once drawn."""
+
+    @pytest.fixture
+    def prepared(self, monkeypatch):
+        """The pair lists that each plan hands to `_prepare_pairs`, in call
+        order."""
+        calls, original = [], dv._prepare_pairs
+
+        def recorded(pairs):
+            calls.append(list(pairs))
+            return original(calls[-1])
+
+        monkeypatch.setattr(dv, "_prepare_pairs", recorded)
+        return calls
+
+    @staticmethod
+    def _same(got, want):
+        assert len(got) == len(want)
+        for (rho, sigma), (rho_want, sigma_want) in zip(got, want):
+            assert rho.tobytes() == rho_want.tobytes()
+            assert sigma.tobytes() == sigma_want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    def test_members_equal_per_seed_generators(self, prepared, n):
+        from alphaz.states import random_support_pair, random_unitary
+
+        seeded = suites._prepare_seeded(n)
+        suites._plan_invariants(dv._Pass(), seeded)
+        suites._plan_dpi(dv._Pass(), seeded)
+        suites._plan_classical(dv._Pass(), 2 * n)
+        _, variants, tags, pinched, commuting = prepared
+        want = []
+        for k, (rho, sigma) in enumerate(seeded.states):
+            u = random_unitary(rho.shape[0], suites.BASE_SEED + 5000 + k)
+            want += [(u @ rho @ u.conj().T, u @ sigma @ u.conj().T),
+                     (rho, (0.25 + 1.5 * (k % 4)) * sigma), (rho, rho)]
+        self._same(variants, want)
+        want = []
+        for k in range(max(2, n // 2)):
+            dim = 3 + k % 3
+            want += [random_support_pair(dim, suites.BASE_SEED + 7000 + k, rank=dim - 1,
+                                         branch="violating"),
+                     random_support_pair(dim, suites.BASE_SEED + 8000 + k, rank=dim - 2,
+                                         branch="orthogonal")]
+        self._same(tags, want)
+        self._same(pinched, [(pair.sigma.pinch(rho), pair.sigma.pinch(sigma))
+                             for pair, (rho, sigma) in zip(seeded.pairs, seeded.states)])
+        self._same(commuting, [
+            commuting_pair(suites.COMMUTING_DIMS[k % len(suites.COMMUTING_DIMS)],
+                           suites.BASE_SEED + 1000 + k)[:2] for k in range(2 * n)])
