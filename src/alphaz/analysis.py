@@ -19,27 +19,35 @@ pairs (TraceFunctionals) and make one kernel request for all of them
 take a sequence of items (curves, alphas, z0s) and return, per pair, one
 report per item, in order, from that one request. The example1
 second-derivative check takes a sequence of ps and makes one kernel
-request for all of their pairs' stencils. One pair or one item is the
-one-element case, and a pair's reports do not depend on the pairs beside
-it. Each check is its plan (`_plan_*`), which adds its requests to a
-kernel pass and returns its builder; the builder's first read runs the
-pass. A public `verify_*` calls its plan on a pass of its own; the suites
-add the plans of a whole run to one pass. The builder of each of the four
-batched checks is a judge: it gives the check's verdicts (`_Verdicts`),
-the residual and pass flag of every (pair, item), computed on the arrays
-of its request, where each pass/fail rule is written once. A public
-`verify_*` builds its reports, rows included, from those arrays; the
-suites aggregate the verdicts and build no pair's report. Their offset
-ladders and finite-difference steps are module constants, not options:
-LIMIT_OFFSETS, DZ_TRACE_OFFSETS, and the default step of fd_derivative
-(1e-4) or fd_second_derivative (1e-3).
+request for all of their pairs' stencils, one item per p. One pair or one
+item is the one-element case, and a pair's reports do not depend on the
+pairs beside it. Each check is its plan (`_plan_*`), which adds its
+requests to a kernel pass and returns its judge; the judge's first read
+runs the pass. A public `verify_*` calls its plan on a pass of its own; the
+suites add the plans of a whole run to one pass. Each judge gives the
+check's verdicts (`_Verdicts`), the residual and pass flag of every (pair,
+item), computed on the arrays of its request, where each pass/fail rule is
+written once. A public `verify_*` builds its reports, rows included, from
+those arrays; the suites aggregate the verdicts of the seeded pairs and
+build no pair's report. Their offset ladders and finite-difference steps
+are module constants, not options: LIMIT_OFFSETS, DZ_TRACE_OFFSETS, and the
+default step of fd_derivative (1e-4) or fd_second_derivative (1e-3).
 
-Every check, here and in `suites`, picks its worst residual and row by one
-rule, `_worst` (`_worst_along` on an array's last axis): the largest
-residual, the first of them in row-major (pair, point) order, with a NaN
-counting as the largest. So a NaN residual fails its check and is the
-residual, and the row, it reports; a limit curve whose ladder holds a NaN
-error anywhere fails with that NaN.
+The slope-at-1, dT/dz and example1 checks differentiate by stencils: the
+plan lays out the points x0 + m h (`_stencil`) at the default step, and the
+judge applies the central-difference formula (`_central`,
+`_second_central`) to its request's samples at those points, the formula
+that the public fd_derivative and fd_second_derivative apply to the samples
+of their f. Only those public helpers raise on a non-finite sample; a check
+takes a NaN sample as the NaN difference it gives.
+
+Every check, here and in `suites`, all 28 of `alphaz verify --suite all`,
+picks its worst residual and row by one rule, `_worst` (`_worst_along` on an
+array's last axis): the largest residual, the first of them in row-major
+(pair, point) order, with a NaN counting as the largest. So a NaN residual
+fails its check and is the residual, and the row, it reports; a limit curve
+whose ladder, or a dT/dz check whose stencil, holds a NaN anywhere fails
+with that NaN.
 
 `sweep` maps an (alpha, z) grid to the arrays of D and T that `alphaz
 sweep` writes as CSV; the CLI and the alpha-monotonicity scan both call it.
@@ -101,6 +109,22 @@ def _samples(f: Callable[[np.ndarray], np.ndarray], x0, h: float,
     return ys
 
 
+def _central(samples, h: float) -> np.ndarray:
+    """The first derivative by the central difference (f(x0 + h) -
+    f(x0 - h)) / 2h, from the samples at x0 + h and x0 - h stacked on the
+    first axis."""
+    up, down = samples
+    return (up - down) / (2.0 * h)
+
+
+def _second_central(samples, h: float) -> np.ndarray:
+    """The second derivative by the central difference (f(x0 + h) -
+    2 f(x0) + f(x0 - h)) / h^2, from the samples at x0 + h, x0 and x0 - h
+    stacked on the first axis."""
+    up, mid, down = samples
+    return (up - 2.0 * mid + down) / (h * h)
+
+
 def _scalar(out):
     return float(out) if np.ndim(out) == 0 else out
 
@@ -115,16 +139,14 @@ def fd_derivative(f: Callable[[np.ndarray], np.ndarray], x0, h: float = _FD_STEP
     stencil points (x0 + h first, then x0 - h, each shaped like x0) to an
     array of samples of that leading shape; samples may carry trailing axes,
     one derivative each."""
-    up, down = _samples(f, x0, h, (1.0, -1.0))
-    return _scalar((up - down) / (2.0 * h))
+    return _scalar(_central(_samples(f, x0, h, (1.0, -1.0)), h))
 
 
 def fd_second_derivative(f: Callable[[np.ndarray], np.ndarray], x0, h: float = _FD2_STEP):
     """Second derivative at x0 by the central difference
     (f(x0 + h) - 2 f(x0) + f(x0 - h)) / h^2; f and x0 as in fd_derivative,
     with the three stencil points x0 + h, x0, x0 - h."""
-    up, mid, down = _samples(f, x0, h, (1.0, 0.0, -1.0))
-    return _scalar((up - 2.0 * mid + down) / (h * h))
+    return _scalar(_second_central(_samples(f, x0, h, (1.0, 0.0, -1.0)), h))
 
 
 @dataclass(frozen=True)
@@ -237,7 +259,7 @@ class _Verdicts:
     its kernel request: each item's report name, each (pair, item) residual
     and pass flag as (pairs, items) arrays, and `details`, which gives each
     (pair, item)'s rows and notes, per pair, from the same arrays. The
-    suites aggregate the verdicts without calling `details`."""
+    suites aggregate the seeded pairs' verdicts without calling `details`."""
 
     names: list[str]
     residuals: np.ndarray
@@ -337,9 +359,8 @@ def _plan_derivative_at_one(kernel: dv._Pass, pairs: Sequence[dv.PreparedPair]):
     name = "derivative at alpha=1 vs half-variance"
 
     def judge() -> _Verdicts:
-        # f gives the request's samples, at the stencil points fd_derivative
-        # forms from the same x0 and step: (2, pairs, families)
-        slopes = fd_derivative(lambda _: np.moveaxis(request.evaluate()[0], 0, 1), 1.0)
+        # the samples at alpha = 1 + h, then 1 - h: (2, pairs, families)
+        slopes = _central(np.moveaxis(request.evaluate()[0], 0, 1), _FD_STEP)
         targets = np.reshape([0.5 * pair.variance() for pair in pairs], (-1, 1))
         # relative residual against a meaningful target, absolute once the
         # target sits below the finite-difference noise scale (e.g. rho = sigma)
@@ -397,69 +418,49 @@ def verify_second_derivative_example1(ps: Sequence[float]) -> list[CheckReport]:
 
     ps = [float(p) for p in ps]
     pairs = dv._prepare_pairs(example1_pair(p) for p in ps)
-    return _plan_second_derivative_example1(dv._Pass(), ps, pairs)()
+    [reports] = _plan_second_derivative_example1(dv._Pass(), ps, pairs)().reports()
+    return reports
 
 
 def _plan_second_derivative_example1(kernel: dv._Pass, ps: Sequence[float],
                                      pairs: list[dv.PreparedPair]):
     """Add the stencils of `verify_second_derivative_example1` for the
     prepared example1 pairs of the ps to the pass `kernel` as one request,
-    and return the function that builds its reports."""
+    and return the function that judges them: one item per p."""
     a = _stencil(1.0, (_FD2_STEP, 0.0, -_FD2_STEP))
     zs = _family_zs(a)
     request = kernel.add(pairs, a[:, None], zs)
+    names = [f"second derivatives at alpha=1, p={p:g}" for p in ps]
 
-    def reports():
-        # the matrix pipeline and the closed form at the stencil points
-        # fd_second_derivative forms from the same x0 and step, one column
-        # per family: (stencil points, pairs, families)
+    def judge() -> _Verdicts:
+        # the matrix pipeline and the closed form at alpha = 1 + h, 1 and
+        # 1 - h: (3, ps, families)
         m = np.moveaxis(request.evaluate()[0], 0, 1)
-        c = np.array([[[example1_closed_form(p, x, z) for z in row] for p in ps]
-                      for x, row in zip(a.tolist(), zs.tolist())])
-        d2 = fd_second_derivative(lambda _: np.concatenate([m, c], axis=2), 1.0).tolist()
-        gaps = np.moveaxis(np.abs(m - c), 1, 0).tolist()
-        return [_second_derivative_example1(p, row, stencil_gaps)
-                for p, row, stencil_gaps in zip(ps, d2, gaps)]
+        c = np.reshape([[[example1_closed_form(p, x, z) for z in row] for p in ps]
+                        for x, row in zip(a.tolist(), zs.tolist())], m.shape)
+        # (ps, families, [matrix, closed form]) and each family's worst gap
+        d2 = _second_central(np.stack([m, c], axis=3), _FD2_STEP)
+        gaps = _worst_along(np.moveaxis(np.abs(m - c), 0, 2))
+        targets = [-0.25 * (math.log(p) - math.log(1.0 - p)) ** 2 for p in ps]
+        z1 = _worst_along(np.abs(d2[:, 0]))  # the z=1 family's curvature is 0
+        za = _worst_along(np.abs(d2[:, 1] - np.reshape(targets, (-1, 1)))) / np.abs(targets)
+        stencil_gaps = _worst_along(gaps)
+        residuals = _worst_along(np.stack([z1, za], axis=1))
+        passed = ((z1 <= SECOND_DERIV_ABS_TOL) & (za <= SECOND_DERIV_REL_TOL)
+                  & (stencil_gaps <= STENCIL_AGREEMENT_TOL))
 
-    return reports
+        def details():
+            return [[([{"family": family, "second_derivative_matrix": matrix,
+                        "second_derivative_closed_form": closed, "max_stencil_gap": gap}
+                       for family, (matrix, closed), gap in zip(FAMILIES, d2_row, gap_row)],
+                      f"z=alpha curvature target {target:.12g}, "
+                      f"stencil agreement {stencil_gap:.3e}")
+                     for target, d2_row, gap_row, stencil_gap in zip(
+                         targets, d2.tolist(), gaps.tolist(), stencil_gaps.tolist())]]
 
+        return _Verdicts(names, residuals[None], passed[None], details)
 
-def _second_derivative_example1(p: float, d2: list[float],
-                                stencil_gaps: list[list[float]]) -> CheckReport:
-    """One pair's report of `verify_second_derivative_example1`, from its
-    second derivatives (matrix pipeline per family, then closed form per
-    family) and its gap per stencil point and family."""
-    curvature_target = -0.25 * (math.log(p) - math.log(1.0 - p)) ** 2
-    names = list(FAMILIES)
-    stencil_gap, _ = _worst(stencil_gaps)
-    rows = []
-    results = {}
-    for k, name in enumerate(names):
-        results[name] = (d2[k], d2[len(names) + k])
-        rows.append({
-            "family": name,
-            "second_derivative_matrix": d2[k],
-            "second_derivative_closed_form": d2[len(names) + k],
-            "max_stencil_gap": _worst([gap[k] for gap in stencil_gaps])[0],
-        })
-    z1_residual, _ = _worst([abs(v) for v in results["z_equals_1"]])
-    za_gap, _ = _worst([abs(v - curvature_target) for v in results["z_equals_alpha"]])
-    za_residual = za_gap / abs(curvature_target)
-    passed = (
-        z1_residual <= SECOND_DERIV_ABS_TOL
-        and za_residual <= SECOND_DERIV_REL_TOL
-        and stencil_gap <= STENCIL_AGREEMENT_TOL
-    )
-    return CheckReport(
-        name=f"second derivatives at alpha=1, p={p:g}",
-        passed=passed,
-        max_residual=_worst([z1_residual, za_residual])[0],
-        rows=rows,
-        notes=(
-            f"z=alpha curvature target {curvature_target:.12g}, "
-            f"stencil agreement {stencil_gap:.3e}"
-        ),
-    )
+    return judge
 
 
 Z_MONOTONICITY_SLACK = 1e-10
@@ -545,14 +546,14 @@ def _plan_dz_trace_vanishes(kernel: dv._Pass, pairs: Sequence[dv.PreparedPair],
 
     def judge() -> _Verdicts:
         n = len(DZ_TRACE_OFFSETS)
-        # f gives the request's samples, at the stencil points fd_derivative
-        # forms from the same z0s and step: (2, pairs, z0s, alphas)
-        slopes = fd_derivative(lambda _: np.moveaxis(request.traces(), 0, 1), z0s)
+        # the samples at z0 + h, then z0 - h: (2, pairs, z0s, alphas)
+        slopes = _central(np.moveaxis(request.traces(), 0, 1), _FD_STEP)
         mags = np.abs(slopes)
         ladders, at_one = mags[..., :-1].reshape(mags.shape[:2] + (2, n)), mags[..., -1]
         passed = ((ladders[..., 1:] <= ladders[..., :-1] + Z_MONOTONICITY_SLACK).all(axis=(2, 3))
                   & (ladders[..., -1] <= DZ_TRACE_TOL).all(axis=2) & (at_one <= 1e-8))
-        final = _worst_along(ladders[..., -1])
+        # the |dT/dz| at the tightest offsets; a NaN sample anywhere wins
+        final = np.where(np.isnan(mags).any(axis=2), math.nan, _worst_along(ladders[..., -1]))
 
         def details():
             return [[([{"alpha": alpha, "dT_dz": d, "abs": m}

@@ -99,16 +99,6 @@ def _hermitian_stack(stack: np.ndarray) -> np.ndarray:
     return (stack + adjoint) / 2.0
 
 
-def as_hermitian(a: np.ndarray) -> np.ndarray:
-    """Validate and symmetrize a square matrix.
-
-    Rejects non-square or non-finite input and input whose Hermiticity
-    defect exceeds HERMITICITY_RTOL relative to the matrix scale; otherwise
-    returns the exactly Hermitian part.
-    """
-    return _hermitian_stack(_square(a)[None])[0]
-
-
 def _power(base: np.ndarray, exponents) -> np.ndarray:
     """base ** exponents with the exponents laid out in full over the base: a
     float, or one exponent per row of a base of rows as a column (R, 1).
@@ -167,7 +157,7 @@ def _pinches(spectra: list[Spectrum], stack) -> np.ndarray:
     Spectrum: sum_i P_i A P_i over the spectral projectors P_i (neighbouring
     eigenvalues closer than 1e-8 times the largest magnitude share a block).
     Trace preserving and Hermiticity preserving. Each A is validated and
-    symmetrized as `as_hermitian` does, and the stack is computed as one
+    symmetrized by `_hermitian_stack`, and the stack is computed as one
     product V (M ∘ V†AV) V†, where M is the block mask of each spectrum:
     M_ij = 1 iff eigenvalues i and j share a block."""
     stack = _hermitian_stack(np.asarray(stack, dtype=complex))

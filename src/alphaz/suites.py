@@ -43,11 +43,17 @@ report per item (curve, alpha, z0, or the slopes), whose members are the
 seeded pairs. Each is judged on the arrays of its request for all pairs
 at once (`analysis._Verdicts`), and an aggregate's rows are its members'
 pass flags and residuals; no member's report or per-point row is built.
-Each check reduces its residuals, one (pair, point) array or one list, by
-`analysis._worst`, as each aggregate reduces its members: the worst
-residual and its row are the first largest in pair order, then point
-order, and a NaN residual is the worst, so it fails the check and is the
-row reported. classical lists no row where every residual is exactly 0.
+example1's curvature checks are its judge's reports, one per p. The
+slopes, the dT/dz checks and example1's curvatures take central
+differences of their request's samples (`analysis._central`,
+`analysis._second_central`), so a NaN sample gives a NaN residual and
+raises nothing. So the 28 checks of `all` follow one NaN rule: each
+reduces its residuals, one (pair, point) array or one list, by
+`analysis._worst`, as each aggregate reduces its members (the infinity tag
+check has pass flags only): the worst residual and its row are the first
+largest in pair order, then point order, and a NaN residual is the worst,
+so it fails the check and is the row reported, and the run still builds
+every report. classical lists no row where every residual is exactly 0.
 """
 
 from __future__ import annotations
@@ -203,7 +209,7 @@ def _plan_example1(kernel: dv._Pass):
     grid = kernel.add(pairs, *zip(*points))
 
     def reports():
-        reports = second()
+        [reports] = second().reports()
         closed = [[example1_closed_form(p, alpha, z) for alpha, z in points]
                   for p in EXAMPLE1_PS]
         gaps = np.abs(grid.evaluate()[0] - closed)

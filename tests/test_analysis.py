@@ -353,6 +353,9 @@ class TestBatchedVerifications:
         assert verify_z_monotonicity([], MONOTONICITY_ALPHAS, MONOTONICITY_ZS) == []
         assert verify_dz_trace_vanishes([], DZ_TRACE_Z0S) == []
 
+    def test_no_ps_no_reports(self):
+        assert verify_second_derivative_example1([]) == []
+
 
 class TestSweep:
     def test_single_cell(self):

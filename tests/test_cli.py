@@ -645,9 +645,10 @@ class TestVerify:
         pytest.param(1, ("limits", "monotonicity", "derivatives"), 0.0, None, id="1"),
         pytest.param(3, ("limits", "monotonicity", "derivatives"), 0.0, None, id="3"),
         pytest.param(6, ("limits", "monotonicity", "derivatives"), 0.0, None, id="6"),
-        # a NaN in the values of the last pair: each of its members fails
-        # and is the worst, though the pairs before it come first
-        pytest.param(3, ("limits", "monotonicity"), 0.0, 2, id="3-nan"),
+        # a NaN in the values and traces of the last pair: each of its
+        # members fails and is the worst, though the pairs before it come
+        # first
+        pytest.param(3, ("limits", "monotonicity", "derivatives"), 0.0, 2, id="3-nan"),
         # the bias of --self-test-perturb
         pytest.param(3, ("limits",), 0.01, None, id="3-bias"),
         pytest.param(100, ("limits",), 0.0, None, id="100-limits"),
@@ -660,16 +661,21 @@ class TestVerify:
         seeded = suites.seeded_pairs(n_seeds)
         if nan_pair is not None:
             target = dv.prepare(*seeded[nan_pair][:2]).rho.values
-            original = dv._Request.evaluate
+            original, original_traces = dv._Request.evaluate, dv._Request.traces
 
-            def planted(request):
-                values, traces = original(request)
+            def plant(request, values):
                 for p, pair in enumerate(request.pairs):
                     if np.array_equal(pair.rho.values, target):
                         values[p, ..., 0] = math.nan
-                return values, traces
+                return values
+
+            def planted(request):
+                values, traces = original(request)
+                return plant(request, values), traces
 
             monkeypatch.setattr(dv._Request, "evaluate", planted)
+            monkeypatch.setattr(dv._Request, "traces",
+                                lambda request: plant(request, original_traces(request).copy()))
         pairs = [(analysis.TraceFunctional(rho, sigma), label) for rho, sigma, label in seeded]
         singles = {
             "limits": [lambda tf, c=c: analysis.verify_curve_limits([tf], [c], bias)[0]

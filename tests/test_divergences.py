@@ -1639,14 +1639,14 @@ class TestStackedPrepare:
             assert type(exc.value) is ValueError and str(exc.value) == message
 
     def test_range_limit_is_half_the_largest_double(self):
-        from alphaz.linalg import MAX_ENTRY_MODULUS, as_hermitian
+        from alphaz.linalg import MAX_ENTRY_MODULUS, _hermitian_stack
 
         assert MAX_ENTRY_MODULUS == np.finfo(float).max / 2
         edge = np.array([[MAX_ENTRY_MODULUS, 1.0], [1.0, 0.0]])
-        assert np.isfinite(as_hermitian(edge)).all()
+        assert np.isfinite(_hermitian_stack(edge[None])).all()
         edge[0, 0] = np.nextafter(MAX_ENTRY_MODULUS, np.inf)
         with pytest.raises(ValueError, match="beyond double range"):
-            as_hermitian(edge)
+            _hermitian_stack(edge[None])
 
     def test_eigenvalues_beyond_range_in_a_stack(self):
         # the stacked preparation raises the pair's own error

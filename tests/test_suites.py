@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from alphaz import divergences as dv, suites
-from alphaz.analysis import LIMIT_OFFSETS, _worst
+from alphaz.analysis import DZ_TRACE_OFFSETS, FAMILIES, LIMIT_OFFSETS, _worst
 from alphaz.states import commuting_pair
 
 N_SEEDS = 3
@@ -54,8 +54,8 @@ def clean():
 
 def _plant(monkeypatch, read, shape, at):
     """Let the kernel request read `read` of `divergences._Request`
-    ("evaluate", whose D it plants in, or "mosonyi_ogawa") return a NaN at
-    index `at` in the one request of the suite whose values have this
+    ("evaluate", whose D it plants in, "traces" or "mosonyi_ogawa") return a
+    NaN at index `at` in the one request of the suite whose values have this
     shape."""
     original = getattr(dv._Request, read)
 
@@ -178,6 +178,58 @@ def test_limit_nan_at_any_rung(monkeypatch, clean, rung):
     failed = _only_failure(_run("limits"), clean["limits"], curve)
     label = suites.seeded_pairs(N_SEEDS)[pair][2]
     assert failed["notes"].endswith(f"[{label}]")
+
+
+# the finite-difference checks judge their samples on arrays as every other
+# check does: a NaN sample fails its own check, and no check raises
+
+
+def _nan_member(failed, pair):
+    """The aggregate names `pair` as its worst member, which fails with a
+    NaN residual."""
+    label = suites.seeded_pairs(N_SEEDS)[pair][2]
+    assert failed["notes"].endswith(f"[{label}]")
+    member = failed["rows"][pair]
+    assert member["passed"] is False and math.isnan(member["max_residual"])
+
+
+@pytest.mark.parametrize("pair, side, family", [(0, 0, 0), (1, 1, 1), (N_SEEDS - 1, 0, 1)])
+def test_slope_at_one_nan(monkeypatch, clean, pair, side, family):
+    # the samples at alpha = 1 + h and 1 - h of the z=1 and z=alpha families
+    _plant(monkeypatch, "evaluate", (N_SEEDS, 2, len(FAMILIES)), (pair, side, family))
+    _nan_member(_only_failure(_run("derivatives"), clean["derivatives"], 0), pair)
+
+
+# every column of the dT/dz request but the tightest offsets and alpha = 1
+DZ_LOOSE_RUNGS = [k + side * len(DZ_TRACE_OFFSETS)
+                  for side in (0, 1) for k in range(len(DZ_TRACE_OFFSETS) - 1)]
+
+
+@pytest.mark.parametrize("z0", range(len(suites.DZ_TRACE_Z0S)))
+@pytest.mark.parametrize("rung", DZ_LOOSE_RUNGS)
+def test_dz_trace_nan_at_a_loose_rung(monkeypatch, clean, z0, rung):
+    # T at z0 + h and z0 - h at every offset of alpha on both sides, then 1
+    shape = (N_SEEDS, 2, len(suites.DZ_TRACE_Z0S), 2 * len(DZ_TRACE_OFFSETS) + 1)
+    pair, side = rung % N_SEEDS, rung % 2
+    _plant(monkeypatch, "traces", shape, (pair, side, z0, rung))
+    _nan_member(_only_failure(_run("derivatives"), clean["derivatives"], 1 + z0), pair)
+
+
+@pytest.mark.parametrize("p, point, family", [(0, 0, 0), (1, 1, 1), (2, 2, 0)])
+def test_example1_stencil_nan(monkeypatch, clean, p, point, family):
+    # D at alpha = 1 + h, 1 and 1 - h of each family, for each p
+    _plant(monkeypatch, "evaluate", (len(suites.EXAMPLE1_PS), 3, len(FAMILIES)),
+           (p, point, family))
+    failed = _only_failure(_run("example1"), clean["example1"], p)
+    for k, (got, want) in enumerate(zip(failed["rows"], clean["example1"][p]["rows"],
+                                        strict=True)):
+        if k != family:
+            assert got == want
+    row = failed["rows"][family]
+    assert math.isnan(row["second_derivative_matrix"]) and math.isnan(row["max_stencil_gap"])
+    assert row["second_derivative_closed_form"] == \
+        clean["example1"][p]["rows"][family]["second_derivative_closed_form"]
+    assert failed["notes"].endswith("stencil agreement nan")
 
 
 @pytest.mark.parametrize("n_seeds", [1, 3, 10])
